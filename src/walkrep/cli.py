@@ -140,7 +140,8 @@ def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
     t0 = time.time()
     out = _out_dir(out_base, "norms")
     records = []
-    for label, (spec, w) in zip(("group", "second_group"), _weight_tables(cfg)):
+    tables = _weight_tables(cfg)
+    for label, (spec, w) in zip(("group", "second_group"), tables):
         gens = groups.generators(spec)
         per_gen = max(1, cfg.samples.norm_trials // len(gens))
         for a in gens:
@@ -156,8 +157,7 @@ def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
                 )
             )
     # restricted-weight pipeline: integers into the second group via a^n
-    spec1, w1 = cfg.group.spec(), None
-    (_, _), (spec2, w2) = _weight_tables(cfg)
+    (spec1, _), (spec2, w2) = tables
     if spec1.kind == "integers" and spec2.kind == "free":
         emb = groups.subgroup_embed(spec1, spec2, [(1,)], seed=cfg.seed)
         nrho = measures.restricted_ratio_certificate(w2, emb, 1)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, EncodingError
 from .groups import GroupSpec
 from .model import BuildConfig
 
@@ -33,8 +33,7 @@ class WeightConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    kind: str = "bernoulli"  # bernoulli | rotation
-    alpha: tuple = ()
+    alpha: tuple = ()  # rotation angles; empty draws them from the seed
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class SampleConfig:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    certificate_slack: float = 1e-9
     decay_ratio_rel: float = 0.05
     decay_sigma: float = 4.0
     quadrature_abs: float = 1e-6
@@ -93,62 +91,43 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
-_SECTION_TYPES = {
-    "group": GroupConfig,
-    "second_group": GroupConfig,
-    "weights": WeightConfig,
-    "second_weights": WeightConfig,
-    "system": SystemConfig,
-    "samples": SampleConfig,
-    "tolerances": ToleranceConfig,
-}
-
-_SCALAR_KEYS = {
-    "seed": int,
-    "stages": int,
-    "tower_height": int,
-    "tower_eta": float,
-    "n_trunc": int,
-    "lf_chain_n": int,
-    "lf_sampled_g0": int,
-}
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _build_section(cls, data: dict, path: str):
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(data) - allowed
+def _checked(default, value, path: str):
+    """``value`` checked against the type of its field's default."""
+    if is_dataclass(default):
+        return _build(type(default), value, path)
+    if isinstance(default, tuple):
+        ok = isinstance(value, list) and all(_is_number(v) for v in value)
+        if ok:
+            value = tuple(float(v) for v in value)
+    elif isinstance(default, float):
+        ok = _is_number(value)
+    else:
+        ok = isinstance(value, type(default)) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"bad value for {path}: {value!r}")
+    return value
+
+
+def _build(cls, data, path: str):
+    """``cls`` from a JSON object; absent keys keep the class defaults."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown keys in {path}: {sorted(unknown)}")
-    coerced = {}
-    for key, value in data.items():
-        if key == "alpha":
-            value = tuple(float(v) for v in value)
-        coerced[key] = value
-    try:
-        return cls(**coerced)
-    except TypeError as exc:
-        raise ConfigError(f"bad values in {path}: {exc}") from exc
+    defaults = cls()
+    return cls(**{
+        key: _checked(getattr(defaults, key), value, f"{path}.{key}")
+        for key, value in data.items()
+    })
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    allowed = set(_SECTION_TYPES) | set(_SCALAR_KEYS)
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {key} must be an object")
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        else:
-            try:
-                kwargs[key] = _SCALAR_KEYS[key](value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    cfg = ExperimentConfig(**kwargs)
+    cfg = _build(ExperimentConfig, data, "config")
     _validate(cfg)
     return cfg
 
@@ -166,10 +145,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("tower height must be >= 1")
     if cfg.n_trunc < 1:
         raise ConfigError("truncation window must be >= 1")
-    cfg.group.spec()
-    cfg.second_group.spec()
-    if cfg.system.kind not in ("bernoulli", "rotation"):
-        raise ConfigError(f"unknown system kind {cfg.system.kind!r}")
+    try:
+        cfg.group.spec()
+        cfg.second_group.spec()
+    except EncodingError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | None) -> ExperimentConfig:

@@ -159,13 +159,8 @@ class LocallyFiniteChain:
 
 def locally_finite_rho(chain: LocallyFiniteChain) -> SparseMeasure:
     """rho = sum p_n lambda_n truncated at the chain end (tail q^n_max)."""
-    table: dict = {}
-    for n in range(1, chain.n_max + 1):
-        pn = chain.params.p(n)
-        lam = chain.haar(n)
-        for g in lam.support():
-            table[g] = table.get(g, 0.0) + pn * lam.masses[g]
-    return SparseMeasure(chain.spec, table, symmetric=True)
+    lams = (chain.haar(n) for n in range(1, chain.n_max + 1))
+    return SparseMeasure(chain.spec, measures.mixture(chain.params, lams), symmetric=True)
 
 
 def haar_convolution_identity(chain: LocallyFiniteChain) -> dict:

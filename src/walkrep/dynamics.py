@@ -153,7 +153,6 @@ def sample_point(sys: DynamicalSystem, draw: int) -> PointHandle:
 
 def act(sys: DynamicalSystem, g, x: PointHandle) -> PointHandle:
     """T_g x; exact composition law act(g, act(h, x)) == act(gh, x)."""
-    groups.check_element(sys.group, g)
     return PointHandle(sys, x.root, groups.multiply(sys.group, g, x.offset))
 
 

@@ -24,8 +24,6 @@ from .groups import GroupSpec
 
 DEFAULT_SUPPORT_CAP = 10**6
 
-MASS_TOL = 1e-12
-
 
 @dataclass
 class SparseMeasure:
@@ -38,7 +36,6 @@ class SparseMeasure:
     def __post_init__(self):
         self.masses = {g: m for g, m in self.masses.items() if m != 0.0}
         for g, m in self.masses.items():
-            groups.check_element(self.spec, g)
             if m < 0:
                 raise DomainError(f"negative mass {m} at {g}")
 
@@ -50,9 +47,6 @@ class SparseMeasure:
 
     def support(self) -> list:
         return sorted(self.masses, key=lambda g: groups.sort_key(self.spec, g))
-
-    def is_probability(self, tol: float = MASS_TOL) -> bool:
-        return abs(self.total() - 1.0) <= tol
 
     def check_symmetry(self) -> bool:
         inv = groups.inverse
@@ -91,9 +85,7 @@ def convolve(
             acc[g] = acc.get(g, 0.0) + mx * nu.masses[y]
         if len(acc) > cap:
             raise CapacityError(f"convolution support exceeds cap {cap}")
-    out = SparseMeasure(spec, acc)
-    out.symmetric = out.check_symmetry()
-    return out
+    return SparseMeasure(spec, acc)
 
 
 def _mirror(spec: GroupSpec, measure: SparseMeasure) -> SparseMeasure:
@@ -126,15 +118,6 @@ def convolution_powers(
             nxt = _mirror(spec, nxt)
         out.append(nxt)
     return out
-
-
-def convolution_power(
-    spec: GroupSpec,
-    rho: SparseMeasure,
-    n: int,
-    cap: int = DEFAULT_SUPPORT_CAP,
-) -> SparseMeasure:
-    return convolution_powers(spec, rho, n, cap=cap)[-1]
 
 
 @dataclass(frozen=True)
@@ -204,13 +187,7 @@ class WeightTable:
         if depth == self.params.n_max:
             return self.table
         if depth not in self._partials:
-            acc: dict = {}
-            for n in range(1, depth + 1):
-                pn = self.params.p(n)
-                rho_n = self.powers[n - 1]
-                for g in rho_n.support():
-                    acc[g] = acc.get(g, 0.0) + pn * rho_n.masses[g]
-            self._partials[depth] = acc
+            self._partials[depth] = mixture(self.params, self.powers[:depth])
         return self._partials[depth]
 
     def partial_weight(self, g, depth: int) -> float:
@@ -225,23 +202,36 @@ class WeightTable:
         return max(0.0, 1.0 - self.mass_in_ball(n)) + self.tail_bound
 
 
+def mixture(params: WeightParams, terms) -> dict:
+    """sum_n p_n mu_n over the measures mu_1, mu_2, ... of ``terms``.
+
+    Terms are added in order, each over its support in canonical order; every
+    weight table is summed this way, so equal inputs give bit-equal tables.
+    """
+    acc: dict = {}
+    for n, mu in enumerate(terms, start=1):
+        pn = params.p(n)
+        for g in mu.support():
+            acc[g] = acc.get(g, 0.0) + pn * mu.masses[g]
+    return acc
+
+
 def build_weight(
     spec: GroupSpec,
     params: WeightParams,
     cap: int = DEFAULT_SUPPORT_CAP,
+    rho: SparseMeasure | None = None,
 ) -> WeightTable:
-    rho = step_distribution(spec)
+    """The truncated weight of the step law ``rho`` (by default the lazy
+    uniform step on the generators)."""
+    if rho is None:
+        rho = step_distribution(spec)
     powers = convolution_powers(spec, rho, params.n_max, cap=cap)
-    table: dict = {}
-    for n, rho_n in enumerate(powers, start=1):
-        pn = params.p(n)
-        for g in rho_n.support():
-            table[g] = table.get(g, 0.0) + pn * rho_n.masses[g]
     return WeightTable(
         spec=spec,
         params=params,
         powers=tuple(powers),
-        table=table,
+        table=mixture(params, powers),
         tail_bound=params.tail,
     )
 

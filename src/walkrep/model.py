@@ -14,8 +14,8 @@ covers, the separation / exception / hitting / cover-width budgets, and the
 per-stage checks.  Conventions chosen where the construction leaves a free
 hand (and enforced by the recorded checks):
 
-* stage-1 split offset is the configured ``eps1``, making the first-level
-  separation exactly twice ``eps1``;
+* stage-1 split offset is ``EPS1``, making the first-level separation
+  exactly twice ``EPS1``;
 * later split offsets are an eighth of the previous cover width;
 * the recorded separation budget of a new level is the observed minimal
   gap deflated by the stage's (1 + 1/n) factor, so the level-n separation
@@ -263,9 +263,10 @@ def _elem_to_json(spec: GroupSpec, g):
 
 
 def _elem_from_json(spec: GroupSpec, v):
-    if spec.kind == "integers":
-        return int(v)
-    return tuple(int(c) for c in v)
+    """A loaded element; raises EncodingError unless it is canonical."""
+    g = tuple(v) if isinstance(v, list) else v
+    groups.check_element(spec, g)
+    return g
 
 
 def model_from_dict(data: dict) -> ModelFunction:
@@ -474,38 +475,25 @@ def phi(
 # stage construction
 
 
+# Fixed constants of the staged construction.
+INITIAL_ETA = 0.5  # tower-mass target before any stage exists
+EPS1 = 0.1  # stage-1 split offset
+GAMMA1 = 0.05  # level-1 exception budget, halved per level
+DELTA_CAP = 0.01  # ceiling on a level's hitting budget
+BETA_INIT = 0.02  # ceiling on the cover width
+MAX_TOWER_HEIGHT = 24
+DELTA_SAFETY = 0.9  # room for the Monte-Carlo bound under the hitting budget
+
+
 @dataclass(frozen=True)
 class BuildConfig:
     """Dials of the staged construction (all seeded and deterministic)."""
 
     stages: int = 4
-    initial_eta: float = 0.5
-    eps1: float = 0.1
-    gamma1: float = 0.05
-    delta_cap: float = 0.01
-    beta_init: float = 0.02
     n_trunc: int = 16
     base_samples: int = 160
     check_samples: int = 1500
     seed: int = 0
-    max_tower_height: int = 24
-    delta_safety: float = 0.9
-
-    def to_dict(self) -> dict:
-        return {
-            "stages": self.stages,
-            "initial_eta": self.initial_eta,
-            "eps1": self.eps1,
-            "gamma1": self.gamma1,
-            "delta_cap": self.delta_cap,
-            "beta_init": self.beta_init,
-            "n_trunc": self.n_trunc,
-            "base_samples": self.base_samples,
-            "check_samples": self.check_samples,
-            "seed": self.seed,
-            "max_tower_height": self.max_tower_height,
-            "delta_safety": self.delta_safety,
-        }
 
 
 def compute_eta(history: list[StageState]) -> float:
@@ -517,13 +505,9 @@ def compute_eta(history: list[StageState]) -> float:
     worst = math.inf
     for i in range(1, n + 1):
         worst = min(
-            worst, state.eps[i], state.gamma[i], state.delta[i], _beta_at(history, i)
+            worst, state.eps[i], state.gamma[i], state.delta[i], history[i - 1].beta
         )
     return worst / (2 * n * (n + 1))
-
-
-def _beta_at(history: list[StageState], i: int) -> float:
-    return history[i - 1].beta
 
 
 def _tail_height(
@@ -548,7 +532,6 @@ def hit_ball(
     history: list[StageState],
     ball: BallSpec,
     w: WeightTable,
-    config: BuildConfig,
     quartic_budget: float,
 ) -> tuple[ModelStage, TowerSpec, float]:
     """Patch the model so the next ball is hit with positive probability.
@@ -559,11 +542,11 @@ def hit_ball(
     """
     sys = model.system
     spec = model.spec
-    eta = config.initial_eta if not history else compute_eta(history)
+    eta = INITIAL_ETA if not history else compute_eta(history)
     xi = ball.center_dict()
     max_abs = max(model.max_abs(), ball.max_abs())
     n = _tail_height(
-        w, max(max_abs, 1e-9), ball.radius, ball.level, config.max_tower_height
+        w, max(max_abs, 1e-9), ball.radius, ball.level, MAX_TOWER_HEIGHT
     )
     prev_heights = [st.patch.n for st in model.stages]
     blow = max(
@@ -636,19 +619,14 @@ def split_values(
     model: ModelFunction,
     history: list[StageState],
     stage_index: int,
-    config: BuildConfig,
 ) -> StageSplit:
     """Split every current value u into u -+ s routed by the next cylinder.
 
-    s is an eighth of the previous cover width (the configured separation
-    at stage 1), keeping the offspring inside the interiors of the previous
+    s is an eighth of the previous cover width (``EPS1`` at stage 1), keeping the offspring inside the interiors of the previous
     covers; all new points must be distinct or the stage fails.
     """
     n_new = stage_index + 1
-    if n_new == 1:
-        s = config.eps1
-    else:
-        s = _beta_at(history, n_new - 1) / 8.0
+    s = EPS1 if n_new == 1 else history[n_new - 2].beta / 8.0
     values = model.range_values()  # range of the patched model f-hat
     split_map = {u: (u - s, u + s) for u in values}
     offspring = [v for pair in split_map.values() for v in pair]
@@ -667,7 +645,6 @@ def _update_bookkeeping(
     tower: TowerSpec,
     ball: BallSpec,
     eta: float,
-    config: BuildConfig,
 ) -> StageState:
     """Derive the stage-(n+1) value sets, covers, and budgets; verify the
     exact separation and nesting conditions on the recorded finite sets."""
@@ -693,20 +670,20 @@ def _update_bookkeeping(
     if gap_new <= 0:
         raise StageError("new level separation vanished")
     eps[n_new] = gap_new / (1.0 + 1.0 / n_new)
-    gamma[n_new] = config.gamma1 * 0.5 ** (n_new - 1)
+    gamma[n_new] = GAMMA1 * 0.5 ** (n_new - 1)
     delta[n_new] = min(
-        config.delta_cap,
-        config.delta_safety * tower.mu_e_lower / (1.0 + 1.0 / n_new),
+        DELTA_CAP,
+        DELTA_SAFETY * tower.mu_e_lower / (1.0 + 1.0 / n_new),
     )
     # covers: width beta_new around every point, constrained by separation
-    # (condition 2), shrinkage (nesting), and the configured initial width
+    # (condition 2), shrinkage (nesting), and the ceiling BETA_INIT
     slack = math.inf
     for i, (v0, v1) in value_sets.items():
         d = _set_distance(v0, v1)
         if d - eps[i] * (1.0 + 1.0 / (n_new + 1)) < 0:
             raise StageError(f"separation at level {i} broken: {d}")
         slack = min(slack, d - eps[i] * (1.0 + 1.0 / (n_new + 1)))
-    beta = min(config.beta_init, slack / 2.0)
+    beta = min(BETA_INIT, slack / 2.0)
     if prev is not None:
         beta = min(beta, 0.75 * prev.beta)
     if beta <= 0:
@@ -830,18 +807,18 @@ def build_model(
     drift = 0.0
     for idx in range(config.stages):
         ball = basis_balls(idx, sys.group)
-        stage, tower, eta = hit_ball(model, history, ball, w, config, quartic)
+        stage, tower, eta = hit_ball(model, history, ball, w, quartic)
         model.stages.append(stage)
         patch_report = verify_patch(model, idx, ball, w, config)
         if not patch_report["pass"]:
             raise StageError(f"patch verification failed at stage {idx + 1}: {patch_report}")
         patched_values = model.range_values()
-        split = split_values(model, history, idx, config)
+        split = split_values(model, history, idx)
         stage.split = split
         drift += split.offset
         quartic += tower.mu_bn_upper() * (ball.max_abs() + drift) ** 4
         state = _update_bookkeeping(
-            history, idx, split, patched_values, tower, ball, eta, config
+            history, idx, split, patched_values, tower, ball, eta
         )
         state.checks["patch"] = patch_report
         if not state.checks["separation"]["pass"]:

@@ -32,8 +32,6 @@ class WeightedVector:
 
     def __post_init__(self):
         self.coeffs = {g: c for g, c in self.coeffs.items() if c != 0.0}
-        for g in self.coeffs:
-            groups.check_element(self.weights.spec, g)
 
     @property
     def spec(self) -> GroupSpec:
@@ -209,19 +207,7 @@ def subgroup_norm_certificate(
     img = emb.map(g0)
     length = groups.word_length(amb, img)
     m_g0 = measures.translation_bound(amb, w_amb.params, length)
-    powers = measures.convolution_powers(sub, rho_g, second_params.n_max)
-    table: dict = {}
-    for n, rn in enumerate(powers, start=1):
-        pn = second_params.p(n)
-        for g in rn.support():
-            table[g] = table.get(g, 0.0) + pn * rn.masses[g]
-    w_sub = WeightTable(
-        spec=sub,
-        params=second_params,
-        powers=tuple(powers),
-        table=table,
-        tail_bound=second_params.tail,
-    )
+    w_sub = measures.build_weight(sub, second_params, rho=rho_g)
     # interior window: one base-window radius in from the support edge
     base_radius = max(
         groups.word_length(sub, h) for h in rho_g.support()

@@ -28,9 +28,18 @@ def test_nested_unknown_keys_rejected(tmp_path):
 
 def test_invalid_values_rejected(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"weights": {"q": 1.5}}))
-    with pytest.raises(ConfigError):
-        config.load_config(str(path))
+    for doc in (
+        {"weights": {"q": 1.5}},
+        {"group": {"kind": "foo"}},
+        {"group": {"kind": "lattice", "d": 5}},
+        {"weights": {"q": "0.5"}},
+        {"system": {"alpha": ["x"]}},
+        {"stages": 3.7},
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            config.load_config(str(path))
+        assert cli.main(["tower", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
 def test_config_defaults_and_digest():

@@ -118,7 +118,7 @@ def test_canonicalize_idempotent():
 def test_malformed_encodings_rejected():
     z = groups.GroupSpec("integers")
     with pytest.raises(EncodingError):
-        groups.multiply(z, 1.5, 2)
+        groups.canonicalize(z, 1.5)
     f2 = groups.GroupSpec("free", 2)
     with pytest.raises(EncodingError):
         groups.check_element(f2, (1, -1))
@@ -169,3 +169,30 @@ def test_free_group_inverse_property(raw_a, raw_b):
     assert groups.inverse(f2, ab) == groups.multiply(
         f2, groups.inverse(f2, b), groups.inverse(f2, a)
     )
+
+
+def _canonical(spec):
+    """Canonical encodings of ``spec``, built through ``canonicalize``."""
+    small = st.integers(min_value=-50, max_value=50)
+    if spec.kind == "integers":
+        raw = small
+    elif spec.kind == "lattice":
+        raw = st.tuples(*[small] * spec.d)
+    elif spec.kind == "heisenberg":
+        raw = st.tuples(small, small, small)
+    elif spec.kind == "free":
+        raw = st.lists(st.integers(-spec.d, spec.d).filter(bool), max_size=10)
+    else:
+        raw = st.lists(st.integers(min_value=1, max_value=12), max_size=8)
+    return raw.map(lambda g: groups.canonicalize(spec, g))
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind + str(s.d))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_arithmetic_keeps_encodings_canonical(spec, data):
+    # multiply and inverse do not re-check their inputs; this is the oracle
+    a = data.draw(_canonical(spec))
+    b = data.draw(_canonical(spec))
+    groups.check_element(spec, groups.multiply(spec, a, b))
+    groups.check_element(spec, groups.inverse(spec, a))

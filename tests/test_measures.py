@@ -27,7 +27,7 @@ def test_convolution_examples_z(z_spec):
     rho2 = measures.convolve(z_spec, rho, rho)
     assert abs(rho2.mass(0) - 1 / 3) < 1e-15  # 3 of 9 pairs sum to 0
     assert abs(rho2.mass(2) - 1 / 9) < 1e-15  # only (1, 1)
-    rho3 = measures.convolution_power(z_spec, rho, 3)
+    rho3 = measures.convolution_powers(z_spec, rho, 3)[-1]
     assert abs(rho3.mass(0) - 7 / 27) < 1e-15  # 7 of 27 triples
 
 
@@ -245,5 +245,5 @@ def test_monte_carlo_cross_check_f2(f2_spec):
 def test_symmetry_propagates(g, n):
     spec = groups.GroupSpec("integers")
     rho = measures.step_distribution(spec)
-    rn = measures.convolution_power(spec, rho, n)
+    rn = measures.convolution_powers(spec, rho, n)[-1]
     assert rn.mass(g) == rn.mass(-g)

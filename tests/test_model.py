@@ -4,7 +4,7 @@ import math
 import pytest
 
 from walkrep import dynamics, groups, model, space
-from walkrep.errors import StageError
+from walkrep.errors import EncodingError, StageError
 
 
 def test_basis_ball_enumeration_start(z_spec):
@@ -186,6 +186,16 @@ def test_serialization_roundtrip(built_model, z_bernoulli):
         assert ev1.f_value(g) == ev2.f_value(g)
 
 
+def test_model_load_rejects_malformed_elements(built_model):
+    mdl, _, _ = built_model
+    for key in ("xi", "tower_pattern"):
+        for bad in (1.5, True, [1], "1"):
+            data = json.loads(json.dumps(mdl.to_dict()))
+            data["stages"][-1][key][0][0] = bad
+            with pytest.raises(EncodingError):
+                model.model_from_dict(data)
+
+
 def test_lattice_build_smoke():
     from walkrep import measures
 
@@ -207,7 +217,7 @@ def test_split_collision_detected(z_bernoulli, z_weights):
     s = history[0].beta / 8.0
     mdl.range_values = lambda: (0.0, 2.0 * s)
     with pytest.raises(StageError):
-        model.split_values(mdl, history, 1, cfg)
+        model.split_values(mdl, history, 1)
 
 
 def test_feldman_identity_and_norm():
