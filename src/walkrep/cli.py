@@ -335,10 +335,7 @@ def cmd_orbit(cfg: ExperimentConfig, out_base: str) -> int:
     probe = dynamics.bernoulli_system(spec, cfg.seed + 1)
     x = dynamics.sample_point(probe, 0)
     ev = model.ModelEvaluator(mdl, x)
-    v, _ = model.phi(ev, x, cfg.n_trunc, w)
-    rep = model.orbit_frequency(
-        v, a, ball1, cfg.samples.orbit_steps, w, evaluator=ev, x=x, n_trunc=cfg.n_trunc
-    )
+    rep = model.orbit_frequency(ev, x, a, ball1, cfg.samples.orbit_steps, w, cfg.n_trunc)
     series = rep.pop("series")
     rows = []
     cum = 0.0

@@ -1,8 +1,8 @@
 """Experiment configuration: one JSON document, strictly validated.
 
 Unknown keys are rejected so that a typo cannot silently fall back to a
-default.  The seed is mandatory (wall-clock seeding would break the
-byte-reproducibility contract).
+default.  The seed is fixed (20240 unless set), never drawn from the wall
+clock, which would break the byte-reproducibility contract.
 """
 
 from __future__ import annotations
@@ -145,11 +145,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("tower height must be >= 1")
     if cfg.n_trunc < 1:
         raise ConfigError("truncation window must be >= 1")
-    try:
-        cfg.group.spec()
-        cfg.second_group.spec()
-    except EncodingError as exc:
-        raise ConfigError(str(exc)) from exc
+    for name, group in (("group", cfg.group), ("second_group", cfg.second_group)):
+        try:
+            spec = group.spec()
+        except EncodingError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not spec.finitely_generated:
+            raise ConfigError(f"{name}: {spec.kind} has no finite generator set")
 
 
 def load_config(path: str | None) -> ExperimentConfig:

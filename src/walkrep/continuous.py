@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import groups, measures
 from .errors import DomainError
@@ -48,6 +47,8 @@ def overlap_density(L: IntervalMeasure, t: float) -> float:
 
 def overlap_density_quadrature(L: IntervalMeasure, t: float) -> float:
     """The same density by numeric integration of the indicator product."""
+    from scipy import integrate
+
     lo, hi = -L.half - abs(t), L.half + abs(t)
     breaks = sorted(
         x for x in (-L.half, L.half, t - L.half, t + L.half) if lo < x < hi

@@ -23,7 +23,7 @@ import hashlib
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .errors import DomainError, TowerConstructionError
 from .groups import GroupSpec
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
+# consecutive rejections after which the conditional sampler gives up
+MAX_SAMPLER_REJECTIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,12 @@ class DynamicalSystem:
 
 def bernoulli_system(group: GroupSpec, seed: int) -> DynamicalSystem:
     return DynamicalSystem("bernoulli", group, seed)
+
+
+def probe_system(sys: DynamicalSystem, *tag) -> DynamicalSystem:
+    """``sys`` with its seed replaced by one derived from the seed and ``tag``,
+    so each Monte-Carlo harness draws points independent of the others."""
+    return replace(sys, seed=_derived_seed(sys.seed, *tag))
 
 
 def rotation_system(group: GroupSpec, seed: int, alpha=None) -> DynamicalSystem:
@@ -417,7 +425,7 @@ def rokhlin_tower(
 def _tower_monte_carlo(tower: TowerSpec, samples: int, seed: int) -> None:
     sys = tower.system
     spec = tower.spec
-    probe = DynamicalSystem(sys.kind, sys.group, _derived_seed(sys.seed, "tower", seed))
+    probe = probe_system(sys, "tower", seed)
     ball_n = groups.ball(spec, tower.n)
     hits = 0
     collisions = 0
@@ -449,11 +457,14 @@ def conditional_base_sampler(tower: TowerSpec, seed: int):
     The marker pattern is forced bit-by-bit (its conditional law), then
     candidate roots are rejected until the exclusion clauses hold; rejection
     touches only free coordinates, so the accepted point follows the
-    conditional measure exactly.
+    conditional measure exactly.  ``MAX_SAMPLER_REJECTIONS`` consecutive
+    rejections raise ``TowerConstructionError``: the base is then empty or
+    too rare to sample.
     """
     sys = tower.system
     counter = 0
     draw = 0
+    rejected = 0
     while True:
         root = _BernoulliRoot(
             sys.group,
@@ -465,7 +476,14 @@ def conditional_base_sampler(tower: TowerSpec, seed: int):
         if draw % 997 == 0:
             counter += 1
         if tower.in_base(x):
+            rejected = 0
             yield x
+        else:
+            rejected += 1
+            if rejected >= MAX_SAMPLER_REJECTIONS:
+                raise TowerConstructionError(
+                    f"conditional sampler rejected {rejected} draws in a row"
+                )
 
 
 def measure_preservation_report(
@@ -476,7 +494,7 @@ def measure_preservation_report(
     seed: int = 0,
 ) -> dict:
     """Empirical mu(T_g^{-1} A) vs the exact cylinder measure, with CI."""
-    probe = DynamicalSystem(sys.kind, sys.group, _derived_seed(sys.seed, "mp", seed))
+    probe = probe_system(sys, "mp", seed)
     hits = 0
     for draw in range(samples):
         x = sample_point(probe, draw)
@@ -498,7 +516,7 @@ def freeness_report(
 ) -> dict:
     """For sampled points and g in B_radius minus e, some coordinate differs."""
     spec = sys.group
-    probe = DynamicalSystem(sys.kind, sys.group, _derived_seed(sys.seed, "free", seed))
+    probe = probe_system(sys, "free", seed)
     witnesses = groups.ball(spec, radius + 2)
     failures = 0
     checked = 0

@@ -111,9 +111,7 @@ def convergence_report(
     rho = measures.step_distribution(spec)
     depth = 2 * n_max if sys.kind == "bernoulli" else n_max
     rho_powers = measures.convolution_powers(spec, rho, depth)
-    probe = DynamicalSystem(
-        sys.kind, sys.group, dynamics._derived_seed(sys.seed, "jrt", seed), sys.alpha
-    )
+    probe = dynamics.probe_system(sys, "jrt", seed)
     points = [dynamics.sample_point(probe, i) for i in range(samples)]
     sup_dev: list[float] = []
     l2_dev: list[float] = []
@@ -173,9 +171,7 @@ def contraction_report(
     rho_powers = measures.convolution_powers(
         spec, measures.step_distribution(spec), max(n_max, 1)
     )
-    probe = DynamicalSystem(
-        sys.kind, sys.group, dynamics._derived_seed(sys.seed, "contr", seed), sys.alpha
-    )
+    probe = dynamics.probe_system(sys, "contr", seed)
     worst = 0.0
     min_val = math.inf
     for i in range(samples):

@@ -146,15 +146,6 @@ class WeightParams:
         return self.q**self.n_max
 
 
-def default_params(spec: GroupSpec) -> WeightParams:
-    """Defaults keep the support comfortably inside the ball cap."""
-    if spec.kind == "free":
-        return WeightParams(q=0.5, n_max=10)
-    if spec.kind in ("integers", "lattice"):
-        return WeightParams(q=0.5, n_max=40)
-    return WeightParams(q=0.5, n_max=12)
-
-
 @dataclass
 class WeightTable:
     """Truncated weight w(g) = sum_{n<=n_max} p_n rho^{*n}(g).

@@ -321,10 +321,11 @@ def model_from_dict(data: dict) -> ModelFunction:
 class ModelEvaluator:
     """Caching evaluator of a model along the orbit of one sampled point.
 
-    All lookups are keyed by absolute group positions (relative coordinate
-    times the handle offset), so translates of the same root share every
-    cached bit, marker probe, and function value.  Confine an instance to
-    one worker: reads mutate the caches.
+    The tower and cylinder tests are those of ``dynamics``; this class only
+    memoizes them.  All lookups are keyed by absolute group positions
+    (relative coordinate times the handle offset), so translates of the same
+    root share every cached bit, event test, and function value.  Confine
+    an instance to one worker: reads mutate the caches.
     """
 
     def __init__(self, model: ModelFunction, x: PointHandle):
@@ -334,40 +335,21 @@ class ModelEvaluator:
         self.spec = model.spec
         self.root = PointHandle(x.system, x.root, groups.identity(model.spec))
         n_stages = len(model.stages)
-        self._marker: list[dict] = [dict() for _ in range(n_stages)]
         self._base: list[dict] = [dict() for _ in range(n_stages)]
         self._locate: list[dict] = [dict() for _ in range(n_stages)]
         self._route: list[dict] = [dict() for _ in range(n_stages)]
         self._values: list[dict] = [dict() for _ in range(n_stages + 1)]
 
-    def _marker_at(self, j: int, u) -> bool:
-        cache = self._marker[j]
-        hit = cache.get(u)
-        if hit is None:
-            spec = self.spec
-            read = self.root.read
-            mult = groups.multiply
-            hit = all(
-                read(mult(spec, p, u)) == b
-                for p, b in self.model.stages[j].patch.tower.pattern.items()
-            )
-            cache[u] = hit
-        return hit
+    def _at(self, position) -> PointHandle:
+        """The point T_position x."""
+        return PointHandle(self.root.system, self.root.root, position)
 
     def in_base(self, j: int, u) -> bool:
         """Does T_u x lie in the stage-(j+1) base event E?"""
         cache = self._base[j]
         hit = cache.get(u)
         if hit is None:
-            if not self._marker_at(j, u):
-                hit = False
-            else:
-                spec = self.spec
-                mult = groups.multiply
-                hit = all(
-                    not self._marker_at(j, mult(spec, m, u))
-                    for m in self.model.stages[j].patch.tower.exclusion
-                )
+            hit = self.model.stages[j].patch.tower.in_base(self._at(u))
             cache[u] = hit
         return hit
 
@@ -388,14 +370,12 @@ class ModelEvaluator:
         return found
 
     def in_routing_set(self, j: int, position) -> bool:
+        """Does T_position x lie in the stage-(j+1) routing cylinder?"""
         cache = self._route[j]
         hit = cache.get(position)
         if hit is None:
             cyl = self.model.family.set_at(self.model.stages[j].split.a_index)
-            spec = self.spec
-            mult = groups.multiply
-            read = self.root.read
-            hit = all(read(mult(spec, p, position)) == b for p, b in cyl.bits)
+            hit = cyl.contains(self._at(position))
             cache[position] = hit
         return hit
 
@@ -446,7 +426,7 @@ class ModelEvaluator:
 
 
 def phi(
-    model_or_eval,
+    ev: ModelEvaluator,
     x: PointHandle,
     n_trunc: int,
     w: WeightTable,
@@ -454,14 +434,10 @@ def phi(
 ) -> tuple[WeightedVector, float]:
     """Truncated orbit vector {f(T_g x)}_{g in B_n_trunc} plus its tail bound.
 
-    The tail bound is max|f| * sqrt(true w-mass outside the window), with
-    the mass bounded by the stored complement plus the truncation tail.
+    ``x`` is the evaluator's point or one of its translates.  The tail bound
+    is max|f| * sqrt(true w-mass outside the window), with the mass bounded
+    by the stored complement plus the truncation tail.
     """
-    ev = (
-        model_or_eval
-        if isinstance(model_or_eval, ModelEvaluator)
-        else ModelEvaluator(model_or_eval, x)
-    )
     spec = ev.spec
     mult = groups.multiply
     coeffs = {}
@@ -837,12 +813,9 @@ def run_stage_checks(
     config: BuildConfig,
 ) -> None:
     """Monte-Carlo checks 3_n, 4_n, 5_n recorded into the final stage state."""
-    sys = model.system
     n = len(history)
     state = history[-1]
-    probe = DynamicalSystem(
-        sys.kind, sys.group, dynamics._derived_seed(sys.seed, "checks", config.seed)
-    )
+    probe = dynamics.probe_system(model.system, "checks", config.seed)
     samples = config.check_samples
     points = [dynamics.sample_point(probe, i) for i in range(samples)]
     evaluators = [ModelEvaluator(model, x) for x in points]
@@ -878,25 +851,13 @@ def run_stage_checks(
     # 4_n hitting events, via conditional draws from each tower base
     hit_detail = {}
     ok4 = True
+    draws = config.base_samples
     for i in range(1, n + 1):
-        tower = model.stages[i - 1].patch.tower
-        ball = history[i - 1].ball
-        gen = dynamics.conditional_base_sampler(tower, seed=config.seed + 1000 + i)
-        survive = 0
-        in_ball = 0
-        draws = config.base_samples
-        for _ in range(draws):
-            x = next(gen)
-            ev = ModelEvaluator(model, x)
-            if not ev.in_hit_event(i, n):
-                continue
-            survive += 1
-            vec, tail = phi(ev, x, config.n_trunc, w)
-            dist = space.norm(vec - ball.center_vector(w))
-            if dist + tail < ball.radius:
-                in_ball += 1
+        survive, in_ball = conditional_hits(
+            model, history, i, w, config, config.seed + 1000 + i
+        )
         ci = stats.clopper_pearson(in_ball, draws)
-        mass_lower = tower.mu_e_lower * ci[0]
+        mass_lower = model.stages[i - 1].patch.tower.mu_e_lower * ci[0]
         required = state.delta[i] * (1.0 + 1.0 / n)
         lvl_ok = mass_lower >= required
         hit_detail[str(i)] = {
@@ -951,12 +912,9 @@ def equivariance_check(
 ) -> dict:
     """Exact coefficient equality of phi(T_h x) and S_h phi(x) on the common
     truncation ball; both sides are evaluated through independent caches."""
-    sys = model.system
     spec = model.spec
     groups.check_element(spec, h)
-    probe = DynamicalSystem(
-        sys.kind, sys.group, dynamics._derived_seed(sys.seed, "equiv", seed)
-    )
+    probe = dynamics.probe_system(model.system, "equiv", seed)
     h_len = groups.word_length(spec, h)
     common = groups.ball(spec, n_trunc - h_len)
     mismatches = 0
@@ -999,13 +957,10 @@ def support_and_iso_check(
     stratified draws from the stage tower base: the exact base measure times
     the conditional hit rate lower-bounds the hit frequency.
     """
-    sys = model.system
     spec = model.spec
     n = len(history)
     state = history[-1]
-    probe = DynamicalSystem(
-        sys.kind, sys.group, dynamics._derived_seed(sys.seed, "iso", seed)
-    )
+    probe = dynamics.probe_system(model.system, "iso", seed)
     points = [dynamics.sample_point(probe, i) for i in range(samples)]
     evaluators = [ModelEvaluator(model, x) for x in points]
     values = [ev.f_value(groups.identity(spec)) for ev in evaluators]
@@ -1031,8 +986,10 @@ def support_and_iso_check(
         hit_method = "direct"
         conditional_lower = None
         if not hit_ok:
-            conditional_lower = _conditional_hit_mass(
-                model, history, i, w, config, seed
+            _, in_ball = conditional_hits(model, history, i, w, config, seed + 5000 + i)
+            conditional_lower = (
+                model.stages[i - 1].patch.tower.mu_e_lower
+                * stats.clopper_pearson(in_ball, config.base_samples)[0]
             )
             hit_ok = conditional_lower >= state.delta[i]
             hit_method = "stratified"
@@ -1065,87 +1022,71 @@ def support_and_iso_check(
     return {"samples": samples, "levels": detail, "pass": bool(overall)}
 
 
-def _conditional_hit_mass(
+def conditional_hits(
     model: ModelFunction,
     history: list[StageState],
     i: int,
     w: WeightTable,
     config: BuildConfig,
     seed: int,
-) -> float:
-    """95% lower bound on mu(phi in U_i) via draws conditioned on the
-    stage-i tower base (exact base measure times conditional hit rate)."""
+) -> tuple[int, int]:
+    """(survived, in_ball) over ``config.base_samples`` draws from the
+    stage-i tower base, sampled with ``seed``: draws in the trimmed hit event
+    E^{(n)}_i, and those whose orbit vector lies certainly in the stage-i
+    ball.  The exact base measure times the conditional hit rate
+    lower-bounds mu(phi in U_i)."""
     tower = model.stages[i - 1].patch.tower
     ball = history[i - 1].ball
     center = ball.center_vector(w)
     n = len(history)
-    gen = dynamics.conditional_base_sampler(tower, seed=seed + 5000 + i)
-    draws = config.base_samples
+    gen = dynamics.conditional_base_sampler(tower, seed=seed)
+    survived = 0
     in_ball = 0
-    for _ in range(draws):
+    for _ in range(config.base_samples):
         x = next(gen)
         ev = ModelEvaluator(model, x)
         if not ev.in_hit_event(i, n):
             continue
+        survived += 1
         vec, tail = phi(ev, x, config.n_trunc, w)
         if space.norm(vec - center) + tail < ball.radius:
             in_ball += 1
-    return tower.mu_e_lower * stats.clopper_pearson(in_ball, draws)[0]
+    return survived, in_ball
 
 
 def orbit_frequency(
-    v: WeightedVector,
+    ev: ModelEvaluator,
+    x: PointHandle,
     a,
     ball: BallSpec,
     n_steps: int,
     w: WeightTable,
-    evaluator: ModelEvaluator | None = None,
-    x: PointHandle | None = None,
-    n_trunc: int | None = None,
-    phi_tail: float = 0.0,
+    n_trunc: int,
 ) -> dict:
-    """Visit frequency of the shift orbit of v to the given ball.
+    """Visit frequency of the orbit x, T_a x, T_a^2 x, ... to the ball.
 
-    With a model evaluator, each step re-evaluates the orbit vector in a
-    fresh window around the translated point (the two orbits agree by exact
-    equivariance); without one, the given vector is shifted literally and
-    membership outside the guard band is flagged indeterminate.
+    Each step evaluates the orbit vector in a fresh window around the
+    translated point; a step whose window distance is inside the radius but
+    whose tail bound leaves membership open is flagged indeterminate.
     """
     spec = w.spec
     center = ball.center_vector(w)
+    sys = ev.root.system
     hits = 0
     indeterminate = 0
     series = []
-    if evaluator is not None:
-        if x is None or n_trunc is None:
-            raise DomainError("evaluator mode needs the point and a window")
-        sys_ = evaluator.root.system
-        current = x
-        for step in range(n_steps):
-            vec, tail = phi(evaluator, current, n_trunc, w)
-            dist = space.norm(vec - center)
-            if dist + tail < ball.radius:
-                hits += 1
-                series.append(1.0)
-            else:
-                series.append(0.0)
-                if dist <= ball.radius:
-                    indeterminate += 1
-            current = dynamics.act(sys_, a, current)
-    else:
-        current = v
-        for step in range(n_steps):
-            detail = space.norm_detail(current - center)
-            lower = detail["stored_part"]
-            upper = math.sqrt(detail["value"] ** 2 + phi_tail**2)
-            if upper < ball.radius:
-                hits += 1
-                series.append(1.0)
-            else:
-                series.append(0.0)
-                if lower <= ball.radius:
-                    indeterminate += 1
-            current = space.shift(current, a)
+    current = x
+    for _ in range(n_steps):
+        vec, tail = phi(ev, current, n_trunc, w)
+        dist = space.norm(vec - center)
+        if dist + tail < ball.radius:
+            hits += 1
+            series.append(1.0)
+        else:
+            series.append(0.0)
+            if dist <= ball.radius:
+                indeterminate += 1
+        current = dynamics.act(sys, a, current)
     freq = hits / n_steps
     se = stats.batch_means_se(series)
     return {

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as _st
+from scipy.special import betaincinv
 
 Z95 = 1.959963984540054
 
@@ -25,8 +25,8 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact (conservative) binomial confidence interval."""
     if n <= 0:
         raise ValueError("need n > 0")
-    lo = 0.0 if k == 0 else float(_st.beta.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(_st.beta.ppf(1 - alpha / 2, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return (lo, hi)
 
 

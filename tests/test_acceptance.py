@@ -197,10 +197,7 @@ def test_criterion_08_orbit_frequency(built_model, z_weights, z_bernoulli):
     ball1 = history[0].ball
     x = dynamics.sample_point(dynamics.bernoulli_system(z_bernoulli.group, 808), 0)
     ev = model.ModelEvaluator(mdl, x)
-    v, _ = model.phi(ev, x, cfg.n_trunc, z_weights)
-    rep = model.orbit_frequency(
-        v, 1, ball1, 10_000, z_weights, evaluator=ev, x=x, n_trunc=cfg.n_trunc
-    )
+    rep = model.orbit_frequency(ev, x, 1, ball1, 10_000, z_weights, cfg.n_trunc)
     iso = model.support_and_iso_check(mdl, history, z_weights, 1000, cfg, seed=8)
     mu_est = iso["levels"]["1"]["hit_freq"]
     se_mu = math.sqrt(max(mu_est * (1 - mu_est), 1e-12) / iso["samples"])

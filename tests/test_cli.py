@@ -35,6 +35,8 @@ def test_invalid_values_rejected(tmp_path):
         {"weights": {"q": "0.5"}},
         {"system": {"alpha": ["x"]}},
         {"stages": 3.7},
+        {"group": {"kind": "z2sum", "d": 0}},
+        {"second_group": {"kind": "z2sum", "d": 0}},
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):

@@ -124,6 +124,18 @@ def test_tower_lattice(z_spec):
     assert tower.mu_bn_upper() < 0.05
 
 
+def test_conditional_sampler_gives_up_on_empty_base(z_bernoulli, monkeypatch):
+    # excluding the origin itself rejects every draw: the forced marker is there
+    tower = dynamics.TowerSpec(
+        system=z_bernoulli, n=1, eta=0.5, pattern={0: 1}, exclusion=(0,),
+        mu_pattern=0.5, mu_e_lower=0.5, mu_e_upper=0.5,
+    )
+    monkeypatch.setattr(dynamics, "MAX_SAMPLER_REJECTIONS", 50)
+    gen = dynamics.conditional_base_sampler(tower, seed=0)
+    with pytest.raises(TowerConstructionError, match="50 draws"):
+        next(gen)
+
+
 def test_conditional_sampler_law(z_bernoulli):
     # conditioned points carry the marker; free coordinates stay fair
     tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from walkrep import dynamics, groups, model, space
+from walkrep import dynamics, groups, model, space, stats
 from walkrep.errors import EncodingError, StageError
 
 
@@ -112,7 +112,7 @@ def test_phi_constant_model(z_bernoulli, z_weights):
         system=z_bernoulli, stages=[], family=dynamics.SetFamily(z_bernoulli.group)
     )
     x = dynamics.sample_point(z_bernoulli, 5)
-    vec, tail = model.phi(mdl, x, 6, z_weights)
+    vec, tail = model.phi(model.ModelEvaluator(mdl, x), x, 6, z_weights)
     assert vec.coeffs == {}
     assert tail == 0.0
 
@@ -157,22 +157,42 @@ def test_orbit_frequency_whole_space(built_model, z_weights, z_bernoulli):
     mdl, history, cfg = built_model
     x = dynamics.sample_point(z_bernoulli, 9)
     ev = model.ModelEvaluator(mdl, x)
-    v, _ = model.phi(ev, x, 10, z_weights)
     # a ball so large that membership always holds
     big = model.BallSpec(index=-1, level=0, center=(), radius=1e6)
-    rep = model.orbit_frequency(v, 1, big, 200, z_weights, evaluator=ev, x=x, n_trunc=10)
+    rep = model.orbit_frequency(ev, x, 1, big, 200, z_weights, 10)
     assert rep["frequency"] == 1.0
 
 
-def test_orbit_frequency_vector_mode_flags_indeterminate(built_model, z_weights, z_bernoulli):
+def test_evaluator_locate_matches_tower(built_model, z_bernoulli):
+    # TowerSpec.locate is the oracle for the memoized evaluator
+    mdl, _, _ = built_model
+    for j, stage in enumerate(mdl.stages):
+        tower = stage.patch.tower
+        gen = dynamics.conditional_base_sampler(tower, seed=70 + j)
+        for _ in range(10):
+            x = next(gen)
+            ev = model.ModelEvaluator(mdl, x)
+            for u in range(-2 * tower.n - 2, 2 * tower.n + 3):
+                assert ev.locate(j, u) == tower.locate(dynamics.act(z_bernoulli, u, x))
+
+
+# mu_e_lower * Clopper-Pearson lower bound of the stratified hit estimate at
+# sampler seed 5006 + i, as the estimator computed them before it was shared
+# with check 4_n
+STRATIFIED_LOWER_SEED_6 = {
+    1: 0.03053775782951667,
+    2: 0.00011928811652154949,
+    3: 2.3298460258115135e-07,
+    4: 2.275240259581556e-10,
+}
+
+
+def test_conditional_hits_reproduce_stratified_bound(built_model, z_weights):
     mdl, history, cfg = built_model
-    x = dynamics.sample_point(z_bernoulli, 10)
-    ev = model.ModelEvaluator(mdl, x)
-    v, tail = model.phi(ev, x, 10, z_weights)
-    ball1 = history[0].ball
-    rep = model.orbit_frequency(v, 1, ball1, 100, z_weights, phi_tail=tail)
-    assert rep["hits"] + rep["indeterminate"] <= 100
-    assert 0.0 <= rep["frequency"] <= 1.0
+    for i, expected in STRATIFIED_LOWER_SEED_6.items():
+        _, in_ball = model.conditional_hits(mdl, history, i, z_weights, cfg, 6 + 5000 + i)
+        lower = stats.clopper_pearson(in_ball, cfg.base_samples)[0]
+        assert mdl.stages[i - 1].patch.tower.mu_e_lower * lower == expected
 
 
 def test_serialization_roundtrip(built_model, z_bernoulli):
