@@ -345,11 +345,9 @@ def cmd_orbit(cfg: ExperimentConfig, out_base: str) -> int:
             rows.append([i, repr(cum / i)])
     _write_csv(os.path.join(out, "frequency.csv"), ["step", "running_frequency"], rows)
     # consistency against the measured hit frequency of the same ball
-    iso = model.support_and_iso_check(
-        mdl, history, w, min(cfg.samples.check_samples, 1000), cfg.build_config(), seed=cfg.seed + 7
-    )
-    mu_est = iso["levels"]["1"]["hit_freq"]
-    n_iso = iso["samples"]
+    n_iso = min(cfg.samples.check_samples, 1000)
+    _, phis = model.probe_orbit_vectors(mdl, n_iso, cfg.n_trunc, w, cfg.seed + 7)
+    mu_est = model.ball_hits(phis, ball1, w)[0] / n_iso
     se_mu = math.sqrt(max(mu_est * (1 - mu_est), 1e-12) / n_iso)
     gap = abs(rep["frequency"] - mu_est)
     tol = stats.Z95 * (rep["se_batch"] + se_mu) + 1e-6

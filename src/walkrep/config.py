@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass
 
+from .continuous import MAX_CHAIN_N
 from .errors import ConfigError, EncodingError
 from .groups import GroupSpec
 from .model import BuildConfig
@@ -145,6 +146,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("tower height must be >= 1")
     if cfg.n_trunc < 1:
         raise ConfigError("truncation window must be >= 1")
+    if not 1 <= cfg.lf_chain_n <= MAX_CHAIN_N:
+        raise ConfigError(f"lf_chain_n must be in 1..{MAX_CHAIN_N}")
+    if not 0 <= cfg.lf_sampled_g0 <= 2**cfg.lf_chain_n:
+        raise ConfigError("lf_sampled_g0 must be in 0..2^lf_chain_n")
     for name, group in (("group", cfg.group), ("second_group", cfg.second_group)):
         try:
             spec = group.spec()

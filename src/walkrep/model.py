@@ -960,27 +960,12 @@ def support_and_iso_check(
     spec = model.spec
     n = len(history)
     state = history[-1]
-    probe = dynamics.probe_system(model.system, "iso", seed)
-    points = [dynamics.sample_point(probe, i) for i in range(samples)]
-    evaluators = [ModelEvaluator(model, x) for x in points]
+    evaluators, phis = probe_orbit_vectors(model, samples, config.n_trunc, w, seed)
     values = [ev.f_value(groups.identity(spec)) for ev in evaluators]
-    phis = []
-    for ev, x in zip(evaluators, points):
-        vec, tail = phi(ev, x, config.n_trunc, w)
-        phis.append((vec, tail))
     detail = {}
     overall = True
     for i in range(1, n + 1):
-        ball = history[i - 1].ball
-        center = ball.center_vector(w)
-        hits = 0
-        indeterminate = 0
-        for vec, tail in phis:
-            dist = space.norm(vec - center)
-            if dist + tail < ball.radius:
-                hits += 1
-            elif dist <= ball.radius:
-                indeterminate += 1
+        hits, indeterminate = ball_hits(phis, history[i - 1].ball, w)
         ci = stats.clopper_pearson(hits, samples)
         hit_ok = ci[0] >= state.delta[i]
         hit_method = "direct"
@@ -1022,6 +1007,32 @@ def support_and_iso_check(
     return {"samples": samples, "levels": detail, "pass": bool(overall)}
 
 
+def probe_orbit_vectors(
+    model: ModelFunction, samples: int, n_trunc: int, w: WeightTable, seed: int
+) -> tuple[list, list]:
+    """Evaluators for the first ``samples`` points of the seeded "iso" probe
+    system, and their orbit vectors as ``(phi, tail)`` pairs."""
+    probe = dynamics.probe_system(model.system, "iso", seed)
+    points = [dynamics.sample_point(probe, i) for i in range(samples)]
+    evaluators = [ModelEvaluator(model, x) for x in points]
+    return evaluators, [phi(ev, x, n_trunc, w) for ev, x in zip(evaluators, points)]
+
+
+def ball_hits(phis: list, ball: BallSpec, w: WeightTable) -> tuple[int, int]:
+    """(hits, indeterminate): orbit vectors certainly inside ``ball`` given
+    their tail bound, and those inside only if the tail is ignored."""
+    center = ball.center_vector(w)
+    hits = 0
+    indeterminate = 0
+    for vec, tail in phis:
+        dist = space.norm(vec - center)
+        if dist + tail < ball.radius:
+            hits += 1
+        elif dist <= ball.radius:
+            indeterminate += 1
+    return hits, indeterminate
+
+
 def conditional_hits(
     model: ModelFunction,
     history: list[StageState],
@@ -1036,22 +1047,15 @@ def conditional_hits(
     ball.  The exact base measure times the conditional hit rate
     lower-bounds mu(phi in U_i)."""
     tower = model.stages[i - 1].patch.tower
-    ball = history[i - 1].ball
-    center = ball.center_vector(w)
     n = len(history)
     gen = dynamics.conditional_base_sampler(tower, seed=seed)
-    survived = 0
-    in_ball = 0
+    phis = []
     for _ in range(config.base_samples):
         x = next(gen)
         ev = ModelEvaluator(model, x)
-        if not ev.in_hit_event(i, n):
-            continue
-        survived += 1
-        vec, tail = phi(ev, x, config.n_trunc, w)
-        if space.norm(vec - center) + tail < ball.radius:
-            in_ball += 1
-    return survived, in_ball
+        if ev.in_hit_event(i, n):
+            phis.append(phi(ev, x, config.n_trunc, w))
+    return len(phis), ball_hits(phis, history[i - 1].ball, w)[0]
 
 
 def orbit_frequency(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from walkrep import cli, config
+from walkrep import cli, config, continuous
 from walkrep.errors import ConfigError
 
 
@@ -37,11 +37,25 @@ def test_invalid_values_rejected(tmp_path):
         {"stages": 3.7},
         {"group": {"kind": "z2sum", "d": 0}},
         {"second_group": {"kind": "z2sum", "d": 0}},
+        {"lf_chain_n": 2, "lf_sampled_g0": 20},
+        {"lf_sampled_g0": -1},
+        {"lf_chain_n": 0},
+        {"lf_chain_n": 40},
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             config.load_config(str(path))
         assert cli.main(["tower", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_chain_config_bounds():
+    top = continuous.MAX_CHAIN_N
+    cfg = config.config_from_dict({"lf_chain_n": top, "lf_sampled_g0": 2**top})
+    assert cfg.lf_chain_n == top
+    assert config.config_from_dict({"lf_chain_n": 1, "lf_sampled_g0": 0}).lf_sampled_g0 == 0
+    for doc in ({"lf_chain_n": top + 1}, {"lf_chain_n": 3, "lf_sampled_g0": 9}):
+        with pytest.raises(ConfigError):
+            config.config_from_dict(doc)
 
 
 def test_config_defaults_and_digest():
