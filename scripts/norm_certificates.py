@@ -1,21 +1,15 @@
 #!/usr/bin/env python3
-"""Print shift-norm certificates for the stock groups at a few mixing ratios.
+"""Print shift-norm certificates for the stock groups at a few truncation depths.
 
-Quick sweep used while tuning: how close the observed single-atom family
-gets to the sqrt((2d+1)/q) ceiling as the truncation depth grows.
+Usage: ``python scripts/norm_certificates.py`` (no options).  Shows how close
+the exact shift norm on the truncated domain, the single-atom supremum, gets
+to the sqrt((2d+1) C) ceiling as the truncation depth grows.
 """
-
-import argparse
 
 from walkrep import groups, measures, space
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--trials", type=int, default=2000)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-
     cases = [
         (groups.GroupSpec("integers"), [10, 20, 40]),
         (groups.GroupSpec("lattice", 2), [6, 10, 14]),
@@ -25,9 +19,7 @@ def main():
         for n_max in depths:
             w = measures.build_weight(spec, measures.WeightParams(q=0.5, n_max=n_max))
             a = groups.generators(spec)[0]
-            rep = space.operator_norm_certificate(
-                spec, w, a, trials=args.trials, seed=args.seed
-            )
+            rep = space.operator_norm_certificate(spec, w, a)
             gap = rep["bound"] - rep["observed"]
             print(
                 f"{spec.kind:9s} d={spec.d} n_max={n_max:3d}  "

@@ -142,12 +142,8 @@ def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
     records = []
     tables = _weight_tables(cfg)
     for label, (spec, w) in zip(("group", "second_group"), tables):
-        gens = groups.generators(spec)
-        per_gen = max(1, cfg.samples.norm_trials // len(gens))
-        for a in gens:
-            rep = space.operator_norm_certificate(
-                spec, w, a, trials=per_gen, seed=cfg.seed
-            )
+        for a in groups.generators(spec):
+            rep = space.operator_norm_certificate(spec, w, a)
             records.append(
                 _record(
                     f"{label}_shift_{groups.element_str(spec, a)}",
@@ -163,7 +159,7 @@ def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
         nrho = measures.restricted_ratio_certificate(w2, emb, 1)
         records.append(_record("restricted_ratio_b1", nrho, bound=nrho["bound"]))
         for g0 in (0, 1, 2):
-            rep = space.subgroup_norm_certificate(w2, emb, g0, seed=cfg.seed)
+            rep = space.subgroup_norm_certificate(w2, emb, g0)
             records.append(
                 _record(
                     f"restricted_shift_g{g0}",

@@ -39,7 +39,6 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class SampleConfig:
-    norm_trials: int = 10_000
     averaging_samples: int = 2000
     tower_samples: int = 100_000
     check_samples: int = 3000

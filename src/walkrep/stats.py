@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betaincinv
 
 Z95 = 1.959963984540054
 
@@ -23,6 +22,8 @@ def wilson_interval(k: int, n: int, z: float = Z95) -> tuple[float, float]:
 
 def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact (conservative) binomial confidence interval."""
+    from scipy.special import betaincinv
+
     if n <= 0:
         raise ValueError("need n > 0")
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))

@@ -44,9 +44,9 @@ def test_criterion_01_operator_norm_bounds():
     wf = measures.build_weight(f2, measures.WeightParams(q=0.5, n_max=10))
     violations = 0
     worst = {}
-    for spec, w, trials_per in ((z, wz, 5000), (f2, wf, 2500)):
+    for spec, w in ((z, wz), (f2, wf)):
         for a in groups.generators(spec):
-            rep = space.operator_norm_certificate(spec, w, a, trials=trials_per, seed=20240)
+            rep = space.operator_norm_certificate(spec, w, a)
             if rep["observed"] > rep["bound"] + 1e-9:
                 violations += 1
             worst[spec.kind] = max(worst.get(spec.kind, 0.0), rep["observed"])
@@ -57,7 +57,7 @@ def test_criterion_01_operator_norm_bounds():
         ok,
         f"shift norms <= sqrt(6)={math.sqrt(6):.4f} (Z, max {worst['integers']:.4f}) "
         f"and sqrt(10)={math.sqrt(10):.4f} (F2, max {worst['free']:.4f}); "
-        f"10^4 random vectors + exhaustive atoms, {elapsed:.1f}s",
+        f"exact single-atom supremum, {elapsed:.1f}s",
     )
     assert violations == 0
     assert elapsed < 30.0
@@ -308,7 +308,7 @@ def test_criterion_11b_domination_simple_constant(lf_chain):
 
 def test_criterion_12_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 77, "samples": {"tower_samples": 20_000, "norm_trials": 2000}}))
+    cfg.write_text(json.dumps({"seed": 77, "samples": {"tower_samples": 20_000}}))
     outs = []
     for name in ("runA", "runB"):
         out = tmp_path / name

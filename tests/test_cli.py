@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,12 @@ def test_nested_unknown_keys_rejected(tmp_path):
         config.load_config(str(path))
 
 
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert config.config_from_dict(json.loads(block)) == config.ExperimentConfig()
+
+
 def test_invalid_values_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     for doc in (
@@ -41,6 +48,7 @@ def test_invalid_values_rejected(tmp_path):
         {"lf_sampled_g0": -1},
         {"lf_chain_n": 0},
         {"lf_chain_n": 40},
+        {"samples": {"norm_trials": 2000}},
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):

@@ -48,9 +48,6 @@ def test_domination_grid_tight_at_edges():
     # equality holds at the interval endpoints, so any smaller constant fails
     rep = continuous.domination_constant_real(ratio_bound_c=2.0)
     assert rep["worst_gap"] <= 1e-12
-    bad = continuous.domination_constant_real.__wrapped__ if hasattr(
-        continuous.domination_constant_real, "__wrapped__"
-    ) else None
     lhs_at_edge = 1.0 / 4.0
     rhs_at_edge = 2.0 * continuous.overlap_density(continuous.IntervalMeasure(2.0), 2.0) / 16.0
     assert abs(lhs_at_edge - rhs_at_edge) < 1e-15

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -88,7 +89,7 @@ def test_single_atom_ratio_identity(z_weights):
 
 
 def test_operator_norm_certificate_z(z_spec, z_weights):
-    rep = space.operator_norm_certificate(z_spec, z_weights, 1, trials=2000, seed=1)
+    rep = space.operator_norm_certificate(z_spec, z_weights, 1)
     assert abs(rep["bound"] - math.sqrt(6.0)) < 1e-12
     assert rep["pass"]
     assert rep["observed"] <= rep["bound"] + 1e-9
@@ -96,24 +97,115 @@ def test_operator_norm_certificate_z(z_spec, z_weights):
 
 
 def test_operator_norm_certificate_f2(f2_spec, f2_weights):
-    rep = space.operator_norm_certificate(f2_spec, f2_weights, (1,), trials=1000, seed=1)
+    rep = space.operator_norm_certificate(f2_spec, f2_weights, (1,))
     assert abs(rep["bound"] - math.sqrt(10.0)) < 1e-12
     assert rep["pass"]
 
 
 def test_certificate_rejects_non_generator(z_spec, z_weights):
     with pytest.raises(DomainError):
-        space.operator_norm_certificate(z_spec, z_weights, 2, trials=10)
+        space.operator_norm_certificate(z_spec, z_weights, 2)
 
 
 def test_subgroup_norm_certificates(z_spec, f2_spec, f2_weights):
     emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
-    rep0 = space.subgroup_norm_certificate(f2_weights, emb, 0, trials=200, seed=2)
+    rep0 = space.subgroup_norm_certificate(f2_weights, emb, 0)
     assert rep0["bound"] == 1.0 and rep0["observed"] <= 1.0 + 1e-9
-    rep1 = space.subgroup_norm_certificate(f2_weights, emb, 1, trials=200, seed=2)
+    rep1 = space.subgroup_norm_certificate(f2_weights, emb, 1)
     assert rep1["bound"] == 10.0 and rep1["pass"]
-    rep2 = space.subgroup_norm_certificate(f2_weights, emb, 2, trials=200, seed=2)
+    rep2 = space.subgroup_norm_certificate(f2_weights, emb, 2)
     assert rep2["bound"] == 100.0 and rep2["pass"]
+
+
+# The certificates are exact: ||S_a v||^2 / ||v||^2 is a weighted average of
+# single-atom ratios.  Random finitely supported vectors serve as the oracle.
+# Each squared norm sums at most _MAX_SUPPORT positive terms, so the computed
+# ratio sqrt(N / D) is within (_MAX_SUPPORT + 4) u of the exact one (u = 2^-53,
+# relative), which is at most the exact supremum; ``observed`` is within 2 u
+# of that supremum.  _ORACLE_REL = 16 u covers both.
+_MAX_SUPPORT = 8
+_ORACLE_REL = 16 * 2.0**-53
+
+
+def _random_vector(w, pool, data):
+    idx = data.draw(
+        st.lists(
+            st.integers(0, len(pool) - 1), min_size=1, max_size=_MAX_SUPPORT, unique=True
+        )
+    )
+    mags = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(idx), max_size=len(idx)))
+    signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=len(idx), max_size=len(idx)))
+    return space.WeightedVector(w, {pool[i]: s * m for i, s, m in zip(idx, signs, mags)})
+
+
+def _ratio(v, g, table_v, table_shifted):
+    """sqrt(||S_g v||^2 / ||v||^2), each squared norm read from its table."""
+    den = sum(c * c * table_v[h] for h, c in v.coeffs.items())
+    shifted = space.shift(v, g).coeffs
+    num = sum(c * c * table_shifted.get(h, 0.0) for h, c in shifted.items())
+    return math.sqrt(num / den)
+
+
+@functools.cache
+def _weight(kind, d, n_max):
+    return measures.build_weight(groups.GroupSpec(kind, d), measures.WeightParams(0.5, n_max))
+
+
+@functools.cache
+def _exact_case(kind, d, n_max, a):
+    """Operator certificate, its domain and the norm tables of its ratio."""
+    spec = groups.GroupSpec(kind, d)
+    w = _weight(kind, d, n_max)
+    rep = space.operator_norm_certificate(spec, w, a)
+    pool = [g for g in groups.ball(spec, n_max - 1) if w.weight(g) > 0.0]
+    return rep, spec, w, pool, w.table, w.partial_table(n_max - 1)
+
+
+@functools.cache
+def _exact_subgroup_case(g0):
+    """Z -> F_2 certificate, its pool and the second-layer table."""
+    z, f2 = groups.GroupSpec("integers"), groups.GroupSpec("free", 2)
+    w_amb = _weight("free", 2, 6)
+    emb = groups.subgroup_embed(z, f2, [(1,)])
+    rep = space.subgroup_norm_certificate(w_amb, emb, g0)
+    rho_g = measures.restrict_renormalize(w_amb, emb)
+    w_sub = measures.build_weight(z, measures.WeightParams(q=0.5, n_max=4), rho=rho_g)
+    interior = int(rep["domain"].removeprefix("subgroup ball(").removesuffix(")"))
+    pool = [
+        g for g in groups.ball(z, interior) if w_sub.weight(g) > 0.0 and w_sub.weight(g - g0) > 0.0
+    ]
+    atom_max = max(_ratio(space.delta(w_sub, h), g0, w_sub.table, w_sub.table) for h in pool)
+    return rep, w_sub, pool, atom_max
+
+
+_EXACT_CASES = [
+    pytest.param(kind, d, n_max, a, id=f"{kind}{d}-{groups.element_str(spec, a)}")
+    for kind, d, n_max in (("integers", 1, 12), ("free", 2, 6), ("lattice", 3, 4))
+    for spec in [groups.GroupSpec(kind, d)]
+    for a in groups.generators(spec)
+]
+
+
+@pytest.mark.parametrize("kind,d,n_max,a", _EXACT_CASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_operator_certificate_is_exact_supremum(kind, d, n_max, a, data):
+    rep, spec, w, pool, table, table_shifted = _exact_case(kind, d, n_max, a)
+    argmax = {groups.element_str(spec, g): g for g in pool}[rep["single_atom_argmax"]]
+    assert _ratio(space.delta(w, argmax), a, table, table_shifted) == rep["observed"]
+    v = _random_vector(w, pool, data)
+    assert _ratio(v, a, table, table_shifted) <= rep["observed"] * (1 + _ORACLE_REL)
+
+
+@pytest.mark.parametrize("g0", [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_subgroup_certificate_is_exact_supremum(g0, data):
+    rep, w_sub, pool, atom_max = _exact_subgroup_case(g0)
+    table = w_sub.table
+    assert atom_max == rep["observed"]
+    v = _random_vector(w_sub, pool, data)
+    assert _ratio(v, g0, table, table) <= rep["observed"] * (1 + _ORACLE_REL)
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,7 +19,7 @@ def test_clopper_pearson_matches_beta_quantiles():
 def test_cli_import_leaves_heavy_scipy_out():
     code = (
         "import sys, walkrep.cli\n"
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.special') if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(walkrep.__file__))
     env = dict(os.environ, PYTHONPATH=src)
