@@ -273,10 +273,10 @@ def _build_model(cfg: ExperimentConfig):
     return spec, w, sys_b, built[0], built[1]
 
 
-def cmd_build(cfg: ExperimentConfig, out_base: str) -> int:
+def cmd_build(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) -> int:
     t0 = time.time()
     out = _out_dir(out_base, "build")
-    spec, w, sys_b, mdl, history = _build_model(cfg)
+    spec, w, sys_b, mdl, history = built or _build_model(cfg)
     _write_json(os.path.join(out, "model.json"), mdl.to_dict())
     _write_json(
         os.path.join(out, "history.json"),
@@ -294,10 +294,10 @@ def cmd_build(cfg: ExperimentConfig, out_base: str) -> int:
     return _finish(out, "build", cfg, records, t0)
 
 
-def cmd_support(cfg: ExperimentConfig, out_base: str) -> int:
+def cmd_support(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) -> int:
     t0 = time.time()
     out = _out_dir(out_base, "support")
-    spec, w, sys_b, mdl, history = _build_model(cfg)
+    spec, w, sys_b, mdl, history = built or _build_model(cfg)
     records = []
     iso = model.support_and_iso_check(
         mdl, history, w, cfg.samples.check_samples, cfg.build_config(), seed=cfg.seed
@@ -322,16 +322,15 @@ def cmd_support(cfg: ExperimentConfig, out_base: str) -> int:
     return _finish(out, "support", cfg, records, t0)
 
 
-def cmd_orbit(cfg: ExperimentConfig, out_base: str) -> int:
+def cmd_orbit(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) -> int:
     t0 = time.time()
     out = _out_dir(out_base, "orbit")
-    spec, w, sys_b, mdl, history = _build_model(cfg)
+    spec, w, sys_b, mdl, history = built or _build_model(cfg)
     a = groups.generators(spec)[0]
     ball1 = history[0].ball
     probe = dynamics.bernoulli_system(spec, cfg.seed + 1)
     x = dynamics.sample_point(probe, 0)
-    ev = model.ModelEvaluator(mdl, x)
-    rep = model.orbit_frequency(ev, x, a, ball1, cfg.samples.orbit_steps, w, cfg.n_trunc)
+    rep = model.orbit_frequency(mdl, x, a, ball1, cfg.samples.orbit_steps, w, cfg.n_trunc)
     series = rep.pop("series")
     rows = []
     cum = 0.0
@@ -450,10 +449,19 @@ COMMANDS = {
 }
 
 
+# commands that read the staged model; ``all`` builds it once for them
+MODEL_COMMANDS = ("build", "support", "orbit")
+
+
 def cmd_all(cfg: ExperimentConfig, out_base: str) -> int:
     status = 0
+    built = None
     for name, fn in COMMANDS.items():
-        status = max(status, fn(cfg, out_base))
+        if name in MODEL_COMMANDS:
+            built = built or _build_model(cfg)
+            status = max(status, fn(cfg, out_base, built))
+        else:
+            status = max(status, fn(cfg, out_base))
     return status
 
 

@@ -161,6 +161,7 @@ class WeightTable:
     table: dict
     tail_bound: float
     _partials: dict = field(default_factory=dict, repr=False)
+    _ball_masses: dict = field(default_factory=dict, repr=False)
 
     def weight(self, g) -> float:
         return self.table.get(g, 0.0)
@@ -185,8 +186,11 @@ class WeightTable:
         return self.partial_table(depth).get(g, 0.0)
 
     def mass_in_ball(self, n: int) -> float:
-        inside = set(groups.ball(self.spec, n))
-        return sum(self.table[g] for g in self.support() if g in inside)
+        """Stored mass on B_n, summed in support order; cached per radius."""
+        if n not in self._ball_masses:
+            inside = set(groups.ball(self.spec, n))
+            self._ball_masses[n] = sum(self.table[g] for g in self.support() if g in inside)
+        return self._ball_masses[n]
 
     def tail_mass_outside_ball(self, n: int) -> float:
         """Conservative bound on the true w-mass outside B_n."""

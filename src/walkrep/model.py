@@ -317,134 +317,314 @@ def model_from_dict(data: dict) -> ModelFunction:
 # ---------------------------------------------------------------------------
 # evaluation
 
+# Cells of the points x window bit matrix filled at once.  Batches of points
+# and long orbit windows are split into chunks under it, so the evaluator's
+# memory stays bounded on Z^3.
+WINDOW_CELL_BUDGET = 1 << 20
 
-class ModelEvaluator:
-    """Caching evaluator of a model along the orbit of one sampled point.
 
-    The tower and cylinder tests are those of ``dynamics``; this class only
-    memoizes them.  All lookups are keyed by absolute group positions
-    (relative coordinate times the handle offset), so translates of the same
-    root share every cached bit, event test, and function value.  Confine
-    an instance to one worker: reads mutate the caches.
+def _coords(spec: GroupSpec, g) -> tuple:
+    """Coordinates of an integer or lattice element (integers are d = 1)."""
+    return (g,) if spec.kind == "integers" else g
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _neg(a: tuple) -> tuple:
+    return tuple(-x for x in a)
+
+
+def _grow(lo: tuple, hi: tuple, offsets) -> tuple[tuple, tuple]:
+    """The box of u + m for u in [lo, hi] and m in ``offsets``."""
+    cols = list(zip(*offsets))
+    return _add(lo, tuple(map(min, cols))), _add(hi, tuple(map(max, cols)))
+
+
+def _shape(lo: tuple, hi: tuple) -> tuple:
+    return tuple(b - a + 1 for a, b in zip(lo, hi))
+
+
+@dataclass(frozen=True)
+class _StageEvents:
+    """One stage's events as coordinate offsets, and its values as arrays.
+
+    ``ball`` is the locate ball B_n in ``groups.ball`` order and ``xi`` is
+    aligned with it; the split map is held as sorted keys with their minus
+    and plus images (``keys`` is None before the stage is split).
     """
 
-    def __init__(self, model: ModelFunction, x: PointHandle):
-        if x.system.kind != "bernoulli":
-            raise DomainError("model evaluation needs a Bernoulli point")
-        self.model = model
-        self.spec = model.spec
-        self.root = PointHandle(x.system, x.root, groups.identity(model.spec))
-        n_stages = len(model.stages)
-        self._base: list[dict] = [dict() for _ in range(n_stages)]
-        self._locate: list[dict] = [dict() for _ in range(n_stages)]
-        self._route: list[dict] = [dict() for _ in range(n_stages)]
-        self._values: list[dict] = [dict() for _ in range(n_stages + 1)]
+    n: int
+    pattern: tuple  # (coords, bit)
+    exclusion: tuple  # coords, without the origin
+    ball: tuple
+    xi: np.ndarray
+    cylinder: tuple  # (coords, bit)
+    keys: np.ndarray | None
+    minus: np.ndarray | None
+    plus: np.ndarray | None
 
-    def _at(self, position) -> PointHandle:
-        """The point T_position x."""
-        return PointHandle(self.root.system, self.root.root, position)
+    @staticmethod
+    def of(model: ModelFunction, stage: ModelStage) -> "_StageEvents":
+        spec = model.spec
+        ball_n = groups.ball(spec, stage.patch.n)
+        split = stage.split
+        cylinder = ()
+        keys = minus = plus = None
+        if split is not None:
+            cylinder = tuple(
+                (_coords(spec, g), b) for g, b in model.family.set_at(split.a_index).bits
+            )
+            ordered = sorted(split.split_map)
+            keys = np.array(ordered, dtype=np.float64)
+            minus = np.array([split.split_map[u][0] for u in ordered], dtype=np.float64)
+            plus = np.array([split.split_map[u][1] for u in ordered], dtype=np.float64)
+        return _StageEvents(
+            n=stage.patch.n,
+            pattern=tuple(
+                (_coords(spec, p), b) for p, b in stage.patch.tower.pattern.items()
+            ),
+            exclusion=tuple(_coords(spec, m) for m in stage.patch.tower.exclusion),
+            ball=tuple(_coords(spec, g) for g in ball_n),
+            xi=np.array([stage.patch.xi.get(g, 0.0) for g in ball_n], dtype=np.float64),
+            cylinder=cylinder,
+            keys=keys,
+            minus=minus,
+            plus=plus,
+        )
 
-    def in_base(self, j: int, u) -> bool:
-        """Does T_u x lie in the stage-(j+1) base event E?"""
-        cache = self._base[j]
-        hit = cache.get(u)
-        if hit is None:
-            hit = self.model.stages[j].patch.tower.in_base(self._at(u))
-            cache[u] = hit
-        return hit
+    def base_box(self, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
+        """Where ``locate`` on [lo, hi] reads the base: [lo, hi] - B_n."""
+        return _grow(lo, hi, self.ball)
 
-    def locate(self, j: int, position):
-        """g in B_N with T_{g^-1} T_position x in E_j, or None."""
-        cache = self._locate[j]
-        if position in cache:
-            return cache[position]
-        spec = self.spec
-        mult = groups.multiply
-        inv = groups.inverse
-        found = None
-        for g in groups.ball(spec, self.model.stages[j].patch.n):
-            if self.in_base(j, mult(spec, inv(spec, g), position)):
-                found = g
-                break
-        cache[position] = found
-        return found
+    def marker_box(self, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
+        """Where the base on [lo, hi] reads the marker: the origin and the
+        exclusion shifts."""
+        return _grow(lo, hi, self.exclusion + ((0,) * len(lo),))
 
-    def in_routing_set(self, j: int, position) -> bool:
-        """Does T_position x lie in the stage-(j+1) routing cylinder?"""
-        cache = self._route[j]
-        hit = cache.get(position)
-        if hit is None:
-            cyl = self.model.family.set_at(self.model.stages[j].split.a_index)
-            hit = cyl.contains(self._at(position))
-            cache[position] = hit
-        return hit
+    def bit_box(self, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
+        """Every coordinate that ``locate`` and routing on [lo, hi] read."""
+        blo, bhi = _grow(*self.marker_box(*self.base_box(lo, hi)), [p for p, _ in self.pattern])
+        if self.cylinder:
+            clo, chi = _grow(lo, hi, [c for c, _ in self.cylinder])
+            blo, bhi = tuple(map(min, blo, clo)), tuple(map(max, bhi, chi))
+        return blo, bhi
 
-    def f_value(self, position, stage_count: int | None = None) -> float:
-        """f_n at the point T_position x (n = stage_count, default all)."""
-        k = len(self.model.stages) if stage_count is None else stage_count
-        v = 0.0
-        start = 0
-        for j in range(k, 0, -1):
-            hit = self._values[j].get(position)
-            if hit is not None:
-                v = hit
-                start = j
-                break
-        for j in range(start, k):
-            stage = self.model.stages[j]
-            g = self.locate(j, position)
-            if g is not None:
-                v = stage.patch.xi.get(g, 0.0)
-            if stage.split is not None:
-                minus, plus = stage.split.split_map[v]
-                v = minus if self.in_routing_set(j, position) else plus
-            self._values[j + 1][position] = v
+
+def _stage_events(model: ModelFunction) -> list:
+    return [_StageEvents.of(model, st) for st in model.stages]
+
+
+def _bit_box(stages: list, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
+    blo, bhi = lo, hi
+    for st in stages:
+        slo, shi = st.bit_box(lo, hi)
+        blo, bhi = tuple(map(min, blo, slo)), tuple(map(max, bhi, shi))
+    return blo, bhi
+
+
+class OrbitWindow:
+    """Stage events and values of a batch of Bernoulli points on a box of
+    positions, all read from one bit matrix.
+
+    The box [lo, hi] holds coordinates relative to each point's offset, so
+    the cell u of the point x stands for T_u x.  The points x window bit
+    matrix is filled by ``_BernoulliRoot.bit`` at absolute positions, with
+    the same keyed hash and forced bits as every other read, and each stage
+    event is an array mask on it: the marker is an AND over shifted slices,
+    the base is the marker AND NOT the OR over the exclusion shifts,
+    ``locate`` takes the first g in ``groups.ball`` order whose shift lands
+    in the base, and routing is an AND over the cylinder constraints.  So
+    every value equals the one the lazy reads of ``dynamics`` give.
+    """
+
+    def __init__(self, spec: GroupSpec, stages: list, points: list, lo: tuple, hi: tuple):
+        self.spec = spec
+        self.stages = stages
+        self.lo, self.hi = lo, hi
+        self.shape = _shape(lo, hi)
+        self.points = points
+        self.n_points = len(points)
+        self._bit_lo, bit_hi = _bit_box(stages, lo, hi)
+        bit_shape = _shape(self._bit_lo, bit_hi)
+        cells = list(
+            itertools.product(*(range(a, b + 1) for a, b in zip(self._bit_lo, bit_hi)))
+        )
+        if spec.kind == "integers":
+            cells = [c[0] for c in cells]
+        e = groups.identity(spec)
+        bits = np.empty((len(points), len(cells)), dtype=np.uint8)
+        for row, x in zip(bits, points):
+            at = cells
+            if x.offset != e:
+                at = [groups.multiply(spec, c, x.offset) for c in cells]
+            bit = x.root.bit
+            row[:] = [bit(u) for u in at]
+        self._one = bits.reshape((len(points),) + bit_shape).astype(bool)
+        self._zero = ~self._one
+        self._base: dict = {}
+        self._locate: dict = {}
+        self._route: dict = {}
+
+    @staticmethod
+    def _take(arr: np.ndarray, arr_lo: tuple, lo: tuple, shape: tuple) -> np.ndarray:
+        """The part on the box of ``shape`` at ``lo`` of ``arr``, an array
+        laid out from ``arr_lo`` with the points first."""
+        idx = [slice(None)]
+        for a, b, s, size in zip(lo, arr_lo, shape, arr.shape[1:]):
+            if not 0 <= a - b <= size - s:
+                raise DomainError("window read outside its bit box")
+            idx.append(slice(a - b, a - b + s))
+        return arr[tuple(idx)]
+
+    def _bits(self, bit: int, lo: tuple, shape: tuple) -> np.ndarray:
+        return self._take(self._one if bit else self._zero, self._bit_lo, lo, shape)
+
+    def _base_event(self, j: int) -> tuple[np.ndarray, tuple]:
+        """The stage-(j+1) base on ``base_box`` of the window, and its corner."""
+        if j not in self._base:
+            st = self.stages[j]
+            base_lo, base_hi = st.base_box(self.lo, self.hi)
+            mark_lo, mark_hi = st.marker_box(base_lo, base_hi)
+            mark_shape = _shape(mark_lo, mark_hi)
+            marker = np.ones((self.n_points,) + mark_shape, dtype=bool)
+            for p, b in st.pattern:
+                marker &= self._bits(b, _add(mark_lo, p), mark_shape)
+            shape = _shape(base_lo, base_hi)
+            excluded = np.zeros((self.n_points,) + shape, dtype=bool)
+            for m in st.exclusion:
+                excluded |= self._take(marker, mark_lo, _add(base_lo, m), shape)
+            base = self._take(marker, mark_lo, base_lo, shape) & ~excluded
+            self._base[j] = (base, base_lo)
+        return self._base[j]
+
+    def in_base(self, j: int, u: tuple | None = None) -> np.ndarray:
+        """Per point: does T_u x lie in the stage-(j+1) base?  ``u``, in
+        coordinates, defaults to the origin."""
+        base, base_lo = self._base_event(j)
+        u = (0,) * len(self.lo) if u is None else u
+        return self._take(base, base_lo, u, (1,) * len(u)).reshape(-1)
+
+    def locate(self, j: int) -> np.ndarray:
+        """Per point and cell u: the index in the locate ball of the first g
+        with T_{g^-1} T_u x in the stage-(j+1) base, or -1."""
+        if j not in self._locate:
+            base, base_lo = self._base_event(j)
+            ball = self.stages[j].ball
+            first = np.full((self.n_points,) + self.shape, -1, dtype=np.int64)
+            # the last write wins, so walk the ball backwards
+            for gi in range(len(ball) - 1, -1, -1):
+                hit = self._take(base, base_lo, _add(self.lo, _neg(ball[gi])), self.shape)
+                np.copyto(first, gi, where=hit)
+            self._locate[j] = first
+        return self._locate[j]
+
+    def routing(self, j: int) -> np.ndarray:
+        """Per point and cell u: is T_u x in the stage-(j+1) routing cylinder?"""
+        if j not in self._route:
+            member = np.ones((self.n_points,) + self.shape, dtype=bool)
+            for c, b in self.stages[j].cylinder:
+                member &= self._bits(b, _add(self.lo, c), self.shape)
+            self._route[j] = member
+        return self._route[j]
+
+    def values(self, stage_count: int | None = None) -> np.ndarray:
+        """f_k on every cell (k = stage_count, default all stages).
+
+        A value with no key in a split map raises KeyError, as the map does.
+        """
+        k = len(self.stages) if stage_count is None else stage_count
+        v = np.zeros((self.n_points,) + self.shape, dtype=np.float64)
+        for j in range(k):
+            st = self.stages[j]
+            first = self.locate(j)
+            v = np.where(first >= 0, st.xi[first], v)
+            if st.keys is None:
+                continue
+            pos = np.minimum(np.searchsorted(st.keys, v), len(st.keys) - 1)
+            missing = st.keys[pos] != v
+            if missing.any():
+                raise KeyError(float(v[missing][0]))
+            v = np.where(self.routing(j), st.minus[pos], st.plus[pos])
         return v
 
-    def value_at(self, x: PointHandle, stage_count: int | None = None) -> float:
-        if x.root is not self.root.root:
-            raise DomainError("evaluator is bound to a different point")
-        return self.f_value(x.offset, stage_count=stage_count)
-
-    def in_hit_event(self, i: int, n: int, position=None) -> bool:
-        """Membership in E^{(n)}_i: the stage-i base, trimmed of the
-        B_{N_i + N_j} neighborhoods of all later patch regions j <= n."""
-        spec = self.spec
-        if position is None:
-            position = groups.identity(spec)
-        if not self.in_base(i - 1, position):
-            return False
-        mult = groups.multiply
-        inv = groups.inverse
-        n_i = self.model.stages[i - 1].patch.n
+    def in_hit_event(self, i: int, n: int) -> np.ndarray:
+        """Per point: membership in E^{(n)}_i, the stage-i base trimmed of
+        the B_{N_i + N_j} neighborhoods of all later patch regions j <= n.
+        The window must contain B_{N_i}."""
+        hit = self.in_base(i - 1).copy()
+        n_i = self.stages[i - 1].n
         for j in range(i + 1, n + 1):
-            n_j = self.model.stages[j - 1].patch.n
-            for k in groups.ball(spec, n_i + n_j):
-                if self.in_base(j - 1, mult(spec, inv(spec, k), position)):
-                    return False
-        return True
+            for k in groups.ball(self.spec, n_i + self.stages[j - 1].n):
+                hit &= ~self.in_base(j - 1, _neg(_coords(self.spec, k)))
+        return hit
+
+    def rows(self, arr: np.ndarray, elements: list) -> list:
+        """Per point, the entries of ``arr`` (laid out on the window) at
+        ``elements``, as Python floats."""
+        rel = np.array([_coords(self.spec, g) for g in elements], dtype=np.int64) - self.lo
+        flat = np.ravel_multi_index(tuple(rel.T), self.shape)
+        return arr.reshape(self.n_points, -1)[:, flat].tolist()
+
+
+def orbit_windows(model: ModelFunction, points: list, lo: tuple, hi: tuple):
+    """``OrbitWindow`` over [lo, hi] for consecutive chunks of ``points``,
+    each under ``WINDOW_CELL_BUDGET`` bit cells (at least one point)."""
+    if any(x.system.kind != "bernoulli" for x in points):
+        raise DomainError("model evaluation needs Bernoulli points")
+    stages = _stage_events(model)
+    per_point = math.prod(_shape(*_bit_box(stages, lo, hi)))
+    step = max(1, WINDOW_CELL_BUDGET // per_point)
+    for start in range(0, len(points), step):
+        yield OrbitWindow(model.spec, stages, points[start:start + step], lo, hi)
+
+
+def _cube(spec: GroupSpec, radius: int) -> tuple[tuple, tuple]:
+    """The box [-radius, radius]^d, which holds the word ball B_radius."""
+    d = len(_coords(spec, groups.identity(spec)))
+    return (-radius,) * d, (radius,) * d
 
 
 def phi(
-    ev: ModelEvaluator,
-    x: PointHandle,
+    model: ModelFunction,
+    points: list,
     n_trunc: int,
     w: WeightTable,
     stage_count: int | None = None,
-) -> tuple[WeightedVector, float]:
-    """Truncated orbit vector {f(T_g x)}_{g in B_n_trunc} plus its tail bound.
+) -> list[tuple[WeightedVector, float]]:
+    """Truncated orbit vectors {f(T_g x)}_{g in B_n_trunc} of ``points``,
+    each with its tail bound.
 
-    ``x`` is the evaluator's point or one of its translates.  The tail bound
-    is max|f| * sqrt(true w-mass outside the window), with the mass bounded
-    by the stored complement plus the truncation tail.
+    The tail bound is max|f| * sqrt(true w-mass outside the window), with
+    the mass bounded by the stored complement plus the truncation tail.
     """
-    spec = ev.spec
-    mult = groups.multiply
-    coeffs = {}
-    for g in groups.ball(spec, n_trunc):
-        coeffs[g] = ev.f_value(mult(spec, g, x.offset), stage_count=stage_count)
-    tail = ev.model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
-    return WeightedVector(w, coeffs), tail
+    ball = groups.ball(model.spec, n_trunc)
+    tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
+    out = []
+    for win in orbit_windows(model, points, *_cube(model.spec, n_trunc)):
+        for row in win.rows(win.values(stage_count), ball):
+            out.append((WeightedVector(w, dict(zip(ball, row))), tail))
+    return out
+
+
+def point_values(
+    model: ModelFunction, points: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, routing) at the points themselves: ``values[k - 1]`` holds
+    f_k for every stage prefix k, ``routing[j]`` the membership in the
+    stage-(j+1) routing cylinder."""
+    n = len(model.stages)
+    values = np.empty((n, len(points)))
+    routing = np.empty((n, len(points)), dtype=bool)
+    start = 0
+    for win in orbit_windows(model, points, *_cube(model.spec, 0)):
+        stop = start + win.n_points
+        for j in range(n):
+            values[j, start:stop] = win.values(j + 1).reshape(-1)
+            routing[j, start:stop] = win.routing(j).reshape(-1)
+        start = stop
+    return values, routing
 
 
 # ---------------------------------------------------------------------------
@@ -564,24 +744,27 @@ def verify_patch(
     spec = model.spec
     draws = samples or config.base_samples
     gen = dynamics.conditional_base_sampler(tower, seed=config.seed + stage_index)
+    points = [next(gen) for _ in range(draws)]
+    window = groups.ball(spec, stage.patch.n)
+    tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(stage.patch.n))
+    center = ball.center_dict()
     mismatches = 0
     worst = 0.0
     n_eval = 0
-    for _ in range(draws):
-        x = next(gen)
-        ev = ModelEvaluator(model, x)
-        if not ev.in_base(stage_index, groups.identity(spec)):
-            continue
-        n_eval += 1
-        vec, tail = phi(ev, x, stage.patch.n, w, stage_count=stage_index + 1)
-        center = ball.center_dict()
-        dist2 = 0.0
-        for g in groups.ball(spec, stage.patch.n):
-            diff = vec.coeffs.get(g, 0.0) - center.get(g, 0.0)
-            if stage.split is None and diff != 0.0:
-                mismatches += 1
-            dist2 += diff * diff * w.weight(g)
-        worst = max(worst, math.sqrt(dist2) + tail)
+    for win in orbit_windows(model, points, *_cube(spec, stage.patch.n)):
+        inside = win.in_base(stage_index)
+        rows = win.rows(win.values(stage_index + 1), window)
+        for in_base, row in zip(inside, rows):
+            if not in_base:
+                continue
+            n_eval += 1
+            dist2 = 0.0
+            for g, value in zip(window, row):
+                diff = value - center.get(g, 0.0)
+                if stage.split is None and diff != 0.0:
+                    mismatches += 1
+                dist2 += diff * diff * w.weight(g)
+            worst = max(worst, math.sqrt(dist2) + tail)
     return {
         "draws": n_eval,
         "window_mismatches": mismatches,
@@ -818,8 +1001,8 @@ def run_stage_checks(
     probe = dynamics.probe_system(model.system, "checks", config.seed)
     samples = config.check_samples
     points = [dynamics.sample_point(probe, i) for i in range(samples)]
-    evaluators = [ModelEvaluator(model, x) for x in points]
-    values = [ev.f_value(groups.identity(model.spec)) for ev in evaluators]
+    prefix_values, routing = point_values(model, points)
+    values = prefix_values[-1].tolist()
     # 1_n range containment on samples (exact float membership)
     range_set = set(state.range_values)
     in_range = all(v in range_set for v in values)
@@ -832,8 +1015,7 @@ def run_stage_checks(
         v1 = set(state.value_sets[i][1])
         budget = state.gamma[i] * (1.0 - 1.0 / n)
         exceptions = 0
-        for ev, v in zip(evaluators, values):
-            member = ev.in_routing_set(i - 1, groups.identity(model.spec))
+        for member, v in zip(routing[i - 1], values):
             if member and v not in v0:
                 exceptions += 1
             elif not member and v not in v1:
@@ -878,12 +1060,7 @@ def run_stage_checks(
     per_stage = {}
     ok5 = analytic < 1.0
     for k in range(1, n + 1):
-        stage_vals = (
-            values
-            if k == n
-            else [ev.f_value(groups.identity(model.spec), stage_count=k) for ev in evaluators]
-        )
-        fourth = np.array(stage_vals, dtype=float) ** 4
+        fourth = prefix_values[k - 1] ** 4
         est = float(fourth.mean())
         se = float(fourth.std(ddof=1) / math.sqrt(samples))
         norm4 = (est + Z95 * se) ** 0.25
@@ -911,21 +1088,18 @@ def equivariance_check(
     seed: int = 0,
 ) -> dict:
     """Exact coefficient equality of phi(T_h x) and S_h phi(x) on the common
-    truncation ball; both sides are evaluated through independent caches."""
+    truncation ball; both sides are evaluated in their own windows."""
     spec = model.spec
     groups.check_element(spec, h)
     probe = dynamics.probe_system(model.system, "equiv", seed)
     h_len = groups.word_length(spec, h)
     common = groups.ball(spec, n_trunc - h_len)
+    points = [dynamics.sample_point(probe, draw) for draw in range(samples)]
+    lefts = phi(model, [dynamics.act(probe, h, x) for x in points], n_trunc - h_len, w)
+    rights = phi(model, points, n_trunc, w)
     mismatches = 0
     compared = 0
-    for draw in range(samples):
-        x = dynamics.sample_point(probe, draw)
-        left_ev = ModelEvaluator(model, x)
-        right_ev = ModelEvaluator(model, x)
-        xh = dynamics.act(probe, h, x)
-        left, _ = phi(left_ev, xh, n_trunc - h_len, w)
-        right_full, _ = phi(right_ev, x, n_trunc, w)
+    for (left, _), (right_full, _) in zip(lefts, rights):
         right = space.shift(right_full, h)
         for g in common:
             compared += 1
@@ -960,8 +1134,9 @@ def support_and_iso_check(
     spec = model.spec
     n = len(history)
     state = history[-1]
-    evaluators, phis = probe_orbit_vectors(model, samples, config.n_trunc, w, seed)
-    values = [ev.f_value(groups.identity(spec)) for ev in evaluators]
+    points, phis = probe_orbit_vectors(model, samples, config.n_trunc, w, seed)
+    prefix_values, routing = point_values(model, points)
+    values = prefix_values[-1].tolist()
     detail = {}
     overall = True
     for i in range(1, n + 1):
@@ -981,9 +1156,8 @@ def support_and_iso_check(
         # symmetric difference of the minus-side cover preimage against A_i
         cover0 = state.covers[i][0]
         sym = 0
-        for ev, v in zip(evaluators, values):
+        for member, v in zip(routing[i - 1], values):
             in_cover = any(lo <= v <= hi for lo, hi in cover0)
-            member = ev.in_routing_set(i - 1, groups.identity(spec))
             if in_cover != member:
                 sym += 1
         ci_sym = stats.clopper_pearson(sym, samples)
@@ -1010,12 +1184,11 @@ def support_and_iso_check(
 def probe_orbit_vectors(
     model: ModelFunction, samples: int, n_trunc: int, w: WeightTable, seed: int
 ) -> tuple[list, list]:
-    """Evaluators for the first ``samples`` points of the seeded "iso" probe
-    system, and their orbit vectors as ``(phi, tail)`` pairs."""
+    """The first ``samples`` points of the seeded "iso" probe system, and
+    their orbit vectors as ``(phi, tail)`` pairs."""
     probe = dynamics.probe_system(model.system, "iso", seed)
     points = [dynamics.sample_point(probe, i) for i in range(samples)]
-    evaluators = [ModelEvaluator(model, x) for x in points]
-    return evaluators, [phi(ev, x, n_trunc, w) for ev, x in zip(evaluators, points)]
+    return points, phi(model, points, n_trunc, w)
 
 
 def ball_hits(phis: list, ball: BallSpec, w: WeightTable) -> tuple[int, int]:
@@ -1049,17 +1222,16 @@ def conditional_hits(
     tower = model.stages[i - 1].patch.tower
     n = len(history)
     gen = dynamics.conditional_base_sampler(tower, seed=seed)
-    phis = []
-    for _ in range(config.base_samples):
-        x = next(gen)
-        ev = ModelEvaluator(model, x)
-        if ev.in_hit_event(i, n):
-            phis.append(phi(ev, x, config.n_trunc, w))
+    points = [next(gen) for _ in range(config.base_samples)]
+    survivors = []
+    for win in orbit_windows(model, points, *_cube(model.spec, tower.n)):
+        survivors += [x for x, hit in zip(win.points, win.in_hit_event(i, n)) if hit]
+    phis = phi(model, survivors, config.n_trunc, w)
     return len(phis), ball_hits(phis, history[i - 1].ball, w)[0]
 
 
 def orbit_frequency(
-    ev: ModelEvaluator,
+    model: ModelFunction,
     x: PointHandle,
     a,
     ball: BallSpec,
@@ -1069,28 +1241,50 @@ def orbit_frequency(
 ) -> dict:
     """Visit frequency of the orbit x, T_a x, T_a^2 x, ... to the ball.
 
-    Each step evaluates the orbit vector in a fresh window around the
-    translated point; a step whose window distance is inside the radius but
-    whose tail bound leaves membership open is flagged indeterminate.
+    The orbit vectors of a stretch of steps are read from one window along
+    a, holding the truncation ball of every step in it; stretches are cut so
+    a window stays under ``WINDOW_CELL_BUDGET`` bit cells.  A step whose
+    window distance is inside the radius but whose tail bound leaves
+    membership open is flagged indeterminate.
     """
     spec = w.spec
     center = ball.center_vector(w)
-    sys = ev.root.system
+    window = groups.ball(spec, n_trunc)
+    tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
+    a_c = _coords(spec, a)
+    stages = _stage_events(model)
+
+    def box(first: int, last: int) -> tuple[tuple, tuple]:
+        ends = [tuple(t * c for c in a_c) for t in (first, last)]
+        lo, hi = tuple(map(min, *ends)), tuple(map(max, *ends))
+        return _grow(lo, hi, [_coords(spec, g) for g in window])
+
+    stretch = n_steps
+    while stretch > 1 and math.prod(_shape(*_bit_box(stages, *box(0, stretch - 1)))) > WINDOW_CELL_BUDGET:
+        stretch = (stretch + 1) // 2
     hits = 0
     indeterminate = 0
     series = []
-    current = x
-    for _ in range(n_steps):
-        vec, tail = phi(ev, current, n_trunc, w)
-        dist = space.norm(vec - center)
-        if dist + tail < ball.radius:
-            hits += 1
-            series.append(1.0)
-        else:
-            series.append(0.0)
-            if dist <= ball.radius:
-                indeterminate += 1
-        current = dynamics.act(sys, a, current)
+    for first in range(0, n_steps, stretch):
+        steps = range(first, min(n_steps, first + stretch))
+        (win,) = orbit_windows(model, [x], *box(steps[0], steps[-1]))
+        cells = [
+            groups.multiply(spec, g, a_t)
+            for a_t in (groups.power(spec, a, t) for t in steps)
+            for g in window
+        ]
+        row = win.rows(win.values(), cells)[0]
+        for s in range(len(steps)):
+            coeffs = row[s * len(window):(s + 1) * len(window)]
+            vec = WeightedVector(w, dict(zip(window, coeffs)))
+            dist = space.norm(vec - center)
+            if dist + tail < ball.radius:
+                hits += 1
+                series.append(1.0)
+            else:
+                series.append(0.0)
+                if dist <= ball.radius:
+                    indeterminate += 1
     freq = hits / n_steps
     se = stats.batch_means_se(series)
     return {

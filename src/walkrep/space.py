@@ -139,7 +139,6 @@ def operator_norm_certificate(spec: GroupSpec, w: WeightTable, a) -> dict:
         "a": groups.element_str(spec, a),
         "bound": bound,
         "observed": atom_max,
-        "observed_single_atom": atom_max,
         "single_atom_argmax": groups.element_str(spec, atom_arg),
         "domain": f"support in ball({n_max - 1}); shifted norm at depth {n_max - 1}",
         "pass": bool(atom_max <= bound + PASS_SLACK),
@@ -196,7 +195,6 @@ def subgroup_norm_certificate(
         "ambient_image": groups.element_str(amb, img),
         "bound": m_g0,
         "observed": atom_max,
-        "observed_single_atom": atom_max,
         "domain": f"subgroup ball({interior})",
         "second_layer": {"q": second_params.q, "n_max": second_params.n_max},
         "pass": bool(atom_max <= m_g0 + PASS_SLACK),

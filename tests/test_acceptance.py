@@ -153,16 +153,14 @@ def test_criterion_06_equivariance(built_model, z_weights, z_spec):
     mdl, history, cfg = built_model
     sys_b = dynamics.bernoulli_system(z_spec, 606)
     n_trunc = cfg.n_trunc
+    points = [dynamics.sample_point(sys_b, draw) for draw in range(1000)]
+    rights = model.phi(mdl, points, n_trunc, z_weights)
     mismatches = 0
     compared = 0
-    for draw in range(1000):
-        x = dynamics.sample_point(sys_b, draw)
-        left_ev = model.ModelEvaluator(mdl, x)
-        right_ev = model.ModelEvaluator(mdl, x)
-        right_full, _ = model.phi(right_ev, x, n_trunc, z_weights)
-        for h in groups.ball(z_spec, 2):
-            xh = dynamics.act(sys_b, h, x)
-            left, _ = model.phi(left_ev, xh, n_trunc - abs(h), z_weights)
+    for h in groups.ball(z_spec, 2):
+        xhs = [dynamics.act(sys_b, h, x) for x in points]
+        lefts = model.phi(mdl, xhs, n_trunc - abs(h), z_weights)
+        for (left, _), (right_full, _) in zip(lefts, rights):
             right = space.shift(right_full, h)
             for g in groups.ball(z_spec, n_trunc - abs(h)):
                 compared += 1
@@ -196,8 +194,7 @@ def test_criterion_08_orbit_frequency(built_model, z_weights, z_bernoulli):
     mdl, history, cfg = built_model
     ball1 = history[0].ball
     x = dynamics.sample_point(dynamics.bernoulli_system(z_bernoulli.group, 808), 0)
-    ev = model.ModelEvaluator(mdl, x)
-    rep = model.orbit_frequency(ev, x, 1, ball1, 10_000, z_weights, cfg.n_trunc)
+    rep = model.orbit_frequency(mdl, x, 1, ball1, 10_000, z_weights, cfg.n_trunc)
     iso = model.support_and_iso_check(mdl, history, z_weights, 1000, cfg, seed=8)
     mu_est = iso["levels"]["1"]["hit_freq"]
     se_mu = math.sqrt(max(mu_est * (1 - mu_est), 1e-12) / iso["samples"])
@@ -307,12 +304,23 @@ def test_criterion_11b_domination_simple_constant(lf_chain):
 
 
 def test_criterion_12_determinism(tmp_path):
+    # every command, at sizes cut from the defaults (3 stages, F_2 weights to
+    # depth 8, fewer samples) so that two full runs stay near 10 s
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 77, "samples": {"tower_samples": 20_000}}))
+    cfg.write_text(json.dumps({
+        "seed": 77,
+        "stages": 3,
+        "second_weights": {"q": 0.5, "n_max": 8},
+        "samples": {
+            "tower_samples": 20_000, "check_samples": 1000, "equivariance_samples": 250,
+            "orbit_steps": 1500, "averaging_samples": 500,
+        },
+    }))
+    commands = list(cli.COMMANDS)
     outs = []
     for name in ("runA", "runB"):
         out = tmp_path / name
-        for command in ("tower", "norms", "feldman", "continuous"):
+        for command in commands:
             status = cli.main(
                 [command, "--config", str(cfg), "--out", str(out)]
             )
@@ -320,7 +328,7 @@ def test_criterion_12_determinism(tmp_path):
             assert status == (1 if command == "continuous" else 0)
         outs.append(out)
     diffs = []
-    for sub in ("tower", "norms", "feldman", "continuous"):
+    for sub in commands:
         for f in sorted((outs[0] / sub).iterdir()):
             if f.name == "run_meta.json":
                 continue
@@ -328,6 +336,6 @@ def test_criterion_12_determinism(tmp_path):
             if f.read_bytes() != other.read_bytes():
                 diffs.append(f"{sub}/{f.name}")
     ok = not diffs
-    _line(12, ok, f"byte-identical reruns (same config+seed), "
-                  f"{'no differing files' if ok else diffs}")
+    _line(12, ok, f"byte-identical reruns of all {len(commands)} commands "
+                  f"(same config+seed), {'no differing files' if ok else diffs}")
     assert not diffs

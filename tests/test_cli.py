@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from walkrep import cli, config, continuous
+from walkrep import cli, config, continuous, model
 from walkrep.errors import ConfigError
 
 
@@ -113,3 +113,38 @@ def test_seed_override_changes_digested_config(tmp_path):
 
     other = dataclasses.replace(cfg, seed=cfg.seed + 1)
     assert other.digest() != cfg.digest()
+
+
+def test_all_builds_the_model_once(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "seed": 77,
+        "stages": 2,
+        "samples": {"check_samples": 1000, "equivariance_samples": 100, "orbit_steps": 300},
+    }))
+    # only the model commands matter here
+    for name in set(cli.COMMANDS) - set(cli.MODEL_COMMANDS):
+        monkeypatch.setitem(cli.COMMANDS, name, lambda cfg, out_base: 0)
+    builds = []
+    build_model = model.build_model
+
+    def counted(*args):
+        builds.append(args)
+        return build_model(*args)
+
+    monkeypatch.setattr(model, "build_model", counted)
+    status = cli.main(["all", "--config", str(path), "--out", str(tmp_path / "all")])
+    assert len(builds) == 1
+    separate = [
+        cli.main([command, "--config", str(path), "--out", str(tmp_path / "one")])
+        for command in cli.MODEL_COMMANDS
+    ]
+    assert len(builds) == 1 + len(cli.MODEL_COMMANDS)
+    assert status == max(separate) == 0
+    for command in cli.MODEL_COMMANDS:
+        names = sorted(f.name for f in (tmp_path / "all" / command).iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "one" / command).iterdir())
+        for name in names:
+            if name != "run_meta.json":
+                one = (tmp_path / "one" / command / name).read_bytes()
+                assert (tmp_path / "all" / command / name).read_bytes() == one

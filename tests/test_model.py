@@ -1,10 +1,106 @@
+import itertools
 import json
 import math
 
 import pytest
 
-from walkrep import dynamics, groups, model, space, stats
-from walkrep.errors import EncodingError, StageError
+from walkrep import dynamics, groups, measures, model, space, stats
+from walkrep.errors import DomainError, EncodingError, StageError
+
+
+class ModelEvaluator:
+    """Dict oracle for the window evaluator: one point, lazy reads.
+
+    The tower and cylinder tests are those of ``dynamics``; this class only
+    memoizes them, keyed by absolute group positions, so translates of the
+    root share every cached bit, event test and function value.
+    """
+
+    def __init__(self, mdl: model.ModelFunction, x: dynamics.PointHandle):
+        self.model = mdl
+        self.spec = mdl.spec
+        self.root = dynamics.PointHandle(x.system, x.root, groups.identity(mdl.spec))
+        n_stages = len(mdl.stages)
+        self._base = [dict() for _ in range(n_stages)]
+        self._locate = [dict() for _ in range(n_stages)]
+        self._route = [dict() for _ in range(n_stages)]
+        self._values = [dict() for _ in range(n_stages + 1)]
+
+    def _at(self, position) -> dynamics.PointHandle:
+        return dynamics.PointHandle(self.root.system, self.root.root, position)
+
+    def in_base(self, j: int, u) -> bool:
+        cache = self._base[j]
+        if u not in cache:
+            cache[u] = self.model.stages[j].patch.tower.in_base(self._at(u))
+        return cache[u]
+
+    def locate(self, j: int, position):
+        """g in B_N with T_{g^-1} T_position x in E_j, or None."""
+        cache = self._locate[j]
+        if position not in cache:
+            spec = self.spec
+            cache[position] = next(
+                (
+                    g
+                    for g in groups.ball(spec, self.model.stages[j].patch.n)
+                    if self.in_base(j, groups.multiply(spec, groups.inverse(spec, g), position))
+                ),
+                None,
+            )
+        return cache[position]
+
+    def in_routing_set(self, j: int, position) -> bool:
+        cache = self._route[j]
+        if position not in cache:
+            cyl = self.model.family.set_at(self.model.stages[j].split.a_index)
+            cache[position] = cyl.contains(self._at(position))
+        return cache[position]
+
+    def f_value(self, position, stage_count: int | None = None) -> float:
+        k = len(self.model.stages) if stage_count is None else stage_count
+        v = 0.0
+        start = 0
+        for j in range(k, 0, -1):
+            hit = self._values[j].get(position)
+            if hit is not None:
+                v = hit
+                start = j
+                break
+        for j in range(start, k):
+            stage = self.model.stages[j]
+            g = self.locate(j, position)
+            if g is not None:
+                v = stage.patch.xi.get(g, 0.0)
+            if stage.split is not None:
+                minus, plus = stage.split.split_map[v]
+                v = minus if self.in_routing_set(j, position) else plus
+            self._values[j + 1][position] = v
+        return v
+
+    def in_hit_event(self, i: int, n: int, position=None) -> bool:
+        spec = self.spec
+        if position is None:
+            position = groups.identity(spec)
+        if not self.in_base(i - 1, position):
+            return False
+        n_i = self.model.stages[i - 1].patch.n
+        for j in range(i + 1, n + 1):
+            n_j = self.model.stages[j - 1].patch.n
+            for k in groups.ball(spec, n_i + n_j):
+                if self.in_base(j - 1, groups.multiply(spec, groups.inverse(spec, k), position)):
+                    return False
+        return True
+
+
+def oracle_phi(ev, x, n_trunc, w, stage_count=None):
+    spec = ev.spec
+    coeffs = {
+        g: ev.f_value(groups.multiply(spec, g, x.offset), stage_count=stage_count)
+        for g in groups.ball(spec, n_trunc)
+    }
+    tail = ev.model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
+    return space.WeightedVector(w, coeffs), tail
 
 
 def test_basis_ball_enumeration_start(z_spec):
@@ -97,11 +193,11 @@ def test_stage_budgets_decrease(built_model):
 def test_phi_center_coordinate(built_model, z_bernoulli, z_weights):
     mdl, history, cfg = built_model
     x = dynamics.sample_point(z_bernoulli, 123)
-    ev = model.ModelEvaluator(mdl, x)
-    vec, tail = model.phi(ev, x, 8, z_weights)
-    assert vec.coeffs.get(0, 0.0) == ev.value_at(x)
+    ((vec, tail),) = model.phi(mdl, [x], 8, z_weights)
+    values, _ = model.point_values(mdl, [x])
+    assert vec.coeffs.get(0, 0.0) == values[-1][0]
     assert 0.0 <= tail < 0.01
-    wide, tail_wide = model.phi(ev, x, 16, z_weights)
+    ((wide, tail_wide),) = model.phi(mdl, [x], 16, z_weights)
     assert tail_wide < tail  # widening the window shrinks the tail bound
     assert space.norm(vec) <= mdl.max_abs() + 1e-12
 
@@ -112,7 +208,7 @@ def test_phi_constant_model(z_bernoulli, z_weights):
         system=z_bernoulli, stages=[], family=dynamics.SetFamily(z_bernoulli.group)
     )
     x = dynamics.sample_point(z_bernoulli, 5)
-    vec, tail = model.phi(model.ModelEvaluator(mdl, x), x, 6, z_weights)
+    ((vec, tail),) = model.phi(mdl, [x], 6, z_weights)
     assert vec.coeffs == {}
     assert tail == 0.0
 
@@ -120,10 +216,16 @@ def test_phi_constant_model(z_bernoulli, z_weights):
 def test_evaluator_values_in_range(built_model, z_bernoulli):
     mdl, history, _ = built_model
     allowed = set(history[-1].range_values)
-    for draw in range(80):
-        x = dynamics.sample_point(z_bernoulli, draw)
-        ev = model.ModelEvaluator(mdl, x)
-        assert ev.value_at(x) in allowed
+    points = [dynamics.sample_point(z_bernoulli, draw) for draw in range(80)]
+    values, _ = model.point_values(mdl, points)
+    assert set(values[-1].tolist()) <= allowed
+
+
+def test_window_rejects_rotation_points(built_model, z_spec):
+    mdl, _, _ = built_model
+    x = dynamics.sample_point(dynamics.rotation_system(z_spec, 1), 0)
+    with pytest.raises(DomainError):
+        model.point_values(mdl, [x])
 
 
 def test_hit_events_nested(built_model):
@@ -131,13 +233,12 @@ def test_hit_events_nested(built_model):
     tower1 = mdl.stages[0].patch.tower
     gen = dynamics.conditional_base_sampler(tower1, seed=42)
     n = len(history)
-    for _ in range(40):
-        x = next(gen)
-        ev = model.ModelEvaluator(mdl, x)
-        flags = [ev.in_hit_event(1, m) for m in range(1, n + 1)]
-        # membership at stage m implies membership at every earlier stage
-        for earlier, later in zip(flags, flags[1:]):
-            assert earlier or not later
+    points = [next(gen) for _ in range(40)]
+    (win,) = model.orbit_windows(mdl, points, (-tower1.n,), (tower1.n,))
+    flags = [win.in_hit_event(1, m) for m in range(1, n + 1)]
+    # membership at stage m implies membership at every earlier stage
+    for earlier, later in zip(flags, flags[1:]):
+        assert not (later & ~earlier).any()
 
 
 def test_equivariance_exact(built_model, z_weights):
@@ -156,24 +257,26 @@ def test_support_and_iso(built_model, z_weights):
 def test_orbit_frequency_whole_space(built_model, z_weights, z_bernoulli):
     mdl, history, cfg = built_model
     x = dynamics.sample_point(z_bernoulli, 9)
-    ev = model.ModelEvaluator(mdl, x)
     # a ball so large that membership always holds
     big = model.BallSpec(index=-1, level=0, center=(), radius=1e6)
-    rep = model.orbit_frequency(ev, x, 1, big, 200, z_weights, 10)
+    rep = model.orbit_frequency(mdl, x, 1, big, 200, z_weights, 10)
     assert rep["frequency"] == 1.0
 
 
 def test_evaluator_locate_matches_tower(built_model, z_bernoulli):
-    # TowerSpec.locate is the oracle for the memoized evaluator
+    # TowerSpec.locate is the oracle for the window's locate
     mdl, _, _ = built_model
     for j, stage in enumerate(mdl.stages):
         tower = stage.patch.tower
+        ball = groups.ball(z_bernoulli.group, tower.n)
         gen = dynamics.conditional_base_sampler(tower, seed=70 + j)
-        for _ in range(10):
-            x = next(gen)
-            ev = model.ModelEvaluator(mdl, x)
-            for u in range(-2 * tower.n - 2, 2 * tower.n + 3):
-                assert ev.locate(j, u) == tower.locate(dynamics.act(z_bernoulli, u, x))
+        points = [next(gen) for _ in range(10)]
+        lo, hi = -2 * tower.n - 2, 2 * tower.n + 2
+        (win,) = model.orbit_windows(mdl, points, (lo,), (hi,))
+        for x, first in zip(points, win.locate(j)):
+            for u, gi in zip(range(lo, hi + 1), first.tolist()):
+                expected = tower.locate(dynamics.act(z_bernoulli, u, x))
+                assert (None if gi < 0 else ball[gi]) == expected
 
 
 # mu_e_lower * Clopper-Pearson lower bound of the stratified hit estimate at
@@ -200,10 +303,9 @@ def test_serialization_roundtrip(built_model, z_bernoulli):
     data = json.loads(json.dumps(mdl.to_dict()))
     back = model.model_from_dict(data)
     x = dynamics.sample_point(z_bernoulli, 44)
-    ev1 = model.ModelEvaluator(mdl, x)
-    ev2 = model.ModelEvaluator(back, x)
-    for g in range(-15, 16):
-        assert ev1.f_value(g) == ev2.f_value(g)
+    (win1,) = model.orbit_windows(mdl, [x], (-15,), (15,))
+    (win2,) = model.orbit_windows(back, [x], (-15,), (15,))
+    assert (win1.values() == win2.values()).all()
 
 
 def test_model_load_rejects_malformed_elements(built_model):
@@ -216,18 +318,158 @@ def test_model_load_rejects_malformed_elements(built_model):
                 model.model_from_dict(data)
 
 
-def test_lattice_build_smoke():
-    from walkrep import measures
-
+@pytest.fixture(scope="module")
+def lattice_built():
     z2 = groups.GroupSpec("lattice", 2)
     w2 = measures.build_weight(z2, measures.WeightParams(q=0.5, n_max=14))
     sys2 = dynamics.bernoulli_system(z2, seed=7)
     cfg = model.BuildConfig(stages=2, seed=7, check_samples=1500, base_samples=60, n_trunc=6)
     mdl, history = model.build_model(sys2, w2, cfg)
+    return mdl, history, w2
+
+
+def test_lattice_build_smoke(lattice_built):
+    mdl, history, w2 = lattice_built
     final = history[-1]
     assert all(v["pass"] for v in final.checks.values())
     rep = model.equivariance_check(mdl, w2, samples=20, h=(1, 0), n_trunc=5, seed=2)
     assert rep["mismatches"] == 0
+
+
+def _loose_model(system: dynamics.DynamicalSystem) -> model.ModelFunction:
+    """Two stages whose exclusions are only the shifts of length 2n: unlike
+    a built tower, the marker does not rule them out, and two base points
+    can share a locate ball, so every exclusion shift and the order of the
+    locate ball change values."""
+    spec = system.group
+    a = groups.generators(spec)[0]
+    mdl = model.ModelFunction(system=system, stages=[], family=dynamics.SetFamily(spec))
+    for j, (n, pattern) in enumerate(((2, {groups.identity(spec): 1, a: 0}), (1, {groups.identity(spec): 1}))):
+        tower = dynamics.TowerSpec(
+            system=system,
+            n=n,
+            eta=0.5,
+            pattern=pattern,
+            exclusion=tuple(m for m in groups.ball(spec, 2 * n) if groups.word_length(spec, m) == 2 * n),
+            mu_pattern=0.5 ** len(pattern),
+            mu_e_lower=0.0,
+            mu_e_upper=0.5 ** len(pattern),
+        )
+        xi = {g: (i + 1) / 8 for i, g in enumerate(groups.ball(spec, n))}
+        stage = model.ModelStage(patch=model.StagePatch(tower=tower, xi=xi, n0=n, n=n))
+        mdl.stages.append(stage)
+        s = 2.0 ** -(6 + 3 * j)
+        stage.split = model.StageSplit(
+            a_index=j + 1, offset=s, split_map={u: (u - s, u + s) for u in mdl.range_values()}
+        )
+    return mdl
+
+
+def _assert_window_matches_oracle(mdl: model.ModelFunction, points: list, radius: int):
+    """Values of every stage prefix, locate, routing and the hit events of
+    a window over [-radius, radius]^d equal the dict oracle's, exactly."""
+    spec = mdl.spec
+    n = len(mdl.stages)
+    d = 1 if spec.kind == "integers" else spec.d
+    box = list(itertools.product(range(-radius, radius + 1), repeat=d))
+    cells = [c[0] for c in box] if spec.kind == "integers" else box
+    (win,) = model.orbit_windows(mdl, points, (-radius,) * d, (radius,) * d)
+    balls = [groups.ball(spec, st.patch.n) for st in mdl.stages]
+    values = {k: win.values(k) for k in range(1, n + 1)}
+    for p, x in enumerate(points):
+        ev = ModelEvaluator(mdl, x)
+        at = [groups.multiply(spec, g, x.offset) for g in cells]
+        for k in range(1, n + 1):
+            assert values[k][p].ravel().tolist() == [ev.f_value(u, k) for u in at]
+        for j in range(n):
+            located = [None if gi < 0 else balls[j][gi] for gi in win.locate(j)[p].ravel()]
+            assert located == [ev.locate(j, u) for u in at]
+            assert win.routing(j)[p].ravel().tolist() == [ev.in_routing_set(j, u) for u in at]
+        for i in range(1, n + 1):
+            for m in range(i, n + 1):
+                assert bool(win.in_hit_event(i, m)[p]) == ev.in_hit_event(i, m, x.offset)
+
+
+def _oracle_draws(mdl: model.ModelFunction, probe: dynamics.DynamicalSystem, count: int) -> list:
+    """Probe draws, conditional draws from every stage base (forced bits),
+    and translates of both."""
+    spec = mdl.spec
+    points = [dynamics.sample_point(probe, i) for i in range(count)]
+    for j, stage in enumerate(mdl.stages):
+        gen = dynamics.conditional_base_sampler(stage.patch.tower, seed=90 + j)
+        points += [next(gen) for _ in range(count)]
+    shifts = [h for h in groups.ball(spec, 2) if h != groups.identity(spec)]
+    points += [dynamics.act(probe, shifts[i % len(shifts)], x) for i, x in enumerate(points)]
+    return points
+
+
+def _oracle_orbit(mdl, x, a, ball, n_steps, w, n_trunc) -> list:
+    center = ball.center_vector(w)
+    ev = ModelEvaluator(mdl, x)
+    series = []
+    current = x
+    for _ in range(n_steps):
+        vec, tail = oracle_phi(ev, current, n_trunc, w)
+        series.append(1.0 if space.norm(vec - center) + tail < ball.radius else 0.0)
+        current = dynamics.act(x.system, a, current)
+    return series
+
+
+def _check_against_oracle(mdl, w, draws: int, radius: int, orbit_steps: int):
+    """Window events on every kind of draw, orbit vectors at two truncations,
+    and an orbit walk along the last generator, against the dict oracle."""
+    probe = dynamics.probe_system(mdl.system, "oracle")
+    points = _oracle_draws(mdl, probe, draws)
+    _assert_window_matches_oracle(mdl, points, radius)
+    for n_trunc in (2, radius):
+        for (vec, tail), x in zip(model.phi(mdl, points, n_trunc, w), points):
+            want, want_tail = oracle_phi(ModelEvaluator(mdl, x), x, n_trunc, w)
+            assert vec.coeffs == want.coeffs and tail == want_tail
+    a = groups.generators(mdl.spec)[-1]
+    ball = model.basis_balls(1, mdl.spec)
+    rep = model.orbit_frequency(mdl, points[0], a, ball, orbit_steps, w, radius)
+    assert rep["series"] == _oracle_orbit(mdl, points[0], a, ball, orbit_steps, w, radius)
+
+
+def test_window_matches_dict_oracle_built_z(built_model, z_weights):
+    _check_against_oracle(built_model[0], z_weights, draws=6, radius=16, orbit_steps=120)
+
+
+def test_window_matches_dict_oracle_built_lattice(lattice_built):
+    mdl, _, w2 = lattice_built
+    _check_against_oracle(mdl, w2, draws=3, radius=5, orbit_steps=30)
+
+
+@pytest.mark.parametrize("kind, d", [("integers", 1), ("lattice", 2)])
+def test_window_matches_dict_oracle_loose(kind, d):
+    spec = groups.GroupSpec(kind, d)
+    w = measures.build_weight(spec, measures.WeightParams(q=0.5, n_max=8))
+    mdl = _loose_model(dynamics.bernoulli_system(spec, seed=3))
+    _check_against_oracle(mdl, w, draws=6, radius=4, orbit_steps=40)
+
+
+def test_window_chunks_match_one_window(built_model, z_weights, z_bernoulli, monkeypatch):
+    mdl = built_model[0]
+    points = [dynamics.sample_point(z_bernoulli, i) for i in range(25)]
+    whole = model.phi(mdl, points, 16, z_weights)
+    # a budget of a few points per chunk, and one step per orbit window
+    monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", 300)
+    assert model.phi(mdl, points, 16, z_weights) == whole
+    ball = model.basis_balls(1, z_bernoulli.group)
+    rep = model.orbit_frequency(mdl, points[0], 1, ball, 40, z_weights, 16)
+    assert rep["series"] == _oracle_orbit(mdl, points[0], 1, ball, 40, z_weights, 16)
+
+
+def test_window_split_map_miss_raises(built_model, z_bernoulli):
+    mdl = model.model_from_dict(json.loads(json.dumps(built_model[0].to_dict())))
+    points = [dynamics.sample_point(z_bernoulli, i) for i in range(20)]
+    # drop the last split's key for the value the first point carries into it
+    before = model.point_values(mdl, points)[0][-2][0]
+    mdl.stages[-1].split.split_map.pop(before)
+    with pytest.raises(KeyError):
+        model.point_values(mdl, points)
+    with pytest.raises(KeyError):
+        ModelEvaluator(mdl, points[0]).f_value(0)
 
 
 def test_split_collision_detected(z_bernoulli, z_weights):

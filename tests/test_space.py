@@ -93,7 +93,7 @@ def test_operator_norm_certificate_z(z_spec, z_weights):
     assert abs(rep["bound"] - math.sqrt(6.0)) < 1e-12
     assert rep["pass"]
     assert rep["observed"] <= rep["bound"] + 1e-9
-    assert rep["observed_single_atom"] > 2.0  # the certificate is near-sharp
+    assert rep["observed"] > 2.0  # the certificate is near-sharp
 
 
 def test_operator_norm_certificate_f2(f2_spec, f2_weights):
