@@ -6,8 +6,9 @@ Subcommands mirror the module boundaries: weights, norms, jrt, tower,
 build, support, orbit, feldman, continuous, and all.  Every run writes a
 timestamp-free ``report.json`` (plus CSV tables) under ``<out>/<command>/``
 so identical configs and seeds reproduce byte-identical outputs; wall time
-goes to a separate ``run_meta.json``.  Exit codes: 0 all checks pass,
-1 a check failed, 2 usage or configuration error.
+and the count of Bernoulli bits hashed go to a separate ``run_meta.json``.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
+error.
 """
 
 from __future__ import annotations
@@ -54,7 +55,12 @@ def _record(name: str, rep: dict, **extra) -> dict:
     return row
 
 
-def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, t0: float) -> int:
+def _start() -> tuple[float, int]:
+    """The wall clock and the bits hashed so far, at a command's start."""
+    return time.time(), dynamics.bits_hashed()
+
+
+def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, start: tuple) -> int:
     ok = all(r["pass"] for r in records)
     report = {
         "command": command,
@@ -66,7 +72,11 @@ def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, t0: fl
     _write_json(os.path.join(out, "report.json"), report)
     _write_json(
         os.path.join(out, "run_meta.json"),
-        {"wall_time_s": time.time() - t0, "command": command},
+        {
+            "wall_time_s": time.time() - start[0],
+            "bits_hashed": dynamics.bits_hashed() - start[1],
+            "command": command,
+        },
     )
     for r in records:
         print(f"[{'PASS' if r['pass'] else 'FAIL'}] {command}/{r['name']}")
@@ -84,7 +94,7 @@ def _weight_tables(cfg: ExperimentConfig):
 
 
 def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
-    t0 = time.time()
+    start = _start()
     out = _out_dir(out_base, "weights")
     records = []
     for label, (spec, w) in zip(("group", "second_group"), _weight_tables(cfg)):
@@ -133,11 +143,11 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
                 worst_fraction_of_bound=worst,
             )
         )
-    return _finish(out, "weights", cfg, records, t0)
+    return _finish(out, "weights", cfg, records, start)
 
 
 def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
-    t0 = time.time()
+    start = _start()
     out = _out_dir(out_base, "norms")
     records = []
     tables = _weight_tables(cfg)
@@ -168,11 +178,11 @@ def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
                     observed=rep["observed"],
                 )
             )
-    return _finish(out, "norms", cfg, records, t0)
+    return _finish(out, "norms", cfg, records, start)
 
 
 def cmd_jrt(cfg: ExperimentConfig, out_base: str) -> int:
-    t0 = time.time()
+    start = _start()
     out = _out_dir(out_base, "jrt")
     spec = cfg.group.spec()
     records = []
@@ -229,11 +239,11 @@ def cmd_jrt(cfg: ExperimentConfig, out_base: str) -> int:
         ["observable", "n", "sup_dev", "l2_dev", "expected_l2"],
         rows,
     )
-    return _finish(out, "jrt", cfg, records, t0)
+    return _finish(out, "jrt", cfg, records, start)
 
 
 def cmd_tower(cfg: ExperimentConfig, out_base: str) -> int:
-    t0 = time.time()
+    start = _start()
     out = _out_dir(out_base, "tower")
     spec = cfg.group.spec()
     sys_b = dynamics.bernoulli_system(spec, cfg.seed)
@@ -258,7 +268,7 @@ def cmd_tower(cfg: ExperimentConfig, out_base: str) -> int:
             target=cfg.tower_eta / 2.0,
         )
     ]
-    return _finish(out, "tower", cfg, records, t0)
+    return _finish(out, "tower", cfg, records, start)
 
 
 def _build_model(cfg: ExperimentConfig):
@@ -274,7 +284,7 @@ def _build_model(cfg: ExperimentConfig):
 
 
 def cmd_build(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) -> int:
-    t0 = time.time()
+    start = _start()
     out = _out_dir(out_base, "build")
     spec, w, sys_b, mdl, history = built or _build_model(cfg)
     _write_json(os.path.join(out, "model.json"), mdl.to_dict())
@@ -291,11 +301,11 @@ def cmd_build(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) 
         _record("hitting_budgets", final.checks["hitting"]),
         _record("quartic_norm", final.checks["quartic"]),
     ]
-    return _finish(out, "build", cfg, records, t0)
+    return _finish(out, "build", cfg, records, start)
 
 
 def cmd_support(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) -> int:
-    t0 = time.time()
+    start = _start()
     out = _out_dir(out_base, "support")
     spec, w, sys_b, mdl, history = built or _build_model(cfg)
     records = []
@@ -319,11 +329,11 @@ def cmd_support(cfg: ExperimentConfig, out_base: str, built: tuple | None = None
                 mismatches=rep["mismatches"],
             )
         )
-    return _finish(out, "support", cfg, records, t0)
+    return _finish(out, "support", cfg, records, start)
 
 
 def cmd_orbit(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) -> int:
-    t0 = time.time()
+    start = _start()
     out = _out_dir(out_base, "orbit")
     spec, w, sys_b, mdl, history = built or _build_model(cfg)
     a = groups.generators(spec)[0]
@@ -357,20 +367,20 @@ def cmd_orbit(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) 
             tolerance=tol,
         )
     ]
-    return _finish(out, "orbit", cfg, records, t0)
+    return _finish(out, "orbit", cfg, records, start)
 
 
 def cmd_feldman(cfg: ExperimentConfig, out_base: str) -> int:
-    t0 = time.time()
+    start = _start()
     out = _out_dir(out_base, "feldman")
     rep = model.doubling_shift_baseline(steps=30, n_points=1000, seed=cfg.seed)
     ok = rep["max_conjugacy_error"] < cfg.tolerances.conjugacy_abs and rep["pass"]
     records = [_record("conjugacy_identity", {**rep, "pass": ok})]
-    return _finish(out, "feldman", cfg, records, t0)
+    return _finish(out, "feldman", cfg, records, start)
 
 
 def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
-    t0 = time.time()
+    start = _start()
     out = _out_dir(out_base, "continuous")
     records = []
     # real line: overlap density quadrature sweep and the domination grid
@@ -433,7 +443,7 @@ def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
         )
     )
     records.append(_record("lf_domination_corrected_constant", {"pass": all_ok_corr}))
-    return _finish(out, "continuous", cfg, records, t0)
+    return _finish(out, "continuous", cfg, records, start)
 
 
 COMMANDS = {

@@ -47,6 +47,18 @@ class SampleConfig:
     orbit_steps: int = 10_000
 
 
+# The least value of each sample count: a standard deviation with ddof=1
+# needs two averaging or checking draws, a batch-means error two orbit steps.
+SAMPLE_MINIMUMS = {
+    "averaging_samples": 2,
+    "tower_samples": 1,
+    "check_samples": 2,
+    "base_samples": 1,
+    "equivariance_samples": 1,
+    "orbit_steps": 2,
+}
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     decay_ratio_rel: float = 0.05
@@ -145,6 +157,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("tower height must be >= 1")
     if cfg.n_trunc < 1:
         raise ConfigError("truncation window must be >= 1")
+    for key, least in SAMPLE_MINIMUMS.items():
+        if getattr(cfg.samples, key) < least:
+            raise ConfigError(f"samples.{key} must be >= {least}")
     if not 1 <= cfg.lf_chain_n <= MAX_CHAIN_N:
         raise ConfigError(f"lf_chain_n must be in 1..{MAX_CHAIN_N}")
     if not 0 <= cfg.lf_sampled_g0 <= 2**cfg.lf_chain_n:

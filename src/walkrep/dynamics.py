@@ -34,6 +34,9 @@ from .groups import GroupSpec
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 # consecutive rejections after which the conditional sampler gives up
 MAX_SAMPLER_REJECTIONS = 10_000
+# Draws the tower Monte Carlo holds at once.  Each carries a keyed-hash
+# state and a bit cache, so chunks keep its memory flat at any sample count.
+SIEVE_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -81,14 +84,40 @@ def rotation_system(group: GroupSpec, seed: int, alpha=None) -> DynamicalSystem:
     return DynamicalSystem("rotation", group, seed, tuple(alpha))
 
 
+# keyed-hash digests made in this process, one per Bernoulli bit realized;
+# commands report the change over their run as ``bits_hashed``
+_digests = 0
+
+
+def bits_hashed() -> int:
+    """Keyed-hash digests made so far in this process."""
+    return _digests
+
+
+def cell_messages(spec: GroupSpec, positions) -> list[bytes]:
+    """The hashed encoding of each position: its canonical string."""
+    return [groups.element_str(spec, p).encode() for p in positions]
+
+
+def _keyed_bit(state, message: bytes) -> int:
+    """The fair bit at an encoded position: the low bit of the one-byte
+    blake2b digest of ``message`` under the root's key, with ``state`` the
+    blake2b object already keyed (a copy skips re-keying)."""
+    global _digests
+    _digests += 1
+    h = state.copy()
+    h.update(message)
+    return h.digest()[0] & 1
+
+
 class _BernoulliRoot:
     """Shared coordinate source for one sampled point and all its translates."""
 
-    __slots__ = ("spec", "key", "bits", "forced")
+    __slots__ = ("spec", "state", "bits", "forced")
 
     def __init__(self, spec: GroupSpec, key: bytes, forced: dict | None = None):
         self.spec = spec
-        self.key = key
+        self.state = hashlib.blake2b(key=key, digest_size=1)
         self.bits: dict = {}
         self.forced = forced or {}
 
@@ -96,15 +125,33 @@ class _BernoulliRoot:
         cached = self.bits.get(position)
         if cached is not None:
             return cached
-        forced = self.forced.get(position)
-        if forced is not None:
-            self.bits[position] = forced
-            return forced
-        msg = groups.element_str(self.spec, position).encode()
-        digest = hashlib.blake2b(msg, key=self.key, digest_size=1).digest()
-        value = digest[0] & 1
+        value = self.forced.get(position)
+        if value is None:
+            value = _keyed_bit(self.state, cell_messages(self.spec, (position,))[0])
         self.bits[position] = value
         return value
+
+
+def read_bits(roots, positions, messages) -> list[int]:
+    """``[r.bit(p) for r in roots for p in positions]``, the batched form of
+    ``_BernoulliRoot.bit``; ``messages`` are the ``cell_messages`` of
+    ``positions``, so roots read at the same absolute positions share one
+    encoding per cell.  Cached and forced bits are honoured and new bits
+    cached exactly as ``bit`` does."""
+    cells = list(zip(positions, messages))
+    out = []
+    append = out.append
+    for root in roots:
+        known = root.bits
+        for p, msg in cells:
+            value = known.get(p)
+            if value is None:
+                value = root.forced.get(p)
+                if value is None:
+                    value = _keyed_bit(root.state, msg)
+                known[p] = value
+            append(value)
+    return out
 
 
 @dataclass
@@ -423,23 +470,41 @@ def rokhlin_tower(
 
 
 def _tower_monte_carlo(tower: TowerSpec, samples: int, seed: int) -> None:
-    sys = tower.system
+    """Estimate mu(B_n E) and count points in two translates of E.
+
+    A marker sieve over chunks of ``SIEVE_CHUNK`` draws: for each g in B_n
+    and each pattern cell p in turn, only the draws whose bit at p g^-1
+    matches stay, and the few that carry the whole marker go through
+    ``TowerSpec.in_base`` for the exclusion test.  Each draw reads the bits
+    that ``in_base(T_{g^-1} x)`` over the ball reads, so hits and collisions
+    are exact.
+    """
     spec = tower.spec
-    probe = probe_system(sys, "tower", seed)
-    ball_n = groups.ball(spec, tower.n)
+    probe = probe_system(tower.system, "tower", seed)
+    wanted = list(tower.pattern.values())
+    sieves = []  # per g in B_n: g^-1, the cells p g^-1 and their encodings
+    for g in groups.ball(spec, tower.n):
+        g_inv = groups.inverse(spec, g)
+        cells = [groups.multiply(spec, p, g_inv) for p in tower.pattern]
+        sieves.append((g_inv, cells, cell_messages(spec, cells)))
     hits = 0
     collisions = 0
-    for draw in range(samples):
-        x = sample_point(probe, draw)
-        located = [
-            g
-            for g in ball_n
-            if tower.in_base(act(probe, groups.inverse(spec, g), x))
+    for start in range(0, samples, SIEVE_CHUNK):
+        points = [
+            sample_point(probe, draw)
+            for draw in range(start, min(samples, start + SIEVE_CHUNK))
         ]
-        if located:
-            hits += 1
-        if len(located) > 1:
-            collisions += 1
+        located = [0] * len(points)
+        for g_inv, cells, messages in sieves:
+            alive = range(len(points))
+            for cell, msg, b in zip(cells, messages, wanted):
+                bits = read_bits([points[i].root for i in alive], (cell,), (msg,))
+                alive = [i for i, v in zip(alive, bits) if v == b]
+            for i in alive:
+                if tower.in_base(act(probe, g_inv, points[i])):
+                    located[i] += 1
+        hits += sum(1 for count in located if count)
+        collisions += sum(1 for count in located if count > 1)
     tower.mc_samples = samples
     tower.mc_hits_bn = hits
     tower.collisions = collisions

@@ -430,7 +430,7 @@ class OrbitWindow:
 
     The box [lo, hi] holds coordinates relative to each point's offset, so
     the cell u of the point x stands for T_u x.  The points x window bit
-    matrix is filled by ``_BernoulliRoot.bit`` at absolute positions, with
+    matrix is filled by ``dynamics.read_bits`` at absolute positions, with
     the same keyed hash and forced bits as every other read, and each stage
     event is an array mask on it: the marker is an AND over shifted slices,
     the base is the marker AND NOT the OR over the exclusion shifts,
@@ -455,12 +455,14 @@ class OrbitWindow:
             cells = [c[0] for c in cells]
         e = groups.identity(spec)
         bits = np.empty((len(points), len(cells)), dtype=np.uint8)
+        # points at the identity offset share one encoding per cell
+        messages = dynamics.cell_messages(spec, cells)
         for row, x in zip(bits, points):
-            at = cells
+            at, at_messages = cells, messages
             if x.offset != e:
                 at = [groups.multiply(spec, c, x.offset) for c in cells]
-            bit = x.root.bit
-            row[:] = [bit(u) for u in at]
+                at_messages = dynamics.cell_messages(spec, at)
+            row[:] = dynamics.read_bits((x.root,), at, at_messages)
         self._one = bits.reshape((len(points),) + bit_shape).astype(bool)
         self._zero = ~self._one
         self._base: dict = {}

@@ -49,6 +49,12 @@ def test_invalid_values_rejected(tmp_path):
         {"lf_chain_n": 0},
         {"lf_chain_n": 40},
         {"samples": {"norm_trials": 2000}},
+        {"samples": {"averaging_samples": 1}},
+        {"samples": {"tower_samples": -5}},
+        {"samples": {"check_samples": 0}},
+        {"samples": {"base_samples": 0}},
+        {"samples": {"equivariance_samples": 0}},
+        {"samples": {"orbit_steps": 1}},
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
@@ -82,6 +88,27 @@ def test_tower_command_writes_reports(tmp_path):
     report = json.loads((tmp_path / "out" / "tower" / "report.json").read_text())
     assert report["pass"] is True
     assert (tmp_path / "out" / "tower" / "run_meta.json").exists()
+
+
+def test_run_meta_counts_bits_hashed(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "weights": {"q": 0.5, "n_max": 8},
+        "second_weights": {"q": 0.5, "n_max": 4},
+        "samples": {"tower_samples": 2000},
+    }))
+
+    def bits_hashed(command, out):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / out)]) == 0
+        meta = json.loads((tmp_path / out / command / "run_meta.json").read_text())
+        report = (tmp_path / out / command / "report.json").read_text()
+        assert "bits_hashed" not in report
+        return meta["bits_hashed"]
+
+    first = bits_hashed("tower", "a")
+    assert first > 0
+    assert bits_hashed("tower", "b") == first
+    assert bits_hashed("weights", "a") == 0
 
 
 def test_feldman_command(tmp_path):

@@ -124,6 +124,101 @@ def test_tower_lattice(z_spec):
     assert tower.mu_bn_upper() < 0.05
 
 
+def _per_draw_hits(tower, samples, seed):
+    """The per-draw loop the marker sieve replaces: in_base at every
+    translate of the draw by an element of B_n^-1."""
+    spec = tower.spec
+    probe = dynamics.probe_system(tower.system, "tower", seed)
+    hits = collisions = 0
+    for draw in range(samples):
+        x = dynamics.sample_point(probe, draw)
+        located = [
+            g
+            for g in groups.ball(spec, tower.n)
+            if tower.in_base(dynamics.act(probe, groups.inverse(spec, g), x))
+        ]
+        hits += bool(located)
+        collisions += len(located) > 1
+    return hits, collisions
+
+
+def _sieve_hits(tower, samples, seed):
+    dynamics._tower_monte_carlo(tower, samples, seed)
+    return tower.mc_hits_bn, tower.collisions
+
+
+def _short_tower(sys, exclusion):
+    # a two-cell marker overlaps its own translates, so exclusions fire
+    spec = sys.group
+    a = groups.generators(spec)[0]
+    return dynamics.TowerSpec(
+        system=sys, n=2, eta=0.5, pattern={groups.identity(spec): 1, a: 1},
+        exclusion=exclusion, mu_pattern=0.25, mu_e_lower=0.01, mu_e_upper=0.25,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tower_sieve_equals_per_draw_loop(z_bernoulli, z_spec, seed):
+    z2 = dynamics.bernoulli_system(groups.GroupSpec("lattice", 2), seed=12)
+    within = dynamics.CylinderSet.from_dict(z_spec, {-1: 0, 9: 1})
+    towers = [
+        (dynamics.rokhlin_tower(z_bernoulli, 3, 0.1), 1500),
+        (dynamics.rokhlin_tower(z2, 1, 0.2), 600),
+        (dynamics.rokhlin_tower(z_bernoulli, 2, 0.2, base_within=within), 1500),
+    ]
+    for tower, samples in towers:
+        assert _sieve_hits(tower, samples, seed) == _per_draw_hits(tower, samples, seed)
+    # hand-made short markers: the exclusion test removes hits, and a lone
+    # exclusion offset lets two translates of the base meet
+    for sys in (z_bernoulli, z2):
+        spec = sys.group
+        near = tuple(m for m in groups.ball(spec, 4) if m != groups.identity(spec))
+        counts = {}
+        for name, exclusion in (
+            ("full", near), ("marker_only", ()), ("lone", groups.generators(spec)[:1]),
+        ):
+            tower = _short_tower(sys, exclusion)
+            counts[name] = _sieve_hits(tower, 500, seed)
+            assert counts[name] == _per_draw_hits(tower, 500, seed)
+        assert counts["full"][0] < counts["marker_only"][0]
+        assert counts["lone"][1] > 0
+
+
+def test_read_bits_equals_bit(z_bernoulli, z_spec):
+    positions = list(range(-12, 13))
+    key = dynamics._root_key(7, 0)
+    hashed = dynamics._BernoulliRoot(z_spec, key)
+    flipped = {p: 1 - hashed.bit(p) for p in positions[::2]}
+    tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2)
+
+    def points():
+        """Fresh, offset, cached and forced points, the same on every call."""
+        cached = dynamics.sample_point(z_bernoulli, 2)
+        for p in positions[::3]:
+            cached.read(p)
+        forced = dynamics.PointHandle(
+            z_bernoulli, dynamics._BernoulliRoot(z_spec, key, forced=flipped), 0
+        )
+        sampled = next(dynamics.conditional_base_sampler(tower, seed=4))
+        return [
+            dynamics.sample_point(z_bernoulli, 0),
+            dynamics.act(z_bernoulli, 5, dynamics.sample_point(z_bernoulli, 1)),
+            cached,
+            forced,
+            sampled,
+        ]
+
+    for x, y in zip(points(), points()):
+        at = [groups.multiply(z_spec, p, x.offset) for p in positions]
+        got = dynamics.read_bits([x.root], at, dynamics.cell_messages(z_spec, at))
+        assert got == [y.root.bit(p) for p in at]
+        assert x.root.bits == y.root.bits  # the batched read fills the cache
+    # many roots at once, row-major
+    roots = [x.root for x in points() if x.offset == 0]
+    expected = [x.root.bit(p) for x in points() if x.offset == 0 for p in positions]
+    assert dynamics.read_bits(roots, positions, dynamics.cell_messages(z_spec, positions)) == expected
+
+
 def test_conditional_sampler_gives_up_on_empty_base(z_bernoulli, monkeypatch):
     # excluding the origin itself rejects every draw: the forced marker is there
     tower = dynamics.TowerSpec(

@@ -1,13 +1,96 @@
 import math
 
-from walkrep import dynamics, markov, measures, stats
+import numpy as np
+import pytest
+
+from walkrep import dynamics, groups, markov, measures, stats
+
+
+# -- oracle: the per-point averaging loop that convergence_report's table
+# replaces
+
+
+def markov_average(sys, f, n, x, rho_powers):
+    """(A^n f)(x) as the exact finite sum over the support of rho^{*n};
+    n = 0 returns f(x) (the empty convolution)."""
+    if n == 0:
+        return f.evaluate(x)
+    rho_n = rho_powers[n - 1]
+    total = 0.0
+    for g in rho_n.support():
+        total += f.evaluate(dynamics.act(sys, g, x)) * rho_n.masses[g]
+    return total
+
+
+def contraction_report(sys, f, n_max, samples, seed=0):
+    """Sampled sup |A^n f| <= bound, and positivity for nonnegative f."""
+    spec = sys.group
+    rho_powers = measures.convolution_powers(
+        spec, measures.step_distribution(spec), max(n_max, 1)
+    )
+    probe = dynamics.probe_system(sys, "contr", seed)
+    worst = 0.0
+    min_val = math.inf
+    for i in range(samples):
+        x = dynamics.sample_point(probe, i)
+        for n in range(n_max + 1):
+            v = markov_average(sys, f, n, x, rho_powers)
+            worst = max(worst, abs(v))
+            min_val = min(min_val, v)
+    return {
+        "sup_abs": worst,
+        "min_value": min_val,
+        "bound": f.bound,
+        "pass": worst <= f.bound + 1e-12,
+    }
+
+
+def per_point_deviations(sys, f, n_max, samples, seed):
+    """sup_dev, l2_dev and l2_se of convergence_report from markov_average."""
+    spec = sys.group
+    depth = 2 * n_max if sys.kind == "bernoulli" else n_max
+    rho_powers = measures.convolution_powers(spec, measures.step_distribution(spec), depth)
+    probe = dynamics.probe_system(sys, "jrt", seed)
+    points = [dynamics.sample_point(probe, i) for i in range(samples)]
+    sup_dev, l2_dev, se_l2 = [], [], []
+    for n in range(n_max + 1):
+        devs = np.array([markov_average(sys, f, n, x, rho_powers) - f.mean for x in points])
+        sup_dev.append(float(np.abs(devs).max()))
+        second = devs * devs
+        l2_dev.append(float(math.sqrt(second.mean())))
+        se_l2.append(float(second.std(ddof=1) / math.sqrt(samples)))
+    return sup_dev, l2_dev, se_l2
+
+
+_Z2 = groups.GroupSpec("lattice", 2)
+
+
+@pytest.mark.parametrize("spec", [groups.GroupSpec("integers"), _Z2], ids=["Z", "Z2"])
+@pytest.mark.parametrize("kind", ["rotation_cos", "two_bit_cylinder"])
+def test_tabled_report_equals_per_point_average(spec, kind):
+    if kind == "rotation_cos":
+        sys = dynamics.rotation_system(spec, seed=31)
+        f = markov.cos_observable(0)
+    else:
+        sys = dynamics.bernoulli_system(spec, seed=32)
+        e = groups.identity(spec)
+        far = groups.generators(spec)[0]
+        f = markov.indicator_observable(
+            dynamics.CylinderSet.from_dict(spec, {e: 1, groups.multiply(spec, far, far): 0})
+        )
+    n_max = 6
+    rep = markov.convergence_report(sys, f, n_max=n_max, samples=60, seed=5)
+    # bit for bit: each lane does the scalar loop's float operations in order
+    assert (rep["sup_dev"], rep["l2_dev"], rep["l2_se"]) == per_point_deviations(
+        sys, f, n_max, 60, 5
+    )
 
 
 def test_n_zero_returns_observable(z_spec, z_bernoulli):
     f = markov.indicator_observable(dynamics.CylinderSet.from_dict(z_spec, {0: 1}))
     x = dynamics.sample_point(z_bernoulli, 0)
     powers = measures.convolution_powers(z_spec, measures.step_distribution(z_spec), 2)
-    assert markov.markov_average(z_bernoulli, f, 0, x, powers) == f.evaluate(x)
+    assert markov_average(z_bernoulli, f, 0, x, powers) == f.evaluate(x)
 
 
 def test_rotation_eigenfunction(z_spec):
@@ -18,7 +101,7 @@ def test_rotation_eigenfunction(z_spec):
     for draw in range(5):
         x = dynamics.sample_point(sys_r, draw)
         for n in range(1, 7):
-            got = markov.markov_average(sys_r, f, n, x, powers)
+            got = markov_average(sys_r, f, n, x, powers)
             assert abs(got - lam**n * f.evaluate(x)) < 1e-10
 
 
@@ -32,7 +115,7 @@ def test_lattice_rotation_eigenfunction():
     powers = measures.convolution_powers(z2, measures.step_distribution(z2), 4)
     x = dynamics.sample_point(sys_r, 0)
     for n in range(1, 5):
-        got = markov.markov_average(sys_r, f, n, x, powers)
+        got = markov_average(sys_r, f, n, x, powers)
         assert abs(got - lam**n * f.evaluate(x)) < 1e-10
 
 
@@ -42,7 +125,7 @@ def test_bernoulli_average_is_convex_combination(z_spec, z_bernoulli):
     for draw in range(10):
         x = dynamics.sample_point(z_bernoulli, draw)
         for n in (1, 4, 8):
-            v = markov.markov_average(z_bernoulli, f, n, x, powers)
+            v = markov_average(z_bernoulli, f, n, x, powers)
             assert 0.0 <= v <= 1.0
 
 
@@ -51,7 +134,7 @@ def test_constant_observable_fixed(z_spec, z_bernoulli):
     powers = measures.convolution_powers(z_spec, measures.step_distribution(z_spec), 5)
     x = dynamics.sample_point(z_bernoulli, 0)
     for n in range(6):
-        assert abs(markov.markov_average(z_bernoulli, const, n, x, powers) - 1.0) < 1e-12
+        assert abs(markov_average(z_bernoulli, const, n, x, powers) - 1.0) < 1e-12
 
 
 def test_rotation_decay_ratio(z_spec):
@@ -85,7 +168,7 @@ def test_exact_l2_formula_against_direct_sum(z_spec):
 
 def test_contraction_and_positivity(z_spec, z_bernoulli):
     f = markov.indicator_observable(dynamics.CylinderSet.from_dict(z_spec, {0: 1, 2: 1}))
-    rep = markov.contraction_report(z_bernoulli, f, n_max=6, samples=50)
+    rep = contraction_report(z_bernoulli, f, n_max=6, samples=50)
     assert rep["pass"]
     assert rep["min_value"] >= 0.0
 
@@ -101,8 +184,8 @@ def test_self_adjointness_proxy(z_spec, z_bernoulli):
     rhs = []
     for draw in range(n):
         x = dynamics.sample_point(probe, draw)
-        lhs.append(markov.markov_average(probe, f, 1, x, powers) * g.evaluate(x))
-        rhs.append(f.evaluate(x) * markov.markov_average(probe, g, 1, x, powers))
+        lhs.append(markov_average(probe, f, 1, x, powers) * g.evaluate(x))
+        rhs.append(f.evaluate(x) * markov_average(probe, g, 1, x, powers))
     m_l, lo_l, hi_l = stats.mean_interval(lhs)
     m_r, lo_r, hi_r = stats.mean_interval(rhs)
     assert abs(m_l - m_r) <= (hi_l - lo_l) / 2 + (hi_r - lo_r) / 2
