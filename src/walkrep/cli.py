@@ -271,7 +271,12 @@ def cmd_tower(cfg: ExperimentConfig, out_base: str) -> int:
     return _finish(out, "tower", cfg, records, start)
 
 
-def _build_model(cfg: ExperimentConfig):
+def _build_model(cfg: ExperimentConfig, cache: list | None = None):
+    """The staged model for ``cfg``.  ``all`` passes one ``cache`` list to
+    every model command, so the model is built once, inside the clock of the
+    first command that asks for it, as in a separate run of that command."""
+    if cache:
+        return cache[0]
     spec = cfg.group.spec()
     if spec.kind not in ("integers", "lattice"):
         raise ConfigError("the model build runs on integer/lattice Bernoulli shifts")
@@ -280,13 +285,16 @@ def _build_model(cfg: ExperimentConfig):
     )
     sys_b = dynamics.bernoulli_system(spec, cfg.seed)
     built = model.build_model(sys_b, w, cfg.build_config())
-    return spec, w, sys_b, built[0], built[1]
+    result = (spec, w, sys_b, built[0], built[1])
+    if cache is not None:
+        cache.append(result)
+    return result
 
 
-def cmd_build(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) -> int:
+def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
     start = _start()
     out = _out_dir(out_base, "build")
-    spec, w, sys_b, mdl, history = built or _build_model(cfg)
+    spec, w, sys_b, mdl, history = _build_model(cfg, cache)
     _write_json(os.path.join(out, "model.json"), mdl.to_dict())
     _write_json(
         os.path.join(out, "history.json"),
@@ -304,10 +312,10 @@ def cmd_build(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) 
     return _finish(out, "build", cfg, records, start)
 
 
-def cmd_support(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) -> int:
+def cmd_support(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
     start = _start()
     out = _out_dir(out_base, "support")
-    spec, w, sys_b, mdl, history = built or _build_model(cfg)
+    spec, w, sys_b, mdl, history = _build_model(cfg, cache)
     records = []
     iso = model.support_and_iso_check(
         mdl, history, w, cfg.samples.check_samples, cfg.build_config(), seed=cfg.seed
@@ -332,10 +340,10 @@ def cmd_support(cfg: ExperimentConfig, out_base: str, built: tuple | None = None
     return _finish(out, "support", cfg, records, start)
 
 
-def cmd_orbit(cfg: ExperimentConfig, out_base: str, built: tuple | None = None) -> int:
+def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
     start = _start()
     out = _out_dir(out_base, "orbit")
-    spec, w, sys_b, mdl, history = built or _build_model(cfg)
+    spec, w, sys_b, mdl, history = _build_model(cfg, cache)
     a = groups.generators(spec)[0]
     ball1 = history[0].ball
     probe = dynamics.bernoulli_system(spec, cfg.seed + 1)
@@ -465,11 +473,10 @@ MODEL_COMMANDS = ("build", "support", "orbit")
 
 def cmd_all(cfg: ExperimentConfig, out_base: str) -> int:
     status = 0
-    built = None
+    cache: list = []
     for name, fn in COMMANDS.items():
         if name in MODEL_COMMANDS:
-            built = built or _build_model(cfg)
-            status = max(status, fn(cfg, out_base, built))
+            status = max(status, fn(cfg, out_base, cache))
         else:
             status = max(status, fn(cfg, out_base))
     return status

@@ -35,3 +35,7 @@ class StageError(WalkrepError):
 
 class ConfigError(WalkrepError):
     """An experiment configuration is malformed."""
+
+
+class ConvergenceError(WalkrepError):
+    """An iterative solver reached its iteration cap without converging."""

@@ -168,6 +168,12 @@ def test_all_builds_the_model_once(tmp_path, monkeypatch):
     ]
     assert len(builds) == 1 + len(cli.MODEL_COMMANDS)
     assert status == max(separate) == 0
+    # ``build`` is charged with the model build, as in a separate run
+    meta = [
+        json.loads((tmp_path / run / "build" / "run_meta.json").read_text())
+        for run in ("all", "one")
+    ]
+    assert meta[0]["bits_hashed"] == meta[1]["bits_hashed"] > 0
     for command in cli.MODEL_COMMANDS:
         names = sorted(f.name for f in (tmp_path / "all" / command).iterdir())
         assert names == sorted(f.name for f in (tmp_path / "one" / command).iterdir())
