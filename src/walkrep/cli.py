@@ -5,8 +5,9 @@ Usage: ``walkrep <subcommand> [--config cfg.json] [--out DIR] [--seed N]``
 Subcommands mirror the module boundaries: weights, norms, jrt, tower,
 build, support, orbit, feldman, continuous, and all.  Every run writes a
 timestamp-free ``report.json`` (plus CSV tables) under ``<out>/<command>/``
-so identical configs and seeds reproduce byte-identical outputs; wall time
-and the count of Bernoulli bits hashed go to a separate ``run_meta.json``.
+so identical configs and seeds reproduce byte-identical outputs; wall time,
+the count of Bernoulli bits hashed and the conditional sampler's attempts
+and acceptances go to a separate ``run_meta.json``.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
 error.
 """
@@ -55,9 +56,9 @@ def _record(name: str, rep: dict, **extra) -> dict:
     return row
 
 
-def _start() -> tuple[float, int]:
-    """The wall clock and the bits hashed so far, at a command's start."""
-    return time.time(), dynamics.bits_hashed()
+def _start() -> tuple[float, dict]:
+    """The wall clock and the ``dynamics`` counters, at a command's start."""
+    return time.time(), dynamics.counters()
 
 
 def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, start: tuple) -> int:
@@ -70,14 +71,9 @@ def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, start:
         "pass": ok,
     }
     _write_json(os.path.join(out, "report.json"), report)
-    _write_json(
-        os.path.join(out, "run_meta.json"),
-        {
-            "wall_time_s": time.time() - start[0],
-            "bits_hashed": dynamics.bits_hashed() - start[1],
-            "command": command,
-        },
-    )
+    meta = {"wall_time_s": time.time() - start[0], "command": command}
+    meta.update((k, v - start[1][k]) for k, v in dynamics.counters().items())
+    _write_json(os.path.join(out, "run_meta.json"), meta)
     for r in records:
         print(f"[{'PASS' if r['pass'] else 'FAIL'}] {command}/{r['name']}")
     return 0 if ok else 1
@@ -99,7 +95,7 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
     records = []
     for label, (spec, w) in zip(("group", "second_group"), _weight_tables(cfg)):
         rows = [
-            [groups.element_str(spec, g), repr(w.table[g])] for g in w.support()
+            [groups.element_str(spec, g), repr(w.weight(g))] for g in w.support()
         ]
         _write_csv(os.path.join(out, f"{label}_weights.csv"), ["element", "weight"], rows)
         mass = w.stored_mass()

@@ -84,14 +84,21 @@ def rotation_system(group: GroupSpec, seed: int, alpha=None) -> DynamicalSystem:
     return DynamicalSystem("rotation", group, seed, tuple(alpha))
 
 
-# keyed-hash digests made in this process, one per Bernoulli bit realized;
-# commands report the change over their run as ``bits_hashed``
+# keyed-hash digests made in this process, one per Bernoulli bit realized,
+# and the candidates the conditional base sampler drew and accepted;
+# commands report the change of each over their run (see ``counters``)
 _digests = 0
+_sampler_attempts = 0
+_sampler_accepted = 0
 
 
-def bits_hashed() -> int:
-    """Keyed-hash digests made so far in this process."""
-    return _digests
+def counters() -> dict:
+    """The process-wide counts so far, by the name commands report them."""
+    return {
+        "bits_hashed": _digests,
+        "sampler_attempts": _sampler_attempts,
+        "sampler_accepted": _sampler_accepted,
+    }
 
 
 def cell_messages(spec: GroupSpec, positions) -> list[bytes]:
@@ -279,9 +286,6 @@ class SetFamily:
 
     def set_at(self, i: int) -> CylinderSet:
         return self.descriptor(self.ruler(i))
-
-    def eval_set(self, i: int, x: PointHandle) -> bool:
-        return self.set_at(i).contains(x)
 
 
 def _marker_pattern(spec: GroupSpec, length: int) -> dict:
@@ -526,6 +530,7 @@ def conditional_base_sampler(tower: TowerSpec, seed: int):
     rejections raise ``TowerConstructionError``: the base is then empty or
     too rare to sample.
     """
+    global _sampler_attempts, _sampler_accepted
     sys = tower.system
     counter = 0
     draw = 0
@@ -540,7 +545,9 @@ def conditional_base_sampler(tower: TowerSpec, seed: int):
         draw += 1
         if draw % 997 == 0:
             counter += 1
+        _sampler_attempts += 1
         if tower.in_base(x):
+            _sampler_accepted += 1
             rejected = 0
             yield x
         else:
@@ -549,49 +556,3 @@ def conditional_base_sampler(tower: TowerSpec, seed: int):
                 raise TowerConstructionError(
                     f"conditional sampler rejected {rejected} draws in a row"
                 )
-
-
-def measure_preservation_report(
-    sys: DynamicalSystem,
-    cyl: CylinderSet,
-    g,
-    samples: int,
-    seed: int = 0,
-) -> dict:
-    """Empirical mu(T_g^{-1} A) vs the exact cylinder measure, with CI."""
-    probe = probe_system(sys, "mp", seed)
-    hits = 0
-    for draw in range(samples):
-        x = sample_point(probe, draw)
-        if cyl.contains(act(probe, g, x)):
-            hits += 1
-    exact = cyl.measure()
-    se = math.sqrt(exact * (1 - exact) / samples)
-    return {
-        "exact": exact,
-        "estimate": hits / samples,
-        "samples": samples,
-        "dev_in_se": abs(hits / samples - exact) / se if se > 0 else 0.0,
-        "pass": abs(hits / samples - exact) <= 4 * se + 1e-12,
-    }
-
-
-def freeness_report(
-    sys: DynamicalSystem, radius: int, points: int, seed: int = 0
-) -> dict:
-    """For sampled points and g in B_radius minus e, some coordinate differs."""
-    spec = sys.group
-    probe = probe_system(sys, "free", seed)
-    witnesses = groups.ball(spec, radius + 2)
-    failures = 0
-    checked = 0
-    for draw in range(points):
-        x = sample_point(probe, draw)
-        for g in groups.ball(spec, radius):
-            if g == groups.identity(spec):
-                continue
-            checked += 1
-            moved = act(probe, g, x)
-            if not any(x.read(h) != moved.read(h) for h in witnesses):
-                failures += 1
-    return {"checked": checked, "failures": failures, "pass": failures == 0}

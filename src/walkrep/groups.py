@@ -301,31 +301,43 @@ def _l1_points(d: int, n: int) -> Iterable[tuple]:
             yield (x,) + rest
 
 
-def ball_size(spec: GroupSpec, n: int) -> int:
-    """Closed-form |B_n| where one exists (integers, lattice d<=3, free)."""
-    if spec.kind == "integers":
-        return 2 * n + 1
-    if spec.kind == "lattice":
-        if spec.d == 1:
-            return 2 * n + 1
-        if spec.d == 2:
-            return 2 * n * n + 2 * n + 1
-        if spec.d == 3:
-            return ((2 * n + 1) * (2 * n * n + 2 * n + 3)) // 3
-    if spec.kind == "free":
-        return free_ball_size(spec.d, n)
-    raise EncodingError(f"no closed-form ball size for {spec.kind}")
-
-
 def free_ball_size(d: int, n: int) -> int:
-    if d == 1:
-        return 2 * n + 1
-    total = 1
-    width = 2 * d
-    for _ in range(n):
-        total += width
-        width *= 2 * d - 1
-    return total
+    return sum(free_sphere_size(d, k) for k in range(n + 1))
+
+
+def free_sphere_size(d: int, k: int) -> int:
+    """The number of reduced words of length k in F_d: 2d (2d-1)^(k-1)."""
+    return 1 if k == 0 else 2 * d * (2 * d - 1) ** (k - 1)
+
+
+def free_translation_classes(spec: GroupSpec, b, n: int) -> list:
+    """B_n on a free group split by how each g meets ``b``.
+
+    If the last k letters of g cancel against the first k of b, then
+    |g b| = |g| + |b| - 2k.  The class of (|g|, k) is one word when k = |g|
+    (g is the inverse of b's first k letters); for k < |g|, g is a reduced
+    word h of length |g| - k followed by that inverse, and h's last letter
+    must avoid b_k (g reduced) and b_{k+1}^-1 (cancellation stops at k), so
+    the class holds (2d - #forbidden) (2d-1)^(|g|-k-1) words.  Returns
+    ``[(representative, size)]`` over the non-empty classes; the sizes sum
+    to |B_n|.
+    """
+    letters = [c for i in range(1, spec.d + 1) for c in (i, -i)]
+    out = []
+    for m in range(n + 1):
+        for k in range(min(m, len(b)) + 1):
+            tail = tuple(-c for c in reversed(b[:k]))
+            if k == m:
+                out.append((tail, 1))
+                continue
+            forbidden = {b[k - 1]} if k else set()
+            if k < len(b):
+                forbidden.add(-b[k])
+            allowed = [c for c in letters if c not in forbidden]
+            if allowed:
+                size = len(allowed) * (2 * spec.d - 1) ** (m - k - 1)
+                out.append(((allowed[0],) * (m - k) + tail, size))
+    return out
 
 
 def word_length(spec: GroupSpec, g, cap: int = DEFAULT_BALL_CAP) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import groups
 from .errors import CapacityError, DegenerateRestrictionError, DomainError
@@ -211,14 +212,106 @@ def mixture(params: WeightParams, terms) -> dict:
     return acc
 
 
+@dataclass
+class RadialWeightTable:
+    """The lazy uniform walk's truncated weight on a free group, by word length.
+
+    ``profiles[depth][k]`` is the weight truncated at ``depth`` of every word
+    of length k <= depth (longer words carry none).  Lookups read ``len(g)``;
+    the atom dict ``table`` is built only when a caller asks for it.
+    """
+
+    spec: GroupSpec
+    params: WeightParams
+    profiles: tuple
+    tail_bound: float
+
+    def partial_weight(self, g, depth: int) -> float:
+        if not 0 <= depth <= self.params.n_max:
+            raise DomainError(f"depth {depth} outside 0..{self.params.n_max}")
+        row = self.profiles[depth]
+        return row[len(g)] if len(g) < len(row) else 0.0
+
+    def weight(self, g) -> float:
+        return self.partial_weight(g, self.params.n_max)
+
+    def support(self) -> list:
+        return groups.ball(self.spec, self.params.n_max)
+
+    @cached_property
+    def table(self) -> dict:
+        row = self.profiles[-1]
+        return {g: row[len(g)] for g in self.support()}
+
+    def mass_in_ball(self, n: int) -> float:
+        """Stored mass on B_n: sphere sizes times the profile, by length."""
+        row = self.profiles[-1][: n + 1]
+        return sum(groups.free_sphere_size(self.spec.d, k) * wk for k, wk in enumerate(row))
+
+    def stored_mass(self) -> float:
+        return self.mass_in_ball(self.params.n_max)
+
+    def tail_mass_outside_ball(self, n: int) -> float:
+        """Conservative bound on the true w-mass outside B_n."""
+        return max(0.0, 1.0 - self.mass_in_ball(n)) + self.tail_bound
+
+
+def _radial_profiles(d: int, params: WeightParams) -> tuple:
+    """Partial weights by word length of the lazy uniform walk on F_d.
+
+    The walk's length is a birth-death chain: from 0 it moves up along 2d of
+    its 2d+1 steps, from k >= 1 it stays along 1, moves down along 1 and up
+    along 2d-1.  ``paths[k]`` counts the n-step walks ending at length k
+    exactly (integers), so ``rho^{*n}(g) = paths[|g|] / (S_|g| (2d+1)^n)``
+    is one correctly rounded division, with S_k = 2d (2d-1)^(k-1) the sphere
+    size.  Each depth adds ``p_n rho^{*n}`` in increasing n, as ``mixture``.
+    """
+    steps = 2 * d + 1
+    sizes = [groups.free_sphere_size(d, k) for k in range(params.n_max + 1)]
+    paths = [1]
+    acc = [0.0] * (params.n_max + 1)
+    profiles = [(0.0,)]
+    for n in range(1, params.n_max + 1):
+        nxt = paths + [0]
+        nxt[1] += 2 * d * paths[0]
+        for k in range(1, n):
+            nxt[k - 1] += paths[k]
+            nxt[k + 1] += (2 * d - 1) * paths[k]
+        paths = nxt
+        pn = params.p(n)
+        walks = steps**n
+        for k in range(n + 1):
+            acc[k] += pn * (paths[k] / (sizes[k] * walks))
+        profiles.append(tuple(acc[: n + 1]))
+    return tuple(profiles)
+
+
 def build_weight(
     spec: GroupSpec,
     params: WeightParams,
     cap: int = DEFAULT_SUPPORT_CAP,
     rho: SparseMeasure | None = None,
-) -> WeightTable:
+) -> WeightTable | RadialWeightTable:
     """The truncated weight of the step law ``rho`` (by default the lazy
-    uniform step on the generators)."""
+    uniform step on the generators).
+
+    On a free group with the default step the weight depends only on word
+    length, and the table is radial (``RadialWeightTable``): each atom of
+    ``rho^{*n}`` is one correctly rounded division of exact path counts, so
+    every weight is within ``(n_max + 1) u`` relative of the exact truncated
+    sum (u = 2^-53, the unit roundoff).  Convolving dicts instead loses up to
+    ``(2d + 3) n_max u``, so the two tables agree within
+    ``(2d + 4)(n_max + 1) u`` relative atom by atom; the dict convolution is
+    the test oracle there.  Every other group, and any other step law, goes
+    through ``convolution_powers`` and ``mixture``.
+    """
+    if spec.kind == "free" and rho is None:
+        return RadialWeightTable(
+            spec=spec,
+            params=params,
+            profiles=_radial_profiles(spec.d, params),
+            tail_bound=params.tail,
+        )
     if rho is None:
         rho = step_distribution(spec)
     powers = convolution_powers(spec, rho, params.n_max, cap=cap)
@@ -236,13 +329,16 @@ def translation_bound(spec: GroupSpec, params: WeightParams, length: int) -> flo
     return ((2 * spec.d + 1) * params.ratio_bound) ** length
 
 
-def weight_ratio(spec: GroupSpec, w: WeightTable, b) -> dict:
+def weight_ratio(spec: GroupSpec, w: WeightTable | RadialWeightTable, b) -> dict:
     """Certified two-sided translation bounds for w(g b) against w(g).
 
     Scans every g in the interior domain B(n_max - |b|).  The certified upper
     ratio compares the numerator truncated at depth n_max - |b| with the full
     denominator, which is the exact truncated form of the one-step translation bound;
     the report also carries the uncertified single-table ratio for reference.
+    A radial table takes the same values on each class of
+    ``groups.free_translation_classes``, so it scans one representative per
+    class, counted with the class size.
     """
     groups.check_element(spec, b)
     length = groups.word_length(spec, b)
@@ -251,17 +347,20 @@ def weight_ratio(spec: GroupSpec, w: WeightTable, b) -> dict:
         raise DomainError(f"|b|={length} leaves no interior domain (n_max={n_max})")
     bound = translation_bound(spec, params=w.params, length=length)
     depth = n_max - length
-    domain = groups.ball(spec, depth)
+    if isinstance(w, RadialWeightTable):
+        domain = groups.free_translation_classes(spec, b, depth)
+    else:
+        domain = ((g, 1) for g in groups.ball(spec, depth))
     upper_max = 0.0
     lower_min = math.inf
     plain_max = 0.0
     evaluated = 0
-    for g in domain:
+    for g, count in domain:
         gb = groups.multiply(spec, g, b)
         den = w.weight(g)
         full_gb = w.weight(gb)
         if den > 0.0:
-            evaluated += 1
+            evaluated += count
             upper_max = max(upper_max, w.partial_weight(gb, depth) / den)
             if full_gb > 0.0:
                 plain_max = max(plain_max, full_gb / den)
@@ -287,7 +386,9 @@ def weight_ratio(spec: GroupSpec, w: WeightTable, b) -> dict:
     }
 
 
-def restrict_renormalize(w_amb: WeightTable, emb: groups.Embedding) -> SparseMeasure:
+def restrict_renormalize(
+    w_amb: WeightTable | RadialWeightTable, emb: groups.Embedding
+) -> SparseMeasure:
     """Pull the ambient weight back along an embedding and renormalize.
 
     The result is a probability measure on the subgroup, supported on the
@@ -309,7 +410,7 @@ def restrict_renormalize(w_amb: WeightTable, emb: groups.Embedding) -> SparseMea
 
 
 def restricted_ratio_certificate(
-    w_amb: WeightTable, emb: groups.Embedding, b_sub
+    w_amb: WeightTable | RadialWeightTable, emb: groups.Embedding, b_sub
 ) -> dict:
     """Two-sided translation bounds for the restricted measure.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import groups, measures
 from .errors import DomainError
 from .groups import GroupSpec
-from .measures import WeightParams, WeightTable
+from .measures import RadialWeightTable, WeightParams, WeightTable
 
 PASS_SLACK = 1e-9
 
@@ -25,7 +25,7 @@ PASS_SLACK = 1e-9
 class WeightedVector:
     """Finitely supported vector; canonical form drops exact zeros."""
 
-    weights: WeightTable
+    weights: WeightTable | RadialWeightTable
     coeffs: dict
 
     def __post_init__(self):
@@ -54,7 +54,7 @@ class WeightedVector:
         return WeightedVector(self.weights, {g: t * c for g, c in self.coeffs.items()})
 
 
-def delta(w: WeightTable, g) -> WeightedVector:
+def delta(w: WeightTable | RadialWeightTable, g) -> WeightedVector:
     return WeightedVector(w, {g: 1.0})
 
 
@@ -71,8 +71,8 @@ def norm_detail(v: WeightedVector) -> dict:
     n_outside = 0
     for g in v.support():
         c = v.coeffs[g]
-        wg = w.table.get(g)
-        if wg is None:
+        wg = w.weight(g)
+        if wg == 0.0:
             n_outside += 1
             max_outside = max(max_outside, abs(c))
         else:
@@ -101,7 +101,9 @@ def shift(v: WeightedVector, g0) -> WeightedVector:
     )
 
 
-def operator_norm_certificate(spec: GroupSpec, w: WeightTable, a) -> dict:
+def operator_norm_certificate(
+    spec: GroupSpec, w: WeightTable | RadialWeightTable, a
+) -> dict:
     """Certify ||S_a|| <= sqrt((2d+1) C) on the truncated table.
 
     The domain is vectors supported in B(n_max-1), normed by the full-depth
@@ -146,7 +148,7 @@ def operator_norm_certificate(spec: GroupSpec, w: WeightTable, a) -> dict:
 
 
 def subgroup_norm_certificate(
-    w_amb: WeightTable,
+    w_amb: WeightTable | RadialWeightTable,
     emb: groups.Embedding,
     g0,
     second_params: WeightParams | None = None,

@@ -111,6 +111,22 @@ def test_run_meta_counts_bits_hashed(tmp_path):
     assert bits_hashed("weights", "a") == 0
 
 
+def test_run_meta_counts_sampler_draws(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "stages": 2,
+        "samples": {"tower_samples": 2000, "check_samples": 300, "equivariance_samples": 100},
+    }))
+    meta = {}
+    for command in ("tower", "build", "support"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+        meta[command] = json.loads((tmp_path / command / "run_meta.json").read_text())
+        assert "sampler" not in (tmp_path / command / "report.json").read_text()
+    assert meta["tower"]["sampler_attempts"] == meta["tower"]["sampler_accepted"] == 0
+    for command in ("build", "support"):
+        assert meta[command]["sampler_attempts"] >= meta[command]["sampler_accepted"] > 0
+
+
 def test_feldman_command(tmp_path):
     status = cli.main(["feldman", "--out", str(tmp_path / "out"), "--seed", "3"])
     assert status == 0
@@ -174,6 +190,8 @@ def test_all_builds_the_model_once(tmp_path, monkeypatch):
         for run in ("all", "one")
     ]
     assert meta[0]["bits_hashed"] == meta[1]["bits_hashed"] > 0
+    assert meta[0]["sampler_attempts"] == meta[1]["sampler_attempts"] > 0
+    assert meta[0]["sampler_accepted"] == meta[1]["sampler_accepted"] > 0
     for command in cli.MODEL_COMMANDS:
         names = sorted(f.name for f in (tmp_path / "all" / command).iterdir())
         assert names == sorted(f.name for f in (tmp_path / "one" / command).iterdir())

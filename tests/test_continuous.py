@@ -35,6 +35,23 @@ def test_overlap_quadrature_grid():
     assert worst < 1e-6
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.1, max_value=5.0),
+    st.floats(min_value=-12.0, max_value=12.0),
+)
+def test_overlap_quadrature_matches_scipy_quad(half, t):
+    from scipy import integrate
+
+    L = continuous.IntervalMeasure(half)
+    lo, hi = -half - abs(t), half + abs(t)
+    breaks = sorted(x for x in (-half, half, t - half, t + half) if lo < x < hi)
+    ref, _ = integrate.quad(
+        lambda h: L.indicator(t - h) * L.indicator(h), lo, hi, points=breaks, limit=200
+    )
+    assert abs(continuous.overlap_density_quadrature(L, t) - ref) <= 1e-9 * max(1.0, half)
+
+
 def test_domination_constant_real_defaults():
     rep = continuous.domination_constant_real()
     assert rep["u"] == 1.0

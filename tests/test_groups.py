@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,16 +49,49 @@ def test_ball_symmetric_and_nested(spec):
     assert all(groups.inverse(spec, g) in b2 for g in b2)
 
 
+def _ball_size(spec, n):
+    """Closed-form |B_n| (integers, lattice d<=3, free)."""
+    if spec.kind == "integers" or (spec.kind == "lattice" and spec.d == 1):
+        return 2 * n + 1
+    if spec.kind == "lattice" and spec.d == 2:
+        return 2 * n * n + 2 * n + 1
+    if spec.kind == "lattice" and spec.d == 3:
+        return ((2 * n + 1) * (2 * n * n + 2 * n + 3)) // 3
+    assert spec.kind == "free"
+    return groups.free_ball_size(spec.d, n)
+
+
 def test_ball_counts_closed_forms():
     z = groups.GroupSpec("integers")
-    assert len(groups.ball(z, 3)) == 7 == groups.ball_size(z, 3)
+    assert len(groups.ball(z, 3)) == 7 == _ball_size(z, 3)
     z2 = groups.GroupSpec("lattice", 2)
-    assert len(groups.ball(z2, 2)) == 13 == groups.ball_size(z2, 2)
+    assert len(groups.ball(z2, 2)) == 13 == _ball_size(z2, 2)
     z3 = groups.GroupSpec("lattice", 3)
-    assert len(groups.ball(z3, 2)) == 25 == groups.ball_size(z3, 2)
+    assert len(groups.ball(z3, 2)) == 25 == _ball_size(z3, 2)
     f2 = groups.GroupSpec("free", 2)
-    assert len(groups.ball(f2, 2)) == 17 == groups.ball_size(f2, 2)
+    assert len(groups.ball(f2, 2)) == 17 == _ball_size(f2, 2)
     assert len(groups.ball(f2, 0)) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_free_translation_classes_partition_the_ball(d):
+    # each class is exactly the set of g in B_n with that (|g|, k), where k
+    # letters cancel in g b; its representative lies in it
+    spec = groups.GroupSpec("free", d)
+    for b in groups.ball(spec, 3):
+        for n in range(6):
+            seen = Counter()
+            for g in groups.ball(spec, n):
+                gb = groups.multiply(spec, g, b)
+                seen[len(g), (len(g) + len(b) - len(gb)) // 2] += 1
+            classes = Counter()
+            for g, size in groups.free_translation_classes(spec, b, n):
+                groups.check_element(spec, g)
+                gb = groups.multiply(spec, g, b)
+                key = (len(g), (len(g) + len(b) - len(gb)) // 2)
+                assert key not in classes
+                classes[key] = size
+            assert classes == seen
 
 
 def test_ball_cap_is_an_error():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -130,6 +131,66 @@ def test_weight_ratio_f2(f2_spec, f2_weights):
     assert rep["pass"]
 
 
+_RADIAL_CASES = dict(
+    d=st.integers(min_value=1, max_value=2),
+    q=st.floats(min_value=0.05, max_value=0.95),
+    n_max=st.integers(min_value=1, max_value=8),
+)
+
+
+def _dict_weight(spec, params):
+    """The same weight through the dict convolution (the oracle path)."""
+    return measures.build_weight(spec, params, rho=measures.step_distribution(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_RADIAL_CASES)
+def test_radial_weight_matches_dict_convolution(d, q, n_max):
+    spec = groups.GroupSpec("free", d)
+    params = measures.WeightParams(q, n_max)
+    w = measures.build_weight(spec, params)
+    assert isinstance(w, measures.RadialWeightTable)
+    powers = measures.convolution_powers(spec, measures.step_distribution(spec), n_max)
+    bound = (2 * d + 4) * (n_max + 1) * 2.0**-53  # stated in build_weight
+    for depth in range(n_max + 1):
+        oracle = measures.mixture(params, powers[:depth])
+        for g in groups.ball(spec, n_max):
+            ref = oracle.get(g, 0.0)
+            assert abs(w.partial_weight(g, depth) - ref) <= bound * ref
+    assert w.table == {g: w.weight(g) for g in groups.ball(spec, n_max)}
+    assert abs(w.stored_mass() - (1.0 - params.tail)) <= bound  # sum_{n<=n_max} p_n
+
+
+def _element_scan(spec, w, b):
+    """weight_ratio's scan over every element of B(n_max - |b|)."""
+    depth = w.params.n_max - len(b)
+    upper_max, lower_min, evaluated = 0.0, math.inf, 0
+    for g in groups.ball(spec, depth):
+        gb = groups.multiply(spec, g, b)
+        den, full_gb, num_g = w.weight(g), w.weight(gb), w.partial_weight(g, depth)
+        if den > 0.0:
+            evaluated += 1
+            upper_max = max(upper_max, w.partial_weight(gb, depth) / den)
+        if full_gb > 0.0 and num_g > 0.0:
+            lower_min = min(lower_min, full_gb / num_g)
+    return evaluated, upper_max, lower_min
+
+
+@settings(max_examples=15, deadline=None)
+@given(**_RADIAL_CASES)
+def test_class_scan_matches_element_scan(d, q, n_max):
+    spec = groups.GroupSpec("free", d)
+    params = measures.WeightParams(q, n_max)
+    w = measures.build_weight(spec, params)
+    oracle = _dict_weight(spec, params)
+    for b in groups.ball(spec, min(3, n_max - 1)):
+        rep = measures.weight_ratio(spec, w, b)
+        evaluated, upper_max, lower_min = _element_scan(spec, oracle, b)
+        assert rep["n_evaluated"] == evaluated
+        assert rep["observed_max"] == pytest.approx(upper_max, rel=1e-12, abs=0.0)
+        assert rep["observed_min"] == pytest.approx(lower_min, rel=1e-12, abs=0.0)
+
+
 def test_plain_table_ratio_exceeds_bound_at_edge(z_spec, z_weights):
     # the uncorrected single-table ratio genuinely overshoots near the
     # support edge; the certified two-depth comparison is the sound check
@@ -158,13 +219,8 @@ def test_degenerate_restriction(z_spec, f2_spec):
     # images a^n leave the stored support except near the identity, but the
     # window always contains the identity, so force degeneracy differently:
     emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
-    table = dict(w_small.table)
-    empty = measures.WeightTable(
-        spec=f2_spec,
-        params=w_small.params,
-        powers=w_small.powers,
-        table={g: 0.0 for g in table},
-        tail_bound=w_small.tail_bound,
+    empty = dataclasses.replace(
+        w_small, profiles=tuple((0.0,) * len(row) for row in w_small.profiles)
     )
     with pytest.raises(DegenerateRestrictionError):
         measures.restrict_renormalize(empty, emb)

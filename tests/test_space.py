@@ -158,7 +158,8 @@ def _exact_case(kind, d, n_max, a):
     w = _weight(kind, d, n_max)
     rep = space.operator_norm_certificate(spec, w, a)
     pool = [g for g in groups.ball(spec, n_max - 1) if w.weight(g) > 0.0]
-    return rep, spec, w, pool, w.table, w.partial_table(n_max - 1)
+    shifted = {g: w.partial_weight(g, n_max - 1) for g in groups.ball(spec, n_max)}
+    return rep, spec, w, pool, w.table, shifted
 
 
 @functools.cache
