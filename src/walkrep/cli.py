@@ -6,8 +6,8 @@ Subcommands mirror the module boundaries: weights, norms, jrt, tower,
 build, support, orbit, feldman, continuous, and all.  Every run writes a
 timestamp-free ``report.json`` (plus CSV tables) under ``<out>/<command>/``
 so identical configs and seeds reproduce byte-identical outputs; wall time,
-the count of Bernoulli bits hashed and the conditional sampler's attempts
-and acceptances go to a separate ``run_meta.json``.
+the count of Bernoulli bits hashed, the bit cells the orbit windows filled
+and the conditional sampler's draws go to a separate ``run_meta.json``.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
 error.
 """
@@ -57,8 +57,12 @@ def _record(name: str, rep: dict, **extra) -> dict:
 
 
 def _start() -> tuple[float, dict]:
-    """The wall clock and the ``dynamics`` counters, at a command's start."""
-    return time.time(), dynamics.counters()
+    """The wall clock and the run counters, at a command's start."""
+    return time.time(), _counters()
+
+
+def _counters() -> dict:
+    return {**dynamics.counters(), **model.counters()}
 
 
 def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, start: tuple) -> int:
@@ -72,7 +76,7 @@ def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, start:
     }
     _write_json(os.path.join(out, "report.json"), report)
     meta = {"wall_time_s": time.time() - start[0], "command": command}
-    meta.update((k, v - start[1][k]) for k, v in dynamics.counters().items())
+    meta.update((k, v - start[1][k]) for k, v in _counters().items())
     _write_json(os.path.join(out, "run_meta.json"), meta)
     for r in records:
         print(f"[{'PASS' if r['pass'] else 'FAIL'}] {command}/{r['name']}")
@@ -253,7 +257,7 @@ def cmd_tower(cfg: ExperimentConfig, out_base: str) -> int:
     ok = (
         tower.collisions == 0
         and tower.mc_ci_upper < cfg.tower_eta / 2.0
-        and tower.mu_e_lower > 0.0
+        and tower.mu_pattern > 0.0
     )
     records = [
         _record(
@@ -291,6 +295,7 @@ def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
     start = _start()
     out = _out_dir(out_base, "build")
     spec, w, sys_b, mdl, history = _build_model(cfg, cache)
+    model.run_stage_checks(mdl, history, w, cfg.build_config())
     _write_json(os.path.join(out, "model.json"), mdl.to_dict())
     _write_json(
         os.path.join(out, "history.json"),

@@ -10,11 +10,12 @@ Two system kinds:
 * ``rotation`` -- products of circle rotations for the integer/lattice
   kinds, with an irrational frequency vector.
 
-Towers are marker events: the base E is "the marker pattern occurs at the
-origin and at no nearby offset".  With the marker longer than twice the
-tower height the nearby occurrences are impossible by overlap, so the base
-measure is an exact cylinder measure and the ball translates of E are
-disjoint by construction; both facts are also checked by Monte Carlo.
+Towers are marker events: the base E is the cylinder "the marker pattern
+occurs at the origin".  The marker is self-avoiding: every shift by a
+nonzero m with |m| <= 2n contradicts it, so no two marker occurrences lie
+within 2n of each other.  Hence the B_n translates of E are disjoint, the
+base measure is the exact cylinder measure, and a point conditioned on E is
+the point with the marker bits forced; Monte Carlo re-checks the first two.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .errors import DomainError, TowerConstructionError
 from .groups import GroupSpec
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
-# consecutive rejections after which the conditional sampler gives up
-MAX_SAMPLER_REJECTIONS = 10_000
 # Draws the tower Monte Carlo holds at once.  Each carries a keyed-hash
 # state and a bit cache, so chunks keep its memory flat at any sample count.
 SIEVE_CHUNK = 512
@@ -85,20 +84,15 @@ def rotation_system(group: GroupSpec, seed: int, alpha=None) -> DynamicalSystem:
 
 
 # keyed-hash digests made in this process, one per Bernoulli bit realized,
-# and the candidates the conditional base sampler drew and accepted;
-# commands report the change of each over their run (see ``counters``)
+# and the points the conditional base sampler drew; commands report the
+# change of each over their run (see ``counters``)
 _digests = 0
-_sampler_attempts = 0
-_sampler_accepted = 0
+_sampler_draws = 0
 
 
 def counters() -> dict:
     """The process-wide counts so far, by the name commands report them."""
-    return {
-        "bits_hashed": _digests,
-        "sampler_attempts": _sampler_attempts,
-        "sampler_accepted": _sampler_accepted,
-    }
+    return {"bits_hashed": _digests, "sampler_draws": _sampler_draws}
 
 
 def cell_messages(spec: GroupSpec, positions) -> list[bytes]:
@@ -289,47 +283,46 @@ class SetFamily:
 
 
 def _marker_pattern(spec: GroupSpec, length: int) -> dict:
-    """All-ones on a canonical window plus a single 0 cell just past it.
+    """A self-avoiding marker: every shift by m with 0 < |m| <= length
+    contradicts it.
 
-    integers: positions 0..length-1 carry 1, position ``length`` carries 0.
-    lattice d: the analogous run along the first axis for each row of a
-    side-s block, with s^d cells of 1s and one 0 cell; ``length`` counts the
-    1-cells along the first axis (block side).
+    integers: ``1^length 0``, ones on 0..length-1 and a 0 at ``length``.
+    lattice d: ones on the block [0, length)^d and zeros on its d negative
+    faces {x_i = -1, other coordinates in [0, length)}.  For m != 0 with
+    |m|_1 <= length, pick i with m_i != 0: if m_i > 0 the shifted face
+    x_i = m_i - 1 meets the block of ones, and if m_i < 0 the face x_i = -1
+    meets the shifted block, since every |m_j| < length.
     """
     if spec.kind == "integers":
         pattern = {i: 1 for i in range(length)}
         pattern[length] = 0
         return pattern
     if spec.kind == "lattice":
-        side = length
-        cells = itertools.product(range(side), repeat=spec.d)
-        pattern = {tuple(c): 1 for c in cells}
-        zero_cell = (side,) + (0,) * (spec.d - 1)
-        pattern[zero_cell] = 0
+        block = list(itertools.product(range(length), repeat=spec.d))
+        pattern = {c: 1 for c in block}
+        for i in range(spec.d):
+            for c in block:
+                if c[i] == 0:
+                    pattern[c[:i] + (-1,) + c[i + 1:]] = 0
         return pattern
     raise DomainError("towers are built for integer/lattice Bernoulli shifts")
 
 
 @dataclass
 class TowerSpec:
-    """Marker-based tower base E with exact measure bookkeeping.
+    """The tower base E: the cylinder of a marker ``pattern`` at the origin.
 
-    ``pattern`` constrains coordinates at fixed positions; ``exclusion``
-    lists the nonzero offsets m for which a marker occurrence at m is
-    forbidden.  When every pairwise overlap of the pattern with its
-    exclusion translates is contradictory, mu(E) equals the pattern measure
-    exactly; otherwise the stored lower bound subtracts the compatible
-    overlaps (Bonferroni).
+    ``rokhlin_tower`` builds only self-avoiding markers, so E is exactly
+    the cylinder, mu(E) is ``mu_pattern``, and the B_n translates of E are
+    disjoint.  The Monte-Carlo fields record the check of mu(B_n E) and of
+    that disjointness.
     """
 
     system: DynamicalSystem
     n: int
     eta: float
     pattern: dict
-    exclusion: tuple
     mu_pattern: float
-    mu_e_lower: float
-    mu_e_upper: float
     mc_samples: int = 0
     mc_hits_bn: int = 0
     mc_ci_upper: float = 1.0
@@ -340,23 +333,15 @@ class TowerSpec:
         return self.system.group
 
     def mu_bn_upper(self) -> float:
-        return len(groups.ball(self.spec, self.n)) * self.mu_e_upper
-
-    def marker_at(self, x: PointHandle, offset) -> bool:
-        spec = self.spec
-        for p, b in self.pattern.items():
-            if x.read(groups.multiply(spec, p, offset)) != b:
-                return False
-        return True
+        return len(groups.ball(self.spec, self.n)) * self.mu_pattern
 
     def in_base(self, x: PointHandle) -> bool:
-        """x in E: marker at the origin, no marker at an excluded offset."""
-        if not self.marker_at(x, groups.identity(self.spec)):
-            return False
-        return all(not self.marker_at(x, m) for m in self.exclusion)
+        """x in E: the marker at the origin."""
+        return all(x.read(p) == b for p, b in self.pattern.items())
 
     def locate(self, x: PointHandle):
-        """The unique g in B_n with T_{g^-1} x in E, or None."""
+        """The first g in B_n (``groups.ball`` order) with T_{g^-1} x in E,
+        or None."""
         sys = self.system
         for g in groups.ball(self.spec, self.n):
             if self.in_base(act(sys, groups.inverse(self.spec, g), x)):
@@ -371,10 +356,10 @@ class TowerSpec:
             "pattern": [[groups.element_str(spec, p), b] for p, b in sorted(
                 self.pattern.items(), key=lambda kv: groups.sort_key(spec, kv[0])
             )],
-            "n_excluded": len(self.exclusion),
             "mu_pattern": self.mu_pattern,
-            "mu_e_lower": self.mu_e_lower,
-            "mu_e_upper": self.mu_e_upper,
+            # E is the marker cylinder, so both bounds on mu(E) are exact
+            "mu_e_lower": self.mu_pattern,
+            "mu_e_upper": self.mu_pattern,
             "mu_bn_upper": self.mu_bn_upper(),
             "mc": {
                 "samples": self.mc_samples,
@@ -393,10 +378,6 @@ def _patterns_compatible(a: dict, b: dict) -> bool:
     return all(b.get(p, v) == v for p, v in a.items())
 
 
-def _pattern_union_size(a: dict, b: dict) -> int:
-    return len(set(a) | set(b))
-
-
 def rokhlin_tower(
     sys: DynamicalSystem,
     n: int,
@@ -409,10 +390,12 @@ def rokhlin_tower(
 ) -> TowerSpec:
     """A base event E whose B_n translates are disjoint, with mu(B_n E) < eta/2.
 
-    The marker length grows until ``|B_n| * mu(pattern) * rarity_factor``
-    drops below eta/2 (rarity_factor > 1 reserves room for later trimming of
-    E).  Monte-Carlo estimation of mu(B_n E) and a translate-collision scan
-    run when ``mc_samples`` > 0.
+    The marker length grows from 2n until ``|B_n| * mu(pattern) *
+    rarity_factor`` drops below eta/2 (rarity_factor > 1 reserves room for
+    later trimming of E).  The pattern must contradict each of its shifts by
+    m in B_2n minus e, or ``TowerConstructionError`` is raised.  Monte-Carlo
+    estimation of mu(B_n E) and a translate-collision scan run when
+    ``mc_samples`` > 0.
     """
     if sys.kind != "bernoulli":
         raise DomainError("towers are built on Bernoulli systems")
@@ -446,28 +429,15 @@ def rokhlin_tower(
                 f"mu(B_n E) < {target:.3g}; lengthen the cap or relax eta"
             )
 
-    exclusion = tuple(
-        m for m in groups.ball(spec, 2 * n) if m != groups.identity(spec)
-    )
-    # exact measure when every excluded overlap contradicts the pattern
-    overlap_loss = 0.0
-    for m in exclusion:
-        shifted = _shifted_pattern(spec, pattern, m)
-        if _patterns_compatible(pattern, shifted):
-            overlap_loss += 0.5 ** _pattern_union_size(pattern, shifted)
-    mu_e_lower = mu_pattern - overlap_loss
-    if mu_e_lower <= 0.0:
-        raise TowerConstructionError("marker exclusions exhaust the base event")
-    tower = TowerSpec(
-        system=sys,
-        n=n,
-        eta=eta,
-        pattern=pattern,
-        exclusion=exclusion,
-        mu_pattern=mu_pattern,
-        mu_e_lower=mu_e_lower,
-        mu_e_upper=mu_pattern,
-    )
+    for m in groups.ball(spec, 2 * n):
+        if m != groups.identity(spec) and _patterns_compatible(
+            pattern, _shifted_pattern(spec, pattern, m)
+        ):
+            raise TowerConstructionError(
+                f"the marker is compatible with its shift by "
+                f"{groups.element_str(spec, m)}, so translates of the base can meet"
+            )
+    tower = TowerSpec(system=sys, n=n, eta=eta, pattern=pattern, mu_pattern=mu_pattern)
     if mc_samples > 0:
         _tower_monte_carlo(tower, mc_samples, seed)
     return tower
@@ -478,19 +448,18 @@ def _tower_monte_carlo(tower: TowerSpec, samples: int, seed: int) -> None:
 
     A marker sieve over chunks of ``SIEVE_CHUNK`` draws: for each g in B_n
     and each pattern cell p in turn, only the draws whose bit at p g^-1
-    matches stay, and the few that carry the whole marker go through
-    ``TowerSpec.in_base`` for the exclusion test.  Each draw reads the bits
-    that ``in_base(T_{g^-1} x)`` over the ball reads, so hits and collisions
-    are exact.
+    matches stay, so the survivors are the draws with T_{g^-1} x in E.
+    Each draw reads the bits that ``in_base(T_{g^-1} x)`` over the ball
+    reads, so hits and collisions are exact.
     """
     spec = tower.spec
     probe = probe_system(tower.system, "tower", seed)
     wanted = list(tower.pattern.values())
-    sieves = []  # per g in B_n: g^-1, the cells p g^-1 and their encodings
+    sieves = []  # per g in B_n: the cells p g^-1 and their encodings
     for g in groups.ball(spec, tower.n):
         g_inv = groups.inverse(spec, g)
         cells = [groups.multiply(spec, p, g_inv) for p in tower.pattern]
-        sieves.append((g_inv, cells, cell_messages(spec, cells)))
+        sieves.append((cells, cell_messages(spec, cells)))
     hits = 0
     collisions = 0
     for start in range(0, samples, SIEVE_CHUNK):
@@ -499,14 +468,13 @@ def _tower_monte_carlo(tower: TowerSpec, samples: int, seed: int) -> None:
             for draw in range(start, min(samples, start + SIEVE_CHUNK))
         ]
         located = [0] * len(points)
-        for g_inv, cells, messages in sieves:
+        for cells, messages in sieves:
             alive = range(len(points))
             for cell, msg, b in zip(cells, messages, wanted):
                 bits = read_bits([points[i].root for i in alive], (cell,), (msg,))
                 alive = [i for i, v in zip(alive, bits) if v == b]
             for i in alive:
-                if tower.in_base(act(probe, g_inv, points[i])):
-                    located[i] += 1
+                located[i] += 1
         hits += sum(1 for count in located if count)
         collisions += sum(1 for count in located if count > 1)
     tower.mc_samples = samples
@@ -523,36 +491,22 @@ def _derived_seed(*parts) -> int:
 def conditional_base_sampler(tower: TowerSpec, seed: int):
     """Yield points distributed as mu( . | E ).
 
-    The marker pattern is forced bit-by-bit (its conditional law), then
-    candidate roots are rejected until the exclusion clauses hold; rejection
-    touches only free coordinates, so the accepted point follows the
-    conditional measure exactly.  ``MAX_SAMPLER_REJECTIONS`` consecutive
-    rejections raise ``TowerConstructionError``: the base is then empty or
-    too rare to sample.
+    E is the marker cylinder, so its conditional law forces the marker bits
+    and leaves every other coordinate fair: each draw is a fresh root with
+    the pattern forced.
     """
-    global _sampler_attempts, _sampler_accepted
+    global _sampler_draws
     sys = tower.system
     counter = 0
     draw = 0
-    rejected = 0
     while True:
         root = _BernoulliRoot(
             sys.group,
             _root_key(_derived_seed(sys.seed, "cond", seed, counter), draw),
             forced=dict(tower.pattern),
         )
-        x = PointHandle(sys, root, groups.identity(sys.group))
         draw += 1
         if draw % 997 == 0:
             counter += 1
-        _sampler_attempts += 1
-        if tower.in_base(x):
-            _sampler_accepted += 1
-            rejected = 0
-            yield x
-        else:
-            rejected += 1
-            if rejected >= MAX_SAMPLER_REJECTIONS:
-                raise TowerConstructionError(
-                    f"conditional sampler rejected {rejected} draws in a row"
-                )
+        _sampler_draws += 1
+        yield PointHandle(sys, root, groups.identity(sys.group))

@@ -233,9 +233,12 @@ def element_str(spec: GroupSpec, g) -> str:
 
 
 def ball(spec: GroupSpec, n: int, cap: int = DEFAULT_BALL_CAP) -> list:
-    """All elements of word length <= n, in canonical (sort_key) order.
+    """All elements of word length <= n.
 
-    Raises CapacityError if the ball would exceed ``cap`` elements.
+    Integers come in increasing order, -n..n; every other kind comes in
+    ``sort_key`` order.  ``TowerSpec.locate`` and the window evaluator take
+    the first base point in this order, so it is part of the model's
+    values.  Raises CapacityError if the ball would exceed ``cap`` elements.
     """
     if n < 0:
         raise DomainError(f"ball radius must be >= 0, got {n}")

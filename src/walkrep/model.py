@@ -33,12 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, groups, space, stats
+from . import dynamics, groups, stats
 from .dynamics import DynamicalSystem, PointHandle, SetFamily, TowerSpec
 from .errors import DomainError, StageError
 from .groups import GroupSpec
 from .measures import WeightTable
-from .space import WeightedVector
 
 Z95 = stats.Z95
 
@@ -62,9 +61,6 @@ class BallSpec:
 
     def center_dict(self) -> dict:
         return dict(self.center)
-
-    def center_vector(self, w: WeightTable) -> WeightedVector:
-        return WeightedVector(w, dict(self.center))
 
     def max_abs(self) -> float:
         return max((abs(c) for _, c in self.center), default=0.0)
@@ -262,58 +258,6 @@ def _elem_to_json(spec: GroupSpec, g):
     return list(g)
 
 
-def _elem_from_json(spec: GroupSpec, v):
-    """A loaded element; raises EncodingError unless it is canonical."""
-    g = tuple(v) if isinstance(v, list) else v
-    groups.check_element(spec, g)
-    return g
-
-
-def model_from_dict(data: dict) -> ModelFunction:
-    sysd = data["system"]
-    spec = GroupSpec(sysd["group"]["kind"], sysd["group"]["d"])
-    system = DynamicalSystem(
-        sysd["kind"], spec, sysd["seed"], tuple(sysd.get("alpha", ()))
-    )
-    stages = []
-    for sd in data["stages"]:
-        pattern = {
-            _elem_from_json(spec, p): int(b) for p, b in sd["tower_pattern"]
-        }
-        n = sd["n"]
-        exclusion = tuple(
-            m for m in groups.ball(spec, 2 * n) if m != groups.identity(spec)
-        )
-        td = sd["tower"]
-        tower = TowerSpec(
-            system=system,
-            n=n,
-            eta=td["eta"],
-            pattern=pattern,
-            exclusion=exclusion,
-            mu_pattern=td["mu_pattern"],
-            mu_e_lower=td["mu_e_lower"],
-            mu_e_upper=td["mu_e_upper"],
-        )
-        xi = {_elem_from_json(spec, g): float(v) for g, v in sd["xi"]}
-        patch = StagePatch(tower=tower, xi=xi, n0=sd["n0"], n=n)
-        split = None
-        if sd["split"] is not None:
-            split = StageSplit(
-                a_index=sd["split"]["a_index"],
-                offset=sd["split"]["offset"],
-                split_map={
-                    float.fromhex(u): (
-                        float.fromhex(v[0]),
-                        float.fromhex(v[1]),
-                    )
-                    for u, v in sd["split"]["map"]
-                },
-            )
-        stages.append(ModelStage(patch=patch, split=split))
-    return ModelFunction(system=system, stages=stages, family=SetFamily(spec))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -321,6 +265,15 @@ def model_from_dict(data: dict) -> ModelFunction:
 # and long orbit windows are split into chunks under it, so the evaluator's
 # memory stays bounded on Z^3.
 WINDOW_CELL_BUDGET = 1 << 20
+
+# bit cells the orbit windows of this process filled; commands report the
+# change over their run next to ``dynamics.counters``
+_window_cells = 0
+
+
+def counters() -> dict:
+    """The process-wide count so far, by the name commands report it."""
+    return {"window_cells": _window_cells}
 
 
 def _coords(spec: GroupSpec, g) -> tuple:
@@ -357,7 +310,6 @@ class _StageEvents:
 
     n: int
     pattern: tuple  # (coords, bit)
-    exclusion: tuple  # coords, without the origin
     ball: tuple
     xi: np.ndarray
     cylinder: tuple  # (coords, bit)
@@ -385,7 +337,6 @@ class _StageEvents:
             pattern=tuple(
                 (_coords(spec, p), b) for p, b in stage.patch.tower.pattern.items()
             ),
-            exclusion=tuple(_coords(spec, m) for m in stage.patch.tower.exclusion),
             ball=tuple(_coords(spec, g) for g in ball_n),
             xi=np.array([stage.patch.xi.get(g, 0.0) for g in ball_n], dtype=np.float64),
             cylinder=cylinder,
@@ -398,14 +349,9 @@ class _StageEvents:
         """Where ``locate`` on [lo, hi] reads the base: [lo, hi] - B_n."""
         return _grow(lo, hi, self.ball)
 
-    def marker_box(self, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
-        """Where the base on [lo, hi] reads the marker: the origin and the
-        exclusion shifts."""
-        return _grow(lo, hi, self.exclusion + ((0,) * len(lo),))
-
     def bit_box(self, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
         """Every coordinate that ``locate`` and routing on [lo, hi] read."""
-        blo, bhi = _grow(*self.marker_box(*self.base_box(lo, hi)), [p for p, _ in self.pattern])
+        blo, bhi = _grow(*self.base_box(lo, hi), [p for p, _ in self.pattern])
         if self.cylinder:
             clo, chi = _grow(lo, hi, [c for c, _ in self.cylinder])
             blo, bhi = tuple(map(min, blo, clo)), tuple(map(max, bhi, chi))
@@ -432,14 +378,15 @@ class OrbitWindow:
     the cell u of the point x stands for T_u x.  The points x window bit
     matrix is filled by ``dynamics.read_bits`` at absolute positions, with
     the same keyed hash and forced bits as every other read, and each stage
-    event is an array mask on it: the marker is an AND over shifted slices,
-    the base is the marker AND NOT the OR over the exclusion shifts,
-    ``locate`` takes the first g in ``groups.ball`` order whose shift lands
-    in the base, and routing is an AND over the cylinder constraints.  So
-    every value equals the one the lazy reads of ``dynamics`` give.
+    event is an array mask on it: the base (the marker cylinder) is an AND
+    over shifted slices, ``locate`` takes the first g in ``groups.ball``
+    order whose shift lands in the base, and routing is an AND over the
+    cylinder constraints.  So every value equals the one the lazy reads of
+    ``dynamics`` give.  Each window adds its bit cells to ``counters``.
     """
 
     def __init__(self, spec: GroupSpec, stages: list, points: list, lo: tuple, hi: tuple):
+        global _window_cells
         self.spec = spec
         self.stages = stages
         self.lo, self.hi = lo, hi
@@ -455,6 +402,7 @@ class OrbitWindow:
             cells = [c[0] for c in cells]
         e = groups.identity(spec)
         bits = np.empty((len(points), len(cells)), dtype=np.uint8)
+        _window_cells += bits.size
         # points at the identity offset share one encoding per cell
         messages = dynamics.cell_messages(spec, cells)
         for row, x in zip(bits, points):
@@ -488,16 +436,10 @@ class OrbitWindow:
         if j not in self._base:
             st = self.stages[j]
             base_lo, base_hi = st.base_box(self.lo, self.hi)
-            mark_lo, mark_hi = st.marker_box(base_lo, base_hi)
-            mark_shape = _shape(mark_lo, mark_hi)
-            marker = np.ones((self.n_points,) + mark_shape, dtype=bool)
-            for p, b in st.pattern:
-                marker &= self._bits(b, _add(mark_lo, p), mark_shape)
             shape = _shape(base_lo, base_hi)
-            excluded = np.zeros((self.n_points,) + shape, dtype=bool)
-            for m in st.exclusion:
-                excluded |= self._take(marker, mark_lo, _add(base_lo, m), shape)
-            base = self._take(marker, mark_lo, base_lo, shape) & ~excluded
+            base = np.ones((self.n_points,) + shape, dtype=bool)
+            for p, b in st.pattern:
+                base &= self._bits(b, _add(base_lo, p), shape)
             self._base[j] = (base, base_lo)
         return self._base[j]
 
@@ -562,12 +504,12 @@ class OrbitWindow:
                 hit &= ~self.in_base(j - 1, _neg(_coords(self.spec, k)))
         return hit
 
-    def rows(self, arr: np.ndarray, elements: list) -> list:
-        """Per point, the entries of ``arr`` (laid out on the window) at
-        ``elements``, as Python floats."""
+    def rows(self, arr: np.ndarray, elements: list) -> np.ndarray:
+        """The points x ``elements`` matrix of the entries of ``arr``, an
+        array laid out on the window."""
         rel = np.array([_coords(self.spec, g) for g in elements], dtype=np.int64) - self.lo
         flat = np.ravel_multi_index(tuple(rel.T), self.shape)
-        return arr.reshape(self.n_points, -1)[:, flat].tolist()
+        return arr.reshape(self.n_points, -1)[:, flat]
 
 
 def orbit_windows(model: ModelFunction, points: list, lo: tuple, hi: tuple):
@@ -594,20 +536,48 @@ def phi(
     n_trunc: int,
     w: WeightTable,
     stage_count: int | None = None,
-) -> list[tuple[WeightedVector, float]]:
-    """Truncated orbit vectors {f(T_g x)}_{g in B_n_trunc} of ``points``,
-    each with its tail bound.
+) -> tuple[list, np.ndarray, float]:
+    """Truncated orbit vectors {f(T_g x)}_{g in B_n_trunc} of ``points``:
+    ``(ball, values, tail)`` with ``values[i, k]`` = f(T_{ball[k]} x_i).
 
-    The tail bound is max|f| * sqrt(true w-mass outside the window), with
-    the mass bounded by the stored complement plus the truncation tail.
+    The tail bound, shared by every row, is max|f| * sqrt(true w-mass
+    outside the window), with the mass bounded by the stored complement
+    plus the truncation tail.
     """
     ball = groups.ball(model.spec, n_trunc)
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
-    out = []
-    for win in orbit_windows(model, points, *_cube(model.spec, n_trunc)):
-        for row in win.rows(win.values(stage_count), ball):
-            out.append((WeightedVector(w, dict(zip(ball, row))), tail))
-    return out
+    blocks = [
+        win.rows(win.values(stage_count), ball)
+        for win in orbit_windows(model, points, *_cube(model.spec, n_trunc))
+    ]
+    values = np.concatenate(blocks) if blocks else np.zeros((0, len(ball)))
+    return ball, values, tail
+
+
+def distances(window: list, values: np.ndarray, ball: BallSpec, w: WeightTable) -> np.ndarray:
+    """Per row of ``values`` (a vector on ``window``), its distance to the
+    center of ``ball``, bit-equal to the dict norm of the difference.
+
+    The atoms of ``window`` and of the center are put once in ``sort_key``
+    order, and each distance is sqrt of the running sum of
+    ``diff * diff * w(g)`` over the atoms of positive weight: ``np.cumsum``
+    adds left to right as the scalar loop does, and the exact zeros it also
+    adds do not change a sum of non-negative terms.  Atoms of zero stored
+    weight add the tail allowance ``max |diff|^2 * tail_bound``.
+    """
+    spec = w.spec
+    coeffs = ball.center_dict()
+    atoms = sorted(set(window) | set(coeffs), key=lambda g: groups.sort_key(spec, g))
+    index = {g: k for k, g in enumerate(atoms)}
+    diff = np.zeros((len(values), len(atoms)))
+    diff[:, [index[g] for g in window]] = values
+    diff[:, [index[g] for g in coeffs]] -= list(coeffs.values())
+    weight = np.array([w.weight(g) for g in atoms])
+    stored = weight != 0.0
+    terms = diff[:, stored] * diff[:, stored] * weight[stored]
+    inside = np.cumsum(terms, axis=1)[:, -1] if terms.shape[1] else np.zeros(len(values))
+    outside = np.abs(diff[:, ~stored]).max(axis=1, initial=0.0)
+    return np.sqrt(inside + outside * outside * w.tail_bound)
 
 
 def point_values(
@@ -755,7 +725,7 @@ def verify_patch(
     n_eval = 0
     for win in orbit_windows(model, points, *_cube(spec, stage.patch.n)):
         inside = win.in_base(stage_index)
-        rows = win.rows(win.values(stage_index + 1), window)
+        rows = win.rows(win.values(stage_index + 1), window).tolist()
         for in_base, row in zip(inside, rows):
             if not in_base:
                 continue
@@ -834,7 +804,7 @@ def _update_bookkeeping(
     gamma[n_new] = GAMMA1 * 0.5 ** (n_new - 1)
     delta[n_new] = min(
         DELTA_CAP,
-        DELTA_SAFETY * tower.mu_e_lower / (1.0 + 1.0 / n_new),
+        DELTA_SAFETY * tower.mu_pattern / (1.0 + 1.0 / n_new),
     )
     # covers: width beta_new around every point, constrained by separation
     # (condition 2), shrinkage (nesting), and the ceiling BETA_INIT
@@ -957,8 +927,9 @@ def build_model(
 ) -> tuple[ModelFunction, list[StageState]]:
     """Alternate ball patches and value splits for the configured stages.
 
-    Every stage records its checks; a failed exact check aborts with the
-    full history attached to the exception.
+    Every stage records its exact checks and its patch verification, and a
+    failed one aborts.  The Monte-Carlo checks of the finished model are
+    ``run_stage_checks``.
     """
     if config.stages < 1:
         raise DomainError("need at least one stage")
@@ -987,7 +958,6 @@ def build_model(
         if not state.checks["nesting"]["pass"]:
             raise StageError(f"nesting check failed at stage {idx + 1}")
         history.append(state)
-    run_stage_checks(model, history, w, config)
     return model, history
 
 
@@ -1041,7 +1011,7 @@ def run_stage_checks(
             model, history, i, w, config, config.seed + 1000 + i
         )
         ci = stats.clopper_pearson(in_ball, draws)
-        mass_lower = model.stages[i - 1].patch.tower.mu_e_lower * ci[0]
+        mass_lower = model.stages[i - 1].patch.tower.mu_pattern * ci[0]
         required = state.delta[i] * (1.0 + 1.0 / n)
         lvl_ok = mass_lower >= required
         hit_detail[str(i)] = {
@@ -1095,23 +1065,18 @@ def equivariance_check(
     groups.check_element(spec, h)
     probe = dynamics.probe_system(model.system, "equiv", seed)
     h_len = groups.word_length(spec, h)
-    common = groups.ball(spec, n_trunc - h_len)
     points = [dynamics.sample_point(probe, draw) for draw in range(samples)]
-    lefts = phi(model, [dynamics.act(probe, h, x) for x in points], n_trunc - h_len, w)
-    rights = phi(model, points, n_trunc, w)
-    mismatches = 0
-    compared = 0
-    for (left, _), (right_full, _) in zip(lefts, rights):
-        right = space.shift(right_full, h)
-        for g in common:
-            compared += 1
-            if left.coeffs.get(g, 0.0) != right.coeffs.get(g, 0.0):
-                mismatches += 1
+    common, left, _ = phi(model, [dynamics.act(probe, h, x) for x in points], n_trunc - h_len, w)
+    ball, right, _ = phi(model, points, n_trunc, w)
+    # (S_h v)(g) = v(g h)
+    index = {g: k for k, g in enumerate(ball)}
+    shifted = right[:, [index[groups.multiply(spec, g, h)] for g in common]]
+    mismatches = int((left != shifted).sum())
     return {
         "h": groups.element_str(spec, h),
         "samples": samples,
         "common_ball": n_trunc - h_len,
-        "compared": compared,
+        "compared": left.size,
         "mismatches": mismatches,
         "pass": mismatches == 0,
     }
@@ -1150,7 +1115,7 @@ def support_and_iso_check(
         if not hit_ok:
             _, in_ball = conditional_hits(model, history, i, w, config, seed + 5000 + i)
             conditional_lower = (
-                model.stages[i - 1].patch.tower.mu_e_lower
+                model.stages[i - 1].patch.tower.mu_pattern
                 * stats.clopper_pearson(in_ball, config.base_samples)[0]
             )
             hit_ok = conditional_lower >= state.delta[i]
@@ -1185,27 +1150,28 @@ def support_and_iso_check(
 
 def probe_orbit_vectors(
     model: ModelFunction, samples: int, n_trunc: int, w: WeightTable, seed: int
-) -> tuple[list, list]:
+) -> tuple[list, tuple]:
     """The first ``samples`` points of the seeded "iso" probe system, and
-    their orbit vectors as ``(phi, tail)`` pairs."""
+    their orbit vectors as ``phi`` returns them."""
     probe = dynamics.probe_system(model.system, "iso", seed)
     points = [dynamics.sample_point(probe, i) for i in range(samples)]
     return points, phi(model, points, n_trunc, w)
 
 
-def ball_hits(phis: list, ball: BallSpec, w: WeightTable) -> tuple[int, int]:
-    """(hits, indeterminate): orbit vectors certainly inside ``ball`` given
-    their tail bound, and those inside only if the tail is ignored."""
-    center = ball.center_vector(w)
-    hits = 0
-    indeterminate = 0
-    for vec, tail in phis:
-        dist = space.norm(vec - center)
-        if dist + tail < ball.radius:
-            hits += 1
-        elif dist <= ball.radius:
-            indeterminate += 1
-    return hits, indeterminate
+def _membership(dist: np.ndarray, tail: float, ball: BallSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, indeterminate) per distance: certainly inside ``ball`` given the
+    tail bound, and inside only if the tail is ignored."""
+    hit = dist + tail < ball.radius
+    return hit, ~hit & (dist <= ball.radius)
+
+
+def ball_hits(phis: tuple, ball: BallSpec, w: WeightTable) -> tuple[int, int]:
+    """(hits, indeterminate) among the orbit vectors ``phis`` (as ``phi``
+    returns them): those certainly inside ``ball`` given their tail bound,
+    and those inside only if the tail is ignored."""
+    window, values, tail = phis
+    hit, indeterminate = _membership(distances(window, values, ball, w), tail, ball)
+    return int(hit.sum()), int(indeterminate.sum())
 
 
 def conditional_hits(
@@ -1229,7 +1195,7 @@ def conditional_hits(
     for win in orbit_windows(model, points, *_cube(model.spec, tower.n)):
         survivors += [x for x, hit in zip(win.points, win.in_hit_event(i, n)) if hit]
     phis = phi(model, survivors, config.n_trunc, w)
-    return len(phis), ball_hits(phis, history[i - 1].ball, w)[0]
+    return len(survivors), ball_hits(phis, history[i - 1].ball, w)[0]
 
 
 def orbit_frequency(
@@ -1250,7 +1216,6 @@ def orbit_frequency(
     membership open is flagged indeterminate.
     """
     spec = w.spec
-    center = ball.center_vector(w)
     window = groups.ball(spec, n_trunc)
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
     a_c = _coords(spec, a)
@@ -1264,9 +1229,8 @@ def orbit_frequency(
     stretch = n_steps
     while stretch > 1 and math.prod(_shape(*_bit_box(stages, *box(0, stretch - 1)))) > WINDOW_CELL_BUDGET:
         stretch = (stretch + 1) // 2
-    hits = 0
+    hit = []
     indeterminate = 0
-    series = []
     for first in range(0, n_steps, stretch):
         steps = range(first, min(n_steps, first + stretch))
         (win,) = orbit_windows(model, [x], *box(steps[0], steps[-1]))
@@ -1275,18 +1239,12 @@ def orbit_frequency(
             for a_t in (groups.power(spec, a, t) for t in steps)
             for g in window
         ]
-        row = win.rows(win.values(), cells)[0]
-        for s in range(len(steps)):
-            coeffs = row[s * len(window):(s + 1) * len(window)]
-            vec = WeightedVector(w, dict(zip(window, coeffs)))
-            dist = space.norm(vec - center)
-            if dist + tail < ball.radius:
-                hits += 1
-                series.append(1.0)
-            else:
-                series.append(0.0)
-                if dist <= ball.radius:
-                    indeterminate += 1
+        values = win.rows(win.values(), cells).reshape(len(steps), len(window))
+        step_hit, step_open = _membership(distances(window, values, ball, w), tail, ball)
+        hit += step_hit.tolist()
+        indeterminate += int(step_open.sum())
+    series = [1.0 if h else 0.0 for h in hit]
+    hits = sum(hit)
     freq = hits / n_steps
     se = stats.batch_means_se(series)
     return {

@@ -32,4 +32,5 @@ def z_bernoulli(z_spec):
 def built_model(z_bernoulli, z_weights):
     cfg = model.BuildConfig(stages=4, seed=11, check_samples=3000, base_samples=160)
     mdl, history = model.build_model(z_bernoulli, z_weights, cfg)
+    model.run_stage_checks(mdl, history, z_weights, cfg)
     return mdl, history, cfg

@@ -115,12 +115,12 @@ def test_criterion_03_averaging_convergence(z_spec, z_bernoulli):
 def test_criterion_04_tower_validity(z_bernoulli):
     eta = 0.1
     tower = dynamics.rokhlin_tower(z_bernoulli, 3, eta, mc_samples=100_000, seed=4)
-    ok = tower.collisions == 0 and tower.mc_ci_upper < eta / 2 and tower.mu_e_lower > 0
+    ok = tower.collisions == 0 and tower.mc_ci_upper < eta / 2 and tower.mu_pattern > 0
     _line(4, ok, f"tower: 10^5 samples, {tower.collisions} collisions, "
                  f"mu(B_N E) CI upper {tower.mc_ci_upper:.4f} < {eta/2}")
     assert tower.collisions == 0
     assert tower.mc_ci_upper < eta / 2
-    assert tower.mu_e_lower > 0
+    assert tower.mu_pattern > 0
 
 
 # -- 5 ----------------------------------------------------------------------
@@ -154,17 +154,17 @@ def test_criterion_06_equivariance(built_model, z_weights, z_spec):
     sys_b = dynamics.bernoulli_system(z_spec, 606)
     n_trunc = cfg.n_trunc
     points = [dynamics.sample_point(sys_b, draw) for draw in range(1000)]
-    rights = model.phi(mdl, points, n_trunc, z_weights)
+    ball, rights, _ = model.phi(mdl, points, n_trunc, z_weights)
     mismatches = 0
     compared = 0
     for h in groups.ball(z_spec, 2):
         xhs = [dynamics.act(sys_b, h, x) for x in points]
-        lefts = model.phi(mdl, xhs, n_trunc - abs(h), z_weights)
-        for (left, _), (right_full, _) in zip(lefts, rights):
-            right = space.shift(right_full, h)
-            for g in groups.ball(z_spec, n_trunc - abs(h)):
+        common, lefts, _ = model.phi(mdl, xhs, n_trunc - abs(h), z_weights)
+        for left, right_full in zip(lefts.tolist(), rights.tolist()):
+            right = dict(zip(ball, right_full))
+            for g, value in zip(common, left):
                 compared += 1
-                if left.coeffs.get(g, 0.0) != right.coeffs.get(g, 0.0):
+                if value != right[g + h]:  # (S_h v)(g) = v(g + h)
                     mismatches += 1
     ok = mismatches == 0
     _line(6, ok, f"factor-map identity: {compared} coefficients over 10^3 "

@@ -122,9 +122,11 @@ def test_run_meta_counts_sampler_draws(tmp_path):
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
         meta[command] = json.loads((tmp_path / command / "run_meta.json").read_text())
         assert "sampler" not in (tmp_path / command / "report.json").read_text()
-    assert meta["tower"]["sampler_attempts"] == meta["tower"]["sampler_accepted"] == 0
+    assert meta["tower"]["sampler_draws"] == meta["tower"]["window_cells"] == 0
     for command in ("build", "support"):
-        assert meta[command]["sampler_attempts"] >= meta[command]["sampler_accepted"] > 0
+        assert meta[command]["sampler_draws"] > 0
+        assert meta[command]["window_cells"] > 0
+        assert "window_cells" not in (tmp_path / command / "report.json").read_text()
 
 
 def test_feldman_command(tmp_path):
@@ -190,8 +192,8 @@ def test_all_builds_the_model_once(tmp_path, monkeypatch):
         for run in ("all", "one")
     ]
     assert meta[0]["bits_hashed"] == meta[1]["bits_hashed"] > 0
-    assert meta[0]["sampler_attempts"] == meta[1]["sampler_attempts"] > 0
-    assert meta[0]["sampler_accepted"] == meta[1]["sampler_accepted"] > 0
+    assert meta[0]["sampler_draws"] == meta[1]["sampler_draws"] > 0
+    assert meta[0]["window_cells"] == meta[1]["window_cells"] > 0
     for command in cli.MODEL_COMMANDS:
         names = sorted(f.name for f in (tmp_path / "all" / command).iterdir())
         assert names == sorted(f.name for f in (tmp_path / "one" / command).iterdir())

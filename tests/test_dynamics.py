@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -95,9 +96,10 @@ def test_tower_disjointness_and_measure(z_bernoulli):
     assert tower.collisions == 0
     assert tower.mu_bn_upper() < 0.05
     assert tower.mc_ci_upper < 0.05
-    assert tower.mu_e_lower > 0
-    # marker length at least twice the height makes overlaps contradictory
-    assert tower.mu_e_lower == tower.mu_pattern
+    assert tower.mu_pattern == 0.5 ** len(tower.pattern)
+    report = tower.to_dict()
+    assert report["mu_e_lower"] == report["mu_e_upper"] == tower.mu_pattern
+    assert "n_excluded" not in report
 
 
 def test_tower_locate_unique(z_bernoulli):
@@ -133,6 +135,42 @@ def test_tower_lattice(z_spec):
     assert tower.mu_bn_upper() < 0.05
 
 
+def _old_lattice_marker(spec, length):
+    """The lattice marker before self-avoidance: a block of ones and a
+    single 0 cell past it along the first axis."""
+    pattern = {c: 1 for c in itertools.product(range(length), repeat=spec.d)}
+    pattern[(length,) + (0,) * (spec.d - 1)] = 0
+    return pattern
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_marker_self_avoiding_scan(d):
+    # every shift by m in B_2n minus e contradicts the marker of side s
+    spec = groups.GroupSpec("integers") if d == 1 else groups.GroupSpec("lattice", d)
+    e = groups.identity(spec)
+    scanned = compatible = 0
+    for n in range(1, 5):
+        shifts = [m for m in groups.ball(spec, 2 * n) if m != e]
+        for s in range(2 * n, 2 * n + 3):
+            pattern = dynamics._marker_pattern(spec, s)
+            for m in shifts:
+                scanned += 1
+                compatible += dynamics._patterns_compatible(
+                    pattern, dynamics._shifted_pattern(spec, pattern, m)
+                )
+    assert scanned > 0 and compatible == 0
+    if d > 1:
+        old = _old_lattice_marker(spec, 2)
+        assert dynamics._patterns_compatible(old, dynamics._shifted_pattern(spec, old, (1,) + (1,) * (d - 1)))
+
+
+def test_tower_rejects_overlapping_marker(monkeypatch):
+    sys2 = dynamics.bernoulli_system(groups.GroupSpec("lattice", 2), seed=12)
+    monkeypatch.setattr(dynamics, "_marker_pattern", _old_lattice_marker)
+    with pytest.raises(TowerConstructionError, match="compatible with its shift"):
+        dynamics.rokhlin_tower(sys2, 1, 0.2)
+
+
 def _per_draw_hits(tower, samples, seed):
     """The per-draw loop the marker sieve replaces: in_base at every
     translate of the draw by an element of B_n^-1."""
@@ -156,13 +194,12 @@ def _sieve_hits(tower, samples, seed):
     return tower.mc_hits_bn, tower.collisions
 
 
-def _short_tower(sys, exclusion):
-    # a two-cell marker overlaps its own translates, so exclusions fire
+def _short_tower(sys):
+    # a two-cell marker overlaps its own translates, so they can collide
     spec = sys.group
     a = groups.generators(spec)[0]
     return dynamics.TowerSpec(
-        system=sys, n=2, eta=0.5, pattern={groups.identity(spec): 1, a: 1},
-        exclusion=exclusion, mu_pattern=0.25, mu_e_lower=0.01, mu_e_upper=0.25,
+        system=sys, n=2, eta=0.5, pattern={groups.identity(spec): 1, a: 1}, mu_pattern=0.25
     )
 
 
@@ -177,20 +214,12 @@ def test_tower_sieve_equals_per_draw_loop(z_bernoulli, z_spec, seed):
     ]
     for tower, samples in towers:
         assert _sieve_hits(tower, samples, seed) == _per_draw_hits(tower, samples, seed)
-    # hand-made short markers: the exclusion test removes hits, and a lone
-    # exclusion offset lets two translates of the base meet
+    # a hand-made short marker, whose translates of the base meet
     for sys in (z_bernoulli, z2):
-        spec = sys.group
-        near = tuple(m for m in groups.ball(spec, 4) if m != groups.identity(spec))
-        counts = {}
-        for name, exclusion in (
-            ("full", near), ("marker_only", ()), ("lone", groups.generators(spec)[:1]),
-        ):
-            tower = _short_tower(sys, exclusion)
-            counts[name] = _sieve_hits(tower, 500, seed)
-            assert counts[name] == _per_draw_hits(tower, 500, seed)
-        assert counts["full"][0] < counts["marker_only"][0]
-        assert counts["lone"][1] > 0
+        tower = _short_tower(sys)
+        counts = _sieve_hits(tower, 500, seed)
+        assert counts == _per_draw_hits(tower, 500, seed)
+        assert counts[1] > 0
 
 
 def test_read_bits_equals_bit(z_bernoulli, z_spec):
@@ -226,18 +255,6 @@ def test_read_bits_equals_bit(z_bernoulli, z_spec):
     roots = [x.root for x in points() if x.offset == 0]
     expected = [x.root.bit(p) for x in points() if x.offset == 0 for p in positions]
     assert dynamics.read_bits(roots, positions, dynamics.cell_messages(z_spec, positions)) == expected
-
-
-def test_conditional_sampler_gives_up_on_empty_base(z_bernoulli, monkeypatch):
-    # excluding the origin itself rejects every draw: the forced marker is there
-    tower = dynamics.TowerSpec(
-        system=z_bernoulli, n=1, eta=0.5, pattern={0: 1}, exclusion=(0,),
-        mu_pattern=0.5, mu_e_lower=0.5, mu_e_upper=0.5,
-    )
-    monkeypatch.setattr(dynamics, "MAX_SAMPLER_REJECTIONS", 50)
-    gen = dynamics.conditional_base_sampler(tower, seed=0)
-    with pytest.raises(TowerConstructionError, match="50 draws"):
-        next(gen)
 
 
 def test_conditional_sampler_law(z_bernoulli):

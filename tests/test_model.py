@@ -2,9 +2,11 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
-from walkrep import dynamics, groups, measures, model, space, stats
+from vectors import WeightedVector, norm, shift
+from walkrep import dynamics, groups, measures, model, stats
 from walkrep.errors import DomainError, EncodingError, StageError
 
 
@@ -100,7 +102,84 @@ def oracle_phi(ev, x, n_trunc, w, stage_count=None):
         for g in groups.ball(spec, n_trunc)
     }
     tail = ev.model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
-    return space.WeightedVector(w, coeffs), tail
+    return WeightedVector(w, coeffs), tail
+
+
+def _elem_from_json(spec, v):
+    """A loaded element; raises EncodingError unless it is canonical."""
+    g = tuple(v) if isinstance(v, list) else v
+    groups.check_element(spec, g)
+    return g
+
+
+def model_from_dict(data: dict) -> model.ModelFunction:
+    """The model of ``ModelFunction.to_dict``, for round trips."""
+    sysd = data["system"]
+    spec = groups.GroupSpec(sysd["group"]["kind"], sysd["group"]["d"])
+    system = dynamics.DynamicalSystem(
+        sysd["kind"], spec, sysd["seed"], tuple(sysd.get("alpha", ()))
+    )
+    stages = []
+    for sd in data["stages"]:
+        tower = dynamics.TowerSpec(
+            system=system,
+            n=sd["n"],
+            eta=sd["tower"]["eta"],
+            pattern={_elem_from_json(spec, p): int(b) for p, b in sd["tower_pattern"]},
+            mu_pattern=sd["tower"]["mu_pattern"],
+        )
+        xi = {_elem_from_json(spec, g): float(v) for g, v in sd["xi"]}
+        split = None
+        if sd["split"] is not None:
+            split = model.StageSplit(
+                a_index=sd["split"]["a_index"],
+                offset=sd["split"]["offset"],
+                split_map={
+                    float.fromhex(u): (float.fromhex(v[0]), float.fromhex(v[1]))
+                    for u, v in sd["split"]["map"]
+                },
+            )
+        patch = model.StagePatch(tower=tower, xi=xi, n0=sd["n0"], n=sd["n"])
+        stages.append(model.ModelStage(patch=patch, split=split))
+    return model.ModelFunction(system=system, stages=stages, family=dynamics.SetFamily(spec))
+
+
+def dict_vectors(phis, w) -> list:
+    """The rows of ``model.phi``'s matrix as (dict vector, tail) pairs."""
+    ball, values, tail = phis
+    return [(WeightedVector(w, dict(zip(ball, row))), tail) for row in values.tolist()]
+
+
+def oracle_ball_hits(phis, ball, w) -> tuple[int, int]:
+    """``model.ball_hits`` on dict vectors, as it was computed before the
+    array distances."""
+    center = WeightedVector(w, ball.center_dict())
+    hits = indeterminate = 0
+    for vec, tail in dict_vectors(phis, w):
+        dist = norm(vec - center)
+        if dist + tail < ball.radius:
+            hits += 1
+        elif dist <= ball.radius:
+            indeterminate += 1
+    return hits, indeterminate
+
+
+def oracle_equivariance(mdl, w, samples, h, n_trunc, seed) -> tuple[int, int]:
+    """(compared, mismatches) of ``model.equivariance_check`` on dict
+    vectors shifted by ``vectors.shift``."""
+    spec = mdl.spec
+    probe = dynamics.probe_system(mdl.system, "equiv", seed)
+    common = n_trunc - groups.word_length(spec, h)
+    points = [dynamics.sample_point(probe, draw) for draw in range(samples)]
+    lefts = dict_vectors(model.phi(mdl, [dynamics.act(probe, h, x) for x in points], common, w), w)
+    rights = dict_vectors(model.phi(mdl, points, n_trunc, w), w)
+    compared = mismatches = 0
+    for (left, _), (right_full, _) in zip(lefts, rights):
+        right = shift(right_full, h)
+        for g in groups.ball(spec, common):
+            compared += 1
+            mismatches += left.coeffs.get(g, 0.0) != right.coeffs.get(g, 0.0)
+    return compared, mismatches
 
 
 def test_basis_ball_enumeration_start(z_spec):
@@ -153,6 +232,8 @@ def test_compute_eta_formula():
 def test_build_single_stage_smoke(z_bernoulli, z_weights):
     cfg = model.BuildConfig(stages=1, seed=3, check_samples=400, base_samples=60)
     mdl, history = model.build_model(z_bernoulli, z_weights, cfg)
+    assert set(history[-1].checks) == {"separation", "nesting", "patch"}
+    model.run_stage_checks(mdl, history, z_weights, cfg)
     assert len(history) == 1
     final = history[-1]
     assert final.checks["separation"]["pass"]
@@ -193,13 +274,15 @@ def test_stage_budgets_decrease(built_model):
 def test_phi_center_coordinate(built_model, z_bernoulli, z_weights):
     mdl, history, cfg = built_model
     x = dynamics.sample_point(z_bernoulli, 123)
-    ((vec, tail),) = model.phi(mdl, [x], 8, z_weights)
+    ball, vec, tail = model.phi(mdl, [x], 8, z_weights)
+    assert ball == groups.ball(z_bernoulli.group, 8) and vec.shape == (1, len(ball))
     values, _ = model.point_values(mdl, [x])
-    assert vec.coeffs.get(0, 0.0) == values[-1][0]
+    assert vec[0, ball.index(0)] == values[-1][0]
     assert 0.0 <= tail < 0.01
-    ((wide, tail_wide),) = model.phi(mdl, [x], 16, z_weights)
+    _, _, tail_wide = model.phi(mdl, [x], 16, z_weights)
     assert tail_wide < tail  # widening the window shrinks the tail bound
-    assert space.norm(vec) <= mdl.max_abs() + 1e-12
+    ((dict_vec, _),) = dict_vectors((ball, vec, tail), z_weights)
+    assert norm(dict_vec) <= mdl.max_abs() + 1e-12
 
 
 def test_phi_constant_model(z_bernoulli, z_weights):
@@ -208,8 +291,8 @@ def test_phi_constant_model(z_bernoulli, z_weights):
         system=z_bernoulli, stages=[], family=dynamics.SetFamily(z_bernoulli.group)
     )
     x = dynamics.sample_point(z_bernoulli, 5)
-    ((vec, tail),) = model.phi(mdl, [x], 6, z_weights)
-    assert vec.coeffs == {}
+    _, vec, tail = model.phi(mdl, [x], 6, z_weights)
+    assert not vec.any()
     assert tail == 0.0
 
 
@@ -295,13 +378,13 @@ def test_conditional_hits_reproduce_stratified_bound(built_model, z_weights):
     for i, expected in STRATIFIED_LOWER_SEED_6.items():
         _, in_ball = model.conditional_hits(mdl, history, i, z_weights, cfg, 6 + 5000 + i)
         lower = stats.clopper_pearson(in_ball, cfg.base_samples)[0]
-        assert mdl.stages[i - 1].patch.tower.mu_e_lower * lower == expected
+        assert mdl.stages[i - 1].patch.tower.mu_pattern * lower == expected
 
 
 def test_serialization_roundtrip(built_model, z_bernoulli):
     mdl, history, _ = built_model
     data = json.loads(json.dumps(mdl.to_dict()))
-    back = model.model_from_dict(data)
+    back = model_from_dict(data)
     x = dynamics.sample_point(z_bernoulli, 44)
     (win1,) = model.orbit_windows(mdl, [x], (-15,), (15,))
     (win2,) = model.orbit_windows(back, [x], (-15,), (15,))
@@ -315,7 +398,7 @@ def test_model_load_rejects_malformed_elements(built_model):
             data = json.loads(json.dumps(mdl.to_dict()))
             data["stages"][-1][key][0][0] = bad
             with pytest.raises(EncodingError):
-                model.model_from_dict(data)
+                model_from_dict(data)
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +408,7 @@ def lattice_built():
     sys2 = dynamics.bernoulli_system(z2, seed=7)
     cfg = model.BuildConfig(stages=2, seed=7, check_samples=1500, base_samples=60, n_trunc=6)
     mdl, history = model.build_model(sys2, w2, cfg)
+    model.run_stage_checks(mdl, history, w2, cfg)
     return mdl, history, w2
 
 
@@ -336,24 +420,82 @@ def test_lattice_build_smoke(lattice_built):
     assert rep["mismatches"] == 0
 
 
+def _far_balls(spec, w, n_trunc) -> list:
+    """Balls whose centers reach past the truncation window, one atom past
+    the stored weight support (where the tail allowance applies)."""
+    e = groups.identity(spec)
+    a = groups.generators(spec)[0]
+    near = groups.power(spec, a, n_trunc + 1)
+    far = groups.power(spec, a, w.params.n_max + 5)
+    assert w.weight(far) == 0.0 < w.weight(near)
+    balls = []
+    for radius in (0.05, 0.3, 1.0):
+        balls.append(model.BallSpec(-1, 3, ((e, 0.25), (near, -0.5)), radius))
+        balls.append(model.BallSpec(-1, 3, ((e, -0.125), (far, 0.75)), radius))
+    return balls
+
+
+def _check_dense_against_dict(mdl, history, w, n_trunc, samples, hs):
+    """``ball_hits``, ``orbit_frequency`` and ``equivariance_check`` on the
+    array orbit vectors equal the dict oracle exactly."""
+    spec = mdl.spec
+    points, phis = model.probe_orbit_vectors(mdl, samples, n_trunc, w, seed=3)
+    balls = [st.ball for st in history] + _far_balls(spec, w, n_trunc)
+    for ball in balls:
+        want = [norm(vec - WeightedVector(w, ball.center_dict())) for vec, _ in dict_vectors(phis, w)]
+        assert model.distances(phis[0], phis[1], ball, w).tolist() == want
+        assert model.ball_hits(phis, ball, w) == oracle_ball_hits(phis, ball, w)
+    x = points[0]
+    a = groups.generators(spec)[0]
+    for ball in balls[:1] + balls[-2:]:
+        rep = model.orbit_frequency(mdl, x, a, ball, 25, w, n_trunc)
+        series, indeterminate = _oracle_orbit(mdl, x, a, ball, 25, w, n_trunc)
+        assert (rep["series"], rep["indeterminate"]) == (series, indeterminate)
+        assert rep["hits"] == sum(series)
+    for h in hs:
+        rep = model.equivariance_check(mdl, w, samples=12, h=h, n_trunc=n_trunc, seed=4)
+        assert (rep["compared"], rep["mismatches"]) == oracle_equivariance(mdl, w, 12, h, n_trunc, 4)
+
+
+def test_dense_orbit_vectors_match_dict_oracle_z(built_model, z_weights):
+    mdl, history, cfg = built_model
+    _check_dense_against_dict(mdl, history, z_weights, 12, 60, hs=(0, 1, -2))
+
+
+def test_dense_orbit_vectors_match_dict_oracle_lattice(lattice_built):
+    mdl, history, w2 = lattice_built
+    _check_dense_against_dict(mdl, history, w2, 5, 30, hs=((1, 0), (0, -1)))
+
+
+def test_dense_equivariance_counts_mismatches(built_model, z_weights, monkeypatch):
+    # a phi that corrupts the unshifted side: the dense and dict comparisons
+    # count the same mismatches
+    mdl = built_model[0]
+    phi = model.phi
+
+    def corrupted(mdl, points, n_trunc, w, stage_count=None):
+        ball, values, tail = phi(mdl, points, n_trunc, w, stage_count)
+        if n_trunc == 8:
+            values = values.copy()
+            values[::3, ::4] += 0.5
+        return ball, values, tail
+
+    monkeypatch.setattr(model, "phi", corrupted)
+    rep = model.equivariance_check(mdl, z_weights, samples=10, h=1, n_trunc=8, seed=2)
+    assert rep["mismatches"] > 0
+    assert (rep["compared"], rep["mismatches"]) == oracle_equivariance(mdl, z_weights, 10, 1, 8, 2)
+
+
 def _loose_model(system: dynamics.DynamicalSystem) -> model.ModelFunction:
-    """Two stages whose exclusions are only the shifts of length 2n: unlike
-    a built tower, the marker does not rule them out, and two base points
-    can share a locate ball, so every exclusion shift and the order of the
-    locate ball change values."""
+    """Two stages with hand-built overlapping markers: unlike a built tower,
+    two base points can share a locate ball, so the order of the locate
+    ball changes values."""
     spec = system.group
     a = groups.generators(spec)[0]
     mdl = model.ModelFunction(system=system, stages=[], family=dynamics.SetFamily(spec))
     for j, (n, pattern) in enumerate(((2, {groups.identity(spec): 1, a: 0}), (1, {groups.identity(spec): 1}))):
         tower = dynamics.TowerSpec(
-            system=system,
-            n=n,
-            eta=0.5,
-            pattern=pattern,
-            exclusion=tuple(m for m in groups.ball(spec, 2 * n) if groups.word_length(spec, m) == 2 * n),
-            mu_pattern=0.5 ** len(pattern),
-            mu_e_lower=0.0,
-            mu_e_upper=0.5 ** len(pattern),
+            system=system, n=n, eta=0.5, pattern=pattern, mu_pattern=0.5 ** len(pattern)
         )
         xi = {g: (i + 1) / 8 for i, g in enumerate(groups.ball(spec, n))}
         stage = model.ModelStage(patch=model.StagePatch(tower=tower, xi=xi, n0=n, n=n))
@@ -403,16 +545,20 @@ def _oracle_draws(mdl: model.ModelFunction, probe: dynamics.DynamicalSystem, cou
     return points
 
 
-def _oracle_orbit(mdl, x, a, ball, n_steps, w, n_trunc) -> list:
-    center = ball.center_vector(w)
+def _oracle_orbit(mdl, x, a, ball, n_steps, w, n_trunc) -> tuple[list, int]:
+    """The hit series and the indeterminate count of ``orbit_frequency``."""
+    center = WeightedVector(w, ball.center_dict())
     ev = ModelEvaluator(mdl, x)
     series = []
+    indeterminate = 0
     current = x
     for _ in range(n_steps):
         vec, tail = oracle_phi(ev, current, n_trunc, w)
-        series.append(1.0 if space.norm(vec - center) + tail < ball.radius else 0.0)
+        dist = norm(vec - center)
+        series.append(1.0 if dist + tail < ball.radius else 0.0)
+        indeterminate += dist + tail >= ball.radius and dist <= ball.radius
         current = dynamics.act(x.system, a, current)
-    return series
+    return series, indeterminate
 
 
 def _check_against_oracle(mdl, w, draws: int, radius: int, orbit_steps: int):
@@ -422,13 +568,14 @@ def _check_against_oracle(mdl, w, draws: int, radius: int, orbit_steps: int):
     points = _oracle_draws(mdl, probe, draws)
     _assert_window_matches_oracle(mdl, points, radius)
     for n_trunc in (2, radius):
-        for (vec, tail), x in zip(model.phi(mdl, points, n_trunc, w), points):
+        for (vec, tail), x in zip(dict_vectors(model.phi(mdl, points, n_trunc, w), w), points):
             want, want_tail = oracle_phi(ModelEvaluator(mdl, x), x, n_trunc, w)
             assert vec.coeffs == want.coeffs and tail == want_tail
     a = groups.generators(mdl.spec)[-1]
     ball = model.basis_balls(1, mdl.spec)
     rep = model.orbit_frequency(mdl, points[0], a, ball, orbit_steps, w, radius)
-    assert rep["series"] == _oracle_orbit(mdl, points[0], a, ball, orbit_steps, w, radius)
+    series, indeterminate = _oracle_orbit(mdl, points[0], a, ball, orbit_steps, w, radius)
+    assert (rep["series"], rep["indeterminate"]) == (series, indeterminate)
 
 
 def test_window_matches_dict_oracle_built_z(built_model, z_weights):
@@ -451,17 +598,19 @@ def test_window_matches_dict_oracle_loose(kind, d):
 def test_window_chunks_match_one_window(built_model, z_weights, z_bernoulli, monkeypatch):
     mdl = built_model[0]
     points = [dynamics.sample_point(z_bernoulli, i) for i in range(25)]
-    whole = model.phi(mdl, points, 16, z_weights)
+    ball, whole, tail = model.phi(mdl, points, 16, z_weights)
     # a budget of a few points per chunk, and one step per orbit window
     monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", 300)
-    assert model.phi(mdl, points, 16, z_weights) == whole
+    chunked = model.phi(mdl, points, 16, z_weights)
+    assert chunked[0] == ball and chunked[2] == tail
+    assert np.array_equal(chunked[1], whole)
     ball = model.basis_balls(1, z_bernoulli.group)
     rep = model.orbit_frequency(mdl, points[0], 1, ball, 40, z_weights, 16)
-    assert rep["series"] == _oracle_orbit(mdl, points[0], 1, ball, 40, z_weights, 16)
+    assert rep["series"] == _oracle_orbit(mdl, points[0], 1, ball, 40, z_weights, 16)[0]
 
 
 def test_window_split_map_miss_raises(built_model, z_bernoulli):
-    mdl = model.model_from_dict(json.loads(json.dumps(built_model[0].to_dict())))
+    mdl = model_from_dict(json.loads(json.dumps(built_model[0].to_dict())))
     points = [dynamics.sample_point(z_bernoulli, i) for i in range(20)]
     # drop the last split's key for the value the first point carries into it
     before = model.point_values(mdl, points)[0][-2][0]

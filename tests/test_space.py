@@ -6,35 +6,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vectors import WeightedVector, delta, norm, norm_detail, shift
 from walkrep import groups, measures, space
 from walkrep.errors import DomainError
 
 
 def test_norm_delta_hand_value(z_spec):
     w = measures.build_weight(z_spec, measures.WeightParams(q=0.5, n_max=2))
-    assert space.norm(space.delta(w, 0)) == 0.5
+    assert norm(delta(w, 0)) == 0.5
 
 
 def test_norm_zero_vector(z_weights):
-    v = space.WeightedVector(z_weights, {})
-    assert space.norm(v) == 0.0
-    v2 = space.WeightedVector(z_weights, {0: 0.0})
-    assert space.norm(v2) == 0.0 and v2.coeffs == {}
+    v = WeightedVector(z_weights, {})
+    assert norm(v) == 0.0
+    v2 = WeightedVector(z_weights, {0: 0.0})
+    assert norm(v2) == 0.0 and v2.coeffs == {}
 
 
 def test_norm_homogeneity(z_weights):
     rng = np.random.default_rng(3)
     for _ in range(50):
         support = rng.choice(30, size=5, replace=False) - 15
-        v = space.WeightedVector(
+        v = WeightedVector(
             z_weights, {int(g): float(c) for g, c in zip(support, rng.standard_normal(5))}
         )
-        assert abs(space.norm(v.scale(2.0)) - 2.0 * space.norm(v)) < 1e-12
+        assert abs(norm(v.scale(2.0)) - 2.0 * norm(v)) < 1e-12
 
 
 def test_norm_outside_support_flagged(z_weights):
-    v = space.WeightedVector(z_weights, {10_000: 1.0})
-    detail = space.norm_detail(v)
+    v = WeightedVector(z_weights, {10_000: 1.0})
+    detail = norm_detail(v)
     assert detail["flagged"] and detail["n_outside"] == 1
     assert detail["value"] == math.sqrt(z_weights.tail_bound)
 
@@ -44,20 +45,20 @@ def test_parallelogram_law(z_weights):
     for _ in range(60):
         def rand_vec():
             idx = rng.choice(40, size=6, replace=False) - 20
-            return space.WeightedVector(
+            return WeightedVector(
                 z_weights,
                 {int(g): float(c) for g, c in zip(idx, rng.standard_normal(6))},
             )
 
         u, v = rand_vec(), rand_vec()
-        lhs = space.norm(u + v) ** 2 + space.norm(u - v) ** 2
-        rhs = 2 * space.norm(u) ** 2 + 2 * space.norm(v) ** 2
+        lhs = norm(u + v) ** 2 + norm(u - v) ** 2
+        rhs = 2 * norm(u) ** 2 + 2 * norm(v) ** 2
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, rhs)
 
 
 def test_shift_moves_single_atom(z_weights):
-    v = space.delta(z_weights, 5)
-    moved = space.shift(v, 1)
+    v = delta(z_weights, 5)
+    moved = shift(v, 1)
     assert moved.coeffs == {4: 1.0}
 
 
@@ -69,21 +70,21 @@ def test_shift_is_representation_f2(f2_weights):
     ab = groups.multiply(spec, a, b)
     for _ in range(40):
         idx = rng.choice(len(pool), size=4, replace=False)
-        v = space.WeightedVector(
+        v = WeightedVector(
             f2_weights,
             {pool[int(i)]: float(c) for i, c in zip(idx, rng.standard_normal(4))},
         )
-        assert space.shift(space.shift(v, b), a).coeffs == space.shift(v, ab).coeffs
+        assert shift(shift(v, b), a).coeffs == shift(v, ab).coeffs
 
 
 def test_shift_identity_is_noop(z_weights):
-    v = space.delta(z_weights, 3)
-    assert space.shift(v, 0).coeffs == v.coeffs
+    v = delta(z_weights, 3)
+    assert shift(v, 0).coeffs == v.coeffs
 
 
 def test_single_atom_ratio_identity(z_weights):
-    v = space.delta(z_weights, 0)
-    lhs = space.norm(space.shift(v, 1)) ** 2 / space.norm(v) ** 2
+    v = delta(z_weights, 0)
+    lhs = norm(shift(v, 1)) ** 2 / norm(v) ** 2
     rhs = z_weights.weight(-1) / z_weights.weight(0)
     assert abs(lhs - rhs) < 1e-12
 
@@ -135,13 +136,13 @@ def _random_vector(w, pool, data):
     )
     mags = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(idx), max_size=len(idx)))
     signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=len(idx), max_size=len(idx)))
-    return space.WeightedVector(w, {pool[i]: s * m for i, s, m in zip(idx, signs, mags)})
+    return WeightedVector(w, {pool[i]: s * m for i, s, m in zip(idx, signs, mags)})
 
 
 def _ratio(v, g, table_v, table_shifted):
     """sqrt(||S_g v||^2 / ||v||^2), each squared norm read from its table."""
     den = sum(c * c * table_v[h] for h, c in v.coeffs.items())
-    shifted = space.shift(v, g).coeffs
+    shifted = shift(v, g).coeffs
     num = sum(c * c * table_shifted.get(h, 0.0) for h, c in shifted.items())
     return math.sqrt(num / den)
 
@@ -175,7 +176,7 @@ def _exact_subgroup_case(g0):
     pool = [
         g for g in groups.ball(z, interior) if w_sub.weight(g) > 0.0 and w_sub.weight(g - g0) > 0.0
     ]
-    atom_max = max(_ratio(space.delta(w_sub, h), g0, w_sub.table, w_sub.table) for h in pool)
+    atom_max = max(_ratio(delta(w_sub, h), g0, w_sub.table, w_sub.table) for h in pool)
     return rep, w_sub, pool, atom_max
 
 
@@ -193,7 +194,7 @@ _EXACT_CASES = [
 def test_operator_certificate_is_exact_supremum(kind, d, n_max, a, data):
     rep, spec, w, pool, table, table_shifted = _exact_case(kind, d, n_max, a)
     argmax = {groups.element_str(spec, g): g for g in pool}[rep["single_atom_argmax"]]
-    assert _ratio(space.delta(w, argmax), a, table, table_shifted) == rep["observed"]
+    assert _ratio(delta(w, argmax), a, table, table_shifted) == rep["observed"]
     v = _random_vector(w, pool, data)
     assert _ratio(v, a, table, table_shifted) <= rep["observed"] * (1 + _ORACLE_REL)
 
@@ -214,8 +215,8 @@ def test_subgroup_certificate_is_exact_supremum(g0, data):
 def test_shift_composition_z(g, h):
     spec = groups.GroupSpec("integers")
     w = measures.build_weight(spec, measures.WeightParams(q=0.5, n_max=10))
-    v = space.WeightedVector(w, {0: 1.0, 3: -2.0})
+    v = WeightedVector(w, {0: 1.0, 3: -2.0})
     assert (
-        space.shift(space.shift(v, h), g).coeffs
-        == space.shift(v, g + h).coeffs
+        shift(shift(v, h), g).coeffs
+        == shift(v, g + h).coeffs
     )
