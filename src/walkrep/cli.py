@@ -98,9 +98,9 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
     out = _out_dir(out_base, "weights")
     records = []
     for label, (spec, w) in zip(("group", "second_group"), _weight_tables(cfg)):
-        rows = [
-            [groups.element_str(spec, g), repr(w.weight(g))] for g in w.support()
-        ]
+        support = w.support()  # B_n_max in sort_key order
+        weights = map(repr, w.read(w.cells(support)).tolist())
+        rows = zip(groups.ball_strs(spec, w.params.n_max), weights)
         _write_csv(os.path.join(out, f"{label}_weights.csv"), ["element", "weight"], rows)
         mass = w.stored_mass()
         records.append(

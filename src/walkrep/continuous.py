@@ -218,8 +218,8 @@ def element(m: int) -> tuple:
 def locally_finite_rho(chain: LocallyFiniteChain) -> np.ndarray:
     """rho = sum p_n lambda_n truncated at the chain end (tail q^n_max).
 
-    Each atom adds its terms in increasing n, as ``measures.mixture`` does,
-    so rho is bit-equal to the mixture for every q.
+    Each atom adds its terms in increasing n, as ``measures.build_weight``
+    does, so rho is bit-equal to that sum for every q.
     """
     rho = np.zeros(2**chain.n_max)
     for n in range(1, chain.n_max + 1):

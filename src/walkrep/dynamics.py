@@ -370,12 +370,12 @@ class TowerSpec:
         }
 
 
-def _shifted_pattern(spec: GroupSpec, pattern: dict, offset) -> dict:
-    return {groups.multiply(spec, p, offset): b for p, b in pattern.items()}
-
-
-def _patterns_compatible(a: dict, b: dict) -> bool:
-    return all(b.get(p, v) == v for p, v in a.items())
+def _compatible_with_shift(spec: GroupSpec, pattern: dict, m) -> bool:
+    """Whether ``pattern`` agrees with its translate by m, which holds
+    pattern[q] at q m: each cell p is checked against pattern[p m^-1], and
+    the scan stops at the first contradiction."""
+    m_inv = groups.inverse(spec, m)
+    return all(pattern.get(groups.multiply(spec, p, m_inv), v) == v for p, v in pattern.items())
 
 
 def rokhlin_tower(
@@ -430,9 +430,7 @@ def rokhlin_tower(
             )
 
     for m in groups.ball(spec, 2 * n):
-        if m != groups.identity(spec) and _patterns_compatible(
-            pattern, _shifted_pattern(spec, pattern, m)
-        ):
+        if m != groups.identity(spec) and _compatible_with_shift(spec, pattern, m):
             raise TowerConstructionError(
                 f"the marker is compatible with its shift by "
                 f"{groups.element_str(spec, m)}, so translates of the base can meet"

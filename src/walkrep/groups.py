@@ -21,9 +21,10 @@ certificate), and canonical inputs give canonical outputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .errors import CapacityError, DomainError, EmbeddingError, EncodingError
 
@@ -161,6 +162,15 @@ def multiply(spec: GroupSpec, a, b):
     return tuple(sorted(set(a) ^ set(b)))
 
 
+def translate(spec: GroupSpec, coords: np.ndarray, b) -> np.ndarray:
+    """The coordinates of g b for each row g of an (N, k) coordinate array,
+    on the integers, the lattices and the Heisenberg group."""
+    out = coords + np.reshape(b, -1)
+    if spec.kind == "heisenberg":
+        out[:, 2] += coords[:, 0] * b[1]
+    return out
+
+
 def inverse(spec: GroupSpec, a):
     if spec.kind == "integers":
         return -a
@@ -232,6 +242,23 @@ def element_str(spec: GroupSpec, g) -> str:
     return "{" + ",".join(str(c) for c in g) + "}"
 
 
+def ball_strs(spec: GroupSpec, n: int) -> list[str]:
+    """``element_str`` of each element of B_n, in ``sort_key`` order.
+
+    On a free group each word's string is made once, from its prefix's and
+    one letter, level by level as ``ball`` makes the words."""
+    if spec.kind != "free":
+        return [element_str(spec, g) for g in sorted(ball(spec, n), key=lambda g: sort_key(spec, g))]
+    letters = [c for c in range(-spec.d, spec.d + 1) if c]
+    chars = {c: element_str(spec, (c,)) for c in letters}
+    out = ["e"]
+    level = [("", 0)]
+    for _ in range(n):
+        level = [(s + chars[c], c) for s, last in level for c in letters if c != -last]
+        out.extend(s for s, _ in level)
+    return out
+
+
 def ball(spec: GroupSpec, n: int, cap: int = DEFAULT_BALL_CAP) -> list:
     """All elements of word length <= n.
 
@@ -255,21 +282,15 @@ def ball(spec: GroupSpec, n: int, cap: int = DEFAULT_BALL_CAP) -> list:
         out.sort(key=lambda g: sort_key(spec, g))
         return out
     if spec.kind == "free":
+        # extending each level's words, in order, by the letters in
+        # increasing order keeps every level in sort_key order
         _check_cap(free_ball_size(spec.d, n), cap)
+        letters = [c for c in range(-spec.d, spec.d + 1) if c]
         words = [()]
-        frontier = [()]
+        level = [()]
         for _ in range(n):
-            nxt = []
-            for w in frontier:
-                last = w[-1] if w else 0
-                for c in itertools.chain(
-                    range(1, spec.d + 1), range(-spec.d, 0)
-                ):
-                    if c != -last:
-                        nxt.append(w + (c,))
-            words.extend(nxt)
-            frontier = nxt
-        words.sort(key=lambda g: sort_key(spec, g))
+            level = [w + (c,) for w in level for c in letters if not w or c != -w[-1]]
+            words.extend(level)
         return words
     # heisenberg: breadth-first search over the 4 generators
     gens = generators(spec)
@@ -437,8 +458,6 @@ def subgroup_embed(
     seed: int = 0,
 ) -> Embedding:
     """Build an Embedding and spot-check the homomorphism law on random pairs."""
-    import numpy as np
-
     emb = Embedding(spec_sub, spec_amb, images)
     rng = np.random.default_rng(seed)
     pool = ball(spec_sub, check_radius)

@@ -11,7 +11,6 @@ fair-coin cylinder bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,6 @@ import numpy as np
 from . import dynamics, groups, measures
 from .dynamics import DynamicalSystem, PointHandle
 from .errors import DomainError
-from .measures import SparseMeasure
 
 
 @dataclass(frozen=True)
@@ -62,14 +60,11 @@ def rotation_eigenvalue(sys: DynamicalSystem, axis: int = 0) -> float:
     ) / (2.0 * d + 1.0)
 
 
-def bernoulli_indicator_l2(
-    rho_powers: list[SparseMeasure], n: int
-) -> float:
+def bernoulli_indicator_l2(walk: measures.LazyWalk, n: int) -> float:
     """Exact L2 deviation of a single-bit indicator: sqrt(rho^{*2n}(e)) / 2."""
-    if 2 * n > len(rho_powers):
-        raise DomainError("need rho powers up to 2n")
-    spec = rho_powers[0].spec
-    return math.sqrt(rho_powers[2 * n - 1].mass(groups.identity(spec))) / 2.0
+    if n >= len(walk.counts):
+        raise DomainError(f"need walk counts up to depth {n}")
+    return math.sqrt(walk.return_probability(n)) / 2.0
 
 
 def convergence_report(
@@ -91,15 +86,11 @@ def convergence_report(
     rho(e) > 0.
     """
     spec = sys.group
-    rho = measures.step_distribution(spec)
-    depth = 2 * n_max if sys.kind == "bernoulli" else n_max
-    rho_powers = measures.convolution_powers(spec, rho, depth)
+    walk = measures.lazy_walk(spec, n_max)
     probe = dynamics.probe_system(sys, "jrt", seed)
     points = [dynamics.sample_point(probe, i) for i in range(samples)]
-    # f(T_g x) once per point and per atom of the union of the supports
-    e = groups.identity(spec)
-    atoms = list(dict.fromkeys(itertools.chain([e], *(r.masses for r in rho_powers[:n_max]))))
-    col = {g: j for j, g in enumerate(atoms)}
+    # f(T_g x) once per point and per atom of B_n_max, in canonical order
+    atoms = sorted(groups.ball(spec, n_max), key=lambda g: groups.sort_key(spec, g))
     table = np.empty((samples, len(atoms)))
     for row, x in zip(table, points):
         row[:] = [f.evaluate(dynamics.act(sys, g, x)) for g in atoms]
@@ -107,13 +98,10 @@ def convergence_report(
     l2_dev: list[float] = []
     se_l2: list[float] = []
     for n in range(n_max + 1):
-        if n == 0:
-            averages = table[:, col[e]]
-        else:
-            rho_n = rho_powers[n - 1]
-            averages = np.zeros(samples)
-            for g in rho_n.support():
-                averages += table[:, col[g]] * rho_n.masses[g]
+        masses = walk.masses(n, atoms)
+        averages = np.zeros(samples)
+        for j in np.flatnonzero(masses):
+            averages += table[:, j] * masses[j]
         devs = averages - f.mean
         sup_dev.append(float(np.abs(devs).max()))
         second = devs * devs
@@ -127,7 +115,7 @@ def convergence_report(
     elif sys.kind == "bernoulli" and f.kind == "indicator" and len(f.payload.bits) == 1:
         # at n=0 the deviation of a fair bit from its mean is 1/2 exactly
         expected = [0.5] + [
-            bernoulli_indicator_l2(rho_powers, n) for n in range(1, n_max + 1)
+            bernoulli_indicator_l2(walk, n) for n in range(1, n_max + 1)
         ]
     envelope = [se * 4 for se in se_l2]
     trend_ok = all(
@@ -142,7 +130,7 @@ def convergence_report(
         "n_max": n_max,
         "samples": samples,
         "seed": seed,
-        "aperiodicity_witness": rho.mass(groups.identity(spec)),
+        "aperiodicity_witness": 1.0 / walk.steps,
         "sup_dev": sup_dev,
         "l2_dev": l2_dev,
         "l2_se": se_l2,

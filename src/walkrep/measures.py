@@ -1,16 +1,21 @@
-"""Step distributions, sparse convolution, and truncated walk weights.
+"""Walk weights from exact walk counts, and their translation certificates.
 
 The weight in force is w(g) = sum_{n>=1} p_n rho^{*n}(g) with p_n geometric,
 truncated at depth ``n_max`` and carrying the exact tail mass q^n_max.
-Tables retain every convolution power so that certificates can compare
-values at matched truncation depths (see ``weight_ratio``): the truncated
-one-step comparison
+Tables retain the weight truncated at every depth so that certificates can
+compare values at matched truncation depths (see ``weight_ratio``): the
+truncated one-step comparison
 
     sum_{n<=M} p_n rho^{*n}(g a)  <=  (2d+1) C  sum_{n<=M+1} p_n rho^{*n}(g)
 
 is an exact inequality for every g, while the naive ratio of a single table
 against itself fails near the support edge, where the deeper side of the
 translation loses more truncated mass than the shallow side.
+
+Every table is a float64 array over a cell index.  On a free group the cell
+of g is its word length |g| (the weight is radial); on the integers, the
+lattices and the Heisenberg group it is g itself, in a box that holds the
+ball B_n (see ``cell_box``).
 """
 
 from __future__ import annotations
@@ -19,106 +24,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from . import groups
 from .errors import CapacityError, DegenerateRestrictionError, DomainError
 from .groups import GroupSpec
 
 DEFAULT_SUPPORT_CAP = 10**6
-
-
-@dataclass
-class SparseMeasure:
-    """A finitely supported nonnegative measure; zero masses are dropped."""
-
-    spec: GroupSpec
-    masses: dict
-    symmetric: bool = False
-
-    def __post_init__(self):
-        self.masses = {g: m for g, m in self.masses.items() if m != 0.0}
-        for g, m in self.masses.items():
-            if m < 0:
-                raise DomainError(f"negative mass {m} at {g}")
-
-    def mass(self, g) -> float:
-        return self.masses.get(g, 0.0)
-
-    def total(self) -> float:
-        return sum(self.masses[g] for g in self.support())
-
-    def support(self) -> list:
-        return sorted(self.masses, key=lambda g: groups.sort_key(self.spec, g))
-
-    def check_symmetry(self) -> bool:
-        inv = groups.inverse
-        return all(
-            self.masses.get(inv(self.spec, g)) == m for g, m in self.masses.items()
-        )
-
-
-def step_distribution(spec: GroupSpec) -> SparseMeasure:
-    """Uniform mass 1/(2d+1) on the identity and the symmetric generators."""
-    gens = groups.generators(spec)
-    mass = 1.0 / (2 * spec.d + 1)
-    table = {groups.identity(spec): mass}
-    for a in gens:
-        table[a] = mass
-    return SparseMeasure(spec, table, symmetric=True)
-
-
-def convolve(
-    spec: GroupSpec,
-    mu: SparseMeasure,
-    nu: SparseMeasure,
-    cap: int = DEFAULT_SUPPORT_CAP,
-) -> SparseMeasure:
-    """(mu*nu)(g) = sum_h mu(g h^-1) nu(h), accumulated in canonical order."""
-    if mu.spec != spec or nu.spec != spec:
-        raise DomainError("measure specs do not match")
-    acc: dict = {}
-    mu_support = mu.support()
-    nu_support = nu.support()
-    multiply = groups.multiply
-    for x in mu_support:
-        mx = mu.masses[x]
-        for y in nu_support:
-            g = multiply(spec, x, y)
-            acc[g] = acc.get(g, 0.0) + mx * nu.masses[y]
-        if len(acc) > cap:
-            raise CapacityError(f"convolution support exceeds cap {cap}")
-    return SparseMeasure(spec, acc)
-
-
-def _mirror(spec: GroupSpec, measure: SparseMeasure) -> SparseMeasure:
-    """Force exact symmetry by copying each value from the canonical side.
-
-    Used for powers of a symmetric measure, whose symmetry is exact in exact
-    arithmetic but can drift by an ulp under floating-point summation order.
-    """
-    fixed: dict = {}
-    for g in measure.support():
-        gi = groups.inverse(spec, g)
-        rep = min(g, gi, key=lambda h: groups.sort_key(spec, h))
-        fixed[g] = measure.masses[rep]
-    return SparseMeasure(spec, fixed, symmetric=True)
-
-
-def convolution_powers(
-    spec: GroupSpec,
-    rho: SparseMeasure,
-    n: int,
-    cap: int = DEFAULT_SUPPORT_CAP,
-) -> list[SparseMeasure]:
-    """[rho, rho^{*2}, ..., rho^{*n}]."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    out = [rho]
-    for _ in range(n - 1):
-        nxt = convolve(spec, out[-1], rho, cap=cap)
-        if rho.symmetric:
-            nxt = _mirror(spec, nxt)
-        out.append(nxt)
-    return out
 
 
 @dataclass(frozen=True)
@@ -147,180 +59,259 @@ class WeightParams:
         return self.q**self.n_max
 
 
+def cell_box(spec: GroupSpec, radius: int) -> tuple[tuple, tuple]:
+    """``(offset, shape)`` of the cells that hold B_radius; ``offset`` is the
+    identity's cell.
+
+    A free group's cells are the word lengths 0..radius.  On the integers and
+    the lattices the box is [-radius, radius]^d.  On the Heisenberg group it
+    is [-radius, radius]^2 x [-m, m] with m = floor(radius^2 / 4): z gains
+    x v on each y-step, so |z| <= (#x-steps)(#y-steps) <= m.
+    """
+    if spec.kind == "free":
+        return (0,), (radius + 1,)
+    if spec.kind == "heisenberg":
+        radii = (radius, radius, radius * radius // 4)
+    else:
+        radii = (radius,) * spec.d
+    return radii, tuple(2 * r + 1 for r in radii)
+
+
+def _allocate(shape: tuple, dtype) -> np.ndarray:
+    size = math.prod(shape)
+    if size > DEFAULT_SUPPORT_CAP:
+        raise CapacityError(f"weight box of {size} cells exceeds cap {DEFAULT_SUPPORT_CAP}")
+    return np.zeros(shape, dtype=dtype)
+
+
+def _moves(spec: GroupSpec, offset: tuple, shape: tuple, steps) -> list:
+    """For each step s, the ``(source, destination)`` indices of the moves
+    g -> g s that stay in the box (``groups.translate`` on every cell)."""
+    cells = np.indices(shape).reshape(len(shape), -1).T - offset
+    out = []
+    for s in steps:
+        dest = groups.translate(spec, cells, s) + offset
+        inside = ((dest >= 0) & (dest < shape)).all(axis=1)
+        out.append((tuple((cells[inside] + offset).T), tuple(dest[inside].T)))
+    return out
+
+
 @dataclass
-class WeightTable:
+class _Cells:
+    """Arrays over the cells of ``cell_box``, read by element."""
+
+    spec: GroupSpec
+    offset: tuple
+
+    def cells(self, elements) -> np.ndarray:
+        """The (N, k) cell coordinates of ``elements``: word lengths on a
+        free group, the group coordinates on the other kinds."""
+        if self.spec.kind == "free":
+            elements = [len(g) for g in elements]
+        return np.array(elements, dtype=np.int64).reshape(-1, len(self.offset))
+
+    def _gather(self, array: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """``array`` at ``cells``; zero at cells outside the box."""
+        idx = cells + self.offset
+        inside = ((idx >= 0) & (idx < array.shape)).all(axis=1)
+        out = np.zeros(len(idx), dtype=array.dtype)
+        out[inside] = array[tuple(idx[inside].T)]
+        return out
+
+
+@dataclass
+class LazyWalk(_Cells):
+    """Exact walk counts of the lazy uniform step, which puts mass 1/(2d+1)
+    on the identity and on each symmetric generator.
+
+    ``counts[n]`` holds, in every cell, the number of n-step walks from e to
+    each element of the cell, as Python ints (3^40 > 2^63 on Z at depth 40).
+    So ``rho^{*n}(g) = counts[n][g] / (2d+1)^n`` is one correctly rounded
+    division, and it is exactly symmetric, since the counts are.
+    """
+
+    counts: tuple
+
+    @property
+    def steps(self) -> int:
+        return 2 * self.spec.d + 1
+
+    def rho(self, n: int) -> np.ndarray:
+        """rho^{*n} over the cells, each atom correctly rounded."""
+        return (self.counts[n] / self.steps**n).astype(np.float64)
+
+    def masses(self, n: int, elements) -> np.ndarray:
+        """rho^{*n} at ``elements``, each atom correctly rounded."""
+        return (self._gather(self.counts[n], self.cells(elements)) / self.steps**n).astype(np.float64)
+
+    def return_probability(self, n: int) -> float:
+        """rho^{*2n}(e) = sum_g rho^{*n}(g)^2 for the symmetric step, from
+        the integer sum of squared counts: one correctly rounded division."""
+        squares = self.counts[n] * self.counts[n]
+        if self.spec.kind == "free":
+            sizes = [groups.free_sphere_size(self.spec.d, k) for k in range(len(squares))]
+            squares = squares * np.array(sizes, dtype=object)
+        return int(squares.sum()) / self.steps ** (2 * n)
+
+
+def lazy_walk(spec: GroupSpec, depth: int) -> LazyWalk:
+    """Walk counts of the lazy uniform step for n = 0..depth, over
+    ``cell_box(spec, depth)``.
+
+    A free group runs the word-length chain on the count of one word of
+    each length k: its neighbours are itself, its parent and 2d-1 children
+    (2d children for e).  The other kinds add, to the identity step's
+    counts, the counts moved by each generator: on the Heisenberg group the
+    y-steps shear each x-slice, (x, y, z)(0, v, 0) = (x, y+v, z+xv).  Every
+    move that would leave the box starts from a cell of zero count.
+    """
+    if not spec.finitely_generated:
+        raise DomainError(f"{spec.kind} has no lazy uniform step")
+    offset, shape = cell_box(spec, depth)
+    count = _allocate(shape, object)
+    count[offset] = 1
+    counts = [count]
+    moves = [] if spec.kind == "free" else _moves(spec, offset, shape, groups.generators(spec))
+    for _ in range(depth):
+        nxt = count.copy()
+        if spec.kind == "free":
+            nxt[1:] += count[:-1]
+            nxt[1:-1] += (2 * spec.d - 1) * count[2:]
+            nxt[0] += 2 * spec.d * count[1]
+        for src, dst in moves:
+            nxt[dst] += count[src]
+        count = nxt
+        counts.append(count)
+    return LazyWalk(spec, offset, tuple(counts))
+
+
+def _law_powers(spec: GroupSpec, law: dict, depth: int) -> tuple[tuple, list]:
+    """``(offset, [rho, rho^{*2}, ..., rho^{*depth}])`` for a finitely
+    supported step law on the integers or a lattice, adding in floats the
+    moves by each atom in ``sort_key`` order.  A symmetric law's powers are
+    averaged with their reflection g -> -g, which makes them exactly
+    symmetric."""
+    if spec.kind not in ("integers", "lattice"):
+        raise DomainError(f"a custom step law needs an integer or lattice group, not {spec.kind}")
+    atoms = sorted(law, key=lambda g: groups.sort_key(spec, g))
+    reach = max(groups.word_length(spec, g) for g in atoms)
+    offset, shape = cell_box(spec, reach * depth)
+    symmetric = all(law.get(groups.inverse(spec, g)) == law[g] for g in atoms)
+    moves = _moves(spec, offset, shape, atoms)
+    power = _allocate(shape, np.float64)
+    power[offset] = 1.0
+    powers = []
+    for _ in range(depth):
+        nxt = np.zeros(shape)
+        for g, (src, dst) in zip(atoms, moves):
+            nxt[dst] += law[g] * power[src]
+        power = 0.5 * (nxt + np.flip(nxt)) if symmetric else nxt
+        powers.append(power)
+    return offset, powers
+
+
+@dataclass
+class WeightTable(_Cells):
     """Truncated weight w(g) = sum_{n<=n_max} p_n rho^{*n}(g).
 
-    ``powers`` retains every convolution power so depth-limited partial
-    weights are available; ``tail_bound`` = q^n_max is the exact mass of the
-    dropped terms.
+    ``partials[depth]`` is the weight truncated at ``depth``, a float64
+    array over the cells; ``tail_bound`` = q^n_max is the exact mass of the
+    dropped terms.  Elements outside the box carry no stored weight.
     """
 
-    spec: GroupSpec
     params: WeightParams
-    powers: tuple
-    table: dict
+    partials: tuple
     tail_bound: float
-    _partials: dict = field(default_factory=dict, repr=False)
-    _ball_masses: dict = field(default_factory=dict, repr=False)
+    _ball_masses: dict = field(default_factory=dict, init=False, repr=False)
+    _balls: dict = field(default_factory=dict, init=False, repr=False)
 
-    def weight(self, g) -> float:
-        return self.table.get(g, 0.0)
-
-    def support(self) -> list:
-        return sorted(self.table, key=lambda g: groups.sort_key(self.spec, g))
-
-    def stored_mass(self) -> float:
-        return sum(self.table[g] for g in self.support())
-
-    def partial_table(self, depth: int) -> dict:
-        """Weights truncated at ``depth`` <= n_max, cached per depth."""
+    def _depth(self, depth: int) -> np.ndarray:
         if not 0 <= depth <= self.params.n_max:
             raise DomainError(f"depth {depth} outside 0..{self.params.n_max}")
-        if depth == self.params.n_max:
-            return self.table
-        if depth not in self._partials:
-            self._partials[depth] = mixture(self.params, self.powers[:depth])
-        return self._partials[depth]
+        return self.partials[depth]
+
+    def read(self, cells: np.ndarray, depth: int | None = None) -> np.ndarray:
+        """The weight truncated at ``depth`` (by default n_max) at ``cells``."""
+        return self._gather(self._depth(self.params.n_max if depth is None else depth), cells)
 
     def partial_weight(self, g, depth: int) -> float:
-        return self.partial_table(depth).get(g, 0.0)
-
-    def mass_in_ball(self, n: int) -> float:
-        """Stored mass on B_n, summed in support order; cached per radius."""
-        if n not in self._ball_masses:
-            inside = set(groups.ball(self.spec, n))
-            self._ball_masses[n] = sum(self.table[g] for g in self.support() if g in inside)
-        return self._ball_masses[n]
-
-    def tail_mass_outside_ball(self, n: int) -> float:
-        """Conservative bound on the true w-mass outside B_n."""
-        return max(0.0, 1.0 - self.mass_in_ball(n)) + self.tail_bound
-
-
-def mixture(params: WeightParams, terms) -> dict:
-    """sum_n p_n mu_n over the measures mu_1, mu_2, ... of ``terms``.
-
-    Terms are added in order, each over its support in canonical order; every
-    weight table is summed this way, so equal inputs give bit-equal tables.
-    """
-    acc: dict = {}
-    for n, mu in enumerate(terms, start=1):
-        pn = params.p(n)
-        for g in mu.support():
-            acc[g] = acc.get(g, 0.0) + pn * mu.masses[g]
-    return acc
-
-
-@dataclass
-class RadialWeightTable:
-    """The lazy uniform walk's truncated weight on a free group, by word length.
-
-    ``profiles[depth][k]`` is the weight truncated at ``depth`` of every word
-    of length k <= depth (longer words carry none).  Lookups read ``len(g)``;
-    the atom dict ``table`` is built only when a caller asks for it.
-    """
-
-    spec: GroupSpec
-    params: WeightParams
-    profiles: tuple
-    tail_bound: float
-
-    def partial_weight(self, g, depth: int) -> float:
-        if not 0 <= depth <= self.params.n_max:
-            raise DomainError(f"depth {depth} outside 0..{self.params.n_max}")
-        row = self.profiles[depth]
-        return row[len(g)] if len(g) < len(row) else 0.0
+        return float(self.read(self.cells([g]), depth)[0])
 
     def weight(self, g) -> float:
         return self.partial_weight(g, self.params.n_max)
 
+    def ball(self, radius: int) -> tuple[list, np.ndarray]:
+        """``groups.ball(spec, radius)`` and its cells, cached per radius."""
+        if radius not in self._balls:
+            elements = groups.ball(self.spec, radius)
+            self._balls[radius] = elements, self.cells(elements)
+        return self._balls[radius]
+
     def support(self) -> list:
-        return groups.ball(self.spec, self.params.n_max)
+        """The elements of positive stored weight, in ``sort_key`` order."""
+        if self.spec.kind == "free":
+            return groups.ball(self.spec, self.params.n_max)
+        coords = (np.argwhere(self.partials[-1] > 0.0) - self.offset).tolist()
+        elements = [c[0] for c in coords] if self.spec.kind == "integers" else map(tuple, coords)
+        return sorted(elements, key=lambda g: groups.sort_key(self.spec, g))
 
     @cached_property
     def table(self) -> dict:
-        row = self.profiles[-1]
-        return {g: row[len(g)] for g in self.support()}
+        """The stored atoms as a dict, in ``support`` order."""
+        support = self.support()
+        return dict(zip(support, self.read(self.cells(support)).tolist()))
 
     def mass_in_ball(self, n: int) -> float:
-        """Stored mass on B_n: sphere sizes times the profile, by length."""
-        row = self.profiles[-1][: n + 1]
-        return sum(groups.free_sphere_size(self.spec.d, k) * wk for k, wk in enumerate(row))
+        """Stored mass on B_n, cached per radius: on a free group the sphere
+        sizes times the radial weight; elsewhere summed in ``sort_key`` order."""
+        if n not in self._ball_masses:
+            if self.spec.kind == "free":
+                row = self.partials[-1][: n + 1].tolist()
+                mass = sum(groups.free_sphere_size(self.spec.d, k) * wk for k, wk in enumerate(row))
+            else:
+                inside = sorted(groups.ball(self.spec, n), key=lambda g: groups.sort_key(self.spec, g))
+                mass = sum(self.read(self.cells(inside)).tolist())
+            self._ball_masses[n] = mass
+        return self._ball_masses[n]
 
     def stored_mass(self) -> float:
-        return self.mass_in_ball(self.params.n_max)
+        if self.spec.kind == "free":
+            return self.mass_in_ball(self.params.n_max)
+        return sum(self.table.values())
 
     def tail_mass_outside_ball(self, n: int) -> float:
         """Conservative bound on the true w-mass outside B_n."""
         return max(0.0, 1.0 - self.mass_in_ball(n)) + self.tail_bound
 
 
-def _radial_profiles(d: int, params: WeightParams) -> tuple:
-    """Partial weights by word length of the lazy uniform walk on F_d.
-
-    The walk's length is a birth-death chain: from 0 it moves up along 2d of
-    its 2d+1 steps, from k >= 1 it stays along 1, moves down along 1 and up
-    along 2d-1.  ``paths[k]`` counts the n-step walks ending at length k
-    exactly (integers), so ``rho^{*n}(g) = paths[|g|] / (S_|g| (2d+1)^n)``
-    is one correctly rounded division, with S_k = 2d (2d-1)^(k-1) the sphere
-    size.  Each depth adds ``p_n rho^{*n}`` in increasing n, as ``mixture``.
-    """
-    steps = 2 * d + 1
-    sizes = [groups.free_sphere_size(d, k) for k in range(params.n_max + 1)]
-    paths = [1]
-    acc = [0.0] * (params.n_max + 1)
-    profiles = [(0.0,)]
-    for n in range(1, params.n_max + 1):
-        nxt = paths + [0]
-        nxt[1] += 2 * d * paths[0]
-        for k in range(1, n):
-            nxt[k - 1] += paths[k]
-            nxt[k + 1] += (2 * d - 1) * paths[k]
-        paths = nxt
-        pn = params.p(n)
-        walks = steps**n
-        for k in range(n + 1):
-            acc[k] += pn * (paths[k] / (sizes[k] * walks))
-        profiles.append(tuple(acc[: n + 1]))
-    return tuple(profiles)
-
-
-def build_weight(
-    spec: GroupSpec,
-    params: WeightParams,
-    cap: int = DEFAULT_SUPPORT_CAP,
-    rho: SparseMeasure | None = None,
-) -> WeightTable | RadialWeightTable:
+def build_weight(spec: GroupSpec, params: WeightParams, rho: dict | None = None) -> WeightTable:
     """The truncated weight of the step law ``rho`` (by default the lazy
-    uniform step on the generators).
+    uniform step on the generators), as a ``WeightTable``.
 
-    On a free group with the default step the weight depends only on word
-    length, and the table is radial (``RadialWeightTable``): each atom of
-    ``rho^{*n}`` is one correctly rounded division of exact path counts, so
-    every weight is within ``(n_max + 1) u`` relative of the exact truncated
-    sum (u = 2^-53, the unit roundoff).  Convolving dicts instead loses up to
-    ``(2d + 3) n_max u``, so the two tables agree within
-    ``(2d + 4)(n_max + 1) u`` relative atom by atom; the dict convolution is
-    the test oracle there.  Every other group, and any other step law, goes
-    through ``convolution_powers`` and ``mixture``.
+    For the lazy step each atom of ``rho^{*n}`` is one correctly rounded
+    division of exact walk counts (``lazy_walk``), and each depth adds
+    ``p_n rho^{*n}`` in increasing n, so every weight, on every group kind,
+    is within ``(n_max + 1) u`` relative of the exact truncated sum (u =
+    2^-53, the unit roundoff), and w(g) = w(g^-1) exactly.  Convolving
+    dicts loses up to ``(2d + 3) n_max u``, so the two agree within
+    ``(2d + 4)(n_max + 1) u`` relative atom by atom; the dict convolution
+    is the test oracle.  Any other step law ``rho`` (a dict of element ->
+    mass, on the integers or a lattice) is convolved in floats over its
+    atoms; see ``_law_powers``.
     """
-    if spec.kind == "free" and rho is None:
-        return RadialWeightTable(
-            spec=spec,
-            params=params,
-            profiles=_radial_profiles(spec.d, params),
-            tail_bound=params.tail,
-        )
     if rho is None:
-        rho = step_distribution(spec)
-    powers = convolution_powers(spec, rho, params.n_max, cap=cap)
+        walk = lazy_walk(spec, params.n_max)
+        offset = walk.offset
+        powers = [walk.rho(n) for n in range(1, params.n_max + 1)]
+    else:
+        offset, powers = _law_powers(spec, rho, params.n_max)
+    acc = np.zeros_like(powers[0])
+    partials = [acc]
+    for n, rho_n in enumerate(powers, start=1):
+        acc = acc + params.p(n) * rho_n
+        partials.append(acc)
     return WeightTable(
-        spec=spec,
-        params=params,
-        powers=tuple(powers),
-        table=mixture(params, powers),
-        tail_bound=params.tail,
+        spec=spec, offset=offset, params=params, partials=tuple(partials), tail_bound=params.tail
     )
 
 
@@ -329,14 +320,22 @@ def translation_bound(spec: GroupSpec, params: WeightParams, length: int) -> flo
     return ((2 * spec.d + 1) * params.ratio_bound) ** length
 
 
-def weight_ratio(spec: GroupSpec, w: WeightTable | RadialWeightTable, b) -> dict:
+def translated_cells(w: WeightTable, elements: list, cells: np.ndarray, b) -> np.ndarray:
+    """The cells of g b for the g of ``elements`` (with ``cells`` their cells):
+    array arithmetic on a box kind, one product per element on a free group."""
+    if w.spec.kind == "free":
+        return w.cells([groups.multiply(w.spec, g, b) for g in elements])
+    return groups.translate(w.spec, cells, b)
+
+
+def weight_ratio(spec: GroupSpec, w: WeightTable, b) -> dict:
     """Certified two-sided translation bounds for w(g b) against w(g).
 
     Scans every g in the interior domain B(n_max - |b|).  The certified upper
     ratio compares the numerator truncated at depth n_max - |b| with the full
     denominator, which is the exact truncated form of the one-step translation bound;
     the report also carries the uncertified single-table ratio for reference.
-    A radial table takes the same values on each class of
+    A free group's table takes the same values on each class of
     ``groups.free_translation_classes``, so it scans one representative per
     class, counted with the class size.
     """
@@ -347,36 +346,34 @@ def weight_ratio(spec: GroupSpec, w: WeightTable | RadialWeightTable, b) -> dict
         raise DomainError(f"|b|={length} leaves no interior domain (n_max={n_max})")
     bound = translation_bound(spec, params=w.params, length=length)
     depth = n_max - length
-    if isinstance(w, RadialWeightTable):
-        domain = groups.free_translation_classes(spec, b, depth)
+    if spec.kind == "free":
+        classes = groups.free_translation_classes(spec, b, depth)
+        domain = [g for g, _ in classes]
+        sizes = np.array([size for _, size in classes], dtype=object)
+        cells = w.cells(domain)
     else:
-        domain = ((g, 1) for g in groups.ball(spec, depth))
-    upper_max = 0.0
-    lower_min = math.inf
-    plain_max = 0.0
-    evaluated = 0
-    for g, count in domain:
-        gb = groups.multiply(spec, g, b)
-        den = w.weight(g)
-        full_gb = w.weight(gb)
-        if den > 0.0:
-            evaluated += count
-            upper_max = max(upper_max, w.partial_weight(gb, depth) / den)
-            if full_gb > 0.0:
-                plain_max = max(plain_max, full_gb / den)
-        num_g = w.partial_weight(g, depth)
-        if full_gb > 0.0 and num_g > 0.0:
-            lower_min = min(lower_min, full_gb / num_g)
+        domain, cells = w.ball(depth)
+        sizes = np.ones(len(domain), dtype=np.int64)
+    moved = translated_cells(w, domain, cells, b)
+    den, num_g = w.read(cells), w.read(cells, depth)
+    full_gb, part_gb = w.read(moved), w.read(moved, depth)
+    counted = den > 0.0
+    evaluated = int(sizes[counted].sum())
     if evaluated == 0:
         raise DomainError("empty evaluation domain for weight ratio")
-    lower_ok = lower_min is math.inf or lower_min >= 1.0 / bound / (1 + 1e-12)
+    upper_max = float((part_gb[counted] / den[counted]).max())
+    plain = counted & (full_gb > 0.0)
+    plain_max = float((full_gb[plain] / den[plain]).max(initial=0.0))
+    lower = (full_gb > 0.0) & (num_g > 0.0)
+    lower_min = float((full_gb[lower] / num_g[lower]).min(initial=math.inf))
+    lower_ok = lower_min == math.inf or lower_min >= 1.0 / bound / (1 + 1e-12)
     return {
         "b": groups.element_str(spec, b),
         "word_length": length,
         "bound": bound,
         "lower_bound": 1.0 / bound,
         "observed_max": upper_max,
-        "observed_min": None if lower_min is math.inf else lower_min,
+        "observed_min": None if lower_min == math.inf else lower_min,
         "plain_table_max": plain_max,
         "numerator_depth": depth,
         "denominator_depth": n_max,
@@ -386,32 +383,24 @@ def weight_ratio(spec: GroupSpec, w: WeightTable | RadialWeightTable, b) -> dict
     }
 
 
-def restrict_renormalize(
-    w_amb: WeightTable | RadialWeightTable, emb: groups.Embedding
-) -> SparseMeasure:
+def restrict_renormalize(w_amb: WeightTable, emb: groups.Embedding) -> dict:
     """Pull the ambient weight back along an embedding and renormalize.
 
-    The result is a probability measure on the subgroup, supported on the
-    window of subgroup elements whose images carry stored ambient weight.
+    The result is a probability law on the subgroup, as a dict of element ->
+    mass in ``groups.ball`` order, supported on the window of subgroup
+    elements whose images carry stored ambient weight.
     """
     sub = emb.spec_sub
     window = groups.ball(sub, w_amb.params.n_max)
-    table: dict = {}
-    for h in window:
-        val = w_amb.weight(emb.map(h))
-        if val > 0.0:
-            table[h] = val
+    values = w_amb.read(w_amb.cells([emb.map(h) for h in window])).tolist()
+    table = {h: v for h, v in zip(window, values) if v > 0.0}
     total = sum(table[h] for h in sorted(table, key=lambda g: groups.sort_key(sub, g)))
     if total <= 0.0:
         raise DegenerateRestrictionError("restricted weight has zero mass")
-    out = SparseMeasure(sub, {h: v / total for h, v in table.items()})
-    out.symmetric = out.check_symmetry()
-    return out
+    return {h: v / total for h, v in table.items()}
 
 
-def restricted_ratio_certificate(
-    w_amb: WeightTable | RadialWeightTable, emb: groups.Embedding, b_sub
-) -> dict:
+def restricted_ratio_certificate(w_amb: WeightTable, emb: groups.Embedding, b_sub) -> dict:
     """Two-sided translation bounds for the restricted measure.
 
     Checked at the ambient level at matched truncation depths (the common
@@ -426,24 +415,18 @@ def restricted_ratio_certificate(
     if depth < 0:
         raise DomainError("translation image longer than stored depth")
     bound = translation_bound(amb, w_amb.params, length)
-    window = groups.ball(sub, depth)
-    upper_max = 0.0
-    lower_min = float("inf")
-    count = 0
-    for h in window:
-        img = emb.map(h)
-        img_b = groups.multiply(amb, img, b_amb)
-        den = w_amb.weight(img)
-        if den <= 0.0:
-            continue
-        count += 1
-        upper_max = max(upper_max, w_amb.partial_weight(img_b, depth) / den)
-        full_b = w_amb.weight(img_b)
-        part_h = w_amb.partial_weight(img, depth)
-        if full_b > 0.0 and part_h > 0.0:
-            lower_min = min(lower_min, full_b / part_h)
+    images = [emb.map(h) for h in groups.ball(sub, depth)]
+    cells = w_amb.cells(images)
+    moved = translated_cells(w_amb, images, cells, b_amb)
+    den, part_h = w_amb.read(cells), w_amb.read(cells, depth)
+    full_b, part_b = w_amb.read(moved), w_amb.read(moved, depth)
+    counted = den > 0.0
+    count = int(counted.sum())
     if count == 0:
         raise DomainError("empty evaluation window for restricted ratios")
+    upper_max = float((part_b[counted] / den[counted]).max())
+    lower = counted & (full_b > 0.0) & (part_h > 0.0)
+    lower_min = float((full_b[lower] / part_h[lower]).min(initial=math.inf))
     return {
         "b": groups.element_str(sub, b_sub),
         "bound": bound,

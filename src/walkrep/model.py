@@ -572,7 +572,7 @@ def distances(window: list, values: np.ndarray, ball: BallSpec, w: WeightTable) 
     diff = np.zeros((len(values), len(atoms)))
     diff[:, [index[g] for g in window]] = values
     diff[:, [index[g] for g in coeffs]] -= list(coeffs.values())
-    weight = np.array([w.weight(g) for g in atoms])
+    weight = w.read(w.cells(atoms))
     stored = weight != 0.0
     terms = diff[:, stored] * diff[:, stored] * weight[stored]
     inside = np.cumsum(terms, axis=1)[:, -1] if terms.shape[1] else np.zeros(len(values))
@@ -717,7 +717,8 @@ def verify_patch(
     draws = samples or config.base_samples
     gen = dynamics.conditional_base_sampler(tower, seed=config.seed + stage_index)
     points = [next(gen) for _ in range(draws)]
-    window = groups.ball(spec, stage.patch.n)
+    window, cells = w.ball(stage.patch.n)
+    weights = w.read(cells).tolist()
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(stage.patch.n))
     center = ball.center_dict()
     mismatches = 0
@@ -731,11 +732,11 @@ def verify_patch(
                 continue
             n_eval += 1
             dist2 = 0.0
-            for g, value in zip(window, row):
+            for g, value, weight in zip(window, row, weights):
                 diff = value - center.get(g, 0.0)
                 if stage.split is None and diff != 0.0:
                     mismatches += 1
-                dist2 += diff * diff * w.weight(g)
+                dist2 += diff * diff * weight
             worst = max(worst, math.sqrt(dist2) + tail)
     return {
         "draws": n_eval,

@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import groups, measures
 from .errors import DomainError
 from .groups import GroupSpec
-from .measures import RadialWeightTable, WeightParams, WeightTable
+from .measures import WeightParams, WeightTable
 
 PASS_SLACK = 1e-9
 
 
-def operator_norm_certificate(
-    spec: GroupSpec, w: WeightTable | RadialWeightTable, a
-) -> dict:
+def operator_norm_certificate(spec: GroupSpec, w: WeightTable, a) -> dict:
     """Certify ||S_a|| <= sqrt((2d+1) C) on the truncated table.
 
     The domain is vectors supported in B(n_max-1), normed by the full-depth
@@ -40,18 +40,16 @@ def operator_norm_certificate(
         raise DomainError("certificate expects a symmetric generator")
     bound = math.sqrt((2 * spec.d + 1) * w.params.ratio_bound)
     n_max = w.params.n_max
-    atom_max = 0.0
-    atom_arg = None
-    a_inv = groups.inverse(spec, a)
-    for g in groups.ball(spec, n_max - 1):
-        den = w.weight(g)
-        if den <= 0.0:
-            continue
-        num = w.partial_weight(groups.multiply(spec, g, a_inv), n_max - 1)
-        r = math.sqrt(num / den)
-        if r > atom_max:
-            atom_max = r
-            atom_arg = g
+    ball, cells = w.ball(n_max - 1)
+    moved = measures.translated_cells(w, ball, cells, groups.inverse(spec, a))
+    den = w.read(cells)
+    num = w.read(moved, n_max - 1)
+    ratios = np.zeros(len(ball))
+    stored = den > 0.0
+    ratios[stored] = np.sqrt(num[stored] / den[stored])
+    k = int(ratios.argmax())  # the first atom of the largest ratio, in ball order
+    atom_max = float(ratios[k])
+    atom_arg = ball[k] if atom_max > 0.0 else None
     return {
         "group": spec.to_dict(),
         "a": groups.element_str(spec, a),
@@ -64,7 +62,7 @@ def operator_norm_certificate(
 
 
 def subgroup_norm_certificate(
-    w_amb: WeightTable | RadialWeightTable,
+    w_amb: WeightTable,
     emb: groups.Embedding,
     g0,
     second_params: WeightParams | None = None,
@@ -92,21 +90,15 @@ def subgroup_norm_certificate(
     m_g0 = measures.translation_bound(amb, w_amb.params, length)
     w_sub = measures.build_weight(sub, second_params, rho=rho_g)
     # interior window: one base-window radius in from the support edge
-    base_radius = max(
-        groups.word_length(sub, h) for h in rho_g.support()
-    )
+    base_radius = max(groups.word_length(sub, h) for h in rho_g)
     interior = base_radius * (second_params.n_max - 1)
     interior = max(interior - length, 1)
-    g0_inv = groups.inverse(sub, g0)
-    atom_max = 0.0
-    n_pool = 0
-    for g in groups.ball(sub, interior):
-        den = w_sub.weight(g)
-        num = w_sub.weight(groups.multiply(sub, g, g0_inv))
-        if den > 0.0 and num > 0.0:
-            n_pool += 1
-            atom_max = max(atom_max, math.sqrt(num / den))
-    if not n_pool:
+    ball, cells = w_sub.ball(interior)
+    den = w_sub.read(cells)
+    num = w_sub.read(measures.translated_cells(w_sub, ball, cells, groups.inverse(sub, g0)))
+    pool = (den > 0.0) & (num > 0.0)
+    atom_max = float(np.sqrt(num[pool] / den[pool]).max(initial=0.0))
+    if not pool.any():
         raise DomainError("empty interior domain for subgroup certificate")
     return {
         "g0": groups.element_str(sub, g0),

@@ -1,0 +1,123 @@
+"""Finitely supported measures as dicts, convolved atom by atom: the test
+oracle for the walk-count weight tables of ``walkrep.measures``, for
+``markov.convergence_report`` and for the F_2-chain kernel of
+``walkrep.continuous``.
+
+``convolve`` multiplies every pair of atoms with ``groups.multiply`` and
+accumulates in canonical order, so it works on every group kind, including
+z2sum; ``dict_weight`` is the weight table it gives.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from walkrep import groups
+from walkrep.errors import DomainError
+from walkrep.groups import GroupSpec
+from walkrep.measures import WeightParams
+
+
+@dataclass
+class SparseMeasure:
+    """A finitely supported nonnegative measure; zero masses are dropped."""
+
+    spec: GroupSpec
+    masses: dict
+    symmetric: bool = False
+
+    def __post_init__(self):
+        self.masses = {g: m for g, m in self.masses.items() if m != 0.0}
+        for g, m in self.masses.items():
+            if m < 0:
+                raise DomainError(f"negative mass {m} at {g}")
+
+    def mass(self, g) -> float:
+        return self.masses.get(g, 0.0)
+
+    def total(self) -> float:
+        return sum(self.masses[g] for g in self.support())
+
+    def support(self) -> list:
+        return sorted(self.masses, key=lambda g: groups.sort_key(self.spec, g))
+
+    def check_symmetry(self) -> bool:
+        inv = groups.inverse
+        return all(self.masses.get(inv(self.spec, g)) == m for g, m in self.masses.items())
+
+
+def step_distribution(spec: GroupSpec) -> SparseMeasure:
+    """Uniform mass 1/(2d+1) on the identity and the symmetric generators."""
+    mass = 1.0 / (2 * spec.d + 1)
+    table = {groups.identity(spec): mass}
+    for a in groups.generators(spec):
+        table[a] = mass
+    return SparseMeasure(spec, table, symmetric=True)
+
+
+def convolve(spec: GroupSpec, mu: SparseMeasure, nu: SparseMeasure) -> SparseMeasure:
+    """(mu*nu)(g) = sum_h mu(g h^-1) nu(h), accumulated in canonical order."""
+    acc: dict = {}
+    for x in mu.support():
+        mx = mu.masses[x]
+        for y in nu.support():
+            g = groups.multiply(spec, x, y)
+            acc[g] = acc.get(g, 0.0) + mx * nu.masses[y]
+    return SparseMeasure(spec, acc)
+
+
+def mirror(spec: GroupSpec, measure: SparseMeasure) -> SparseMeasure:
+    """Force exact symmetry by copying each value from the canonical side."""
+    fixed = {}
+    for g in measure.support():
+        rep = min(g, groups.inverse(spec, g), key=lambda h: groups.sort_key(spec, h))
+        fixed[g] = measure.masses[rep]
+    return SparseMeasure(spec, fixed, symmetric=True)
+
+
+def convolution_powers(spec: GroupSpec, rho: SparseMeasure, n: int) -> list:
+    """[rho, rho^{*2}, ..., rho^{*n}]."""
+    out = [rho]
+    for _ in range(n - 1):
+        nxt = convolve(spec, out[-1], rho)
+        out.append(mirror(spec, nxt) if rho.symmetric else nxt)
+    return out
+
+
+def mixture(params: WeightParams, terms) -> dict:
+    """sum_n p_n mu_n over the measures mu_1, mu_2, ... of ``terms``, each
+    added over its support in canonical order."""
+    acc: dict = {}
+    for n, mu in enumerate(terms, start=1):
+        pn = params.p(n)
+        for g in mu.support():
+            acc[g] = acc.get(g, 0.0) + pn * mu.masses[g]
+    return acc
+
+
+@dataclass
+class DictWeight:
+    """The truncated weight as one dict per depth."""
+
+    spec: GroupSpec
+    params: WeightParams
+    partials: list
+
+    @property
+    def table(self) -> dict:
+        return self.partials[-1]
+
+    def partial_weight(self, g, depth: int) -> float:
+        return self.partials[depth].get(g, 0.0)
+
+    def weight(self, g) -> float:
+        return self.table.get(g, 0.0)
+
+    def support(self) -> list:
+        return sorted(self.table, key=lambda g: groups.sort_key(self.spec, g))
+
+
+def dict_weight(spec: GroupSpec, params: WeightParams, rho: SparseMeasure | None = None) -> DictWeight:
+    """The weight of ``rho`` (by default the lazy step) by dict convolution."""
+    powers = convolution_powers(spec, rho or step_distribution(spec), params.n_max)
+    return DictWeight(spec, params, [mixture(params, powers[:k]) for k in range(params.n_max + 1)])

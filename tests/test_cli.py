@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from walkrep import cli, config, continuous, model
+from walkrep import cli, config, continuous, groups, measures, model
 from walkrep.errors import ConfigError
 
 
@@ -150,6 +152,34 @@ def test_weights_csv_row_count(tmp_path):
     assert len(rows) - 1 == 17  # |B_8| on the integers
     rows2 = (tmp_path / "out" / "weights" / "second_group_weights.csv").read_text().strip().split("\n")
     assert len(rows2) - 1 == 2 * 3**4 - 1  # |B_4| in the rank-2 free group
+
+
+@pytest.mark.parametrize(
+    "group,second",
+    [({"kind": "integers", "d": 1}, {"kind": "free", "d": 2}),
+     ({"kind": "lattice", "d": 2}, {"kind": "heisenberg", "d": 2})],
+    ids=["Z-F2", "Z2-H"],
+)
+def test_weights_csv_matches_element_str_rows(tmp_path, group, second):
+    # the CSV rows, written without a per-word join, against element_str rows
+    body = {
+        "group": group, "weights": {"q": 0.5, "n_max": 5},
+        "second_group": second, "second_weights": {"q": 0.3, "n_max": 4},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(body))
+    assert cli.main(["weights", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    for label, spec_body, n_max, q in (("group", group, 5, 0.5), ("second_group", second, 4, 0.3)):
+        spec = groups.GroupSpec(spec_body["kind"], spec_body["d"])
+        w = measures.build_weight(spec, measures.WeightParams(q, n_max))
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["element", "weight"])
+        writer.writerows([groups.element_str(spec, g), repr(w.weight(g))] for g in w.support())
+        got = (tmp_path / "out" / "weights" / f"{label}_weights.csv").read_bytes()
+        assert got == want.getvalue().encode()
+        assert b"np.float64" not in got
+        assert all(type(w.weight(g)) is float for g in w.support())
 
 
 def test_seed_override_changes_digested_config(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convolution as oracle
 from walkrep import continuous, groups, measures
 from walkrep.errors import DomainError
 
@@ -113,22 +114,22 @@ def test_locally_finite_rho_masses():
     assert abs(rho.sum() - sum(p(n) for n in range(1, 11))) < 1e-12
 
 
-# -- the F_2 kernel against the dict oracle (measures.convolve on tuples) --
+# -- the F_2 kernel against the dict oracle (convolution.convolve on tuples) --
 
 
-def _sparse(chain, arr) -> measures.SparseMeasure:
-    return measures.SparseMeasure(
+def _sparse(chain, arr) -> oracle.SparseMeasure:
+    return oracle.SparseMeasure(
         chain.spec, {g: float(arr[continuous.mask(g)]) for g in chain.subgroup(chain.n_max)}
     )
 
 
 def _dict_chain(chain) -> tuple:
     lams = [
-        measures.SparseMeasure(chain.spec, dict.fromkeys(chain.subgroup(n), 2.0**-n))
+        oracle.SparseMeasure(chain.spec, dict.fromkeys(chain.subgroup(n), 2.0**-n))
         for n in range(1, chain.n_max + 1)
     ]
-    rho = measures.SparseMeasure(chain.spec, measures.mixture(chain.params, lams))
-    return rho, measures.convolve(chain.spec, rho, rho)
+    rho = oracle.SparseMeasure(chain.spec, oracle.mixture(chain.params, lams))
+    return rho, oracle.convolve(chain.spec, rho, rho)
 
 
 def test_mask_element_round_trip():
@@ -148,7 +149,7 @@ def test_xor_convolve_equals_dict_convolution_on_dyadic_masses(data):
     mu = np.array(data.draw(ints), dtype=float) * 2.0**-10
     nu = np.array(data.draw(ints), dtype=float) * 2.0**-10
     got = continuous.xor_convolve(mu, nu)
-    want = measures.convolve(chain.spec, _sparse(chain, mu), _sparse(chain, nu))
+    want = oracle.convolve(chain.spec, _sparse(chain, mu), _sparse(chain, nu))
     for g in chain.subgroup(n):
         assert got[continuous.mask(g)] == want.mass(g)
 

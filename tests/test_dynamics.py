@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkrep import dynamics, groups, stats
 from walkrep.errors import TowerConstructionError
@@ -135,6 +137,15 @@ def test_tower_lattice(z_spec):
     assert tower.mu_bn_upper() < 0.05
 
 
+def _shifted_pattern(spec, pattern, offset):
+    return {groups.multiply(spec, p, offset): b for p, b in pattern.items()}
+
+
+def _patterns_compatible(a, b):
+    """The dict oracle of the tower's self-avoidance scan."""
+    return all(b.get(p, v) == v for p, v in a.items())
+
+
 def _old_lattice_marker(spec, length):
     """The lattice marker before self-avoidance: a block of ones and a
     single 0 cell past it along the first axis."""
@@ -155,13 +166,26 @@ def test_marker_self_avoiding_scan(d):
             pattern = dynamics._marker_pattern(spec, s)
             for m in shifts:
                 scanned += 1
-                compatible += dynamics._patterns_compatible(
-                    pattern, dynamics._shifted_pattern(spec, pattern, m)
-                )
+                compatible += _patterns_compatible(pattern, _shifted_pattern(spec, pattern, m))
+                assert dynamics._compatible_with_shift(spec, pattern, m) is False
     assert scanned > 0 and compatible == 0
     if d > 1:
         old = _old_lattice_marker(spec, 2)
-        assert dynamics._patterns_compatible(old, dynamics._shifted_pattern(spec, old, (1,) + (1,) * (d - 1)))
+        m = (1,) + (1,) * (d - 1)
+        assert _patterns_compatible(old, _shifted_pattern(spec, old, m))
+        assert dynamics._compatible_with_shift(spec, old, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shift_scan_matches_shifted_dict(data):
+    # random patterns on Z^2, compatible with some shifts and not others
+    spec = groups.GroupSpec("lattice", 2)
+    cells = data.draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=8, unique=True))
+    pattern = {p: data.draw(st.integers(0, 1)) for p in cells}
+    for m in groups.ball(spec, 4):
+        want = _patterns_compatible(pattern, _shifted_pattern(spec, pattern, m))
+        assert dynamics._compatible_with_shift(spec, pattern, m) is want
 
 
 def test_tower_rejects_overlapping_marker(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import convolution as oracle
 from walkrep import dynamics, groups, markov, measures, stats
 
 
@@ -33,9 +34,7 @@ def markov_average(sys, f, n, x, rho_powers):
 def contraction_report(sys, f, n_max, samples, seed=0):
     """Sampled sup |A^n f| <= bound, and positivity for nonnegative f."""
     spec = sys.group
-    rho_powers = measures.convolution_powers(
-        spec, measures.step_distribution(spec), max(n_max, 1)
-    )
+    rho_powers = oracle.convolution_powers(spec, oracle.step_distribution(spec), max(n_max, 1))
     probe = dynamics.probe_system(sys, "contr", seed)
     worst = 0.0
     min_val = math.inf
@@ -53,11 +52,19 @@ def contraction_report(sys, f, n_max, samples, seed=0):
     }
 
 
-def per_point_deviations(sys, f, n_max, samples, seed):
+def walk_powers(spec, n_max):
+    """rho^{*1..n_max} as dict measures read from ``measures.lazy_walk``: the
+    very masses convergence_report sums."""
+    walk = measures.lazy_walk(spec, n_max)
+    powers = []
+    for n in range(1, n_max + 1):
+        ball = groups.ball(spec, n)
+        powers.append(oracle.SparseMeasure(spec, dict(zip(ball, walk.masses(n, ball).tolist()))))
+    return powers
+
+
+def per_point_deviations(sys, f, n_max, samples, seed, rho_powers):
     """sup_dev, l2_dev and l2_se of convergence_report from markov_average."""
-    spec = sys.group
-    depth = 2 * n_max if sys.kind == "bernoulli" else n_max
-    rho_powers = measures.convolution_powers(spec, measures.step_distribution(spec), depth)
     probe = dynamics.probe_system(sys, "jrt", seed)
     points = [dynamics.sample_point(probe, i) for i in range(samples)]
     sup_dev, l2_dev, se_l2 = [], [], []
@@ -90,14 +97,34 @@ def test_tabled_report_equals_per_point_average(spec, kind):
     rep = markov.convergence_report(sys, f, n_max=n_max, samples=60, seed=5)
     # bit for bit: each lane does the scalar loop's float operations in order
     assert (rep["sup_dev"], rep["l2_dev"], rep["l2_se"]) == per_point_deviations(
-        sys, f, n_max, 60, 5
+        sys, f, n_max, 60, 5, walk_powers(spec, n_max)
     )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [groups.GroupSpec("integers"), _Z2, groups.GroupSpec("free", 2), groups.GroupSpec("heisenberg", 2)],
+    ids=["Z", "Z2", "F2", "H"],
+)
+def test_bernoulli_report_matches_dict_convolution(spec):
+    # the walk-count masses against the dict convolution, on all four kinds
+    sys = dynamics.bernoulli_system(spec, seed=33)
+    e = groups.identity(spec)
+    f = markov.indicator_observable(dynamics.CylinderSet.from_dict(spec, {e: 1}))
+    n_max = 4
+    rep = markov.convergence_report(sys, f, n_max=n_max, samples=40, seed=7)
+    powers = oracle.convolution_powers(spec, oracle.step_distribution(spec), 2 * n_max)
+    want = per_point_deviations(sys, f, n_max, 40, 7, powers[:n_max])
+    for got, ref in zip((rep["sup_dev"], rep["l2_dev"], rep["l2_se"]), want):
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+    exact = [0.5] + [math.sqrt(powers[2 * n - 1].mass(e)) / 2.0 for n in range(1, n_max + 1)]
+    assert rep["expected_l2"] == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_n_zero_returns_observable(z_spec, z_bernoulli):
     f = markov.indicator_observable(dynamics.CylinderSet.from_dict(z_spec, {0: 1}))
     x = dynamics.sample_point(z_bernoulli, 0)
-    powers = measures.convolution_powers(z_spec, measures.step_distribution(z_spec), 2)
+    powers = oracle.convolution_powers(z_spec, oracle.step_distribution(z_spec), 2)
     assert markov_average(z_bernoulli, f, 0, x, powers) == f.evaluate(x)
 
 
@@ -105,7 +132,7 @@ def test_rotation_eigenfunction(z_spec):
     sys_r = dynamics.rotation_system(z_spec, seed=2)
     lam = markov.rotation_eigenvalue(sys_r)
     f = markov.cos_observable(0)
-    powers = measures.convolution_powers(z_spec, measures.step_distribution(z_spec), 6)
+    powers = oracle.convolution_powers(z_spec, oracle.step_distribution(z_spec), 6)
     for draw in range(5):
         x = dynamics.sample_point(sys_r, draw)
         for n in range(1, 7):
@@ -120,7 +147,7 @@ def test_lattice_rotation_eigenfunction():
     sys_r = dynamics.rotation_system(z2, seed=3)
     lam = markov.rotation_eigenvalue(sys_r, 0)
     f = markov.cos_observable(0)
-    powers = measures.convolution_powers(z2, measures.step_distribution(z2), 4)
+    powers = oracle.convolution_powers(z2, oracle.step_distribution(z2), 4)
     x = dynamics.sample_point(sys_r, 0)
     for n in range(1, 5):
         got = markov_average(sys_r, f, n, x, powers)
@@ -129,7 +156,7 @@ def test_lattice_rotation_eigenfunction():
 
 def test_bernoulli_average_is_convex_combination(z_spec, z_bernoulli):
     f = markov.indicator_observable(dynamics.CylinderSet.from_dict(z_spec, {0: 1}))
-    powers = measures.convolution_powers(z_spec, measures.step_distribution(z_spec), 8)
+    powers = oracle.convolution_powers(z_spec, oracle.step_distribution(z_spec), 8)
     for draw in range(10):
         x = dynamics.sample_point(z_bernoulli, draw)
         for n in (1, 4, 8):
@@ -139,7 +166,7 @@ def test_bernoulli_average_is_convex_combination(z_spec, z_bernoulli):
 
 def test_constant_observable_fixed(z_spec, z_bernoulli):
     const = markov.ObservableSpec("indicator", dynamics.CylinderSet.from_dict(z_spec, {}), 1.0, 1.0)
-    powers = measures.convolution_powers(z_spec, measures.step_distribution(z_spec), 5)
+    powers = oracle.convolution_powers(z_spec, oracle.step_distribution(z_spec), 5)
     x = dynamics.sample_point(z_bernoulli, 0)
     for n in range(6):
         assert abs(markov_average(z_bernoulli, const, n, x, powers) - 1.0) < 1e-12
@@ -168,10 +195,12 @@ def test_bernoulli_variance_formula(z_spec, z_bernoulli):
 
 
 def test_exact_l2_formula_against_direct_sum(z_spec):
-    powers = measures.convolution_powers(z_spec, measures.step_distribution(z_spec), 12)
+    powers = oracle.convolution_powers(z_spec, oracle.step_distribution(z_spec), 12)
+    walk = measures.lazy_walk(z_spec, 6)
     for n in (1, 3, 6):
         direct = math.sqrt(sum(m * m for m in powers[n - 1].masses.values())) / 2.0
-        assert abs(markov.bernoulli_indicator_l2(powers, n) - direct) < 1e-14
+        assert abs(markov.bernoulli_indicator_l2(walk, n) - direct) < 1e-14
+        assert abs(markov.bernoulli_indicator_l2(walk, n) - math.sqrt(powers[2 * n - 1].mass(0)) / 2.0) < 1e-15
 
 
 def test_contraction_and_positivity(z_spec, z_bernoulli):
@@ -185,7 +214,7 @@ def test_self_adjointness_proxy(z_spec, z_bernoulli):
     # <A f, g> == <f, A g> within Monte-Carlo error for a symmetric step law
     f = markov.indicator_observable(dynamics.CylinderSet.from_dict(z_spec, {0: 1}))
     g = markov.indicator_observable(dynamics.CylinderSet.from_dict(z_spec, {2: 1}))
-    powers = measures.convolution_powers(z_spec, measures.step_distribution(z_spec), 1)
+    powers = oracle.convolution_powers(z_spec, oracle.step_distribution(z_spec), 1)
     probe = dynamics.bernoulli_system(z_spec, seed=404)
     n = 20_000
     lhs = []

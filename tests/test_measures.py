@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,47 +7,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convolution as oracle
 from walkrep import groups, measures
-from walkrep.errors import DegenerateRestrictionError, DomainError
+from walkrep.errors import CapacityError, DegenerateRestrictionError, DomainError
 
 
 def test_step_distribution_z(z_spec):
-    rho = measures.step_distribution(z_spec)
-    assert rho.masses == {-1: 1 / 3, 0: 1 / 3, 1: 1 / 3}
-    assert rho.symmetric
+    walk = measures.lazy_walk(z_spec, 1)
+    assert walk.counts[1].tolist() == [1, 1, 1]
+    assert walk.masses(1, [-1, 0, 1]).tolist() == [1 / 3, 1 / 3, 1 / 3]
+    assert walk.masses(1, [2, -2]).tolist() == [0.0, 0.0]
 
 
 def test_step_distribution_f2(f2_spec):
-    rho = measures.step_distribution(f2_spec)
-    assert len(rho.masses) == 5
-    assert all(abs(m - 0.2) < 1e-15 for m in rho.masses.values())
-    assert rho.mass((1,)) == rho.mass((-1,)) == 0.2
+    walk = measures.lazy_walk(f2_spec, 1)
+    ball = groups.ball(f2_spec, 1)
+    assert len(ball) == 5
+    assert walk.masses(1, ball).tolist() == [0.2] * 5
+    assert oracle.step_distribution(f2_spec).masses == dict.fromkeys(ball, 0.2)
 
 
 def test_convolution_examples_z(z_spec):
-    rho = measures.step_distribution(z_spec)
-    rho2 = measures.convolve(z_spec, rho, rho)
-    assert abs(rho2.mass(0) - 1 / 3) < 1e-15  # 3 of 9 pairs sum to 0
-    assert abs(rho2.mass(2) - 1 / 9) < 1e-15  # only (1, 1)
-    rho3 = measures.convolution_powers(z_spec, rho, 3)[-1]
-    assert abs(rho3.mass(0) - 7 / 27) < 1e-15  # 7 of 27 triples
+    walk = measures.lazy_walk(z_spec, 3)
+    assert walk.masses(2, [0, 2]).tolist() == [1 / 3, 1 / 9]  # 3 of 9 pairs sum to 0; only (1, 1)
+    assert walk.masses(3, [0]).tolist() == [7 / 27]  # 7 of 27 triples
+    rho = oracle.step_distribution(z_spec)
+    rho2 = oracle.convolve(z_spec, rho, rho)
+    assert abs(rho2.mass(0) - 1 / 3) < 1e-15
+    assert abs(oracle.convolution_powers(z_spec, rho, 3)[-1].mass(0) - 7 / 27) < 1e-15
 
 
 def test_convolution_examples_f2(f2_spec):
-    rho = measures.step_distribution(f2_spec)
-    rho2 = measures.convolve(f2_spec, rho, rho)
-    assert abs(rho2.mass(()) - 1 / 5) < 1e-15  # 5 of 25 pairs cancel
-    support = set(rho2.masses)
-    assert support <= set(groups.ball(f2_spec, 2))
+    walk = measures.lazy_walk(f2_spec, 2)
+    assert walk.masses(2, [()]).tolist() == [1 / 5]  # 5 of 25 pairs cancel
+    rho = oracle.step_distribution(f2_spec)
+    rho2 = oracle.convolve(f2_spec, rho, rho)
+    assert abs(rho2.mass(()) - 1 / 5) < 1e-15
+    assert set(rho2.masses) <= set(groups.ball(f2_spec, 2))
 
 
-def test_convolution_power_support_and_mass(f2_spec):
-    rho = measures.step_distribution(f2_spec)
-    powers = measures.convolution_powers(f2_spec, rho, 4)
-    for n, rn in enumerate(powers, start=1):
-        assert set(rn.masses) <= set(groups.ball(f2_spec, n))
-        assert abs(rn.total() - 1.0) < 1e-12
-        assert rn.check_symmetry()
+def test_convolution_power_support_and_mass():
+    # rho^{*n} lives on B_n, has mass 1 and is symmetric, in exact counts
+    for kind, d in [("free", 2), ("heisenberg", 2), ("lattice", 2)]:
+        spec = groups.GroupSpec(kind, d)
+        walk = measures.lazy_walk(spec, 4)
+        outside = groups.ball(spec, 5)
+        for n in range(1, 5):
+            ball = groups.ball(spec, n)
+            counts = walk._gather(walk.counts[n], walk.cells(ball)).tolist()
+            assert sum(counts) == walk.steps**n
+            assert all(c > 0 for c in counts)
+            inverses = [groups.inverse(spec, g) for g in ball]
+            assert walk._gather(walk.counts[n], walk.cells(inverses)).tolist() == counts
+            inside = set(ball)
+            beyond = [g for g in outside if g not in inside]
+            assert not walk.masses(n, beyond).any()
 
 
 def test_convolution_associative_random():
@@ -59,12 +74,12 @@ def test_convolution_associative_random():
         idx = rng.choice(len(pool), size=k, replace=False)
         raw = {pool[int(i)]: float(rng.random()) for i in idx}
         total = sum(raw.values())
-        return measures.SparseMeasure(spec, {g: v / total for g, v in raw.items()})
+        return oracle.SparseMeasure(spec, {g: v / total for g, v in raw.items()})
 
     for _ in range(25):
         a, b, c = random_measure(), random_measure(), random_measure()
-        left = measures.convolve(spec, measures.convolve(spec, a, b), c)
-        right = measures.convolve(spec, a, measures.convolve(spec, b, c))
+        left = oracle.convolve(spec, oracle.convolve(spec, a, b), c)
+        right = oracle.convolve(spec, a, oracle.convolve(spec, b, c))
         atoms = set(left.masses) | set(right.masses)
         assert all(abs(left.mass(g) - right.mass(g)) < 1e-10 for g in atoms)
 
@@ -137,28 +152,51 @@ _RADIAL_CASES = dict(
     n_max=st.integers(min_value=1, max_value=8),
 )
 
+_KINDS = [
+    ("integers", 1), ("lattice", 1), ("lattice", 2), ("lattice", 3),
+    ("heisenberg", 2), ("free", 1), ("free", 2),
+]
 
-def _dict_weight(spec, params):
-    """The same weight through the dict convolution (the oracle path)."""
-    return measures.build_weight(spec, params, rho=measures.step_distribution(spec))
+
+@functools.cache
+def _oracle_powers(kind, d, n_max):
+    spec = groups.GroupSpec(kind, d)
+    return oracle.convolution_powers(spec, oracle.step_distribution(spec), n_max)
 
 
-@settings(max_examples=40, deadline=None)
-@given(**_RADIAL_CASES)
-def test_radial_weight_matches_dict_convolution(d, q, n_max):
-    spec = groups.GroupSpec("free", d)
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(_KINDS),
+    q=st.floats(min_value=0.05, max_value=0.95),
+    n_max=st.integers(min_value=1, max_value=8),
+)
+def test_weight_table_matches_dict_convolution(case, q, n_max):
+    # every atom at every depth, against the dict convolution
+    kind, d = case
+    spec = groups.GroupSpec(kind, d)
     params = measures.WeightParams(q, n_max)
     w = measures.build_weight(spec, params)
-    assert isinstance(w, measures.RadialWeightTable)
-    powers = measures.convolution_powers(spec, measures.step_distribution(spec), n_max)
+    powers = _oracle_powers(kind, d, n_max)
     bound = (2 * d + 4) * (n_max + 1) * 2.0**-53  # stated in build_weight
+    ball = groups.ball(spec, n_max)
+    cells = w.cells(ball)
+    ref: dict = {}
     for depth in range(n_max + 1):
-        oracle = measures.mixture(params, powers[:depth])
-        for g in groups.ball(spec, n_max):
-            ref = oracle.get(g, 0.0)
-            assert abs(w.partial_weight(g, depth) - ref) <= bound * ref
-    assert w.table == {g: w.weight(g) for g in groups.ball(spec, n_max)}
-    assert abs(w.stored_mass() - (1.0 - params.tail)) <= bound  # sum_{n<=n_max} p_n
+        if depth:  # oracle.mixture(params, powers[:depth]), one term at a time
+            rho_n = powers[depth - 1]
+            for g in rho_n.support():
+                ref[g] = ref.get(g, 0.0) + params.p(depth) * rho_n.masses[g]
+        for g, got in zip(ball, w.read(cells, depth).tolist()):
+            want = ref.get(g, 0.0)
+            assert abs(got - want) <= bound * want
+    inverses = [groups.inverse(spec, g) for g in ball]
+    assert w.read(w.cells(inverses)).tolist() == w.read(cells).tolist()  # exact symmetry
+    support = sorted(ball, key=lambda g: groups.sort_key(spec, g))
+    assert w.support() == support
+    assert w.table == {g: w.weight(g) for g in support}
+    assert all(type(v) is float for v in w.table.values())
+    # sum_{n<=n_max} p_n, up to the rounding of the sum itself
+    assert abs(w.stored_mass() - (1.0 - params.tail)) <= bound + len(ball) * 2.0**-53
 
 
 def _element_scan(spec, w, b):
@@ -182,10 +220,10 @@ def test_class_scan_matches_element_scan(d, q, n_max):
     spec = groups.GroupSpec("free", d)
     params = measures.WeightParams(q, n_max)
     w = measures.build_weight(spec, params)
-    oracle = _dict_weight(spec, params)
+    reference = oracle.dict_weight(spec, params)
     for b in groups.ball(spec, min(3, n_max - 1)):
         rep = measures.weight_ratio(spec, w, b)
-        evaluated, upper_max, lower_min = _element_scan(spec, oracle, b)
+        evaluated, upper_max, lower_min = _element_scan(spec, reference, b)
         assert rep["n_evaluated"] == evaluated
         assert rep["observed_max"] == pytest.approx(upper_max, rel=1e-12, abs=0.0)
         assert rep["observed_min"] == pytest.approx(lower_min, rel=1e-12, abs=0.0)
@@ -201,10 +239,46 @@ def test_plain_table_ratio_exceeds_bound_at_edge(z_spec, z_weights):
 def test_restrict_renormalize(z_spec, f2_spec, f2_weights):
     emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
     rho_g = measures.restrict_renormalize(f2_weights, emb)
-    assert abs(rho_g.total() - 1.0) < 1e-12
+    assert abs(sum(rho_g.values()) - 1.0) < 1e-12
     n_max = f2_weights.params.n_max
-    assert all(rho_g.mass(n) > 0 for n in range(-n_max, n_max + 1))
-    assert rho_g.check_symmetry()
+    assert list(rho_g) == list(range(-n_max, n_max + 1))
+    assert all(rho_g[n] > 0 for n in rho_g)
+    assert all(rho_g[n] == rho_g[-n] for n in rho_g)
+
+
+@pytest.mark.parametrize("n_max", [2, 4, 6])
+def test_restricted_law_weight_matches_dict_convolution(z_spec, f2_spec, f2_weights, n_max):
+    # the restricted law's float stencil against the dict convolution
+    emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
+    rho_g = measures.restrict_renormalize(f2_weights, emb)
+    params = measures.WeightParams(q=0.5, n_max=n_max)
+    w = measures.build_weight(z_spec, params, rho=rho_g)
+    law = oracle.SparseMeasure(z_spec, rho_g, symmetric=True)
+    reference = oracle.dict_weight(z_spec, params, rho=law)
+    assert w.support() == reference.support()
+    for depth in range(n_max + 1):
+        for g in reference.support():
+            want = reference.partial_weight(g, depth)
+            assert abs(w.partial_weight(g, depth) - want) <= 1e-13 * want
+            assert w.partial_weight(g, depth) == w.partial_weight(-g, depth)
+
+
+def test_custom_law_on_free_group_rejected(f2_spec):
+    with pytest.raises(DomainError, match="custom step law"):
+        measures.build_weight(f2_spec, measures.WeightParams(0.5, 2), rho={(): 1.0})
+
+
+def test_oversized_box_raises_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the capacity check")
+
+    monkeypatch.setattr(measures.np, "zeros", no_allocation)
+    spec = groups.GroupSpec("heisenberg", 2)
+    assert math.prod(measures.cell_box(spec, 40)[1]) > measures.DEFAULT_SUPPORT_CAP
+    with pytest.raises(CapacityError, match="exceeds cap"):
+        measures.build_weight(spec, measures.WeightParams(0.5, 40))
+    with pytest.raises(CapacityError, match="exceeds cap"):
+        measures.build_weight(groups.GroupSpec("lattice", 3), measures.WeightParams(0.5, 60))
 
 
 def test_restricted_ratio_certificate(z_spec, f2_spec, f2_weights):
@@ -220,7 +294,7 @@ def test_degenerate_restriction(z_spec, f2_spec):
     # window always contains the identity, so force degeneracy differently:
     emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
     empty = dataclasses.replace(
-        w_small, profiles=tuple((0.0,) * len(row) for row in w_small.profiles)
+        w_small, partials=tuple(np.zeros_like(row) for row in w_small.partials)
     )
     with pytest.raises(DegenerateRestrictionError):
         measures.restrict_renormalize(empty, emb)
@@ -234,14 +308,13 @@ def _simulate_walk_z(rng, n, samples):
 def test_monte_carlo_cross_check_z(z_spec):
     rng = np.random.default_rng(99)
     samples = 1_000_000
-    rho = measures.step_distribution(z_spec)
-    powers = measures.convolution_powers(z_spec, rho, 6)
+    walk = measures.lazy_walk(z_spec, 6)
     for n in (2, 4, 6):
         endpoints = _simulate_walk_z(rng, n, samples)
         values, counts = np.unique(endpoints, return_counts=True)
         freq = dict(zip(values.tolist(), (counts / samples).tolist()))
-        for g in powers[n - 1].support():
-            p = powers[n - 1].mass(g)
+        support = groups.ball(z_spec, n)
+        for g, p in zip(support, walk.masses(n, support).tolist()):
             se = math.sqrt(p * (1 - p) / samples)
             assert abs(freq.get(g, 0.0) - p) <= 4 * se + 1e-9
 
@@ -270,8 +343,7 @@ def test_monte_carlo_cross_check_f2(f2_spec):
     rng = np.random.default_rng(8)
     samples = 1_000_000
     n = 6
-    rho = measures.step_distribution(f2_spec)
-    powers = measures.convolution_powers(f2_spec, rho, n)
+    walk = measures.lazy_walk(f2_spec, n)
     words, length = _simulate_walk_f2(rng, n, samples)
     # encode reduced words to integers: base-5 digits plus a length prefix
     enc = length.astype(np.int64) * 5**n
@@ -288,18 +360,16 @@ def test_monte_carlo_cross_check_f2(f2_spec):
         return e
 
     checked = 0
-    for g in powers[n - 1].support():
-        p = powers[n - 1].mass(g)
+    support = groups.ball(f2_spec, n)
+    for g, p in zip(support, walk.masses(n, support).tolist()):
         se = math.sqrt(p * (1 - p) / samples)
         assert abs(freq.get(encode(g), 0.0) - p) <= 4 * se + 1e-9
-        checked += 1
-    assert checked == len(powers[n - 1].masses)
+        checked += p > 0.0
+    assert checked == len(support)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=6))
 def test_symmetry_propagates(g, n):
-    spec = groups.GroupSpec("integers")
-    rho = measures.step_distribution(spec)
-    rn = measures.convolution_powers(spec, rho, n)[-1]
-    assert rn.mass(g) == rn.mass(-g)
+    walk = measures.lazy_walk(groups.GroupSpec("integers"), n)
+    assert walk.masses(n, [g]).tolist() == walk.masses(n, [-g]).tolist()

@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -220,3 +221,46 @@ def test_shift_composition_z(g, h):
         shift(shift(v, h), g).coeffs
         == shift(v, g + h).coeffs
     )
+
+
+def _exact_walk_counts(spec, n_max):
+    """Integer walk counts of the lazy step per element, n = 0..n_max."""
+    steps = [groups.identity(spec)] + groups.generators(spec)
+    counts = [{groups.identity(spec): 1}]
+    for _ in range(n_max):
+        nxt: dict = {}
+        for g, c in counts[-1].items():
+            for s in steps:
+                h = groups.multiply(spec, g, s)
+                nxt[h] = nxt.get(h, 0) + c
+        counts.append(nxt)
+    return counts
+
+
+@pytest.mark.parametrize("n_max", [4, 5])
+def test_heisenberg_argmax_in_exact_tie_set(n_max):
+    # many atoms tie exactly for the largest ratio on the Heisenberg group;
+    # rounding picks one of them, and it must be one of the exact argmaxes
+    spec = groups.GroupSpec("heisenberg", 2)
+    counts = _exact_walk_counts(spec, n_max)
+    q, walks = Fraction(1, 2), 2 * spec.d + 1
+
+    def weight(g, depth):
+        return sum(
+            (1 - q) * q ** (n - 1) * Fraction(counts[n].get(g, 0), walks**n)
+            for n in range(1, depth + 1)
+        )
+
+    w = measures.build_weight(spec, measures.WeightParams(0.5, n_max))
+    for a in groups.generators(spec):
+        rep = space.operator_norm_certificate(spec, w, a)
+        a_inv = groups.inverse(spec, a)
+        ratios = {
+            h: weight(groups.multiply(spec, h, a_inv), n_max - 1) / weight(h, n_max)
+            for h in groups.ball(spec, n_max - 1)
+        }
+        top = max(ratios.values())
+        ties = {groups.element_str(spec, h) for h, r in ratios.items() if r == top}
+        assert len(ties) > 1
+        assert rep["single_atom_argmax"] in ties
+        assert rep["observed"] == pytest.approx(math.sqrt(top), rel=1e-14, abs=0.0)

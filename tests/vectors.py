@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 from walkrep import groups
 from walkrep.groups import GroupSpec
-from walkrep.measures import RadialWeightTable, WeightTable
+from walkrep.measures import WeightTable
 
 
 @dataclass
 class WeightedVector:
     """Finitely supported vector; canonical form drops exact zeros."""
 
-    weights: WeightTable | RadialWeightTable
+    weights: WeightTable
     coeffs: dict
 
     def __post_init__(self):
@@ -52,7 +52,7 @@ class WeightedVector:
         return WeightedVector(self.weights, {g: t * c for g, c in self.coeffs.items()})
 
 
-def delta(w: WeightTable | RadialWeightTable, g) -> WeightedVector:
+def delta(w: WeightTable, g) -> WeightedVector:
     return WeightedVector(w, {g: 1.0})
 
 
