@@ -98,8 +98,10 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
     out = _out_dir(out_base, "weights")
     records = []
     for label, (spec, w) in zip(("group", "second_group"), _weight_tables(cfg)):
-        support = w.support()  # B_n_max in sort_key order
-        weights = map(repr, w.read(w.cells(support)).tolist())
+        # every element of B_n_max in sort_key order, as ball_strs labels
+        # them, including any whose weight underflows to 0.0
+        ball = sorted(groups.ball(spec, w.params.n_max), key=lambda g: groups.sort_key(spec, g))
+        weights = map(repr, w.read(w.cells(ball)).tolist())
         rows = zip(groups.ball_strs(spec, w.params.n_max), weights)
         _write_csv(os.path.join(out, f"{label}_weights.csv"), ["element", "weight"], rows)
         mass = w.stored_mass()

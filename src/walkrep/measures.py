@@ -90,6 +90,9 @@ def _moves(spec: GroupSpec, offset: tuple, shape: tuple, steps) -> list:
     cells = np.indices(shape).reshape(len(shape), -1).T - offset
     out = []
     for s in steps:
+        if s == groups.identity(spec):
+            out.append(((...,), (...,)))  # every cell, without an index gather
+            continue
         dest = groups.translate(spec, cells, s) + offset
         inside = ((dest >= 0) & (dest < shape)).all(axis=1)
         out.append((tuple((cells[inside] + offset).T), tuple(dest[inside].T)))
@@ -171,18 +174,31 @@ def lazy_walk(spec: GroupSpec, depth: int) -> LazyWalk:
     count = _allocate(shape, object)
     count[offset] = 1
     counts = [count]
-    moves = [] if spec.kind == "free" else _moves(spec, offset, shape, groups.generators(spec))
+    steps = [groups.identity(spec)] + groups.generators(spec)
+    moves = [] if spec.kind == "free" else _moves(spec, offset, shape, steps)
     for _ in range(depth):
-        nxt = count.copy()
         if spec.kind == "free":
+            nxt = count.copy()
             nxt[1:] += count[:-1]
             nxt[1:-1] += (2 * spec.d - 1) * count[2:]
             nxt[0] += 2 * spec.d * count[1]
-        for src, dst in moves:
-            nxt[dst] += count[src]
+        else:
+            nxt = _step(count, moves, [1] * len(steps))
         count = nxt
         counts.append(count)
     return LazyWalk(spec, offset, tuple(counts))
+
+
+def _step(power: np.ndarray, moves: list, weights: list) -> np.ndarray:
+    """One more step of a walk: the sum, over the atoms of its law, of
+    ``weight * power`` moved by the atom's ``(source, destination)``
+    indices (see ``_moves``), added in the order of ``moves``.  A unit
+    weight adds without the product, which is exact and spares the walk
+    counts one pass of Python-int products per move."""
+    nxt = np.zeros_like(power)
+    for weight, (src, dst) in zip(weights, moves):
+        nxt[dst] += power[src] if weight == 1 else weight * power[src]
+    return nxt
 
 
 def _law_powers(spec: GroupSpec, law: dict, depth: int) -> tuple[tuple, list]:
@@ -202,9 +218,7 @@ def _law_powers(spec: GroupSpec, law: dict, depth: int) -> tuple[tuple, list]:
     power[offset] = 1.0
     powers = []
     for _ in range(depth):
-        nxt = np.zeros(shape)
-        for g, (src, dst) in zip(atoms, moves):
-            nxt[dst] += law[g] * power[src]
+        nxt = _step(power, moves, [law[g] for g in atoms])
         power = 0.5 * (nxt + np.flip(nxt)) if symmetric else nxt
         powers.append(power)
     return offset, powers

@@ -155,31 +155,37 @@ def test_weights_csv_row_count(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "group,second",
-    [({"kind": "integers", "d": 1}, {"kind": "free", "d": 2}),
-     ({"kind": "lattice", "d": 2}, {"kind": "heisenberg", "d": 2})],
-    ids=["Z-F2", "Z2-H"],
+    "group,weights,second",
+    [({"kind": "integers", "d": 1}, {"q": 0.5, "n_max": 5}, {"kind": "free", "d": 2}),
+     ({"kind": "lattice", "d": 2}, {"q": 0.5, "n_max": 5}, {"kind": "heisenberg", "d": 2}),
+     # p_10 rho^{*10} underflows to 0.0 at the four corners (+-10, 0), (0, +-10)
+     # of B_10, and nowhere else
+     ({"kind": "lattice", "d": 2}, {"q": 6e-36, "n_max": 10}, {"kind": "free", "d": 1})],
+    ids=["Z-F2", "Z2-H", "Z2-tiny-q"],
 )
-def test_weights_csv_matches_element_str_rows(tmp_path, group, second):
-    # the CSV rows, written without a per-word join, against element_str rows
+def test_weights_csv_matches_element_str_rows(tmp_path, group, weights, second):
+    # the CSV rows, written without a per-word join, against element_str
+    # rows over every element of B_n_max, zero weights included
+    second_weights = {"q": 0.3, "n_max": 4}
     body = {
-        "group": group, "weights": {"q": 0.5, "n_max": 5},
-        "second_group": second, "second_weights": {"q": 0.3, "n_max": 4},
+        "group": group, "weights": weights,
+        "second_group": second, "second_weights": second_weights,
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(body))
     assert cli.main(["weights", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    for label, spec_body, n_max, q in (("group", group, 5, 0.5), ("second_group", second, 4, 0.3)):
+    for label, spec_body, params in (("group", group, weights), ("second_group", second, second_weights)):
         spec = groups.GroupSpec(spec_body["kind"], spec_body["d"])
-        w = measures.build_weight(spec, measures.WeightParams(q, n_max))
+        w = measures.build_weight(spec, measures.WeightParams(params["q"], params["n_max"]))
+        ball = sorted(groups.ball(spec, params["n_max"]), key=lambda g: groups.sort_key(spec, g))
         want = io.StringIO(newline="")
         writer = csv.writer(want)
         writer.writerow(["element", "weight"])
-        writer.writerows([groups.element_str(spec, g), repr(w.weight(g))] for g in w.support())
+        writer.writerows([groups.element_str(spec, g), repr(w.weight(g))] for g in ball)
         got = (tmp_path / "out" / "weights" / f"{label}_weights.csv").read_bytes()
         assert got == want.getvalue().encode()
         assert b"np.float64" not in got
-        assert all(type(w.weight(g)) is float for g in w.support())
+        assert all(type(w.weight(g)) is float for g in ball)
 
 
 def test_seed_override_changes_digested_config(tmp_path):
