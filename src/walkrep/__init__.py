@@ -1,3 +1,3 @@
 """Weighted random-walk sequence spaces and universal linear models."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

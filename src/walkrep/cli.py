@@ -6,8 +6,9 @@ Subcommands mirror the module boundaries: weights, norms, jrt, tower,
 build, support, orbit, feldman, continuous, and all.  Every run writes a
 timestamp-free ``report.json`` (plus CSV tables) under ``<out>/<command>/``
 so identical configs and seeds reproduce byte-identical outputs; wall time,
-the count of Bernoulli bits hashed, the bit cells the orbit windows filled
-and the conditional sampler's draws go to a separate ``run_meta.json``.
+the Bernoulli cells read and Philox blocks drawn, the bit cells the orbit
+windows filled and the conditional sampler's draws go to a separate
+``run_meta.json``.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
 error.
 """

@@ -4,9 +4,12 @@ marker towers.
 Two system kinds:
 
 * ``bernoulli`` -- the two-sided fair-coin shift indexed by any finitely
-  generated roster group.  A sampled point realizes its coordinates lazily
-  from a keyed hash, so reads are deterministic, i.i.d. fair bits, and
-  exactly equivariant: acting by ``h`` only composes the stored offset.
+  generated roster group.  A sampled point's coordinates are output bits of
+  the counter-based generator Philox4x64-10, keyed by the system seed and
+  counted by the cell's block, the point's draw and its stream, so reads are
+  deterministic, i.i.d. fair bits, and exactly equivariant: acting by ``h``
+  only composes the stored offset.  Every read goes through ``read_cells``,
+  one vectorized points x cells read.
 * ``rotation`` -- products of circle rotations for the integer/lattice
   kinds, with an irrational frequency vector.
 
@@ -20,21 +23,23 @@ the point with the marker bits forced; Monte Carlo re-checks the first two.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import groups, stats
-from .errors import DomainError, TowerConstructionError
+from .errors import DomainError, EncodingError, TowerConstructionError
 from .groups import GroupSpec
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
-# Draws the tower Monte Carlo holds at once.  Each carries a keyed-hash
-# state and a bit cache, so chunks keep its memory flat at any sample count.
+# Draws the tower Monte Carlo holds at once.  Each chunk reads a draws x
+# window bit matrix, so chunks keep its memory flat at any sample count.
 SIEVE_CHUNK = 512
 
 
@@ -66,6 +71,13 @@ class DynamicalSystem:
             "alpha": list(self.alpha),
         }
 
+    @functools.cached_property
+    def key(self) -> tuple[int, int]:
+        """The Philox key of the system's Bernoulli points: two words of a
+        blake2b digest of the seed, derived once per system."""
+        digest = hashlib.blake2b(f"philox|{self.seed}".encode(), digest_size=16).digest()
+        return struct.unpack("<QQ", digest)
+
 
 def bernoulli_system(group: GroupSpec, seed: int) -> DynamicalSystem:
     return DynamicalSystem("bernoulli", group, seed)
@@ -83,75 +95,165 @@ def rotation_system(group: GroupSpec, seed: int, alpha=None) -> DynamicalSystem:
     return DynamicalSystem("rotation", group, seed, tuple(alpha))
 
 
-# keyed-hash digests made in this process, one per Bernoulli bit realized,
-# and the points the conditional base sampler drew; commands report the
-# change of each over their run (see ``counters``)
-_digests = 0
+# Bernoulli cells read and Philox blocks drawn in this process, and the
+# points the conditional base sampler drew; commands report the change of
+# each over their run (see ``counters``)
+_bits_drawn = 0
+_philox_blocks = 0
 _sampler_draws = 0
 
 
 def counters() -> dict:
     """The process-wide counts so far, by the name commands report them."""
-    return {"bits_hashed": _digests, "sampler_draws": _sampler_draws}
+    return {"bits_drawn": _bits_drawn, "philox_blocks": _philox_blocks, "sampler_draws": _sampler_draws}
 
 
-def cell_messages(spec: GroupSpec, positions) -> list[bytes]:
-    """The hashed encoding of each position: its canonical string."""
-    return [groups.element_str(spec, p).encode() for p in positions]
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC 2011): the round multipliers, each with its 32-bit
+# halves, and the Weyl increments of the key
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MULT = [(np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)) for m in PHILOX_M]
+_WEYL = [np.uint64(w) for w in PHILOX_W]
+_LO32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+BLOCK_CELLS = 256  # the 4 x 64 output bits of one counter
+# log2 of the tile sides on Z^d: 256 cells on Z, 16 x 16 on Z^2, 8 x 8 x 4 on Z^3
+_TILE_BITS = {1: (8,), 2: (4, 4), 3: (3, 3, 2)}
 
 
-def _keyed_bit(state, message: bytes) -> int:
-    """The fair bit at an encoded position: the low bit of the one-byte
-    blake2b digest of ``message`` under the root's key, with ``state`` the
-    blake2b object already keyed (a copy skips re-keying)."""
-    global _digests
-    _digests += 1
-    h = state.copy()
-    h.update(message)
-    return h.digest()[0] & 1
+def _mulhilo(a: np.ndarray, m: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products a * m, the high word
+    summed from the products of 32-bit halves."""
+    m, m_lo, m_hi = m
+    a_lo, a_hi = a & _LO32, a >> _U32
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (ll >> _U32) + (lh & _LO32) + (hl & _LO32)
+    return a_hi * m_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32), a * m
 
 
-class _BernoulliRoot:
-    """Shared coordinate source for one sampled point and all its translates."""
-
-    __slots__ = ("spec", "state", "bits", "forced")
-
-    def __init__(self, spec: GroupSpec, key: bytes, forced: dict | None = None):
-        self.spec = spec
-        self.state = hashlib.blake2b(key=key, digest_size=1)
-        self.bits: dict = {}
-        self.forced = forced or {}
-
-    def bit(self, position) -> int:
-        cached = self.bits.get(position)
-        if cached is not None:
-            return cached
-        value = self.forced.get(position)
-        if value is None:
-            value = _keyed_bit(self.state, cell_messages(self.spec, (position,))[0])
-        self.bits[position] = value
-        return value
+def philox(counter: tuple, key: tuple) -> tuple:
+    """Philox4x64-10: the four output words of each counter.  ``counter``
+    holds four uint64 arrays and ``key`` two, broadcast together; the key
+    moves by ``PHILOX_W`` between the 10 rounds."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _WEYL[0], k1 + _WEYL[1]
+        hi0, lo0 = _mulhilo(c0, _MULT[0])
+        hi1, lo1 = _mulhilo(c2, _MULT[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
 
 
-def read_bits(roots, positions, messages) -> list[int]:
-    """``[r.bit(p) for r in roots for p in positions]``, the batched form of
-    ``_BernoulliRoot.bit``; ``messages`` are the ``cell_messages`` of
-    ``positions``, so roots read at the same absolute positions share one
-    encoding per cell.  Cached and forced bits are honoured and new bits
-    cached exactly as ``bit`` does."""
-    cells = list(zip(positions, messages))
-    out = []
-    append = out.append
-    for root in roots:
-        known = root.bits
-        for p, msg in cells:
-            value = known.get(p)
-            if value is None:
-                value = root.forced.get(p)
-                if value is None:
-                    value = _keyed_bit(root.state, msg)
-                known[p] = value
-            append(value)
+def _cell_blocks(spec: GroupSpec, positions) -> tuple[np.ndarray, np.ndarray]:
+    """(block, lane) of each absolute position: the counter word of its block
+    of ``BLOCK_CELLS`` cells, and its place in the block.
+
+    Z^d is tiled by boxes: the block packs the tile's coordinates into equal
+    fields of the word, and the lane is the cell's row-major place in its
+    tile.  The Heisenberg group (zigzag coordinates, 24 bits each) and the
+    free groups (reduced words in bijective base 2d) number their elements
+    by an injective code, and a block holds 256 consecutive codes.  A
+    position past the range of the block word raises EncodingError.
+    """
+    if spec.kind == "free":
+        codes = []
+        for word in positions:
+            code = 0
+            for c in word:
+                code = code * 2 * spec.d + (c if c > 0 else spec.d - c)
+            codes.append(code)
+        if max(codes) >> 72:
+            raise EncodingError("a free word past the 72-bit cell code has no Philox block")
+        codes = np.array(codes, dtype=object)
+        return (codes >> 8).astype(np.uint64), (codes & 255).astype(np.int64)
+    if spec.kind == "heisenberg":
+        zig = (positions << 1) ^ (positions >> 63)
+        if (zig >> 24).any():
+            raise EncodingError("a Heisenberg coordinate past 2^23 has no Philox block")
+        zig = zig.astype(np.uint64)
+        block = (zig[:, 0] << np.uint64(40)) | (zig[:, 1] << np.uint64(16)) | (zig[:, 2] >> np.uint64(8))
+        return block, (zig[:, 2] & np.uint64(255)).astype(np.int64)
+    sides = _TILE_BITS[positions.shape[1]]
+    field = 64 // len(sides)
+    block, lane = np.uint64(0), 0
+    for axis, side in enumerate(sides):
+        tile = positions[:, axis] >> side
+        if field < 64 and ((tile >> (field - 1)) - (tile >> 63)).any():
+            raise EncodingError(f"a coordinate past the {field}-bit tile field of Z^{len(sides)} has no Philox block")
+        block = (block << np.uint64(field % 64)) | (tile.astype(np.uint64) & np.uint64(2**field - 1))
+        lane = (lane << side) | (positions[:, axis] & ((1 << side) - 1))
+    return block, lane
+
+
+class BitSource(NamedTuple):
+    """The Philox counter fields of one Bernoulli draw, shared by the point
+    and all its translates, and the (block, lane, bit) arrays of the cells
+    its sampler forced, or None.  The key is the system's."""
+
+    draw: int
+    stream: int = 0
+    forced: tuple | None = None
+
+
+def _forced_cells(spec: GroupSpec, pattern: dict) -> tuple:
+    block, lane = _cell_blocks(spec, np.array(list(pattern), dtype=np.int64).reshape(len(pattern), -1))
+    return block, lane, np.array(list(pattern.values()), dtype=np.uint8)
+
+
+def read_cells(points: list, cells) -> np.ndarray:
+    """The coordinates of Bernoulli ``points`` at ``cells``, as a points x
+    cells uint8 matrix: entry (i, j) is the bit of points[i] at the absolute
+    position cells[j] offset_i.  ``cells`` are group elements or, except on
+    the free groups, an (C, k) integer array of their coordinates.
+
+    The points of one offset read every block their cells meet in one
+    Philox call, at counter (block, draw, stream, 0) under the system key.
+    Lane k of a block is bit k % 64 of output word k // 64.  Forced cells
+    overlay the drawn bits.
+    """
+    global _bits_drawn, _philox_blocks
+    if any(x.system.kind != "bernoulli" for x in points):
+        raise DomainError("coordinate reads are for Bernoulli points")
+    out = np.empty((len(points), len(cells)), dtype=np.uint8)
+    if out.size == 0:
+        return out
+    spec = points[0].system.group
+    if spec.kind != "free":
+        try:
+            cells = np.asarray(cells, dtype=np.int64).reshape(len(cells), -1)
+        except OverflowError:
+            raise EncodingError("a cell past 64-bit coordinates has no Philox block") from None
+    rows_at: dict = {}
+    for i, x in enumerate(points):
+        rows_at.setdefault(x.offset, []).append(i)
+    for offset, rows in rows_at.items():
+        if spec.kind == "free":
+            block, lane = _cell_blocks(spec, [groups.multiply(spec, c, offset) for c in cells])
+        else:
+            block, lane = _cell_blocks(spec, groups.translate(spec, cells, offset))
+        tiles, where = np.unique(block, return_inverse=True)
+        fields = np.array(
+            [(points[i].root.draw, points[i].root.stream, *points[i].system.key) for i in rows], dtype=np.uint64
+        )
+        words = np.stack(philox(
+            (tiles, fields[:, :1], fields[:, 1:2], np.uint64(0)), (fields[:, 2:3], fields[:, 3:])
+        ), axis=-1)
+        for r, i in enumerate(rows):
+            if points[i].root.forced is not None:
+                f_block, f_lane, f_bit = points[i].root.forced
+                at = np.minimum(np.searchsorted(tiles, f_block), len(tiles) - 1)
+                hit = tiles[at] == f_block
+                word, shift = (r, at[hit], f_lane[hit] >> 6), (f_lane[hit] & 63).astype(np.uint64)
+                np.bitwise_and.at(words, word, ~(np.uint64(1) << shift))
+                np.bitwise_or.at(words, word, f_bit[hit].astype(np.uint64) << shift)
+        # one word per cell: memory stays at points x cells, however sparse
+        # the cells lie in their blocks
+        cell_words = words.reshape(len(rows), -1)[:, where * 4 + (lane >> 6)]
+        out[rows] = (cell_words >> (lane & 63).astype(np.uint64)) & np.uint64(1)
+        _philox_blocks += words.shape[0] * words.shape[1]
+    _bits_drawn += out.size
     return out
 
 
@@ -160,7 +262,7 @@ class PointHandle:
     """A sampled point together with a group offset.
 
     Bernoulli reads obey ``read(act(h, x), g) == read(x, g h)`` exactly, since
-    both sides hash the same absolute position.
+    both sides read the same absolute position.
     """
 
     system: DynamicalSystem
@@ -168,11 +270,9 @@ class PointHandle:
     offset: object
 
     def read(self, g) -> int:
-        """Coordinate of the point at position g (Bernoulli only)."""
-        if self.system.kind != "bernoulli":
-            raise DomainError("coordinate reads are for Bernoulli points")
-        pos = groups.multiply(self.system.group, g, self.offset)
-        return self.root.bit(pos)
+        """Coordinate of the point at position g (Bernoulli only): the
+        one-cell ``read_cells``."""
+        return int(read_cells([self], [g])[0, 0])
 
     def position(self) -> tuple:
         """Current torus position (rotation only)."""
@@ -188,17 +288,11 @@ class PointHandle:
         )
 
 
-def _root_key(sys_seed: int, draw: int) -> bytes:
-    return hashlib.blake2b(
-        struct.pack("<Qq", sys_seed & (2**64 - 1), draw), digest_size=16
-    ).digest()
-
-
 def sample_point(sys: DynamicalSystem, draw: int) -> PointHandle:
-    """The ``draw``-th i.i.d. sample; coordinates realize lazily."""
+    """The ``draw``-th i.i.d. sample; Bernoulli coordinates are read from
+    the draw's Philox counters."""
     if sys.kind == "bernoulli":
-        root = _BernoulliRoot(sys.group, _root_key(sys.seed, draw))
-        return PointHandle(sys, root, groups.identity(sys.group))
+        return PointHandle(sys, BitSource(draw), groups.identity(sys.group))
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=sys.seed, spawn_key=(draw,))
     )
@@ -229,7 +323,8 @@ class CylinderSet:
         return 0.5 ** len(self.bits)
 
     def contains(self, x: PointHandle) -> bool:
-        return all(x.read(g) == b for g, b in self.bits)
+        bits = read_cells([x], [g for g, _ in self.bits])[0]
+        return bool((bits == [b for _, b in self.bits]).all())
 
     def constraints(self) -> dict:
         return dict(self.bits)
@@ -335,18 +430,21 @@ class TowerSpec:
     def mu_bn_upper(self) -> float:
         return len(groups.ball(self.spec, self.n)) * self.mu_pattern
 
-    def in_base(self, x: PointHandle) -> bool:
-        """x in E: the marker at the origin."""
-        return all(x.read(p) == b for p, b in self.pattern.items())
+    def located(self, points: list) -> np.ndarray:
+        """Per point and g in B_n (``groups.ball`` order): is T_{g^-1} x in E?
 
-    def locate(self, x: PointHandle):
-        """The first g in B_n (``groups.ball`` order) with T_{g^-1} x in E,
-        or None."""
-        sys = self.system
-        for g in groups.ball(self.spec, self.n):
-            if self.in_base(act(sys, groups.inverse(self.spec, g), x)):
-                return g
-        return None
+        T_{g^-1} x reads the cell p at p g^-1, so one read of the window of
+        those cells answers every g.
+        """
+        spec = self.spec
+        ball = groups.ball(spec, self.n)
+        cells = [
+            groups.multiply(spec, p, groups.inverse(spec, g)) for g in ball for p in self.pattern
+        ]
+        window = {c: k for k, c in enumerate(dict.fromkeys(cells))}
+        bits = read_cells(points, list(window))
+        cols = np.array([window[c] for c in cells]).reshape(len(ball), len(self.pattern))
+        return (bits[:, cols] == list(self.pattern.values())).all(axis=2)
 
     def to_dict(self) -> dict:
         spec = self.spec
@@ -444,20 +542,11 @@ def rokhlin_tower(
 def _tower_monte_carlo(tower: TowerSpec, samples: int, seed: int) -> None:
     """Estimate mu(B_n E) and count points in two translates of E.
 
-    A marker sieve over chunks of ``SIEVE_CHUNK`` draws: for each g in B_n
-    and each pattern cell p in turn, only the draws whose bit at p g^-1
-    matches stay, so the survivors are the draws with T_{g^-1} x in E.
-    Each draw reads the bits that ``in_base(T_{g^-1} x)`` over the ball
-    reads, so hits and collisions are exact.
+    Chunks of ``SIEVE_CHUNK`` draws each read their draws x window bit
+    matrix and test T_{g^-1} x in E for every g in B_n at once
+    (``TowerSpec.located``), so hits and collisions are exact.
     """
-    spec = tower.spec
     probe = probe_system(tower.system, "tower", seed)
-    wanted = list(tower.pattern.values())
-    sieves = []  # per g in B_n: the cells p g^-1 and their encodings
-    for g in groups.ball(spec, tower.n):
-        g_inv = groups.inverse(spec, g)
-        cells = [groups.multiply(spec, p, g_inv) for p in tower.pattern]
-        sieves.append((cells, cell_messages(spec, cells)))
     hits = 0
     collisions = 0
     for start in range(0, samples, SIEVE_CHUNK):
@@ -465,16 +554,9 @@ def _tower_monte_carlo(tower: TowerSpec, samples: int, seed: int) -> None:
             sample_point(probe, draw)
             for draw in range(start, min(samples, start + SIEVE_CHUNK))
         ]
-        located = [0] * len(points)
-        for cells, messages in sieves:
-            alive = range(len(points))
-            for cell, msg, b in zip(cells, messages, wanted):
-                bits = read_bits([points[i].root for i in alive], (cell,), (msg,))
-                alive = [i for i, v in zip(alive, bits) if v == b]
-            for i in alive:
-                located[i] += 1
-        hits += sum(1 for count in located if count)
-        collisions += sum(1 for count in located if count > 1)
+        located = tower.located(points).sum(axis=1)
+        hits += int((located > 0).sum())
+        collisions += int((located > 1).sum())
     tower.mc_samples = samples
     tower.mc_hits_bn = hits
     tower.collisions = collisions
@@ -490,21 +572,13 @@ def conditional_base_sampler(tower: TowerSpec, seed: int):
     """Yield points distributed as mu( . | E ).
 
     E is the marker cylinder, so its conditional law forces the marker bits
-    and leaves every other coordinate fair: each draw is a fresh root with
-    the pattern forced.
+    and leaves every other coordinate fair: each draw is a fresh point of
+    the sampler's own Philox stream with the pattern forced.
     """
     global _sampler_draws
     sys = tower.system
-    counter = 0
-    draw = 0
-    while True:
-        root = _BernoulliRoot(
-            sys.group,
-            _root_key(_derived_seed(sys.seed, "cond", seed, counter), draw),
-            forced=dict(tower.pattern),
-        )
-        draw += 1
-        if draw % 997 == 0:
-            counter += 1
+    stream = _derived_seed("cond", seed) | 1 << 63  # never 0, sample_point's stream
+    forced = _forced_cells(sys.group, tower.pattern)
+    for draw in itertools.count():
         _sampler_draws += 1
-        yield PointHandle(sys, root, groups.identity(sys.group))
+        yield PointHandle(sys, BitSource(draw, stream, forced), groups.identity(sys.group))

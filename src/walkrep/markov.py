@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, groups, measures
-from .dynamics import DynamicalSystem, PointHandle
+from .dynamics import DynamicalSystem
 from .errors import DomainError
 
 
@@ -30,11 +30,28 @@ class ObservableSpec:
     bound: float = 1.0
     mean: float = 0.0
 
-    def evaluate(self, x: PointHandle) -> float:
+    def table(self, sys: DynamicalSystem, points: list, atoms: list) -> np.ndarray:
+        """f(T_g x) for each of ``points`` (rows) and g in ``atoms`` (columns).
+
+        An indicator reads the cells c g of every constraint c for all points
+        in one ``dynamics.read_cells`` call.  The cosine of T_g x depends only
+        on the axis coordinate of g, so it is evaluated once per point and
+        distinct coordinate, at the first atom that has it.
+        """
+        spec = sys.group
         if self.kind == "indicator":
-            return 1.0 if self.payload.contains(x) else 0.0
+            wanted = np.array([[b] for _, b in self.payload.bits], dtype=np.uint8)
+            cells = [groups.multiply(spec, c, g) for c, _ in self.payload.bits for g in atoms]
+            bits = dynamics.read_cells(points, cells).reshape(len(points), len(wanted), len(atoms))
+            return (bits == wanted).all(axis=1).astype(np.float64)
         if self.kind == "cos":
-            return math.cos(2.0 * math.pi * x.position()[self.payload])
+            axis = self.payload
+            coords = [g if spec.kind == "integers" else g[axis] for g in atoms]
+            _, first, where = np.unique(coords, return_index=True, return_inverse=True)
+            return np.array([
+                [math.cos(2.0 * math.pi * dynamics.act(sys, atoms[k], x).position()[axis]) for k in first]
+                for x in points
+            ])[:, where]
         raise DomainError(f"unknown observable kind {self.kind!r}")
 
 
@@ -91,9 +108,7 @@ def convergence_report(
     points = [dynamics.sample_point(probe, i) for i in range(samples)]
     # f(T_g x) once per point and per atom of B_n_max, in canonical order
     atoms = sorted(groups.ball(spec, n_max), key=lambda g: groups.sort_key(spec, g))
-    table = np.empty((samples, len(atoms)))
-    for row, x in zip(table, points):
-        row[:] = [f.evaluate(dynamics.act(sys, g, x)) for g in atoms]
+    table = f.table(sys, points, atoms)
     sup_dev: list[float] = []
     l2_dev: list[float] = []
     se_l2: list[float] = []

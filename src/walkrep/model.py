@@ -7,7 +7,8 @@ B_N E_j, write the ball center on B_{N0} E_j, zero on the annulus) followed
 by a value split (every constancy value u becomes u -+ s, routed by
 membership in the j-th enumerated cylinder).  Evaluating the function at a
 point walks the stages in order, so a point's value depends on finitely
-many coordinates, all of them pinned in the point's bit cache.
+many coordinates, all of them read at absolute positions from the point's
+Philox counters.
 
 Bookkeeping per stage records the two value sets per level, their interval
 covers, the separation / exception / hitting / cover-width budgets, and the
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import dynamics, groups, stats
 from .dynamics import DynamicalSystem, PointHandle, SetFamily, TowerSpec
-from .errors import DomainError, StageError
+from .errors import CapacityError, DomainError, StageError
 from .groups import GroupSpec
 from .measures import WeightTable
 
@@ -376,8 +377,8 @@ class OrbitWindow:
 
     The box [lo, hi] holds coordinates relative to each point's offset, so
     the cell u of the point x stands for T_u x.  The points x window bit
-    matrix is filled by ``dynamics.read_bits`` at absolute positions, with
-    the same keyed hash and forced bits as every other read, and each stage
+    matrix is filled by ``dynamics.read_cells`` at absolute positions, with
+    the same Philox bits and forced bits as every other read, and each stage
     event is an array mask on it: the base (the marker cylinder) is an AND
     over shifted slices, ``locate`` takes the first g in ``groups.ball``
     order whose shift lands in the base, and routing is an AND over the
@@ -395,22 +396,10 @@ class OrbitWindow:
         self.n_points = len(points)
         self._bit_lo, bit_hi = _bit_box(stages, lo, hi)
         bit_shape = _shape(self._bit_lo, bit_hi)
-        cells = list(
-            itertools.product(*(range(a, b + 1) for a, b in zip(self._bit_lo, bit_hi)))
-        )
-        if spec.kind == "integers":
-            cells = [c[0] for c in cells]
-        e = groups.identity(spec)
-        bits = np.empty((len(points), len(cells)), dtype=np.uint8)
+        # the box's cells in row-major order, as coordinates
+        cells = np.indices(bit_shape).reshape(len(bit_shape), -1).T + self._bit_lo
+        bits = dynamics.read_cells(points, cells)
         _window_cells += bits.size
-        # points at the identity offset share one encoding per cell
-        messages = dynamics.cell_messages(spec, cells)
-        for row, x in zip(bits, points):
-            at, at_messages = cells, messages
-            if x.offset != e:
-                at = [groups.multiply(spec, c, x.offset) for c in cells]
-                at_messages = dynamics.cell_messages(spec, at)
-            row[:] = dynamics.read_bits((x.root,), at, at_messages)
         self._one = bits.reshape((len(points),) + bit_shape).astype(bool)
         self._zero = ~self._one
         self._base: dict = {}
@@ -514,12 +503,19 @@ class OrbitWindow:
 
 def orbit_windows(model: ModelFunction, points: list, lo: tuple, hi: tuple):
     """``OrbitWindow`` over [lo, hi] for consecutive chunks of ``points``,
-    each under ``WINDOW_CELL_BUDGET`` bit cells (at least one point)."""
+    each under ``WINDOW_CELL_BUDGET`` bit cells.  CapacityError if one
+    point's bit box alone is over the budget."""
     if any(x.system.kind != "bernoulli" for x in points):
         raise DomainError("model evaluation needs Bernoulli points")
     stages = _stage_events(model)
-    per_point = math.prod(_shape(*_bit_box(stages, lo, hi)))
-    step = max(1, WINDOW_CELL_BUDGET // per_point)
+    box = _bit_box(stages, lo, hi)
+    per_point = math.prod(_shape(*box))
+    if per_point > WINDOW_CELL_BUDGET:
+        raise CapacityError(
+            f"the bit box {box[0]}..{box[1]} of one point holds {per_point} cells, "
+            f"over the window budget of {WINDOW_CELL_BUDGET}"
+        )
+    step = WINDOW_CELL_BUDGET // per_point
     for start in range(0, len(points), step):
         yield OrbitWindow(model.spec, stages, points[start:start + step], lo, hi)
 

@@ -92,7 +92,7 @@ def test_tower_command_writes_reports(tmp_path):
     assert (tmp_path / "out" / "tower" / "run_meta.json").exists()
 
 
-def test_run_meta_counts_bits_hashed(tmp_path):
+def test_run_meta_counts_bits_drawn(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "weights": {"q": 0.5, "n_max": 8},
@@ -100,17 +100,17 @@ def test_run_meta_counts_bits_hashed(tmp_path):
         "samples": {"tower_samples": 2000},
     }))
 
-    def bits_hashed(command, out):
+    def bits_drawn(command, out):
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / out)]) == 0
         meta = json.loads((tmp_path / out / command / "run_meta.json").read_text())
         report = (tmp_path / out / command / "report.json").read_text()
-        assert "bits_hashed" not in report
-        return meta["bits_hashed"]
+        assert "bits_drawn" not in report and "philox_blocks" not in report
+        return meta["bits_drawn"], meta["philox_blocks"]
 
-    first = bits_hashed("tower", "a")
-    assert first > 0
-    assert bits_hashed("tower", "b") == first
-    assert bits_hashed("weights", "a") == 0
+    first = bits_drawn("tower", "a")
+    assert min(first) > 0
+    assert bits_drawn("tower", "b") == first
+    assert bits_drawn("weights", "a") == (0, 0)
 
 
 def test_run_meta_counts_sampler_draws(tmp_path):
@@ -227,7 +227,8 @@ def test_all_builds_the_model_once(tmp_path, monkeypatch):
         json.loads((tmp_path / run / "build" / "run_meta.json").read_text())
         for run in ("all", "one")
     ]
-    assert meta[0]["bits_hashed"] == meta[1]["bits_hashed"] > 0
+    assert meta[0]["bits_drawn"] == meta[1]["bits_drawn"] > 0
+    assert meta[0]["philox_blocks"] == meta[1]["philox_blocks"] > 0
     assert meta[0]["sampler_draws"] == meta[1]["sampler_draws"] > 0
     assert meta[0]["window_cells"] == meta[1]["window_cells"] > 0
     for command in cli.MODEL_COMMANDS:

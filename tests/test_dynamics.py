@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkrep import dynamics, groups, stats
-from walkrep.errors import TowerConstructionError
+from walkrep.errors import EncodingError, TowerConstructionError
 
 
 def wilson_interval(k: int, n: int, z: float = stats.Z95) -> tuple[float, float]:
@@ -43,7 +43,8 @@ def test_draws_agree_at_half_rate(z_bernoulli):
     x = dynamics.sample_point(z_bernoulli, 0)
     y = dynamics.sample_point(z_bernoulli, 1)
     n = 2000
-    agree = sum(x.read(g) == y.read(g) for g in range(-n // 2, n // 2))
+    rows = dynamics.read_cells([x, y], list(range(-n // 2, n // 2)))
+    agree = int((rows[0] == rows[1]).sum())
     lo, hi = wilson_interval(agree, n)
     assert lo < 0.5 < hi or abs(agree / n - 0.5) < 0.05
 
@@ -65,9 +66,9 @@ def test_rotation_points_uniform_and_equivariant(z_spec):
 def test_cylinder_measure_and_eval(z_bernoulli, z_spec):
     cyl = dynamics.CylinderSet.from_dict(z_spec, {0: 1})
     assert cyl.measure() == 0.5
-    hits = sum(
-        cyl.contains(dynamics.sample_point(z_bernoulli, i)) for i in range(4000)
-    )
+    points = [dynamics.sample_point(z_bernoulli, i) for i in range(4000)]
+    hits = int(dynamics.read_cells(points, [0]).sum())
+    assert [cyl.contains(x) for x in points[:40]] == [x.read(0) == 1 for x in points[:40]]
     lo, hi = wilson_interval(hits, 4000)
     assert lo <= 0.5 <= hi
     full = dynamics.CylinderSet.from_dict(z_spec, {})
@@ -104,16 +105,21 @@ def test_tower_disjointness_and_measure(z_bernoulli):
     assert "n_excluded" not in report
 
 
+def tower_locate(tower, x):
+    """The first g in B_n (``groups.ball`` order) with T_{g^-1} x in E, or None."""
+    (hits,) = tower.located([x])
+    return groups.ball(tower.spec, tower.n)[hits.argmax()] if hits.any() else None
+
+
 def test_tower_locate_unique(z_bernoulli):
     tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2)
     gen = dynamics.conditional_base_sampler(tower, seed=1)
-    spec = z_bernoulli.group
     for _ in range(20):
         x = next(gen)
-        assert tower.in_base(x)
-        assert tower.locate(x) == 0
+        assert all(x.read(p) == b for p, b in tower.pattern.items())
+        assert tower_locate(tower, x) == 0
         moved = dynamics.act(z_bernoulli, 2, x)
-        assert tower.locate(moved) == 2
+        assert tower_locate(tower, moved) == 2
 
 
 def test_tower_respects_prescribed_base(z_bernoulli, z_spec):
@@ -196,17 +202,27 @@ def test_tower_rejects_overlapping_marker(monkeypatch):
 
 
 def _per_draw_hits(tower, samples, seed):
-    """The per-draw loop the marker sieve replaces: in_base at every
-    translate of the draw by an element of B_n^-1."""
+    """The per-draw loop the marker sieve replaces: the marker test at every
+    translate T_{g^-1} x of the draw, g in B_n, cell by cell on the draw's
+    bits (all draws read in one batch, each at every cell of the window)."""
     spec = tower.spec
     probe = dynamics.probe_system(tower.system, "tower", seed)
+    ball = groups.ball(spec, tower.n)
+    window = sorted(
+        {groups.multiply(spec, p, groups.inverse(spec, g)) for g in ball for p in tower.pattern},
+        key=lambda c: groups.sort_key(spec, c),
+    )
+    points = [dynamics.sample_point(probe, draw) for draw in range(samples)]
     hits = collisions = 0
-    for draw in range(samples):
-        x = dynamics.sample_point(probe, draw)
+    for row in dynamics.read_cells(points, window).tolist():
+        bits = dict(zip(window, row))
         located = [
             g
-            for g in groups.ball(spec, tower.n)
-            if tower.in_base(dynamics.act(probe, groups.inverse(spec, g), x))
+            for g in ball
+            if all(
+                bits[groups.multiply(spec, p, groups.inverse(spec, g))] == b
+                for p, b in tower.pattern.items()
+            )
         ]
         hits += bool(located)
         collisions += len(located) > 1
@@ -246,39 +262,150 @@ def test_tower_sieve_equals_per_draw_loop(z_bernoulli, z_spec, seed):
         assert counts[1] > 0
 
 
-def test_read_bits_equals_bit(z_bernoulli, z_spec):
+def test_batched_read_equals_per_cell_read(z_bernoulli, z_spec):
     positions = list(range(-12, 13))
-    key = dynamics._root_key(7, 0)
-    hashed = dynamics._BernoulliRoot(z_spec, key)
-    flipped = {p: 1 - hashed.bit(p) for p in positions[::2]}
+    fresh = dynamics.sample_point(z_bernoulli, 7)
+    flipped = {p: 1 - fresh.read(p) for p in positions[::2]}
     tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2)
+    forced = dynamics.PointHandle(
+        z_bernoulli,
+        dynamics.BitSource(7, forced=dynamics._forced_cells(z_spec, flipped)),
+        0,
+    )
+    points = [
+        dynamics.sample_point(z_bernoulli, 0),
+        dynamics.act(z_bernoulli, 5, dynamics.sample_point(z_bernoulli, 1)),
+        forced,
+        next(dynamics.conditional_base_sampler(tower, seed=4)),
+    ]
+    for x in points:
+        assert dynamics.read_cells([x], positions).tolist() == [[x.read(p) for p in positions]]
+    # many points and offsets at once, row-major
+    assert dynamics.read_cells(points, positions).tolist() == [
+        [x.read(p) for p in positions] for x in points
+    ]
+    # forced cells overlay the drawn bits and leave the others alone
+    got = dynamics.read_cells([forced, fresh], positions)
+    assert [got[0][k] for k in range(0, 25, 2)] == list(flipped.values())
+    assert (got[0][1::2] == got[1][1::2]).all()
+    sampled = points[-1]
+    assert all(sampled.read(p) == b for p, b in tower.pattern.items())
 
-    def points():
-        """Fresh, offset, cached and forced points, the same on every call."""
-        cached = dynamics.sample_point(z_bernoulli, 2)
-        for p in positions[::3]:
-            cached.read(p)
-        forced = dynamics.PointHandle(
-            z_bernoulli, dynamics._BernoulliRoot(z_spec, key, forced=flipped), 0
-        )
-        sampled = next(dynamics.conditional_base_sampler(tower, seed=4))
-        return [
-            dynamics.sample_point(z_bernoulli, 0),
-            dynamics.act(z_bernoulli, 5, dynamics.sample_point(z_bernoulli, 1)),
-            cached,
-            forced,
-            sampled,
-        ]
 
-    for x, y in zip(points(), points()):
-        at = [groups.multiply(z_spec, p, x.offset) for p in positions]
-        got = dynamics.read_bits([x.root], at, dynamics.cell_messages(z_spec, at))
-        assert got == [y.root.bit(p) for p in at]
-        assert x.root.bits == y.root.bits  # the batched read fills the cache
-    # many roots at once, row-major
-    roots = [x.root for x in points() if x.offset == 0]
-    expected = [x.root.bit(p) for x in points() if x.offset == 0 for p in positions]
-    assert dynamics.read_bits(roots, positions, dynamics.cell_messages(z_spec, positions)) == expected
+def _numpy_philox_block(key, counter):
+    """One block from numpy's Philox, which steps its 256-bit counter once
+    before drawing the first block: so start it one below ``counter``."""
+    whole = sum(c << (64 * i) for i, c in enumerate(counter)) - 1
+    below = [(whole >> (64 * i)) & (2**64 - 1) for i in range(4)]
+    gen = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=np.array(below, dtype=np.uint64))
+    return gen.random_raw(4).tolist()
+
+
+def _philox_block(key, counter):
+    words = dynamics.philox(
+        [np.array([c], dtype=np.uint64) for c in counter],
+        [np.array([k], dtype=np.uint64) for k in key],
+    )
+    return [int(w[0]) for w in words]
+
+
+def test_philox_matches_numpy():
+    rng = np.random.default_rng(2011)
+    for _ in range(200):
+        key = [int(k) for k in rng.integers(0, 2**64, 2, dtype=np.uint64)]
+        counter = [int(c) for c in rng.integers(0, 2**64, 4, dtype=np.uint64)]
+        assert _philox_block(key, counter) == _numpy_philox_block(key, counter)
+    # numpy's step from (2^64 - 1, 6, ...) carries out of word 0
+    key, counter = [3, 4], [0, 7, 8, 9]
+    assert _philox_block(key, counter) == _numpy_philox_block(key, counter)
+    carried = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=np.array([2**64 - 1, 6, 8, 9], dtype=np.uint64))
+    assert carried.random_raw(4).tolist() == _philox_block(key, counter)
+    # a batch is each counter's block
+    c0 = np.arange(5, dtype=np.uint64)
+    words = dynamics.philox((c0, c0 * np.uint64(3), np.uint64(1), np.uint64(0)), (np.array([9], np.uint64), np.array([10], np.uint64)))
+    for i in range(5):
+        assert [int(w[i]) for w in words] == _philox_block([9, 10], [i, 3 * i, 1, 0])
+
+
+def _block_bits(sys, draw, block, stream=0):
+    """The 256 lanes of one block: lane k is bit k % 64 of word k // 64."""
+    words = _philox_block(sys.key, [block, draw, stream, 0])
+    return [(words[k // 64] >> (k % 64)) & 1 for k in range(256)]
+
+
+def test_lane_order(z_bernoulli):
+    x = dynamics.sample_point(z_bernoulli, 11)
+    assert dynamics.read_cells([x], list(range(256)))[0].tolist() == _block_bits(z_bernoulli, 11, 0)
+    assert dynamics.read_cells([x], list(range(-256, 0)))[0].tolist() == _block_bits(
+        z_bernoulli, 11, 2**64 - 1
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tile_edges(d):
+    # cells on both sides of every tile face, with negative coordinates
+    spec = groups.GroupSpec("integers") if d == 1 else groups.GroupSpec("lattice", d)
+    sys = dynamics.bernoulli_system(spec, seed=5)
+    sides = {1: (256,), 2: (16, 16), 3: (8, 8, 4)}[d]
+    field = 64 // d
+    axes = [sorted({v for t in (-2, -1, 0, 1) for v in (t * s - 1, t * s)}) for s in sides]
+    cells = list(itertools.product(*axes))
+    x = dynamics.sample_point(sys, 3)
+    got = dynamics.read_cells([x], cells if d > 1 else [c[0] for c in cells])[0].tolist()
+    for cell, bit in zip(cells, got):
+        block = lane = 0
+        for c, s in zip(cell, sides):
+            block = (block << field) | ((c // s) & (2**field - 1))
+            lane = lane * s + c % s
+        assert bit == _block_bits(sys, 3, block)[lane], cell
+
+
+_KINDS = [
+    groups.GroupSpec("integers"),
+    groups.GroupSpec("lattice", 2),
+    groups.GroupSpec("free", 2),
+    groups.GroupSpec("heisenberg", 2),
+]
+
+
+@pytest.mark.parametrize("spec", _KINDS, ids=["Z", "Z2", "F2", "H"])
+def test_read_equivariance_all_kinds(spec):
+    sys = dynamics.bernoulli_system(spec, seed=41)
+    x = dynamics.sample_point(sys, 2)
+    ball = groups.ball(spec, 2)
+    far = groups.power(spec, groups.generators(spec)[-1], 30 if spec.kind == "free" else 300)
+    for h in groups.ball(spec, 1) + [far]:
+        xh = dynamics.act(sys, h, x)
+        assert [xh.read(g) for g in ball] == [x.read(groups.multiply(spec, g, h)) for g in ball]
+        assert dynamics.read_cells([xh], ball).tolist() == dynamics.read_cells(
+            [x], [groups.multiply(spec, g, h) for g in ball]
+        ).tolist()
+
+
+@pytest.mark.parametrize(
+    "spec, near, far",
+    [
+        (groups.GroupSpec("lattice", 2), (16 * 2**31 - 1, 0), (16 * 2**31, 0)),
+        (groups.GroupSpec("lattice", 3), (0, 0, -4 * 2**20), (0, 0, -4 * 2**20 - 1)),
+        (groups.GroupSpec("heisenberg", 2), (0, -(2**23), 0), (0, 2**23, 0)),
+        (groups.GroupSpec("free", 1), (1,) * 72, (1,) * 73),
+    ],
+    ids=["Z2", "Z3", "H", "F1"],
+)
+def test_cells_past_the_counter_range(spec, near, far):
+    # the last cell a block word holds reads; the next raises
+    x = dynamics.sample_point(dynamics.bernoulli_system(spec, seed=1), 0)
+    assert x.read(near) in (0, 1)
+    with pytest.raises(EncodingError):
+        x.read(far)
+
+
+def test_fair_bit_frequency(z_bernoulli):
+    # 4000 draws x 300 cells across two blocks: 1.2M bits within 4 SE of 1/2
+    points = [dynamics.sample_point(z_bernoulli, draw) for draw in range(4000)]
+    bits = dynamics.read_cells(points, list(range(-150, 150)))
+    assert bits.size >= 1_000_000
+    assert abs(bits.mean() - 0.5) <= 4 * 0.5 / math.sqrt(bits.size)
 
 
 def test_conditional_sampler_law(z_bernoulli):
@@ -297,11 +424,9 @@ def test_conditional_sampler_law(z_bernoulli):
 def measure_preservation_report(sys, cyl, g, samples: int, seed: int = 0) -> dict:
     """Empirical mu(T_g^{-1} A) vs the exact cylinder measure, with CI."""
     probe = dynamics.probe_system(sys, "mp", seed)
-    hits = 0
-    for draw in range(samples):
-        x = dynamics.sample_point(probe, draw)
-        if cyl.contains(dynamics.act(probe, g, x)):
-            hits += 1
+    moved = [dynamics.act(probe, g, dynamics.sample_point(probe, draw)) for draw in range(samples)]
+    bits = dynamics.read_cells(moved, [c for c, _ in cyl.bits])
+    hits = int((bits == [b for _, b in cyl.bits]).all(axis=1).sum())
     exact = cyl.measure()
     se = math.sqrt(exact * (1 - exact) / samples)
     return {
@@ -312,19 +437,21 @@ def measure_preservation_report(sys, cyl, g, samples: int, seed: int = 0) -> dic
 
 
 def freeness_report(sys, radius: int, points: int, seed: int = 0) -> dict:
-    """For sampled points and g in B_radius minus e, some coordinate differs."""
+    """For sampled points and g in B_radius minus e, some coordinate differs.
+
+    Two fair sequences agree on k witness cells with probability 2^-k, so
+    the witness ball is wide enough that no pair agrees by chance."""
     spec = sys.group
     probe = dynamics.probe_system(sys, "free", seed)
-    witnesses = groups.ball(spec, radius + 2)
+    witnesses = groups.ball(spec, radius + 16)
+    xs = [dynamics.sample_point(probe, draw) for draw in range(points)]
+    bits = dynamics.read_cells(xs, witnesses)
     failures = 0
-    for draw in range(points):
-        x = dynamics.sample_point(probe, draw)
-        for g in groups.ball(spec, radius):
-            if g == groups.identity(spec):
-                continue
-            moved = dynamics.act(probe, g, x)
-            if not any(x.read(h) != moved.read(h) for h in witnesses):
-                failures += 1
+    for g in groups.ball(spec, radius):
+        if g == groups.identity(spec):
+            continue
+        moved = dynamics.read_cells([dynamics.act(probe, g, x) for x in xs], witnesses)
+        failures += int((moved == bits).all(axis=1).sum())
     return {"failures": failures, "pass": failures == 0}
 
 
@@ -344,5 +471,8 @@ def test_birkhoff_window_sanity(z_bernoulli, z_spec):
     cyl = dynamics.CylinderSet.from_dict(z_spec, {0: 1})
     x = dynamics.sample_point(z_bernoulli, 17)
     for n, tol in ((50, 0.2), (400, 0.1)):
-        window = [cyl.contains(dynamics.act(z_bernoulli, g, x)) for g in range(-n, n)]
-        assert abs(sum(window) / len(window) - 0.5) < tol
+        window = dynamics.read_cells([x], list(range(-n, n)))[0]
+        assert [cyl.contains(dynamics.act(z_bernoulli, g, x)) for g in (-n, 0, n - 1)] == [
+            window[k] == 1 for k in (0, n, 2 * n - 1)
+        ]
+        assert abs(window.mean() - 0.5) < tol

@@ -1,40 +1,55 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from vectors import WeightedVector, norm, shift
 from walkrep import dynamics, groups, measures, model, stats
-from walkrep.errors import DomainError, EncodingError, StageError
+from walkrep.errors import CapacityError, DomainError, EncodingError, StageError
 
 
 class ModelEvaluator:
     """Dict oracle for the window evaluator: one point, lazy reads.
 
-    The tower and cylinder tests are those of ``dynamics``; this class only
-    memoizes them, keyed by absolute group positions, so translates of the
-    root share every cached bit, event test and function value.
+    The marker and cylinder tests go cell by cell over the root's bits,
+    memoized by absolute group position like every event test and function
+    value, so translates of the root share them all.  A bit not yet read
+    brings in the cube of cells around it in one ``dynamics.read_cells``.
     """
+
+    PAD = {1: 64, 2: 8}  # half side of the cube read on a miss, by rank
 
     def __init__(self, mdl: model.ModelFunction, x: dynamics.PointHandle):
         self.model = mdl
         self.spec = mdl.spec
         self.root = dynamics.PointHandle(x.system, x.root, groups.identity(mdl.spec))
         n_stages = len(mdl.stages)
+        self._bits = {}
         self._base = [dict() for _ in range(n_stages)]
         self._locate = [dict() for _ in range(n_stages)]
         self._route = [dict() for _ in range(n_stages)]
         self._values = [dict() for _ in range(n_stages + 1)]
 
-    def _at(self, position) -> dynamics.PointHandle:
-        return dynamics.PointHandle(self.root.system, self.root.root, position)
+    def _bit(self, position) -> int:
+        if position not in self._bits:
+            centre = model._coords(self.spec, position)
+            pad = self.PAD[len(centre)]
+            cube = list(itertools.product(*(range(c - pad, c + pad + 1) for c in centre)))
+            cells = [c[0] for c in cube] if self.spec.kind == "integers" else cube
+            self._bits.update(zip(cells, dynamics.read_cells([self.root], cells)[0].tolist()))
+        return self._bits[position]
+
+    def _has(self, constraints, u) -> bool:
+        """Whether T_u of the root meets every (cell, bit) constraint."""
+        return all(self._bit(groups.multiply(self.spec, c, u)) == b for c, b in constraints)
 
     def in_base(self, j: int, u) -> bool:
         cache = self._base[j]
         if u not in cache:
-            cache[u] = self.model.stages[j].patch.tower.in_base(self._at(u))
+            cache[u] = self._has(self.model.stages[j].patch.tower.pattern.items(), u)
         return cache[u]
 
     def locate(self, j: int, position):
@@ -56,7 +71,7 @@ class ModelEvaluator:
         cache = self._route[j]
         if position not in cache:
             cyl = self.model.family.set_at(self.model.stages[j].split.a_index)
-            cache[position] = cyl.contains(self._at(position))
+            cache[position] = self._has(cyl.bits, position)
         return cache[position]
 
     def f_value(self, position, stage_count: int | None = None) -> float:
@@ -347,7 +362,7 @@ def test_orbit_frequency_whole_space(built_model, z_weights, z_bernoulli):
 
 
 def test_evaluator_locate_matches_tower(built_model, z_bernoulli):
-    # TowerSpec.locate is the oracle for the window's locate
+    # TowerSpec.located is the oracle for the window's locate
     mdl, _, _ = built_model
     for j, stage in enumerate(mdl.stages):
         tower = stage.patch.tower
@@ -357,9 +372,9 @@ def test_evaluator_locate_matches_tower(built_model, z_bernoulli):
         lo, hi = -2 * tower.n - 2, 2 * tower.n + 2
         (win,) = model.orbit_windows(mdl, points, (lo,), (hi,))
         for x, first in zip(points, win.locate(j)):
-            for u, gi in zip(range(lo, hi + 1), first.tolist()):
-                expected = tower.locate(dynamics.act(z_bernoulli, u, x))
-                assert (None if gi < 0 else ball[gi]) == expected
+            located = tower.located([dynamics.act(z_bernoulli, u, x) for u in range(lo, hi + 1)])
+            for gi, hits in zip(first.tolist(), located):
+                assert (None if gi < 0 else ball[gi]) == (ball[hits.argmax()] if hits.any() else None)
 
 
 # mu_e_lower * Clopper-Pearson lower bound of the stratified hit estimate at
@@ -607,6 +622,29 @@ def test_window_chunks_match_one_window(built_model, z_weights, z_bernoulli, mon
     ball = model.basis_balls(1, z_bernoulli.group)
     rep = model.orbit_frequency(mdl, points[0], 1, ball, 40, z_weights, 16)
     assert rep["series"] == _oracle_orbit(mdl, points[0], 1, ball, 40, z_weights, 16)[0]
+
+
+def test_window_over_budget_raises_before_reading(built_model, z_weights, z_bernoulli, monkeypatch):
+    # a budget of exactly one point's bit box still evaluates; one cell less
+    # raises CapacityError naming the box and the budget, before any read
+    mdl = built_model[0]
+    points = [dynamics.sample_point(z_bernoulli, i) for i in range(3)]
+    whole = model.phi(mdl, points, 16, z_weights)[1]
+    lo, hi = model._bit_box(model._stage_events(mdl), (-16,), (16,))
+    cells = hi[0] - lo[0] + 1
+    monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", cells)
+    assert np.array_equal(model.phi(mdl, points, 16, z_weights)[1], whole)
+    monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", cells - 1)
+
+    def no_read(points, cells):
+        raise AssertionError("bits read before the capacity check")
+
+    monkeypatch.setattr(dynamics, "read_cells", no_read)
+    message = f"the bit box {lo}..{hi} of one point holds {cells} cells, over the window budget of {cells - 1}"
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        model.phi(mdl, points, 16, z_weights)
+    with pytest.raises(CapacityError):
+        model.orbit_frequency(mdl, points[0], 1, model.basis_balls(1, z_bernoulli.group), 40, z_weights, 16)
 
 
 def test_window_split_map_miss_raises(built_model, z_bernoulli):
