@@ -6,9 +6,10 @@ Subcommands mirror the module boundaries: weights, norms, jrt, tower,
 build, support, orbit, feldman, continuous, and all.  Every run writes a
 timestamp-free ``report.json`` (plus CSV tables) under ``<out>/<command>/``
 so identical configs and seeds reproduce byte-identical outputs; wall time,
-the Bernoulli cells read and Philox blocks drawn, the bit cells the orbit
-windows filled and the conditional sampler's draws go to a separate
-``run_meta.json``.
+the start-up CPU time, the Bernoulli cells read and Philox blocks drawn, the
+bit cells the orbit windows filled and the conditional sampler's draws go to
+a separate ``run_meta.json``.  Each command imports the layers it runs at
+its top, so a process loads only those.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
 error.
 """
@@ -18,15 +19,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, continuous, dynamics, groups, markov, measures, model, space, stats
+from . import __version__, groups, trace
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, WalkrepError
 
@@ -57,13 +57,17 @@ def _record(name: str, rep: dict, **extra) -> dict:
     return row
 
 
+@functools.cache
+def _startup_cpu_s() -> float:
+    """The process's CPU time when its first command's clock starts: the
+    interpreter's start-up and the imports."""
+    return time.process_time()
+
+
 def _start() -> tuple[float, dict]:
     """The wall clock and the run counters, at a command's start."""
-    return time.time(), _counters()
-
-
-def _counters() -> dict:
-    return {**dynamics.counters(), **model.counters()}
+    _startup_cpu_s()
+    return time.time(), dict(trace.COUNTERS)
 
 
 def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, start: tuple) -> int:
@@ -77,7 +81,8 @@ def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, start:
     }
     _write_json(os.path.join(out, "report.json"), report)
     meta = {"wall_time_s": time.time() - start[0], "command": command}
-    meta.update((k, v - start[1][k]) for k, v in _counters().items())
+    meta["startup_cpu_s"] = _startup_cpu_s()
+    meta.update((k, v - start[1][k]) for k, v in trace.COUNTERS.items())
     _write_json(os.path.join(out, "run_meta.json"), meta)
     for r in records:
         print(f"[{'PASS' if r['pass'] else 'FAIL'}] {command}/{r['name']}")
@@ -85,6 +90,7 @@ def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, start:
 
 
 def _weight_tables(cfg: ExperimentConfig):
+    from . import measures
     spec1 = cfg.group.spec()
     spec2 = cfg.second_group.spec()
     w1 = measures.build_weight(spec1, measures.WeightParams(cfg.weights.q, cfg.weights.n_max))
@@ -95,6 +101,7 @@ def _weight_tables(cfg: ExperimentConfig):
 
 
 def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
+    from . import measures
     start = _start()
     out = _out_dir(out_base, "weights")
     records = []
@@ -150,6 +157,7 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
 
 
 def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
+    from . import measures, space
     start = _start()
     out = _out_dir(out_base, "norms")
     records = []
@@ -185,6 +193,7 @@ def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
 
 
 def cmd_jrt(cfg: ExperimentConfig, out_base: str) -> int:
+    from . import dynamics, markov
     start = _start()
     out = _out_dir(out_base, "jrt")
     spec = cfg.group.spec()
@@ -246,6 +255,7 @@ def cmd_jrt(cfg: ExperimentConfig, out_base: str) -> int:
 
 
 def cmd_tower(cfg: ExperimentConfig, out_base: str) -> int:
+    from . import dynamics
     start = _start()
     out = _out_dir(out_base, "tower")
     spec = cfg.group.spec()
@@ -278,6 +288,7 @@ def _build_model(cfg: ExperimentConfig, cache: list | None = None):
     """The staged model for ``cfg``.  ``all`` passes one ``cache`` list to
     every model command, so the model is built once, inside the clock of the
     first command that asks for it, as in a separate run of that command."""
+    from . import dynamics, measures, model
     if cache:
         return cache[0]
     spec = cfg.group.spec()
@@ -295,6 +306,7 @@ def _build_model(cfg: ExperimentConfig, cache: list | None = None):
 
 
 def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
+    from . import model
     start = _start()
     out = _out_dir(out_base, "build")
     spec, w, sys_b, mdl, history = _build_model(cfg, cache)
@@ -317,6 +329,7 @@ def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
 
 
 def cmd_support(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
+    from . import model
     start = _start()
     out = _out_dir(out_base, "support")
     spec, w, sys_b, mdl, history = _build_model(cfg, cache)
@@ -345,6 +358,7 @@ def cmd_support(cfg: ExperimentConfig, out_base: str, cache: list | None = None)
 
 
 def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
+    from . import dynamics, model, stats
     start = _start()
     out = _out_dir(out_base, "orbit")
     spec, w, sys_b, mdl, history = _build_model(cfg, cache)
@@ -383,6 +397,7 @@ def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
 
 
 def cmd_feldman(cfg: ExperimentConfig, out_base: str) -> int:
+    from . import model
     start = _start()
     out = _out_dir(out_base, "feldman")
     rep = model.doubling_shift_baseline(steps=30, n_points=1000, seed=cfg.seed)
@@ -392,6 +407,9 @@ def cmd_feldman(cfg: ExperimentConfig, out_base: str) -> int:
 
 
 def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
+    import numpy as np
+
+    from . import continuous, measures
     start = _start()
     out = _out_dir(out_base, "continuous")
     records = []

@@ -11,10 +11,10 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass
 
-from .continuous import MAX_CHAIN_N
 from .errors import ConfigError, EncodingError
 from .groups import GroupSpec
-from .model import BuildConfig
+
+MAX_CHAIN_N = 16  # longest chain: every array on K_n_max stays under 1 MB
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,9 @@ class ExperimentConfig:
     lf_chain_n: int = 10
     lf_sampled_g0: int = 20
 
-    def build_config(self) -> BuildConfig:
+    def build_config(self):
+        """The ``model.BuildConfig`` of this experiment."""
+        from .model import BuildConfig
         return BuildConfig(
             stages=self.stages,
             n_trunc=self.n_trunc,

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import groups
+from .config import MAX_CHAIN_N
 from .errors import DomainError
 from .groups import GroupSpec
 from .measures import WeightParams
@@ -118,7 +119,6 @@ def domination_constant_real(
 
 
 Z2SUM = GroupSpec("z2sum", 0)
-MAX_CHAIN_N = 16  # longest chain: every array on K_n_max stays under 1 MB
 
 
 def fwht(a: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import groups, stats
+from . import groups, stats, trace
 from .errors import DomainError, EncodingError, TowerConstructionError
 from .groups import GroupSpec
 
@@ -93,19 +93,6 @@ def rotation_system(group: GroupSpec, seed: int, alpha=None) -> DynamicalSystem:
     if alpha is None:
         alpha = (SQRT2_MINUS_1,) * group.d
     return DynamicalSystem("rotation", group, seed, tuple(alpha))
-
-
-# Bernoulli cells read and Philox blocks drawn in this process, and the
-# points the conditional base sampler drew; commands report the change of
-# each over their run (see ``counters``)
-_bits_drawn = 0
-_philox_blocks = 0
-_sampler_draws = 0
-
-
-def counters() -> dict:
-    """The process-wide counts so far, by the name commands report them."""
-    return {"bits_drawn": _bits_drawn, "philox_blocks": _philox_blocks, "sampler_draws": _sampler_draws}
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
@@ -213,7 +200,6 @@ def read_cells(points: list, cells) -> np.ndarray:
     Lane k of a block is bit k % 64 of output word k // 64.  Forced cells
     overlay the drawn bits.
     """
-    global _bits_drawn, _philox_blocks
     if any(x.system.kind != "bernoulli" for x in points):
         raise DomainError("coordinate reads are for Bernoulli points")
     out = np.empty((len(points), len(cells)), dtype=np.uint8)
@@ -252,8 +238,8 @@ def read_cells(points: list, cells) -> np.ndarray:
         # the cells lie in their blocks
         cell_words = words.reshape(len(rows), -1)[:, where * 4 + (lane >> 6)]
         out[rows] = (cell_words >> (lane & 63).astype(np.uint64)) & np.uint64(1)
-        _philox_blocks += words.shape[0] * words.shape[1]
-    _bits_drawn += out.size
+        trace.COUNTERS["philox_blocks"] += words.shape[0] * words.shape[1]
+    trace.COUNTERS["bits_drawn"] += out.size
     return out
 
 
@@ -575,10 +561,9 @@ def conditional_base_sampler(tower: TowerSpec, seed: int):
     and leaves every other coordinate fair: each draw is a fresh point of
     the sampler's own Philox stream with the pattern forced.
     """
-    global _sampler_draws
     sys = tower.system
     stream = _derived_seed("cond", seed) | 1 << 63  # never 0, sample_point's stream
     forced = _forced_cells(sys.group, tower.pattern)
     for draw in itertools.count():
-        _sampler_draws += 1
+        trace.COUNTERS["sampler_draws"] += 1
         yield PointHandle(sys, BitSource(draw, stream, forced), groups.identity(sys.group))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, groups, stats
+from . import dynamics, groups, stats, trace
 from .dynamics import DynamicalSystem, PointHandle, SetFamily, TowerSpec
 from .errors import CapacityError, DomainError, StageError
 from .groups import GroupSpec
@@ -267,14 +267,9 @@ def _elem_to_json(spec: GroupSpec, g):
 # memory stays bounded on Z^3.
 WINDOW_CELL_BUDGET = 1 << 20
 
-# bit cells the orbit windows of this process filled; commands report the
-# change over their run next to ``dynamics.counters``
-_window_cells = 0
-
-
-def counters() -> dict:
-    """The process-wide count so far, by the name commands report it."""
-    return {"window_cells": _window_cells}
+# Marker cells a window's base event ANDs over its whole box; with fair bits
+# about 2^-8 of the box survives them, and the later cells are read there only
+DENSE_MARKER_CELLS = 8
 
 
 def _coords(spec: GroupSpec, g) -> tuple:
@@ -383,11 +378,10 @@ class OrbitWindow:
     over shifted slices, ``locate`` takes the first g in ``groups.ball``
     order whose shift lands in the base, and routing is an AND over the
     cylinder constraints.  So every value equals the one the lazy reads of
-    ``dynamics`` give.  Each window adds its bit cells to ``counters``.
+    ``dynamics`` give.  Each window adds its bit cells to ``trace.COUNTERS``.
     """
 
     def __init__(self, spec: GroupSpec, stages: list, points: list, lo: tuple, hi: tuple):
-        global _window_cells
         self.spec = spec
         self.stages = stages
         self.lo, self.hi = lo, hi
@@ -399,7 +393,7 @@ class OrbitWindow:
         # the box's cells in row-major order, as coordinates
         cells = np.indices(bit_shape).reshape(len(bit_shape), -1).T + self._bit_lo
         bits = dynamics.read_cells(points, cells)
-        _window_cells += bits.size
+        trace.COUNTERS["window_cells"] += bits.size
         self._one = bits.reshape((len(points),) + bit_shape).astype(bool)
         self._zero = ~self._one
         self._base: dict = {}
@@ -421,14 +415,27 @@ class OrbitWindow:
         return self._take(self._one if bit else self._zero, self._bit_lo, lo, shape)
 
     def _base_event(self, j: int) -> tuple[np.ndarray, tuple]:
-        """The stage-(j+1) base on ``base_box`` of the window, and its corner."""
+        """The stage-(j+1) base on ``base_box`` of the window, and its corner.
+
+        The first ``DENSE_MARKER_CELLS`` marker cells are ANDed over the whole
+        box; every later cell is read only where all before it matched.
+        """
         if j not in self._base:
             st = self.stages[j]
             base_lo, base_hi = st.base_box(self.lo, self.hi)
             shape = _shape(base_lo, base_hi)
             base = np.ones((self.n_points,) + shape, dtype=bool)
-            for p, b in st.pattern:
+            for p, b in st.pattern[:DENSE_MARKER_CELLS]:
                 base &= self._bits(b, _add(base_lo, p), shape)
+            if len(st.pattern) > DENSE_MARKER_CELLS:
+                live = np.nonzero(base)
+                for p, b in st.pattern[DENSE_MARKER_CELLS:]:
+                    if not live[0].size:
+                        break
+                    keep = self._bits(b, _add(base_lo, p), shape)[live]
+                    live = tuple(i[keep] for i in live)
+                base.fill(False)
+                base[live] = True
             self._base[j] = (base, base_lo)
         return self._base[j]
 
@@ -1275,28 +1282,23 @@ def doubling_shift_baseline(
     """
     rng = np.random.default_rng(seed)
     zs = rng.random(n_points)
+    k = np.arange(1, steps + 1)
 
-    def phi0(z: float) -> tuple:
-        return (math.cos(2.0 * math.pi * z), math.sin(2.0 * math.pi * z))
+    def embed(z: np.ndarray) -> np.ndarray:
+        """Per point, the blocks 2^-k phi0((z + k alpha) mod 1) for k = 1..steps,
+        with phi0(z) = (cos 2 pi z, sin 2 pi z), as points x steps x 2."""
+        t = 2.0 * math.pi * ((z[:, None] + k * alpha) % 1.0)
+        return np.stack((np.cos(t), np.sin(t)), axis=-1) / (2.0**k)[:, None]
 
-    def embed(z: float) -> list:
-        return [
-            tuple(c / 2.0**k for c in phi0((z + k * alpha) % 1.0))
-            for k in range(1, steps + 1)
-        ]
-
-    worst = 0.0
-    worst_norm = 0.0
     expected_norm2 = (1.0 - 4.0**-steps) / 3.0
-    for z in zs:
-        u = embed(float(z))
-        fu = embed((float(z) + alpha) % 1.0)
-        # (T u)_k = 2 u_{k+1} must equal phi(f z)_k for k = 1..steps-1
-        for k in range(steps - 1):
-            for c in range(2):
-                worst = max(worst, abs(2.0 * u[k + 1][c] - fu[k][c]))
-        norm2 = sum(c * c for blk in u for c in blk)
-        worst_norm = max(worst_norm, abs(norm2 - expected_norm2))
+    u = embed(zs)
+    fu = embed((zs + alpha) % 1.0)
+    # (T u)_k = 2 u_{k+1} must equal phi(f z)_k for k = 1..steps-1
+    worst = float(np.abs(2.0 * u[:, 1:] - fu[:, :-1]).max(initial=0.0))
+    # each point's squares added left to right in coordinate order, as a scalar
+    # sum adds them
+    norm2 = np.cumsum((u * u).reshape(n_points, 2 * steps), axis=1)[:, -1:]
+    worst_norm = float(np.abs(norm2 - expected_norm2).max(initial=0.0))
     return {
         "steps": steps,
         "points": n_points,

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from fresh import modules_after
 from walkrep import cli, config, continuous, groups, measures, model
 from walkrep.errors import ConfigError
 
@@ -129,6 +131,82 @@ def test_run_meta_counts_sampler_draws(tmp_path):
         assert meta[command]["sampler_draws"] > 0
         assert meta[command]["window_cells"] > 0
         assert "window_cells" not in (tmp_path / command / "report.json").read_text()
+
+
+# what every process loads, and each command's layers beyond it
+ALWAYS_LOADED = [
+    "walkrep", "walkrep.cli", "walkrep.config", "walkrep.errors", "walkrep.groups", "walkrep.trace",
+]
+COMMAND_LAYERS = {
+    "tower": ("dynamics", "stats"),
+    "weights": ("measures",),
+    "norms": ("measures", "space"),
+    "jrt": ("markov", "dynamics", "measures", "stats"),
+    **dict.fromkeys(
+        ("build", "support", "orbit", "feldman"), ("model", "dynamics", "measures", "stats")
+    ),
+    "continuous": ("continuous", "measures"),
+}
+SMALL_CONFIG = {
+    "stages": 2,
+    "weights": {"q": 0.5, "n_max": 12},
+    "second_weights": {"q": 0.5, "n_max": 6},
+    "lf_chain_n": 4,
+    "lf_sampled_g0": 4,
+    "samples": {
+        "tower_samples": 2000, "check_samples": 300, "equivariance_samples": 100,
+        "orbit_steps": 200, "averaging_samples": 100,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def fresh_runs(tmp_path_factory):
+    """Each command run alone in a fresh interpreter: the config, the
+    output directory and, per command, the walkrep modules it loaded."""
+    base = tmp_path_factory.mktemp("fresh")
+    cfg = base / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_CONFIG))
+
+    def run(command):
+        # ``continuous`` exits 1 for the record that fails by design (11b)
+        argv = [command, "--config", str(cfg), "--out", str(base)]
+        code = f"from walkrep import cli\nassert cli.main({argv!r}) == {int(command == 'continuous')}"
+        return command, modules_after(code, "walkrep")
+
+    with ThreadPoolExecutor(2) as pool:
+        loaded = dict(pool.map(run, COMMAND_LAYERS))
+    return cfg, base, loaded
+
+
+def test_cli_import_loads_no_layer():
+    assert modules_after("import walkrep.cli", "walkrep") == ALWAYS_LOADED
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_command_loads_only_its_layers(fresh_runs, command):
+    want = ALWAYS_LOADED + [f"walkrep.{layer}" for layer in COMMAND_LAYERS[command]]
+    assert fresh_runs[2][command] == sorted(want)
+
+
+def test_fresh_run_meta_has_every_counter(fresh_runs):
+    _, base, _ = fresh_runs
+    meta = {c: json.loads((base / c / "run_meta.json").read_text()) for c in ("tower", "weights")}
+    for command, m in meta.items():
+        assert m["startup_cpu_s"] > 0.0
+        assert "startup_cpu_s" not in (base / command / "report.json").read_text()
+    assert meta["tower"]["bits_drawn"] > 0 and meta["tower"]["philox_blocks"] > 0
+    assert meta["tower"]["sampler_draws"] == meta["tower"]["window_cells"] == 0
+    counters = ("bits_drawn", "philox_blocks", "sampler_draws", "window_cells")
+    assert [meta["weights"][k] for k in counters] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("command", ["tower", "feldman"])
+def test_fresh_report_equals_in_process(fresh_runs, command, tmp_path):
+    cfg, base, _ = fresh_runs
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = (tmp_path / command / "report.json").read_bytes()
+    assert report == (base / command / "report.json").read_bytes()
 
 
 def test_feldman_command(tmp_path):

@@ -674,3 +674,90 @@ def test_feldman_identity_and_norm():
     assert rep["pass"]
     assert rep["max_conjugacy_error"] < 1e-12
     assert rep["tail_bound"] == 2.0**-30
+
+
+def _doubling_shift_loop(steps: int, n_points: int, seed: int) -> dict:
+    """``doubling_shift_baseline`` one point and one coordinate at a time,
+    with ``math`` and ``sum``: the oracle of the array version."""
+    zs = np.random.default_rng(seed).random(n_points)
+    alpha = dynamics.SQRT2_MINUS_1
+
+    def phi0(z: float) -> tuple:
+        return (math.cos(2.0 * math.pi * z), math.sin(2.0 * math.pi * z))
+
+    def embed(z: float) -> list:
+        return [
+            tuple(c / 2.0**k for c in phi0((z + k * alpha) % 1.0)) for k in range(1, steps + 1)
+        ]
+
+    worst = worst_norm = 0.0
+    expected_norm2 = (1.0 - 4.0**-steps) / 3.0
+    for z in zs:
+        u = embed(float(z))
+        fu = embed((float(z) + alpha) % 1.0)
+        for k in range(steps - 1):
+            for c in range(2):
+                worst = max(worst, abs(2.0 * u[k + 1][c] - fu[k][c]))
+        norm2 = sum(c * c for blk in u for c in blk)
+        worst_norm = max(worst_norm, abs(norm2 - expected_norm2))
+    return {
+        "steps": steps,
+        "points": n_points,
+        "alpha": alpha,
+        "max_conjugacy_error": worst,
+        "max_norm_identity_error": worst_norm,
+        "tail_bound": 2.0**-steps,
+        "pass": bool(worst < 1e-12 and worst_norm < 1e-12),
+    }
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 30])
+@pytest.mark.parametrize("seed", [0, 1, 9, 20240, 20241, 20242])
+def test_feldman_arrays_equal_the_loop(steps, seed):
+    assert model.doubling_shift_baseline(steps, 300, seed) == _doubling_shift_loop(steps, 300, seed)
+
+
+def test_feldman_no_points():
+    assert model.doubling_shift_baseline(5, 0, 3) == _doubling_shift_loop(5, 0, 3)
+
+
+def _dense_base(win: model.OrbitWindow, j: int) -> np.ndarray:
+    """The stage-(j+1) base of ``win``: every marker cell ANDed over the
+    whole base box, the oracle of the survivor sieve."""
+    st = win.stages[j]
+    lo, hi = st.base_box(win.lo, win.hi)
+    shape = model._shape(lo, hi)
+    base = np.ones((win.n_points,) + shape, dtype=bool)
+    for p, b in st.pattern:
+        base &= win._bits(b, model._add(lo, p), shape)
+    return base
+
+
+@pytest.mark.parametrize("d, length", [(1, 11), (1, 40), (2, 3), (3, 2)])
+def test_base_sieve_equals_dense_and(d, length):
+    spec = groups.GroupSpec("integers") if d == 1 else groups.GroupSpec("lattice", d)
+    system = dynamics.bernoulli_system(spec, seed=5)
+    pattern = dynamics._marker_pattern(spec, length)
+    assert len(pattern) > model.DENSE_MARKER_CELLS
+    tower = dynamics.TowerSpec(
+        system=system, n=1, eta=0.5, pattern=pattern, mu_pattern=0.5 ** len(pattern)
+    )
+    mdl = model.ModelFunction(system=system, stages=[], family=dynamics.SetFamily(spec))
+    xi = {g: 0.5 for g in groups.ball(spec, 1)}
+    mdl.stages.append(model.ModelStage(patch=model.StagePatch(tower=tower, xi=xi, n0=1, n=1)))
+    fresh = [dynamics.sample_point(system, i) for i in range(40)]
+    gen = dynamics.conditional_base_sampler(tower, seed=3)
+    forced = [next(gen) for _ in range(6)]
+    a = groups.generators(spec)[0]
+    forced += [dynamics.act(system, a, x) for x in forced]
+    radius = {1: 40, 2: 6, 3: 3}[d]
+    # the forced markers survive every cell; two fresh points on the
+    # origin's box meet none, so the sieve empties early
+    for points, lo, hi, survivors in (
+        (fresh + forced, (-radius,) * d, (radius,) * d, True),
+        (fresh[:2], (0,) * d, (0,) * d, False),
+    ):
+        (win,) = model.orbit_windows(mdl, points, lo, hi)
+        base = win._base_event(0)[0]
+        assert base.dtype == bool and np.array_equal(base, _dense_base(win, 0))
+        assert base.any() == survivors

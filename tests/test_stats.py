@@ -1,14 +1,11 @@
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy import special
 
-import walkrep
+from fresh import modules_after
 from walkrep import stats
 
 
@@ -74,22 +71,8 @@ def test_clopper_pearson_rejects_bad_arguments(k, n, alpha):
         stats.clopper_pearson(k, n, alpha)
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
-    code += (
-        "\nimport sys\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    src = os.path.dirname(os.path.dirname(walkrep.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    return out.strip().splitlines()[-1]
-
-
 def test_cli_import_leaves_heavy_scipy_out():
-    assert _scipy_modules_after("import walkrep.cli") == "[]"
+    assert modules_after("import walkrep.cli", "scipy") == []
 
 
 def test_commands_run_without_scipy(tmp_path):
@@ -108,4 +91,4 @@ def test_commands_run_without_scipy(tmp_path):
         f"    status = cli.main([command, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}])\n"
         "    assert status == (command == 'continuous'), (command, status)\n"
     )
-    assert _scipy_modules_after(code) == "[]"
+    assert modules_after(code, "scipy") == []
