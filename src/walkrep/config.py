@@ -86,8 +86,8 @@ class ExperimentConfig:
 
     def build_config(self):
         """The ``model.BuildConfig`` of this experiment."""
-        from .model import BuildConfig
-        return BuildConfig(
+        from . import model
+        return model.BuildConfig(
             stages=self.stages,
             n_trunc=self.n_trunc,
             check_samples=self.samples.check_samples,
