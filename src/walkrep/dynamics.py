@@ -8,8 +8,11 @@ Two system kinds:
   the counter-based generator Philox4x64-10, keyed by the system seed and
   counted by the cell's block, the point's draw and its stream, so reads are
   deterministic, i.i.d. fair bits, and exactly equivariant: acting by ``h``
-  only composes the stored offset.  Every read goes through ``read_cells``,
-  one vectorized points x cells read.
+  only composes the stored offset.  Monte-Carlo paths draw a ``PointBatch``:
+  an array of draw numbers sharing the system, the stream, the offset and
+  the forced overlay.  Every read goes through ``read_cells``, one
+  vectorized points x cells read of a batch; a single ``PointHandle`` reads
+  as a one-row batch.
 * ``rotation`` -- products of circle rotations for the integer/lattice
   kinds, with an irrational frequency vector.
 
@@ -38,7 +41,7 @@ from .errors import DomainError, EncodingError, TowerConstructionError
 from .groups import GroupSpec
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
-# Draws the tower Monte Carlo holds at once.  Each chunk reads a draws x
+# Points ``TowerSpec.located`` reads at once.  Each chunk reads a points x
 # window bit matrix, so chunks keep its memory flat at any sample count.
 SIEVE_CHUNK = 512
 
@@ -189,51 +192,137 @@ def _forced_cells(spec: GroupSpec, pattern: dict) -> tuple:
     return block, lane, np.array(list(pattern.values()), dtype=np.uint8)
 
 
-def read_cells(points: list, cells) -> np.ndarray:
-    """The coordinates of Bernoulli ``points`` at ``cells``, as a points x
-    cells uint8 matrix: entry (i, j) is the bit of points[i] at the absolute
-    position cells[j] offset_i.  ``cells`` are group elements or, except on
-    the free groups, an (C, k) integer array of their coordinates.
+class Lot(NamedTuple):
+    """What rows of a ``PointBatch`` share: the system, whose seed keys the
+    Philox bits, the stream, the forced cells (as ``BitSource.forced``) and
+    the group offset."""
 
-    The points of one offset read every block their cells meet in one
-    Philox call, at counter (block, draw, stream, 0) under the system key.
-    Lane k of a block is bit k % 64 of output word k // 64.  Forced cells
-    overlay the drawn bits.
+    system: DynamicalSystem
+    stream: int
+    forced: tuple | None
+    offset: object
+
+
+@dataclass(frozen=True)
+class PointBatch:
+    """Points as arrays: row i is the draw ``draws[i]`` of ``lots[lot[i]]``,
+    the point ``PointHandle(system, BitSource(draw, stream, forced),
+    offset)`` without an object per draw.
+
+    ``sample_points`` and ``conditional_base_sampler`` make one lot over a
+    range of draws; ``as_batch`` turns a list of handles into one lot per
+    distinct (system, stream, forced, offset).
     """
-    if any(x.system.kind != "bernoulli" for x in points):
+
+    draws: np.ndarray  # uint64 draw numbers
+    lots: tuple
+    lot: np.ndarray  # per row, its index in ``lots``
+
+    @staticmethod
+    def of(lot: Lot, draws) -> "PointBatch":
+        draws = np.asarray(draws, dtype=np.uint64)
+        return PointBatch(draws, (lot,), np.zeros(len(draws), dtype=np.intp))
+
+    def __len__(self) -> int:
+        return len(self.draws)
+
+    def __getitem__(self, rows) -> "PointBatch":
+        """The rows ``rows``: a slice, an index array or a boolean mask."""
+        return PointBatch(self.draws[rows], self.lots, self.lot[rows])
+
+    def moved(self, h) -> "PointBatch":
+        """T_h of every row: the batch of ``act(system, h, x)``."""
+        return replace(self, lots=tuple(
+            lot._replace(offset=groups.multiply(lot.system.group, h, lot.offset)) for lot in self.lots
+        ))
+
+    def torus(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rotation points: per row, the draw's torus coordinate on ``axis``
+        and the offset's coordinate there, so T_g of a row sits at
+        ``(u + (g + shift) * alpha) % 1.0`` on that axis."""
+        u = [_torus_root(self.lots[k].system, d)[axis] for d, k in zip(self.draws.tolist(), self.lot.tolist())]
+        shift = [lot.offset if lot.system.group.kind == "integers" else lot.offset[axis] for lot in self.lots]
+        return np.array(u, dtype=np.float64), np.array(shift, dtype=np.int64)[self.lot]
+
+
+def as_batch(points) -> PointBatch:
+    """``points`` as a ``PointBatch`` of Bernoulli points: a batch as it is,
+    or a list of ``PointHandle``s with one lot per distinct (system,
+    stream, forced cells, offset).  DomainError for rotation points."""
+    batch = isinstance(points, PointBatch)
+    if any(x.system.kind != "bernoulli" for x in (points.lots if batch else points)):
         raise DomainError("coordinate reads are for Bernoulli points")
-    out = np.empty((len(points), len(cells)), dtype=np.uint8)
+    if batch:
+        return points
+    lots: dict = {}
+    lot = [
+        lots.setdefault(
+            (x.system, x.root.stream, id(x.root.forced), x.offset),
+            (len(lots), Lot(x.system, x.root.stream, x.root.forced, x.offset)),
+        )[0]
+        for x in points
+    ]
+    draws = np.array([x.root.draw for x in points], dtype=np.uint64)
+    return PointBatch(draws, tuple(v for _, v in lots.values()), np.array(lot, dtype=np.intp))
+
+
+def _overlay(words: np.ndarray, tiles: np.ndarray, forced: tuple) -> np.ndarray:
+    """``words`` (rows x tiles x 4) with the forced cells that fall in
+    ``tiles`` overlaid: one clear and one set mask per block word, built in
+    one scatter over the forced lanes and applied to every row at once."""
+    f_block, f_lane, f_bit = forced
+    at = np.minimum(np.searchsorted(tiles, f_block), len(tiles) - 1)
+    hit = tiles[at] == f_block
+    lane = f_lane[hit]
+    shift = (lane & 63).astype(np.uint64)
+    masks = np.zeros((2, len(tiles), 4), dtype=np.uint64)
+    np.bitwise_or.at(
+        masks,
+        (np.arange(2)[:, None], at[hit], lane >> 6),
+        np.stack((np.uint64(1) << shift, f_bit[hit].astype(np.uint64) << shift)),
+    )
+    return (words & ~masks[0]) | masks[1]
+
+
+def read_cells(points, cells) -> np.ndarray:
+    """The coordinates of Bernoulli ``points`` at ``cells``, as a points x
+    cells uint8 matrix: entry (i, j) is the bit of row i at the absolute
+    position cells[j] offset_i.  ``points`` is a ``PointBatch`` or a list
+    of ``PointHandle``s (see ``as_batch``); ``cells`` are group elements or,
+    except on the free groups, an (C, k) integer array of their coordinates.
+
+    The rows of one lot read every block their cells meet in one Philox
+    call, at counter (block, draw, stream, 0) under the system key.  Lane k
+    of a block is bit k % 64 of output word k // 64.  Forced cells overlay
+    the drawn bits.
+    """
+    batch = as_batch(points)
+    out = np.empty((len(batch), len(cells)), dtype=np.uint8)
     if out.size == 0:
         return out
-    spec = points[0].system.group
+    spec = batch.lots[0].system.group
     if spec.kind != "free":
         try:
             cells = np.asarray(cells, dtype=np.int64).reshape(len(cells), -1)
         except OverflowError:
             raise EncodingError("a cell past 64-bit coordinates has no Philox block") from None
-    rows_at: dict = {}
-    for i, x in enumerate(points):
-        rows_at.setdefault(x.offset, []).append(i)
-    for offset, rows in rows_at.items():
+    for k, lot in enumerate(batch.lots):
+        rows = np.flatnonzero(batch.lot == k)
+        if not rows.size:
+            continue
         if spec.kind == "free":
-            block, lane = _cell_blocks(spec, [groups.multiply(spec, c, offset) for c in cells])
+            block, lane = _cell_blocks(spec, [groups.multiply(spec, c, lot.offset) for c in cells])
         else:
-            block, lane = _cell_blocks(spec, groups.translate(spec, cells, offset))
+            block, lane = _cell_blocks(spec, groups.translate(spec, cells, lot.offset))
         tiles, where = np.unique(block, return_inverse=True)
-        fields = np.array(
-            [(points[i].root.draw, points[i].root.stream, *points[i].system.key) for i in rows], dtype=np.uint64
-        )
+        # key and stream as arrays: numpy warns on overflow of uint64 scalars
+        key = np.array(lot.system.key, dtype=np.uint64)
         words = np.stack(philox(
-            (tiles, fields[:, :1], fields[:, 1:2], np.uint64(0)), (fields[:, 2:3], fields[:, 3:])
+            (tiles, batch.draws[rows, None], np.array([lot.stream], dtype=np.uint64), np.uint64(0)),
+            (key[:1], key[1:]),
         ), axis=-1)
-        for r, i in enumerate(rows):
-            if points[i].root.forced is not None:
-                f_block, f_lane, f_bit = points[i].root.forced
-                at = np.minimum(np.searchsorted(tiles, f_block), len(tiles) - 1)
-                hit = tiles[at] == f_block
-                word, shift = (r, at[hit], f_lane[hit] >> 6), (f_lane[hit] & 63).astype(np.uint64)
-                np.bitwise_and.at(words, word, ~(np.uint64(1) << shift))
-                np.bitwise_or.at(words, word, f_bit[hit].astype(np.uint64) << shift)
+        if lot.forced is not None:
+            words = _overlay(words, tiles, lot.forced)
         # one word per cell: memory stays at points x cells, however sparse
         # the cells lie in their blocks
         cell_words = words.reshape(len(rows), -1)[:, where * 4 + (lane >> 6)]
@@ -256,8 +345,9 @@ class PointHandle:
     offset: object
 
     def read(self, g) -> int:
-        """Coordinate of the point at position g (Bernoulli only): the
-        one-cell ``read_cells``."""
+        """Coordinate of the point at position g (Bernoulli only).  Each
+        call is a whole Philox call through ``read_cells`` for one bit, so
+        loops over points or cells read a batch instead."""
         return int(read_cells([self], [g])[0, 0])
 
     def position(self) -> tuple:
@@ -274,17 +364,24 @@ class PointHandle:
         )
 
 
-def sample_point(sys: DynamicalSystem, draw: int) -> PointHandle:
-    """The ``draw``-th i.i.d. sample; Bernoulli coordinates are read from
-    the draw's Philox counters."""
-    if sys.kind == "bernoulli":
-        return PointHandle(sys, BitSource(draw), groups.identity(sys.group))
+def _torus_root(sys: DynamicalSystem, draw: int) -> tuple:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=sys.seed, spawn_key=(draw,))
     )
-    u = tuple(float(x) for x in rng.random(sys.group.d))
-    zero = 0 if sys.group.kind == "integers" else groups.identity(sys.group)
-    return PointHandle(sys, u, zero)
+    return tuple(float(x) for x in rng.random(sys.group.d))
+
+
+def sample_point(sys: DynamicalSystem, draw: int) -> PointHandle:
+    """The ``draw``-th i.i.d. sample; Bernoulli coordinates are read from
+    the draw's Philox counters."""
+    root = BitSource(draw) if sys.kind == "bernoulli" else _torus_root(sys, draw)
+    return PointHandle(sys, root, groups.identity(sys.group))
+
+
+def sample_points(sys: DynamicalSystem, draws) -> PointBatch:
+    """The i.i.d. samples numbered ``draws`` (an integer array) as one
+    batch, row for row the points of ``sample_point``."""
+    return PointBatch.of(Lot(sys, 0, None, groups.identity(sys.group)), draws)
 
 
 def act(sys: DynamicalSystem, g, x: PointHandle) -> PointHandle:
@@ -416,11 +513,13 @@ class TowerSpec:
     def mu_bn_upper(self) -> float:
         return len(groups.ball(self.spec, self.n)) * self.mu_pattern
 
-    def located(self, points: list) -> np.ndarray:
+    def located(self, points) -> np.ndarray:
         """Per point and g in B_n (``groups.ball`` order): is T_{g^-1} x in E?
 
         T_{g^-1} x reads the cell p at p g^-1, so one read of the window of
-        those cells answers every g.
+        those cells answers every g.  ``points`` (a batch or a list of
+        handles) are read ``SIEVE_CHUNK`` at a time, so the draws x window
+        bit matrix stays small at any count.
         """
         spec = self.spec
         ball = groups.ball(spec, self.n)
@@ -428,9 +527,13 @@ class TowerSpec:
             groups.multiply(spec, p, groups.inverse(spec, g)) for g in ball for p in self.pattern
         ]
         window = {c: k for k, c in enumerate(dict.fromkeys(cells))}
-        bits = read_cells(points, list(window))
         cols = np.array([window[c] for c in cells]).reshape(len(ball), len(self.pattern))
-        return (bits[:, cols] == list(self.pattern.values())).all(axis=2)
+        wanted = list(self.pattern.values())
+        out = np.empty((len(points), len(ball)), dtype=bool)
+        for start in range(0, len(points), SIEVE_CHUNK):
+            bits = read_cells(points[start:start + SIEVE_CHUNK], list(window))
+            out[start:start + SIEVE_CHUNK] = (bits[:, cols] == wanted).all(axis=2)
+        return out
 
     def to_dict(self) -> dict:
         spec = self.spec
@@ -528,24 +631,15 @@ def rokhlin_tower(
 def _tower_monte_carlo(tower: TowerSpec, samples: int, seed: int) -> None:
     """Estimate mu(B_n E) and count points in two translates of E.
 
-    Chunks of ``SIEVE_CHUNK`` draws each read their draws x window bit
-    matrix and test T_{g^-1} x in E for every g in B_n at once
+    One batch of draws tests T_{g^-1} x in E for every g in B_n at once
     (``TowerSpec.located``), so hits and collisions are exact.
     """
     probe = probe_system(tower.system, "tower", seed)
-    hits = 0
-    collisions = 0
-    for start in range(0, samples, SIEVE_CHUNK):
-        points = [
-            sample_point(probe, draw)
-            for draw in range(start, min(samples, start + SIEVE_CHUNK))
-        ]
-        located = tower.located(points).sum(axis=1)
-        hits += int((located > 0).sum())
-        collisions += int((located > 1).sum())
+    located = tower.located(sample_points(probe, np.arange(samples))).sum(axis=1)
+    hits = int((located > 0).sum())
     tower.mc_samples = samples
     tower.mc_hits_bn = hits
-    tower.collisions = collisions
+    tower.collisions = int((located > 1).sum())
     tower.mc_ci_upper = stats.clopper_pearson(hits, samples)[1]
 
 
@@ -554,16 +648,16 @@ def _derived_seed(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "little")
 
 
-def conditional_base_sampler(tower: TowerSpec, seed: int):
-    """Yield points distributed as mu( . | E ).
+def conditional_base_sampler(tower: TowerSpec, seed: int, draws: int) -> PointBatch:
+    """The first ``draws`` points of mu( . | E ) for the sampler ``seed``.
 
     E is the marker cylinder, so its conditional law forces the marker bits
     and leaves every other coordinate fair: each draw is a fresh point of
-    the sampler's own Philox stream with the pattern forced.
+    the sampler's own Philox stream with the pattern forced, one overlay
+    shared by the whole batch.
     """
     sys = tower.system
     stream = _derived_seed("cond", seed) | 1 << 63  # never 0, sample_point's stream
     forced = _forced_cells(sys.group, tower.pattern)
-    for draw in itertools.count():
-        trace.COUNTERS["sampler_draws"] += 1
-        yield PointHandle(sys, BitSource(draw, stream, forced), groups.identity(sys.group))
+    trace.COUNTERS["sampler_draws"] += draws
+    return PointBatch.of(Lot(sys, stream, forced, groups.identity(sys.group)), np.arange(draws))

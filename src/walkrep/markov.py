@@ -30,13 +30,15 @@ class ObservableSpec:
     bound: float = 1.0
     mean: float = 0.0
 
-    def table(self, sys: DynamicalSystem, points: list, atoms: list) -> np.ndarray:
-        """f(T_g x) for each of ``points`` (rows) and g in ``atoms`` (columns).
+    def table(self, sys: DynamicalSystem, points, atoms: list) -> np.ndarray:
+        """f(T_g x) for each row x of the batch ``points`` and g in ``atoms``
+        (columns).
 
         An indicator reads the cells c g of every constraint c for all points
         in one ``dynamics.read_cells`` call.  The cosine of T_g x depends only
         on the axis coordinate of g, so it is evaluated once per point and
-        distinct coordinate, at the first atom that has it.
+        distinct coordinate n, at ``(u + n * alpha) % 1.0`` as
+        ``PointHandle.position`` computes it.
         """
         spec = sys.group
         if self.kind == "indicator":
@@ -47,11 +49,10 @@ class ObservableSpec:
         if self.kind == "cos":
             axis = self.payload
             coords = [g if spec.kind == "integers" else g[axis] for g in atoms]
-            _, first, where = np.unique(coords, return_index=True, return_inverse=True)
-            return np.array([
-                [math.cos(2.0 * math.pi * dynamics.act(sys, atoms[k], x).position()[axis]) for k in first]
-                for x in points
-            ])[:, where]
+            distinct, where = np.unique(coords, return_inverse=True)
+            u, shift = points.torus(axis)
+            turns = 2.0 * math.pi * ((u[:, None] + (distinct + shift[:, None]) * sys.alpha[axis]) % 1.0)
+            return np.array(list(map(math.cos, turns.ravel()))).reshape(turns.shape)[:, where]
         raise DomainError(f"unknown observable kind {self.kind!r}")
 
 
@@ -105,7 +106,7 @@ def convergence_report(
     spec = sys.group
     walk = measures.lazy_walk(spec, n_max)
     probe = dynamics.probe_system(sys, "jrt", seed)
-    points = [dynamics.sample_point(probe, i) for i in range(samples)]
+    points = dynamics.sample_points(probe, np.arange(samples))
     # f(T_g x) once per point and per atom of B_n_max, in canonical order
     atoms = sorted(groups.ball(spec, n_max), key=lambda g: groups.sort_key(spec, g))
     table = f.table(sys, points, atoms)

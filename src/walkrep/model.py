@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, groups, stats, trace
-from .dynamics import DynamicalSystem, PointHandle, SetFamily, TowerSpec
+from .dynamics import DynamicalSystem, PointBatch, PointHandle, SetFamily, TowerSpec
 from .errors import CapacityError, DomainError, StageError
 from .groups import GroupSpec
 from .measures import WeightTable
@@ -277,6 +277,11 @@ def _coords(spec: GroupSpec, g) -> tuple:
     return (g,) if spec.kind == "integers" else g
 
 
+def _coord_array(spec: GroupSpec, elements) -> np.ndarray:
+    """The (len(elements), d) int64 coordinates of integer or lattice elements."""
+    return np.array([_coords(spec, g) for g in elements], dtype=np.int64).reshape(len(elements), -1)
+
+
 def _add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -367,8 +372,8 @@ def _bit_box(stages: list, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
 
 
 class OrbitWindow:
-    """Stage events and values of a batch of Bernoulli points on a box of
-    positions, all read from one bit matrix.
+    """Stage events and values of a ``PointBatch`` of Bernoulli points on a
+    box of positions, all read from one bit matrix.
 
     The box [lo, hi] holds coordinates relative to each point's offset, so
     the cell u of the point x stands for T_u x.  The points x window bit
@@ -381,7 +386,7 @@ class OrbitWindow:
     ``dynamics`` give.  Each window adds its bit cells to ``trace.COUNTERS``.
     """
 
-    def __init__(self, spec: GroupSpec, stages: list, points: list, lo: tuple, hi: tuple):
+    def __init__(self, spec: GroupSpec, stages: list, points: PointBatch, lo: tuple, hi: tuple):
         self.spec = spec
         self.stages = stages
         self.lo, self.hi = lo, hi
@@ -448,16 +453,26 @@ class OrbitWindow:
 
     def locate(self, j: int) -> np.ndarray:
         """Per point and cell u: the index in the locate ball of the first g
-        with T_{g^-1} T_u x in the stage-(j+1) base, or -1."""
+        with T_{g^-1} T_u x in the stage-(j+1) base, or -1.
+
+        Each base hit v marks the cells v + g of the window; the smallest
+        ball index that lands on a cell wins.
+        """
         if j not in self._locate:
             base, base_lo = self._base_event(j)
-            ball = self.stages[j].ball
-            first = np.full((self.n_points,) + self.shape, -1, dtype=np.int64)
-            # the last write wins, so walk the ball backwards
-            for gi in range(len(ball) - 1, -1, -1):
-                hit = self._take(base, base_lo, _add(self.lo, _neg(ball[gi])), self.shape)
-                np.copyto(first, gi, where=hit)
-            self._locate[j] = first
+            ball = np.array(self.stages[j].ball, dtype=np.int64)
+            reach_lo = tuple((self.lo - ball.max(axis=0)).tolist())
+            reach_hi = tuple((self.hi - ball.min(axis=0)).tolist())
+            reach = self._take(base, base_lo, reach_lo, _shape(reach_lo, reach_hi))
+            point, *hit = np.nonzero(reach)
+            cells = (np.stack(hit, axis=-1) + np.subtract(reach_lo, self.lo))[:, None] + ball
+            inside = ((cells >= 0) & (cells < self.shape)).all(axis=2)
+            at, gi = np.nonzero(inside)
+            flat = np.ravel_multi_index((point[at], *cells[at, gi].T), (self.n_points,) + self.shape)
+            first = np.full(self.n_points * math.prod(self.shape), len(ball), dtype=np.int64)
+            np.minimum.at(first, flat, gi)
+            first[first == len(ball)] = -1
+            self._locate[j] = first.reshape((self.n_points,) + self.shape)
         return self._locate[j]
 
     def routing(self, j: int) -> np.ndarray:
@@ -500,20 +515,19 @@ class OrbitWindow:
                 hit &= ~self.in_base(j - 1, _neg(_coords(self.spec, k)))
         return hit
 
-    def rows(self, arr: np.ndarray, elements: list) -> np.ndarray:
-        """The points x ``elements`` matrix of the entries of ``arr``, an
-        array laid out on the window."""
-        rel = np.array([_coords(self.spec, g) for g in elements], dtype=np.int64) - self.lo
-        flat = np.ravel_multi_index(tuple(rel.T), self.shape)
+    def rows(self, arr: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The points x cells matrix of the entries of ``arr``, an array laid
+        out on the window, at ``cells``, a (C, d) coordinate array."""
+        flat = np.ravel_multi_index(tuple((cells - self.lo).T), self.shape)
         return arr.reshape(self.n_points, -1)[:, flat]
 
 
-def orbit_windows(model: ModelFunction, points: list, lo: tuple, hi: tuple):
-    """``OrbitWindow`` over [lo, hi] for consecutive chunks of ``points``,
+def orbit_windows(model: ModelFunction, points, lo: tuple, hi: tuple):
+    """``OrbitWindow`` over [lo, hi] for consecutive chunks of Bernoulli
+    ``points`` (a batch or a list of handles, see ``dynamics.as_batch``),
     each under ``WINDOW_CELL_BUDGET`` bit cells.  CapacityError if one
     point's bit box alone is over the budget."""
-    if any(x.system.kind != "bernoulli" for x in points):
-        raise DomainError("model evaluation needs Bernoulli points")
+    points = dynamics.as_batch(points)
     stages = _stage_events(model)
     box = _bit_box(stages, lo, hi)
     per_point = math.prod(_shape(*box))
@@ -535,7 +549,7 @@ def _cube(spec: GroupSpec, radius: int) -> tuple[tuple, tuple]:
 
 def phi(
     model: ModelFunction,
-    points: list,
+    points,
     n_trunc: int,
     w: WeightTable,
     stage_count: int | None = None,
@@ -549,8 +563,9 @@ def phi(
     """
     ball = groups.ball(model.spec, n_trunc)
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
+    cells = _coord_array(model.spec, ball)
     blocks = [
-        win.rows(win.values(stage_count), ball)
+        win.rows(win.values(stage_count), cells)
         for win in orbit_windows(model, points, *_cube(model.spec, n_trunc))
     ]
     values = np.concatenate(blocks) if blocks else np.zeros((0, len(ball)))
@@ -584,7 +599,7 @@ def distances(window: list, values: np.ndarray, ball: BallSpec, w: WeightTable) 
 
 
 def point_values(
-    model: ModelFunction, points: list
+    model: ModelFunction, points
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, routing) at the points themselves: ``values[k - 1]`` holds
     f_k for every stage prefix k, ``routing[j]`` the membership in the
@@ -718,29 +733,25 @@ def verify_patch(
     tower = stage.patch.tower
     spec = model.spec
     draws = samples or config.base_samples
-    gen = dynamics.conditional_base_sampler(tower, seed=config.seed + stage_index)
-    points = [next(gen) for _ in range(draws)]
+    points = dynamics.conditional_base_sampler(tower, config.seed + stage_index, draws)
     window, cells = w.ball(stage.patch.n)
-    weights = w.read(cells).tolist()
+    weights = w.read(cells)
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(stage.patch.n))
     center = ball.center_dict()
+    center_row = np.array([center.get(g, 0.0) for g in window])
+    at = _coord_array(spec, window)
     mismatches = 0
     worst = 0.0
     n_eval = 0
     for win in orbit_windows(model, points, *_cube(spec, stage.patch.n)):
         inside = win.in_base(stage_index)
-        rows = win.rows(win.values(stage_index + 1), window).tolist()
-        for in_base, row in zip(inside, rows):
-            if not in_base:
-                continue
-            n_eval += 1
-            dist2 = 0.0
-            for g, value, weight in zip(window, row, weights):
-                diff = value - center.get(g, 0.0)
-                if stage.split is None and diff != 0.0:
-                    mismatches += 1
-                dist2 += diff * diff * weight
-            worst = max(worst, math.sqrt(dist2) + tail)
+        diff = win.rows(win.values(stage_index + 1), at)[inside] - center_row
+        n_eval += len(diff)
+        if stage.split is None:
+            mismatches += int((diff != 0.0).sum())
+        # each row's squares added left to right in window order
+        dist2 = np.cumsum(diff * diff * weights, axis=1)[:, -1]
+        worst = max(worst, float((np.sqrt(dist2) + tail).max(initial=0.0)))
     return {
         "draws": n_eval,
         "window_mismatches": mismatches,
@@ -976,26 +987,20 @@ def run_stage_checks(
     state = history[-1]
     probe = dynamics.probe_system(model.system, "checks", config.seed)
     samples = config.check_samples
-    points = [dynamics.sample_point(probe, i) for i in range(samples)]
+    points = dynamics.sample_points(probe, np.arange(samples))
     prefix_values, routing = point_values(model, points)
-    values = prefix_values[-1].tolist()
+    values = prefix_values[-1]
     # 1_n range containment on samples (exact float membership)
-    range_set = set(state.range_values)
-    in_range = all(v in range_set for v in values)
+    in_range = np.isin(values, state.range_values).all()
     state.checks["range"] = {"samples": samples, "pass": bool(in_range)}
     # 3_n exceptions per level
     exc_detail = {}
     ok3 = True
     for i in range(1, n + 1):
-        v0 = set(state.value_sets[i][0])
-        v1 = set(state.value_sets[i][1])
+        v0, v1 = state.value_sets[i]
         budget = state.gamma[i] * (1.0 - 1.0 / n)
-        exceptions = 0
-        for member, v in zip(routing[i - 1], values):
-            if member and v not in v0:
-                exceptions += 1
-            elif not member and v not in v1:
-                exceptions += 1
+        expected = np.where(routing[i - 1], np.isin(values, v0), np.isin(values, v1))
+        exceptions = int((~expected).sum())
         ci = stats.clopper_pearson(exceptions, samples)
         lvl_ok = exceptions == 0 if budget <= 0.0 else ci[1] <= budget
         exc_detail[str(i)] = {
@@ -1069,8 +1074,8 @@ def equivariance_check(
     groups.check_element(spec, h)
     probe = dynamics.probe_system(model.system, "equiv", seed)
     h_len = groups.word_length(spec, h)
-    points = [dynamics.sample_point(probe, draw) for draw in range(samples)]
-    common, left, _ = phi(model, [dynamics.act(probe, h, x) for x in points], n_trunc - h_len, w)
+    points = dynamics.sample_points(probe, np.arange(samples))
+    common, left, _ = phi(model, points.moved(h), n_trunc - h_len, w)
     ball, right, _ = phi(model, points, n_trunc, w)
     # (S_h v)(g) = v(g h)
     index = {g: k for k, g in enumerate(ball)}
@@ -1107,7 +1112,7 @@ def support_and_iso_check(
     state = history[-1]
     points, phis = probe_orbit_vectors(model, samples, config.n_trunc, w, seed)
     prefix_values, routing = point_values(model, points)
-    values = prefix_values[-1].tolist()
+    values = prefix_values[-1]
     detail = {}
     overall = True
     for i in range(1, n + 1):
@@ -1125,12 +1130,10 @@ def support_and_iso_check(
             hit_ok = conditional_lower >= state.delta[i]
             hit_method = "stratified"
         # symmetric difference of the minus-side cover preimage against A_i
-        cover0 = state.covers[i][0]
-        sym = 0
-        for member, v in zip(routing[i - 1], values):
-            in_cover = any(lo <= v <= hi for lo, hi in cover0)
-            if in_cover != member:
-                sym += 1
+        in_cover = np.zeros(samples, dtype=bool)
+        for lo, hi in state.covers[i][0]:
+            in_cover |= (lo <= values) & (values <= hi)
+        sym = int((in_cover != routing[i - 1]).sum())
         ci_sym = stats.clopper_pearson(sym, samples)
         sym_ok = ci_sym[1] < state.gamma[i]
         disjoint = _interval_sets_distance(*state.covers[i]) > 0.0
@@ -1154,11 +1157,11 @@ def support_and_iso_check(
 
 def probe_orbit_vectors(
     model: ModelFunction, samples: int, n_trunc: int, w: WeightTable, seed: int
-) -> tuple[list, tuple]:
+) -> tuple[PointBatch, tuple]:
     """The first ``samples`` points of the seeded "iso" probe system, and
     their orbit vectors as ``phi`` returns them."""
     probe = dynamics.probe_system(model.system, "iso", seed)
-    points = [dynamics.sample_point(probe, i) for i in range(samples)]
+    points = dynamics.sample_points(probe, np.arange(samples))
     return points, phi(model, points, n_trunc, w)
 
 
@@ -1193,11 +1196,9 @@ def conditional_hits(
     lower-bounds mu(phi in U_i)."""
     tower = model.stages[i - 1].patch.tower
     n = len(history)
-    gen = dynamics.conditional_base_sampler(tower, seed=seed)
-    points = [next(gen) for _ in range(config.base_samples)]
-    survivors = []
-    for win in orbit_windows(model, points, *_cube(model.spec, tower.n)):
-        survivors += [x for x, hit in zip(win.points, win.in_hit_event(i, n)) if hit]
+    points = dynamics.conditional_base_sampler(tower, seed, config.base_samples)
+    hit = [win.in_hit_event(i, n) for win in orbit_windows(model, points, *_cube(model.spec, tower.n))]
+    survivors = points[np.concatenate(hit) if hit else np.zeros(0, dtype=bool)]
     phis = phi(model, survivors, config.n_trunc, w)
     return len(survivors), ball_hits(phis, history[i - 1].ball, w)[0]
 
@@ -1223,12 +1224,13 @@ def orbit_frequency(
     window = groups.ball(spec, n_trunc)
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
     a_c = _coords(spec, a)
+    offsets = _coord_array(spec, window)
     stages = _stage_events(model)
 
     def box(first: int, last: int) -> tuple[tuple, tuple]:
         ends = [tuple(t * c for c in a_c) for t in (first, last)]
         lo, hi = tuple(map(min, *ends)), tuple(map(max, *ends))
-        return _grow(lo, hi, [_coords(spec, g) for g in window])
+        return _grow(lo, hi, offsets.tolist())
 
     stretch = n_steps
     while stretch > 1 and math.prod(_shape(*_bit_box(stages, *box(0, stretch - 1)))) > WINDOW_CELL_BUDGET:
@@ -1236,13 +1238,10 @@ def orbit_frequency(
     hit = []
     indeterminate = 0
     for first in range(0, n_steps, stretch):
-        steps = range(first, min(n_steps, first + stretch))
-        (win,) = orbit_windows(model, [x], *box(steps[0], steps[-1]))
-        cells = [
-            groups.multiply(spec, g, a_t)
-            for a_t in (groups.power(spec, a, t) for t in steps)
-            for g in window
-        ]
+        steps = np.arange(first, min(n_steps, first + stretch))
+        (win,) = orbit_windows(model, [x], *box(int(steps[0]), int(steps[-1])))
+        # the cells g a^t of every step t, step by step in window order
+        cells = (steps[:, None, None] * np.array(a_c) + offsets).reshape(-1, len(a_c))
         values = win.rows(win.values(), cells).reshape(len(steps), len(window))
         step_hit, step_open = _membership(distances(window, values, ball, w), tail, ball)
         hit += step_hit.tolist()

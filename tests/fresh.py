@@ -8,6 +8,13 @@ import sys
 import walkrep
 
 
+def run(argv: list) -> subprocess.CompletedProcess:
+    """``python argv`` in a fresh interpreter that imports this walkrep."""
+    src = os.path.dirname(os.path.dirname(walkrep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
 def modules_after(code: str, package: str) -> list:
     """The sorted names of the ``package`` modules loaded after ``code``
     runs in a fresh interpreter."""
@@ -15,9 +22,6 @@ def modules_after(code: str, package: str) -> list:
         "\nimport sys\n"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
     )
-    src = os.path.dirname(os.path.dirname(walkrep.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    return ast.literal_eval(out.strip().splitlines()[-1])
+    proc = run(["-c", code])
+    proc.check_returncode()
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])

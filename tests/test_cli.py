@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import fresh
 from fresh import modules_after
 from walkrep import cli, config, continuous, groups, measures, model
 from walkrep.errors import ConfigError
@@ -207,6 +208,20 @@ def test_fresh_report_equals_in_process(fresh_runs, command, tmp_path):
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
     report = (tmp_path / command / "report.json").read_bytes()
     assert report == (base / command / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["tower", "build"])
+def test_traced_cli_runs(command, tmp_path):
+    # the benchmark's traced entry point wraps layer attributes by name
+    # (``dynamics.hashlib`` among them), so a layer change that drops one it
+    # needs fails here
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_CONFIG))
+    traced = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+    trace = tmp_path / "trace.json"
+    proc = fresh.run([str(traced), str(trace), command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(trace.read_text())["calls"]["dynamics.rokhlin_tower"] > 0
 
 
 def test_feldman_command(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handles import handles
 from walkrep import dynamics, groups, stats
 from walkrep.errors import EncodingError, TowerConstructionError
 
@@ -113,9 +114,7 @@ def tower_locate(tower, x):
 
 def test_tower_locate_unique(z_bernoulli):
     tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2)
-    gen = dynamics.conditional_base_sampler(tower, seed=1)
-    for _ in range(20):
-        x = next(gen)
+    for x in handles(dynamics.conditional_base_sampler(tower, 1, 20)):
         assert all(x.read(p) == b for p, b in tower.pattern.items())
         assert tower_locate(tower, x) == 0
         moved = dynamics.act(z_bernoulli, 2, x)
@@ -125,8 +124,7 @@ def test_tower_locate_unique(z_bernoulli):
 def test_tower_respects_prescribed_base(z_bernoulli, z_spec):
     within = dynamics.CylinderSet.from_dict(z_spec, {-50: 1})
     tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2, base_within=within)
-    gen = dynamics.conditional_base_sampler(tower, seed=3)
-    x = next(gen)
+    (x,) = handles(dynamics.conditional_base_sampler(tower, 3, 1))
     assert within.contains(x)
 
 
@@ -262,6 +260,10 @@ def test_tower_sieve_equals_per_draw_loop(z_bernoulli, z_spec, seed):
         assert counts[1] > 0
 
 
+def _per_point_rows(points: list, cells: list) -> list:
+    return [[x.read(c) for c in cells] for x in points]
+
+
 def test_batched_read_equals_per_cell_read(z_bernoulli, z_spec):
     positions = list(range(-12, 13))
     fresh = dynamics.sample_point(z_bernoulli, 7)
@@ -276,7 +278,7 @@ def test_batched_read_equals_per_cell_read(z_bernoulli, z_spec):
         dynamics.sample_point(z_bernoulli, 0),
         dynamics.act(z_bernoulli, 5, dynamics.sample_point(z_bernoulli, 1)),
         forced,
-        next(dynamics.conditional_base_sampler(tower, seed=4)),
+        handles(dynamics.conditional_base_sampler(tower, 4, 1))[0],
     ]
     for x in points:
         assert dynamics.read_cells([x], positions).tolist() == [[x.read(p) for p in positions]]
@@ -290,6 +292,28 @@ def test_batched_read_equals_per_cell_read(z_bernoulli, z_spec):
     assert (got[0][1::2] == got[1][1::2]).all()
     sampled = points[-1]
     assert all(sampled.read(p) == b for p, b in tower.pattern.items())
+    # batches: fresh draws, conditional draws, a batch holding two forced
+    # overlays (and their translates), and rows picked by a mask
+    two_overlays = dynamics.as_batch(points + [dynamics.act(z_bernoulli, -3, x) for x in points])
+    assert len({id(lot.forced) for lot in two_overlays.lots}) == 3  # none and two overlays
+    batches = [
+        dynamics.sample_points(z_bernoulli, np.arange(6)),
+        dynamics.conditional_base_sampler(tower, 4, 6),
+        two_overlays,
+        two_overlays[np.arange(len(two_overlays)) % 3 != 1],
+    ]
+    for batch in batches:
+        assert dynamics.read_cells(batch, positions).tolist() == _per_point_rows(handles(batch), positions)
+    # shifted points on Z^2 and Z^3, at negative coordinates
+    for d in (2, 3):
+        spec = groups.GroupSpec("lattice", d)
+        sys = dynamics.bernoulli_system(spec, seed=9)
+        h = (-300,) + (7,) * (d - 1)
+        cells = groups.ball(spec, 2)
+        batch = dynamics.sample_points(sys, np.arange(5)).moved(h)
+        moved = [dynamics.act(sys, h, dynamics.sample_point(sys, i)) for i in range(5)]
+        assert dynamics.read_cells(batch, cells).tolist() == _per_point_rows(moved, cells)
+        assert dynamics.read_cells(batch, cells).tolist() == _per_point_rows(handles(batch), cells)
 
 
 def _numpy_philox_block(key, counter):
@@ -411,11 +435,7 @@ def test_fair_bit_frequency(z_bernoulli):
 def test_conditional_sampler_law(z_bernoulli):
     # conditioned points carry the marker; free coordinates stay fair
     tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2)
-    gen = dynamics.conditional_base_sampler(tower, seed=8)
-    far = []
-    for _ in range(400):
-        x = next(gen)
-        far.append(x.read(1000))
+    far = dynamics.read_cells(dynamics.conditional_base_sampler(tower, 8, 400), [1000])[:, 0].tolist()
     n = len(far)
     se = math.sqrt(0.25 / n)
     assert abs(sum(far) / n - 0.5) <= 4 * se

@@ -103,8 +103,22 @@ _Z2 = groups.GroupSpec("lattice", 2)
 
 
 @pytest.mark.parametrize("spec", [groups.GroupSpec("integers"), _Z2], ids=["Z", "Z2"])
-@pytest.mark.parametrize("kind", ["rotation_cos", "two_bit_cylinder"])
+@pytest.mark.parametrize("kind", ["rotation_cos", "two_bit_cylinder", "shifted_cos"])
 def test_tabled_report_equals_per_point_average(spec, kind):
+    if kind == "shifted_cos":
+        # points moved far to the negative side, so the torus coordinate
+        # is negative before ``% 1.0``: the table equals act + position
+        sys = dynamics.rotation_system(spec, seed=33)
+        f = markov.cos_observable(0)
+        h = groups.power(spec, groups.generators(spec)[-1], -3)
+        h = groups.multiply(spec, h, groups.power(spec, groups.generators(spec)[0], -40))
+        points = dynamics.sample_points(sys, np.arange(30)).moved(h)
+        u, shift = points.torus(0)
+        assert (u + (shift + 6) * sys.alpha[0] < 0.0).all()
+        atoms = sorted(groups.ball(spec, 6), key=lambda g: groups.sort_key(spec, g))
+        moved = [dynamics.act(sys, h, dynamics.sample_point(sys, i)) for i in range(30)]
+        assert f.table(sys, points, atoms).tolist() == [observe(sys, f, x, atoms) for x in moved]
+        return
     if kind == "rotation_cos":
         sys = dynamics.rotation_system(spec, seed=31)
         f = markov.cos_observable(0)

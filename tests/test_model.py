@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from handles import handles
 from vectors import WeightedVector, norm, shift
 from walkrep import dynamics, groups, measures, model, stats
 from walkrep.errors import CapacityError, DomainError, EncodingError, StageError
@@ -329,9 +330,8 @@ def test_window_rejects_rotation_points(built_model, z_spec):
 def test_hit_events_nested(built_model):
     mdl, history, cfg = built_model
     tower1 = mdl.stages[0].patch.tower
-    gen = dynamics.conditional_base_sampler(tower1, seed=42)
     n = len(history)
-    points = [next(gen) for _ in range(40)]
+    points = dynamics.conditional_base_sampler(tower1, 42, 40)
     (win,) = model.orbit_windows(mdl, points, (-tower1.n,), (tower1.n,))
     flags = [win.in_hit_event(1, m) for m in range(1, n + 1)]
     # membership at stage m implies membership at every earlier stage
@@ -367,8 +367,7 @@ def test_evaluator_locate_matches_tower(built_model, z_bernoulli):
     for j, stage in enumerate(mdl.stages):
         tower = stage.patch.tower
         ball = groups.ball(z_bernoulli.group, tower.n)
-        gen = dynamics.conditional_base_sampler(tower, seed=70 + j)
-        points = [next(gen) for _ in range(10)]
+        points = handles(dynamics.conditional_base_sampler(tower, 70 + j, 10))
         lo, hi = -2 * tower.n - 2, 2 * tower.n + 2
         (win,) = model.orbit_windows(mdl, points, (lo,), (hi,))
         for x, first in zip(points, win.locate(j)):
@@ -450,9 +449,10 @@ def _far_balls(spec, w, n_trunc) -> list:
     return balls
 
 
-def _check_dense_against_dict(mdl, history, w, n_trunc, samples, hs):
-    """``ball_hits``, ``orbit_frequency`` and ``equivariance_check`` on the
-    array orbit vectors equal the dict oracle exactly."""
+def _check_dense_against_dict(mdl, history, w, n_trunc, samples, hs, steps):
+    """``ball_hits``, ``orbit_frequency`` along each step a of ``steps`` and
+    ``equivariance_check`` on the array orbit vectors equal the dict oracle
+    exactly."""
     spec = mdl.spec
     points, phis = model.probe_orbit_vectors(mdl, samples, n_trunc, w, seed=3)
     balls = [st.ball for st in history] + _far_balls(spec, w, n_trunc)
@@ -460,9 +460,8 @@ def _check_dense_against_dict(mdl, history, w, n_trunc, samples, hs):
         want = [norm(vec - WeightedVector(w, ball.center_dict())) for vec, _ in dict_vectors(phis, w)]
         assert model.distances(phis[0], phis[1], ball, w).tolist() == want
         assert model.ball_hits(phis, ball, w) == oracle_ball_hits(phis, ball, w)
-    x = points[0]
-    a = groups.generators(spec)[0]
-    for ball in balls[:1] + balls[-2:]:
+    x = handles(points[:1])[0]
+    for a, ball in itertools.product(steps, balls[:1] + balls[-2:]):
         rep = model.orbit_frequency(mdl, x, a, ball, 25, w, n_trunc)
         series, indeterminate = _oracle_orbit(mdl, x, a, ball, 25, w, n_trunc)
         assert (rep["series"], rep["indeterminate"]) == (series, indeterminate)
@@ -474,12 +473,12 @@ def _check_dense_against_dict(mdl, history, w, n_trunc, samples, hs):
 
 def test_dense_orbit_vectors_match_dict_oracle_z(built_model, z_weights):
     mdl, history, cfg = built_model
-    _check_dense_against_dict(mdl, history, z_weights, 12, 60, hs=(0, 1, -2))
+    _check_dense_against_dict(mdl, history, z_weights, 12, 60, hs=(0, 1, -2), steps=(1, 3, -2))
 
 
 def test_dense_orbit_vectors_match_dict_oracle_lattice(lattice_built):
     mdl, history, w2 = lattice_built
-    _check_dense_against_dict(mdl, history, w2, 5, 30, hs=((1, 0), (0, -1)))
+    _check_dense_against_dict(mdl, history, w2, 5, 30, hs=((1, 0), (0, -1)), steps=((1, 0), (2, -1)))
 
 
 def test_dense_equivariance_counts_mismatches(built_model, z_weights, monkeypatch):
@@ -553,8 +552,7 @@ def _oracle_draws(mdl: model.ModelFunction, probe: dynamics.DynamicalSystem, cou
     spec = mdl.spec
     points = [dynamics.sample_point(probe, i) for i in range(count)]
     for j, stage in enumerate(mdl.stages):
-        gen = dynamics.conditional_base_sampler(stage.patch.tower, seed=90 + j)
-        points += [next(gen) for _ in range(count)]
+        points += handles(dynamics.conditional_base_sampler(stage.patch.tower, 90 + j, count))
     shifts = [h for h in groups.ball(spec, 2) if h != groups.identity(spec)]
     points += [dynamics.act(probe, shifts[i % len(shifts)], x) for i, x in enumerate(points)]
     return points
@@ -576,9 +574,10 @@ def _oracle_orbit(mdl, x, a, ball, n_steps, w, n_trunc) -> tuple[list, int]:
     return series, indeterminate
 
 
-def _check_against_oracle(mdl, w, draws: int, radius: int, orbit_steps: int):
+def _check_against_oracle(mdl, w, draws: int, radius: int, orbit_steps: int, steps=None):
     """Window events on every kind of draw, orbit vectors at two truncations,
-    and an orbit walk along the last generator, against the dict oracle."""
+    and an orbit walk along each step of ``steps`` (default: the last
+    generator), against the dict oracle."""
     probe = dynamics.probe_system(mdl.system, "oracle")
     points = _oracle_draws(mdl, probe, draws)
     _assert_window_matches_oracle(mdl, points, radius)
@@ -586,20 +585,20 @@ def _check_against_oracle(mdl, w, draws: int, radius: int, orbit_steps: int):
         for (vec, tail), x in zip(dict_vectors(model.phi(mdl, points, n_trunc, w), w), points):
             want, want_tail = oracle_phi(ModelEvaluator(mdl, x), x, n_trunc, w)
             assert vec.coeffs == want.coeffs and tail == want_tail
-    a = groups.generators(mdl.spec)[-1]
     ball = model.basis_balls(1, mdl.spec)
-    rep = model.orbit_frequency(mdl, points[0], a, ball, orbit_steps, w, radius)
-    series, indeterminate = _oracle_orbit(mdl, points[0], a, ball, orbit_steps, w, radius)
-    assert (rep["series"], rep["indeterminate"]) == (series, indeterminate)
+    for a in steps or groups.generators(mdl.spec)[-1:]:
+        rep = model.orbit_frequency(mdl, points[0], a, ball, orbit_steps, w, radius)
+        series, indeterminate = _oracle_orbit(mdl, points[0], a, ball, orbit_steps, w, radius)
+        assert (rep["series"], rep["indeterminate"]) == (series, indeterminate)
 
 
 def test_window_matches_dict_oracle_built_z(built_model, z_weights):
-    _check_against_oracle(built_model[0], z_weights, draws=6, radius=16, orbit_steps=120)
+    _check_against_oracle(built_model[0], z_weights, draws=6, radius=16, orbit_steps=120, steps=(1, 3, -2))
 
 
 def test_window_matches_dict_oracle_built_lattice(lattice_built):
     mdl, _, w2 = lattice_built
-    _check_against_oracle(mdl, w2, draws=3, radius=5, orbit_steps=30)
+    _check_against_oracle(mdl, w2, draws=3, radius=5, orbit_steps=30, steps=((0, 1), (2, -1)))
 
 
 @pytest.mark.parametrize("kind, d", [("integers", 1), ("lattice", 2)])
@@ -622,6 +621,28 @@ def test_window_chunks_match_one_window(built_model, z_weights, z_bernoulli, mon
     ball = model.basis_balls(1, z_bernoulli.group)
     rep = model.orbit_frequency(mdl, points[0], 1, ball, 40, z_weights, 16)
     assert rep["series"] == _oracle_orbit(mdl, points[0], 1, ball, 40, z_weights, 16)[0]
+
+
+@pytest.mark.parametrize("a", [3, -2])
+def test_orbit_stretches_split_under_budget(built_model, z_weights, z_bernoulli, monkeypatch, a):
+    # a budget of a few steps per window: the stretch loop splits the walk
+    # into several windows, and the series still equals the oracle's
+    mdl = built_model[0]
+    x = dynamics.sample_point(z_bernoulli, 4)
+    lo, hi = model._bit_box(model._stage_events(mdl), (-16,), (16,))
+    monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", hi[0] - lo[0] + 1 + 30)
+    windows = []
+    orbit_windows = model.orbit_windows
+
+    def counted(*args):
+        windows.append(args[2:])
+        return orbit_windows(*args)
+
+    monkeypatch.setattr(model, "orbit_windows", counted)
+    ball = model.basis_balls(1, z_bernoulli.group)
+    rep = model.orbit_frequency(mdl, x, a, ball, 40, z_weights, 16)
+    assert 1 < len(windows) < 40
+    assert (rep["series"], rep["indeterminate"]) == _oracle_orbit(mdl, x, a, ball, 40, z_weights, 16)
 
 
 def test_window_over_budget_raises_before_reading(built_model, z_weights, z_bernoulli, monkeypatch):
@@ -733,6 +754,19 @@ def _dense_base(win: model.OrbitWindow, j: int) -> np.ndarray:
     return base
 
 
+def _backwards_locate(win: model.OrbitWindow, j: int) -> np.ndarray:
+    """The oracle of ``OrbitWindow.locate``: per element g of the locate
+    ball, walked backwards, write its index wherever T_{g^-1} T_u x lies in
+    the base, so the first g in ball order wins."""
+    base, base_lo = win._base_event(j)
+    ball = win.stages[j].ball
+    first = np.full((win.n_points,) + win.shape, -1, dtype=np.int64)
+    for gi in range(len(ball) - 1, -1, -1):
+        hit = win._take(base, base_lo, model._add(win.lo, model._neg(ball[gi])), win.shape)
+        np.copyto(first, gi, where=hit)
+    return first
+
+
 @pytest.mark.parametrize("d, length", [(1, 11), (1, 40), (2, 3), (3, 2)])
 def test_base_sieve_equals_dense_and(d, length):
     spec = groups.GroupSpec("integers") if d == 1 else groups.GroupSpec("lattice", d)
@@ -746,8 +780,7 @@ def test_base_sieve_equals_dense_and(d, length):
     xi = {g: 0.5 for g in groups.ball(spec, 1)}
     mdl.stages.append(model.ModelStage(patch=model.StagePatch(tower=tower, xi=xi, n0=1, n=1)))
     fresh = [dynamics.sample_point(system, i) for i in range(40)]
-    gen = dynamics.conditional_base_sampler(tower, seed=3)
-    forced = [next(gen) for _ in range(6)]
+    forced = handles(dynamics.conditional_base_sampler(tower, 3, 6))
     a = groups.generators(spec)[0]
     forced += [dynamics.act(system, a, x) for x in forced]
     radius = {1: 40, 2: 6, 3: 3}[d]
@@ -761,3 +794,19 @@ def test_base_sieve_equals_dense_and(d, length):
         base = win._base_event(0)[0]
         assert base.dtype == bool and np.array_equal(base, _dense_base(win, 0))
         assert base.any() == survivors
+        assert np.array_equal(win.locate(0), _backwards_locate(win, 0))
+
+
+def test_locate_takes_the_first_of_meeting_hits():
+    # overlapping markers: several ball elements land on one cell, and
+    # locate keeps the first in ball order, as the backwards walk does
+    mdl = _loose_model(dynamics.bernoulli_system(groups.GroupSpec("integers"), seed=3))
+    (win,) = model.orbit_windows(mdl, dynamics.sample_points(mdl.system, np.arange(20)), (-6,), (6,))
+    base, base_lo = win._base_event(0)
+    meeting = sum(
+        win._take(base, base_lo, model._add(win.lo, model._neg(g)), win.shape).astype(int)
+        for g in win.stages[0].ball
+    )
+    assert (meeting > 1).any()
+    for j in range(len(mdl.stages)):
+        assert np.array_equal(win.locate(j), _backwards_locate(win, j))
