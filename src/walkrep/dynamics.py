@@ -41,7 +41,7 @@ from .errors import DomainError, EncodingError, TowerConstructionError
 from .groups import GroupSpec
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
-# Points ``TowerSpec.located`` reads at once.  Each chunk reads a points x
+# Draws the tower Monte Carlo holds at once.  Each chunk reads a draws x
 # window bit matrix, so chunks keep its memory flat at any sample count.
 SIEVE_CHUNK = 512
 
@@ -192,78 +192,57 @@ def _forced_cells(spec: GroupSpec, pattern: dict) -> tuple:
     return block, lane, np.array(list(pattern.values()), dtype=np.uint8)
 
 
-class Lot(NamedTuple):
-    """What rows of a ``PointBatch`` share: the system, whose seed keys the
-    Philox bits, the stream, the forced cells (as ``BitSource.forced``) and
-    the group offset."""
-
-    system: DynamicalSystem
-    stream: int
-    forced: tuple | None
-    offset: object
-
-
 @dataclass(frozen=True)
 class PointBatch:
-    """Points as arrays: row i is the draw ``draws[i]`` of ``lots[lot[i]]``,
-    the point ``PointHandle(system, BitSource(draw, stream, forced),
-    offset)`` without an object per draw.
+    """Points as arrays: row i is the point ``PointHandle(system,
+    BitSource(draws[i], stream, forced), offset)`` without an object per
+    draw.  ``sample_points`` and ``conditional_base_sampler`` make one over a
+    range of draws."""
 
-    ``sample_points`` and ``conditional_base_sampler`` make one lot over a
-    range of draws; ``as_batch`` turns a list of handles into one lot per
-    distinct (system, stream, forced, offset).
-    """
-
+    system: DynamicalSystem
     draws: np.ndarray  # uint64 draw numbers
-    lots: tuple
-    lot: np.ndarray  # per row, its index in ``lots``
-
-    @staticmethod
-    def of(lot: Lot, draws) -> "PointBatch":
-        draws = np.asarray(draws, dtype=np.uint64)
-        return PointBatch(draws, (lot,), np.zeros(len(draws), dtype=np.intp))
+    stream: int
+    forced: tuple | None  # as ``BitSource.forced``
+    offset: object
 
     def __len__(self) -> int:
         return len(self.draws)
 
     def __getitem__(self, rows) -> "PointBatch":
         """The rows ``rows``: a slice, an index array or a boolean mask."""
-        return PointBatch(self.draws[rows], self.lots, self.lot[rows])
+        return replace(self, draws=self.draws[rows])
 
     def moved(self, h) -> "PointBatch":
         """T_h of every row: the batch of ``act(system, h, x)``."""
-        return replace(self, lots=tuple(
-            lot._replace(offset=groups.multiply(lot.system.group, h, lot.offset)) for lot in self.lots
-        ))
+        return replace(self, offset=groups.multiply(self.system.group, h, self.offset))
 
-    def torus(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rotation points: per row, the draw's torus coordinate on ``axis``
-        and the offset's coordinate there, so T_g of a row sits at
-        ``(u + (g + shift) * alpha) % 1.0`` on that axis."""
-        u = [_torus_root(self.lots[k].system, d)[axis] for d, k in zip(self.draws.tolist(), self.lot.tolist())]
-        shift = [lot.offset if lot.system.group.kind == "integers" else lot.offset[axis] for lot in self.lots]
-        return np.array(u, dtype=np.float64), np.array(shift, dtype=np.int64)[self.lot]
+    def torus(self, axis: int) -> tuple[np.ndarray, int]:
+        """Rotation points: per row, the draw's torus coordinate on ``axis``;
+        and the offset's coordinate there, shared by the rows, so T_g of a
+        row sits at ``(u + (g + shift) * alpha) % 1.0`` on that axis."""
+        u = [_torus_root(self.system, d)[axis] for d in self.draws.tolist()]
+        shift = self.offset if self.system.group.kind == "integers" else self.offset[axis]
+        return np.array(u, dtype=np.float64), shift
 
 
-def as_batch(points) -> PointBatch:
-    """``points`` as a ``PointBatch`` of Bernoulli points: a batch as it is,
-    or a list of ``PointHandle``s with one lot per distinct (system,
-    stream, forced cells, offset).  DomainError for rotation points."""
-    batch = isinstance(points, PointBatch)
-    if any(x.system.kind != "bernoulli" for x in (points.lots if batch else points)):
+def _batches(points) -> list:
+    """``points`` as (rows, ``PointBatch``) pairs: a batch is one pair, and a
+    list of ``PointHandle``s is one pair per distinct (system, stream, forced
+    cells, offset).  DomainError for rotation points."""
+    if isinstance(points, PointBatch):
+        if points.system.kind != "bernoulli":
+            raise DomainError("coordinate reads are for Bernoulli points")
+        return [(slice(None), points)]
+    if any(x.system.kind != "bernoulli" for x in points):
         raise DomainError("coordinate reads are for Bernoulli points")
-    if batch:
-        return points
     lots: dict = {}
-    lot = [
-        lots.setdefault(
-            (x.system, x.root.stream, id(x.root.forced), x.offset),
-            (len(lots), Lot(x.system, x.root.stream, x.root.forced, x.offset)),
-        )[0]
-        for x in points
+    for i, x in enumerate(points):
+        lots.setdefault((x.system, x.root.stream, id(x.root.forced), x.offset), (x, []))[1].append(i)
+    return [
+        (rows, PointBatch(x.system, np.array([points[i].root.draw for i in rows], dtype=np.uint64),
+                          x.root.stream, x.root.forced, x.offset))
+        for x, rows in lots.values()
     ]
-    draws = np.array([x.root.draw for x in points], dtype=np.uint64)
-    return PointBatch(draws, tuple(v for _, v in lots.values()), np.array(lot, dtype=np.intp))
 
 
 def _overlay(words: np.ndarray, tiles: np.ndarray, forced: tuple) -> np.ndarray:
@@ -288,44 +267,42 @@ def read_cells(points, cells) -> np.ndarray:
     """The coordinates of Bernoulli ``points`` at ``cells``, as a points x
     cells uint8 matrix: entry (i, j) is the bit of row i at the absolute
     position cells[j] offset_i.  ``points`` is a ``PointBatch`` or a list
-    of ``PointHandle``s (see ``as_batch``); ``cells`` are group elements or,
-    except on the free groups, an (C, k) integer array of their coordinates.
+    of ``PointHandle``s, read as one batch per shared (system, stream,
+    forced cells, offset); ``cells`` are group elements or, except on the
+    free groups, an (C, k) integer array of their coordinates.
 
-    The rows of one lot read every block their cells meet in one Philox
+    The rows of one batch read every block their cells meet in one Philox
     call, at counter (block, draw, stream, 0) under the system key.  Lane k
     of a block is bit k % 64 of output word k // 64.  Forced cells overlay
     the drawn bits.
     """
-    batch = as_batch(points)
-    out = np.empty((len(batch), len(cells)), dtype=np.uint8)
+    batches = _batches(points)
+    out = np.empty((len(points), len(cells)), dtype=np.uint8)
     if out.size == 0:
         return out
-    spec = batch.lots[0].system.group
+    spec = batches[0][1].system.group
     if spec.kind != "free":
         try:
             cells = np.asarray(cells, dtype=np.int64).reshape(len(cells), -1)
         except OverflowError:
             raise EncodingError("a cell past 64-bit coordinates has no Philox block") from None
-    for k, lot in enumerate(batch.lots):
-        rows = np.flatnonzero(batch.lot == k)
-        if not rows.size:
-            continue
+    for rows, batch in batches:
         if spec.kind == "free":
-            block, lane = _cell_blocks(spec, [groups.multiply(spec, c, lot.offset) for c in cells])
+            block, lane = _cell_blocks(spec, [groups.multiply(spec, c, batch.offset) for c in cells])
         else:
-            block, lane = _cell_blocks(spec, groups.translate(spec, cells, lot.offset))
+            block, lane = _cell_blocks(spec, groups.translate(spec, cells, batch.offset))
         tiles, where = np.unique(block, return_inverse=True)
         # key and stream as arrays: numpy warns on overflow of uint64 scalars
-        key = np.array(lot.system.key, dtype=np.uint64)
+        key = np.array(batch.system.key, dtype=np.uint64)
         words = np.stack(philox(
-            (tiles, batch.draws[rows, None], np.array([lot.stream], dtype=np.uint64), np.uint64(0)),
+            (tiles, batch.draws[:, None], np.array([batch.stream], dtype=np.uint64), np.uint64(0)),
             (key[:1], key[1:]),
         ), axis=-1)
-        if lot.forced is not None:
-            words = _overlay(words, tiles, lot.forced)
+        if batch.forced is not None:
+            words = _overlay(words, tiles, batch.forced)
         # one word per cell: memory stays at points x cells, however sparse
         # the cells lie in their blocks
-        cell_words = words.reshape(len(rows), -1)[:, where * 4 + (lane >> 6)]
+        cell_words = words.reshape(len(batch), -1)[:, where * 4 + (lane >> 6)]
         out[rows] = (cell_words >> (lane & 63).astype(np.uint64)) & np.uint64(1)
         trace.COUNTERS["philox_blocks"] += words.shape[0] * words.shape[1]
     trace.COUNTERS["bits_drawn"] += out.size
@@ -381,7 +358,7 @@ def sample_point(sys: DynamicalSystem, draw: int) -> PointHandle:
 def sample_points(sys: DynamicalSystem, draws) -> PointBatch:
     """The i.i.d. samples numbered ``draws`` (an integer array) as one
     batch, row for row the points of ``sample_point``."""
-    return PointBatch.of(Lot(sys, 0, None, groups.identity(sys.group)), draws)
+    return PointBatch(sys, np.asarray(draws, dtype=np.uint64), 0, None, groups.identity(sys.group))
 
 
 def act(sys: DynamicalSystem, g, x: PointHandle) -> PointHandle:
@@ -517,9 +494,7 @@ class TowerSpec:
         """Per point and g in B_n (``groups.ball`` order): is T_{g^-1} x in E?
 
         T_{g^-1} x reads the cell p at p g^-1, so one read of the window of
-        those cells answers every g.  ``points`` (a batch or a list of
-        handles) are read ``SIEVE_CHUNK`` at a time, so the draws x window
-        bit matrix stays small at any count.
+        those cells answers every g.
         """
         spec = self.spec
         ball = groups.ball(spec, self.n)
@@ -527,13 +502,9 @@ class TowerSpec:
             groups.multiply(spec, p, groups.inverse(spec, g)) for g in ball for p in self.pattern
         ]
         window = {c: k for k, c in enumerate(dict.fromkeys(cells))}
+        bits = read_cells(points, list(window))
         cols = np.array([window[c] for c in cells]).reshape(len(ball), len(self.pattern))
-        wanted = list(self.pattern.values())
-        out = np.empty((len(points), len(ball)), dtype=bool)
-        for start in range(0, len(points), SIEVE_CHUNK):
-            bits = read_cells(points[start:start + SIEVE_CHUNK], list(window))
-            out[start:start + SIEVE_CHUNK] = (bits[:, cols] == wanted).all(axis=2)
-        return out
+        return (bits[:, cols] == list(self.pattern.values())).all(axis=2)
 
     def to_dict(self) -> dict:
         spec = self.spec
@@ -631,15 +602,21 @@ def rokhlin_tower(
 def _tower_monte_carlo(tower: TowerSpec, samples: int, seed: int) -> None:
     """Estimate mu(B_n E) and count points in two translates of E.
 
-    One batch of draws tests T_{g^-1} x in E for every g in B_n at once
+    Chunks of ``SIEVE_CHUNK`` draws each read their draws x window bit
+    matrix and test T_{g^-1} x in E for every g in B_n at once
     (``TowerSpec.located``), so hits and collisions are exact.
     """
     probe = probe_system(tower.system, "tower", seed)
-    located = tower.located(sample_points(probe, np.arange(samples))).sum(axis=1)
-    hits = int((located > 0).sum())
+    hits = 0
+    collisions = 0
+    for start in range(0, samples, SIEVE_CHUNK):
+        points = sample_points(probe, np.arange(start, min(samples, start + SIEVE_CHUNK)))
+        located = tower.located(points).sum(axis=1)
+        hits += int((located > 0).sum())
+        collisions += int((located > 1).sum())
     tower.mc_samples = samples
     tower.mc_hits_bn = hits
-    tower.collisions = int((located > 1).sum())
+    tower.collisions = collisions
     tower.mc_ci_upper = stats.clopper_pearson(hits, samples)[1]
 
 
@@ -660,4 +637,4 @@ def conditional_base_sampler(tower: TowerSpec, seed: int, draws: int) -> PointBa
     stream = _derived_seed("cond", seed) | 1 << 63  # never 0, sample_point's stream
     forced = _forced_cells(sys.group, tower.pattern)
     trace.COUNTERS["sampler_draws"] += draws
-    return PointBatch.of(Lot(sys, stream, forced, groups.identity(sys.group)), np.arange(draws))
+    return PointBatch(sys, np.arange(draws, dtype=np.uint64), stream, forced, groups.identity(sys.group))

@@ -51,7 +51,7 @@ class ObservableSpec:
             coords = [g if spec.kind == "integers" else g[axis] for g in atoms]
             distinct, where = np.unique(coords, return_inverse=True)
             u, shift = points.torus(axis)
-            turns = 2.0 * math.pi * ((u[:, None] + (distinct + shift[:, None]) * sys.alpha[axis]) % 1.0)
+            turns = 2.0 * math.pi * ((u[:, None] + (distinct + shift) * sys.alpha[axis]) % 1.0)
             return np.array(list(map(math.cos, turns.ravel()))).reshape(turns.shape)[:, where]
         raise DomainError(f"unknown observable kind {self.kind!r}")
 

@@ -372,8 +372,8 @@ def _bit_box(stages: list, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
 
 
 class OrbitWindow:
-    """Stage events and values of a ``PointBatch`` of Bernoulli points on a
-    box of positions, all read from one bit matrix.
+    """Stage events and values of Bernoulli points (a ``PointBatch`` or a
+    list of handles) on a box of positions, all read from one bit matrix.
 
     The box [lo, hi] holds coordinates relative to each point's offset, so
     the cell u of the point x stands for T_u x.  The points x window bit
@@ -386,7 +386,7 @@ class OrbitWindow:
     ``dynamics`` give.  Each window adds its bit cells to ``trace.COUNTERS``.
     """
 
-    def __init__(self, spec: GroupSpec, stages: list, points: PointBatch, lo: tuple, hi: tuple):
+    def __init__(self, spec: GroupSpec, stages: list, points: PointBatch | list, lo: tuple, hi: tuple):
         self.spec = spec
         self.stages = stages
         self.lo, self.hi = lo, hi
@@ -524,10 +524,9 @@ class OrbitWindow:
 
 def orbit_windows(model: ModelFunction, points, lo: tuple, hi: tuple):
     """``OrbitWindow`` over [lo, hi] for consecutive chunks of Bernoulli
-    ``points`` (a batch or a list of handles, see ``dynamics.as_batch``),
-    each under ``WINDOW_CELL_BUDGET`` bit cells.  CapacityError if one
-    point's bit box alone is over the budget."""
-    points = dynamics.as_batch(points)
+    ``points`` (a ``PointBatch`` or a list of handles), each under
+    ``WINDOW_CELL_BUDGET`` bit cells.  CapacityError if one point's bit box
+    alone is over the budget."""
     stages = _stage_events(model)
     box = _bit_box(stages, lo, hi)
     per_point = math.prod(_shape(*box))

@@ -6,6 +6,6 @@ from walkrep import dynamics
 def handles(batch: dynamics.PointBatch) -> list:
     """The ``PointHandle`` of every row of ``batch``, in row order."""
     return [
-        dynamics.PointHandle(lot.system, dynamics.BitSource(draw, lot.stream, lot.forced), lot.offset)
-        for draw, lot in zip(batch.draws.tolist(), (batch.lots[k] for k in batch.lot.tolist()))
+        dynamics.PointHandle(batch.system, dynamics.BitSource(draw, batch.stream, batch.forced), batch.offset)
+        for draw in batch.draws.tolist()
     ]

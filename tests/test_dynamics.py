@@ -292,18 +292,15 @@ def test_batched_read_equals_per_cell_read(z_bernoulli, z_spec):
     assert (got[0][1::2] == got[1][1::2]).all()
     sampled = points[-1]
     assert all(sampled.read(p) == b for p, b in tower.pattern.items())
-    # batches: fresh draws, conditional draws, a batch holding two forced
-    # overlays (and their translates), and rows picked by a mask
-    two_overlays = dynamics.as_batch(points + [dynamics.act(z_bernoulli, -3, x) for x in points])
-    assert len({id(lot.forced) for lot in two_overlays.lots}) == 3  # none and two overlays
-    batches = [
-        dynamics.sample_points(z_bernoulli, np.arange(6)),
-        dynamics.conditional_base_sampler(tower, 4, 6),
-        two_overlays,
-        two_overlays[np.arange(len(two_overlays)) % 3 != 1],
-    ]
-    for batch in batches:
+    # batches: fresh draws, conditional draws, and rows picked by a mask
+    conditional = dynamics.conditional_base_sampler(tower, 4, 6)
+    for batch in (dynamics.sample_points(z_bernoulli, np.arange(6)), conditional, conditional[np.arange(6) % 3 != 1]):
         assert dynamics.read_cells(batch, positions).tolist() == _per_point_rows(handles(batch), positions)
+    # a list holding two forced overlays and their translates reads as one
+    # batch per overlay and offset
+    mixed = points + [dynamics.act(z_bernoulli, -3, x) for x in points]
+    assert len({id(batch.forced) for _, batch in dynamics._batches(mixed)}) == 3  # none and two overlays
+    assert dynamics.read_cells(mixed, positions).tolist() == _per_point_rows(mixed, positions)
     # shifted points on Z^2 and Z^3, at negative coordinates
     for d in (2, 3):
         spec = groups.GroupSpec("lattice", d)

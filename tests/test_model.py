@@ -574,10 +574,10 @@ def _oracle_orbit(mdl, x, a, ball, n_steps, w, n_trunc) -> tuple[list, int]:
     return series, indeterminate
 
 
-def _check_against_oracle(mdl, w, draws: int, radius: int, orbit_steps: int, steps=None):
+def _check_against_oracle(mdl, w, draws: int, radius: int, orbit_steps: int, steps=()):
     """Window events on every kind of draw, orbit vectors at two truncations,
-    and an orbit walk along each step of ``steps`` (default: the last
-    generator), against the dict oracle."""
+    and an orbit walk along the last generator and along each further step
+    of ``steps``, against the dict oracle."""
     probe = dynamics.probe_system(mdl.system, "oracle")
     points = _oracle_draws(mdl, probe, draws)
     _assert_window_matches_oracle(mdl, points, radius)
@@ -586,7 +586,7 @@ def _check_against_oracle(mdl, w, draws: int, radius: int, orbit_steps: int, ste
             want, want_tail = oracle_phi(ModelEvaluator(mdl, x), x, n_trunc, w)
             assert vec.coeffs == want.coeffs and tail == want_tail
     ball = model.basis_balls(1, mdl.spec)
-    for a in steps or groups.generators(mdl.spec)[-1:]:
+    for a in groups.generators(mdl.spec)[-1:] + list(steps):
         rep = model.orbit_frequency(mdl, points[0], a, ball, orbit_steps, w, radius)
         series, indeterminate = _oracle_orbit(mdl, points[0], a, ball, orbit_steps, w, radius)
         assert (rep["series"], rep["indeterminate"]) == (series, indeterminate)
