@@ -365,7 +365,7 @@ def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
     a = groups.generators(spec)[0]
     ball1 = history[0].ball
     probe = dynamics.bernoulli_system(spec, cfg.seed + 1)
-    x = dynamics.sample_point(probe, 0)
+    x = dynamics.sample_points(probe, [0])
     rep = model.orbit_frequency(mdl, x, a, ball1, cfg.samples.orbit_steps, w, cfg.n_trunc)
     series = rep.pop("series")
     rows = []

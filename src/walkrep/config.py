@@ -173,6 +173,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(str(exc)) from exc
         if not spec.finitely_generated:
             raise ConfigError(f"{name}: {spec.kind} has no finite generator set")
+    if cfg.system.alpha and len(cfg.system.alpha) != cfg.group.d:
+        raise ConfigError(f"system.alpha needs one angle per generator of the group ({cfg.group.d})")
 
 
 def load_config(path: str | None) -> ExperimentConfig:

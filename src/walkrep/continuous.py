@@ -25,6 +25,14 @@ from .errors import DomainError
 from .groups import GroupSpec
 from .measures import WeightParams
 
+# The real-line domination check: K = [-K_HALF, K_HALF], L = [-L_HALF,
+# L_HALF], a grid of GRID_STEP over L, the k in K it samples, and the weight
+# ratio bound C of the induced shift bound
+K_HALF, L_HALF = 1.0, 2.0
+GRID_STEP = 1e-3
+K_SAMPLES = (-1.0, 0.0, 1.0)
+RATIO_BOUND_C = 2.0
+
 
 @dataclass(frozen=True)
 class IntervalMeasure:
@@ -67,51 +75,40 @@ def overlap_density_quadrature(L: IntervalMeasure, t: float) -> float:
     return total
 
 
-def domination_constant_real(
-    k_half: float = 1.0,
-    l_half: float = 2.0,
-    grid_step: float = 1e-3,
-    k_samples: tuple = (-1.0, 0.0, 1.0),
-    ratio_bound_c: float = 2.0,
-) -> dict:
+def domination_constant_real() -> dict:
     """u = min of the overlap density on the product window, D = 2/u.
 
     The pointwise check compares the density of rho * delta_k against
     D times the density of rho * rho on a grid over L (endpoints included),
     for sampled k in K; the induced shift bound sqrt(D*C) is reported.
     """
-    if grid_step <= 0:
-        raise DomainError("grid step must be positive")
-    K = IntervalMeasure(k_half)
-    L = IntervalMeasure(l_half)
-    kl_half = k_half + l_half
-    grid_u = np.arange(-kl_half, kl_half + grid_step / 2, grid_step)
+    L = IntervalMeasure(L_HALF)
+    kl_half = K_HALF + L_HALF
+    grid_u = np.arange(-kl_half, kl_half + GRID_STEP / 2, GRID_STEP)
     psi_vals = np.maximum(0.0, L.length - np.abs(grid_u))
     u = float(psi_vals.min())
     u_closed = max(0.0, L.length - kl_half)
     d_const = 2.0 / u
     # rho has density 1/|L| on L; rho*rho has density psi/|L|^2
-    grid = np.arange(-l_half, l_half + grid_step / 2, grid_step)
+    grid = np.arange(-L_HALF, L_HALF + GRID_STEP / 2, GRID_STEP)
     violations = 0
     worst = -math.inf
-    for k in k_samples:
-        if abs(k) > k_half:
-            raise DomainError(f"sample {k} outside K")
-        lhs = np.where(np.abs(grid - k) <= l_half, 1.0 / L.length, 0.0)
+    for k in K_SAMPLES:
+        lhs = np.where(np.abs(grid - k) <= L_HALF, 1.0 / L.length, 0.0)
         rhs = d_const * np.maximum(0.0, L.length - np.abs(grid)) / L.length**2
         gap = lhs - rhs
         worst = max(worst, float(gap.max()))
         violations += int(np.sum(gap > 1e-12))
     return {
-        "k_half": k_half,
-        "l_half": l_half,
+        "k_half": K_HALF,
+        "l_half": L_HALF,
         "u": u,
         "u_closed_form": u_closed,
         "D": d_const,
-        "shift_bound": math.sqrt(d_const * ratio_bound_c),
-        "grid_step": grid_step,
-        "domain": f"grid over L=[-{l_half},{l_half}]",
-        "k_samples": list(k_samples),
+        "shift_bound": math.sqrt(d_const * RATIO_BOUND_C),
+        "grid_step": GRID_STEP,
+        "domain": f"grid over L=[-{L_HALF},{L_HALF}]",
+        "k_samples": list(K_SAMPLES),
         "violations": violations,
         "worst_gap": worst,
         "pass": violations == 0,

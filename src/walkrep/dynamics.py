@@ -1,20 +1,22 @@
-"""Measure-preserving systems, lazy sample points, cylinder families, and
+"""Measure-preserving systems, sampled points, cylinder families, and
 marker towers.
+
+Every sampled point is a row of a ``PointBatch``: an array of draw numbers
+sharing the system, the stream, the offset and the forced overlay.  A
+single point is the one-row batch ``sample_points(sys, [draw])``, and T_h
+of a batch is ``batch.moved(h)``, which only composes the stored offset.
 
 Two system kinds:
 
 * ``bernoulli`` -- the two-sided fair-coin shift indexed by any finitely
-  generated roster group.  A sampled point's coordinates are output bits of
-  the counter-based generator Philox4x64-10, keyed by the system seed and
+  generated roster group.  A point's coordinates are output bits of the
+  counter-based generator Philox4x64-10, keyed by the system seed and
   counted by the cell's block, the point's draw and its stream, so reads are
-  deterministic, i.i.d. fair bits, and exactly equivariant: acting by ``h``
-  only composes the stored offset.  Monte-Carlo paths draw a ``PointBatch``:
-  an array of draw numbers sharing the system, the stream, the offset and
-  the forced overlay.  Every read goes through ``read_cells``, one
-  vectorized points x cells read of a batch; a single ``PointHandle`` reads
-  as a one-row batch.
+  deterministic, i.i.d. fair bits, and exactly equivariant.  Every read goes
+  through ``read_cells``, one vectorized points x cells read of a batch.
 * ``rotation`` -- products of circle rotations for the integer/lattice
-  kinds, with an irrational frequency vector.
+  kinds, with an irrational frequency vector; ``PointBatch.torus`` gives
+  the rows' coordinates on one axis.
 
 Towers are marker events: the base E is the cylinder "the marker pattern
 occurs at the origin".  The marker is self-avoiding: every shift by a
@@ -32,7 +34,6 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,8 @@ from .errors import DomainError, EncodingError, TowerConstructionError
 from .groups import GroupSpec
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
+# The longest marker ``rokhlin_tower`` tries before it gives up.
+MAX_MARKER = 220
 # Draws the tower Monte Carlo holds at once.  Each chunk reads a draws x
 # window bit matrix, so chunks keep its memory flat at any sample count.
 SIEVE_CHUNK = 512
@@ -177,16 +180,6 @@ def _cell_blocks(spec: GroupSpec, positions) -> tuple[np.ndarray, np.ndarray]:
     return block, lane
 
 
-class BitSource(NamedTuple):
-    """The Philox counter fields of one Bernoulli draw, shared by the point
-    and all its translates, and the (block, lane, bit) arrays of the cells
-    its sampler forced, or None.  The key is the system's."""
-
-    draw: int
-    stream: int = 0
-    forced: tuple | None = None
-
-
 def _forced_cells(spec: GroupSpec, pattern: dict) -> tuple:
     block, lane = _cell_blocks(spec, np.array(list(pattern), dtype=np.int64).reshape(len(pattern), -1))
     return block, lane, np.array(list(pattern.values()), dtype=np.uint8)
@@ -194,15 +187,16 @@ def _forced_cells(spec: GroupSpec, pattern: dict) -> tuple:
 
 @dataclass(frozen=True)
 class PointBatch:
-    """Points as arrays: row i is the point ``PointHandle(system,
-    BitSource(draws[i], stream, forced), offset)`` without an object per
-    draw.  ``sample_points`` and ``conditional_base_sampler`` make one over a
-    range of draws."""
+    """Sampled points as arrays: row i is T_offset of the ``draws[i]``-th
+    sample of ``system``.  A Bernoulli row reads the Philox counters of its
+    draw and ``stream`` under the system key, with the ``forced`` cells
+    overlaid.  ``sample_points`` and ``conditional_base_sampler`` make one
+    over a range of draws."""
 
     system: DynamicalSystem
     draws: np.ndarray  # uint64 draw numbers
     stream: int
-    forced: tuple | None  # as ``BitSource.forced``
+    forced: tuple | None  # (block, lane, bit) arrays of the forced cells
     offset: object
 
     def __len__(self) -> int:
@@ -213,7 +207,9 @@ class PointBatch:
         return replace(self, draws=self.draws[rows])
 
     def moved(self, h) -> "PointBatch":
-        """T_h of every row: the batch of ``act(system, h, x)``."""
+        """T_h of every row.  Reads obey ``read_cells(batch.moved(h), [g])
+        == read_cells(batch, [g h])`` exactly, since both sides read the
+        same absolute position; ``moved(g)`` of ``moved(h)`` is ``moved(gh)``."""
         return replace(self, offset=groups.multiply(self.system.group, h, self.offset))
 
     def torus(self, axis: int) -> tuple[np.ndarray, int]:
@@ -223,26 +219,6 @@ class PointBatch:
         u = [_torus_root(self.system, d)[axis] for d in self.draws.tolist()]
         shift = self.offset if self.system.group.kind == "integers" else self.offset[axis]
         return np.array(u, dtype=np.float64), shift
-
-
-def _batches(points) -> list:
-    """``points`` as (rows, ``PointBatch``) pairs: a batch is one pair, and a
-    list of ``PointHandle``s is one pair per distinct (system, stream, forced
-    cells, offset).  DomainError for rotation points."""
-    if isinstance(points, PointBatch):
-        if points.system.kind != "bernoulli":
-            raise DomainError("coordinate reads are for Bernoulli points")
-        return [(slice(None), points)]
-    if any(x.system.kind != "bernoulli" for x in points):
-        raise DomainError("coordinate reads are for Bernoulli points")
-    lots: dict = {}
-    for i, x in enumerate(points):
-        lots.setdefault((x.system, x.root.stream, id(x.root.forced), x.offset), (x, []))[1].append(i)
-    return [
-        (rows, PointBatch(x.system, np.array([points[i].root.draw for i in rows], dtype=np.uint64),
-                          x.root.stream, x.root.forced, x.offset))
-        for x, rows in lots.values()
-    ]
 
 
 def _overlay(words: np.ndarray, tiles: np.ndarray, forced: tuple) -> np.ndarray:
@@ -263,82 +239,47 @@ def _overlay(words: np.ndarray, tiles: np.ndarray, forced: tuple) -> np.ndarray:
     return (words & ~masks[0]) | masks[1]
 
 
-def read_cells(points, cells) -> np.ndarray:
-    """The coordinates of Bernoulli ``points`` at ``cells``, as a points x
-    cells uint8 matrix: entry (i, j) is the bit of row i at the absolute
-    position cells[j] offset_i.  ``points`` is a ``PointBatch`` or a list
-    of ``PointHandle``s, read as one batch per shared (system, stream,
-    forced cells, offset); ``cells`` are group elements or, except on the
-    free groups, an (C, k) integer array of their coordinates.
+def read_cells(points: PointBatch, cells) -> np.ndarray:
+    """The coordinates of the Bernoulli batch ``points`` at ``cells``, as a
+    points x cells uint8 matrix: entry (i, j) is the bit of row i at the
+    absolute position cells[j] offset.  ``cells`` are group elements or,
+    except on the free groups, an (C, k) integer array of their coordinates.
 
-    The rows of one batch read every block their cells meet in one Philox
-    call, at counter (block, draw, stream, 0) under the system key.  Lane k
-    of a block is bit k % 64 of output word k // 64.  Forced cells overlay
-    the drawn bits.
+    The rows read every block their cells meet in one Philox call, at
+    counter (block, draw, stream, 0) under the system key.  Lane k of a
+    block is bit k % 64 of output word k // 64.  Forced cells overlay the
+    drawn bits.
     """
-    batches = _batches(points)
+    if points.system.kind != "bernoulli":
+        raise DomainError("coordinate reads are for Bernoulli points")
     out = np.empty((len(points), len(cells)), dtype=np.uint8)
     if out.size == 0:
         return out
-    spec = batches[0][1].system.group
-    if spec.kind != "free":
+    spec = points.system.group
+    if spec.kind == "free":
+        block, lane = _cell_blocks(spec, [groups.multiply(spec, c, points.offset) for c in cells])
+    else:
         try:
             cells = np.asarray(cells, dtype=np.int64).reshape(len(cells), -1)
         except OverflowError:
             raise EncodingError("a cell past 64-bit coordinates has no Philox block") from None
-    for rows, batch in batches:
-        if spec.kind == "free":
-            block, lane = _cell_blocks(spec, [groups.multiply(spec, c, batch.offset) for c in cells])
-        else:
-            block, lane = _cell_blocks(spec, groups.translate(spec, cells, batch.offset))
-        tiles, where = np.unique(block, return_inverse=True)
-        # key and stream as arrays: numpy warns on overflow of uint64 scalars
-        key = np.array(batch.system.key, dtype=np.uint64)
-        words = np.stack(philox(
-            (tiles, batch.draws[:, None], np.array([batch.stream], dtype=np.uint64), np.uint64(0)),
-            (key[:1], key[1:]),
-        ), axis=-1)
-        if batch.forced is not None:
-            words = _overlay(words, tiles, batch.forced)
-        # one word per cell: memory stays at points x cells, however sparse
-        # the cells lie in their blocks
-        cell_words = words.reshape(len(batch), -1)[:, where * 4 + (lane >> 6)]
-        out[rows] = (cell_words >> (lane & 63).astype(np.uint64)) & np.uint64(1)
-        trace.COUNTERS["philox_blocks"] += words.shape[0] * words.shape[1]
+        block, lane = _cell_blocks(spec, groups.translate(spec, cells, points.offset))
+    tiles, where = np.unique(block, return_inverse=True)
+    # key and stream as arrays: numpy warns on overflow of uint64 scalars
+    key = np.array(points.system.key, dtype=np.uint64)
+    words = np.stack(philox(
+        (tiles, points.draws[:, None], np.array([points.stream], dtype=np.uint64), np.uint64(0)),
+        (key[:1], key[1:]),
+    ), axis=-1)
+    if points.forced is not None:
+        words = _overlay(words, tiles, points.forced)
+    # one word per cell: memory stays at points x cells, however sparse the
+    # cells lie in their blocks
+    cell_words = words.reshape(len(points), -1)[:, where * 4 + (lane >> 6)]
+    out[:] = (cell_words >> (lane & 63).astype(np.uint64)) & np.uint64(1)
+    trace.COUNTERS["philox_blocks"] += words.shape[0] * words.shape[1]
     trace.COUNTERS["bits_drawn"] += out.size
     return out
-
-
-@dataclass
-class PointHandle:
-    """A sampled point together with a group offset.
-
-    Bernoulli reads obey ``read(act(h, x), g) == read(x, g h)`` exactly, since
-    both sides read the same absolute position.
-    """
-
-    system: DynamicalSystem
-    root: object
-    offset: object
-
-    def read(self, g) -> int:
-        """Coordinate of the point at position g (Bernoulli only).  Each
-        call is a whole Philox call through ``read_cells`` for one bit, so
-        loops over points or cells read a batch instead."""
-        return int(read_cells([self], [g])[0, 0])
-
-    def position(self) -> tuple:
-        """Current torus position (rotation only)."""
-        if self.system.kind != "rotation":
-            raise DomainError("positions are for rotation points")
-        base = self.root
-        if self.system.group.kind == "integers":
-            off = (self.offset,)
-        else:
-            off = self.offset
-        return tuple(
-            (u + n * a) % 1.0 for u, n, a in zip(base, off, self.system.alpha)
-        )
 
 
 def _torus_root(sys: DynamicalSystem, draw: int) -> tuple:
@@ -348,22 +289,10 @@ def _torus_root(sys: DynamicalSystem, draw: int) -> tuple:
     return tuple(float(x) for x in rng.random(sys.group.d))
 
 
-def sample_point(sys: DynamicalSystem, draw: int) -> PointHandle:
-    """The ``draw``-th i.i.d. sample; Bernoulli coordinates are read from
-    the draw's Philox counters."""
-    root = BitSource(draw) if sys.kind == "bernoulli" else _torus_root(sys, draw)
-    return PointHandle(sys, root, groups.identity(sys.group))
-
-
 def sample_points(sys: DynamicalSystem, draws) -> PointBatch:
     """The i.i.d. samples numbered ``draws`` (an integer array) as one
-    batch, row for row the points of ``sample_point``."""
+    batch; a single point is ``sample_points(sys, [draw])``."""
     return PointBatch(sys, np.asarray(draws, dtype=np.uint64), 0, None, groups.identity(sys.group))
-
-
-def act(sys: DynamicalSystem, g, x: PointHandle) -> PointHandle:
-    """T_g x; exact composition law act(g, act(h, x)) == act(gh, x)."""
-    return PointHandle(sys, x.root, groups.multiply(sys.group, g, x.offset))
 
 
 @dataclass(frozen=True)
@@ -381,13 +310,6 @@ class CylinderSet:
 
     def measure(self) -> float:
         return 0.5 ** len(self.bits)
-
-    def contains(self, x: PointHandle) -> bool:
-        bits = read_cells([x], [g for g, _ in self.bits])[0]
-        return bool((bits == [b for _, b in self.bits]).all())
-
-    def constraints(self) -> dict:
-        return dict(self.bits)
 
 
 class SetFamily:
@@ -490,7 +412,7 @@ class TowerSpec:
     def mu_bn_upper(self) -> float:
         return len(groups.ball(self.spec, self.n)) * self.mu_pattern
 
-    def located(self, points) -> np.ndarray:
+    def located(self, points: PointBatch) -> np.ndarray:
         """Per point and g in B_n (``groups.ball`` order): is T_{g^-1} x in E?
 
         T_{g^-1} x reads the cell p at p g^-1, so one read of the window of
@@ -543,8 +465,6 @@ def rokhlin_tower(
     seed: int = 0,
     mc_samples: int = 0,
     rarity_factor: float = 1.0,
-    base_within: CylinderSet | None = None,
-    max_marker: int = 220,
 ) -> TowerSpec:
     """A base event E whose B_n translates are disjoint, with mu(B_n E) < eta/2.
 
@@ -568,22 +488,13 @@ def rokhlin_tower(
     length = max(2 * n, 2)
     while True:
         pattern = _marker_pattern(spec, length)
-        if base_within is not None:
-            merged = dict(base_within.constraints())
-            for p, b in pattern.items():
-                if merged.get(p, b) != b:
-                    raise TowerConstructionError(
-                        "marker contradicts the prescribed base cylinder"
-                    )
-                merged[p] = b
-            pattern = merged
         mu_pattern = 0.5 ** len(pattern)
         if len(ball_n) * mu_pattern < target:
             break
         length += 1
-        if length > max_marker:
+        if length > MAX_MARKER:
             raise TowerConstructionError(
-                f"no marker of length <= {max_marker} reaches "
+                f"no marker of length <= {MAX_MARKER} reaches "
                 f"mu(B_n E) < {target:.3g}; lengthen the cap or relax eta"
             )
 
@@ -634,7 +545,7 @@ def conditional_base_sampler(tower: TowerSpec, seed: int, draws: int) -> PointBa
     shared by the whole batch.
     """
     sys = tower.system
-    stream = _derived_seed("cond", seed) | 1 << 63  # never 0, sample_point's stream
+    stream = _derived_seed("cond", seed) | 1 << 63  # never 0, the stream of sample_points
     forced = _forced_cells(sys.group, tower.pattern)
     trace.COUNTERS["sampler_draws"] += draws
     return PointBatch(sys, np.arange(draws, dtype=np.uint64), stream, forced, groups.identity(sys.group))

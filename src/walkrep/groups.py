@@ -29,6 +29,8 @@ import numpy as np
 from .errors import CapacityError, DomainError, EmbeddingError, EncodingError
 
 DEFAULT_BALL_CAP = 10**6
+EMBED_CHECKS = 64
+EMBED_CHECK_RADIUS = 3
 
 FG_KINDS = ("integers", "lattice", "free", "heisenberg")
 KINDS = FG_KINDS + ("z2sum",)
@@ -263,8 +265,8 @@ def ball(spec: GroupSpec, n: int, cap: int = DEFAULT_BALL_CAP) -> list:
     """All elements of word length <= n.
 
     Integers come in increasing order, -n..n; every other kind comes in
-    ``sort_key`` order.  ``TowerSpec.locate`` and the window evaluator take
-    the first base point in this order, so it is part of the model's
+    ``sort_key`` order.  ``TowerSpec.located`` and ``OrbitWindow.locate``
+    take the first base point in this order, so it is part of the model's
     values.  Raises CapacityError if the ball would exceed ``cap`` elements.
     """
     if n < 0:
@@ -453,15 +455,14 @@ def subgroup_embed(
     spec_sub: GroupSpec,
     spec_amb: GroupSpec,
     images: list,
-    check_radius: int = 3,
-    checks: int = 64,
     seed: int = 0,
 ) -> Embedding:
-    """Build an Embedding and spot-check the homomorphism law on random pairs."""
+    """Build an Embedding and spot-check the homomorphism law on
+    ``EMBED_CHECKS`` random pairs from B_``EMBED_CHECK_RADIUS``."""
     emb = Embedding(spec_sub, spec_amb, images)
     rng = np.random.default_rng(seed)
-    pool = ball(spec_sub, check_radius)
-    for _ in range(checks):
+    pool = ball(spec_sub, EMBED_CHECK_RADIUS)
+    for _ in range(EMBED_CHECKS):
         a = pool[int(rng.integers(len(pool)))]
         b = pool[int(rng.integers(len(pool)))]
         lhs = emb.map(multiply(spec_sub, a, b))

@@ -37,8 +37,8 @@ class ObservableSpec:
         An indicator reads the cells c g of every constraint c for all points
         in one ``dynamics.read_cells`` call.  The cosine of T_g x depends only
         on the axis coordinate of g, so it is evaluated once per point and
-        distinct coordinate n, at ``(u + n * alpha) % 1.0`` as
-        ``PointHandle.position`` computes it.
+        distinct coordinate n, at ``(u + n * alpha) % 1.0`` with u from
+        ``PointBatch.torus``.
         """
         spec = sys.group
         if self.kind == "indicator":
@@ -91,7 +91,6 @@ def convergence_report(
     n_max: int,
     samples: int,
     seed: int = 0,
-    final_tolerance: float | None = None,
 ) -> dict:
     """Per-n sampled deviations |A^n f - mean| with closed-form cross-checks.
 
@@ -138,8 +137,6 @@ def convergence_report(
         l2_dev[n] <= l2_dev[n - 1] + envelope[n] + envelope[n - 1]
         for n in range(1, n_max + 1)
     )
-    tol = final_tolerance
-    final_ok = True if tol is None else l2_dev[-1] <= tol
     return {
         "system": sys.to_dict(),
         "observable": f.kind,
@@ -152,7 +149,5 @@ def convergence_report(
         "l2_se": se_l2,
         "expected_l2": expected,
         "trend_pass": bool(trend_ok),
-        "final_tolerance": tol,
-        "final_pass": bool(final_ok),
-        "pass": bool(trend_ok and final_ok),
+        "pass": bool(trend_ok),
     }

@@ -289,9 +289,8 @@ class WeightTable(_Cells):
         return self._ball_masses[n]
 
     def stored_mass(self) -> float:
-        if self.spec.kind == "free":
-            return self.mass_in_ball(self.params.n_max)
-        return sum(self.table.values())
+        """The stored mass, all of it on B_n_max."""
+        return self.mass_in_ball(self.params.n_max)
 
     def tail_mass_outside_ball(self, n: int) -> float:
         """Conservative bound on the true w-mass outside B_n."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, groups, stats, trace
-from .dynamics import DynamicalSystem, PointBatch, PointHandle, SetFamily, TowerSpec
+from .dynamics import DynamicalSystem, PointBatch, SetFamily, TowerSpec
 from .errors import CapacityError, DomainError, StageError
 from .groups import GroupSpec
 from .measures import WeightTable
@@ -372,8 +372,8 @@ def _bit_box(stages: list, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
 
 
 class OrbitWindow:
-    """Stage events and values of Bernoulli points (a ``PointBatch`` or a
-    list of handles) on a box of positions, all read from one bit matrix.
+    """Stage events and values of a batch of Bernoulli points on a box of
+    positions, all read from one bit matrix.
 
     The box [lo, hi] holds coordinates relative to each point's offset, so
     the cell u of the point x stands for T_u x.  The points x window bit
@@ -382,11 +382,11 @@ class OrbitWindow:
     event is an array mask on it: the base (the marker cylinder) is an AND
     over shifted slices, ``locate`` takes the first g in ``groups.ball``
     order whose shift lands in the base, and routing is an AND over the
-    cylinder constraints.  So every value equals the one the lazy reads of
-    ``dynamics`` give.  Each window adds its bit cells to ``trace.COUNTERS``.
+    cylinder constraints.  So every value equals the one cell-by-cell reads
+    of each point give.  Each window adds its bit cells to ``trace.COUNTERS``.
     """
 
-    def __init__(self, spec: GroupSpec, stages: list, points: PointBatch | list, lo: tuple, hi: tuple):
+    def __init__(self, spec: GroupSpec, stages: list, points: PointBatch, lo: tuple, hi: tuple):
         self.spec = spec
         self.stages = stages
         self.lo, self.hi = lo, hi
@@ -522,11 +522,10 @@ class OrbitWindow:
         return arr.reshape(self.n_points, -1)[:, flat]
 
 
-def orbit_windows(model: ModelFunction, points, lo: tuple, hi: tuple):
-    """``OrbitWindow`` over [lo, hi] for consecutive chunks of Bernoulli
-    ``points`` (a ``PointBatch`` or a list of handles), each under
-    ``WINDOW_CELL_BUDGET`` bit cells.  CapacityError if one point's bit box
-    alone is over the budget."""
+def orbit_windows(model: ModelFunction, points: PointBatch, lo: tuple, hi: tuple):
+    """``OrbitWindow`` over [lo, hi] for consecutive chunks of the Bernoulli
+    batch ``points``, each under ``WINDOW_CELL_BUDGET`` bit cells.
+    CapacityError if one point's bit box alone is over the budget."""
     stages = _stage_events(model)
     box = _bit_box(stages, lo, hi)
     per_point = math.prod(_shape(*box))
@@ -1204,14 +1203,15 @@ def conditional_hits(
 
 def orbit_frequency(
     model: ModelFunction,
-    x: PointHandle,
+    x: PointBatch,
     a,
     ball: BallSpec,
     n_steps: int,
     w: WeightTable,
     n_trunc: int,
 ) -> dict:
-    """Visit frequency of the orbit x, T_a x, T_a^2 x, ... to the ball.
+    """Visit frequency of the orbit x, T_a x, T_a^2 x, ... to the ball, for
+    the one-row batch ``x``.
 
     The orbit vectors of a stretch of steps are read from one window along
     a, holding the truncation ball of every step in it; stretches are cut so
@@ -1238,7 +1238,7 @@ def orbit_frequency(
     indeterminate = 0
     for first in range(0, n_steps, stretch):
         steps = np.arange(first, min(n_steps, first + stretch))
-        (win,) = orbit_windows(model, [x], *box(int(steps[0]), int(steps[-1])))
+        (win,) = orbit_windows(model, x, *box(int(steps[0]), int(steps[-1])))
         # the cells g a^t of every step t, step by step in window order
         cells = (steps[:, None, None] * np.array(a_c) + offsets).reshape(-1, len(a_c))
         values = win.rows(win.values(), cells).reshape(len(steps), len(window))

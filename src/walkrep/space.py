@@ -17,6 +17,8 @@ from .groups import GroupSpec
 from .measures import WeightParams, WeightTable
 
 PASS_SLACK = 1e-9
+# The weight built on the subgroup from the restricted step law
+SECOND_LAYER = WeightParams(0.5, 4)
 
 
 def operator_norm_certificate(spec: GroupSpec, w: WeightTable, a) -> dict:
@@ -65,7 +67,6 @@ def subgroup_norm_certificate(
     w_amb: WeightTable,
     emb: groups.Embedding,
     g0,
-    second_params: WeightParams | None = None,
 ) -> dict:
     """Certify the translation-operator bound on the restricted-weight space.
 
@@ -83,15 +84,13 @@ def subgroup_norm_certificate(
     sub, amb = emb.spec_sub, emb.spec_amb
     groups.check_element(sub, g0)
     rho_g = measures.restrict_renormalize(w_amb, emb)
-    if second_params is None:
-        second_params = WeightParams(q=0.5, n_max=4)
     img = emb.map(g0)
     length = groups.word_length(amb, img)
     m_g0 = measures.translation_bound(amb, w_amb.params, length)
-    w_sub = measures.build_weight(sub, second_params, rho=rho_g)
+    w_sub = measures.build_weight(sub, SECOND_LAYER, rho=rho_g)
     # interior window: one base-window radius in from the support edge
     base_radius = max(groups.word_length(sub, h) for h in rho_g)
-    interior = base_radius * (second_params.n_max - 1)
+    interior = base_radius * (SECOND_LAYER.n_max - 1)
     interior = max(interior - length, 1)
     ball, cells = w_sub.ball(interior)
     den = w_sub.read(cells)
@@ -106,6 +105,6 @@ def subgroup_norm_certificate(
         "bound": m_g0,
         "observed": atom_max,
         "domain": f"subgroup ball({interior})",
-        "second_layer": {"q": second_params.q, "n_max": second_params.n_max},
+        "second_layer": {"q": SECOND_LAYER.q, "n_max": SECOND_LAYER.n_max},
         "pass": bool(atom_max <= m_g0 + PASS_SLACK),
     }

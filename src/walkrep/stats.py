@@ -49,6 +49,7 @@ _STIRLERR = (
 _LOG_2PI = math.log(2.0 * math.pi)
 CF_MAX_TERMS = 20_000
 NEWTON_MAX_STEPS = 100
+MEAN_BATCHES = 20
 _CF_EPS = 2.5e-16  # a Lentz factor within rounding of 1 ends the fraction
 _TINY = 1e-300
 
@@ -196,11 +197,11 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     return (lo, hi)
 
 
-def batch_means_se(series, n_batches: int = 20) -> float:
-    """Standard error of the mean of a correlated series via batch means."""
+def batch_means_se(series) -> float:
+    """Standard error of the mean of a correlated series via batch means:
+    ``MEAN_BATCHES`` batches, or fewer of two values each on a short series."""
     arr = np.asarray(series, dtype=float)
-    if len(arr) < 2 * n_batches:
-        n_batches = max(2, len(arr) // 2)
-    usable = (len(arr) // n_batches) * n_batches
-    batches = arr[:usable].reshape(n_batches, -1).mean(axis=1)
-    return float(batches.std(ddof=1) / math.sqrt(n_batches))
+    count = MEAN_BATCHES if len(arr) >= 2 * MEAN_BATCHES else max(2, len(arr) // 2)
+    usable = (len(arr) // count) * count
+    means = arr[:usable].reshape(count, -1).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(count))

@@ -153,13 +153,12 @@ def test_criterion_06_equivariance(built_model, z_weights, z_spec):
     mdl, history, cfg = built_model
     sys_b = dynamics.bernoulli_system(z_spec, 606)
     n_trunc = cfg.n_trunc
-    points = [dynamics.sample_point(sys_b, draw) for draw in range(1000)]
+    points = dynamics.sample_points(sys_b, np.arange(1000))
     ball, rights, _ = model.phi(mdl, points, n_trunc, z_weights)
     mismatches = 0
     compared = 0
     for h in groups.ball(z_spec, 2):
-        xhs = [dynamics.act(sys_b, h, x) for x in points]
-        common, lefts, _ = model.phi(mdl, xhs, n_trunc - abs(h), z_weights)
+        common, lefts, _ = model.phi(mdl, points.moved(h), n_trunc - abs(h), z_weights)
         for left, right_full in zip(lefts.tolist(), rights.tolist()):
             right = dict(zip(ball, right_full))
             for g, value in zip(common, left):
@@ -193,7 +192,7 @@ def test_criterion_07_support_and_iso(built_model, z_weights):
 def test_criterion_08_orbit_frequency(built_model, z_weights, z_bernoulli):
     mdl, history, cfg = built_model
     ball1 = history[0].ball
-    x = dynamics.sample_point(dynamics.bernoulli_system(z_bernoulli.group, 808), 0)
+    x = dynamics.sample_points(dynamics.bernoulli_system(z_bernoulli.group, 808), [0])
     rep = model.orbit_frequency(mdl, x, 1, ball1, 10_000, z_weights, cfg.n_trunc)
     iso = model.support_and_iso_check(mdl, history, z_weights, 1000, cfg, seed=8)
     mu_est = iso["levels"]["1"]["hit_freq"]

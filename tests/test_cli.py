@@ -60,6 +60,8 @@ def test_invalid_values_rejected(tmp_path):
         {"samples": {"base_samples": 0}},
         {"samples": {"equivariance_samples": 0}},
         {"samples": {"orbit_steps": 1}},
+        {"system": {"alpha": [0.3, 0.4]}},
+        {"group": {"kind": "lattice", "d": 2}, "system": {"alpha": [0.3]}},
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):

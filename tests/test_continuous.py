@@ -64,7 +64,7 @@ def test_domination_constant_real_defaults():
 
 def test_domination_grid_tight_at_edges():
     # equality holds at the interval endpoints, so any smaller constant fails
-    rep = continuous.domination_constant_real(ratio_bound_c=2.0)
+    rep = continuous.domination_constant_real()
     assert rep["worst_gap"] <= 1e-12
     lhs_at_edge = 1.0 / 4.0
     rhs_at_edge = 2.0 * continuous.overlap_density(continuous.IntervalMeasure(2.0), 2.0) / 16.0
@@ -210,16 +210,26 @@ def test_chain_domination_anchors_k10():
 def test_chain_domination_sweep_script():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(continuous.__file__))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "chain_domination_sweep.py"), "--n-max", "6"],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[1:]
+    stdout = {}
+    for script, *args in (
+        ("chain_domination_sweep.py", "--n-max", "6"),
+        ("stage_script.py", "--stages", "2", "--check-samples", "200"),
+        ("norm_certificates.py",),
+    ):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", script), *args],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, (script, proc.stderr)
+        stdout[script] = proc.stdout.splitlines()
+    rows = stdout["chain_domination_sweep.py"][1:]
     assert [int(r.split()[0]) for r in rows] == list(range(1, 7))
     assert [int(r.split()[0]) for r in rows if "simple=FAILS" in r] == [3, 4, 5, 6]
+    header = "n radius N marker mu(E) eta s beta eps_n delta_n"
+    assert stdout["stage_script.py"][0].split() == header.split()
+    assert stdout["norm_certificates.py"][0].startswith("integers  d=1 n_max= 10  bound=")
 
 
 def test_chain_lower_bound():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handles import handles
+from handles import contains, handles, point, position, read
 from walkrep import dynamics, groups, stats
 from walkrep.errors import EncodingError, TowerConstructionError
 
@@ -21,30 +21,26 @@ def wilson_interval(k: int, n: int, z: float = stats.Z95) -> tuple[float, float]
 
 
 def test_point_determinism(z_bernoulli):
-    x1 = dynamics.sample_point(z_bernoulli, 0)
-    x2 = dynamics.sample_point(z_bernoulli, 0)
-    assert [x1.read(g) for g in range(-50, 50)] == [x2.read(g) for g in range(-50, 50)]
+    x1 = point(z_bernoulli, 0)
+    x2 = point(z_bernoulli, 0)
+    assert [read(x1, g) for g in range(-50, 50)] == [read(x2, g) for g in range(-50, 50)]
 
 
 def test_exact_equivariance(z_bernoulli):
-    x = dynamics.sample_point(z_bernoulli, 3)
+    x = point(z_bernoulli, 3)
     for h in (-2, 1, 5):
-        xh = dynamics.act(z_bernoulli, h, x)
-        assert all(xh.read(g) == x.read(g + h) for g in range(-10, 10))
+        xh = x.moved(h)
+        assert all(read(xh, g) == read(x, g + h) for g in range(-10, 10))
 
 
 def test_action_composition(z_bernoulli):
-    x = dynamics.sample_point(z_bernoulli, 1)
-    a = dynamics.act(z_bernoulli, 2, dynamics.act(z_bernoulli, 3, x))
-    b = dynamics.act(z_bernoulli, 5, x)
-    assert a.offset == b.offset
+    x = point(z_bernoulli, 1)
+    assert x.moved(3).moved(2).offset == x.moved(5).offset
 
 
 def test_draws_agree_at_half_rate(z_bernoulli):
-    x = dynamics.sample_point(z_bernoulli, 0)
-    y = dynamics.sample_point(z_bernoulli, 1)
     n = 2000
-    rows = dynamics.read_cells([x, y], list(range(-n // 2, n // 2)))
+    rows = dynamics.read_cells(dynamics.sample_points(z_bernoulli, [0, 1]), list(range(-n // 2, n // 2)))
     agree = int((rows[0] == rows[1]).sum())
     lo, hi = wilson_interval(agree, n)
     assert lo < 0.5 < hi or abs(agree / n - 0.5) < 0.05
@@ -54,26 +50,22 @@ def test_rotation_points_uniform_and_equivariant(z_spec):
     sys_r = dynamics.rotation_system(z_spec, seed=5)
     from scipy import stats as st
 
-    draws = np.array(
-        [dynamics.sample_point(sys_r, i).position()[0] for i in range(10_000)]
-    )
+    draws, shift = dynamics.sample_points(sys_r, np.arange(10_000)).torus(0)
+    assert shift == 0
     assert st.kstest(draws, "uniform").pvalue > 0.01
     alpha = sys_r.alpha[0]
-    x = dynamics.sample_point(sys_r, 0)
-    x3 = dynamics.act(sys_r, 3, x)
-    assert abs(x3.position()[0] - ((x.position()[0] + 3 * alpha) % 1.0)) < 1e-12
+    x = point(sys_r, 0)
+    assert abs(position(x.moved(3))[0] - ((position(x)[0] + 3 * alpha) % 1.0)) < 1e-12
 
 
 def test_cylinder_measure_and_eval(z_bernoulli, z_spec):
     cyl = dynamics.CylinderSet.from_dict(z_spec, {0: 1})
     assert cyl.measure() == 0.5
-    points = [dynamics.sample_point(z_bernoulli, i) for i in range(4000)]
+    points = dynamics.sample_points(z_bernoulli, np.arange(4000))
     hits = int(dynamics.read_cells(points, [0]).sum())
-    assert [cyl.contains(x) for x in points[:40]] == [x.read(0) == 1 for x in points[:40]]
     lo, hi = wilson_interval(hits, 4000)
     assert lo <= 0.5 <= hi
-    full = dynamics.CylinderSet.from_dict(z_spec, {})
-    assert full.contains(dynamics.sample_point(z_bernoulli, 0))
+    assert dynamics.CylinderSet.from_dict(z_spec, {}).measure() == 1.0
 
 
 def test_family_enumeration(z_spec):
@@ -84,9 +76,9 @@ def test_family_enumeration(z_spec):
     # the ruler makes every descriptor recur infinitely often
     rulers = [dynamics.SetFamily.ruler(i) for i in range(1, 17)]
     assert rulers == [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0, 4]
-    x = dynamics.sample_point(dynamics.bernoulli_system(z_spec, 1), 0)
+    x = point(dynamics.bernoulli_system(z_spec, 1), 0)
     # indices with the same ruler value evaluate identically
-    assert fam.set_at(2).contains(x) == fam.set_at(6).contains(x) == fam.set_at(10).contains(x)
+    assert contains(fam.set_at(2), x) == contains(fam.set_at(6), x) == contains(fam.set_at(10), x)
 
 
 def test_family_distinct_descriptors(z_spec):
@@ -108,29 +100,22 @@ def test_tower_disjointness_and_measure(z_bernoulli):
 
 def tower_locate(tower, x):
     """The first g in B_n (``groups.ball`` order) with T_{g^-1} x in E, or None."""
-    (hits,) = tower.located([x])
+    (hits,) = tower.located(x)
     return groups.ball(tower.spec, tower.n)[hits.argmax()] if hits.any() else None
 
 
 def test_tower_locate_unique(z_bernoulli):
     tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2)
     for x in handles(dynamics.conditional_base_sampler(tower, 1, 20)):
-        assert all(x.read(p) == b for p, b in tower.pattern.items())
+        assert all(read(x, p) == b for p, b in tower.pattern.items())
         assert tower_locate(tower, x) == 0
-        moved = dynamics.act(z_bernoulli, 2, x)
-        assert tower_locate(tower, moved) == 2
-
-
-def test_tower_respects_prescribed_base(z_bernoulli, z_spec):
-    within = dynamics.CylinderSet.from_dict(z_spec, {-50: 1})
-    tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2, base_within=within)
-    (x,) = handles(dynamics.conditional_base_sampler(tower, 3, 1))
-    assert within.contains(x)
+        assert tower_locate(tower, x.moved(2)) == 2
 
 
 def test_tower_infeasible_parameters(z_bernoulli):
-    with pytest.raises(TowerConstructionError):
-        dynamics.rokhlin_tower(z_bernoulli, 3, 1e-6, max_marker=10)
+    # |B_3| 2^-(L+1) < 5e-81 needs a marker of length L >= 269
+    with pytest.raises(TowerConstructionError, match=f"length <= {dynamics.MAX_MARKER} "):
+        dynamics.rokhlin_tower(z_bernoulli, 3, 1e-80)
 
 
 def test_tower_lattice(z_spec):
@@ -210,7 +195,7 @@ def _per_draw_hits(tower, samples, seed):
         {groups.multiply(spec, p, groups.inverse(spec, g)) for g in ball for p in tower.pattern},
         key=lambda c: groups.sort_key(spec, c),
     )
-    points = [dynamics.sample_point(probe, draw) for draw in range(samples)]
+    points = dynamics.sample_points(probe, np.arange(samples))
     hits = collisions = 0
     for row in dynamics.read_cells(points, window).tolist():
         bits = dict(zip(window, row))
@@ -242,13 +227,11 @@ def _short_tower(sys):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_tower_sieve_equals_per_draw_loop(z_bernoulli, z_spec, seed):
+def test_tower_sieve_equals_per_draw_loop(z_bernoulli, seed):
     z2 = dynamics.bernoulli_system(groups.GroupSpec("lattice", 2), seed=12)
-    within = dynamics.CylinderSet.from_dict(z_spec, {-1: 0, 9: 1})
     towers = [
         (dynamics.rokhlin_tower(z_bernoulli, 3, 0.1), 1500),
         (dynamics.rokhlin_tower(z2, 1, 0.2), 600),
-        (dynamics.rokhlin_tower(z_bernoulli, 2, 0.2, base_within=within), 1500),
     ]
     for tower, samples in towers:
         assert _sieve_hits(tower, samples, seed) == _per_draw_hits(tower, samples, seed)
@@ -260,57 +243,38 @@ def test_tower_sieve_equals_per_draw_loop(z_bernoulli, z_spec, seed):
         assert counts[1] > 0
 
 
-def _per_point_rows(points: list, cells: list) -> list:
-    return [[x.read(c) for c in cells] for x in points]
+def _per_point_rows(batch, cells: list) -> list:
+    """Each row of ``batch`` read as the one-row batch ``batch[[i]]``, cell
+    by cell."""
+    return [[read(x, c) for c in cells] for x in handles(batch)]
 
 
 def test_batched_read_equals_per_cell_read(z_bernoulli, z_spec):
     positions = list(range(-12, 13))
-    fresh = dynamics.sample_point(z_bernoulli, 7)
-    flipped = {p: 1 - fresh.read(p) for p in positions[::2]}
-    tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2)
-    forced = dynamics.PointHandle(
-        z_bernoulli,
-        dynamics.BitSource(7, forced=dynamics._forced_cells(z_spec, flipped)),
-        0,
-    )
-    points = [
-        dynamics.sample_point(z_bernoulli, 0),
-        dynamics.act(z_bernoulli, 5, dynamics.sample_point(z_bernoulli, 1)),
-        forced,
-        handles(dynamics.conditional_base_sampler(tower, 4, 1))[0],
-    ]
-    for x in points:
-        assert dynamics.read_cells([x], positions).tolist() == [[x.read(p) for p in positions]]
-    # many points and offsets at once, row-major
-    assert dynamics.read_cells(points, positions).tolist() == [
-        [x.read(p) for p in positions] for x in points
-    ]
+    fresh = point(z_bernoulli, 7)
+    flipped = {p: 1 - read(fresh, p) for p in positions[::2]}
+    forced = dynamics.PointBatch(z_bernoulli, fresh.draws, 0, dynamics._forced_cells(z_spec, flipped), 0)
     # forced cells overlay the drawn bits and leave the others alone
-    got = dynamics.read_cells([forced, fresh], positions)
-    assert [got[0][k] for k in range(0, 25, 2)] == list(flipped.values())
-    assert (got[0][1::2] == got[1][1::2]).all()
-    sampled = points[-1]
-    assert all(sampled.read(p) == b for p, b in tower.pattern.items())
-    # batches: fresh draws, conditional draws, and rows picked by a mask
+    got = dynamics.read_cells(forced, positions)[0].tolist()
+    assert got[::2] == list(flipped.values())
+    assert got[1::2] == [read(fresh, p) for p in positions[1::2]]
+    # fresh draws, conditional draws (marker forced), rows picked by a mask,
+    # and translates, each row against its one-row batch
+    tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2)
     conditional = dynamics.conditional_base_sampler(tower, 4, 6)
-    for batch in (dynamics.sample_points(z_bernoulli, np.arange(6)), conditional, conditional[np.arange(6) % 3 != 1]):
-        assert dynamics.read_cells(batch, positions).tolist() == _per_point_rows(handles(batch), positions)
-    # a list holding two forced overlays and their translates reads as one
-    # batch per overlay and offset
-    mixed = points + [dynamics.act(z_bernoulli, -3, x) for x in points]
-    assert len({id(batch.forced) for _, batch in dynamics._batches(mixed)}) == 3  # none and two overlays
-    assert dynamics.read_cells(mixed, positions).tolist() == _per_point_rows(mixed, positions)
+    assert all(read(x, p) == b for x in handles(conditional) for p, b in tower.pattern.items())
+    fresh = dynamics.sample_points(z_bernoulli, np.arange(6))
+    for batch in (fresh, conditional, conditional[np.arange(6) % 3 != 1], fresh.moved(5), conditional.moved(-3)):
+        assert dynamics.read_cells(batch, positions).tolist() == _per_point_rows(batch, positions)
     # shifted points on Z^2 and Z^3, at negative coordinates
     for d in (2, 3):
         spec = groups.GroupSpec("lattice", d)
         sys = dynamics.bernoulli_system(spec, seed=9)
         h = (-300,) + (7,) * (d - 1)
         cells = groups.ball(spec, 2)
-        batch = dynamics.sample_points(sys, np.arange(5)).moved(h)
-        moved = [dynamics.act(sys, h, dynamics.sample_point(sys, i)) for i in range(5)]
-        assert dynamics.read_cells(batch, cells).tolist() == _per_point_rows(moved, cells)
-        assert dynamics.read_cells(batch, cells).tolist() == _per_point_rows(handles(batch), cells)
+        conditional = dynamics.conditional_base_sampler(dynamics.rokhlin_tower(sys, 1, 0.2), 4, 5)
+        for batch in (dynamics.sample_points(sys, np.arange(5)).moved(h), conditional.moved(h)):
+            assert dynamics.read_cells(batch, cells).tolist() == _per_point_rows(batch, cells)
 
 
 def _numpy_philox_block(key, counter):
@@ -355,9 +319,9 @@ def _block_bits(sys, draw, block, stream=0):
 
 
 def test_lane_order(z_bernoulli):
-    x = dynamics.sample_point(z_bernoulli, 11)
-    assert dynamics.read_cells([x], list(range(256)))[0].tolist() == _block_bits(z_bernoulli, 11, 0)
-    assert dynamics.read_cells([x], list(range(-256, 0)))[0].tolist() == _block_bits(
+    x = point(z_bernoulli, 11)
+    assert dynamics.read_cells(x, list(range(256)))[0].tolist() == _block_bits(z_bernoulli, 11, 0)
+    assert dynamics.read_cells(x, list(range(-256, 0)))[0].tolist() == _block_bits(
         z_bernoulli, 11, 2**64 - 1
     )
 
@@ -371,8 +335,8 @@ def test_tile_edges(d):
     field = 64 // d
     axes = [sorted({v for t in (-2, -1, 0, 1) for v in (t * s - 1, t * s)}) for s in sides]
     cells = list(itertools.product(*axes))
-    x = dynamics.sample_point(sys, 3)
-    got = dynamics.read_cells([x], cells if d > 1 else [c[0] for c in cells])[0].tolist()
+    x = point(sys, 3)
+    got = dynamics.read_cells(x, cells if d > 1 else [c[0] for c in cells])[0].tolist()
     for cell, bit in zip(cells, got):
         block = lane = 0
         for c, s in zip(cell, sides):
@@ -392,14 +356,14 @@ _KINDS = [
 @pytest.mark.parametrize("spec", _KINDS, ids=["Z", "Z2", "F2", "H"])
 def test_read_equivariance_all_kinds(spec):
     sys = dynamics.bernoulli_system(spec, seed=41)
-    x = dynamics.sample_point(sys, 2)
+    x = point(sys, 2)
     ball = groups.ball(spec, 2)
     far = groups.power(spec, groups.generators(spec)[-1], 30 if spec.kind == "free" else 300)
     for h in groups.ball(spec, 1) + [far]:
-        xh = dynamics.act(sys, h, x)
-        assert [xh.read(g) for g in ball] == [x.read(groups.multiply(spec, g, h)) for g in ball]
-        assert dynamics.read_cells([xh], ball).tolist() == dynamics.read_cells(
-            [x], [groups.multiply(spec, g, h) for g in ball]
+        xh = x.moved(h)
+        assert [read(xh, g) for g in ball] == [read(x, groups.multiply(spec, g, h)) for g in ball]
+        assert dynamics.read_cells(xh, ball).tolist() == dynamics.read_cells(
+            x, [groups.multiply(spec, g, h) for g in ball]
         ).tolist()
 
 
@@ -415,15 +379,15 @@ def test_read_equivariance_all_kinds(spec):
 )
 def test_cells_past_the_counter_range(spec, near, far):
     # the last cell a block word holds reads; the next raises
-    x = dynamics.sample_point(dynamics.bernoulli_system(spec, seed=1), 0)
-    assert x.read(near) in (0, 1)
+    x = point(dynamics.bernoulli_system(spec, seed=1), 0)
+    assert read(x, near) in (0, 1)
     with pytest.raises(EncodingError):
-        x.read(far)
+        read(x, far)
 
 
 def test_fair_bit_frequency(z_bernoulli):
     # 4000 draws x 300 cells across two blocks: 1.2M bits within 4 SE of 1/2
-    points = [dynamics.sample_point(z_bernoulli, draw) for draw in range(4000)]
+    points = dynamics.sample_points(z_bernoulli, np.arange(4000))
     bits = dynamics.read_cells(points, list(range(-150, 150)))
     assert bits.size >= 1_000_000
     assert abs(bits.mean() - 0.5) <= 4 * 0.5 / math.sqrt(bits.size)
@@ -441,7 +405,7 @@ def test_conditional_sampler_law(z_bernoulli):
 def measure_preservation_report(sys, cyl, g, samples: int, seed: int = 0) -> dict:
     """Empirical mu(T_g^{-1} A) vs the exact cylinder measure, with CI."""
     probe = dynamics.probe_system(sys, "mp", seed)
-    moved = [dynamics.act(probe, g, dynamics.sample_point(probe, draw)) for draw in range(samples)]
+    moved = dynamics.sample_points(probe, np.arange(samples)).moved(g)
     bits = dynamics.read_cells(moved, [c for c, _ in cyl.bits])
     hits = int((bits == [b for _, b in cyl.bits]).all(axis=1).sum())
     exact = cyl.measure()
@@ -461,13 +425,13 @@ def freeness_report(sys, radius: int, points: int, seed: int = 0) -> dict:
     spec = sys.group
     probe = dynamics.probe_system(sys, "free", seed)
     witnesses = groups.ball(spec, radius + 16)
-    xs = [dynamics.sample_point(probe, draw) for draw in range(points)]
+    xs = dynamics.sample_points(probe, np.arange(points))
     bits = dynamics.read_cells(xs, witnesses)
     failures = 0
     for g in groups.ball(spec, radius):
         if g == groups.identity(spec):
             continue
-        moved = dynamics.read_cells([dynamics.act(probe, g, x) for x in xs], witnesses)
+        moved = dynamics.read_cells(xs.moved(g), witnesses)
         failures += int((moved == bits).all(axis=1).sum())
     return {"failures": failures, "pass": failures == 0}
 
@@ -486,10 +450,10 @@ def test_freeness(z_bernoulli):
 def test_birkhoff_window_sanity(z_bernoulli, z_spec):
     # ball-window averages of a cylinder indicator approach its measure
     cyl = dynamics.CylinderSet.from_dict(z_spec, {0: 1})
-    x = dynamics.sample_point(z_bernoulli, 17)
+    x = point(z_bernoulli, 17)
     for n, tol in ((50, 0.2), (400, 0.1)):
-        window = dynamics.read_cells([x], list(range(-n, n)))[0]
-        assert [cyl.contains(dynamics.act(z_bernoulli, g, x)) for g in (-n, 0, n - 1)] == [
+        window = dynamics.read_cells(x, list(range(-n, n)))[0]
+        assert [contains(cyl, x.moved(g)) for g in (-n, 0, n - 1)] == [
             window[k] == 1 for k in (0, n, 2 * n - 1)
         ]
         assert abs(window.mean() - 0.5) < tol

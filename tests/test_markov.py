@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import convolution as oracle
+from handles import contains, handles, point, position
 from walkrep import dynamics, groups, markov, measures, stats
 
 
@@ -22,18 +23,18 @@ def mean_interval(values, z: float = stats.Z95) -> tuple[float, float, float]:
 def evaluate(f, x):
     """f(x) at one point: the cylinder test, or the cosine of the position."""
     if f.kind == "indicator":
-        return 1.0 if f.payload.contains(x) else 0.0
-    return math.cos(2.0 * math.pi * x.position()[f.payload])
+        return 1.0 if contains(f.payload, x) else 0.0
+    return math.cos(2.0 * math.pi * position(x)[f.payload])
 
 
 def observe(sys, f, x, elements):
     """[f(T_g x) for g in elements]: a rotation point's cosines one by one,
     a Bernoulli point's cylinder tests cell by cell on its bits, read once."""
     if f.kind == "cos":
-        return [evaluate(f, dynamics.act(sys, g, x)) for g in elements]
+        return [evaluate(f, x.moved(g)) for g in elements]
     spec = sys.group
     cells = list({groups.multiply(spec, c, g) for c, _ in f.payload.bits for g in elements})
-    bits = dict(zip(cells, dynamics.read_cells([x], cells)[0].tolist()))
+    bits = dict(zip(cells, dynamics.read_cells(x, cells)[0].tolist()))
     return [
         1.0 if all(bits[groups.multiply(spec, c, g)] == b for c, b in f.payload.bits) else 0.0
         for g in elements
@@ -61,7 +62,7 @@ def contraction_report(sys, f, n_max, samples, seed=0):
     worst = 0.0
     min_val = math.inf
     for i in range(samples):
-        x = dynamics.sample_point(probe, i)
+        x = point(probe, i)
         for n in range(n_max + 1):
             v = markov_average(sys, f, n, x, rho_powers)
             worst = max(worst, abs(v))
@@ -88,7 +89,7 @@ def walk_powers(spec, n_max):
 def per_point_deviations(sys, f, n_max, samples, seed, rho_powers):
     """sup_dev, l2_dev and l2_se of convergence_report from markov_average."""
     probe = dynamics.probe_system(sys, "jrt", seed)
-    points = [dynamics.sample_point(probe, i) for i in range(samples)]
+    points = handles(dynamics.sample_points(probe, np.arange(samples)))
     sup_dev, l2_dev, se_l2 = [], [], []
     for n in range(n_max + 1):
         devs = np.array([markov_average(sys, f, n, x, rho_powers) - f.mean for x in points])
@@ -116,7 +117,7 @@ def test_tabled_report_equals_per_point_average(spec, kind):
         u, shift = points.torus(0)
         assert (u + (shift + 6) * sys.alpha[0] < 0.0).all()
         atoms = sorted(groups.ball(spec, 6), key=lambda g: groups.sort_key(spec, g))
-        moved = [dynamics.act(sys, h, dynamics.sample_point(sys, i)) for i in range(30)]
+        moved = [point(sys, i).moved(h) for i in range(30)]
         assert f.table(sys, points, atoms).tolist() == [observe(sys, f, x, atoms) for x in moved]
         return
     if kind == "rotation_cos":
@@ -159,7 +160,7 @@ def test_bernoulli_report_matches_dict_convolution(spec):
 
 def test_n_zero_returns_observable(z_spec, z_bernoulli):
     f = markov.indicator_observable(dynamics.CylinderSet.from_dict(z_spec, {0: 1}))
-    x = dynamics.sample_point(z_bernoulli, 0)
+    x = point(z_bernoulli, 0)
     powers = oracle.convolution_powers(z_spec, oracle.step_distribution(z_spec), 2)
     assert markov_average(z_bernoulli, f, 0, x, powers) == evaluate(f, x)
 
@@ -170,7 +171,7 @@ def test_rotation_eigenfunction(z_spec):
     f = markov.cos_observable(0)
     powers = oracle.convolution_powers(z_spec, oracle.step_distribution(z_spec), 6)
     for draw in range(5):
-        x = dynamics.sample_point(sys_r, draw)
+        x = point(sys_r, draw)
         for n in range(1, 7):
             got = markov_average(sys_r, f, n, x, powers)
             assert abs(got - lam**n * evaluate(f, x)) < 1e-10
@@ -184,7 +185,7 @@ def test_lattice_rotation_eigenfunction():
     lam = markov.rotation_eigenvalue(sys_r, 0)
     f = markov.cos_observable(0)
     powers = oracle.convolution_powers(z2, oracle.step_distribution(z2), 4)
-    x = dynamics.sample_point(sys_r, 0)
+    x = point(sys_r, 0)
     for n in range(1, 5):
         got = markov_average(sys_r, f, n, x, powers)
         assert abs(got - lam**n * evaluate(f, x)) < 1e-10
@@ -194,7 +195,7 @@ def test_bernoulli_average_is_convex_combination(z_spec, z_bernoulli):
     f = markov.indicator_observable(dynamics.CylinderSet.from_dict(z_spec, {0: 1}))
     powers = oracle.convolution_powers(z_spec, oracle.step_distribution(z_spec), 8)
     for draw in range(10):
-        x = dynamics.sample_point(z_bernoulli, draw)
+        x = point(z_bernoulli, draw)
         for n in (1, 4, 8):
             v = markov_average(z_bernoulli, f, n, x, powers)
             assert 0.0 <= v <= 1.0
@@ -203,7 +204,7 @@ def test_bernoulli_average_is_convex_combination(z_spec, z_bernoulli):
 def test_constant_observable_fixed(z_spec, z_bernoulli):
     const = markov.ObservableSpec("indicator", dynamics.CylinderSet.from_dict(z_spec, {}), 1.0, 1.0)
     powers = oracle.convolution_powers(z_spec, oracle.step_distribution(z_spec), 5)
-    x = dynamics.sample_point(z_bernoulli, 0)
+    x = point(z_bernoulli, 0)
     for n in range(6):
         assert abs(markov_average(z_bernoulli, const, n, x, powers) - 1.0) < 1e-12
 
@@ -253,7 +254,7 @@ def test_self_adjointness_proxy(z_spec, z_bernoulli):
     (rho,) = oracle.convolution_powers(z_spec, oracle.step_distribution(z_spec), 1)
     probe = dynamics.bernoulli_system(z_spec, seed=404)
     n = 20_000
-    points = [dynamics.sample_point(probe, draw) for draw in range(n)]
+    points = dynamics.sample_points(probe, np.arange(n))
     bits = dynamics.read_cells(points, [-1, 0, 1, 2, 3]).astype(float)  # x_{-1..3}
     support = rho.support()
     a_f = sum(bits[:, h + 1] * rho.masses[h] for h in support)

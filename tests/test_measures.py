@@ -208,6 +208,8 @@ def test_weight_table_matches_dict_convolution(case, q, n_max):
     w, bound, ball = _check_against_dict_convolution(*case, q, n_max)
     # sum_{n<=n_max} p_n, plus the rounding of stored_mass's atom-by-atom sum
     assert abs(w.stored_mass() - (1.0 - w.params.tail)) <= bound + len(ball) * 2.0**-53
+    # the atoms of B_n_max off the support add exact zeros to the table's sum
+    assert w.stored_mass() == sum(w.table.values())
 
 
 def _element_scan(spec, w, b):
