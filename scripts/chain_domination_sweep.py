@@ -9,7 +9,7 @@ constant fails from m0 = 3 on; the corrected one holds everywhere.
 
 import argparse
 
-from walkrep import continuous, measures
+from walkrep import continuous
 
 
 def main():
@@ -17,14 +17,11 @@ def main():
     ap.add_argument("--n-max", type=int, default=10)
     args = ap.parse_args()
 
-    chain = continuous.LocallyFiniteChain(
-        n_max=args.n_max, params=measures.WeightParams(q=0.5, n_max=args.n_max)
-    )
-    shared = continuous.chain_convolution(chain)
+    chain = continuous.LocallyFiniteChain(n_max=args.n_max)
     print(f"{'m0':>3} {'worst ratio':>14} {'C simple':>10} {'C corrected':>14} verdicts")
     for m0 in range(1, args.n_max + 1):
         g0 = (m0,)
-        rep = continuous.domination_check_locally_finite(chain, g0, precomputed=shared)
+        rep = continuous.domination_check_locally_finite(chain, g0)
         print(
             f"{m0:>3} {rep['worst_ratio']:>14.2f} {rep['C_simple']:>10.0f} "
             f"{rep['C_corrected']:>14.1f} "

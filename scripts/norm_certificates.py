@@ -19,7 +19,7 @@ def main():
         for n_max in depths:
             w = measures.build_weight(spec, measures.WeightParams(q=0.5, n_max=n_max))
             a = groups.generators(spec)[0]
-            rep = space.operator_norm_certificate(spec, w, a)
+            rep = space.operator_norm_certificate(w, a)
             gap = rep["bound"] - rep["observed"]
             print(
                 f"{spec.kind:9s} d={spec.d} n_max={n_max:3d}  "

@@ -9,6 +9,7 @@ geometrically.
 import argparse
 
 from walkrep import dynamics, groups, measures, model
+from walkrep.config import ExperimentConfig, SampleConfig
 
 
 def main():
@@ -21,8 +22,8 @@ def main():
     spec = groups.GroupSpec("integers")
     w = measures.build_weight(spec, measures.WeightParams(q=0.5, n_max=40))
     sys_b = dynamics.bernoulli_system(spec, seed=args.seed)
-    cfg = model.BuildConfig(
-        stages=args.stages, seed=args.seed, check_samples=args.check_samples
+    cfg = ExperimentConfig(
+        stages=args.stages, seed=args.seed, samples=SampleConfig(check_samples=args.check_samples)
     )
     mdl, history = model.build_model(sys_b, w, cfg)
     model.run_stage_checks(mdl, history, w, cfg)

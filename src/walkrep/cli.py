@@ -27,7 +27,7 @@ import sys
 import time
 
 from . import __version__, groups, trace
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, validate
 from .errors import ConfigError, WalkrepError
 
 
@@ -91,13 +91,10 @@ def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, start:
 
 def _weight_tables(cfg: ExperimentConfig):
     from . import measures
-    spec1 = cfg.group.spec()
-    spec2 = cfg.second_group.spec()
-    w1 = measures.build_weight(spec1, measures.WeightParams(cfg.weights.q, cfg.weights.n_max))
-    w2 = measures.build_weight(
-        spec2, measures.WeightParams(cfg.second_weights.q, cfg.second_weights.n_max)
+    return tuple(
+        measures.build_weight(group.spec(), measures.WeightParams(weights.q, weights.n_max))
+        for group, weights in ((cfg.group, cfg.weights), (cfg.second_group, cfg.second_weights))
     )
-    return (spec1, w1), (spec2, w2)
 
 
 def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
@@ -105,7 +102,8 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
     start = _start()
     out = _out_dir(out_base, "weights")
     records = []
-    for label, (spec, w) in zip(("group", "second_group"), _weight_tables(cfg)):
+    for label, w in zip(("group", "second_group"), _weight_tables(cfg)):
+        spec = w.spec
         # every element of B_n_max in sort_key order, as ball_strs labels
         # them, including any whose weight underflows to 0.0
         ball = sorted(groups.ball(spec, w.params.n_max), key=lambda g: groups.sort_key(spec, g))
@@ -127,7 +125,7 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
         for b in groups.ball(spec, 3):
             if b == groups.identity(spec):
                 continue
-            rep = measures.weight_ratio(spec, w, b)
+            rep = measures.weight_ratio(w, b)
             ratio_rows.append(
                 [
                     rep["b"],
@@ -162,21 +160,21 @@ def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
     out = _out_dir(out_base, "norms")
     records = []
     tables = _weight_tables(cfg)
-    for label, (spec, w) in zip(("group", "second_group"), tables):
-        for a in groups.generators(spec):
-            rep = space.operator_norm_certificate(spec, w, a)
+    for label, w in zip(("group", "second_group"), tables):
+        for a in groups.generators(w.spec):
+            rep = space.operator_norm_certificate(w, a)
             records.append(
                 _record(
-                    f"{label}_shift_{groups.element_str(spec, a)}",
+                    f"{label}_shift_{groups.element_str(w.spec, a)}",
                     rep,
                     bound=rep["bound"],
                     observed=rep["observed"],
                 )
             )
     # restricted-weight pipeline: integers into the second group via a^n
-    (spec1, _), (spec2, w2) = tables
-    if spec1.kind == "integers" and spec2.kind == "free":
-        emb = groups.subgroup_embed(spec1, spec2, [(1,)], seed=cfg.seed)
+    w1, w2 = tables
+    if w1.spec.kind == "integers" and w2.spec.kind == "free":
+        emb = groups.subgroup_embed(w1.spec, w2.spec, [(1,)], seed=cfg.seed)
         nrho = measures.restricted_ratio_certificate(w2, emb, 1)
         records.append(_record("restricted_ratio_b1", nrho, bound=nrho["bound"]))
         for g0 in (0, 1, 2):
@@ -240,7 +238,7 @@ def cmd_jrt(cfg: ExperimentConfig, out_base: str) -> int:
     records.append(
         _record(
             "bernoulli_indicator_variance",
-            {"pass": repb["trend_pass"] and sigma_ok},
+            {"pass": repb["pass"] and sigma_ok},
             worst_dev_in_se=worst_sigma,
         )
     )
@@ -298,7 +296,7 @@ def _build_model(cfg: ExperimentConfig, cache: list | None = None):
         spec, measures.WeightParams(cfg.weights.q, cfg.weights.n_max)
     )
     sys_b = dynamics.bernoulli_system(spec, cfg.seed)
-    built = model.build_model(sys_b, w, cfg.build_config())
+    built = model.build_model(sys_b, w, cfg)
     result = (spec, w, sys_b, built[0], built[1])
     if cache is not None:
         cache.append(result)
@@ -310,7 +308,7 @@ def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
     start = _start()
     out = _out_dir(out_base, "build")
     spec, w, sys_b, mdl, history = _build_model(cfg, cache)
-    model.run_stage_checks(mdl, history, w, cfg.build_config())
+    model.run_stage_checks(mdl, history, w, cfg)
     _write_json(os.path.join(out, "model.json"), mdl.to_dict())
     _write_json(
         os.path.join(out, "history.json"),
@@ -334,9 +332,7 @@ def cmd_support(cfg: ExperimentConfig, out_base: str, cache: list | None = None)
     out = _out_dir(out_base, "support")
     spec, w, sys_b, mdl, history = _build_model(cfg, cache)
     records = []
-    iso = model.support_and_iso_check(
-        mdl, history, w, cfg.samples.check_samples, cfg.build_config(), seed=cfg.seed
-    )
+    iso = model.support_and_iso_check(mdl, history, w, cfg)
     records.append(_record("support_and_iso", iso))
     for h in groups.ball(spec, 2):
         rep = model.equivariance_check(
@@ -397,10 +393,10 @@ def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
 
 
 def cmd_feldman(cfg: ExperimentConfig, out_base: str) -> int:
-    from . import model
+    from . import dynamics
     start = _start()
     out = _out_dir(out_base, "feldman")
-    rep = model.doubling_shift_baseline(steps=30, n_points=1000, seed=cfg.seed)
+    rep = dynamics.doubling_shift_baseline(steps=30, n_points=1000, seed=cfg.seed)
     ok = rep["max_conjugacy_error"] < cfg.tolerances.conjugacy_abs and rep["pass"]
     records = [_record("conjugacy_identity", {**rep, "pass": ok})]
     return _finish(out, "feldman", cfg, records, start)
@@ -409,12 +405,12 @@ def cmd_feldman(cfg: ExperimentConfig, out_base: str) -> int:
 def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
     import numpy as np
 
-    from . import continuous, measures
+    from . import continuous
     start = _start()
     out = _out_dir(out_base, "continuous")
     records = []
     # real line: overlap density quadrature sweep and the domination grid
-    L = continuous.IntervalMeasure(2.0)
+    L = continuous.IntervalMeasure(continuous.L_HALF)
     grid = np.linspace(-5.0, 5.0, 101)
     worst = max(
         abs(continuous.overlap_density_quadrature(L, float(t)) - continuous.overlap_density(L, float(t)))
@@ -430,14 +426,10 @@ def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
     dom = continuous.domination_constant_real()
     records.append(_record("real_domination", dom, u=dom["u"], D=dom["D"]))
     # locally finite chain
-    chain = continuous.LocallyFiniteChain(
-        n_max=cfg.lf_chain_n,
-        params=measures.WeightParams(q=0.5, n_max=cfg.lf_chain_n),
-    )
-    shared = continuous.chain_convolution(chain)
+    chain = continuous.LocallyFiniteChain(cfg.lf_chain_n)
     ident = continuous.haar_convolution_identity(chain)
     records.append(_record("haar_convolution_identity", ident))
-    lower = continuous.lower_bound_chain_check(chain, precomputed=shared)
+    lower = continuous.lower_bound_chain_check(chain)
     records.append(_record("chain_lower_bound", lower))
     rng = np.random.default_rng(cfg.seed)
     pool = chain.subgroup(chain.n_max)
@@ -446,7 +438,7 @@ def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
     all_ok = True
     all_ok_corr = True
     for g0 in picks:
-        rep = continuous.domination_check_locally_finite(chain, g0, precomputed=shared)
+        rep = continuous.domination_check_locally_finite(chain, g0)
         rows.append(
             [
                 rep["g0"],
@@ -518,6 +510,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
+            validate(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

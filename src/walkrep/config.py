@@ -84,17 +84,6 @@ class ExperimentConfig:
     lf_chain_n: int = 10
     lf_sampled_g0: int = 20
 
-    def build_config(self):
-        """The ``model.BuildConfig`` of this experiment."""
-        from . import model
-        return model.BuildConfig(
-            stages=self.stages,
-            n_trunc=self.n_trunc,
-            check_samples=self.samples.check_samples,
-            base_samples=self.samples.base_samples,
-            seed=self.seed,
-        )
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -109,6 +98,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(value, path: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"bad value for {path}: a number past the float range") from None
+
+
 def _checked(default, value, path: str):
     """``value`` checked against the type of its field's default."""
     if is_dataclass(default):
@@ -116,9 +112,11 @@ def _checked(default, value, path: str):
     if isinstance(default, tuple):
         ok = isinstance(value, list) and all(_is_number(v) for v in value)
         if ok:
-            value = tuple(float(v) for v in value)
+            value = tuple(_float(v, path) for v in value)
     elif isinstance(default, float):
         ok = _is_number(value)
+        if ok:
+            value = _float(value, path)
     else:
         ok = isinstance(value, type(default)) and not isinstance(value, bool)
     if not ok:
@@ -142,11 +140,13 @@ def _build(cls, data, path: str):
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     cfg = _build(ExperimentConfig, data, "config")
-    _validate(cfg)
+    validate(cfg)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig) -> None:
+def validate(cfg: ExperimentConfig) -> None:
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if not 0.0 < cfg.weights.q < 1.0 or not 0.0 < cfg.second_weights.q < 1.0:
         raise ConfigError("weight ratio q must be in (0,1)")
     if cfg.weights.n_max < 1 or cfg.second_weights.n_max < 1:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -154,21 +154,26 @@ class LocallyFiniteChain:
 
     Measures on K_n_max are dense float64 arrays of length 2^n_max indexed
     by bitmask: coordinate i is bit i-1, so K_n is the indices below 2^n and
-    the group product is XOR.
+    the group product is XOR.  The step law mixes the K_n with the geometric
+    weights of ratio ``q``, truncated at the chain end.
     """
 
     n_max: int = 10
-    params: WeightParams = WeightParams(q=0.5, n_max=10)
+    q: float = 0.5
 
     def __post_init__(self):
         if not 1 <= self.n_max <= MAX_CHAIN_N:
             raise DomainError(f"chain needs 1 <= n_max <= {MAX_CHAIN_N}")
-        if self.params.n_max != self.n_max:
-            raise DomainError("weight depth must match the chain length")
+        self.params  # WeightParams rejects a q outside (0, 1)
 
     @property
     def spec(self) -> GroupSpec:
         return Z2SUM
+
+    @cached_property
+    def params(self) -> WeightParams:
+        """The mixing weights p_n of the step law, at the chain's depth."""
+        return WeightParams(self.q, self.n_max)
 
     def subgroup(self, n: int) -> list:
         """All 2^n elements of K_n in canonical order: by size, then
@@ -238,16 +243,18 @@ def haar_convolution_identity(chain: LocallyFiniteChain) -> dict:
     return {"pairs_checked": checked, "max_abs_error": worst, "pass": worst < 1e-12}
 
 
+@cache
 def chain_convolution(chain: LocallyFiniteChain) -> tuple:
-    """(rho, rho*rho) as arrays by bitmask, for sharing across many checks;
-    see ``xor_convolve`` for the rounding of rho*rho."""
+    """(rho, rho*rho) as read-only arrays by bitmask, computed once per chain
+    and shared by every check on it; see ``xor_convolve`` for the rounding of
+    rho*rho."""
     rho = locally_finite_rho(chain)
-    return rho, xor_convolve(rho, rho)
+    rho2 = xor_convolve(rho, rho)
+    rho.flags.writeable = rho2.flags.writeable = False
+    return rho, rho2
 
 
-def domination_check_locally_finite(
-    chain: LocallyFiniteChain, g0, precomputed: tuple | None = None
-) -> dict:
+def domination_check_locally_finite(chain: LocallyFiniteChain, g0) -> dict:
     """Pointwise check of rho * delta_{g0} <= C_{g0} (rho * rho) on K_n_max.
 
     ``C_{g0} = 1/p_1 + [K_{m0}:K_1]`` is the simple closed-form constant; the
@@ -264,7 +271,7 @@ def domination_check_locally_finite(
     head = sum(p(n) for n in range(1, m0))
     cum = sum(p(n) for n in range(1, m0 + 1))
     c_corrected = 1.0 / p1 + index * head / (cum * p(m0)) if m0 > 1 else 1.0 / p1
-    rho, rho2 = precomputed if precomputed is not None else chain_convolution(chain)
+    rho, rho2 = chain_convolution(chain)
     # (rho*delta_{g0})(g) = rho(g g0^-1) = rho(g ^ g0), in canonical order
     lhs = rho[chain.canonical_masks ^ mask(g0)]
     rhs = rho2[chain.canonical_masks]
@@ -294,11 +301,9 @@ def domination_check_locally_finite(
     }
 
 
-def lower_bound_chain_check(
-    chain: LocallyFiniteChain, precomputed: tuple | None = None
-) -> dict:
+def lower_bound_chain_check(chain: LocallyFiniteChain) -> dict:
     """Pointwise check of rho*rho >= p_1 * sum_k p_k lambda_k on K_n_max."""
-    rho, rho2 = precomputed if precomputed is not None else chain_convolution(chain)
+    rho, rho2 = chain_convolution(chain)
     rhs = chain.params.p(1) * rho
     violations = int(np.count_nonzero(rho2 < rhs * (1 - 1e-12)))
     return {

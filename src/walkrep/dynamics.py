@@ -16,7 +16,8 @@ Two system kinds:
   through ``read_cells``, one vectorized points x cells read of a batch.
 * ``rotation`` -- products of circle rotations for the integer/lattice
   kinds, with an irrational frequency vector; ``PointBatch.torus`` gives
-  the rows' coordinates on one axis.
+  the rows' coordinates on one axis.  ``doubling_shift_baseline`` embeds
+  the rotation by ``SQRT2_MINUS_1`` into l2 under the doubling shift.
 
 Towers are marker events: the base E is the cylinder "the marker pattern
 occurs at the origin".  The marker is self-avoiding: every shift by a
@@ -99,6 +100,45 @@ def rotation_system(group: GroupSpec, seed: int, alpha=None) -> DynamicalSystem:
     if alpha is None:
         alpha = (SQRT2_MINUS_1,) * group.d
     return DynamicalSystem("rotation", group, seed, tuple(alpha))
+
+
+def doubling_shift_baseline(steps: int = 30, n_points: int = 1000, seed: int = 0) -> dict:
+    """The doubling shift (T u)_k = 2 u_{k+1} on blocks of l2, intertwined
+    with the circle rotation by ``SQRT2_MINUS_1`` through the planar
+    embedding z -> (cos, sin).
+
+    Checks the conjugacy identity per coordinate over sampled points and the
+    geometric norm identity ||(2^-k phi0(f^k z))_k||^2 = (1 - 4^-steps)/3.
+    """
+    alpha = SQRT2_MINUS_1
+    rng = np.random.default_rng(seed)
+    zs = rng.random(n_points)
+    k = np.arange(1, steps + 1)
+
+    def embed(z: np.ndarray) -> np.ndarray:
+        """Per point, the blocks 2^-k phi0((z + k alpha) mod 1) for k = 1..steps,
+        with phi0(z) = (cos 2 pi z, sin 2 pi z), as points x steps x 2."""
+        t = 2.0 * math.pi * ((z[:, None] + k * alpha) % 1.0)
+        return np.stack((np.cos(t), np.sin(t)), axis=-1) / (2.0**k)[:, None]
+
+    expected_norm2 = (1.0 - 4.0**-steps) / 3.0
+    u = embed(zs)
+    fu = embed((zs + alpha) % 1.0)
+    # (T u)_k = 2 u_{k+1} must equal phi(f z)_k for k = 1..steps-1
+    worst = float(np.abs(2.0 * u[:, 1:] - fu[:, :-1]).max(initial=0.0))
+    # each point's squares added left to right in coordinate order, as a scalar
+    # sum adds them
+    norm2 = np.cumsum((u * u).reshape(n_points, 2 * steps), axis=1)[:, -1:]
+    worst_norm = float(np.abs(norm2 - expected_norm2).max(initial=0.0))
+    return {
+        "steps": steps,
+        "points": n_points,
+        "alpha": alpha,
+        "max_conjugacy_error": worst,
+        "max_norm_identity_error": worst_norm,
+        "tail_bound": 2.0**-steps,
+        "pass": bool(worst < 1e-12 and worst_norm < 1e-12),
+    }
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
@@ -399,7 +439,6 @@ class TowerSpec:
     n: int
     eta: float
     pattern: dict
-    mu_pattern: float
     mc_samples: int = 0
     mc_hits_bn: int = 0
     mc_ci_upper: float = 1.0
@@ -408,6 +447,10 @@ class TowerSpec:
     @property
     def spec(self) -> GroupSpec:
         return self.system.group
+
+    @property
+    def mu_pattern(self) -> float:
+        return 0.5 ** len(self.pattern)
 
     def mu_bn_upper(self) -> float:
         return len(groups.ball(self.spec, self.n)) * self.mu_pattern
@@ -488,8 +531,7 @@ def rokhlin_tower(
     length = max(2 * n, 2)
     while True:
         pattern = _marker_pattern(spec, length)
-        mu_pattern = 0.5 ** len(pattern)
-        if len(ball_n) * mu_pattern < target:
+        if len(ball_n) * 0.5 ** len(pattern) < target:
             break
         length += 1
         if length > MAX_MARKER:
@@ -504,7 +546,7 @@ def rokhlin_tower(
                 f"the marker is compatible with its shift by "
                 f"{groups.element_str(spec, m)}, so translates of the base can meet"
             )
-    tower = TowerSpec(system=sys, n=n, eta=eta, pattern=pattern, mu_pattern=mu_pattern)
+    tower = TowerSpec(system=sys, n=n, eta=eta, pattern=pattern)
     if mc_samples > 0:
         _tower_monte_carlo(tower, mc_samples, seed)
     return tower

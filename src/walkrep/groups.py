@@ -14,9 +14,12 @@ All operations are pure functions of immutable values, so they are safe to
 call from any number of workers.
 
 Arithmetic trusts its inputs to be canonical and does not re-check them:
-``check_element`` runs once where an encoding enters walkrep (``canonicalize``,
-``Embedding`` images, a loaded model, and the element argument of each public
-certificate), and canonical inputs give canonical outputs.
+``check_element`` runs once where an encoding enters walkrep: on ``Embedding``
+images, and on the element argument of each public certificate and check
+(``weight_ratio``, ``restricted_ratio_certificate``,
+``subgroup_norm_certificate``, ``equivariance_check`` and
+``LocallyFiniteChain.first_containing``).  ``canonicalize`` runs it on every
+input that it does not rewrite.  Canonical inputs give canonical outputs.
 """
 
 from __future__ import annotations

@@ -328,9 +328,9 @@ def build_weight(spec: GroupSpec, params: WeightParams, rho: dict | None = None)
     )
 
 
-def translation_bound(spec: GroupSpec, params: WeightParams, length: int) -> float:
+def translation_bound(w: WeightTable, length: int) -> float:
     """M_b = ((2d+1) C)^|b| for a translation of word length |b|."""
-    return ((2 * spec.d + 1) * params.ratio_bound) ** length
+    return ((2 * w.spec.d + 1) * w.params.ratio_bound) ** length
 
 
 def translated_cells(w: WeightTable, elements: list, cells: np.ndarray, b) -> np.ndarray:
@@ -341,7 +341,7 @@ def translated_cells(w: WeightTable, elements: list, cells: np.ndarray, b) -> np
     return groups.translate(w.spec, cells, b)
 
 
-def weight_ratio(spec: GroupSpec, w: WeightTable, b) -> dict:
+def weight_ratio(w: WeightTable, b) -> dict:
     """Certified two-sided translation bounds for w(g b) against w(g).
 
     Scans every g in the interior domain B(n_max - |b|).  The certified upper
@@ -352,12 +352,13 @@ def weight_ratio(spec: GroupSpec, w: WeightTable, b) -> dict:
     ``groups.free_translation_classes``, so it scans one representative per
     class, counted with the class size.
     """
+    spec = w.spec
     groups.check_element(spec, b)
     length = groups.word_length(spec, b)
     n_max = w.params.n_max
     if length > n_max - 1 and length > 0:
         raise DomainError(f"|b|={length} leaves no interior domain (n_max={n_max})")
-    bound = translation_bound(spec, params=w.params, length=length)
+    bound = translation_bound(w, length)
     depth = n_max - length
     if spec.kind == "free":
         classes = groups.free_translation_classes(spec, b, depth)
@@ -427,7 +428,7 @@ def restricted_ratio_certificate(w_amb: WeightTable, emb: groups.Embedding, b_su
     depth = n_max - length
     if depth < 0:
         raise DomainError("translation image longer than stored depth")
-    bound = translation_bound(amb, w_amb.params, length)
+    bound = translation_bound(w_amb, length)
     images = [emb.map(h) for h in groups.ball(sub, depth)]
     cells = w_amb.cells(images)
     moved = translated_cells(w_amb, images, cells, b_amb)

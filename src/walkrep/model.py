@@ -1,6 +1,6 @@
 """Staged construction of a finite-valued function whose orbit map embeds a
 Bernoulli system into the weighted sequence space, plus its verification
-battery and the doubling-shift baseline.
+battery.
 
 A model is a list of stages.  Stage j carries a tower patch (erase on
 B_N E_j, write the ball center on B_{N0} E_j, zero on the annulus) followed
@@ -31,10 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import dynamics, groups, stats, trace
+from .config import ExperimentConfig
 from .dynamics import DynamicalSystem, PointBatch, SetFamily, TowerSpec
 from .errors import CapacityError, DomainError, StageError
 from .groups import GroupSpec
@@ -198,11 +200,15 @@ class ModelFunction:
 
     system: DynamicalSystem
     stages: list
-    family: SetFamily
 
     @property
     def spec(self) -> GroupSpec:
         return self.system.group
+
+    @cached_property
+    def family(self) -> SetFamily:
+        """The routing cylinders: stage j splits on ``family.set_at(j)``."""
+        return SetFamily(self.spec)
 
     def range_values(self) -> tuple:
         """Analytic range after the last stage (values the evaluator can emit)."""
@@ -546,11 +552,7 @@ def _cube(spec: GroupSpec, radius: int) -> tuple[tuple, tuple]:
 
 
 def phi(
-    model: ModelFunction,
-    points,
-    n_trunc: int,
-    w: WeightTable,
-    stage_count: int | None = None,
+    model: ModelFunction, points, n_trunc: int, w: WeightTable
 ) -> tuple[list, np.ndarray, float]:
     """Truncated orbit vectors {f(T_g x)}_{g in B_n_trunc} of ``points``:
     ``(ball, values, tail)`` with ``values[i, k]`` = f(T_{ball[k]} x_i).
@@ -563,7 +565,7 @@ def phi(
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
     cells = _coord_array(model.spec, ball)
     blocks = [
-        win.rows(win.values(stage_count), cells)
+        win.rows(win.values(), cells)
         for win in orbit_windows(model, points, *_cube(model.spec, n_trunc))
     ]
     values = np.concatenate(blocks) if blocks else np.zeros((0, len(ball)))
@@ -629,17 +631,6 @@ MAX_TOWER_HEIGHT = 24
 DELTA_SAFETY = 0.9  # room for the Monte-Carlo bound under the hitting budget
 
 
-@dataclass(frozen=True)
-class BuildConfig:
-    """Dials of the staged construction (all seeded and deterministic)."""
-
-    stages: int = 4
-    n_trunc: int = 16
-    base_samples: int = 160
-    check_samples: int = 1500
-    seed: int = 0
-
-
 def compute_eta(history: list[StageState]) -> float:
     """min over i <= n of the four stage budgets, scaled by 1/(2n(n+1))."""
     if not history:
@@ -654,19 +645,17 @@ def compute_eta(history: list[StageState]) -> float:
     return worst / (2 * n * (n + 1))
 
 
-def _tail_height(
-    w: WeightTable, max_abs: float, radius: float, n0: int, cap_height: int
-) -> int:
+def _tail_height(w: WeightTable, max_abs: float, radius: float, n0: int) -> int:
     """Smallest tower height N with max|f| sqrt(tail outside B_N) < radius/2,
     found by doubling from just above the center support."""
     n = max(2 * n0, 2)
-    while n <= cap_height:
+    while n <= MAX_TOWER_HEIGHT:
         tail = w.tail_mass_outside_ball(n)
         if max_abs * math.sqrt(tail) < radius / 2.0:
             return n
         n *= 2
     raise StageError(
-        f"tail criterion unsatisfiable: need height > {cap_height} "
+        f"tail criterion unsatisfiable: need height > {MAX_TOWER_HEIGHT} "
         f"for radius {radius} and sup |f| = {max_abs}"
     )
 
@@ -677,10 +666,10 @@ def hit_ball(
     ball: BallSpec,
     w: WeightTable,
     quartic_budget: float,
-) -> tuple[ModelStage, TowerSpec, float]:
+) -> tuple[ModelStage, float]:
     """Patch the model so the next ball is hit with positive probability.
 
-    Returns the new (patch-only) stage, its tower, and the eta in force.
+    Returns the new (patch-only) stage and the eta in force.
     The marker is lengthened until both the tower mass target eta/2 and the
     remaining quartic-norm budget hold.
     """
@@ -689,9 +678,7 @@ def hit_ball(
     eta = INITIAL_ETA if not history else compute_eta(history)
     xi = ball.center_dict()
     max_abs = max(model.max_abs(), ball.max_abs())
-    n = _tail_height(
-        w, max(max_abs, 1e-9), ball.radius, ball.level, MAX_TOWER_HEIGHT
-    )
+    n = _tail_height(w, max(max_abs, 1e-9), ball.radius, ball.level)
     prev_heights = [st.patch.n for st in model.stages]
     blow = max(
         [len(groups.ball(spec, n_i + n)) for n_i in prev_heights]
@@ -714,24 +701,21 @@ def hit_ball(
     stage = ModelStage(
         patch=StagePatch(tower=tower, xi=xi, n0=ball.level, n=n), split=None
     )
-    return stage, tower, eta
+    return stage, eta
 
 
 def verify_patch(
-    model: ModelFunction,
-    stage_index: int,
-    ball: BallSpec,
-    w: WeightTable,
-    config: BuildConfig,
-    samples: int | None = None,
+    model: ModelFunction, ball: BallSpec, w: WeightTable, cfg: ExperimentConfig
 ) -> dict:
-    """On conditional draws from E: the window matches the center exactly and
-    the full truncated distance stays below half the radius."""
+    """On conditional draws from E of the stage just added: the window
+    matches the center exactly and the full truncated distance stays below
+    half the radius."""
+    stage_index = len(model.stages) - 1
     stage = model.stages[stage_index]
-    tower = stage.patch.tower
     spec = model.spec
-    draws = samples or config.base_samples
-    points = dynamics.conditional_base_sampler(tower, config.seed + stage_index, draws)
+    points = dynamics.conditional_base_sampler(
+        stage.patch.tower, cfg.seed + stage_index, cfg.samples.base_samples
+    )
     window, cells = w.ball(stage.patch.n)
     weights = w.read(cells)
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(stage.patch.n))
@@ -759,17 +743,14 @@ def verify_patch(
     }
 
 
-def split_values(
-    model: ModelFunction,
-    history: list[StageState],
-    stage_index: int,
-) -> StageSplit:
-    """Split every current value u into u -+ s routed by the next cylinder.
+def split_values(model: ModelFunction, history: list[StageState]) -> StageSplit:
+    """Split every current value u into u -+ s routed by the cylinder of the
+    stage just added.
 
     s is an eighth of the previous cover width (``EPS1`` at stage 1), keeping the offspring inside the interiors of the previous
     covers; all new points must be distinct or the stage fails.
     """
-    n_new = stage_index + 1
+    n_new = len(model.stages)
     s = EPS1 if n_new == 1 else history[n_new - 2].beta / 8.0
     values = model.range_values()  # range of the patched model f-hat
     split_map = {u: (u - s, u + s) for u in values}
@@ -783,7 +764,6 @@ def split_values(
 
 def _update_bookkeeping(
     history: list[StageState],
-    stage_index: int,
     split: StageSplit,
     patched_values: tuple,
     tower: TowerSpec,
@@ -792,7 +772,7 @@ def _update_bookkeeping(
 ) -> StageState:
     """Derive the stage-(n+1) value sets, covers, and budgets; verify the
     exact separation and nesting conditions on the recorded finite sets."""
-    n_new = stage_index + 1
+    n_new = len(history) + 1
     s = split.offset
     value_sets: dict = {}
     eps: dict = {}
@@ -934,37 +914,34 @@ def _parent_value(point: float, split: StageSplit) -> float:
 
 
 def build_model(
-    sys: DynamicalSystem,
-    w: WeightTable,
-    config: BuildConfig,
+    sys: DynamicalSystem, w: WeightTable, cfg: ExperimentConfig
 ) -> tuple[ModelFunction, list[StageState]]:
-    """Alternate ball patches and value splits for the configured stages.
+    """Alternate ball patches and value splits for the ``cfg.stages`` stages.
 
     Every stage records its exact checks and its patch verification, and a
     failed one aborts.  The Monte-Carlo checks of the finished model are
     ``run_stage_checks``.
     """
-    if config.stages < 1:
+    if cfg.stages < 1:
         raise DomainError("need at least one stage")
-    model = ModelFunction(system=sys, stages=[], family=SetFamily(sys.group))
+    model = ModelFunction(system=sys, stages=[])
     history: list[StageState] = []
     quartic = 0.0
     drift = 0.0
-    for idx in range(config.stages):
+    for idx in range(cfg.stages):
         ball = basis_balls(idx, sys.group)
-        stage, tower, eta = hit_ball(model, history, ball, w, quartic)
+        stage, eta = hit_ball(model, history, ball, w, quartic)
         model.stages.append(stage)
-        patch_report = verify_patch(model, idx, ball, w, config)
+        patch_report = verify_patch(model, ball, w, cfg)
         if not patch_report["pass"]:
             raise StageError(f"patch verification failed at stage {idx + 1}: {patch_report}")
         patched_values = model.range_values()
-        split = split_values(model, history, idx)
+        split = split_values(model, history)
         stage.split = split
         drift += split.offset
+        tower = stage.patch.tower
         quartic += tower.mu_bn_upper() * (ball.max_abs() + drift) ** 4
-        state = _update_bookkeeping(
-            history, idx, split, patched_values, tower, ball, eta
-        )
+        state = _update_bookkeeping(history, split, patched_values, tower, ball, eta)
         state.checks["patch"] = patch_report
         if not state.checks["separation"]["pass"]:
             raise StageError(f"separation check failed at stage {idx + 1}")
@@ -978,13 +955,13 @@ def run_stage_checks(
     model: ModelFunction,
     history: list[StageState],
     w: WeightTable,
-    config: BuildConfig,
+    cfg: ExperimentConfig,
 ) -> None:
     """Monte-Carlo checks 3_n, 4_n, 5_n recorded into the final stage state."""
     n = len(history)
     state = history[-1]
-    probe = dynamics.probe_system(model.system, "checks", config.seed)
-    samples = config.check_samples
+    probe = dynamics.probe_system(model.system, "checks", cfg.seed)
+    samples = cfg.samples.check_samples
     points = dynamics.sample_points(probe, np.arange(samples))
     prefix_values, routing = point_values(model, points)
     values = prefix_values[-1]
@@ -1012,11 +989,9 @@ def run_stage_checks(
     # 4_n hitting events, via conditional draws from each tower base
     hit_detail = {}
     ok4 = True
-    draws = config.base_samples
+    draws = cfg.samples.base_samples
     for i in range(1, n + 1):
-        survive, in_ball = conditional_hits(
-            model, history, i, w, config, config.seed + 1000 + i
-        )
+        survive, in_ball = conditional_hits(model, history, i, w, cfg, cfg.seed + 1000 + i)
         ci = stats.clopper_pearson(in_ball, draws)
         mass_lower = model.stages[i - 1].patch.tower.mu_pattern * ci[0]
         required = state.delta[i] * (1.0 + 1.0 / n)
@@ -1093,22 +1068,20 @@ def support_and_iso_check(
     model: ModelFunction,
     history: list[StageState],
     w: WeightTable,
-    samples: int,
-    config: BuildConfig,
-    seed: int = 0,
+    cfg: ExperimentConfig,
 ) -> dict:
     """Frequencies of hitting each stage ball, the symmetric-difference
     budgets for the cover preimages, and disjointness of the recorded
-    interval systems.
+    interval systems, over ``cfg.samples.check_samples`` probe points.
 
     A hitting budget too rare for crude sampling is certified instead by
     stratified draws from the stage tower base: the exact base measure times
     the conditional hit rate lower-bounds the hit frequency.
     """
-    spec = model.spec
     n = len(history)
     state = history[-1]
-    points, phis = probe_orbit_vectors(model, samples, config.n_trunc, w, seed)
+    samples, seed = cfg.samples.check_samples, cfg.seed
+    points, phis = probe_orbit_vectors(model, samples, cfg.n_trunc, w, seed)
     prefix_values, routing = point_values(model, points)
     values = prefix_values[-1]
     detail = {}
@@ -1120,10 +1093,10 @@ def support_and_iso_check(
         hit_method = "direct"
         conditional_lower = None
         if not hit_ok:
-            _, in_ball = conditional_hits(model, history, i, w, config, seed + 5000 + i)
+            _, in_ball = conditional_hits(model, history, i, w, cfg, seed + 5000 + i)
             conditional_lower = (
                 model.stages[i - 1].patch.tower.mu_pattern
-                * stats.clopper_pearson(in_ball, config.base_samples)[0]
+                * stats.clopper_pearson(in_ball, cfg.samples.base_samples)[0]
             )
             hit_ok = conditional_lower >= state.delta[i]
             hit_method = "stratified"
@@ -1184,20 +1157,20 @@ def conditional_hits(
     history: list[StageState],
     i: int,
     w: WeightTable,
-    config: BuildConfig,
+    cfg: ExperimentConfig,
     seed: int,
 ) -> tuple[int, int]:
-    """(survived, in_ball) over ``config.base_samples`` draws from the
+    """(survived, in_ball) over ``cfg.samples.base_samples`` draws from the
     stage-i tower base, sampled with ``seed``: draws in the trimmed hit event
     E^{(n)}_i, and those whose orbit vector lies certainly in the stage-i
     ball.  The exact base measure times the conditional hit rate
     lower-bounds mu(phi in U_i)."""
     tower = model.stages[i - 1].patch.tower
     n = len(history)
-    points = dynamics.conditional_base_sampler(tower, seed, config.base_samples)
+    points = dynamics.conditional_base_sampler(tower, seed, cfg.samples.base_samples)
     hit = [win.in_hit_event(i, n) for win in orbit_windows(model, points, *_cube(model.spec, tower.n))]
     survivors = points[np.concatenate(hit) if hit else np.zeros(0, dtype=bool)]
-    phis = phi(model, survivors, config.n_trunc, w)
+    phis = phi(model, survivors, cfg.n_trunc, w)
     return len(survivors), ball_hits(phis, history[i - 1].ball, w)[0]
 
 
@@ -1259,50 +1232,4 @@ def orbit_frequency(
         "ci_lower": max(0.0, freq - Z95 * se),
         "ci_upper": min(1.0, freq + Z95 * se),
         "series": series,
-    }
-
-
-# ---------------------------------------------------------------------------
-# doubling-shift baseline
-
-
-def doubling_shift_baseline(
-    steps: int = 30,
-    n_points: int = 1000,
-    seed: int = 0,
-    alpha: float = dynamics.SQRT2_MINUS_1,
-) -> dict:
-    """The doubling shift (T u)_k = 2 u_{k+1} on blocks of l2, intertwined
-    with a circle rotation through the planar embedding z -> (cos, sin).
-
-    Checks the conjugacy identity per coordinate over sampled points and the
-    geometric norm identity ||(2^-k phi0(f^k z))_k||^2 = (1 - 4^-steps)/3.
-    """
-    rng = np.random.default_rng(seed)
-    zs = rng.random(n_points)
-    k = np.arange(1, steps + 1)
-
-    def embed(z: np.ndarray) -> np.ndarray:
-        """Per point, the blocks 2^-k phi0((z + k alpha) mod 1) for k = 1..steps,
-        with phi0(z) = (cos 2 pi z, sin 2 pi z), as points x steps x 2."""
-        t = 2.0 * math.pi * ((z[:, None] + k * alpha) % 1.0)
-        return np.stack((np.cos(t), np.sin(t)), axis=-1) / (2.0**k)[:, None]
-
-    expected_norm2 = (1.0 - 4.0**-steps) / 3.0
-    u = embed(zs)
-    fu = embed((zs + alpha) % 1.0)
-    # (T u)_k = 2 u_{k+1} must equal phi(f z)_k for k = 1..steps-1
-    worst = float(np.abs(2.0 * u[:, 1:] - fu[:, :-1]).max(initial=0.0))
-    # each point's squares added left to right in coordinate order, as a scalar
-    # sum adds them
-    norm2 = np.cumsum((u * u).reshape(n_points, 2 * steps), axis=1)[:, -1:]
-    worst_norm = float(np.abs(norm2 - expected_norm2).max(initial=0.0))
-    return {
-        "steps": steps,
-        "points": n_points,
-        "alpha": alpha,
-        "max_conjugacy_error": worst,
-        "max_norm_identity_error": worst_norm,
-        "tail_bound": 2.0**-steps,
-        "pass": bool(worst < 1e-12 and worst_norm < 1e-12),
     }

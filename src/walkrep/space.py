@@ -13,7 +13,6 @@ import numpy as np
 
 from . import groups, measures
 from .errors import DomainError
-from .groups import GroupSpec
 from .measures import WeightParams, WeightTable
 
 PASS_SLACK = 1e-9
@@ -21,7 +20,7 @@ PASS_SLACK = 1e-9
 SECOND_LAYER = WeightParams(0.5, 4)
 
 
-def operator_norm_certificate(spec: GroupSpec, w: WeightTable, a) -> dict:
+def operator_norm_certificate(w: WeightTable, a) -> dict:
     """Certify ||S_a|| <= sqrt((2d+1) C) on the truncated table.
 
     The domain is vectors supported in B(n_max-1), normed by the full-depth
@@ -38,6 +37,7 @@ def operator_norm_certificate(spec: GroupSpec, w: WeightTable, a) -> dict:
     argmax h, and the exhaustive scan over the ball is the whole certificate
     (the classical weighted-shift fact; Shields 1974).
     """
+    spec = w.spec
     if a not in groups.generators(spec):
         raise DomainError("certificate expects a symmetric generator")
     bound = math.sqrt((2 * spec.d + 1) * w.params.ratio_bound)
@@ -86,7 +86,7 @@ def subgroup_norm_certificate(
     rho_g = measures.restrict_renormalize(w_amb, emb)
     img = emb.map(g0)
     length = groups.word_length(amb, img)
-    m_g0 = measures.translation_bound(amb, w_amb.params, length)
+    m_g0 = measures.translation_bound(w_amb, length)
     w_sub = measures.build_weight(sub, SECOND_LAYER, rho=rho_g)
     # interior window: one base-window radius in from the support edge
     base_radius = max(groups.word_length(sub, h) for h in rho_g)

@@ -1,6 +1,7 @@
 import pytest
 
 from walkrep import dynamics, groups, measures, model
+from walkrep.config import ExperimentConfig
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +31,7 @@ def z_bernoulli(z_spec):
 
 @pytest.fixture(scope="session")
 def built_model(z_bernoulli, z_weights):
-    cfg = model.BuildConfig(stages=4, seed=11, check_samples=3000, base_samples=160)
+    cfg = ExperimentConfig(stages=4, seed=11)  # 3000 check and 160 base samples
     mdl, history = model.build_model(z_bernoulli, z_weights, cfg)
     model.run_stage_checks(mdl, history, z_weights, cfg)
     return mdl, history, cfg

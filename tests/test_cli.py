@@ -62,11 +62,30 @@ def test_invalid_values_rejected(tmp_path):
         {"samples": {"orbit_steps": 1}},
         {"system": {"alpha": [0.3, 0.4]}},
         {"group": {"kind": "lattice", "d": 2}, "system": {"alpha": [0.3]}},
+        {"seed": -1},
+        {"system": {"alpha": [10**400]}},
+        {"tolerances": {"decay_sigma": 10**400}},
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             config.load_config(str(path))
         assert cli.main(["tower", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", [*cli.COMMANDS, "all"])
+def test_negative_seed_override_rejected(command, tmp_path, capsys):
+    assert cli.main([command, "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / command).exists()
+
+
+def test_integer_in_float_field_is_the_float():
+    ints = config.config_from_dict({"tolerances": {"decay_sigma": 4}, "system": {"alpha": [1]}})
+    floats = config.config_from_dict({"tolerances": {"decay_sigma": 4.0}, "system": {"alpha": [1.0]}})
+    assert ints == floats
+    assert ints.canonical_json() == floats.canonical_json()
+    assert ints.digest() == floats.digest()
+    assert type(ints.tolerances.decay_sigma) is float
 
 
 def test_chain_config_bounds():
@@ -85,6 +104,7 @@ def test_config_defaults_and_digest():
     assert cfg.group.kind == "integers"
     assert len(cfg.digest()) == 16
     assert config.config_from_dict({}).digest() == cfg.digest()
+    assert cfg.digest() == "4aa50a3f94eb19bb"  # in every report of the default config
 
 
 def test_tower_command_writes_reports(tmp_path):
@@ -141,13 +161,11 @@ ALWAYS_LOADED = [
     "walkrep", "walkrep.cli", "walkrep.config", "walkrep.errors", "walkrep.groups", "walkrep.trace",
 ]
 COMMAND_LAYERS = {
-    "tower": ("dynamics", "stats"),
+    **dict.fromkeys(("tower", "feldman"), ("dynamics", "stats")),
     "weights": ("measures",),
     "norms": ("measures", "space"),
     "jrt": ("markov", "dynamics", "measures", "stats"),
-    **dict.fromkeys(
-        ("build", "support", "orbit", "feldman"), ("model", "dynamics", "measures", "stats")
-    ),
+    **dict.fromkeys(("build", "support", "orbit"), ("model", "dynamics", "measures", "stats")),
     "continuous": ("continuous", "measures"),
 }
 SMALL_CONFIG = {

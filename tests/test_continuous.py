@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convolution as oracle
-from walkrep import continuous, groups, measures
+from walkrep import continuous, groups
 from walkrep.errors import DomainError
 
 
@@ -72,7 +72,7 @@ def test_domination_grid_tight_at_edges():
 
 
 def test_chain_subgroups():
-    chain = continuous.LocallyFiniteChain(n_max=4, params=measures.WeightParams(0.5, 4))
+    chain = continuous.LocallyFiniteChain(n_max=4)
     assert len(chain.subgroup(1)) == 2
     assert len(chain.subgroup(4)) == 16
     assert chain.first_containing(()) == 1
@@ -83,7 +83,7 @@ def test_chain_subgroups():
 
 
 def test_haar_measures():
-    chain = continuous.LocallyFiniteChain(n_max=4, params=measures.WeightParams(0.5, 4))
+    chain = continuous.LocallyFiniteChain(n_max=4)
     lam2 = chain.haar(2)
     assert abs(lam2.sum() - 1.0) < 1e-15
     assert lam2[continuous.mask(())] == 0.25
@@ -92,14 +92,14 @@ def test_haar_measures():
 
 
 def test_haar_convolution_identity_small():
-    chain = continuous.LocallyFiniteChain(n_max=5, params=measures.WeightParams(0.5, 5))
+    chain = continuous.LocallyFiniteChain(n_max=5)
     rep = continuous.haar_convolution_identity(chain)
     assert rep["pass"]
     assert rep["pairs_checked"] == 15
 
 
 def test_locally_finite_rho_masses():
-    chain = continuous.LocallyFiniteChain(n_max=10, params=measures.WeightParams(0.5, 10))
+    chain = continuous.LocallyFiniteChain(n_max=10)
     rho = continuous.locally_finite_rho(chain)
     p = chain.params.p
     expected_e = sum(p(n) * 2.0**-n for n in range(1, 11))
@@ -133,7 +133,7 @@ def _dict_chain(chain) -> tuple:
 
 
 def test_mask_element_round_trip():
-    chain = continuous.LocallyFiniteChain(n_max=6, params=measures.WeightParams(0.5, 6))
+    chain = continuous.LocallyFiniteChain(n_max=6)
     masks = [continuous.mask(g) for g in chain.subgroup(6)]
     assert sorted(masks) == list(range(64))
     assert [continuous.element(m) for m in masks] == chain.subgroup(6)
@@ -144,7 +144,7 @@ def test_mask_element_round_trip():
 @given(data=st.data())
 def test_xor_convolve_equals_dict_convolution_on_dyadic_masses(data):
     n = data.draw(st.integers(min_value=1, max_value=6))
-    chain = continuous.LocallyFiniteChain(n_max=n, params=measures.WeightParams(0.5, n))
+    chain = continuous.LocallyFiniteChain(n_max=n)
     ints = st.lists(st.integers(0, 16), min_size=2**n, max_size=2**n)
     mu = np.array(data.draw(ints), dtype=float) * 2.0**-10
     nu = np.array(data.draw(ints), dtype=float) * 2.0**-10
@@ -157,7 +157,7 @@ def test_xor_convolve_equals_dict_convolution_on_dyadic_masses(data):
 @pytest.mark.parametrize("q", [0.5, 0.3])
 def test_chain_convolution_against_dict_oracle(q):
     n = 6
-    chain = continuous.LocallyFiniteChain(n_max=n, params=measures.WeightParams(q, n))
+    chain = continuous.LocallyFiniteChain(n_max=n, q=q)
     rho, rho2 = continuous.chain_convolution(chain)
     want_rho, want_rho2 = _dict_chain(chain)
     # the documented absolute bound of xor_convolve against the exact
@@ -171,6 +171,22 @@ def test_chain_convolution_against_dict_oracle(q):
             assert err == 0.0  # dyadic masses: exact
         else:
             assert err <= bound + 2**n * 2.0**-53 * want_rho2.mass(g)
+
+
+def test_chain_convolution_computed_once_per_chain():
+    chain = continuous.LocallyFiniteChain(n_max=5, q=0.3)
+    shared = continuous.chain_convolution(chain)
+    assert shared is continuous.chain_convolution(continuous.LocallyFiniteChain(chain.n_max, chain.q))
+    assert shared is not continuous.chain_convolution(continuous.LocallyFiniteChain(chain.n_max))
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_chain_rejects_q_outside_unit_interval():
+    for q in (0.0, 1.0, 1.5):
+        with pytest.raises(DomainError):
+            continuous.LocallyFiniteChain(n_max=4, q=q)
 
 
 def _dict_domination(chain, g0, rho, rho2) -> tuple:
@@ -187,7 +203,7 @@ def _dict_domination(chain, g0, rho, rho2) -> tuple:
 
 
 def test_domination_check_matches_dict_loop():
-    chain = continuous.LocallyFiniteChain(n_max=6, params=measures.WeightParams(0.5, 6))
+    chain = continuous.LocallyFiniteChain(n_max=6)
     rho, rho2 = _dict_chain(chain)
     for g0 in [(), (1,), (3,), (2, 5), (1, 4, 6), (6,)]:
         rep = continuous.domination_check_locally_finite(chain, g0)
@@ -197,11 +213,10 @@ def test_domination_check_matches_dict_loop():
 
 def test_chain_domination_anchors_k10():
     # the numbers criterion 11b reports on K_10 at the default seed
-    chain = continuous.LocallyFiniteChain(n_max=10, params=measures.WeightParams(0.5, 10))
-    shared = continuous.chain_convolution(chain)
+    chain = continuous.LocallyFiniteChain(n_max=10)
     pool = chain.subgroup(10)
     picks = [pool[int(i)] for i in np.random.default_rng(20240).choice(len(pool), size=20, replace=False)]
-    reps = [continuous.domination_check_locally_finite(chain, g0, precomputed=shared) for g0 in picks]
+    reps = [continuous.domination_check_locally_finite(chain, g0) for g0 in picks]
     assert sum(r["violations"] for r in reps) == 468
     assert round(max(r["worst_ratio"] for r in reps), 1) == 175018.9
     assert sum(r["violations_corrected"] for r in reps) == 0
@@ -233,13 +248,13 @@ def test_chain_domination_sweep_script():
 
 
 def test_chain_lower_bound():
-    chain = continuous.LocallyFiniteChain(n_max=8, params=measures.WeightParams(0.5, 8))
+    chain = continuous.LocallyFiniteChain(n_max=8)
     rep = continuous.lower_bound_chain_check(chain)
     assert rep["pass"]
 
 
 def test_domination_identity_element():
-    chain = continuous.LocallyFiniteChain(n_max=4, params=measures.WeightParams(0.5, 4))
+    chain = continuous.LocallyFiniteChain(n_max=4)
     rep = continuous.domination_check_locally_finite(chain, ())
     assert rep["m0"] == 1
     assert rep["C_simple"] == 3.0
@@ -247,7 +262,7 @@ def test_domination_identity_element():
 
 
 def test_domination_second_bit():
-    chain = continuous.LocallyFiniteChain(n_max=4, params=measures.WeightParams(0.5, 4))
+    chain = continuous.LocallyFiniteChain(n_max=4)
     rep = continuous.domination_check_locally_finite(chain, (2,))
     assert rep["m0"] == 2
     assert rep["C_simple"] == 4.0
@@ -256,7 +271,7 @@ def test_domination_second_bit():
 
 
 def test_domination_monotone_constant():
-    chain = continuous.LocallyFiniteChain(n_max=6, params=measures.WeightParams(0.5, 6))
+    chain = continuous.LocallyFiniteChain(n_max=6)
     consts = [
         continuous.domination_check_locally_finite(chain, (m,))["C_simple"]
         for m in (1, 2, 3, 4)
@@ -268,7 +283,7 @@ def test_simple_constant_fails_deep_in_chain():
     # the closed-form constant genuinely undershoots for elements whose
     # first containing subgroup is K_3 or deeper; the corrected constant,
     # which keeps the cumulative-weight factor, is certified exhaustively
-    chain = continuous.LocallyFiniteChain(n_max=6, params=measures.WeightParams(0.5, 6))
+    chain = continuous.LocallyFiniteChain(n_max=6)
     rep = continuous.domination_check_locally_finite(chain, (3,))
     assert rep["violations"] > 0
     assert rep["worst_ratio"] > rep["C_simple"]
@@ -277,7 +292,7 @@ def test_simple_constant_fails_deep_in_chain():
 
 
 def test_corrected_constant_certified_everywhere():
-    chain = continuous.LocallyFiniteChain(n_max=7, params=measures.WeightParams(0.5, 7))
+    chain = continuous.LocallyFiniteChain(n_max=7)
     for g0 in [(), (1,), (3,), (2, 5), (1, 4, 7)]:
         rep = continuous.domination_check_locally_finite(chain, g0)
         assert rep["violations_corrected"] == 0

@@ -221,9 +221,7 @@ def _short_tower(sys):
     # a two-cell marker overlaps its own translates, so they can collide
     spec = sys.group
     a = groups.generators(spec)[0]
-    return dynamics.TowerSpec(
-        system=sys, n=2, eta=0.5, pattern={groups.identity(spec): 1, a: 1}, mu_pattern=0.25
-    )
+    return dynamics.TowerSpec(system=sys, n=2, eta=0.5, pattern={groups.identity(spec): 1, a: 1})
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -127,7 +127,7 @@ def test_partial_weight_tables(z_weights):
 
 @pytest.mark.parametrize("b", [1, 2, 3])
 def test_weight_ratio_integers(z_spec, z_weights, b):
-    rep = measures.weight_ratio(z_spec, z_weights, b)
+    rep = measures.weight_ratio(z_weights, b)
     assert rep["bound"] == 6.0**b
     assert rep["pass"]
     assert rep["observed_max"] <= rep["bound"] * (1 + 1e-12)
@@ -135,13 +135,13 @@ def test_weight_ratio_integers(z_spec, z_weights, b):
 
 
 def test_weight_ratio_identity(z_spec, z_weights):
-    rep = measures.weight_ratio(z_spec, z_weights, 0)
+    rep = measures.weight_ratio(z_weights, 0)
     assert rep["bound"] == 1.0
     assert abs(rep["observed_max"] - 1.0) < 1e-12
 
 
 def test_weight_ratio_f2(f2_spec, f2_weights):
-    rep = measures.weight_ratio(f2_spec, f2_weights, (1, 2))  # the word ab
+    rep = measures.weight_ratio(f2_weights, (1, 2))  # the word ab
     assert rep["bound"] == 100.0
     assert rep["pass"]
 
@@ -235,7 +235,7 @@ def test_class_scan_matches_element_scan(d, q, n_max):
     w = measures.build_weight(spec, params)
     reference = oracle.dict_weight(spec, params)
     for b in groups.ball(spec, min(3, n_max - 1)):
-        rep = measures.weight_ratio(spec, w, b)
+        rep = measures.weight_ratio(w, b)
         evaluated, upper_max, lower_min = _element_scan(spec, reference, b)
         assert rep["n_evaluated"] == evaluated
         assert rep["observed_max"] == pytest.approx(upper_max, rel=1e-12, abs=0.0)
@@ -245,7 +245,7 @@ def test_class_scan_matches_element_scan(d, q, n_max):
 def test_plain_table_ratio_exceeds_bound_at_edge(z_spec, z_weights):
     # the uncorrected single-table ratio genuinely overshoots near the
     # support edge; the certified two-depth comparison is the sound check
-    rep = measures.weight_ratio(z_spec, z_weights, 1)
+    rep = measures.weight_ratio(z_weights, 1)
     assert rep["plain_table_max"] > rep["bound"]
 
 

@@ -10,6 +10,7 @@ import pytest
 from handles import handles, point
 from vectors import WeightedVector, norm, shift
 from walkrep import dynamics, groups, measures, model, stats
+from walkrep.config import ExperimentConfig, SampleConfig
 from walkrep.errors import CapacityError, DomainError, EncodingError, StageError
 
 
@@ -143,7 +144,6 @@ def model_from_dict(data: dict) -> model.ModelFunction:
             n=sd["n"],
             eta=sd["tower"]["eta"],
             pattern={_elem_from_json(spec, p): int(b) for p, b in sd["tower_pattern"]},
-            mu_pattern=sd["tower"]["mu_pattern"],
         )
         xi = {_elem_from_json(spec, g): float(v) for g, v in sd["xi"]}
         split = None
@@ -158,7 +158,7 @@ def model_from_dict(data: dict) -> model.ModelFunction:
             )
         patch = model.StagePatch(tower=tower, xi=xi, n0=sd["n0"], n=sd["n"])
         stages.append(model.ModelStage(patch=patch, split=split))
-    return model.ModelFunction(system=system, stages=stages, family=dynamics.SetFamily(spec))
+    return model.ModelFunction(system=system, stages=stages)
 
 
 def dict_vectors(phis, w) -> list:
@@ -247,7 +247,7 @@ def test_compute_eta_formula():
 
 
 def test_build_single_stage_smoke(z_bernoulli, z_weights):
-    cfg = model.BuildConfig(stages=1, seed=3, check_samples=400, base_samples=60)
+    cfg = ExperimentConfig(stages=1, seed=3, samples=SampleConfig(check_samples=400, base_samples=60))
     mdl, history = model.build_model(z_bernoulli, z_weights, cfg)
     assert set(history[-1].checks) == {"separation", "nesting", "patch"}
     model.run_stage_checks(mdl, history, z_weights, cfg)
@@ -304,9 +304,7 @@ def test_phi_center_coordinate(built_model, z_bernoulli, z_weights):
 
 def test_phi_constant_model(z_bernoulli, z_weights):
     # a model with no stages is the zero function
-    mdl = model.ModelFunction(
-        system=z_bernoulli, stages=[], family=dynamics.SetFamily(z_bernoulli.group)
-    )
+    mdl = model.ModelFunction(system=z_bernoulli, stages=[])
     _, vec, tail = model.phi(mdl, point(z_bernoulli, 5), 6, z_weights)
     assert not vec.any()
     assert tail == 0.0
@@ -347,7 +345,8 @@ def test_equivariance_exact(built_model, z_weights):
 
 def test_support_and_iso(built_model, z_weights):
     mdl, history, cfg = built_model
-    rep = model.support_and_iso_check(mdl, history, z_weights, 1500, cfg, seed=6)
+    cfg = dataclasses.replace(cfg, seed=6, samples=dataclasses.replace(cfg.samples, check_samples=1500))
+    rep = model.support_and_iso_check(mdl, history, z_weights, cfg)
     assert rep["pass"], rep
 
 
@@ -390,7 +389,7 @@ def test_conditional_hits_reproduce_stratified_bound(built_model, z_weights):
     mdl, history, cfg = built_model
     for i, expected in STRATIFIED_LOWER_SEED_6.items():
         _, in_ball = model.conditional_hits(mdl, history, i, z_weights, cfg, 6 + 5000 + i)
-        lower = stats.clopper_pearson(in_ball, cfg.base_samples)[0]
+        lower = stats.clopper_pearson(in_ball, cfg.samples.base_samples)[0]
         assert mdl.stages[i - 1].patch.tower.mu_pattern * lower == expected
 
 
@@ -419,7 +418,9 @@ def lattice_built():
     z2 = groups.GroupSpec("lattice", 2)
     w2 = measures.build_weight(z2, measures.WeightParams(q=0.5, n_max=14))
     sys2 = dynamics.bernoulli_system(z2, seed=7)
-    cfg = model.BuildConfig(stages=2, seed=7, check_samples=1500, base_samples=60, n_trunc=6)
+    cfg = ExperimentConfig(
+        stages=2, seed=7, n_trunc=6, samples=SampleConfig(check_samples=1500, base_samples=60)
+    )
     mdl, history = model.build_model(sys2, w2, cfg)
     model.run_stage_checks(mdl, history, w2, cfg)
     return mdl, history, w2
@@ -486,8 +487,8 @@ def test_dense_equivariance_counts_mismatches(built_model, z_weights, monkeypatc
     mdl = built_model[0]
     phi = model.phi
 
-    def corrupted(mdl, points, n_trunc, w, stage_count=None):
-        ball, values, tail = phi(mdl, points, n_trunc, w, stage_count)
+    def corrupted(mdl, points, n_trunc, w):
+        ball, values, tail = phi(mdl, points, n_trunc, w)
         if n_trunc == 8:
             values = values.copy()
             values[::3, ::4] += 0.5
@@ -505,10 +506,10 @@ def _loose_model(system: dynamics.DynamicalSystem) -> model.ModelFunction:
     ball changes values."""
     spec = system.group
     a = groups.generators(spec)[0]
-    mdl = model.ModelFunction(system=system, stages=[], family=dynamics.SetFamily(spec))
+    mdl = model.ModelFunction(system=system, stages=[])
     for j, (n, pattern) in enumerate(((2, {groups.identity(spec): 1, a: 0}), (1, {groups.identity(spec): 1}))):
         tower = dynamics.TowerSpec(
-            system=system, n=n, eta=0.5, pattern=pattern, mu_pattern=0.5 ** len(pattern)
+            system=system, n=n, eta=0.5, pattern=pattern
         )
         xi = {g: (i + 1) / 8 for i, g in enumerate(groups.ball(spec, n))}
         stage = model.ModelStage(patch=model.StagePatch(tower=tower, xi=xi, n0=n, n=n))
@@ -689,17 +690,19 @@ def test_window_split_map_miss_raises(built_model, z_bernoulli):
 
 
 def test_split_collision_detected(z_bernoulli, z_weights):
-    cfg = model.BuildConfig(stages=1, seed=3, check_samples=50, base_samples=30)
+    cfg = ExperimentConfig(stages=1, seed=3, samples=SampleConfig(check_samples=50, base_samples=30))
     mdl, history = model.build_model(z_bernoulli, z_weights, cfg)
-    # stage-2 offset is beta_1 / 8; two values exactly twice that apart collide
+    # a second stage, whose offset is beta_1 / 8; two values exactly twice
+    # that apart collide
+    mdl.stages.append(mdl.stages[0])
     s = history[0].beta / 8.0
     mdl.range_values = lambda: (0.0, 2.0 * s)
     with pytest.raises(StageError):
-        model.split_values(mdl, history, 1)
+        model.split_values(mdl, history)
 
 
 def test_feldman_identity_and_norm():
-    rep = model.doubling_shift_baseline(steps=30, n_points=200, seed=1)
+    rep = dynamics.doubling_shift_baseline(steps=30, n_points=200, seed=1)
     assert rep["pass"]
     assert rep["max_conjugacy_error"] < 1e-12
     assert rep["tail_bound"] == 2.0**-30
@@ -743,11 +746,11 @@ def _doubling_shift_loop(steps: int, n_points: int, seed: int) -> dict:
 @pytest.mark.parametrize("steps", [1, 2, 7, 30])
 @pytest.mark.parametrize("seed", [0, 1, 9, 20240, 20241, 20242])
 def test_feldman_arrays_equal_the_loop(steps, seed):
-    assert model.doubling_shift_baseline(steps, 300, seed) == _doubling_shift_loop(steps, 300, seed)
+    assert dynamics.doubling_shift_baseline(steps, 300, seed) == _doubling_shift_loop(steps, 300, seed)
 
 
 def test_feldman_no_points():
-    assert model.doubling_shift_baseline(5, 0, 3) == _doubling_shift_loop(5, 0, 3)
+    assert dynamics.doubling_shift_baseline(5, 0, 3) == _doubling_shift_loop(5, 0, 3)
 
 
 def _dense_base(win: model.OrbitWindow, j: int) -> np.ndarray:
@@ -781,10 +784,8 @@ def test_base_sieve_equals_dense_and(d, length):
     system = dynamics.bernoulli_system(spec, seed=5)
     pattern = dynamics._marker_pattern(spec, length)
     assert len(pattern) > model.DENSE_MARKER_CELLS
-    tower = dynamics.TowerSpec(
-        system=system, n=1, eta=0.5, pattern=pattern, mu_pattern=0.5 ** len(pattern)
-    )
-    mdl = model.ModelFunction(system=system, stages=[], family=dynamics.SetFamily(spec))
+    tower = dynamics.TowerSpec(system=system, n=1, eta=0.5, pattern=pattern)
+    mdl = model.ModelFunction(system=system, stages=[])
     xi = {g: 0.5 for g in groups.ball(spec, 1)}
     mdl.stages.append(model.ModelStage(patch=model.StagePatch(tower=tower, xi=xi, n0=1, n=1)))
     fresh = dynamics.sample_points(system, np.arange(40))

@@ -91,7 +91,7 @@ def test_single_atom_ratio_identity(z_weights):
 
 
 def test_operator_norm_certificate_z(z_spec, z_weights):
-    rep = space.operator_norm_certificate(z_spec, z_weights, 1)
+    rep = space.operator_norm_certificate(z_weights, 1)
     assert abs(rep["bound"] - math.sqrt(6.0)) < 1e-12
     assert rep["pass"]
     assert rep["observed"] <= rep["bound"] + 1e-9
@@ -99,14 +99,14 @@ def test_operator_norm_certificate_z(z_spec, z_weights):
 
 
 def test_operator_norm_certificate_f2(f2_spec, f2_weights):
-    rep = space.operator_norm_certificate(f2_spec, f2_weights, (1,))
+    rep = space.operator_norm_certificate(f2_weights, (1,))
     assert abs(rep["bound"] - math.sqrt(10.0)) < 1e-12
     assert rep["pass"]
 
 
 def test_certificate_rejects_non_generator(z_spec, z_weights):
     with pytest.raises(DomainError):
-        space.operator_norm_certificate(z_spec, z_weights, 2)
+        space.operator_norm_certificate(z_weights, 2)
 
 
 def test_subgroup_norm_certificates(z_spec, f2_spec, f2_weights):
@@ -158,7 +158,7 @@ def _exact_case(kind, d, n_max, a):
     """Operator certificate, its domain and the norm tables of its ratio."""
     spec = groups.GroupSpec(kind, d)
     w = _weight(kind, d, n_max)
-    rep = space.operator_norm_certificate(spec, w, a)
+    rep = space.operator_norm_certificate(w, a)
     pool = [g for g in groups.ball(spec, n_max - 1) if w.weight(g) > 0.0]
     shifted = {g: w.partial_weight(g, n_max - 1) for g in groups.ball(spec, n_max)}
     return rep, spec, w, pool, w.table, shifted
@@ -253,7 +253,7 @@ def test_heisenberg_argmax_in_exact_tie_set(n_max):
 
     w = measures.build_weight(spec, measures.WeightParams(0.5, n_max))
     for a in groups.generators(spec):
-        rep = space.operator_norm_certificate(spec, w, a)
+        rep = space.operator_norm_certificate(w, a)
         a_inv = groups.inverse(spec, a)
         ratios = {
             h: weight(groups.multiply(spec, h, a_inv), n_max - 1) / weight(h, n_max)
