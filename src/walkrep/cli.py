@@ -252,14 +252,21 @@ def cmd_jrt(cfg: ExperimentConfig, out_base: str) -> int:
     return _finish(out, "jrt", cfg, records, start)
 
 
+def _shift_group(cfg: ExperimentConfig) -> groups.GroupSpec:
+    """The group of ``tower``'s and the model's shift: integers or a lattice."""
+    spec = cfg.group.spec()
+    if spec.kind not in ("integers", "lattice"):
+        raise ConfigError("towers and the model build run on integer/lattice Bernoulli shifts")
+    return spec
+
+
 def cmd_tower(cfg: ExperimentConfig, out_base: str) -> int:
     from . import dynamics
+    spec = _shift_group(cfg)
     start = _start()
     out = _out_dir(out_base, "tower")
-    spec = cfg.group.spec()
-    sys_b = dynamics.bernoulli_system(spec, cfg.seed)
     tower = dynamics.rokhlin_tower(
-        sys_b,
+        dynamics.bernoulli_system(spec, cfg.seed),
         cfg.tower_height,
         cfg.tower_eta,
         seed=cfg.seed,
@@ -283,21 +290,18 @@ def cmd_tower(cfg: ExperimentConfig, out_base: str) -> int:
 
 
 def _build_model(cfg: ExperimentConfig, cache: list | None = None):
-    """The staged model for ``cfg``.  ``all`` passes one ``cache`` list to
+    """``(w, model, history)`` for ``cfg``: the weight table, the staged
+    model and its stage states.  ``all`` passes one ``cache`` list to
     every model command, so the model is built once, inside the clock of the
     first command that asks for it, as in a separate run of that command."""
     from . import dynamics, measures, model
     if cache:
         return cache[0]
-    spec = cfg.group.spec()
-    if spec.kind not in ("integers", "lattice"):
-        raise ConfigError("the model build runs on integer/lattice Bernoulli shifts")
+    spec = _shift_group(cfg)
     w = measures.build_weight(
         spec, measures.WeightParams(cfg.weights.q, cfg.weights.n_max)
     )
-    sys_b = dynamics.bernoulli_system(spec, cfg.seed)
-    built = model.build_model(sys_b, w, cfg)
-    result = (spec, w, sys_b, built[0], built[1])
+    result = (w, *model.build_model(dynamics.bernoulli_system(spec, cfg.seed), w, cfg))
     if cache is not None:
         cache.append(result)
     return result
@@ -307,12 +311,12 @@ def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
     from . import model
     start = _start()
     out = _out_dir(out_base, "build")
-    spec, w, sys_b, mdl, history = _build_model(cfg, cache)
+    w, mdl, history = _build_model(cfg, cache)
     model.run_stage_checks(mdl, history, w, cfg)
     _write_json(os.path.join(out, "model.json"), mdl.to_dict())
     _write_json(
         os.path.join(out, "history.json"),
-        {"stages": [st.to_dict(spec) for st in history]},
+        {"stages": [st.to_dict(mdl.spec) for st in history]},
     )
     final = history[-1]
     records = [
@@ -330,7 +334,8 @@ def cmd_support(cfg: ExperimentConfig, out_base: str, cache: list | None = None)
     from . import model
     start = _start()
     out = _out_dir(out_base, "support")
-    spec, w, sys_b, mdl, history = _build_model(cfg, cache)
+    w, mdl, history = _build_model(cfg, cache)
+    spec = mdl.spec
     records = []
     iso = model.support_and_iso_check(mdl, history, w, cfg)
     records.append(_record("support_and_iso", iso))
@@ -357,7 +362,8 @@ def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
     from . import dynamics, model, stats
     start = _start()
     out = _out_dir(out_base, "orbit")
-    spec, w, sys_b, mdl, history = _build_model(cfg, cache)
+    w, mdl, history = _build_model(cfg, cache)
+    spec = mdl.spec
     a = groups.generators(spec)[0]
     ball1 = history[0].ball
     probe = dynamics.bernoulli_system(spec, cfg.seed + 1)

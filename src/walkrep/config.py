@@ -157,8 +157,8 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("tower eta must be in (0,1)")
     if cfg.tower_height < 1:
         raise ConfigError("tower height must be >= 1")
-    if cfg.n_trunc < 1:
-        raise ConfigError("truncation window must be >= 1")
+    if cfg.n_trunc < 2:  # support compares orbit vectors on B_(n_trunc - |h|), h in B_2
+        raise ConfigError("truncation window must be >= 2")
     for key, least in SAMPLE_MINIMUMS.items():
         if getattr(cfg.samples, key) < least:
             raise ConfigError(f"samples.{key} must be >= {least}")

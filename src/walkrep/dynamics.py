@@ -221,7 +221,7 @@ def _cell_blocks(spec: GroupSpec, positions) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _forced_cells(spec: GroupSpec, pattern: dict) -> tuple:
-    block, lane = _cell_blocks(spec, np.array(list(pattern), dtype=np.int64).reshape(len(pattern), -1))
+    block, lane = _cell_blocks(spec, groups.coords(spec, list(pattern)))
     return block, lane, np.array(list(pattern.values()), dtype=np.uint8)
 
 
@@ -257,7 +257,7 @@ class PointBatch:
         and the offset's coordinate there, shared by the rows, so T_g of a
         row sits at ``(u + (g + shift) * alpha) % 1.0`` on that axis."""
         u = [_torus_root(self.system, d)[axis] for d in self.draws.tolist()]
-        shift = self.offset if self.system.group.kind == "integers" else self.offset[axis]
+        shift = int(groups.coords(self.system.group, [self.offset])[0, axis])
         return np.array(u, dtype=np.float64), shift
 
 
@@ -299,11 +299,7 @@ def read_cells(points: PointBatch, cells) -> np.ndarray:
     if spec.kind == "free":
         block, lane = _cell_blocks(spec, [groups.multiply(spec, c, points.offset) for c in cells])
     else:
-        try:
-            cells = np.asarray(cells, dtype=np.int64).reshape(len(cells), -1)
-        except OverflowError:
-            raise EncodingError("a cell past 64-bit coordinates has no Philox block") from None
-        block, lane = _cell_blocks(spec, groups.translate(spec, cells, points.offset))
+        block, lane = _cell_blocks(spec, groups.translate(spec, groups.coords(spec, cells), points.offset))
     tiles, where = np.unique(block, return_inverse=True)
     # key and stream as arrays: numpy warns on overflow of uint64 scalars
     key = np.array(points.system.key, dtype=np.uint64)
@@ -458,18 +454,16 @@ class TowerSpec:
     def located(self, points: PointBatch) -> np.ndarray:
         """Per point and g in B_n (``groups.ball`` order): is T_{g^-1} x in E?
 
-        T_{g^-1} x reads the cell p at p g^-1, so one read of the window of
-        those cells answers every g.
+        T_{g^-1} x reads the cell p at p g^-1, so one read of the distinct
+        cells of the window answers every g.
         """
         spec = self.spec
         ball = groups.ball(spec, self.n)
-        cells = [
-            groups.multiply(spec, p, groups.inverse(spec, g)) for g in ball for p in self.pattern
-        ]
-        window = {c: k for k, c in enumerate(dict.fromkeys(cells))}
-        bits = read_cells(points, list(window))
-        cols = np.array([window[c] for c in cells]).reshape(len(ball), len(self.pattern))
-        return (bits[:, cols] == list(self.pattern.values())).all(axis=2)
+        pattern = groups.coords(spec, list(self.pattern))
+        cells = np.concatenate([groups.translate(spec, pattern, groups.inverse(spec, g)) for g in ball])
+        window, cols = np.unique(cells, axis=0, return_inverse=True)
+        bits = read_cells(points, window)
+        return (bits[:, cols.reshape(len(ball), -1)] == list(self.pattern.values())).all(axis=2)
 
     def to_dict(self) -> dict:
         spec = self.spec

@@ -13,6 +13,9 @@ Supported kinds and their element encodings:
 All operations are pure functions of immutable values, so they are safe to
 call from any number of workers.
 
+``coords`` turns integer, lattice and Heisenberg elements into int64
+coordinate arrays, and ``translate`` multiplies such an array on the right.
+
 Arithmetic trusts its inputs to be canonical and does not re-check them:
 ``check_element`` runs once where an encoding enters walkrep: on ``Embedding``
 images, and on the element argument of each public certificate and check
@@ -31,7 +34,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, EmbeddingError, EncodingError
 
-DEFAULT_BALL_CAP = 10**6
+BALL_CAP = 10**6  # the most elements a ball or a word-length search holds
 EMBED_CHECKS = 64
 EMBED_CHECK_RADIUS = 3
 
@@ -167,12 +170,25 @@ def multiply(spec: GroupSpec, a, b):
     return tuple(sorted(set(a) ^ set(b)))
 
 
-def translate(spec: GroupSpec, coords: np.ndarray, b) -> np.ndarray:
+def coords(spec: GroupSpec, elements) -> np.ndarray:
+    """The (N, k) int64 coordinates of N integer (k = 1), lattice (k = d) or
+    Heisenberg (k = 3) elements.  EncodingError past 64 bits; DomainError on
+    the free groups and z2sum, which have no coordinates."""
+    if spec.kind in ("free", "z2sum"):
+        raise DomainError(f"{spec.kind} elements have no integer coordinates")
+    try:
+        out = np.asarray(elements, dtype=np.int64)
+    except OverflowError:
+        raise EncodingError("an element past 64-bit coordinates has no int64 form") from None
+    return out.reshape(len(elements), 3 if spec.kind == "heisenberg" else spec.d)
+
+
+def translate(spec: GroupSpec, rows: np.ndarray, b) -> np.ndarray:
     """The coordinates of g b for each row g of an (N, k) coordinate array,
     on the integers, the lattices and the Heisenberg group."""
-    out = coords + np.reshape(b, -1)
+    out = rows + np.reshape(b, -1)
     if spec.kind == "heisenberg":
-        out[:, 2] += coords[:, 0] * b[1]
+        out[:, 2] += rows[:, 0] * b[1]
     return out
 
 
@@ -264,32 +280,33 @@ def ball_strs(spec: GroupSpec, n: int) -> list[str]:
     return out
 
 
-def ball(spec: GroupSpec, n: int, cap: int = DEFAULT_BALL_CAP) -> list:
+def ball(spec: GroupSpec, n: int) -> list:
     """All elements of word length <= n.
 
     Integers come in increasing order, -n..n; every other kind comes in
     ``sort_key`` order.  ``TowerSpec.located`` and ``OrbitWindow.locate``
     take the first base point in this order, so it is part of the model's
-    values.  Raises CapacityError if the ball would exceed ``cap`` elements.
+    values.  Raises CapacityError if the ball would exceed ``BALL_CAP``
+    elements.
     """
     if n < 0:
         raise DomainError(f"ball radius must be >= 0, got {n}")
     if not spec.finitely_generated:
         raise EncodingError(f"{spec.kind} supports no word-metric balls")
     if spec.kind == "integers":
-        _check_cap(2 * n + 1, cap)
+        _check_cap(2 * n + 1)
         return list(range(-n, n + 1))
     if spec.kind == "lattice":
         out = []
         for point in _l1_points(spec.d, n):
             out.append(point)
-            _check_cap(len(out), cap)
+            _check_cap(len(out))
         out.sort(key=lambda g: sort_key(spec, g))
         return out
     if spec.kind == "free":
         # extending each level's words, in order, by the letters in
         # increasing order keeps every level in sort_key order
-        _check_cap(free_ball_size(spec.d, n), cap)
+        _check_cap(free_ball_size(spec.d, n))
         letters = [c for c in range(-spec.d, spec.d + 1) if c]
         words = [()]
         level = [()]
@@ -308,16 +325,16 @@ def ball(spec: GroupSpec, n: int, cap: int = DEFAULT_BALL_CAP) -> list:
                 h = multiply(spec, g, a)
                 if h not in seen:
                     seen.add(h)
-                    _check_cap(len(seen), cap)
+                    _check_cap(len(seen))
                     nxt.append(h)
         frontier = nxt
     out = sorted(seen, key=lambda g: sort_key(spec, g))
     return out
 
 
-def _check_cap(size: int, cap: int) -> None:
-    if size > cap:
-        raise CapacityError(f"ball/support size {size} exceeds cap {cap}")
+def _check_cap(size: int) -> None:
+    if size > BALL_CAP:
+        raise CapacityError(f"ball/support size {size} exceeds cap {BALL_CAP}")
 
 
 def _l1_points(d: int, n: int) -> Iterable[tuple]:
@@ -369,7 +386,7 @@ def free_translation_classes(spec: GroupSpec, b, n: int) -> list:
     return out
 
 
-def word_length(spec: GroupSpec, g, cap: int = DEFAULT_BALL_CAP) -> int:
+def word_length(spec: GroupSpec, g) -> int:
     """Word length of ``g`` in the symmetric generators."""
     if spec.kind == "integers":
         return abs(g)
@@ -395,7 +412,7 @@ def word_length(spec: GroupSpec, g, cap: int = DEFAULT_BALL_CAP) -> int:
                         return dist
                     if k not in seen:
                         seen.add(k)
-                        _check_cap(len(seen), cap)
+                        _check_cap(len(seen))
                         nxt.append(k)
             frontier = nxt
         raise EncodingError("unreachable element")  # pragma: no cover

@@ -49,8 +49,7 @@ class ObservableSpec:
             return (bits == wanted).all(axis=1).astype(np.float64)
         if self.kind == "cos":
             axis = self.payload
-            coords = [g if spec.kind == "integers" else g[axis] for g in atoms]
-            distinct, where = np.unique(coords, return_inverse=True)
+            distinct, where = np.unique(groups.coords(spec, atoms)[:, axis], return_inverse=True)
             u, shift = points.torus(axis)
             turns = 2.0 * math.pi * ((u[:, None] + (distinct + shift) * sys.alpha[axis]) % 1.0)
             return np.array(list(map(math.cos, turns.ravel()))).reshape(turns.shape)[:, where]

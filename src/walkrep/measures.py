@@ -110,8 +110,8 @@ class _Cells:
         """The (N, k) cell coordinates of ``elements``: word lengths on a
         free group, the group coordinates on the other kinds."""
         if self.spec.kind == "free":
-            elements = [len(g) for g in elements]
-        return np.array(elements, dtype=np.int64).reshape(-1, len(self.offset))
+            return np.array([len(g) for g in elements], dtype=np.int64).reshape(-1, 1)
+        return groups.coords(self.spec, elements)
 
     def _gather(self, array: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """``array`` at ``cells``; zero at cells outside the box."""

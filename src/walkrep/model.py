@@ -278,48 +278,30 @@ WINDOW_CELL_BUDGET = 1 << 20
 DENSE_MARKER_CELLS = 8
 
 
-def _coords(spec: GroupSpec, g) -> tuple:
-    """Coordinates of an integer or lattice element (integers are d = 1)."""
-    return (g,) if spec.kind == "integers" else g
+def _grow(lo: np.ndarray, hi: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The box of u + m for u in [lo, hi] and m a row of ``offsets``."""
+    return lo + offsets.min(axis=0), hi + offsets.max(axis=0)
 
 
-def _coord_array(spec: GroupSpec, elements) -> np.ndarray:
-    """The (len(elements), d) int64 coordinates of integer or lattice elements."""
-    return np.array([_coords(spec, g) for g in elements], dtype=np.int64).reshape(len(elements), -1)
-
-
-def _add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _neg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
-
-
-def _grow(lo: tuple, hi: tuple, offsets) -> tuple[tuple, tuple]:
-    """The box of u + m for u in [lo, hi] and m in ``offsets``."""
-    cols = list(zip(*offsets))
-    return _add(lo, tuple(map(min, cols))), _add(hi, tuple(map(max, cols)))
-
-
-def _shape(lo: tuple, hi: tuple) -> tuple:
-    return tuple(b - a + 1 for a, b in zip(lo, hi))
+def _shape(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    return tuple((hi - lo + 1).tolist())
 
 
 @dataclass(frozen=True)
 class _StageEvents:
     """One stage's events as coordinate offsets, and its values as arrays.
 
-    ``ball`` is the locate ball B_n in ``groups.ball`` order and ``xi`` is
-    aligned with it; the split map is held as sorted keys with their minus
-    and plus images (``keys`` is None before the stage is split).
+    ``pattern`` and ``cylinder`` are (coordinates, bits) pairs; ``ball``
+    holds the coordinates of the locate ball B_n in ``groups.ball`` order,
+    ``xi`` aligned with it; the split map is held as sorted keys with their
+    minus and plus images (``keys`` is None before the stage is split).
     """
 
     n: int
-    pattern: tuple  # (coords, bit)
-    ball: tuple
+    pattern: tuple
+    ball: np.ndarray
     xi: np.ndarray
-    cylinder: tuple  # (coords, bit)
+    cylinder: tuple
     keys: np.ndarray | None
     minus: np.ndarray | None
     plus: np.ndarray | None
@@ -329,39 +311,36 @@ class _StageEvents:
         spec = model.spec
         ball_n = groups.ball(spec, stage.patch.n)
         split = stage.split
-        cylinder = ()
+        constraints = ()
         keys = minus = plus = None
         if split is not None:
-            cylinder = tuple(
-                (_coords(spec, g), b) for g, b in model.family.set_at(split.a_index).bits
-            )
+            constraints = model.family.set_at(split.a_index).bits
             ordered = sorted(split.split_map)
             keys = np.array(ordered, dtype=np.float64)
             minus = np.array([split.split_map[u][0] for u in ordered], dtype=np.float64)
             plus = np.array([split.split_map[u][1] for u in ordered], dtype=np.float64)
+        pattern = stage.patch.tower.pattern
         return _StageEvents(
             n=stage.patch.n,
-            pattern=tuple(
-                (_coords(spec, p), b) for p, b in stage.patch.tower.pattern.items()
-            ),
-            ball=tuple(_coords(spec, g) for g in ball_n),
+            pattern=(groups.coords(spec, list(pattern)), np.array(list(pattern.values()))),
+            ball=groups.coords(spec, ball_n),
             xi=np.array([stage.patch.xi.get(g, 0.0) for g in ball_n], dtype=np.float64),
-            cylinder=cylinder,
+            cylinder=(groups.coords(spec, [c for c, _ in constraints]), np.array([b for _, b in constraints])),
             keys=keys,
             minus=minus,
             plus=plus,
         )
 
-    def base_box(self, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
+    def base_box(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where ``locate`` on [lo, hi] reads the base: [lo, hi] - B_n."""
         return _grow(lo, hi, self.ball)
 
-    def bit_box(self, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
+    def bit_box(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every coordinate that ``locate`` and routing on [lo, hi] read."""
-        blo, bhi = _grow(*self.base_box(lo, hi), [p for p, _ in self.pattern])
-        if self.cylinder:
-            clo, chi = _grow(lo, hi, [c for c, _ in self.cylinder])
-            blo, bhi = tuple(map(min, blo, clo)), tuple(map(max, bhi, chi))
+        blo, bhi = _grow(*self.base_box(lo, hi), self.pattern[0])
+        if len(self.cylinder[0]):
+            clo, chi = _grow(lo, hi, self.cylinder[0])
+            blo, bhi = np.minimum(blo, clo), np.maximum(bhi, chi)
         return blo, bhi
 
 
@@ -369,21 +348,21 @@ def _stage_events(model: ModelFunction) -> list:
     return [_StageEvents.of(model, st) for st in model.stages]
 
 
-def _bit_box(stages: list, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
+def _bit_box(stages: list, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     blo, bhi = lo, hi
     for st in stages:
         slo, shi = st.bit_box(lo, hi)
-        blo, bhi = tuple(map(min, blo, slo)), tuple(map(max, bhi, shi))
+        blo, bhi = np.minimum(blo, slo), np.maximum(bhi, shi)
     return blo, bhi
 
 
 class OrbitWindow:
     """Stage events and values of a batch of Bernoulli points on a box of
-    positions, all read from one bit matrix.
+    positions, all read from one bit array.
 
     The box [lo, hi] holds coordinates relative to each point's offset, so
     the cell u of the point x stands for T_u x.  The points x window bit
-    matrix is filled by ``dynamics.read_cells`` at absolute positions, with
+    array is filled by ``dynamics.read_cells`` at absolute positions, with
     the same Philox bits and forced bits as every other read, and each stage
     event is an array mask on it: the base (the marker cylinder) is an AND
     over shifted slices, ``locate`` takes the first g in ``groups.ball``
@@ -392,7 +371,7 @@ class OrbitWindow:
     of each point give.  Each window adds its bit cells to ``trace.COUNTERS``.
     """
 
-    def __init__(self, spec: GroupSpec, stages: list, points: PointBatch, lo: tuple, hi: tuple):
+    def __init__(self, spec: GroupSpec, stages: list, points: PointBatch, lo: np.ndarray, hi: np.ndarray):
         self.spec = spec
         self.stages = stages
         self.lo, self.hi = lo, hi
@@ -406,26 +385,27 @@ class OrbitWindow:
         bits = dynamics.read_cells(points, cells)
         trace.COUNTERS["window_cells"] += bits.size
         self._one = bits.reshape((len(points),) + bit_shape).astype(bool)
-        self._zero = ~self._one
         self._base: dict = {}
         self._locate: dict = {}
         self._route: dict = {}
 
     @staticmethod
-    def _take(arr: np.ndarray, arr_lo: tuple, lo: tuple, shape: tuple) -> np.ndarray:
+    def _take(arr: np.ndarray, arr_lo: np.ndarray, lo: np.ndarray, shape: tuple) -> np.ndarray:
         """The part on the box of ``shape`` at ``lo`` of ``arr``, an array
         laid out from ``arr_lo`` with the points first."""
         idx = [slice(None)]
-        for a, b, s, size in zip(lo, arr_lo, shape, arr.shape[1:]):
-            if not 0 <= a - b <= size - s:
+        for a, s, size in zip(np.subtract(lo, arr_lo).tolist(), shape, arr.shape[1:]):
+            if not 0 <= a <= size - s:
                 raise DomainError("window read outside its bit box")
-            idx.append(slice(a - b, a - b + s))
+            idx.append(slice(a, a + s))
         return arr[tuple(idx)]
 
-    def _bits(self, bit: int, lo: tuple, shape: tuple) -> np.ndarray:
-        return self._take(self._one if bit else self._zero, self._bit_lo, lo, shape)
+    def _bits(self, bit: int, lo: np.ndarray, shape: tuple) -> np.ndarray:
+        """The cells of the box at ``lo`` that hold ``bit``."""
+        one = self._take(self._one, self._bit_lo, lo, shape)
+        return one if bit else ~one
 
-    def _base_event(self, j: int) -> tuple[np.ndarray, tuple]:
+    def _base_event(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The stage-(j+1) base on ``base_box`` of the window, and its corner.
 
         The first ``DENSE_MARKER_CELLS`` marker cells are ANDed over the whole
@@ -435,27 +415,28 @@ class OrbitWindow:
             st = self.stages[j]
             base_lo, base_hi = st.base_box(self.lo, self.hi)
             shape = _shape(base_lo, base_hi)
+            at, bits = base_lo + st.pattern[0], st.pattern[1]
             base = np.ones((self.n_points,) + shape, dtype=bool)
-            for p, b in st.pattern[:DENSE_MARKER_CELLS]:
-                base &= self._bits(b, _add(base_lo, p), shape)
-            if len(st.pattern) > DENSE_MARKER_CELLS:
+            for p, b in zip(at[:DENSE_MARKER_CELLS], bits[:DENSE_MARKER_CELLS]):
+                base &= self._bits(b, p, shape)
+            if len(bits) > DENSE_MARKER_CELLS:
                 live = np.nonzero(base)
-                for p, b in st.pattern[DENSE_MARKER_CELLS:]:
+                for p, b in zip(at[DENSE_MARKER_CELLS:], bits[DENSE_MARKER_CELLS:]):
                     if not live[0].size:
                         break
-                    keep = self._bits(b, _add(base_lo, p), shape)[live]
+                    keep = self._take(self._one, self._bit_lo, p, shape)[live] == b
                     live = tuple(i[keep] for i in live)
                 base.fill(False)
                 base[live] = True
             self._base[j] = (base, base_lo)
         return self._base[j]
 
-    def in_base(self, j: int, u: tuple | None = None) -> np.ndarray:
+    def in_base(self, j: int, u: np.ndarray | None = None) -> np.ndarray:
         """Per point: does T_u x lie in the stage-(j+1) base?  ``u``, in
         coordinates, defaults to the origin."""
         base, base_lo = self._base_event(j)
-        u = (0,) * len(self.lo) if u is None else u
-        return self._take(base, base_lo, u, (1,) * len(u)).reshape(-1)
+        u = np.zeros_like(self.lo) if u is None else u
+        return self._take(base, base_lo, u, (1,) * len(self.lo)).reshape(-1)
 
     def locate(self, j: int) -> np.ndarray:
         """Per point and cell u: the index in the locate ball of the first g
@@ -466,12 +447,12 @@ class OrbitWindow:
         """
         if j not in self._locate:
             base, base_lo = self._base_event(j)
-            ball = np.array(self.stages[j].ball, dtype=np.int64)
-            reach_lo = tuple((self.lo - ball.max(axis=0)).tolist())
-            reach_hi = tuple((self.hi - ball.min(axis=0)).tolist())
+            ball = self.stages[j].ball
+            reach_lo = self.lo - ball.max(axis=0)
+            reach_hi = self.hi - ball.min(axis=0)
             reach = self._take(base, base_lo, reach_lo, _shape(reach_lo, reach_hi))
             point, *hit = np.nonzero(reach)
-            cells = (np.stack(hit, axis=-1) + np.subtract(reach_lo, self.lo))[:, None] + ball
+            cells = (np.stack(hit, axis=-1) + (reach_lo - self.lo))[:, None] + ball
             inside = ((cells >= 0) & (cells < self.shape)).all(axis=2)
             at, gi = np.nonzero(inside)
             flat = np.ravel_multi_index((point[at], *cells[at, gi].T), (self.n_points,) + self.shape)
@@ -485,29 +466,30 @@ class OrbitWindow:
         """Per point and cell u: is T_u x in the stage-(j+1) routing cylinder?"""
         if j not in self._route:
             member = np.ones((self.n_points,) + self.shape, dtype=bool)
-            for c, b in self.stages[j].cylinder:
-                member &= self._bits(b, _add(self.lo, c), self.shape)
+            for c, b in zip(*self.stages[j].cylinder):
+                member &= self._bits(b, self.lo + c, self.shape)
             self._route[j] = member
         return self._route[j]
 
-    def values(self, stage_count: int | None = None) -> np.ndarray:
-        """f_k on every cell (k = stage_count, default all stages).
+    def step(self, j: int, v: np.ndarray) -> np.ndarray:
+        """f_{j+1} on every cell from f_j there (``v``): the stage-(j+1) patch,
+        then its split.  A value with no key in the split map raises KeyError."""
+        st = self.stages[j]
+        first = self.locate(j)
+        v = np.where(first >= 0, st.xi[first], v)
+        if st.keys is None:
+            return v
+        pos = np.minimum(np.searchsorted(st.keys, v), len(st.keys) - 1)
+        missing = st.keys[pos] != v
+        if missing.any():
+            raise KeyError(float(v[missing][0]))
+        return np.where(self.routing(j), st.minus[pos], st.plus[pos])
 
-        A value with no key in a split map raises KeyError, as the map does.
-        """
-        k = len(self.stages) if stage_count is None else stage_count
+    def values(self) -> np.ndarray:
+        """f on every cell: each stage applied once, in order."""
         v = np.zeros((self.n_points,) + self.shape, dtype=np.float64)
-        for j in range(k):
-            st = self.stages[j]
-            first = self.locate(j)
-            v = np.where(first >= 0, st.xi[first], v)
-            if st.keys is None:
-                continue
-            pos = np.minimum(np.searchsorted(st.keys, v), len(st.keys) - 1)
-            missing = st.keys[pos] != v
-            if missing.any():
-                raise KeyError(float(v[missing][0]))
-            v = np.where(self.routing(j), st.minus[pos], st.plus[pos])
+        for j in range(len(self.stages)):
+            v = self.step(j, v)
         return v
 
     def in_hit_event(self, i: int, n: int) -> np.ndarray:
@@ -517,8 +499,8 @@ class OrbitWindow:
         hit = self.in_base(i - 1).copy()
         n_i = self.stages[i - 1].n
         for j in range(i + 1, n + 1):
-            for k in groups.ball(self.spec, n_i + self.stages[j - 1].n):
-                hit &= ~self.in_base(j - 1, _neg(_coords(self.spec, k)))
+            for k in groups.coords(self.spec, groups.ball(self.spec, n_i + self.stages[j - 1].n)):
+                hit &= ~self.in_base(j - 1, -k)
         return hit
 
     def rows(self, arr: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -528,16 +510,17 @@ class OrbitWindow:
         return arr.reshape(self.n_points, -1)[:, flat]
 
 
-def orbit_windows(model: ModelFunction, points: PointBatch, lo: tuple, hi: tuple):
+def orbit_windows(model: ModelFunction, points: PointBatch, lo, hi):
     """``OrbitWindow`` over [lo, hi] for consecutive chunks of the Bernoulli
     batch ``points``, each under ``WINDOW_CELL_BUDGET`` bit cells.
     CapacityError if one point's bit box alone is over the budget."""
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
     stages = _stage_events(model)
     box = _bit_box(stages, lo, hi)
     per_point = math.prod(_shape(*box))
     if per_point > WINDOW_CELL_BUDGET:
         raise CapacityError(
-            f"the bit box {box[0]}..{box[1]} of one point holds {per_point} cells, "
+            f"the bit box {tuple(box[0].tolist())}..{tuple(box[1].tolist())} of one point holds {per_point} cells, "
             f"over the window budget of {WINDOW_CELL_BUDGET}"
         )
     step = WINDOW_CELL_BUDGET // per_point
@@ -545,10 +528,10 @@ def orbit_windows(model: ModelFunction, points: PointBatch, lo: tuple, hi: tuple
         yield OrbitWindow(model.spec, stages, points[start:start + step], lo, hi)
 
 
-def _cube(spec: GroupSpec, radius: int) -> tuple[tuple, tuple]:
+def _cube(spec: GroupSpec, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """The box [-radius, radius]^d, which holds the word ball B_radius."""
-    d = len(_coords(spec, groups.identity(spec)))
-    return (-radius,) * d, (radius,) * d
+    origin = groups.coords(spec, [groups.identity(spec)])[0]
+    return origin - radius, origin + radius
 
 
 def phi(
@@ -561,9 +544,8 @@ def phi(
     outside the window), with the mass bounded by the stored complement
     plus the truncation tail.
     """
-    ball = groups.ball(model.spec, n_trunc)
+    ball, cells = w.ball(n_trunc)
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
-    cells = _coord_array(model.spec, ball)
     blocks = [
         win.rows(win.values(), cells)
         for win in orbit_windows(model, points, *_cube(model.spec, n_trunc))
@@ -610,8 +592,10 @@ def point_values(
     start = 0
     for win in orbit_windows(model, points, *_cube(model.spec, 0)):
         stop = start + win.n_points
+        v = np.zeros((win.n_points,) + win.shape)
         for j in range(n):
-            values[j, start:stop] = win.values(j + 1).reshape(-1)
+            v = win.step(j, v)
+            values[j, start:stop] = v.reshape(-1)
             routing[j, start:stop] = win.routing(j).reshape(-1)
         start = stop
     return values, routing
@@ -712,7 +696,6 @@ def verify_patch(
     half the radius."""
     stage_index = len(model.stages) - 1
     stage = model.stages[stage_index]
-    spec = model.spec
     points = dynamics.conditional_base_sampler(
         stage.patch.tower, cfg.seed + stage_index, cfg.samples.base_samples
     )
@@ -721,16 +704,14 @@ def verify_patch(
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(stage.patch.n))
     center = ball.center_dict()
     center_row = np.array([center.get(g, 0.0) for g in window])
-    at = _coord_array(spec, window)
     mismatches = 0
     worst = 0.0
     n_eval = 0
-    for win in orbit_windows(model, points, *_cube(spec, stage.patch.n)):
+    for win in orbit_windows(model, points, *_cube(model.spec, stage.patch.n)):
         inside = win.in_base(stage_index)
-        diff = win.rows(win.values(stage_index + 1), at)[inside] - center_row
+        diff = win.rows(win.values(), cells)[inside] - center_row
         n_eval += len(diff)
-        if stage.split is None:
-            mismatches += int((diff != 0.0).sum())
+        mismatches += int((diff != 0.0).sum())
         # each row's squares added left to right in window order
         dist2 = np.cumsum(diff * diff * weights, axis=1)[:, -1]
         worst = max(worst, float((np.sqrt(dist2) + tail).max(initial=0.0)))
@@ -1193,16 +1174,14 @@ def orbit_frequency(
     membership open is flagged indeterminate.
     """
     spec = w.spec
-    window = groups.ball(spec, n_trunc)
+    window, offsets = w.ball(n_trunc)
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
-    a_c = _coords(spec, a)
-    offsets = _coord_array(spec, window)
+    a_c = groups.coords(spec, [a])[0]
     stages = _stage_events(model)
 
-    def box(first: int, last: int) -> tuple[tuple, tuple]:
-        ends = [tuple(t * c for c in a_c) for t in (first, last)]
-        lo, hi = tuple(map(min, *ends)), tuple(map(max, *ends))
-        return _grow(lo, hi, offsets.tolist())
+    def box(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+        ends = np.stack((first * a_c, last * a_c))
+        return _grow(ends.min(axis=0), ends.max(axis=0), offsets)
 
     stretch = n_steps
     while stretch > 1 and math.prod(_shape(*_bit_box(stages, *box(0, stretch - 1)))) > WINDOW_CELL_BUDGET:
@@ -1213,7 +1192,7 @@ def orbit_frequency(
         steps = np.arange(first, min(n_steps, first + stretch))
         (win,) = orbit_windows(model, x, *box(int(steps[0]), int(steps[-1])))
         # the cells g a^t of every step t, step by step in window order
-        cells = (steps[:, None, None] * np.array(a_c) + offsets).reshape(-1, len(a_c))
+        cells = (steps[:, None, None] * a_c + offsets).reshape(-1, len(a_c))
         values = win.rows(win.values(), cells).reshape(len(steps), len(window))
         step_hit, step_open = _membership(distances(window, values, ball, w), tail, ball)
         hit += step_hit.tolist()

@@ -65,6 +65,7 @@ def test_invalid_values_rejected(tmp_path):
         {"seed": -1},
         {"system": {"alpha": [10**400]}},
         {"tolerances": {"decay_sigma": 10**400}},
+        {"n_trunc": 1},
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
@@ -222,15 +223,19 @@ def test_fresh_run_meta_has_every_counter(fresh_runs):
     assert [meta["weights"][k] for k in counters] == [0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("command", ["tower", "feldman"])
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
 def test_fresh_report_equals_in_process(fresh_runs, command, tmp_path):
+    # every output file but the run's meta, byte for byte
     cfg, base, _ = fresh_runs
-    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    report = (tmp_path / command / "report.json").read_bytes()
-    assert report == (base / command / "report.json").read_bytes()
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == int(command == "continuous")
+    names = sorted(f.name for f in (base / command).iterdir() if f.name != "run_meta.json")
+    assert names == sorted(f.name for f in (tmp_path / command).iterdir() if f.name != "run_meta.json")
+    assert "report.json" in names
+    for name in names:
+        assert (tmp_path / command / name).read_bytes() == (base / command / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("command", ["tower", "build"])
+@pytest.mark.parametrize("command", ["tower", "build", "support", "orbit"])
 def test_traced_cli_runs(command, tmp_path):
     # the benchmark's traced entry point wraps layer attributes by name
     # (``dynamics.hashlib`` among them), so a layer change that drops one it
@@ -242,6 +247,25 @@ def test_traced_cli_runs(command, tmp_path):
     proc = fresh.run([str(traced), str(trace), command, "--config", str(cfg), "--out", str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(trace.read_text())["calls"]["dynamics.rokhlin_tower"] > 0
+
+
+@pytest.mark.parametrize("command", ["tower", "build", "support", "orbit"])
+def test_shift_commands_reject_other_kinds(command, tmp_path, capsys):
+    # towers and the model are built on integer/lattice shifts only
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"group": {"kind": "heisenberg", "d": 2}}))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_support_at_the_least_truncation(tmp_path):
+    # n_trunc 2 leaves B_0 to compare at |h| = 2, and support reports
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, "n_trunc": 2}))
+    assert cli.main(["support", "--config", str(path), "--out", str(tmp_path)]) in (0, 1)
+    report = json.loads((tmp_path / "support" / "report.json").read_text())
+    common = {r["name"]: r["detail"].get("common_ball") for r in report["records"]}
+    assert common["equivariance_h2"] == 0
 
 
 def test_feldman_command(tmp_path):

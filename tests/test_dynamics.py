@@ -383,6 +383,14 @@ def test_cells_past_the_counter_range(spec, near, far):
         read(x, far)
 
 
+@pytest.mark.parametrize("spec", [groups.GroupSpec("integers"), groups.GroupSpec("lattice", 2)], ids=["Z", "Z2"])
+def test_cell_past_64_bits_is_an_encoding_error(spec):
+    x = point(dynamics.bernoulli_system(spec, seed=1), 0)
+    e = groups.identity(spec)
+    with pytest.raises(EncodingError):
+        dynamics.read_cells(x, [e, 2**63 if spec.kind == "integers" else (2**63, 0)])
+
+
 def test_fair_bit_frequency(z_bernoulli):
     # 4000 draws x 300 cells across two blocks: 1.2M bits within 4 SE of 1/2
     points = dynamics.sample_points(z_bernoulli, np.arange(4000))

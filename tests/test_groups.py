@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkrep import groups
-from walkrep.errors import CapacityError, EmbeddingError, EncodingError
+from walkrep.errors import CapacityError, DomainError, EmbeddingError, EncodingError
 
 ALL_KINDS = [
     groups.GroupSpec("integers"),
@@ -97,7 +97,44 @@ def test_free_translation_classes_partition_the_ball(d):
 def test_ball_cap_is_an_error():
     f2 = groups.GroupSpec("free", 2)
     with pytest.raises(CapacityError):
-        groups.ball(f2, 14, cap=10**6)
+        groups.ball(f2, 14)
+    assert groups.free_ball_size(2, 14) > groups.BALL_CAP == 10**6
+
+
+# each kind with coordinates, and its column count
+COORD_KINDS = [
+    (groups.GroupSpec("integers"), 1),
+    (groups.GroupSpec("lattice", 2), 2),
+    (groups.GroupSpec("lattice", 3), 3),
+    (groups.GroupSpec("heisenberg", 2), 3),
+]
+COORD_IDS = ["Z", "Z2", "Z3", "H"]
+
+
+@pytest.mark.parametrize("spec, k", COORD_KINDS, ids=COORD_IDS)
+def test_coords_rows_are_the_element_coordinates(spec, k):
+    ball = groups.ball(spec, 3)
+    got = groups.coords(spec, ball)
+    assert got.dtype == np.int64 and got.shape == (len(ball), k)
+    assert got.tolist() == [[g] if spec.kind == "integers" else list(g) for g in ball]
+    assert groups.coords(spec, []).shape == (0, k)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in COORD_KINDS], ids=COORD_IDS)
+def test_coords_past_64_bits_is_an_encoding_error(spec):
+    e = groups.identity(spec)
+    for big in (2**63, -(2**63) - 1):
+        g = big if spec.kind == "integers" else (big,) + e[1:]
+        with pytest.raises(EncodingError):
+            groups.coords(spec, [e, g])
+    edge = 2**63 - 1 if spec.kind == "integers" else (2**63 - 1,) + e[1:]
+    assert groups.coords(spec, [edge])[0, 0] == 2**63 - 1
+
+
+@pytest.mark.parametrize("spec", [groups.GroupSpec("free", 2), groups.GroupSpec("z2sum", 0)], ids=["F2", "z2sum"])
+def test_coords_free_and_z2sum_are_a_domain_error(spec):
+    with pytest.raises(DomainError):
+        groups.coords(spec, [groups.identity(spec)])
 
 
 def test_integer_examples():

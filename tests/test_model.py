@@ -38,7 +38,7 @@ class ModelEvaluator:
 
     def _bit(self, position) -> int:
         if position not in self._bits:
-            centre = model._coords(self.spec, position)
+            centre = groups.coords(self.spec, [position])[0].tolist()
             pad = self.PAD[len(centre)]
             cube = list(itertools.product(*(range(c - pad, c + pad + 1) for c in centre)))
             cells = [c[0] for c in cube] if self.spec.kind == "integers" else cube
@@ -531,7 +531,10 @@ def _assert_window_matches_oracle(mdl: model.ModelFunction, points: dynamics.Poi
     cells = [c[0] for c in box] if spec.kind == "integers" else box
     (win,) = model.orbit_windows(mdl, points, (-radius,) * d, (radius,) * d)
     balls = [groups.ball(spec, st.patch.n) for st in mdl.stages]
-    values = {k: win.values(k) for k in range(1, n + 1)}
+    values = {0: np.zeros((win.n_points,) + win.shape)}
+    for k in range(1, n + 1):
+        values[k] = win.step(k - 1, values[k - 1])
+    assert np.array_equal(win.values(), values[n])
     for p, x in enumerate(handles(points)):
         ev = ModelEvaluator(mdl, x)
         at = [groups.multiply(spec, g, x.offset) for g in cells]
@@ -638,8 +641,8 @@ def test_orbit_stretches_split_under_budget(built_model, z_weights, z_bernoulli,
     # into several windows, and the series still equals the oracle's
     mdl = built_model[0]
     x = point(z_bernoulli, 4)
-    lo, hi = model._bit_box(model._stage_events(mdl), (-16,), (16,))
-    monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", hi[0] - lo[0] + 1 + 30)
+    lo, hi = model._bit_box(model._stage_events(mdl), np.array([-16]), np.array([16]))
+    monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", int(hi[0] - lo[0]) + 1 + 30)
     windows = []
     orbit_windows = model.orbit_windows
 
@@ -660,8 +663,8 @@ def test_window_over_budget_raises_before_reading(built_model, z_weights, z_bern
     mdl = built_model[0]
     points = dynamics.sample_points(z_bernoulli, np.arange(3))
     whole = model.phi(mdl, points, 16, z_weights)[1]
-    lo, hi = model._bit_box(model._stage_events(mdl), (-16,), (16,))
-    cells = hi[0] - lo[0] + 1
+    lo, hi = model._bit_box(model._stage_events(mdl), np.array([-16]), np.array([16]))
+    cells = int(hi[0] - lo[0]) + 1
     monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", cells)
     assert np.array_equal(model.phi(mdl, points, 16, z_weights)[1], whole)
     monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", cells - 1)
@@ -670,7 +673,7 @@ def test_window_over_budget_raises_before_reading(built_model, z_weights, z_bern
         raise AssertionError("bits read before the capacity check")
 
     monkeypatch.setattr(dynamics, "read_cells", no_read)
-    message = f"the bit box {lo}..{hi} of one point holds {cells} cells, over the window budget of {cells - 1}"
+    message = f"the bit box {tuple(lo.tolist())}..{tuple(hi.tolist())} of one point holds {cells} cells, over the window budget of {cells - 1}"
     with pytest.raises(CapacityError, match=re.escape(message)):
         model.phi(mdl, points, 16, z_weights)
     with pytest.raises(CapacityError):
@@ -760,8 +763,8 @@ def _dense_base(win: model.OrbitWindow, j: int) -> np.ndarray:
     lo, hi = st.base_box(win.lo, win.hi)
     shape = model._shape(lo, hi)
     base = np.ones((win.n_points,) + shape, dtype=bool)
-    for p, b in st.pattern:
-        base &= win._bits(b, model._add(lo, p), shape)
+    for p, b in zip(*st.pattern):
+        base &= win._bits(b, lo + p, shape)
     return base
 
 
@@ -773,7 +776,7 @@ def _backwards_locate(win: model.OrbitWindow, j: int) -> np.ndarray:
     ball = win.stages[j].ball
     first = np.full((win.n_points,) + win.shape, -1, dtype=np.int64)
     for gi in range(len(ball) - 1, -1, -1):
-        hit = win._take(base, base_lo, model._add(win.lo, model._neg(ball[gi])), win.shape)
+        hit = win._take(base, base_lo, win.lo - ball[gi], win.shape)
         np.copyto(first, gi, where=hit)
     return first
 
@@ -815,7 +818,7 @@ def test_locate_takes_the_first_of_meeting_hits():
     (win,) = model.orbit_windows(mdl, dynamics.sample_points(mdl.system, np.arange(20)), (-6,), (6,))
     base, base_lo = win._base_event(0)
     meeting = sum(
-        win._take(base, base_lo, model._add(win.lo, model._neg(g)), win.shape).astype(int)
+        win._take(base, base_lo, win.lo - g, win.shape).astype(int)
         for g in win.stages[0].ball
     )
     assert (meeting > 1).any()
