@@ -9,7 +9,9 @@ so identical configs and seeds reproduce byte-identical outputs; wall time,
 the start-up CPU time, the Bernoulli cells read and Philox blocks drawn, the
 bit cells the orbit windows filled and the conditional sampler's draws go to
 a separate ``run_meta.json``.  Each command imports the layers it runs at
-its top, so a process loads only those.
+its top, so a process loads only those.  A command process (``run``, the
+``walkrep`` script and ``python -m walkrep.cli``) ends without interpreter
+teardown once its outputs are closed and its streams flushed.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
 error.
 """
@@ -25,6 +27,7 @@ import math
 import os
 import sys
 import time
+from typing import NoReturn
 
 from . import __version__, groups, trace
 from .config import ExperimentConfig, load_config, validate
@@ -104,11 +107,10 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
     records = []
     for label, w in zip(("group", "second_group"), _weight_tables(cfg)):
         spec = w.spec
-        # every element of B_n_max in sort_key order, as ball_strs labels
-        # them, including any whose weight underflows to 0.0
-        ball = sorted(groups.ball(spec, w.params.n_max), key=lambda g: groups.sort_key(spec, g))
-        weights = map(repr, w.read(w.cells(ball)).tolist())
-        rows = zip(groups.ball_strs(spec, w.params.n_max), weights)
+        # every element of B_n_max in sort_key order, including any whose
+        # weight underflows to 0.0
+        ball, cells = w.sorted_ball(w.params.n_max)
+        rows = zip(groups.ball_strs(spec, ball), map(repr, w.read(cells).tolist()))
         _write_csv(os.path.join(out, f"{label}_weights.csv"), ["element", "weight"], rows)
         mass = w.stored_mass()
         records.append(
@@ -309,6 +311,7 @@ def _build_model(cfg: ExperimentConfig, cache: list | None = None):
 
 def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
     from . import model
+    _shift_group(cfg)
     start = _start()
     out = _out_dir(out_base, "build")
     w, mdl, history = _build_model(cfg, cache)
@@ -332,6 +335,7 @@ def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
 
 def cmd_support(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
     from . import model
+    _shift_group(cfg)
     start = _start()
     out = _out_dir(out_base, "support")
     w, mdl, history = _build_model(cfg, cache)
@@ -360,6 +364,7 @@ def cmd_support(cfg: ExperimentConfig, out_base: str, cache: list | None = None)
 
 def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
     from . import dynamics, model, stats
+    _shift_group(cfg)
     start = _start()
     out = _out_dir(out_base, "orbit")
     w, mdl, history = _build_model(cfg, cache)
@@ -535,5 +540,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def run(argv=None) -> NoReturn:
+    """``main``, then the process ends with its exit code and without
+    interpreter teardown: every output file is closed by then, and the
+    standard streams are flushed here.  Usage errors and uncaught
+    exceptions leave the normal way."""
+    code = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -128,9 +128,11 @@ class LazyWalk(_Cells):
     on the identity and on each symmetric generator.
 
     ``counts[n]`` holds, in every cell, the number of n-step walks from e to
-    each element of the cell, as Python ints (3^40 > 2^63 on Z at depth 40).
-    So ``rho^{*n}(g) = counts[n][g] / (2d+1)^n`` is one correctly rounded
-    division, and it is exactly symmetric, since the counts are.
+    each element of the cell.  Every count is at most (2d+1)^depth, so the
+    counts are int64 when (2d+1)^depth <= 2^53, where each converts to
+    float64 exactly, and Python ints otherwise (3^40 > 2^63 on Z at depth
+    40).  So ``rho^{*n}(g) = counts[n][g] / (2d+1)^n`` is one correctly
+    rounded division, and it is exactly symmetric, since the counts are.
     """
 
     counts: tuple
@@ -149,8 +151,9 @@ class LazyWalk(_Cells):
 
     def return_probability(self, n: int) -> float:
         """rho^{*2n}(e) = sum_g rho^{*n}(g)^2 for the symmetric step, from
-        the integer sum of squared counts: one correctly rounded division."""
-        squares = self.counts[n] * self.counts[n]
+        the integer sum of squared counts, squared as Python ints (a count
+        near 2^53 squares past 2^63): one correctly rounded division."""
+        squares = self.counts[n].astype(object) ** 2
         if self.spec.kind == "free":
             sizes = [groups.free_sphere_size(self.spec.d, k) for k in range(len(squares))]
             squares = squares * np.array(sizes, dtype=object)
@@ -166,12 +169,13 @@ def lazy_walk(spec: GroupSpec, depth: int) -> LazyWalk:
     (2d children for e).  The other kinds add, to the identity step's
     counts, the counts moved by each generator: on the Heisenberg group the
     y-steps shear each x-slice, (x, y, z)(0, v, 0) = (x, y+v, z+xv).  Every
-    move that would leave the box starts from a cell of zero count.
+    move that would leave the box starts from a cell of zero count.  The
+    counts are int64 where (2d+1)^depth <= 2^53 and Python ints past it.
     """
     if not spec.finitely_generated:
         raise DomainError(f"{spec.kind} has no lazy uniform step")
     offset, shape = cell_box(spec, depth)
-    count = _allocate(shape, object)
+    count = _allocate(shape, np.int64 if (2 * spec.d + 1) ** depth <= 2**53 else object)
     count[offset] = 1
     counts = [count]
     steps = [groups.identity(spec)] + groups.generators(spec)
@@ -194,7 +198,7 @@ def _step(power: np.ndarray, moves: list, weights: list) -> np.ndarray:
     ``weight * power`` moved by the atom's ``(source, destination)``
     indices (see ``_moves``), added in the order of ``moves``.  A unit
     weight adds without the product, which is exact and spares the walk
-    counts one pass of Python-int products per move."""
+    counts one pass of integer products per move."""
     nxt = np.zeros_like(power)
     for weight, (src, dst) in zip(weights, moves):
         nxt[dst] += power[src] if weight == 1 else weight * power[src]
@@ -261,6 +265,16 @@ class WeightTable(_Cells):
             self._balls[radius] = elements, self.cells(elements)
         return self._balls[radius]
 
+    def sorted_ball(self, radius: int) -> tuple[list, np.ndarray]:
+        """``ball(radius)`` in ``sort_key`` order.  That is ``ball``'s own
+        order on every kind but the integers, whose -n..n is reordered to
+        0, -1, 1, ..., -n, n."""
+        elements, cells = self.ball(radius)
+        if self.spec.kind != "integers":
+            return elements, cells
+        elements = sorted(elements, key=lambda g: groups.sort_key(self.spec, g))
+        return elements, self.cells(elements)
+
     def support(self) -> list:
         """The elements of positive stored weight, in ``sort_key`` order."""
         if self.spec.kind == "free":
@@ -283,8 +297,7 @@ class WeightTable(_Cells):
                 row = self.partials[-1][: n + 1].tolist()
                 mass = sum(groups.free_sphere_size(self.spec.d, k) * wk for k, wk in enumerate(row))
             else:
-                inside = sorted(groups.ball(self.spec, n), key=lambda g: groups.sort_key(self.spec, g))
-                mass = sum(self.read(self.cells(inside)).tolist())
+                mass = sum(self.read(self.sorted_ball(n)[1]).tolist())
             self._ball_masses[n] = mass
         return self._ball_masses[n]
 

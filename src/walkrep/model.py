@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import dynamics, groups, stats, trace
+from . import dynamics, groups, measures, stats, trace
 from .config import ExperimentConfig
 from .dynamics import DynamicalSystem, PointBatch, SetFamily, TowerSpec
 from .errors import CapacityError, DomainError, StageError
@@ -528,10 +528,11 @@ def orbit_windows(model: ModelFunction, points: PointBatch, lo, hi):
         yield OrbitWindow(model.spec, stages, points[start:start + step], lo, hi)
 
 
-def _cube(spec: GroupSpec, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The box [-radius, radius]^d, which holds the word ball B_radius."""
-    origin = groups.coords(spec, [groups.identity(spec)])[0]
-    return origin - radius, origin + radius
+def _ball_box(spec: GroupSpec, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box of ``measures.cell_box``, which holds the word ball B_radius:
+    [-radius, radius]^d on Z^d."""
+    radii = np.array(measures.cell_box(spec, radius)[0], dtype=np.int64)
+    return -radii, radii
 
 
 def phi(
@@ -548,7 +549,7 @@ def phi(
     tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
     blocks = [
         win.rows(win.values(), cells)
-        for win in orbit_windows(model, points, *_cube(model.spec, n_trunc))
+        for win in orbit_windows(model, points, *_ball_box(model.spec, n_trunc))
     ]
     values = np.concatenate(blocks) if blocks else np.zeros((0, len(ball)))
     return ball, values, tail
@@ -590,7 +591,7 @@ def point_values(
     values = np.empty((n, len(points)))
     routing = np.empty((n, len(points)), dtype=bool)
     start = 0
-    for win in orbit_windows(model, points, *_cube(model.spec, 0)):
+    for win in orbit_windows(model, points, *_ball_box(model.spec, 0)):
         stop = start + win.n_points
         v = np.zeros((win.n_points,) + win.shape)
         for j in range(n):
@@ -707,7 +708,7 @@ def verify_patch(
     mismatches = 0
     worst = 0.0
     n_eval = 0
-    for win in orbit_windows(model, points, *_cube(model.spec, stage.patch.n)):
+    for win in orbit_windows(model, points, *_ball_box(model.spec, stage.patch.n)):
         inside = win.in_base(stage_index)
         diff = win.rows(win.values(), cells)[inside] - center_row
         n_eval += len(diff)
@@ -1149,7 +1150,7 @@ def conditional_hits(
     tower = model.stages[i - 1].patch.tower
     n = len(history)
     points = dynamics.conditional_base_sampler(tower, seed, cfg.samples.base_samples)
-    hit = [win.in_hit_event(i, n) for win in orbit_windows(model, points, *_cube(model.spec, tower.n))]
+    hit = [win.in_hit_event(i, n) for win in orbit_windows(model, points, *_ball_box(model.spec, tower.n))]
     survivors = points[np.concatenate(hit) if hit else np.zeros(0, dtype=bool)]
     phis = phi(model, survivors, cfg.n_trunc, w)
     return len(survivors), ball_hits(phis, history[i - 1].ball, w)[0]

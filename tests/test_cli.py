@@ -249,6 +249,43 @@ def test_traced_cli_runs(command, tmp_path):
     assert json.loads(trace.read_text())["calls"]["dynamics.rokhlin_tower"] > 0
 
 
+@pytest.mark.parametrize("command,status", [("weights", 0), ("continuous", 1)])
+def test_module_entry_equals_in_process(command, status, tmp_path, monkeypatch):
+    # ``python -m walkrep.cli``, the benchmark's entry, ends without
+    # interpreter teardown: its exit code, every verdict line on the stdout
+    # pipe (block-buffered, so only its flush delivers them) and every
+    # output file but the run's meta match ``cli.main``
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_CONFIG))
+    proc = fresh.run(["-m", "walkrep.cli", command, "--config", str(cfg), "--out", str(tmp_path / "fresh")])
+    assert proc.returncode == status, proc.stderr
+    assert proc.stderr == ""
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "inproc")]) == status
+    fresh_dir, inproc_dir = tmp_path / "fresh" / command, tmp_path / "inproc" / command
+    records = json.loads((fresh_dir / "report.json").read_text())["records"]
+    want = [f"[{'PASS' if r['pass'] else 'FAIL'}] {command}/{r['name']}" for r in records]
+    assert proc.stdout.splitlines() == want
+    assert (f"[FAIL] {command}/lf_domination_simple_constant" in want) == (command == "continuous")
+    names = sorted(f.name for f in fresh_dir.iterdir() if f.name != "run_meta.json")
+    assert names == sorted(f.name for f in inproc_dir.iterdir() if f.name != "run_meta.json")
+    for name in names:
+        assert (fresh_dir / name).read_bytes() == (inproc_dir / name).read_bytes(), name
+
+
+def test_module_entry_usage_and_config_errors(tmp_path):
+    # a config error exits 2 through ``main``; argparse exits 2 on its own
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": {"kind": "heisenberg", "d": 2}}))
+    proc = fresh.run(["-m", "walkrep.cli", "build", "--config", str(cfg), "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:") and proc.stdout == ""
+    proc = fresh.run(["-m", "walkrep.cli", "nope", "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert "invalid choice: 'nope'" in proc.stderr and proc.stdout == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command", ["tower", "build", "support", "orbit"])
 def test_shift_commands_reject_other_kinds(command, tmp_path, capsys):
     # towers and the model are built on integer/lattice shifts only
@@ -256,6 +293,7 @@ def test_shift_commands_reject_other_kinds(command, tmp_path, capsys):
     path.write_text(json.dumps({"group": {"kind": "heisenberg", "d": 2}}))
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / command).exists()
 
 
 def test_support_at_the_least_truncation(tmp_path):

@@ -64,6 +64,47 @@ def test_convolution_power_support_and_mass():
             assert not walk.masses(n, beyond).any()
 
 
+@pytest.mark.parametrize(
+    "kind,d,depth,dtype",
+    [("integers", 1, 33, np.int64),  # 3^33 < 2^53
+     ("integers", 1, 34, object),  # 3^34 > 2^53
+     ("lattice", 3, 8, np.int64),
+     ("heisenberg", 2, 8, np.int64),
+     ("free", 2, 8, np.int64)],
+    ids=["Z-33", "Z-34", "Z3-8", "H-8", "F2-8"],
+)
+def test_walk_counts_equal_python_int_counts(kind, d, depth, dtype, monkeypatch):
+    # int64 counts where (2d+1)^depth <= 2^53, against the same walk on
+    # Python ints; at Z-33 the squared counts pass 2^63
+    spec = groups.GroupSpec(kind, d)
+    walk = measures.lazy_walk(spec, depth)
+    allocate = measures._allocate
+    monkeypatch.setattr(measures, "_allocate", lambda shape, _: allocate(shape, object))
+    exact = measures.lazy_walk(spec, depth)
+    ball = groups.ball(spec, depth)
+    for n in range(depth + 1):
+        assert walk.counts[n].dtype == dtype
+        assert walk.counts[n].tolist() == exact.counts[n].tolist()
+        assert walk.rho(n).tolist() == exact.rho(n).tolist()
+        assert walk.masses(n, ball).tolist() == exact.masses(n, ball).tolist()
+        assert walk.return_probability(n) == exact.return_probability(n)
+
+
+def test_sorted_ball_is_the_sort_key_order():
+    for kind, d in [("integers", 1), ("lattice", 2), ("lattice", 3), ("heisenberg", 2), ("free", 2)]:
+        spec = groups.GroupSpec(kind, d)
+        w = measures.build_weight(spec, measures.WeightParams(0.5, 5))
+        for radius in (0, 1, 5):
+            elements, cells = w.sorted_ball(radius)
+            assert elements == sorted(groups.ball(spec, radius), key=lambda g: groups.sort_key(spec, g))
+            assert cells.tolist() == w.cells(elements).tolist()
+            assert w.ball(radius)[0] == groups.ball(spec, radius)
+            if kind != "free":
+                assert w.mass_in_ball(radius) == sum(w.read(w.cells(elements)).tolist())
+    z = measures.build_weight(groups.GroupSpec("integers"), measures.WeightParams(0.5, 2))
+    assert z.sorted_ball(2)[0] == [0, -1, 1, -2, 2]
+
+
 def test_convolution_associative_random():
     spec = groups.GroupSpec("free", 2)
     rng = np.random.default_rng(5)

@@ -199,6 +199,20 @@ def oracle_equivariance(mdl, w, samples, h, n_trunc, seed) -> tuple[int, int]:
     return compared, mismatches
 
 
+@pytest.mark.parametrize("kind,d", [("integers", 1), ("lattice", 2), ("lattice", 3), ("heisenberg", 2)])
+def test_ball_box_holds_the_word_ball(kind, d):
+    spec = groups.GroupSpec(kind, d)
+    for r in range(7):
+        lo, hi = model._ball_box(spec, r)
+        cells = groups.coords(spec, groups.ball(spec, r))
+        assert ((cells >= lo) & (cells <= hi)).all()
+        if kind != "heisenberg":
+            assert lo.tolist() == [-r] * d and hi.tolist() == [r] * d
+        elif r == 6:
+            # the z-extent grows like r^2 / 4: (-4, -2, 7) lies in B_6
+            assert (-4, -2, 7) in groups.ball(spec, r) and hi.tolist() == [6, 6, 9]
+
+
 def test_basis_ball_enumeration_start(z_spec):
     b0 = model.basis_balls(0, z_spec)
     assert b0.center == () and b0.radius == 1.0
