@@ -19,6 +19,10 @@ Two system kinds:
   the rows' coordinates on one axis.  ``doubling_shift_baseline`` embeds
   the rotation by ``SQRT2_MINUS_1`` into l2 under the doubling shift.
 
+Cylinder events on Z^d have one reader, ``BitBox``: a batch's bits on a box,
+read once, whose ``meets`` decides a cylinder at every cell of a sub-box.
+The tower Monte Carlo and the model's orbit windows both read through it.
+
 Towers are marker events: the base E is the cylinder "the marker pattern
 occurs at the origin".  The marker is self-avoiding: every shift by a
 nonzero m with |m| <= 2n contradicts it, so no two marker occurrences lie
@@ -46,8 +50,11 @@ SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 # The longest marker ``rokhlin_tower`` tries before it gives up.
 MAX_MARKER = 220
 # Draws the tower Monte Carlo holds at once.  Each chunk reads a draws x
-# window bit matrix, so chunks keep its memory flat at any sample count.
+# box bit array, so chunks keep its memory flat at any sample count.
 SIEVE_CHUNK = 512
+# Cylinder cells that ``BitBox.meets`` ANDs over its whole box; about 2^-8 of
+# the box survives them on fair bits, and later cells are read there only
+DENSE_CELLS = 8
 
 
 @dataclass(frozen=True)
@@ -220,11 +227,6 @@ def _cell_blocks(spec: GroupSpec, positions) -> tuple[np.ndarray, np.ndarray]:
     return block, lane
 
 
-def _forced_cells(spec: GroupSpec, pattern: dict) -> tuple:
-    block, lane = _cell_blocks(spec, groups.coords(spec, list(pattern)))
-    return block, lane, np.array(list(pattern.values()), dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class PointBatch:
     """Sampled points as arrays: row i is T_offset of the ``draws[i]``-th
@@ -309,13 +311,63 @@ def read_cells(points: PointBatch, cells) -> np.ndarray:
     ), axis=-1)
     if points.forced is not None:
         words = _overlay(words, tiles, points.forced)
-    # one word per cell: memory stays at points x cells, however sparse the
-    # cells lie in their blocks
+    # one word per cell, shifted in place and masked into ``out``: memory
+    # stays at points x cells words, however sparse the cells lie in blocks
     cell_words = words.reshape(len(points), -1)[:, where * 4 + (lane >> 6)]
-    out[:] = (cell_words >> (lane & 63).astype(np.uint64)) & np.uint64(1)
+    cell_words >>= (lane & 63).astype(np.uint64)
+    np.bitwise_and(cell_words, np.uint64(1), out=out, casting="unsafe")
     trace.COUNTERS["philox_blocks"] += words.shape[0] * words.shape[1]
     trace.COUNTERS["bits_drawn"] += out.size
     return out
+
+
+@dataclass(frozen=True)
+class BitBox:
+    """A points x box boolean array on Z^d, laid out from the corner ``lo``
+    with the points first: the bits of a batch on a box (``read``), or a
+    cylinder event decided on them (``meets``)."""
+
+    array: np.ndarray
+    lo: np.ndarray
+
+    @staticmethod
+    def read(points: PointBatch, lo: np.ndarray, hi: np.ndarray) -> "BitBox":
+        """The bits of ``points`` on the box [lo, hi] of coordinates relative
+        to the batch offset, in one ``read_cells`` call."""
+        shape = tuple((hi - lo + 1).tolist())
+        cells = np.indices(shape).reshape(len(shape), -1).T + lo
+        return BitBox(read_cells(points, cells).reshape((len(points),) + shape).astype(bool), lo)
+
+    def take(self, lo: np.ndarray, shape: tuple) -> np.ndarray:
+        """The part on the box of ``shape`` at ``lo``, as a view."""
+        idx = [slice(None)]
+        for a, s, size in zip(np.subtract(lo, self.lo).tolist(), shape, self.array.shape[1:]):
+            if not 0 <= a <= size - s:
+                raise DomainError("read outside the bit box")
+            idx.append(slice(a, a + s))
+        return self.array[tuple(idx)]
+
+    def meets(self, cylinder: tuple, lo: np.ndarray, shape: tuple) -> "BitBox":
+        """Per point and cell u of the box of ``shape`` at ``lo``: is the bit
+        at u + c equal to b for every (c, b) of ``cylinder``, a (coordinates,
+        bits) pair of arrays?  The first ``DENSE_CELLS`` cells are ANDed over
+        the whole box, and each later one is read only where all before it
+        matched."""
+        at, bits = lo + cylinder[0], cylinder[1]
+        event = np.ones((len(self.array),) + shape, dtype=bool)
+        for p, b in zip(at[:DENSE_CELLS], bits[:DENSE_CELLS]):
+            one = self.take(p, shape)
+            event &= one if b else ~one
+        if len(bits) > DENSE_CELLS:
+            live = np.nonzero(event)
+            for p, b in zip(at[DENSE_CELLS:], bits[DENSE_CELLS:]):
+                if not live[0].size:
+                    break
+                keep = self.take(p, shape)[live] == b
+                live = tuple(i[keep] for i in live)
+            event.fill(False)
+            event[live] = True
+        return BitBox(event, lo)
 
 
 def _torus_root(sys: DynamicalSystem, draw: int) -> tuple:
@@ -448,22 +500,25 @@ class TowerSpec:
     def mu_pattern(self) -> float:
         return 0.5 ** len(self.pattern)
 
+    @functools.cached_property
+    def marker(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pattern as a (coordinates, bits) pair of arrays."""
+        return groups.coords(self.spec, list(self.pattern)), np.array(list(self.pattern.values()), dtype=np.uint8)
+
     def mu_bn_upper(self) -> float:
         return len(groups.ball(self.spec, self.n)) * self.mu_pattern
 
     def located(self, points: PointBatch) -> np.ndarray:
         """Per point and g in B_n (``groups.ball`` order): is T_{g^-1} x in E?
 
-        T_{g^-1} x reads the cell p at p g^-1, so one read of the distinct
-        cells of the window answers every g.
+        The base is decided once on the box [-n, n]^d, which holds every
+        g^-1, and read there at each g^-1.
         """
-        spec = self.spec
-        ball = groups.ball(spec, self.n)
-        pattern = groups.coords(spec, list(self.pattern))
-        cells = np.concatenate([groups.translate(spec, pattern, groups.inverse(spec, g)) for g in ball])
-        window, cols = np.unique(cells, axis=0, return_inverse=True)
-        bits = read_cells(points, window)
-        return (bits[:, cols.reshape(len(ball), -1)] == list(self.pattern.values())).all(axis=2)
+        ball = groups.coords(self.spec, groups.ball(self.spec, self.n))
+        n = np.full(ball.shape[1], self.n)
+        bits = BitBox.read(points, self.marker[0].min(axis=0) - n, self.marker[0].max(axis=0) + n)
+        base = bits.meets(self.marker, -n, tuple((2 * n + 1).tolist()))
+        return base.array[(slice(None), *(n - ball).T)]
 
     def to_dict(self) -> dict:
         spec = self.spec
@@ -549,13 +604,12 @@ def rokhlin_tower(
 def _tower_monte_carlo(tower: TowerSpec, samples: int, seed: int) -> None:
     """Estimate mu(B_n E) and count points in two translates of E.
 
-    Chunks of ``SIEVE_CHUNK`` draws each read their draws x window bit
-    matrix and test T_{g^-1} x in E for every g in B_n at once
+    Chunks of ``SIEVE_CHUNK`` draws each read their draws x box bit array
+    and test T_{g^-1} x in E for every g in B_n at once
     (``TowerSpec.located``), so hits and collisions are exact.
     """
     probe = probe_system(tower.system, "tower", seed)
-    hits = 0
-    collisions = 0
+    hits = collisions = 0
     for start in range(0, samples, SIEVE_CHUNK):
         points = sample_points(probe, np.arange(start, min(samples, start + SIEVE_CHUNK)))
         located = tower.located(points).sum(axis=1)
@@ -582,6 +636,6 @@ def conditional_base_sampler(tower: TowerSpec, seed: int, draws: int) -> PointBa
     """
     sys = tower.system
     stream = _derived_seed("cond", seed) | 1 << 63  # never 0, the stream of sample_points
-    forced = _forced_cells(sys.group, tower.pattern)
+    forced = (*_cell_blocks(sys.group, tower.marker[0]), tower.marker[1])
     trace.COUNTERS["sampler_draws"] += draws
     return PointBatch(sys, np.arange(draws, dtype=np.uint64), stream, forced, groups.identity(sys.group))

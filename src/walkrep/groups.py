@@ -286,10 +286,10 @@ def ball(spec: GroupSpec, n: int) -> list:
     """All elements of word length <= n.
 
     Integers come in increasing order, -n..n; every other kind comes in
-    ``sort_key`` order.  ``TowerSpec.located`` and ``OrbitWindow.locate``
-    take the first base point in this order, so it is part of the model's
-    values.  Raises CapacityError if the ball would exceed ``BALL_CAP``
-    elements.
+    ``sort_key`` order.  ``OrbitWindow.locate`` takes the first base point
+    in this order, so it is part of the model's values, and the columns of
+    ``TowerSpec.located`` follow it.  Raises CapacityError if the ball
+    would exceed ``BALL_CAP`` elements.
     """
     if n < 0:
         raise DomainError(f"ball radius must be >= 0, got {n}")

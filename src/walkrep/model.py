@@ -273,10 +273,6 @@ def _elem_to_json(spec: GroupSpec, g):
 # memory stays bounded on Z^3.
 WINDOW_CELL_BUDGET = 1 << 20
 
-# Marker cells a window's base event ANDs over its whole box; with fair bits
-# about 2^-8 of the box survives them, and the later cells are read there only
-DENSE_MARKER_CELLS = 8
-
 
 def _grow(lo: np.ndarray, hi: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The box of u + m for u in [lo, hi] and m a row of ``offsets``."""
@@ -291,10 +287,11 @@ def _shape(lo: np.ndarray, hi: np.ndarray) -> tuple:
 class _StageEvents:
     """One stage's events as coordinate offsets, and its values as arrays.
 
-    ``pattern`` and ``cylinder`` are (coordinates, bits) pairs; ``ball``
-    holds the coordinates of the locate ball B_n in ``groups.ball`` order,
-    ``xi`` aligned with it; the split map is held as sorted keys with their
-    minus and plus images (``keys`` is None before the stage is split).
+    ``pattern`` (the tower's ``marker``) and ``cylinder`` are (coordinates,
+    bits) pairs of arrays; ``ball`` holds the coordinates of the locate ball
+    B_n in ``groups.ball`` order, ``xi`` aligned with it; the split map is
+    held as sorted keys with their minus and plus images (``keys`` is None
+    before the stage is split).
     """
 
     n: int
@@ -319,10 +316,9 @@ class _StageEvents:
             keys = np.array(ordered, dtype=np.float64)
             minus = np.array([split.split_map[u][0] for u in ordered], dtype=np.float64)
             plus = np.array([split.split_map[u][1] for u in ordered], dtype=np.float64)
-        pattern = stage.patch.tower.pattern
         return _StageEvents(
             n=stage.patch.n,
-            pattern=(groups.coords(spec, list(pattern)), np.array(list(pattern.values()))),
+            pattern=stage.patch.tower.marker,
             ball=groups.coords(spec, ball_n),
             xi=np.array([stage.patch.xi.get(g, 0.0) for g in ball_n], dtype=np.float64),
             cylinder=(groups.coords(spec, [c for c, _ in constraints]), np.array([b for _, b in constraints])),
@@ -332,7 +328,8 @@ class _StageEvents:
         )
 
     def base_box(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where ``locate`` on [lo, hi] reads the base: [lo, hi] - B_n."""
+        """Where ``locate`` on [lo, hi] reads the base: [lo, hi] - B_n, which
+        is [lo, hi] + B_n, as B_n is symmetric."""
         return _grow(lo, hi, self.ball)
 
     def bit_box(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,17 +355,16 @@ def _bit_box(stages: list, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, 
 
 class OrbitWindow:
     """Stage events and values of a batch of Bernoulli points on a box of
-    positions, all read from one bit array.
+    positions, all decided on one ``dynamics.BitBox``.
 
     The box [lo, hi] holds coordinates relative to each point's offset, so
-    the cell u of the point x stands for T_u x.  The points x window bit
-    array is filled by ``dynamics.read_cells`` at absolute positions, with
-    the same Philox bits and forced bits as every other read, and each stage
-    event is an array mask on it: the base (the marker cylinder) is an AND
-    over shifted slices, ``locate`` takes the first g in ``groups.ball``
-    order whose shift lands in the base, and routing is an AND over the
-    cylinder constraints.  So every value equals the one cell-by-cell reads
-    of each point give.  Each window adds its bit cells to ``trace.COUNTERS``.
+    the cell u of the point x stands for T_u x.  The bit box holds the same
+    Philox and forced bits at absolute positions as every other read, and
+    each stage event is an array mask on it: the base (the marker cylinder)
+    and routing (the stage's cylinder) are ``meets`` of the bit box, and
+    ``locate`` takes the first g in ``groups.ball`` order whose shift lands
+    in the base.  So every value equals the one cell-by-cell reads of each
+    point give.  Each window adds its bit cells to ``trace.COUNTERS``.
     """
 
     def __init__(self, spec: GroupSpec, stages: list, points: PointBatch, lo: np.ndarray, hi: np.ndarray):
@@ -376,67 +372,24 @@ class OrbitWindow:
         self.stages = stages
         self.lo, self.hi = lo, hi
         self.shape = _shape(lo, hi)
-        self.points = points
         self.n_points = len(points)
-        self._bit_lo, bit_hi = _bit_box(stages, lo, hi)
-        bit_shape = _shape(self._bit_lo, bit_hi)
-        # the box's cells in row-major order, as coordinates
-        cells = np.indices(bit_shape).reshape(len(bit_shape), -1).T + self._bit_lo
-        bits = dynamics.read_cells(points, cells)
-        trace.COUNTERS["window_cells"] += bits.size
-        self._one = bits.reshape((len(points),) + bit_shape).astype(bool)
+        self.bits = dynamics.BitBox.read(points, *_bit_box(stages, lo, hi))
+        trace.COUNTERS["window_cells"] += self.bits.array.size
         self._base: dict = {}
         self._locate: dict = {}
         self._route: dict = {}
 
-    @staticmethod
-    def _take(arr: np.ndarray, arr_lo: np.ndarray, lo: np.ndarray, shape: tuple) -> np.ndarray:
-        """The part on the box of ``shape`` at ``lo`` of ``arr``, an array
-        laid out from ``arr_lo`` with the points first."""
-        idx = [slice(None)]
-        for a, s, size in zip(np.subtract(lo, arr_lo).tolist(), shape, arr.shape[1:]):
-            if not 0 <= a <= size - s:
-                raise DomainError("window read outside its bit box")
-            idx.append(slice(a, a + s))
-        return arr[tuple(idx)]
-
-    def _bits(self, bit: int, lo: np.ndarray, shape: tuple) -> np.ndarray:
-        """The cells of the box at ``lo`` that hold ``bit``."""
-        one = self._take(self._one, self._bit_lo, lo, shape)
-        return one if bit else ~one
-
-    def _base_event(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stage-(j+1) base on ``base_box`` of the window, and its corner.
-
-        The first ``DENSE_MARKER_CELLS`` marker cells are ANDed over the whole
-        box; every later cell is read only where all before it matched.
-        """
+    def base(self, j: int) -> dynamics.BitBox:
+        """The stage-(j+1) base on ``base_box`` of the window."""
         if j not in self._base:
-            st = self.stages[j]
-            base_lo, base_hi = st.base_box(self.lo, self.hi)
-            shape = _shape(base_lo, base_hi)
-            at, bits = base_lo + st.pattern[0], st.pattern[1]
-            base = np.ones((self.n_points,) + shape, dtype=bool)
-            for p, b in zip(at[:DENSE_MARKER_CELLS], bits[:DENSE_MARKER_CELLS]):
-                base &= self._bits(b, p, shape)
-            if len(bits) > DENSE_MARKER_CELLS:
-                live = np.nonzero(base)
-                for p, b in zip(at[DENSE_MARKER_CELLS:], bits[DENSE_MARKER_CELLS:]):
-                    if not live[0].size:
-                        break
-                    keep = self._take(self._one, self._bit_lo, p, shape)[live] == b
-                    live = tuple(i[keep] for i in live)
-                base.fill(False)
-                base[live] = True
-            self._base[j] = (base, base_lo)
+            base_lo, base_hi = self.stages[j].base_box(self.lo, self.hi)
+            self._base[j] = self.bits.meets(self.stages[j].pattern, base_lo, _shape(base_lo, base_hi))
         return self._base[j]
 
-    def in_base(self, j: int, u: np.ndarray | None = None) -> np.ndarray:
+    def in_base(self, j: int, u: np.ndarray | int = 0) -> np.ndarray:
         """Per point: does T_u x lie in the stage-(j+1) base?  ``u``, in
         coordinates, defaults to the origin."""
-        base, base_lo = self._base_event(j)
-        u = np.zeros_like(self.lo) if u is None else u
-        return self._take(base, base_lo, u, (1,) * len(self.lo)).reshape(-1)
+        return self.base(j).take(u, (1,) * len(self.lo)).reshape(-1)
 
     def locate(self, j: int) -> np.ndarray:
         """Per point and cell u: the index in the locate ball of the first g
@@ -446,13 +399,9 @@ class OrbitWindow:
         ball index that lands on a cell wins.
         """
         if j not in self._locate:
-            base, base_lo = self._base_event(j)
-            ball = self.stages[j].ball
-            reach_lo = self.lo - ball.max(axis=0)
-            reach_hi = self.hi - ball.min(axis=0)
-            reach = self._take(base, base_lo, reach_lo, _shape(reach_lo, reach_hi))
-            point, *hit = np.nonzero(reach)
-            cells = (np.stack(hit, axis=-1) + (reach_lo - self.lo))[:, None] + ball
+            ball, base = self.stages[j].ball, self.base(j)
+            point, *hit = np.nonzero(base.array)
+            cells = (np.stack(hit, axis=-1) + (base.lo - self.lo))[:, None] + ball
             inside = ((cells >= 0) & (cells < self.shape)).all(axis=2)
             at, gi = np.nonzero(inside)
             flat = np.ravel_multi_index((point[at], *cells[at, gi].T), (self.n_points,) + self.shape)
@@ -465,10 +414,7 @@ class OrbitWindow:
     def routing(self, j: int) -> np.ndarray:
         """Per point and cell u: is T_u x in the stage-(j+1) routing cylinder?"""
         if j not in self._route:
-            member = np.ones((self.n_points,) + self.shape, dtype=bool)
-            for c, b in zip(*self.stages[j].cylinder):
-                member &= self._bits(b, self.lo + c, self.shape)
-            self._route[j] = member
+            self._route[j] = self.bits.meets(self.stages[j].cylinder, self.lo, self.shape).array
         return self._route[j]
 
     def step(self, j: int, v: np.ndarray) -> np.ndarray:

@@ -9,9 +9,12 @@ import walkrep
 
 
 def run(argv: list) -> subprocess.CompletedProcess:
-    """``python argv`` in a fresh interpreter that imports this walkrep."""
+    """``python argv`` in a fresh interpreter that imports this walkrep.
+    ``PYTHONUNBUFFERED`` is not passed on, so a child's piped output is
+    block-buffered and reaches the pipe only if the child flushes it."""
     src = os.path.dirname(os.path.dirname(walkrep.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 

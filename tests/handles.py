@@ -1,6 +1,9 @@
-"""Single points as one-row point batches, for the per-point oracles."""
+"""Single points as one-row point batches, for the per-point oracles, and
+the compare-all oracle of ``TowerSpec.located``."""
 
-from walkrep import dynamics
+import numpy as np
+
+from walkrep import dynamics, groups
 
 
 def point(sys: dynamics.DynamicalSystem, draw: int) -> dynamics.PointBatch:
@@ -17,6 +20,20 @@ def read(x: dynamics.PointBatch, g) -> int:
     """The coordinate at ``g`` of the one-row Bernoulli batch ``x``: one
     whole ``read_cells`` call per cell."""
     return int(dynamics.read_cells(x, [g])[0, 0])
+
+
+def located_by_translates(tower: dynamics.TowerSpec, points: dynamics.PointBatch) -> np.ndarray:
+    """The oracle of ``TowerSpec.located``: per point and g in B_n
+    (``groups.ball`` order), the marker compared at every cell p g^-1 of
+    its translate, read from the distinct cells of all translates in one
+    ``read_cells`` call."""
+    spec = tower.spec
+    ball = groups.ball(spec, tower.n)
+    pattern = groups.coords(spec, list(tower.pattern))
+    cells = np.concatenate([groups.translate(spec, pattern, groups.inverse(spec, g)) for g in ball])
+    window, cols = np.unique(cells, axis=0, return_inverse=True)
+    bits = dynamics.read_cells(points, window)
+    return (bits[:, cols.reshape(len(ball), -1)] == list(tower.pattern.values())).all(axis=2)
 
 
 def contains(cyl: dynamics.CylinderSet, x: dynamics.PointBatch) -> bool:

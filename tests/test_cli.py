@@ -250,12 +250,11 @@ def test_traced_cli_runs(command, tmp_path):
 
 
 @pytest.mark.parametrize("command,status", [("weights", 0), ("continuous", 1)])
-def test_module_entry_equals_in_process(command, status, tmp_path, monkeypatch):
+def test_module_entry_equals_in_process(command, status, tmp_path):
     # ``python -m walkrep.cli``, the benchmark's entry, ends without
     # interpreter teardown: its exit code, every verdict line on the stdout
     # pipe (block-buffered, so only its flush delivers them) and every
     # output file but the run's meta match ``cli.main``
-    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SMALL_CONFIG))
     proc = fresh.run(["-m", "walkrep.cli", command, "--config", str(cfg), "--out", str(tmp_path / "fresh")])

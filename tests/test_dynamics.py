@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handles import contains, handles, point, position, read
+from handles import contains, handles, located_by_translates, point, position, read
 from walkrep import dynamics, groups, stats
 from walkrep.errors import EncodingError, TowerConstructionError
 
@@ -99,8 +100,10 @@ def test_tower_disjointness_and_measure(z_bernoulli):
 
 
 def tower_locate(tower, x):
-    """The first g in B_n (``groups.ball`` order) with T_{g^-1} x in E, or None."""
+    """The first g in B_n (``groups.ball`` order) with T_{g^-1} x in E, or
+    None; ``located`` must agree with its compare-all oracle."""
     (hits,) = tower.located(x)
+    assert np.array_equal(hits, located_by_translates(tower, x)[0])
     return groups.ball(tower.spec, tower.n)[hits.argmax()] if hits.any() else None
 
 
@@ -227,10 +230,16 @@ def _short_tower(sys):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_tower_sieve_equals_per_draw_loop(z_bernoulli, seed):
     z2 = dynamics.bernoulli_system(groups.GroupSpec("lattice", 2), seed=12)
+    z3 = dynamics.bernoulli_system(groups.GroupSpec("lattice", 3), seed=12)
+    # the 11- and 20-cell markers are longer than the dense cells of the
+    # sieve, so its survivor branch runs
     towers = [
         (dynamics.rokhlin_tower(z_bernoulli, 3, 0.1), 1500),
+        (dynamics.rokhlin_tower(z_bernoulli, 3, 0.01), 3000),
         (dynamics.rokhlin_tower(z2, 1, 0.2), 600),
+        (dynamics.rokhlin_tower(z3, 1, 0.2), 300),
     ]
+    assert [len(t.pattern) for t, _ in towers] == [8, 11, 8, 20]
     for tower, samples in towers:
         assert _sieve_hits(tower, samples, seed) == _per_draw_hits(tower, samples, seed)
     # a hand-made short marker, whose translates of the base meet
@@ -241,17 +250,35 @@ def test_tower_sieve_equals_per_draw_loop(z_bernoulli, seed):
         assert counts[1] > 0
 
 
+@pytest.mark.parametrize("kind, d, n, eta", [
+    ("integers", 1, 3, 0.1), ("integers", 1, 3, 0.01), ("lattice", 2, 1, 0.2), ("lattice", 3, 1, 0.2),
+])
+def test_located_equals_compare_all(kind, d, n, eta):
+    # fresh draws, conditional draws (every base hit at g = e) and their
+    # translates, on a built marker and on a short one whose translates meet
+    sys = dynamics.bernoulli_system(groups.GroupSpec(kind, d), seed=4)
+    a = groups.generators(sys.group)[0]
+    for tower in (dynamics.rokhlin_tower(sys, n, eta), _short_tower(sys)):
+        fresh = dynamics.sample_points(sys, np.arange(300))
+        conditional = dynamics.conditional_base_sampler(tower, 2, 40)
+        for batch in (fresh, fresh.moved(a), conditional, conditional.moved(a)):
+            assert np.array_equal(tower.located(batch), located_by_translates(tower, batch))
+        e = groups.ball(sys.group, tower.n).index(groups.identity(sys.group))
+        assert tower.located(conditional)[:, e].all()
+
+
 def _per_point_rows(batch, cells: list) -> list:
     """Each row of ``batch`` read as the one-row batch ``batch[[i]]``, cell
     by cell."""
     return [[read(x, c) for c in cells] for x in handles(batch)]
 
 
-def test_batched_read_equals_per_cell_read(z_bernoulli, z_spec):
+def test_batched_read_equals_per_cell_read(z_bernoulli):
     positions = list(range(-12, 13))
     fresh = point(z_bernoulli, 7)
     flipped = {p: 1 - read(fresh, p) for p in positions[::2]}
-    forced = dynamics.PointBatch(z_bernoulli, fresh.draws, 0, dynamics._forced_cells(z_spec, flipped), 0)
+    flip = dynamics.TowerSpec(system=z_bernoulli, n=0, eta=0.5, pattern=flipped)
+    forced = dataclasses.replace(fresh, forced=dynamics.conditional_base_sampler(flip, 0, 1).forced)
     # forced cells overlay the drawn bits and leave the others alone
     got = dynamics.read_cells(forced, positions)[0].tolist()
     assert got[::2] == list(flipped.values())

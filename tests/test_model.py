@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from handles import handles, point
+from handles import handles, located_by_translates, point
 from vectors import WeightedVector, norm, shift
 from walkrep import dynamics, groups, measures, model, stats
 from walkrep.config import ExperimentConfig, SampleConfig
@@ -23,7 +23,7 @@ class ModelEvaluator:
     brings in the cube of cells around it in one ``dynamics.read_cells``.
     """
 
-    PAD = {1: 64, 2: 8}  # half side of the cube read on a miss, by rank
+    PAD = {1: 64, 2: 8, 3: 4}  # half side of the cube read on a miss, by rank
 
     def __init__(self, mdl: model.ModelFunction, x: dynamics.PointBatch):
         self.model = mdl
@@ -374,7 +374,8 @@ def test_orbit_frequency_whole_space(built_model, z_weights, z_bernoulli):
 
 
 def test_evaluator_locate_matches_tower(built_model, z_bernoulli):
-    # TowerSpec.located is the oracle for the window's locate
+    # the compare-all marker test is the oracle of the window's locate and
+    # of TowerSpec.located, which share the bit box and its sieve
     mdl, _, _ = built_model
     for j, stage in enumerate(mdl.stages):
         tower = stage.patch.tower
@@ -382,9 +383,10 @@ def test_evaluator_locate_matches_tower(built_model, z_bernoulli):
         points = dynamics.conditional_base_sampler(tower, 70 + j, 10)
         lo, hi = -2 * tower.n - 2, 2 * tower.n + 2
         (win,) = model.orbit_windows(mdl, points, (lo,), (hi,))
-        for x, first in zip(handles(points), win.locate(j)):
-            located = [tower.located(x.moved(u))[0] for u in range(lo, hi + 1)]
-            for gi, hits in zip(first.tolist(), located):
+        for u in range(lo, hi + 1):
+            located = located_by_translates(tower, points.moved(u))
+            assert np.array_equal(tower.located(points.moved(u)), located)
+            for gi, hits in zip(win.locate(j)[:, u - lo].tolist(), located):
                 assert (None if gi < 0 else ball[gi]) == (ball[hits.argmax()] if hits.any() else None)
 
 
@@ -627,12 +629,14 @@ def test_window_matches_dict_oracle_built_lattice(lattice_built):
     _check_against_oracle(mdl, w2, draws=3, radius=5, orbit_steps=30, steps=((0, 1), (2, -1)))
 
 
-@pytest.mark.parametrize("kind, d", [("integers", 1), ("lattice", 2)])
+@pytest.mark.parametrize("kind, d", [("integers", 1), ("lattice", 2), ("lattice", 3)])
 def test_window_matches_dict_oracle_loose(kind, d):
     spec = groups.GroupSpec(kind, d)
     w = measures.build_weight(spec, measures.WeightParams(q=0.5, n_max=8))
     mdl = _loose_model(dynamics.bernoulli_system(spec, seed=3))
-    _check_against_oracle(mdl, w, draws=6, radius=4, orbit_steps=40)
+    # Z^3 at a smaller radius and fewer draws, to keep the dict oracle fast
+    draws, radius = (2, 2) if d == 3 else (6, 4)
+    _check_against_oracle(mdl, w, draws=draws, radius=radius, orbit_steps=40)
 
 
 def test_window_chunks_match_one_window(built_model, z_weights, z_bernoulli, monkeypatch):
@@ -778,7 +782,7 @@ def _dense_base(win: model.OrbitWindow, j: int) -> np.ndarray:
     shape = model._shape(lo, hi)
     base = np.ones((win.n_points,) + shape, dtype=bool)
     for p, b in zip(*st.pattern):
-        base &= win._bits(b, lo + p, shape)
+        base &= win.bits.take(lo + p, shape) == b
     return base
 
 
@@ -786,11 +790,10 @@ def _backwards_locate(win: model.OrbitWindow, j: int) -> np.ndarray:
     """The oracle of ``OrbitWindow.locate``: per element g of the locate
     ball, walked backwards, write its index wherever T_{g^-1} T_u x lies in
     the base, so the first g in ball order wins."""
-    base, base_lo = win._base_event(j)
     ball = win.stages[j].ball
     first = np.full((win.n_points,) + win.shape, -1, dtype=np.int64)
     for gi in range(len(ball) - 1, -1, -1):
-        hit = win._take(base, base_lo, win.lo - ball[gi], win.shape)
+        hit = win.base(j).take(win.lo - ball[gi], win.shape)
         np.copyto(first, gi, where=hit)
     return first
 
@@ -800,7 +803,7 @@ def test_base_sieve_equals_dense_and(d, length):
     spec = groups.GroupSpec("integers") if d == 1 else groups.GroupSpec("lattice", d)
     system = dynamics.bernoulli_system(spec, seed=5)
     pattern = dynamics._marker_pattern(spec, length)
-    assert len(pattern) > model.DENSE_MARKER_CELLS
+    assert len(pattern) > dynamics.DENSE_CELLS
     tower = dynamics.TowerSpec(system=system, n=1, eta=0.5, pattern=pattern)
     mdl = model.ModelFunction(system=system, stages=[])
     xi = {g: 0.5 for g in groups.ball(spec, 1)}
@@ -819,7 +822,7 @@ def test_base_sieve_equals_dense_and(d, length):
         (fresh[:2], ((0,) * d, (0,) * d), False),
     ):
         (win,) = model.orbit_windows(mdl, points, lo, hi)
-        base = win._base_event(0)[0]
+        base = win.base(0).array
         assert base.dtype == bool and np.array_equal(base, _dense_base(win, 0))
         assert survivors is None or base.any() == survivors
         assert np.array_equal(win.locate(0), _backwards_locate(win, 0))
@@ -830,9 +833,8 @@ def test_locate_takes_the_first_of_meeting_hits():
     # locate keeps the first in ball order, as the backwards walk does
     mdl = _loose_model(dynamics.bernoulli_system(groups.GroupSpec("integers"), seed=3))
     (win,) = model.orbit_windows(mdl, dynamics.sample_points(mdl.system, np.arange(20)), (-6,), (6,))
-    base, base_lo = win._base_event(0)
     meeting = sum(
-        win._take(base, base_lo, win.lo - g, win.shape).astype(int)
+        win.base(0).take(win.lo - g, win.shape).astype(int)
         for g in win.stages[0].ball
     )
     assert (meeting > 1).any()
