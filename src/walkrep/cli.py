@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -176,7 +175,7 @@ def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
     # restricted-weight pipeline: integers into the second group via a^n
     w1, w2 = tables
     if w1.spec.kind == "integers" and w2.spec.kind == "free":
-        emb = groups.subgroup_embed(w1.spec, w2.spec, [(1,)], seed=cfg.seed)
+        emb = groups.subgroup_embed(w1.spec, w2.spec, [(1,)])
         nrho = measures.restricted_ratio_certificate(w2, emb, 1)
         records.append(_record("restricted_ratio_b1", nrho, bound=nrho["bound"]))
         for g0 in (0, 1, 2):
@@ -520,7 +519,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            cfg = cfg._replace(seed=args.seed)
             validate(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

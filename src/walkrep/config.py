@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, EncodingError
 from .groups import GroupSpec
@@ -17,8 +17,7 @@ from .groups import GroupSpec
 MAX_CHAIN_N = 16  # longest chain: every array on K_n_max stays under 1 MB
 
 
-@dataclass(frozen=True)
-class GroupConfig:
+class GroupConfig(NamedTuple):
     kind: str = "integers"
     d: int = 1
 
@@ -26,19 +25,16 @@ class GroupConfig:
         return GroupSpec(self.kind, self.d)
 
 
-@dataclass(frozen=True)
-class WeightConfig:
+class WeightConfig(NamedTuple):
     q: float = 0.5
     n_max: int = 40
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(NamedTuple):
     alpha: tuple = ()  # rotation angles; empty draws them from the seed
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(NamedTuple):
     averaging_samples: int = 2000
     tower_samples: int = 100_000
     check_samples: int = 3000
@@ -59,39 +55,46 @@ SAMPLE_MINIMUMS = {
 }
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class ToleranceConfig(NamedTuple):
     decay_ratio_rel: float = 0.05
     decay_sigma: float = 4.0
     quadrature_abs: float = 1e-6
     conjugacy_abs: float = 1e-12
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     seed: int = 20240
-    group: GroupConfig = field(default_factory=GroupConfig)
-    second_group: GroupConfig = field(default_factory=lambda: GroupConfig("free", 2))
-    weights: WeightConfig = field(default_factory=WeightConfig)
-    second_weights: WeightConfig = field(default_factory=lambda: WeightConfig(0.5, 10))
-    system: SystemConfig = field(default_factory=SystemConfig)
+    group: GroupConfig = GroupConfig()
+    second_group: GroupConfig = GroupConfig("free", 2)
+    weights: WeightConfig = WeightConfig()
+    second_weights: WeightConfig = WeightConfig(0.5, 10)
+    system: SystemConfig = SystemConfig()
     stages: int = 4
     tower_height: int = 3
     tower_eta: float = 0.1
     n_trunc: int = 16
-    samples: SampleConfig = field(default_factory=SampleConfig)
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
+    samples: SampleConfig = SampleConfig()
+    tolerances: ToleranceConfig = ToleranceConfig()
     lf_chain_n: int = 10
     lf_sampled_g0: int = 20
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _as_dict(self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+
+
+def _is_record(value) -> bool:
+    return isinstance(value, tuple) and hasattr(value, "_fields")
+
+
+def _as_dict(record) -> dict:
+    """``record`` and the records in its fields as nested dicts."""
+    return {k: _as_dict(v) if _is_record(v) else v for k, v in record._asdict().items()}
 
 
 def _is_number(value) -> bool:
@@ -107,7 +110,7 @@ def _float(value, path: str) -> float:
 
 def _checked(default, value, path: str):
     """``value`` checked against the type of its field's default."""
-    if is_dataclass(default):
+    if _is_record(default):
         return _build(type(default), value, path)
     if isinstance(default, tuple):
         ok = isinstance(value, list) and all(_is_number(v) for v in value)
@@ -128,12 +131,11 @@ def _build(cls, data, path: str):
     """``cls`` from a JSON object; absent keys keep the class defaults."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be a JSON object")
-    unknown = set(data) - set(cls.__dataclass_fields__)
+    unknown = set(data) - set(cls._fields)
     if unknown:
         raise ConfigError(f"unknown keys in {path}: {sorted(unknown)}")
-    defaults = cls()
     return cls(**{
-        key: _checked(getattr(defaults, key), value, f"{path}.{key}")
+        key: _checked(cls._field_defaults[key], value, f"{path}.{key}")
         for key, value in data.items()
     })
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -34,13 +33,11 @@ K_SAMPLES = (-1.0, 0.0, 1.0)
 RATIO_BOUND_C = 2.0
 
 
-@dataclass(frozen=True)
 class IntervalMeasure:
     """Lebesgue measure restricted to the symmetric interval [-half, half]."""
 
-    half: float
-
-    def __post_init__(self):
+    def __init__(self, half: float):
+        self.half = half
         if self.half <= 0:
             raise DomainError("interval half-length must be positive")
 
@@ -148,23 +145,27 @@ def xor_convolve(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return fwht(fwht(mu) * fwht(nu)) / mu.size
 
 
-@dataclass(frozen=True)
 class LocallyFiniteChain:
     """K_n = span of the first n coordinates of the direct sum of Z/2.
 
     Measures on K_n_max are dense float64 arrays of length 2^n_max indexed
     by bitmask: coordinate i is bit i-1, so K_n is the indices below 2^n and
     the group product is XOR.  The step law mixes the K_n with the geometric
-    weights of ratio ``q``, truncated at the chain end.
+    weights of ratio ``q``, truncated at the chain end.  Chains with equal
+    ``n_max`` and ``q`` are equal, and share ``chain_convolution``'s entry.
     """
 
-    n_max: int = 10
-    q: float = 0.5
-
-    def __post_init__(self):
+    def __init__(self, n_max: int = 10, q: float = 0.5):
+        self.n_max, self.q = n_max, q
         if not 1 <= self.n_max <= MAX_CHAIN_N:
             raise DomainError(f"chain needs 1 <= n_max <= {MAX_CHAIN_N}")
         self.params  # WeightParams rejects a q outside (0, 1)
+
+    def __eq__(self, other):
+        return type(other) is LocallyFiniteChain and (self.n_max, self.q) == (other.n_max, other.q)
+
+    def __hash__(self):
+        return hash((self.n_max, self.q))
 
     @property
     def spec(self) -> GroupSpec:

@@ -38,7 +38,7 @@ import hashlib
 import itertools
 import math
 import struct
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,16 +57,11 @@ SIEVE_CHUNK = 512
 DENSE_CELLS = 8
 
 
-@dataclass(frozen=True)
 class DynamicalSystem:
     """A Bernoulli shift or an irrational rotation product over a group."""
 
-    kind: str
-    group: GroupSpec
-    seed: int
-    alpha: tuple = ()
-
-    def __post_init__(self):
+    def __init__(self, kind: str, group: GroupSpec, seed: int, alpha: tuple = ()):
+        self.kind, self.group, self.seed, self.alpha = kind, group, seed, alpha
         if self.kind not in ("bernoulli", "rotation"):
             raise DomainError(f"unknown system kind {self.kind!r}")
         if not self.group.finitely_generated:
@@ -100,7 +95,7 @@ def bernoulli_system(group: GroupSpec, seed: int) -> DynamicalSystem:
 def probe_system(sys: DynamicalSystem, *tag) -> DynamicalSystem:
     """``sys`` with its seed replaced by one derived from the seed and ``tag``,
     so each Monte-Carlo harness draws points independent of the others."""
-    return replace(sys, seed=_derived_seed(sys.seed, *tag))
+    return DynamicalSystem(sys.kind, sys.group, _derived_seed(sys.seed, *tag), sys.alpha)
 
 
 def rotation_system(group: GroupSpec, seed: int, alpha=None) -> DynamicalSystem:
@@ -227,7 +222,6 @@ def _cell_blocks(spec: GroupSpec, positions) -> tuple[np.ndarray, np.ndarray]:
     return block, lane
 
 
-@dataclass(frozen=True)
 class PointBatch:
     """Sampled points as arrays: row i is T_offset of the ``draws[i]``-th
     sample of ``system``.  A Bernoulli row reads the Philox counters of its
@@ -235,24 +229,26 @@ class PointBatch:
     overlaid.  ``sample_points`` and ``conditional_base_sampler`` make one
     over a range of draws."""
 
-    system: DynamicalSystem
-    draws: np.ndarray  # uint64 draw numbers
-    stream: int
-    forced: tuple | None  # (block, lane, bit) arrays of the forced cells
-    offset: object
+    def __init__(self, system: DynamicalSystem, draws: np.ndarray, stream: int, forced: tuple | None, offset):
+        self.system = system
+        self.draws = draws  # uint64 draw numbers
+        self.stream = stream
+        self.forced = forced  # (block, lane, bit) arrays of the forced cells
+        self.offset = offset
 
     def __len__(self) -> int:
         return len(self.draws)
 
     def __getitem__(self, rows) -> "PointBatch":
         """The rows ``rows``: a slice, an index array or a boolean mask."""
-        return replace(self, draws=self.draws[rows])
+        return PointBatch(self.system, self.draws[rows], self.stream, self.forced, self.offset)
 
     def moved(self, h) -> "PointBatch":
         """T_h of every row.  Reads obey ``read_cells(batch.moved(h), [g])
         == read_cells(batch, [g h])`` exactly, since both sides read the
         same absolute position; ``moved(g)`` of ``moved(h)`` is ``moved(gh)``."""
-        return replace(self, offset=groups.multiply(self.system.group, h, self.offset))
+        offset = groups.multiply(self.system.group, h, self.offset)
+        return PointBatch(self.system, self.draws, self.stream, self.forced, offset)
 
     def torus(self, axis: int) -> tuple[np.ndarray, int]:
         """Rotation points: per row, the draw's torus coordinate on ``axis``;
@@ -321,8 +317,7 @@ def read_cells(points: PointBatch, cells) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BitBox:
+class BitBox(NamedTuple):
     """A points x box boolean array on Z^d, laid out from the corner ``lo``
     with the points first: the bits of a batch on a box (``read``), or a
     cylinder event decided on them (``meets``)."""
@@ -383,8 +378,7 @@ def sample_points(sys: DynamicalSystem, draws) -> PointBatch:
     return PointBatch(sys, np.asarray(draws, dtype=np.uint64), 0, None, groups.identity(sys.group))
 
 
-@dataclass(frozen=True)
-class CylinderSet:
+class CylinderSet(NamedTuple):
     """Finite coordinate constraints: position -> required bit."""
 
     bits: tuple  # sorted tuple of (position, bit)
@@ -473,24 +467,19 @@ def _marker_pattern(spec: GroupSpec, length: int) -> dict:
     raise DomainError("towers are built for integer/lattice Bernoulli shifts")
 
 
-@dataclass
 class TowerSpec:
     """The tower base E: the cylinder of a marker ``pattern`` at the origin.
 
     ``rokhlin_tower`` builds only self-avoiding markers, so E is exactly
     the cylinder, mu(E) is ``mu_pattern``, and the B_n translates of E are
     disjoint.  The Monte-Carlo fields record the check of mu(B_n E) and of
-    that disjointness.
+    that disjointness; ``_tower_monte_carlo`` fills them.
     """
 
-    system: DynamicalSystem
-    n: int
-    eta: float
-    pattern: dict
-    mc_samples: int = 0
-    mc_hits_bn: int = 0
-    mc_ci_upper: float = 1.0
-    collisions: int = 0
+    def __init__(self, system: DynamicalSystem, n: int, eta: float, pattern: dict):
+        self.system, self.n, self.eta, self.pattern = system, n, eta, pattern
+        self.mc_samples = self.mc_hits_bn = self.collisions = 0
+        self.mc_ci_upper = 1.0
 
     @property
     def spec(self) -> GroupSpec:

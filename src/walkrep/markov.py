@@ -12,7 +12,7 @@ fair-coin cylinder bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .dynamics import DynamicalSystem
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class ObservableSpec:
+class ObservableSpec(NamedTuple):
     """A bounded observable: a cylinder indicator or a coordinate cosine."""
 
     kind: str  # "indicator" | "cos"

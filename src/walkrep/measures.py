@@ -21,7 +21,6 @@ ball B_n (see ``cell_box``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -33,14 +32,11 @@ from .groups import GroupSpec
 DEFAULT_SUPPORT_CAP = 10**6
 
 
-@dataclass(frozen=True)
 class WeightParams:
     """Geometric step-mixing weights p_n = (1-q) q^(n-1); ratio C = 1/q."""
 
-    q: float = 0.5
-    n_max: int = 12
-
-    def __post_init__(self):
+    def __init__(self, q: float = 0.5, n_max: int = 12):
+        self.q, self.n_max = q, n_max
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"q must be in (0,1), got {self.q}")
         if self.n_max < 1:
@@ -84,27 +80,41 @@ def _allocate(shape: tuple, dtype) -> np.ndarray:
     return np.zeros(shape, dtype=dtype)
 
 
+def _shift(shape: tuple, s) -> tuple | None:
+    """The ``(source, destination)`` slices of the moves u -> u + s that stay
+    in a box of ``shape``, or None if none does."""
+    if any(abs(k) >= n for k, n in zip(s, shape)):
+        return None
+    return (
+        tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(s, shape)),
+        tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(s, shape)),
+    )
+
+
 def _moves(spec: GroupSpec, offset: tuple, shape: tuple, steps) -> list:
-    """For each step s, the ``(source, destination)`` indices of the moves
-    g -> g s that stay in the box (``groups.translate`` on every cell)."""
-    cells = np.indices(shape).reshape(len(shape), -1).T - offset
+    """For each step s, the ``(source, destination)`` slice pairs of the
+    moves g -> g s that stay in the box.  On Z^d that is one shift by s.  On
+    the Heisenberg group, (x, y, z)(a, b, c) = (x + a, y + b, z + c + x b),
+    so a step with b != 0 shears: one pair per x-slice, each with its own
+    z-shift."""
     out = []
-    for s in steps:
-        if s == groups.identity(spec):
-            out.append(((...,), (...,)))  # every cell, without an index gather
-            continue
-        dest = groups.translate(spec, cells, s) + offset
-        inside = ((dest >= 0) & (dest < shape)).all(axis=1)
-        out.append((tuple((cells[inside] + offset).T), tuple(dest[inside].T)))
+    for s in groups.coords(spec, steps).tolist():
+        if spec.kind == "heisenberg" and s[1]:
+            a, b, c = s
+            xs = range(max(0, -a), shape[0] - max(0, a))
+            shears = [(i, _shift(shape[1:], (b, c + (i - offset[0]) * b))) for i in xs]
+            out.append([((i, *yz[0]), (i + a, *yz[1])) for i, yz in shears if yz])
+        else:
+            pair = _shift(shape, s)
+            out.append([pair] if pair else [])
     return out
 
 
-@dataclass
 class _Cells:
     """Arrays over the cells of ``cell_box``, read by element."""
 
-    spec: GroupSpec
-    offset: tuple
+    def __init__(self, spec: GroupSpec, offset: tuple):
+        self.spec, self.offset = spec, offset
 
     def cells(self, elements) -> np.ndarray:
         """The (N, k) cell coordinates of ``elements``: word lengths on a
@@ -122,7 +132,6 @@ class _Cells:
         return out
 
 
-@dataclass
 class LazyWalk(_Cells):
     """Exact walk counts of the lazy uniform step, which puts mass 1/(2d+1)
     on the identity and on each symmetric generator.
@@ -135,7 +144,9 @@ class LazyWalk(_Cells):
     rounded division, and it is exactly symmetric, since the counts are.
     """
 
-    counts: tuple
+    def __init__(self, spec: GroupSpec, offset: tuple, counts: tuple):
+        super().__init__(spec, offset)
+        self.counts = counts
 
     @property
     def steps(self) -> int:
@@ -195,13 +206,15 @@ def lazy_walk(spec: GroupSpec, depth: int) -> LazyWalk:
 
 def _step(power: np.ndarray, moves: list, weights: list) -> np.ndarray:
     """One more step of a walk: the sum, over the atoms of its law, of
-    ``weight * power`` moved by the atom's ``(source, destination)``
-    indices (see ``_moves``), added in the order of ``moves``.  A unit
-    weight adds without the product, which is exact and spares the walk
-    counts one pass of integer products per move."""
+    ``weight * power`` moved by the atom's ``(source, destination)`` slice
+    pairs (see ``_moves``), added in the order of ``moves``.  Each cell
+    receives at most one term per atom, so its additions keep that order.
+    A unit weight adds without the product, which is exact and spares the
+    walk counts one pass of integer products per move."""
     nxt = np.zeros_like(power)
-    for weight, (src, dst) in zip(weights, moves):
-        nxt[dst] += power[src] if weight == 1 else weight * power[src]
+    for weight, pairs in zip(weights, moves):
+        for src, dst in pairs:
+            nxt[dst] += power[src] if weight == 1 else weight * power[src]
     return nxt
 
 
@@ -228,7 +241,6 @@ def _law_powers(spec: GroupSpec, law: dict, depth: int) -> tuple[tuple, list]:
     return offset, powers
 
 
-@dataclass
 class WeightTable(_Cells):
     """Truncated weight w(g) = sum_{n<=n_max} p_n rho^{*n}(g).
 
@@ -237,11 +249,11 @@ class WeightTable(_Cells):
     dropped terms.  Elements outside the box carry no stored weight.
     """
 
-    params: WeightParams
-    partials: tuple
-    tail_bound: float
-    _ball_masses: dict = field(default_factory=dict, init=False, repr=False)
-    _balls: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, spec: GroupSpec, offset: tuple, params: WeightParams, partials: tuple, tail_bound: float):
+        super().__init__(spec, offset)
+        self.params, self.partials, self.tail_bound = params, partials, tail_bound
+        self._ball_masses: dict = {}
+        self._balls: dict = {}
 
     def _depth(self, depth: int) -> np.ndarray:
         if not 0 <= depth <= self.params.n_max:

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ Z95 = stats.Z95
 # basis balls
 
 
-@dataclass(frozen=True)
-class BallSpec:
+class BallSpec(NamedTuple):
     """An open ball with a dyadic finite-support center.
 
     ``level`` is the dyadic scale m: the support lies in B_m and every
@@ -132,8 +131,7 @@ def basis_balls(k: int, spec: GroupSpec) -> BallSpec:
 # model stages
 
 
-@dataclass
-class StagePatch:
+class StagePatch(NamedTuple):
     """Erase on B_n E, write the center on B_{n0} E, zero on the annulus."""
 
     tower: TowerSpec
@@ -142,8 +140,7 @@ class StagePatch:
     n: int
 
 
-@dataclass
-class StageSplit:
+class StageSplit(NamedTuple):
     """u -> (u - s, u + s); the minus side is taken on the routing set."""
 
     a_index: int
@@ -151,27 +148,27 @@ class StageSplit:
     split_map: dict  # value -> (u0, u1)
 
 
-@dataclass
 class ModelStage:
-    patch: StagePatch
-    split: StageSplit | None = None
+    """A stage's patch, and its split once ``build_model`` has made it."""
+
+    def __init__(self, patch: StagePatch, split: StageSplit | None = None):
+        self.patch, self.split = patch, split
 
 
-@dataclass
 class StageState:
-    """Snapshot recorded after stage n completes."""
+    """Snapshot recorded after stage n completes; ``checks`` collects the
+    stage's check records."""
 
-    n: int
-    ball: BallSpec
-    eta: float
-    beta: float
-    eps: dict
-    gamma: dict
-    delta: dict
-    range_values: tuple
-    value_sets: dict  # level -> (tuple minus-side, tuple plus-side)
-    covers: dict  # level -> (tuple of (lo,hi), tuple of (lo,hi))
-    checks: dict = field(default_factory=dict)
+    def __init__(
+        self, n: int, ball: BallSpec, eta: float, beta: float, eps: dict, gamma: dict, delta: dict,
+        range_values: tuple, value_sets: dict, covers: dict,
+    ):
+        self.n, self.ball, self.eta, self.beta = n, ball, eta, beta
+        self.eps, self.gamma, self.delta = eps, gamma, delta
+        self.range_values = range_values
+        self.value_sets = value_sets  # level -> (tuple minus-side, tuple plus-side)
+        self.covers = covers  # level -> (tuple of (lo,hi), tuple of (lo,hi))
+        self.checks: dict = {}
 
     def to_dict(self, spec: GroupSpec) -> dict:
         return {
@@ -194,12 +191,11 @@ class StageState:
         }
 
 
-@dataclass
 class ModelFunction:
     """The staged finite-valued function, evaluable at sampled points."""
 
-    system: DynamicalSystem
-    stages: list
+    def __init__(self, system: DynamicalSystem, stages: list):
+        self.system, self.stages = system, stages
 
     @property
     def spec(self) -> GroupSpec:
@@ -283,8 +279,7 @@ def _shape(lo: np.ndarray, hi: np.ndarray) -> tuple:
     return tuple((hi - lo + 1).tolist())
 
 
-@dataclass(frozen=True)
-class _StageEvents:
+class _StageEvents(NamedTuple):
     """One stage's events as coordinate offsets, and its values as arrays.
 
     ``pattern`` (the tower's ``marker``) and ``cylinder`` are (coordinates,

@@ -5,12 +5,16 @@ oracle for the walk-count weight tables of ``walkrep.measures``, for
 
 ``convolve`` multiplies every pair of atoms with ``groups.multiply`` and
 accumulates in canonical order, so it works on every group kind, including
-z2sum; ``dict_weight`` is the weight table it gives.
+z2sum; ``dict_weight`` is the weight table it gives.  ``gather_moves`` and
+``gather_step`` are the index-gather form of the box kernel that
+``measures._moves`` and ``measures._step`` compute with slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from walkrep import groups
 from walkrep.errors import DomainError
@@ -53,6 +57,31 @@ def step_distribution(spec: GroupSpec) -> SparseMeasure:
     for a in groups.generators(spec):
         table[a] = mass
     return SparseMeasure(spec, table, symmetric=True)
+
+
+def gather_moves(spec: GroupSpec, offset: tuple, shape: tuple, steps) -> list:
+    """For each step s, the ``(source, destination)`` index arrays of the
+    moves g -> g s that stay in the box (``groups.translate`` on every
+    cell); the identity moves every cell, without an index gather."""
+    cells = np.indices(shape).reshape(len(shape), -1).T - offset
+    out = []
+    for s in steps:
+        if s == groups.identity(spec):
+            out.append(((...,), (...,)))
+            continue
+        dest = groups.translate(spec, cells, s) + offset
+        inside = ((dest >= 0) & (dest < shape)).all(axis=1)
+        out.append((tuple((cells[inside] + offset).T), tuple(dest[inside].T)))
+    return out
+
+
+def gather_step(power: np.ndarray, moves: list, weights: list) -> np.ndarray:
+    """One more step of a walk: ``weight * power`` moved by each step's
+    indices of ``gather_moves``, added in the order of ``moves``."""
+    nxt = np.zeros_like(power)
+    for weight, (src, dst) in zip(weights, moves):
+        nxt[dst] += power[src] if weight == 1 else weight * power[src]
+    return nxt
 
 
 def convolve(spec: GroupSpec, mu: SparseMeasure, nu: SparseMeasure) -> SparseMeasure:

@@ -18,12 +18,13 @@ def run(argv: list) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
-def modules_after(code: str, package: str) -> list:
-    """The sorted names of the ``package`` modules loaded after ``code``
-    runs in a fresh interpreter."""
+def modules_after(code: str, *packages: str) -> list:
+    """The sorted names of the modules of ``packages`` (each a package, a
+    subpackage or a module) loaded after ``code`` runs in a fresh
+    interpreter."""
     code += (
         "\nimport sys\n"
-        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
+        f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {packages!r})))\n"
     )
     proc = run(["-c", code])
     proc.check_returncode()

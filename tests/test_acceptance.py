@@ -7,7 +7,6 @@ constant undershoots for elements deep in the subgroup chain (the corrected
 constant, also reported, passes everywhere).
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -177,7 +176,7 @@ def test_criterion_06_equivariance(built_model, z_weights, z_spec):
 
 def test_criterion_07_support_and_iso(built_model, z_weights):
     mdl, history, cfg = built_model
-    rep = model.support_and_iso_check(mdl, history, z_weights, dataclasses.replace(cfg, seed=7))
+    rep = model.support_and_iso_check(mdl, history, z_weights, cfg._replace(seed=7))
     ok = rep["pass"]
     lines = {
         i: (d["hit_pass"], d["symdiff_pass"], d["covers_disjoint"])
@@ -195,7 +194,7 @@ def test_criterion_08_orbit_frequency(built_model, z_weights, z_bernoulli):
     ball1 = history[0].ball
     x = dynamics.sample_points(dynamics.bernoulli_system(z_bernoulli.group, 808), [0])
     rep = model.orbit_frequency(mdl, x, 1, ball1, 10_000, z_weights, cfg.n_trunc)
-    iso_cfg = dataclasses.replace(cfg, seed=8, samples=dataclasses.replace(cfg.samples, check_samples=1000))
+    iso_cfg = cfg._replace(seed=8, samples=cfg.samples._replace(check_samples=1000))
     iso = model.support_and_iso_check(mdl, history, z_weights, iso_cfg)
     mu_est = iso["levels"]["1"]["hit_freq"]
     se_mu = math.sqrt(max(mu_est * (1 - mu_est), 1e-12) / iso["samples"])

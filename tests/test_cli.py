@@ -169,6 +169,10 @@ COMMAND_LAYERS = {
     **dict.fromkeys(("build", "support", "orbit"), ("model", "dynamics", "measures", "stats")),
     "continuous": ("continuous", "measures"),
 }
+# start-up modules a command process must leave out: ``dataclasses`` always,
+# and ``numpy.random`` except in the commands whose draws fix their outputs
+START_UP_MODULES = ("dataclasses", "numpy.random")
+RANDOM_COMMANDS = ("jrt", "feldman", "continuous")
 SMALL_CONFIG = {
     "stages": 2,
     "weights": {"q": 0.5, "n_max": 12},
@@ -185,7 +189,8 @@ SMALL_CONFIG = {
 @pytest.fixture(scope="module")
 def fresh_runs(tmp_path_factory):
     """Each command run alone in a fresh interpreter: the config, the
-    output directory and, per command, the walkrep modules it loaded."""
+    output directory and, per command, the walkrep and ``START_UP_MODULES``
+    modules it loaded."""
     base = tmp_path_factory.mktemp("fresh")
     cfg = base / "cfg.json"
     cfg.write_text(json.dumps(SMALL_CONFIG))
@@ -194,7 +199,7 @@ def fresh_runs(tmp_path_factory):
         # ``continuous`` exits 1 for the record that fails by design (11b)
         argv = [command, "--config", str(cfg), "--out", str(base)]
         code = f"from walkrep import cli\nassert cli.main({argv!r}) == {int(command == 'continuous')}"
-        return command, modules_after(code, "walkrep")
+        return command, modules_after(code, "walkrep", *START_UP_MODULES)
 
     with ThreadPoolExecutor(2) as pool:
         loaded = dict(pool.map(run, COMMAND_LAYERS))
@@ -202,13 +207,21 @@ def fresh_runs(tmp_path_factory):
 
 
 def test_cli_import_loads_no_layer():
-    assert modules_after("import walkrep.cli", "walkrep") == ALWAYS_LOADED
+    # nor ``dataclasses`` nor ``numpy.random``
+    assert modules_after("import walkrep.cli", "walkrep", *START_UP_MODULES) == ALWAYS_LOADED
 
 
 @pytest.mark.parametrize("command", COMMAND_LAYERS)
 def test_command_loads_only_its_layers(fresh_runs, command):
     want = ALWAYS_LOADED + [f"walkrep.{layer}" for layer in COMMAND_LAYERS[command]]
-    assert fresh_runs[2][command] == sorted(want)
+    assert [m for m in fresh_runs[2][command] if m.startswith("walkrep")] == sorted(want)
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_command_leaves_out_start_up_modules(fresh_runs, command):
+    loaded = fresh_runs[2][command]
+    assert "dataclasses" not in loaded
+    assert ("numpy.random" in loaded) == (command in RANDOM_COMMANDS)
 
 
 def test_fresh_run_meta_has_every_counter(fresh_runs):
@@ -364,9 +377,7 @@ def test_weights_csv_matches_element_str_rows(tmp_path, group, weights, second):
 
 def test_seed_override_changes_digested_config(tmp_path):
     cfg = config.ExperimentConfig()
-    import dataclasses
-
-    other = dataclasses.replace(cfg, seed=cfg.seed + 1)
+    other = cfg._replace(seed=cfg.seed + 1)
     assert other.digest() != cfg.digest()
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -278,7 +277,9 @@ def test_batched_read_equals_per_cell_read(z_bernoulli):
     fresh = point(z_bernoulli, 7)
     flipped = {p: 1 - read(fresh, p) for p in positions[::2]}
     flip = dynamics.TowerSpec(system=z_bernoulli, n=0, eta=0.5, pattern=flipped)
-    forced = dataclasses.replace(fresh, forced=dynamics.conditional_base_sampler(flip, 0, 1).forced)
+    forced = dynamics.PointBatch(
+        fresh.system, fresh.draws, fresh.stream, dynamics.conditional_base_sampler(flip, 0, 1).forced, fresh.offset
+    )
     # forced cells overlay the drawn bits and leave the others alone
     got = dynamics.read_cells(forced, positions)[0].tolist()
     assert got[::2] == list(flipped.values())

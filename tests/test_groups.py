@@ -228,6 +228,22 @@ def test_embedding_rejects_non_homomorphic_images():
         groups.subgroup_embed(z2, f2, [(1,), (2,)])
 
 
+def test_embedding_check_is_exhaustive_and_deterministic():
+    z2 = groups.GroupSpec("lattice", 2)
+    h = groups.GroupSpec("heisenberg", 2)
+    # x and the central z commute: a homomorphism of Z^2
+    emb = groups.subgroup_embed(z2, h, [(1, 0, 0), (0, 0, 1)])
+    assert emb.map((2, -3)) == (2, 0, -3)
+    # x and y do not: f(g) = x^g1 y^g2, so the first pair of B_3 (in ball
+    # order) that breaks the law puts a y before an x
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(EmbeddingError) as info:
+            groups.subgroup_embed(z2, h, [(1, 0, 0), (0, 1, 0)])
+        messages.add(str(info.value))
+    assert messages == {"images are not homomorphic: f((0, -1)*(-1, 0)) != f((0, -1))f((-1, 0))"}
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(min_value=-2, max_value=2).filter(lambda x: x != 0), max_size=8),

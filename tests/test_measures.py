@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -88,6 +87,57 @@ def test_walk_counts_equal_python_int_counts(kind, d, depth, dtype, monkeypatch)
         assert walk.rho(n).tolist() == exact.rho(n).tolist()
         assert walk.masses(n, ball).tolist() == exact.masses(n, ball).tolist()
         assert walk.return_probability(n) == exact.return_probability(n)
+
+
+def _gather_kernel(monkeypatch):
+    monkeypatch.setattr(measures, "_moves", oracle.gather_moves)
+    monkeypatch.setattr(measures, "_step", oracle.gather_step)
+
+
+@pytest.mark.parametrize(
+    "kind,d,depth",
+    [("integers", 1, 33), ("integers", 1, 34), ("lattice", 2, 6), ("lattice", 3, 4), ("heisenberg", 2, 6)],
+    ids=["Z-33", "Z-34", "Z2-6", "Z3-4", "H-6"],
+)
+def test_slice_kernel_walk_counts_equal_gather_oracle(kind, d, depth, monkeypatch):
+    # int64 counts at Z-33 and Python ints at Z-34, on both sides of the
+    # boundary, and the Heisenberg y-steps as one shear per x-slice
+    spec = groups.GroupSpec(kind, d)
+    walk = measures.lazy_walk(spec, depth)
+    _gather_kernel(monkeypatch)
+    gathered = measures.lazy_walk(spec, depth)
+    for n in range(depth + 1):
+        assert walk.counts[n].dtype == gathered.counts[n].dtype
+        assert walk.counts[n].tolist() == gathered.counts[n].tolist()
+
+
+def test_slice_kernel_heisenberg_steps_equal_gather_oracle(monkeypatch):
+    # steps that move x, y and z at once, on a box whose z-side some of
+    # the sheared slices leave
+    spec = groups.GroupSpec("heisenberg", 2)
+    offset, shape = measures.cell_box(spec, 5)
+    steps = [(0, 0, 0), (1, 0, 0), (0, -1, 0), (2, 1, -3), (-1, 2, 1), (-3, -2, 4)]
+    power = np.random.default_rng(3).integers(0, 1000, size=shape)
+    weights = [1, 2, 1, 3, 5, 7]
+    got = measures._step(power, measures._moves(spec, offset, shape, steps), weights)
+    want = oracle.gather_step(power, oracle.gather_moves(spec, offset, shape, steps), weights)
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])
+def test_slice_kernel_law_powers_equal_gather_oracle(depth, monkeypatch):
+    # asymmetric float laws with an identity atom; the longest step spans
+    # the box radius at depth 1
+    laws = [
+        (groups.GroupSpec("integers"), {0: 0.25, 1: 0.125, -3: 0.375, 2: 0.25}),
+        (groups.GroupSpec("lattice", 2), {(0, 0): 0.1, (1, 0): 0.3, (0, -2): 0.2, (-1, 1): 0.4}),
+    ]
+    slices = [measures._law_powers(spec, law, depth) for spec, law in laws]
+    _gather_kernel(monkeypatch)
+    for (spec, law), (offset, powers) in zip(laws, slices):
+        want_offset, want = measures._law_powers(spec, law, depth)
+        assert offset == want_offset
+        assert [p.tobytes() for p in powers] == [p.tobytes() for p in want]
 
 
 def test_sorted_ball_is_the_sort_key_order():
@@ -347,8 +397,9 @@ def test_degenerate_restriction(z_spec, f2_spec):
     # images a^n leave the stored support except near the identity, but the
     # window always contains the identity, so force degeneracy differently:
     emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
-    empty = dataclasses.replace(
-        w_small, partials=tuple(np.zeros_like(row) for row in w_small.partials)
+    empty = measures.WeightTable(
+        w_small.spec, w_small.offset, w_small.params,
+        tuple(np.zeros_like(row) for row in w_small.partials), w_small.tail_bound,
     )
     with pytest.raises(DegenerateRestrictionError):
         measures.restrict_renormalize(empty, emb)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -28,7 +27,7 @@ class ModelEvaluator:
     def __init__(self, mdl: model.ModelFunction, x: dynamics.PointBatch):
         self.model = mdl
         self.spec = mdl.spec
-        self.root = dataclasses.replace(x, offset=groups.identity(mdl.spec))
+        self.root = dynamics.PointBatch(x.system, x.draws, x.stream, x.forced, groups.identity(mdl.spec))
         n_stages = len(mdl.stages)
         self._bits = {}
         self._base = [dict() for _ in range(n_stages)]
@@ -359,7 +358,7 @@ def test_equivariance_exact(built_model, z_weights):
 
 def test_support_and_iso(built_model, z_weights):
     mdl, history, cfg = built_model
-    cfg = dataclasses.replace(cfg, seed=6, samples=dataclasses.replace(cfg.samples, check_samples=1500))
+    cfg = cfg._replace(seed=6, samples=cfg.samples._replace(check_samples=1500))
     rep = model.support_and_iso_check(mdl, history, z_weights, cfg)
     assert rep["pass"], rep
 

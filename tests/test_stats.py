@@ -76,8 +76,8 @@ def test_cli_import_leaves_heavy_scipy_out():
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # no command imports scipy; ``continuous`` exits 1 only for the
-    # simple-constant domination record that fails by design (11b)
+    # no command imports scipy or dataclasses; ``continuous`` exits 1 only
+    # for the simple-constant domination record that fails by design (11b)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         '{"stages": 2, "weights": {"q": 0.5, "n_max": 12},'
@@ -91,4 +91,4 @@ def test_commands_run_without_scipy(tmp_path):
         f"    status = cli.main([command, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}])\n"
         "    assert status == (command == 'continuous'), (command, status)\n"
     )
-    assert modules_after(code, "scipy") == []
+    assert modules_after(code, "scipy", "dataclasses") == []
