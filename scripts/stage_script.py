@@ -25,18 +25,18 @@ def main():
     cfg = ExperimentConfig(
         stages=args.stages, seed=args.seed, samples=SampleConfig(check_samples=args.check_samples)
     )
-    mdl, history = model.build_model(sys_b, w, cfg)
-    model.run_stage_checks(mdl, history, w, cfg)
+    mdl = model.build_model(sys_b, w, cfg)
+    model.run_stage_checks(mdl, cfg)
     print(f"{'n':>2} {'radius':>7} {'N':>3} {'marker':>7} {'mu(E)':>10} "
           f"{'eta':>10} {'s':>10} {'beta':>10} {'eps_n':>10} {'delta_n':>10}")
-    for st, hs in zip(mdl.stages, history):
+    for st, hs in zip(mdl.stages, mdl.history):
         print(
             f"{hs.n:>2} {hs.ball.radius:>7.3f} {st.patch.n:>3} "
             f"{len(st.patch.tower.pattern):>7} {st.patch.tower.mu_pattern:>10.3e} "
             f"{hs.eta:>10.3e} {st.split.offset:>10.3e} {hs.beta:>10.3e} "
             f"{hs.eps[hs.n]:>10.3e} {hs.delta[hs.n]:>10.3e}"
         )
-    final = history[-1]
+    final = mdl.history[-1]
     print("\nchecks:", {k: v["pass"] for k, v in final.checks.items()})
 
 

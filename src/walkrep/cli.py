@@ -40,8 +40,9 @@ def _out_dir(base: str, command: str) -> str:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """``payload`` as strict JSON: a NaN or an infinity raises ValueError."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -99,8 +100,14 @@ def _weight_tables(cfg: ExperimentConfig):
     )
 
 
+RATIO_RADIUS = 3  # ``weights`` checks the translation ratios of every b in B_3
+
+
 def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
     from . import measures
+    for key in ("weights", "second_weights"):
+        if getattr(cfg, key).n_max <= RATIO_RADIUS:  # weight_ratio needs |b| <= n_max - 1
+            raise ConfigError(f"{key}.n_max must be > {RATIO_RADIUS} for the ratios of b in B_{RATIO_RADIUS}")
     start = _start()
     out = _out_dir(out_base, "weights")
     records = []
@@ -123,7 +130,7 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
         ratio_rows = []
         all_ok = True
         worst = 0.0
-        for b in groups.ball(spec, 3):
+        for b in groups.ball(spec, RATIO_RADIUS):
             if b == groups.identity(spec):
                 continue
             rep = measures.weight_ratio(w, b)
@@ -191,11 +198,17 @@ def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
     return _finish(out, "norms", cfg, records, start)
 
 
+JRT_DEPTH = 12  # the Bernoulli harness averages over B_12
+
+
 def cmd_jrt(cfg: ExperimentConfig, out_base: str) -> int:
     from . import dynamics, markov
+    spec = cfg.group.spec()
+    size = groups.free_ball_size(spec.d, JRT_DEPTH) if spec.kind == "free" else 0
+    if size > groups.BALL_CAP:  # the other kinds' balls grow polynomially
+        raise ConfigError(f"jrt averages over B_{JRT_DEPTH}, whose {size} elements exceed the ball cap {groups.BALL_CAP}")
     start = _start()
     out = _out_dir(out_base, "jrt")
-    spec = cfg.group.spec()
     records = []
     rows = []
     if spec.kind in ("integers", "lattice"):
@@ -226,21 +239,23 @@ def cmd_jrt(cfg: ExperimentConfig, out_base: str) -> int:
         dynamics.CylinderSet.from_dict(spec, {groups.identity(spec): 1})
     )
     repb = markov.convergence_report(
-        bern, f_ind, n_max=12, samples=cfg.samples.averaging_samples, seed=cfg.seed
+        bern, f_ind, n_max=JRT_DEPTH, samples=cfg.samples.averaging_samples, seed=cfg.seed
     )
     sigma_ok = True
     worst_sigma = 0.0
-    for n in range(1, 13):
+    for n in range(1, JRT_DEPTH + 1):
         est2 = repb["l2_dev"][n] ** 2
         exact2 = repb["expected_l2"][n] ** 2
-        dev = abs(est2 - exact2) / repb["l2_se"][n]
+        se = repb["l2_se"][n]
+        # with a zero standard error only the exact value passes
+        dev = abs(est2 - exact2) / se if se > 0.0 else (0.0 if est2 == exact2 else math.inf)
         worst_sigma = max(worst_sigma, dev)
         sigma_ok = sigma_ok and dev <= cfg.tolerances.decay_sigma
     records.append(
         _record(
             "bernoulli_indicator_variance",
             {"pass": repb["pass"] and sigma_ok},
-            worst_dev_in_se=worst_sigma,
+            worst_dev_in_se=None if worst_sigma == math.inf else worst_sigma,
         )
     )
     for n, (s, l) in enumerate(zip(repb["sup_dev"], repb["l2_dev"])):
@@ -291,10 +306,10 @@ def cmd_tower(cfg: ExperimentConfig, out_base: str) -> int:
 
 
 def _build_model(cfg: ExperimentConfig, cache: list | None = None):
-    """``(w, model, history)`` for ``cfg``: the weight table, the staged
-    model and its stage states.  ``all`` passes one ``cache`` list to
-    every model command, so the model is built once, inside the clock of the
-    first command that asks for it, as in a separate run of that command."""
+    """The staged model of ``cfg``, with its weight table and stage states.
+    ``all`` passes one ``cache`` list to every model command, so the model
+    is built once, inside the clock of the first command that asks for it,
+    as in a separate run of that command."""
     from . import dynamics, measures, model
     if cache:
         return cache[0]
@@ -302,10 +317,10 @@ def _build_model(cfg: ExperimentConfig, cache: list | None = None):
     w = measures.build_weight(
         spec, measures.WeightParams(cfg.weights.q, cfg.weights.n_max)
     )
-    result = (w, *model.build_model(dynamics.bernoulli_system(spec, cfg.seed), w, cfg))
+    mdl = model.build_model(dynamics.bernoulli_system(spec, cfg.seed), w, cfg)
     if cache is not None:
-        cache.append(result)
-    return result
+        cache.append(mdl)
+    return mdl
 
 
 def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
@@ -313,14 +328,14 @@ def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
     _shift_group(cfg)
     start = _start()
     out = _out_dir(out_base, "build")
-    w, mdl, history = _build_model(cfg, cache)
-    model.run_stage_checks(mdl, history, w, cfg)
+    mdl = _build_model(cfg, cache)
+    model.run_stage_checks(mdl, cfg)
     _write_json(os.path.join(out, "model.json"), mdl.to_dict())
     _write_json(
         os.path.join(out, "history.json"),
-        {"stages": [st.to_dict(mdl.spec) for st in history]},
+        {"stages": [st.to_dict(mdl.spec) for st in mdl.history]},
     )
-    final = history[-1]
+    final = mdl.history[-1]
     records = [
         _record("stage_separation", final.checks["separation"]),
         _record("stage_nesting", final.checks["nesting"]),
@@ -337,15 +352,14 @@ def cmd_support(cfg: ExperimentConfig, out_base: str, cache: list | None = None)
     _shift_group(cfg)
     start = _start()
     out = _out_dir(out_base, "support")
-    w, mdl, history = _build_model(cfg, cache)
+    mdl = _build_model(cfg, cache)
     spec = mdl.spec
     records = []
-    iso = model.support_and_iso_check(mdl, history, w, cfg)
+    iso = model.support_and_iso_check(mdl, cfg)
     records.append(_record("support_and_iso", iso))
     for h in groups.ball(spec, 2):
         rep = model.equivariance_check(
             mdl,
-            w,
             samples=max(50, cfg.samples.equivariance_samples // max(1, len(groups.ball(spec, 2)))),
             h=h,
             n_trunc=cfg.n_trunc,
@@ -366,13 +380,13 @@ def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
     _shift_group(cfg)
     start = _start()
     out = _out_dir(out_base, "orbit")
-    w, mdl, history = _build_model(cfg, cache)
+    mdl = _build_model(cfg, cache)
     spec = mdl.spec
     a = groups.generators(spec)[0]
-    ball1 = history[0].ball
+    ball1 = mdl.history[0].ball
     probe = dynamics.bernoulli_system(spec, cfg.seed + 1)
     x = dynamics.sample_points(probe, [0])
-    rep = model.orbit_frequency(mdl, x, a, ball1, cfg.samples.orbit_steps, w, cfg.n_trunc)
+    rep = model.orbit_frequency(mdl, x, a, ball1, cfg.samples.orbit_steps, cfg.n_trunc)
     series = rep.pop("series")
     rows = []
     cum = 0.0
@@ -383,8 +397,8 @@ def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
     _write_csv(os.path.join(out, "frequency.csv"), ["step", "running_frequency"], rows)
     # consistency against the measured hit frequency of the same ball
     n_iso = min(cfg.samples.check_samples, 1000)
-    _, phis = model.probe_orbit_vectors(mdl, n_iso, cfg.n_trunc, w, cfg.seed + 7)
-    mu_est = model.ball_hits(phis, ball1, w)[0] / n_iso
+    _, phis = model.probe_orbit_vectors(mdl, n_iso, cfg.n_trunc, cfg.seed + 7)
+    mu_est = model.ball_hits(phis, ball1, mdl.w)[0] / n_iso
     se_mu = math.sqrt(max(mu_est * (1 - mu_est), 1e-12) / n_iso)
     gap = abs(rep["frequency"] - mu_est)
     tol = stats.Z95 * (rep["se_batch"] + se_mu) + 1e-6

@@ -471,7 +471,7 @@ def restricted_ratio_certificate(w_amb: WeightTable, emb: groups.Embedding, b_su
         "bound": bound,
         "lower_bound": 1.0 / bound,
         "observed_max": upper_max,
-        "observed_min": lower_min,
+        "observed_min": None if lower_min == math.inf else lower_min,
         "n_evaluated": count,
         "domain": f"subgroup ball({depth})",
         "pass": bool(

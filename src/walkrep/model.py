@@ -192,10 +192,15 @@ class StageState:
 
 
 class ModelFunction:
-    """The staged finite-valued function, evaluable at sampled points."""
+    """The staged finite-valued function, evaluable at sampled points, with
+    the weight table ``w`` of the space it maps into and ``history``, the
+    ``StageState`` of each stage ``build_model`` completed."""
 
-    def __init__(self, system: DynamicalSystem, stages: list):
-        self.system, self.stages = system, stages
+    def __init__(self, system: DynamicalSystem, stages: list, w: WeightTable):
+        if w.spec != system.group:
+            raise DomainError(f"the weight table is on {w.spec}, the system on {system.group}")
+        self.system, self.stages, self.w = system, stages, w
+        self.history: list[StageState] = []
 
     @property
     def spec(self) -> GroupSpec:
@@ -219,6 +224,12 @@ class ModelFunction:
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.range_values()), default=0.0)
+
+    def tail(self, radius: int) -> float:
+        """max|f| * sqrt(w-mass outside B_radius): the bound on the norm of
+        an orbit vector outside the window B_radius, with the mass bounded by
+        the stored complement plus the truncation tail."""
+        return self.max_abs() * math.sqrt(self.w.tail_mass_outside_ball(radius))
 
     def to_dict(self) -> dict:
         spec = self.spec
@@ -476,18 +487,13 @@ def _ball_box(spec: GroupSpec, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return -radii, radii
 
 
-def phi(
-    model: ModelFunction, points, n_trunc: int, w: WeightTable
-) -> tuple[list, np.ndarray, float]:
+def phi(model: ModelFunction, points, n_trunc: int) -> tuple[list, np.ndarray, float]:
     """Truncated orbit vectors {f(T_g x)}_{g in B_n_trunc} of ``points``:
-    ``(ball, values, tail)`` with ``values[i, k]`` = f(T_{ball[k]} x_i).
-
-    The tail bound, shared by every row, is max|f| * sqrt(true w-mass
-    outside the window), with the mass bounded by the stored complement
-    plus the truncation tail.
+    ``(ball, values, tail)`` with ``values[i, k]`` = f(T_{ball[k]} x_i) and
+    ``tail`` = ``model.tail(n_trunc)``, shared by every row.
     """
-    ball, cells = w.ball(n_trunc)
-    tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
+    ball, cells = model.w.ball(n_trunc)
+    tail = model.tail(n_trunc)
     blocks = [
         win.rows(win.values(), cells)
         for win in orbit_windows(model, points, *_ball_box(model.spec, n_trunc))
@@ -586,13 +592,7 @@ def _tail_height(w: WeightTable, max_abs: float, radius: float, n0: int) -> int:
     )
 
 
-def hit_ball(
-    model: ModelFunction,
-    history: list[StageState],
-    ball: BallSpec,
-    w: WeightTable,
-    quartic_budget: float,
-) -> tuple[ModelStage, float]:
+def hit_ball(model: ModelFunction, ball: BallSpec, quartic_budget: float) -> tuple[ModelStage, float]:
     """Patch the model so the next ball is hit with positive probability.
 
     Returns the new (patch-only) stage and the eta in force.
@@ -601,10 +601,10 @@ def hit_ball(
     """
     sys = model.system
     spec = model.spec
-    eta = INITIAL_ETA if not history else compute_eta(history)
+    eta = INITIAL_ETA if not model.history else compute_eta(model.history)
     xi = ball.center_dict()
     max_abs = max(model.max_abs(), ball.max_abs())
-    n = _tail_height(w, max(max_abs, 1e-9), ball.radius, ball.level)
+    n = _tail_height(model.w, max(max_abs, 1e-9), ball.radius, ball.level)
     prev_heights = [st.patch.n for st in model.stages]
     blow = max(
         [len(groups.ball(spec, n_i + n)) for n_i in prev_heights]
@@ -630,9 +630,7 @@ def hit_ball(
     return stage, eta
 
 
-def verify_patch(
-    model: ModelFunction, ball: BallSpec, w: WeightTable, cfg: ExperimentConfig
-) -> dict:
+def verify_patch(model: ModelFunction, ball: BallSpec, cfg: ExperimentConfig) -> dict:
     """On conditional draws from E of the stage just added: the window
     matches the center exactly and the full truncated distance stays below
     half the radius."""
@@ -641,9 +639,9 @@ def verify_patch(
     points = dynamics.conditional_base_sampler(
         stage.patch.tower, cfg.seed + stage_index, cfg.samples.base_samples
     )
-    window, cells = w.ball(stage.patch.n)
-    weights = w.read(cells)
-    tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(stage.patch.n))
+    window, cells = model.w.ball(stage.patch.n)
+    weights = model.w.read(cells)
+    tail = model.tail(stage.patch.n)
     center = ball.center_dict()
     center_row = np.array([center.get(g, 0.0) for g in window])
     mismatches = 0
@@ -666,7 +664,7 @@ def verify_patch(
     }
 
 
-def split_values(model: ModelFunction, history: list[StageState]) -> StageSplit:
+def split_values(model: ModelFunction) -> StageSplit:
     """Split every current value u into u -+ s routed by the cylinder of the
     stage just added.
 
@@ -674,7 +672,7 @@ def split_values(model: ModelFunction, history: list[StageState]) -> StageSplit:
     covers; all new points must be distinct or the stage fails.
     """
     n_new = len(model.stages)
-    s = EPS1 if n_new == 1 else history[n_new - 2].beta / 8.0
+    s = EPS1 if n_new == 1 else model.history[n_new - 2].beta / 8.0
     values = model.range_values()  # range of the patched model f-hat
     split_map = {u: (u - s, u + s) for u in values}
     offspring = [v for pair in split_map.values() for v in pair]
@@ -836,51 +834,44 @@ def _parent_value(point: float, split: StageSplit) -> float:
     raise StageError(f"value {point} has no split parent")
 
 
-def build_model(
-    sys: DynamicalSystem, w: WeightTable, cfg: ExperimentConfig
-) -> tuple[ModelFunction, list[StageState]]:
+def build_model(sys: DynamicalSystem, w: WeightTable, cfg: ExperimentConfig) -> ModelFunction:
     """Alternate ball patches and value splits for the ``cfg.stages`` stages.
 
-    Every stage records its exact checks and its patch verification, and a
-    failed one aborts.  The Monte-Carlo checks of the finished model are
-    ``run_stage_checks``.
+    Every stage records its exact checks and its patch verification in its
+    ``StageState``, and a failed one aborts.  The Monte-Carlo checks of the
+    finished model are ``run_stage_checks``.
     """
     if cfg.stages < 1:
         raise DomainError("need at least one stage")
-    model = ModelFunction(system=sys, stages=[])
-    history: list[StageState] = []
+    model = ModelFunction(system=sys, stages=[], w=w)
     quartic = 0.0
     drift = 0.0
     for idx in range(cfg.stages):
         ball = basis_balls(idx, sys.group)
-        stage, eta = hit_ball(model, history, ball, w, quartic)
+        stage, eta = hit_ball(model, ball, quartic)
         model.stages.append(stage)
-        patch_report = verify_patch(model, ball, w, cfg)
+        patch_report = verify_patch(model, ball, cfg)
         if not patch_report["pass"]:
             raise StageError(f"patch verification failed at stage {idx + 1}: {patch_report}")
         patched_values = model.range_values()
-        split = split_values(model, history)
+        split = split_values(model)
         stage.split = split
         drift += split.offset
         tower = stage.patch.tower
         quartic += tower.mu_bn_upper() * (ball.max_abs() + drift) ** 4
-        state = _update_bookkeeping(history, split, patched_values, tower, ball, eta)
+        state = _update_bookkeeping(model.history, split, patched_values, tower, ball, eta)
         state.checks["patch"] = patch_report
         if not state.checks["separation"]["pass"]:
             raise StageError(f"separation check failed at stage {idx + 1}")
         if not state.checks["nesting"]["pass"]:
             raise StageError(f"nesting check failed at stage {idx + 1}")
-        history.append(state)
-    return model, history
+        model.history.append(state)
+    return model
 
 
-def run_stage_checks(
-    model: ModelFunction,
-    history: list[StageState],
-    w: WeightTable,
-    cfg: ExperimentConfig,
-) -> None:
+def run_stage_checks(model: ModelFunction, cfg: ExperimentConfig) -> None:
     """Monte-Carlo checks 3_n, 4_n, 5_n recorded into the final stage state."""
+    history = model.history
     n = len(history)
     state = history[-1]
     probe = dynamics.probe_system(model.system, "checks", cfg.seed)
@@ -914,7 +905,7 @@ def run_stage_checks(
     ok4 = True
     draws = cfg.samples.base_samples
     for i in range(1, n + 1):
-        survive, in_ball = conditional_hits(model, history, i, w, cfg, cfg.seed + 1000 + i)
+        survive, in_ball = conditional_hits(model, i, cfg, cfg.seed + 1000 + i)
         ci = stats.clopper_pearson(in_ball, draws)
         mass_lower = model.stages[i - 1].patch.tower.mu_pattern * ci[0]
         required = state.delta[i] * (1.0 + 1.0 / n)
@@ -956,14 +947,7 @@ def run_stage_checks(
 # verification battery
 
 
-def equivariance_check(
-    model: ModelFunction,
-    w: WeightTable,
-    samples: int,
-    h,
-    n_trunc: int,
-    seed: int = 0,
-) -> dict:
+def equivariance_check(model: ModelFunction, samples: int, h, n_trunc: int, seed: int = 0) -> dict:
     """Exact coefficient equality of phi(T_h x) and S_h phi(x) on the common
     truncation ball; both sides are evaluated in their own windows."""
     spec = model.spec
@@ -971,8 +955,8 @@ def equivariance_check(
     probe = dynamics.probe_system(model.system, "equiv", seed)
     h_len = groups.word_length(spec, h)
     points = dynamics.sample_points(probe, np.arange(samples))
-    common, left, _ = phi(model, points.moved(h), n_trunc - h_len, w)
-    ball, right, _ = phi(model, points, n_trunc, w)
+    common, left, _ = phi(model, points.moved(h), n_trunc - h_len)
+    ball, right, _ = phi(model, points, n_trunc)
     # (S_h v)(g) = v(g h)
     index = {g: k for k, g in enumerate(ball)}
     shifted = right[:, [index[groups.multiply(spec, g, h)] for g in common]]
@@ -987,12 +971,7 @@ def equivariance_check(
     }
 
 
-def support_and_iso_check(
-    model: ModelFunction,
-    history: list[StageState],
-    w: WeightTable,
-    cfg: ExperimentConfig,
-) -> dict:
+def support_and_iso_check(model: ModelFunction, cfg: ExperimentConfig) -> dict:
     """Frequencies of hitting each stage ball, the symmetric-difference
     budgets for the cover preimages, and disjointness of the recorded
     interval systems, over ``cfg.samples.check_samples`` probe points.
@@ -1001,22 +980,23 @@ def support_and_iso_check(
     stratified draws from the stage tower base: the exact base measure times
     the conditional hit rate lower-bounds the hit frequency.
     """
+    history = model.history
     n = len(history)
     state = history[-1]
     samples, seed = cfg.samples.check_samples, cfg.seed
-    points, phis = probe_orbit_vectors(model, samples, cfg.n_trunc, w, seed)
+    points, phis = probe_orbit_vectors(model, samples, cfg.n_trunc, seed)
     prefix_values, routing = point_values(model, points)
     values = prefix_values[-1]
     detail = {}
     overall = True
     for i in range(1, n + 1):
-        hits, indeterminate = ball_hits(phis, history[i - 1].ball, w)
+        hits, indeterminate = ball_hits(phis, history[i - 1].ball, model.w)
         ci = stats.clopper_pearson(hits, samples)
         hit_ok = ci[0] >= state.delta[i]
         hit_method = "direct"
         conditional_lower = None
         if not hit_ok:
-            _, in_ball = conditional_hits(model, history, i, w, cfg, seed + 5000 + i)
+            _, in_ball = conditional_hits(model, i, cfg, seed + 5000 + i)
             conditional_lower = (
                 model.stages[i - 1].patch.tower.mu_pattern
                 * stats.clopper_pearson(in_ball, cfg.samples.base_samples)[0]
@@ -1049,14 +1029,12 @@ def support_and_iso_check(
     return {"samples": samples, "levels": detail, "pass": bool(overall)}
 
 
-def probe_orbit_vectors(
-    model: ModelFunction, samples: int, n_trunc: int, w: WeightTable, seed: int
-) -> tuple[PointBatch, tuple]:
+def probe_orbit_vectors(model: ModelFunction, samples: int, n_trunc: int, seed: int) -> tuple[PointBatch, tuple]:
     """The first ``samples`` points of the seeded "iso" probe system, and
     their orbit vectors as ``phi`` returns them."""
     probe = dynamics.probe_system(model.system, "iso", seed)
     points = dynamics.sample_points(probe, np.arange(samples))
-    return points, phi(model, points, n_trunc, w)
+    return points, phi(model, points, n_trunc)
 
 
 def _membership(dist: np.ndarray, tail: float, ball: BallSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -1075,37 +1053,22 @@ def ball_hits(phis: tuple, ball: BallSpec, w: WeightTable) -> tuple[int, int]:
     return int(hit.sum()), int(indeterminate.sum())
 
 
-def conditional_hits(
-    model: ModelFunction,
-    history: list[StageState],
-    i: int,
-    w: WeightTable,
-    cfg: ExperimentConfig,
-    seed: int,
-) -> tuple[int, int]:
+def conditional_hits(model: ModelFunction, i: int, cfg: ExperimentConfig, seed: int) -> tuple[int, int]:
     """(survived, in_ball) over ``cfg.samples.base_samples`` draws from the
     stage-i tower base, sampled with ``seed``: draws in the trimmed hit event
     E^{(n)}_i, and those whose orbit vector lies certainly in the stage-i
     ball.  The exact base measure times the conditional hit rate
     lower-bounds mu(phi in U_i)."""
     tower = model.stages[i - 1].patch.tower
-    n = len(history)
+    n = len(model.history)
     points = dynamics.conditional_base_sampler(tower, seed, cfg.samples.base_samples)
     hit = [win.in_hit_event(i, n) for win in orbit_windows(model, points, *_ball_box(model.spec, tower.n))]
     survivors = points[np.concatenate(hit) if hit else np.zeros(0, dtype=bool)]
-    phis = phi(model, survivors, cfg.n_trunc, w)
-    return len(survivors), ball_hits(phis, history[i - 1].ball, w)[0]
+    phis = phi(model, survivors, cfg.n_trunc)
+    return len(survivors), ball_hits(phis, model.history[i - 1].ball, model.w)[0]
 
 
-def orbit_frequency(
-    model: ModelFunction,
-    x: PointBatch,
-    a,
-    ball: BallSpec,
-    n_steps: int,
-    w: WeightTable,
-    n_trunc: int,
-) -> dict:
+def orbit_frequency(model: ModelFunction, x: PointBatch, a, ball: BallSpec, n_steps: int, n_trunc: int) -> dict:
     """Visit frequency of the orbit x, T_a x, T_a^2 x, ... to the ball, for
     the one-row batch ``x``.
 
@@ -1115,9 +1078,9 @@ def orbit_frequency(
     window distance is inside the radius but whose tail bound leaves
     membership open is flagged indeterminate.
     """
-    spec = w.spec
-    window, offsets = w.ball(n_trunc)
-    tail = model.max_abs() * math.sqrt(w.tail_mass_outside_ball(n_trunc))
+    spec = model.spec
+    window, offsets = model.w.ball(n_trunc)
+    tail = model.tail(n_trunc)
     a_c = groups.coords(spec, [a])[0]
     stages = _stage_events(model)
 
@@ -1136,7 +1099,7 @@ def orbit_frequency(
         # the cells g a^t of every step t, step by step in window order
         cells = (steps[:, None, None] * a_c + offsets).reshape(-1, len(a_c))
         values = win.rows(win.values(), cells).reshape(len(steps), len(window))
-        step_hit, step_open = _membership(distances(window, values, ball, w), tail, ball)
+        step_hit, step_open = _membership(distances(window, values, ball, model.w), tail, ball)
         hit += step_hit.tolist()
         indeterminate += int(step_open.sum())
     series = [1.0 if h else 0.0 for h in hit]

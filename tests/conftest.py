@@ -32,6 +32,6 @@ def z_bernoulli(z_spec):
 @pytest.fixture(scope="session")
 def built_model(z_bernoulli, z_weights):
     cfg = ExperimentConfig(stages=4, seed=11)  # 3000 check and 160 base samples
-    mdl, history = model.build_model(z_bernoulli, z_weights, cfg)
-    model.run_stage_checks(mdl, history, z_weights, cfg)
-    return mdl, history, cfg
+    mdl = model.build_model(z_bernoulli, z_weights, cfg)
+    model.run_stage_checks(mdl, cfg)
+    return mdl, cfg

@@ -127,12 +127,12 @@ def test_criterion_04_tower_validity(z_bernoulli):
 
 
 def test_criterion_05_stage_invariants(built_model):
-    mdl, history, cfg = built_model
+    mdl, cfg = built_model
     exact_ok = all(
         st.checks["separation"]["pass"] and st.checks["nesting"]["pass"]
-        for st in history
+        for st in mdl.history
     )
-    final = history[-1]
+    final = mdl.history[-1]
     mc3 = final.checks["exceptions"]["pass"]
     mc4 = final.checks["hitting"]["pass"]
     quartic = final.checks["quartic"]
@@ -149,16 +149,16 @@ def test_criterion_05_stage_invariants(built_model):
 # -- 6 ----------------------------------------------------------------------
 
 
-def test_criterion_06_equivariance(built_model, z_weights, z_spec):
-    mdl, history, cfg = built_model
+def test_criterion_06_equivariance(built_model, z_spec):
+    mdl, cfg = built_model
     sys_b = dynamics.bernoulli_system(z_spec, 606)
     n_trunc = cfg.n_trunc
     points = dynamics.sample_points(sys_b, np.arange(1000))
-    ball, rights, _ = model.phi(mdl, points, n_trunc, z_weights)
+    ball, rights, _ = model.phi(mdl, points, n_trunc)
     mismatches = 0
     compared = 0
     for h in groups.ball(z_spec, 2):
-        common, lefts, _ = model.phi(mdl, points.moved(h), n_trunc - abs(h), z_weights)
+        common, lefts, _ = model.phi(mdl, points.moved(h), n_trunc - abs(h))
         for left, right_full in zip(lefts.tolist(), rights.tolist()):
             right = dict(zip(ball, right_full))
             for g, value in zip(common, left):
@@ -174,9 +174,9 @@ def test_criterion_06_equivariance(built_model, z_weights, z_spec):
 # -- 7 ----------------------------------------------------------------------
 
 
-def test_criterion_07_support_and_iso(built_model, z_weights):
-    mdl, history, cfg = built_model
-    rep = model.support_and_iso_check(mdl, history, z_weights, cfg._replace(seed=7))
+def test_criterion_07_support_and_iso(built_model):
+    mdl, cfg = built_model
+    rep = model.support_and_iso_check(mdl, cfg._replace(seed=7))
     ok = rep["pass"]
     lines = {
         i: (d["hit_pass"], d["symdiff_pass"], d["covers_disjoint"])
@@ -189,13 +189,13 @@ def test_criterion_07_support_and_iso(built_model, z_weights):
 # -- 8 ----------------------------------------------------------------------
 
 
-def test_criterion_08_orbit_frequency(built_model, z_weights, z_bernoulli):
-    mdl, history, cfg = built_model
-    ball1 = history[0].ball
+def test_criterion_08_orbit_frequency(built_model, z_bernoulli):
+    mdl, cfg = built_model
+    ball1 = mdl.history[0].ball
     x = dynamics.sample_points(dynamics.bernoulli_system(z_bernoulli.group, 808), [0])
-    rep = model.orbit_frequency(mdl, x, 1, ball1, 10_000, z_weights, cfg.n_trunc)
+    rep = model.orbit_frequency(mdl, x, 1, ball1, 10_000, cfg.n_trunc)
     iso_cfg = cfg._replace(seed=8, samples=cfg.samples._replace(check_samples=1000))
-    iso = model.support_and_iso_check(mdl, history, z_weights, iso_cfg)
+    iso = model.support_and_iso_check(mdl, iso_cfg)
     mu_est = iso["levels"]["1"]["hit_freq"]
     se_mu = math.sqrt(max(mu_est * (1 - mu_est), 1e-12) / iso["samples"])
     gap = abs(rep["frequency"] - mu_est)

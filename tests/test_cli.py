@@ -308,6 +308,69 @@ def test_shift_commands_reject_other_kinds(command, tmp_path, capsys):
     assert not (tmp_path / command).exists()
 
 
+def _strict_json(text: str):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"non-finite {name} in a report")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+@pytest.mark.parametrize("table", ["weights", "second_weights"])
+def test_weights_rejects_a_shallow_table(table, n_max, tmp_path, capsys):
+    # the ratio scan over b in B_3 needs |b| <= n_max - 1 on both tables
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({table: {"n_max": n_max}}))
+    status = cli.main(["weights", "--config", str(path), "--out", str(tmp_path)])
+    if n_max == 4:
+        assert status == 0
+        assert _strict_json((tmp_path / "weights" / "report.json").read_text())["pass"]
+    else:
+        assert status == 2
+        assert capsys.readouterr().err == f"config error: {table}.n_max must be > 3 for the ratios of b in B_3\n"
+        assert not (tmp_path / "weights").exists()
+
+
+def test_reports_are_strict_json(tmp_path):
+    # at depth 0 no atom has a lower ratio: observed_min is null, not Infinity
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"second_weights": {"n_max": 1}}))
+    assert cli.main(["norms", "--config", str(path), "--out", str(tmp_path)]) == 0
+    report = _strict_json((tmp_path / "norms" / "report.json").read_text())
+    (record,) = [r for r in report["records"] if r["name"] == "restricted_ratio_b1"]
+    assert record["pass"] and record["detail"]["observed_min"] is None
+    with pytest.raises(ValueError):
+        cli._write_json(str(tmp_path / "bad.json"), {"x": float("inf")})
+
+
+def test_jrt_with_a_zero_standard_error(tmp_path):
+    # two averaging samples whose squared deviations are equal: a zero
+    # standard error, under which only the exact closed form passes
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"samples": {"averaging_samples": 2}}))
+    assert cli.main(["jrt", "--config", str(path), "--out", str(tmp_path), "--seed", "1"]) == 1
+    report = _strict_json((tmp_path / "jrt" / "report.json").read_text())
+    records = {r["name"]: r for r in report["records"]}
+    assert not records["bernoulli_indicator_variance"]["pass"]
+    assert records["bernoulli_indicator_variance"]["worst_dev_in_se"] is None
+
+
+@pytest.mark.parametrize("kind", ["free", "heisenberg"])
+def test_jrt_ball_over_the_cap_is_a_config_error(kind, tmp_path, capsys):
+    # |B_12(F_2)| = 2 * 3^12 - 1 is over groups.BALL_CAP; Heisenberg balls are not
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"group": {"kind": kind, "d": 2}, "samples": {"averaging_samples": 100}}))
+    status = cli.main(["jrt", "--config", str(path), "--out", str(tmp_path)])
+    if kind == "free":
+        assert status == 2
+        message = "config error: jrt averages over B_12, whose 1062881 elements exceed the ball cap 1000000\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "jrt").exists()
+    else:
+        assert status in (0, 1)
+        assert (tmp_path / "jrt" / "report.json").exists()
+
+
 def test_support_at_the_least_truncation(tmp_path):
     # n_trunc 2 leaves B_0 to compare at |h| = 2, and support reports
     path = tmp_path / "cfg.json"

@@ -1,6 +1,4 @@
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -8,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convolution as oracle
+import fresh
 from walkrep import continuous, groups
 from walkrep.errors import DomainError
 
@@ -222,29 +221,34 @@ def test_chain_domination_anchors_k10():
     assert sum(r["violations_corrected"] for r in reps) == 0
 
 
-def test_chain_domination_sweep_script():
+def _script_lines(script: str, *args: str) -> list:
+    """The stdout lines of ``scripts/<script>`` run in a fresh interpreter,
+    which must exit 0."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.dirname(os.path.dirname(continuous.__file__))
-    stdout = {}
-    for script, *args in (
-        ("chain_domination_sweep.py", "--n-max", "6"),
-        ("stage_script.py", "--stages", "2", "--check-samples", "200"),
-        ("norm_certificates.py",),
-    ):
-        proc = subprocess.run(
-            [sys.executable, os.path.join(root, "scripts", script), *args],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, (script, proc.stderr)
-        stdout[script] = proc.stdout.splitlines()
-    rows = stdout["chain_domination_sweep.py"][1:]
+    proc = fresh.run([os.path.join(root, "scripts", script), *args])
+    assert proc.returncode == 0, (script, proc.stderr)
+    return proc.stdout.splitlines()
+
+
+def test_chain_domination_sweep_script():
+    rows = _script_lines("chain_domination_sweep.py", "--n-max", "6")[1:]
     assert [int(r.split()[0]) for r in rows] == list(range(1, 7))
     assert [int(r.split()[0]) for r in rows if "simple=FAILS" in r] == [3, 4, 5, 6]
+
+
+def test_stage_script():
+    lines = _script_lines("stage_script.py", "--stages", "2")
     header = "n radius N marker mu(E) eta s beta eps_n delta_n"
-    assert stdout["stage_script.py"][0].split() == header.split()
-    assert stdout["norm_certificates.py"][0].startswith("integers  d=1 n_max= 10  bound=")
+    assert lines[0].split() == header.split()
+    assert [int(r.split()[0]) for r in lines[1:3]] == [1, 2]
+    checks = ["separation", "nesting", "patch", "range", "exceptions", "hitting", "quartic"]
+    assert lines[-1] == "checks: " + str({k: True for k in checks})
+
+
+def test_norm_certificates_script():
+    lines = _script_lines("norm_certificates.py")
+    assert lines[0].startswith("integers  d=1 n_max= 10  bound=")
+    assert len(lines) == 9 and all(line.endswith("[ok]") for line in lines)
 
 
 def test_chain_lower_bound():

@@ -112,8 +112,8 @@ class ModelEvaluator:
         return True
 
 
-def oracle_phi(ev, x, n_trunc, w, stage_count=None):
-    spec = ev.spec
+def oracle_phi(ev, x, n_trunc, stage_count=None):
+    spec, w = ev.spec, ev.model.w
     coeffs = {
         g: ev.f_value(groups.multiply(spec, g, x.offset), stage_count=stage_count)
         for g in groups.ball(spec, n_trunc)
@@ -129,8 +129,9 @@ def _elem_from_json(spec, v):
     return g
 
 
-def model_from_dict(data: dict) -> model.ModelFunction:
-    """The model of ``ModelFunction.to_dict``, for round trips."""
+def model_from_dict(data: dict, w: measures.WeightTable) -> model.ModelFunction:
+    """The model of ``ModelFunction.to_dict`` on the weight table ``w``, for
+    round trips."""
     sysd = data["system"]
     spec = groups.GroupSpec(sysd["group"]["kind"], sysd["group"]["d"])
     system = dynamics.DynamicalSystem(
@@ -157,7 +158,7 @@ def model_from_dict(data: dict) -> model.ModelFunction:
             )
         patch = model.StagePatch(tower=tower, xi=xi, n0=sd["n0"], n=sd["n"])
         stages.append(model.ModelStage(patch=patch, split=split))
-    return model.ModelFunction(system=system, stages=stages)
+    return model.ModelFunction(system=system, stages=stages, w=w)
 
 
 def dict_vectors(phis, w) -> list:
@@ -180,15 +181,15 @@ def oracle_ball_hits(phis, ball, w) -> tuple[int, int]:
     return hits, indeterminate
 
 
-def oracle_equivariance(mdl, w, samples, h, n_trunc, seed) -> tuple[int, int]:
+def oracle_equivariance(mdl, samples, h, n_trunc, seed) -> tuple[int, int]:
     """(compared, mismatches) of ``model.equivariance_check`` on dict
     vectors shifted by ``vectors.shift``."""
-    spec = mdl.spec
+    spec, w = mdl.spec, mdl.w
     probe = dynamics.probe_system(mdl.system, "equiv", seed)
     common = n_trunc - groups.word_length(spec, h)
     points = dynamics.sample_points(probe, np.arange(samples))
-    lefts = dict_vectors(model.phi(mdl, points.moved(h), common, w), w)
-    rights = dict_vectors(model.phi(mdl, points, n_trunc, w), w)
+    lefts = dict_vectors(model.phi(mdl, points.moved(h), common), w)
+    rights = dict_vectors(model.phi(mdl, points, n_trunc), w)
     compared = mismatches = 0
     for (left, _), (right_full, _) in zip(lefts, rights):
         right = shift(right_full, h)
@@ -261,11 +262,12 @@ def test_compute_eta_formula():
 
 def test_build_single_stage_smoke(z_bernoulli, z_weights):
     cfg = ExperimentConfig(stages=1, seed=3, samples=SampleConfig(check_samples=400, base_samples=60))
-    mdl, history = model.build_model(z_bernoulli, z_weights, cfg)
-    assert set(history[-1].checks) == {"separation", "nesting", "patch"}
-    model.run_stage_checks(mdl, history, z_weights, cfg)
-    assert len(history) == 1
-    final = history[-1]
+    mdl = model.build_model(z_bernoulli, z_weights, cfg)
+    assert mdl.w is z_weights
+    assert set(mdl.history[-1].checks) == {"separation", "nesting", "patch"}
+    model.run_stage_checks(mdl, cfg)
+    assert len(mdl.history) == 1
+    final = mdl.history[-1]
     assert final.checks["separation"]["pass"]
     assert final.checks["exceptions"]["pass"]
     assert final.checks["hitting"]["pass"]
@@ -276,7 +278,8 @@ def test_build_single_stage_smoke(z_bernoulli, z_weights):
 
 
 def test_full_build_stage_invariants(built_model):
-    mdl, history, cfg = built_model
+    mdl, cfg = built_model
+    history = mdl.history
     final = history[-1]
     assert final.checks["separation"]["pass"]
     assert final.checks["nesting"]["pass"]
@@ -291,7 +294,7 @@ def test_full_build_stage_invariants(built_model):
 
 
 def test_stage_budgets_decrease(built_model):
-    _, history, _ = built_model
+    history = built_model[0].history
     final = history[-1]
     etas = [st.eta for st in history]
     assert all(a >= b for a, b in zip(etas, etas[1:]))
@@ -302,14 +305,14 @@ def test_stage_budgets_decrease(built_model):
 
 
 def test_phi_center_coordinate(built_model, z_bernoulli, z_weights):
-    mdl, history, cfg = built_model
+    mdl, cfg = built_model
     x = point(z_bernoulli, 123)
-    ball, vec, tail = model.phi(mdl, x, 8, z_weights)
+    ball, vec, tail = model.phi(mdl, x, 8)
     assert ball == groups.ball(z_bernoulli.group, 8) and vec.shape == (1, len(ball))
     values, _ = model.point_values(mdl, x)
     assert vec[0, ball.index(0)] == values[-1][0]
     assert 0.0 <= tail < 0.01
-    _, _, tail_wide = model.phi(mdl, x, 16, z_weights)
+    _, _, tail_wide = model.phi(mdl, x, 16)
     assert tail_wide < tail  # widening the window shrinks the tail bound
     ((dict_vec, _),) = dict_vectors((ball, vec, tail), z_weights)
     assert norm(dict_vec) <= mdl.max_abs() + 1e-12
@@ -317,30 +320,30 @@ def test_phi_center_coordinate(built_model, z_bernoulli, z_weights):
 
 def test_phi_constant_model(z_bernoulli, z_weights):
     # a model with no stages is the zero function
-    mdl = model.ModelFunction(system=z_bernoulli, stages=[])
-    _, vec, tail = model.phi(mdl, point(z_bernoulli, 5), 6, z_weights)
+    mdl = model.ModelFunction(system=z_bernoulli, stages=[], w=z_weights)
+    _, vec, tail = model.phi(mdl, point(z_bernoulli, 5), 6)
     assert not vec.any()
     assert tail == 0.0
 
 
 def test_evaluator_values_in_range(built_model, z_bernoulli):
-    mdl, history, _ = built_model
-    allowed = set(history[-1].range_values)
+    mdl = built_model[0]
+    allowed = set(mdl.history[-1].range_values)
     values, _ = model.point_values(mdl, dynamics.sample_points(z_bernoulli, np.arange(80)))
     assert set(values[-1].tolist()) <= allowed
 
 
 def test_window_rejects_rotation_points(built_model, z_spec):
-    mdl, _, _ = built_model
+    mdl = built_model[0]
     x = point(dynamics.rotation_system(z_spec, 1), 0)
     with pytest.raises(DomainError):
         model.point_values(mdl, x)
 
 
 def test_hit_events_nested(built_model):
-    mdl, history, cfg = built_model
+    mdl = built_model[0]
     tower1 = mdl.stages[0].patch.tower
-    n = len(history)
+    n = len(mdl.history)
     points = dynamics.conditional_base_sampler(tower1, 42, 40)
     (win,) = model.orbit_windows(mdl, points, (-tower1.n,), (tower1.n,))
     flags = [win.in_hit_event(1, m) for m in range(1, n + 1)]
@@ -349,33 +352,33 @@ def test_hit_events_nested(built_model):
         assert not (later & ~earlier).any()
 
 
-def test_equivariance_exact(built_model, z_weights):
-    mdl, history, cfg = built_model
+def test_equivariance_exact(built_model):
+    mdl = built_model[0]
     for h in (0, 1, -2):
-        rep = model.equivariance_check(mdl, z_weights, samples=40, h=h, n_trunc=12, seed=5)
+        rep = model.equivariance_check(mdl, samples=40, h=h, n_trunc=12, seed=5)
         assert rep["mismatches"] == 0
 
 
-def test_support_and_iso(built_model, z_weights):
-    mdl, history, cfg = built_model
+def test_support_and_iso(built_model):
+    mdl, cfg = built_model
     cfg = cfg._replace(seed=6, samples=cfg.samples._replace(check_samples=1500))
-    rep = model.support_and_iso_check(mdl, history, z_weights, cfg)
+    rep = model.support_and_iso_check(mdl, cfg)
     assert rep["pass"], rep
 
 
-def test_orbit_frequency_whole_space(built_model, z_weights, z_bernoulli):
-    mdl, history, cfg = built_model
+def test_orbit_frequency_whole_space(built_model, z_bernoulli):
+    mdl = built_model[0]
     x = point(z_bernoulli, 9)
     # a ball so large that membership always holds
     big = model.BallSpec(index=-1, level=0, center=(), radius=1e6)
-    rep = model.orbit_frequency(mdl, x, 1, big, 200, z_weights, 10)
+    rep = model.orbit_frequency(mdl, x, 1, big, 200, 10)
     assert rep["frequency"] == 1.0
 
 
 def test_evaluator_locate_matches_tower(built_model, z_bernoulli):
     # the compare-all marker test is the oracle of the window's locate and
     # of TowerSpec.located, which share the bit box and its sieve
-    mdl, _, _ = built_model
+    mdl = built_model[0]
     for j, stage in enumerate(mdl.stages):
         tower = stage.patch.tower
         ball = groups.ball(z_bernoulli.group, tower.n)
@@ -400,18 +403,18 @@ STRATIFIED_LOWER_SEED_6 = {
 }
 
 
-def test_conditional_hits_reproduce_stratified_bound(built_model, z_weights):
-    mdl, history, cfg = built_model
+def test_conditional_hits_reproduce_stratified_bound(built_model):
+    mdl, cfg = built_model
     for i, expected in STRATIFIED_LOWER_SEED_6.items():
-        _, in_ball = model.conditional_hits(mdl, history, i, z_weights, cfg, 6 + 5000 + i)
+        _, in_ball = model.conditional_hits(mdl, i, cfg, 6 + 5000 + i)
         lower = stats.clopper_pearson(in_ball, cfg.samples.base_samples)[0]
         assert mdl.stages[i - 1].patch.tower.mu_pattern * lower == expected
 
 
 def test_serialization_roundtrip(built_model, z_bernoulli):
-    mdl, history, _ = built_model
+    mdl = built_model[0]
     data = json.loads(json.dumps(mdl.to_dict()))
-    back = model_from_dict(data)
+    back = model_from_dict(data, mdl.w)
     x = point(z_bernoulli, 44)
     (win1,) = model.orbit_windows(mdl, x, (-15,), (15,))
     (win2,) = model.orbit_windows(back, x, (-15,), (15,))
@@ -419,13 +422,13 @@ def test_serialization_roundtrip(built_model, z_bernoulli):
 
 
 def test_model_load_rejects_malformed_elements(built_model):
-    mdl, _, _ = built_model
+    mdl = built_model[0]
     for key in ("xi", "tower_pattern"):
         for bad in (1.5, True, [1], "1"):
             data = json.loads(json.dumps(mdl.to_dict()))
             data["stages"][-1][key][0][0] = bad
             with pytest.raises(EncodingError):
-                model_from_dict(data)
+                model_from_dict(data, mdl.w)
 
 
 @pytest.fixture(scope="module")
@@ -436,16 +439,16 @@ def lattice_built():
     cfg = ExperimentConfig(
         stages=2, seed=7, n_trunc=6, samples=SampleConfig(check_samples=1500, base_samples=60)
     )
-    mdl, history = model.build_model(sys2, w2, cfg)
-    model.run_stage_checks(mdl, history, w2, cfg)
-    return mdl, history, w2
+    mdl = model.build_model(sys2, w2, cfg)
+    model.run_stage_checks(mdl, cfg)
+    return mdl
 
 
 def test_lattice_build_smoke(lattice_built):
-    mdl, history, w2 = lattice_built
-    final = history[-1]
+    mdl = lattice_built
+    final = mdl.history[-1]
     assert all(v["pass"] for v in final.checks.values())
-    rep = model.equivariance_check(mdl, w2, samples=20, h=(1, 0), n_trunc=5, seed=2)
+    rep = model.equivariance_check(mdl, samples=20, h=(1, 0), n_trunc=5, seed=2)
     assert rep["mismatches"] == 0
 
 
@@ -464,64 +467,62 @@ def _far_balls(spec, w, n_trunc) -> list:
     return balls
 
 
-def _check_dense_against_dict(mdl, history, w, n_trunc, samples, hs, steps):
+def _check_dense_against_dict(mdl, n_trunc, samples, hs, steps):
     """``ball_hits``, ``orbit_frequency`` along each step a of ``steps`` and
     ``equivariance_check`` on the array orbit vectors equal the dict oracle
     exactly."""
-    spec = mdl.spec
-    points, phis = model.probe_orbit_vectors(mdl, samples, n_trunc, w, seed=3)
-    balls = [st.ball for st in history] + _far_balls(spec, w, n_trunc)
+    spec, w = mdl.spec, mdl.w
+    points, phis = model.probe_orbit_vectors(mdl, samples, n_trunc, seed=3)
+    balls = [st.ball for st in mdl.history] + _far_balls(spec, w, n_trunc)
     for ball in balls:
         want = [norm(vec - WeightedVector(w, ball.center_dict())) for vec, _ in dict_vectors(phis, w)]
         assert model.distances(phis[0], phis[1], ball, w).tolist() == want
         assert model.ball_hits(phis, ball, w) == oracle_ball_hits(phis, ball, w)
     x = points[[0]]
     for a, ball in itertools.product(steps, balls[:1] + balls[-2:]):
-        rep = model.orbit_frequency(mdl, x, a, ball, 25, w, n_trunc)
-        series, indeterminate = _oracle_orbit(mdl, x, a, ball, 25, w, n_trunc)
+        rep = model.orbit_frequency(mdl, x, a, ball, 25, n_trunc)
+        series, indeterminate = _oracle_orbit(mdl, x, a, ball, 25, n_trunc)
         assert (rep["series"], rep["indeterminate"]) == (series, indeterminate)
         assert rep["hits"] == sum(series)
     for h in hs:
-        rep = model.equivariance_check(mdl, w, samples=12, h=h, n_trunc=n_trunc, seed=4)
-        assert (rep["compared"], rep["mismatches"]) == oracle_equivariance(mdl, w, 12, h, n_trunc, 4)
+        rep = model.equivariance_check(mdl, samples=12, h=h, n_trunc=n_trunc, seed=4)
+        assert (rep["compared"], rep["mismatches"]) == oracle_equivariance(mdl, 12, h, n_trunc, 4)
 
 
-def test_dense_orbit_vectors_match_dict_oracle_z(built_model, z_weights):
-    mdl, history, cfg = built_model
-    _check_dense_against_dict(mdl, history, z_weights, 12, 60, hs=(0, 1, -2), steps=(1, 3, -2))
+def test_dense_orbit_vectors_match_dict_oracle_z(built_model):
+    _check_dense_against_dict(built_model[0], 12, 60, hs=(0, 1, -2), steps=(1, 3, -2))
 
 
 def test_dense_orbit_vectors_match_dict_oracle_lattice(lattice_built):
-    mdl, history, w2 = lattice_built
-    _check_dense_against_dict(mdl, history, w2, 5, 30, hs=((1, 0), (0, -1)), steps=((1, 0), (2, -1)))
+    _check_dense_against_dict(lattice_built, 5, 30, hs=((1, 0), (0, -1)), steps=((1, 0), (2, -1)))
 
 
-def test_dense_equivariance_counts_mismatches(built_model, z_weights, monkeypatch):
+def test_dense_equivariance_counts_mismatches(built_model, monkeypatch):
     # a phi that corrupts the unshifted side: the dense and dict comparisons
     # count the same mismatches
     mdl = built_model[0]
     phi = model.phi
 
-    def corrupted(mdl, points, n_trunc, w):
-        ball, values, tail = phi(mdl, points, n_trunc, w)
+    def corrupted(mdl, points, n_trunc):
+        ball, values, tail = phi(mdl, points, n_trunc)
         if n_trunc == 8:
             values = values.copy()
             values[::3, ::4] += 0.5
         return ball, values, tail
 
     monkeypatch.setattr(model, "phi", corrupted)
-    rep = model.equivariance_check(mdl, z_weights, samples=10, h=1, n_trunc=8, seed=2)
+    rep = model.equivariance_check(mdl, samples=10, h=1, n_trunc=8, seed=2)
     assert rep["mismatches"] > 0
-    assert (rep["compared"], rep["mismatches"]) == oracle_equivariance(mdl, z_weights, 10, 1, 8, 2)
+    assert (rep["compared"], rep["mismatches"]) == oracle_equivariance(mdl, 10, 1, 8, 2)
 
 
-def _loose_model(system: dynamics.DynamicalSystem) -> model.ModelFunction:
+def _loose_model(system: dynamics.DynamicalSystem, w: measures.WeightTable) -> model.ModelFunction:
     """Two stages with hand-built overlapping markers: unlike a built tower,
     two base points can share a locate ball, so the order of the locate
     ball changes values."""
     spec = system.group
     a = groups.generators(spec)[0]
-    mdl = model.ModelFunction(system=system, stages=[])
+    mdl = model.ModelFunction(system=system, stages=[], w=w)
     for j, (n, pattern) in enumerate(((2, {groups.identity(spec): 1, a: 0}), (1, {groups.identity(spec): 1}))):
         tower = dynamics.TowerSpec(
             system=system, n=n, eta=0.5, pattern=pattern
@@ -583,15 +584,15 @@ def _oracle_draws(mdl: model.ModelFunction, probe: dynamics.DynamicalSystem, cou
     return batches
 
 
-def _oracle_orbit(mdl, x, a, ball, n_steps, w, n_trunc) -> tuple[list, int]:
+def _oracle_orbit(mdl, x, a, ball, n_steps, n_trunc) -> tuple[list, int]:
     """The hit series and the indeterminate count of ``orbit_frequency``."""
-    center = WeightedVector(w, ball.center_dict())
+    center = WeightedVector(mdl.w, ball.center_dict())
     ev = ModelEvaluator(mdl, x)
     series = []
     indeterminate = 0
     current = x
     for _ in range(n_steps):
-        vec, tail = oracle_phi(ev, current, n_trunc, w)
+        vec, tail = oracle_phi(ev, current, n_trunc)
         dist = norm(vec - center)
         series.append(1.0 if dist + tail < ball.radius else 0.0)
         indeterminate += dist + tail >= ball.radius and dist <= ball.radius
@@ -599,7 +600,7 @@ def _oracle_orbit(mdl, x, a, ball, n_steps, w, n_trunc) -> tuple[list, int]:
     return series, indeterminate
 
 
-def _check_against_oracle(mdl, w, draws: int, radius: int, orbit_steps: int, steps=()):
+def _check_against_oracle(mdl, draws: int, radius: int, orbit_steps: int, steps=()):
     """Window events on every kind of draw, orbit vectors at two truncations,
     and an orbit walk along the last generator and along each further step
     of ``steps``, against the dict oracle."""
@@ -608,52 +609,51 @@ def _check_against_oracle(mdl, w, draws: int, radius: int, orbit_steps: int, ste
     for points in batches:
         _assert_window_matches_oracle(mdl, points, radius)
         for n_trunc in (2, radius):
-            for (vec, tail), x in zip(dict_vectors(model.phi(mdl, points, n_trunc, w), w), handles(points)):
-                want, want_tail = oracle_phi(ModelEvaluator(mdl, x), x, n_trunc, w)
+            for (vec, tail), x in zip(dict_vectors(model.phi(mdl, points, n_trunc), mdl.w), handles(points)):
+                want, want_tail = oracle_phi(ModelEvaluator(mdl, x), x, n_trunc)
                 assert vec.coeffs == want.coeffs and tail == want_tail
     ball = model.basis_balls(1, mdl.spec)
     x = batches[0][[0]]
     for a in groups.generators(mdl.spec)[-1:] + list(steps):
-        rep = model.orbit_frequency(mdl, x, a, ball, orbit_steps, w, radius)
-        series, indeterminate = _oracle_orbit(mdl, x, a, ball, orbit_steps, w, radius)
+        rep = model.orbit_frequency(mdl, x, a, ball, orbit_steps, radius)
+        series, indeterminate = _oracle_orbit(mdl, x, a, ball, orbit_steps, radius)
         assert (rep["series"], rep["indeterminate"]) == (series, indeterminate)
 
 
-def test_window_matches_dict_oracle_built_z(built_model, z_weights):
-    _check_against_oracle(built_model[0], z_weights, draws=6, radius=16, orbit_steps=120, steps=(1, 3, -2))
+def test_window_matches_dict_oracle_built_z(built_model):
+    _check_against_oracle(built_model[0], draws=6, radius=16, orbit_steps=120, steps=(1, 3, -2))
 
 
 def test_window_matches_dict_oracle_built_lattice(lattice_built):
-    mdl, _, w2 = lattice_built
-    _check_against_oracle(mdl, w2, draws=3, radius=5, orbit_steps=30, steps=((0, 1), (2, -1)))
+    _check_against_oracle(lattice_built, draws=3, radius=5, orbit_steps=30, steps=((0, 1), (2, -1)))
 
 
 @pytest.mark.parametrize("kind, d", [("integers", 1), ("lattice", 2), ("lattice", 3)])
 def test_window_matches_dict_oracle_loose(kind, d):
     spec = groups.GroupSpec(kind, d)
     w = measures.build_weight(spec, measures.WeightParams(q=0.5, n_max=8))
-    mdl = _loose_model(dynamics.bernoulli_system(spec, seed=3))
+    mdl = _loose_model(dynamics.bernoulli_system(spec, seed=3), w)
     # Z^3 at a smaller radius and fewer draws, to keep the dict oracle fast
     draws, radius = (2, 2) if d == 3 else (6, 4)
-    _check_against_oracle(mdl, w, draws=draws, radius=radius, orbit_steps=40)
+    _check_against_oracle(mdl, draws=draws, radius=radius, orbit_steps=40)
 
 
-def test_window_chunks_match_one_window(built_model, z_weights, z_bernoulli, monkeypatch):
+def test_window_chunks_match_one_window(built_model, z_bernoulli, monkeypatch):
     mdl = built_model[0]
     points = dynamics.sample_points(z_bernoulli, np.arange(25))
-    ball, whole, tail = model.phi(mdl, points, 16, z_weights)
+    ball, whole, tail = model.phi(mdl, points, 16)
     # a budget of a few points per chunk, and one step per orbit window
     monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", 300)
-    chunked = model.phi(mdl, points, 16, z_weights)
+    chunked = model.phi(mdl, points, 16)
     assert chunked[0] == ball and chunked[2] == tail
     assert np.array_equal(chunked[1], whole)
     ball = model.basis_balls(1, z_bernoulli.group)
-    rep = model.orbit_frequency(mdl, points[[0]], 1, ball, 40, z_weights, 16)
-    assert rep["series"] == _oracle_orbit(mdl, points[[0]], 1, ball, 40, z_weights, 16)[0]
+    rep = model.orbit_frequency(mdl, points[[0]], 1, ball, 40, 16)
+    assert rep["series"] == _oracle_orbit(mdl, points[[0]], 1, ball, 40, 16)[0]
 
 
 @pytest.mark.parametrize("a", [3, -2])
-def test_orbit_stretches_split_under_budget(built_model, z_weights, z_bernoulli, monkeypatch, a):
+def test_orbit_stretches_split_under_budget(built_model, z_bernoulli, monkeypatch, a):
     # a budget of a few steps per window: the stretch loop splits the walk
     # into several windows, and the series still equals the oracle's
     mdl = built_model[0]
@@ -669,21 +669,21 @@ def test_orbit_stretches_split_under_budget(built_model, z_weights, z_bernoulli,
 
     monkeypatch.setattr(model, "orbit_windows", counted)
     ball = model.basis_balls(1, z_bernoulli.group)
-    rep = model.orbit_frequency(mdl, x, a, ball, 40, z_weights, 16)
+    rep = model.orbit_frequency(mdl, x, a, ball, 40, 16)
     assert 1 < len(windows) < 40
-    assert (rep["series"], rep["indeterminate"]) == _oracle_orbit(mdl, x, a, ball, 40, z_weights, 16)
+    assert (rep["series"], rep["indeterminate"]) == _oracle_orbit(mdl, x, a, ball, 40, 16)
 
 
-def test_window_over_budget_raises_before_reading(built_model, z_weights, z_bernoulli, monkeypatch):
+def test_window_over_budget_raises_before_reading(built_model, z_bernoulli, monkeypatch):
     # a budget of exactly one point's bit box still evaluates; one cell less
     # raises CapacityError naming the box and the budget, before any read
     mdl = built_model[0]
     points = dynamics.sample_points(z_bernoulli, np.arange(3))
-    whole = model.phi(mdl, points, 16, z_weights)[1]
+    whole = model.phi(mdl, points, 16)[1]
     lo, hi = model._bit_box(model._stage_events(mdl), np.array([-16]), np.array([16]))
     cells = int(hi[0] - lo[0]) + 1
     monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", cells)
-    assert np.array_equal(model.phi(mdl, points, 16, z_weights)[1], whole)
+    assert np.array_equal(model.phi(mdl, points, 16)[1], whole)
     monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", cells - 1)
 
     def no_read(points, cells):
@@ -692,13 +692,13 @@ def test_window_over_budget_raises_before_reading(built_model, z_weights, z_bern
     monkeypatch.setattr(dynamics, "read_cells", no_read)
     message = f"the bit box {tuple(lo.tolist())}..{tuple(hi.tolist())} of one point holds {cells} cells, over the window budget of {cells - 1}"
     with pytest.raises(CapacityError, match=re.escape(message)):
-        model.phi(mdl, points, 16, z_weights)
+        model.phi(mdl, points, 16)
     with pytest.raises(CapacityError):
-        model.orbit_frequency(mdl, points[[0]], 1, model.basis_balls(1, z_bernoulli.group), 40, z_weights, 16)
+        model.orbit_frequency(mdl, points[[0]], 1, model.basis_balls(1, z_bernoulli.group), 40, 16)
 
 
 def test_window_split_map_miss_raises(built_model, z_bernoulli):
-    mdl = model_from_dict(json.loads(json.dumps(built_model[0].to_dict())))
+    mdl = model_from_dict(json.loads(json.dumps(built_model[0].to_dict())), built_model[0].w)
     points = dynamics.sample_points(z_bernoulli, np.arange(20))
     # drop the last split's key for the value the first point carries into it
     before = model.point_values(mdl, points)[0][-2][0]
@@ -711,14 +711,14 @@ def test_window_split_map_miss_raises(built_model, z_bernoulli):
 
 def test_split_collision_detected(z_bernoulli, z_weights):
     cfg = ExperimentConfig(stages=1, seed=3, samples=SampleConfig(check_samples=50, base_samples=30))
-    mdl, history = model.build_model(z_bernoulli, z_weights, cfg)
+    mdl = model.build_model(z_bernoulli, z_weights, cfg)
     # a second stage, whose offset is beta_1 / 8; two values exactly twice
     # that apart collide
     mdl.stages.append(mdl.stages[0])
-    s = history[0].beta / 8.0
+    s = mdl.history[0].beta / 8.0
     mdl.range_values = lambda: (0.0, 2.0 * s)
     with pytest.raises(StageError):
-        model.split_values(mdl, history)
+        model.split_values(mdl)
 
 
 def test_feldman_identity_and_norm():
@@ -804,7 +804,7 @@ def test_base_sieve_equals_dense_and(d, length):
     pattern = dynamics._marker_pattern(spec, length)
     assert len(pattern) > dynamics.DENSE_CELLS
     tower = dynamics.TowerSpec(system=system, n=1, eta=0.5, pattern=pattern)
-    mdl = model.ModelFunction(system=system, stages=[])
+    mdl = model.ModelFunction(system=system, stages=[], w=measures.build_weight(spec, measures.WeightParams(0.5, 2)))
     xi = {g: 0.5 for g in groups.ball(spec, 1)}
     mdl.stages.append(model.ModelStage(patch=model.StagePatch(tower=tower, xi=xi, n0=1, n=1)))
     fresh = dynamics.sample_points(system, np.arange(40))
@@ -830,7 +830,8 @@ def test_base_sieve_equals_dense_and(d, length):
 def test_locate_takes_the_first_of_meeting_hits():
     # overlapping markers: several ball elements land on one cell, and
     # locate keeps the first in ball order, as the backwards walk does
-    mdl = _loose_model(dynamics.bernoulli_system(groups.GroupSpec("integers"), seed=3))
+    spec = groups.GroupSpec("integers")
+    mdl = _loose_model(dynamics.bernoulli_system(spec, seed=3), measures.build_weight(spec, measures.WeightParams(0.5, 8)))
     (win,) = model.orbit_windows(mdl, dynamics.sample_points(mdl.system, np.arange(20)), (-6,), (6,))
     meeting = sum(
         win.base(0).take(win.lo - g, win.shape).astype(int)

@@ -54,8 +54,15 @@ def test_group_spec_checks(kind, d, message):
         (lambda: continuous.IntervalMeasure(0.0), "interval half-length must be positive"),
         (lambda: continuous.LocallyFiniteChain(0), "chain needs 1 <= n_max <= 16"),
         (lambda: continuous.LocallyFiniteChain(4, q=1.5), "q must be in (0,1), got 1.5"),
+        (
+            lambda: model.ModelFunction(
+                dynamics.bernoulli_system(Z, 0), [],
+                measures.build_weight(groups.GroupSpec("lattice", 2), measures.WeightParams(0.5, 2)),
+            ),
+            "the weight table is on GroupSpec(kind='lattice', d=2), the system on GroupSpec(kind='integers', d=1)",
+        ),
     ],
-    ids=["q", "n_max", "kind", "z2sum", "rotation-free", "alpha", "interval", "chain-n", "chain-q"],
+    ids=["q", "n_max", "kind", "z2sum", "rotation-free", "alpha", "interval", "chain-n", "chain-q", "model-w"],
 )
 def test_constructor_checks(make, message):
     _raises(DomainError, message, make)
@@ -73,7 +80,7 @@ def _records() -> list:
         model.basis_balls(1, Z),
         patch,
         model.StageSplit(a_index=1, offset=0.1, split_map={0.5: (0.4, 0.6)}),
-        model._StageEvents.of(model.ModelFunction(sys, [stage]), stage),
+        model._StageEvents.of(model.ModelFunction(sys, [stage], measures.build_weight(Z, measures.WeightParams(0.5, 2))), stage),
         dynamics.BitBox(np.zeros((1, 3), dtype=bool), np.zeros(1, dtype=np.int64)),
         dynamics.CylinderSet.from_dict(Z, {0: 1}),
         markov.cos_observable(0),
