@@ -100,6 +100,24 @@ def _weight_tables(cfg: ExperimentConfig):
     )
 
 
+def _weight_rows(w):
+    """``(element_str(g), repr(w(g)))`` for every g of B_n_max in ``sort_key``
+    order, including any whose weight underflows to 0.0.  On a free group
+    the weight is radial, so the rows come one word-length level at a time,
+    each word spelled from its prefix's string and one letter."""
+    spec = w.spec
+    if spec.kind != "free":
+        ball, cells = w.sorted_ball(w.params.n_max)
+        yield from zip([groups.element_str(spec, g) for g in ball], map(repr, w.read(cells).tolist()))
+        return
+    letters = {c: groups.element_str(spec, (c,)) for c in range(-spec.d, spec.d + 1) if c}
+    level = [("", 0)]
+    for k, weight in enumerate(map(repr, w.partials[-1].tolist())):
+        if k:
+            level = [(s + char, c) for s, last in level for c, char in letters.items() if c != -last]
+        yield from ((s or "e", weight) for s, _ in level)
+
+
 RATIO_RADIUS = 3  # ``weights`` checks the translation ratios of every b in B_3
 
 
@@ -112,12 +130,7 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
     out = _out_dir(out_base, "weights")
     records = []
     for label, w in zip(("group", "second_group"), _weight_tables(cfg)):
-        spec = w.spec
-        # every element of B_n_max in sort_key order, including any whose
-        # weight underflows to 0.0
-        ball, cells = w.sorted_ball(w.params.n_max)
-        rows = zip(groups.ball_strs(spec, ball), map(repr, w.read(cells).tolist()))
-        _write_csv(os.path.join(out, f"{label}_weights.csv"), ["element", "weight"], rows)
+        _write_csv(os.path.join(out, f"{label}_weights.csv"), ["element", "weight"], _weight_rows(w))
         mass = w.stored_mass()
         records.append(
             _record(
@@ -130,8 +143,8 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
         ratio_rows = []
         all_ok = True
         worst = 0.0
-        for b in groups.ball(spec, RATIO_RADIUS):
-            if b == groups.identity(spec):
+        for b in groups.ball(w.spec, RATIO_RADIUS):
+            if b == groups.identity(w.spec):
                 continue
             rep = measures.weight_ratio(w, b)
             ratio_rows.append(
@@ -510,13 +523,17 @@ MODEL_COMMANDS = ("build", "support", "orbit")
 
 
 def cmd_all(cfg: ExperimentConfig, out_base: str) -> int:
+    """Every command in turn.  A command that rejects the config raises
+    before it writes anything; the rest still run, and ``all`` exits 2."""
     status = 0
     cache: list = []
     for name, fn in COMMANDS.items():
-        if name in MODEL_COMMANDS:
-            status = max(status, fn(cfg, out_base, cache))
-        else:
-            status = max(status, fn(cfg, out_base))
+        try:
+            code = fn(cfg, out_base, cache) if name in MODEL_COMMANDS else fn(cfg, out_base)
+        except ConfigError as exc:
+            print(f"config error: {name}: {exc}", file=sys.stderr)
+            code = 2
+        status = max(status, code)
     return status
 
 

@@ -7,9 +7,16 @@ clock, which would break the byte-reproducibility contract.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import NamedTuple
+
+try:  # CPython's own SHA-256, which loads no OpenSSL; hashlib's where a build lacks it
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ConfigError, EncodingError
 from .groups import GroupSpec
@@ -85,7 +92,7 @@ class ExperimentConfig(NamedTuple):
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        return sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
 def _is_record(value) -> bool:

@@ -270,25 +270,6 @@ def element_str(spec: GroupSpec, g) -> str:
     return "{" + ",".join(str(c) for c in g) + "}"
 
 
-def ball_strs(spec: GroupSpec, elements: list) -> list[str]:
-    """``element_str`` of each of ``elements``, a ball B_n in ``sort_key``
-    order.
-
-    On a free group each word's string is made once, from its prefix's and
-    one letter, level by level as ``ball`` makes the words."""
-    if spec.kind != "free":
-        return [element_str(spec, g) for g in elements]
-    n = len(elements[-1])
-    letters = [c for c in range(-spec.d, spec.d + 1) if c]
-    chars = {c: element_str(spec, (c,)) for c in letters}
-    out = ["e"]
-    level = [("", 0)]
-    for _ in range(n):
-        level = [(s + chars[c], c) for s, last in level for c in letters if c != -last]
-        out.extend(s for s, _ in level)
-    return out
-
-
 def ball(spec: GroupSpec, n: int) -> list:
     """All elements of word length <= n.
 

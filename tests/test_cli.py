@@ -170,8 +170,10 @@ COMMAND_LAYERS = {
     "continuous": ("continuous", "measures"),
 }
 # start-up modules a command process must leave out: ``dataclasses`` always,
-# and ``numpy.random`` except in the commands whose draws fix their outputs
-START_UP_MODULES = ("dataclasses", "numpy.random")
+# and ``numpy.random`` and OpenSSL's ``_hashlib`` (which ``numpy.random``
+# loads through ``secrets``) except in the commands whose draws fix their
+# outputs
+START_UP_MODULES = ("dataclasses", "numpy.random", "_hashlib")
 RANDOM_COMMANDS = ("jrt", "feldman", "continuous")
 SMALL_CONFIG = {
     "stages": 2,
@@ -207,7 +209,7 @@ def fresh_runs(tmp_path_factory):
 
 
 def test_cli_import_loads_no_layer():
-    # nor ``dataclasses`` nor ``numpy.random``
+    # nor ``dataclasses``, ``numpy.random`` or ``_hashlib``
     assert modules_after("import walkrep.cli", "walkrep", *START_UP_MODULES) == ALWAYS_LOADED
 
 
@@ -222,6 +224,7 @@ def test_command_leaves_out_start_up_modules(fresh_runs, command):
     loaded = fresh_runs[2][command]
     assert "dataclasses" not in loaded
     assert ("numpy.random" in loaded) == (command in RANDOM_COMMANDS)
+    assert ("_hashlib" in loaded) == (command in RANDOM_COMMANDS)
 
 
 def test_fresh_run_meta_has_every_counter(fresh_runs):
@@ -250,9 +253,11 @@ def test_fresh_report_equals_in_process(fresh_runs, command, tmp_path):
 
 @pytest.mark.parametrize("command", ["tower", "build", "support", "orbit"])
 def test_traced_cli_runs(command, tmp_path):
-    # the benchmark's traced entry point wraps layer attributes by name
-    # (``dynamics.hashlib`` among them), so a layer change that drops one it
-    # needs fails here
+    # the benchmark's traced entry point wraps layer attributes by name, so
+    # a layer change that drops one it needs fails here.  It proxies
+    # ``dynamics.hashlib`` for its ``blake2b``: that name is bound to
+    # CPython's ``_blake2`` module, which holds ``blake2b`` without loading
+    # OpenSSL, and to ``hashlib`` only where a build lacks ``_blake2``
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SMALL_CONFIG))
     traced = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
@@ -306,6 +311,23 @@ def test_shift_commands_reject_other_kinds(command, tmp_path, capsys):
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / command).exists()
+
+
+def test_all_runs_past_a_config_error(tmp_path, capsys):
+    # the shift commands reject a Heisenberg config and write nothing; the
+    # commands after them, which run on any group, still run
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"group": {"kind": "heisenberg", "d": 2}, "weights": {"n_max": 6}}))
+    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
+        "continuous", "feldman", "jrt", "norms", "weights",
+    ]
+    for command in ("weights", "norms", "jrt", "feldman", "continuous"):
+        assert (tmp_path / "out" / command / "report.json").exists()
+    reason = "towers and the model build run on integer/lattice Bernoulli shifts"
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {command}: {reason}" for command in ("tower", "build", "support", "orbit")
+    ]
 
 
 def _strict_json(text: str):
@@ -436,6 +458,39 @@ def test_weights_csv_matches_element_str_rows(tmp_path, group, weights, second):
         assert got == want.getvalue().encode()
         assert b"np.float64" not in got
         assert all(type(w.weight(g)) is float for g in ball)
+
+
+def _tuple_ball_weight_csv(w) -> bytes:
+    """``*_weights.csv`` of ``w`` from the word tuples of B_n_max: the
+    ball in ``sort_key`` order, ``element_str`` and the weights read at the
+    ball's cells."""
+    spec = w.spec
+    ball = sorted(groups.ball(spec, w.params.n_max), key=lambda g: groups.sort_key(spec, g))
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["element", "weight"])
+    writer.writerows(zip([groups.element_str(spec, g) for g in ball], map(repr, w.read(w.cells(ball)).tolist())))
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("n_max", [4, 5, 6])
+@pytest.mark.parametrize("d", [1, 2])
+def test_streamed_free_weight_csv_equals_tuple_ball_rows(d, n_max, tmp_path):
+    # a free group's CSV is written one word-length level at a time, with no
+    # word tuple built; F_1 and F_2 are the free ranks a config accepts
+    body = {
+        "group": {"kind": "free", "d": d}, "weights": {"q": 0.5, "n_max": n_max},
+        "second_group": {"kind": "free", "d": d}, "second_weights": {"q": 0.3, "n_max": n_max},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(body))
+    assert cli.main(["weights", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    spec = groups.GroupSpec("free", d)
+    for label, q in (("group", 0.5), ("second_group", 0.3)):
+        w = measures.build_weight(spec, measures.WeightParams(q, n_max))
+        got = (tmp_path / "out" / "weights" / f"{label}_weights.csv").read_bytes()
+        assert got == _tuple_ball_weight_csv(w)
+        assert len(got.splitlines()) - 1 == groups.free_ball_size(d, n_max)
 
 
 def test_seed_override_changes_digested_config(tmp_path):

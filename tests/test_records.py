@@ -1,11 +1,15 @@
 """Record semantics: constructor checks, immutable records, the classes
-that are keys, and the digests of the benchmark configs."""
+that are keys, and the digests of the benchmark configs and seeds."""
 
+import hashlib
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fresh
 from walkrep import config, continuous, dynamics, groups, markov, measures, model
 from walkrep.errors import DomainError, EncodingError
 
@@ -147,6 +151,65 @@ BENCH_CONFIGS = {
 def test_benchmark_config_digests(name):
     body, digest = BENCH_CONFIGS[name]
     assert config.config_from_dict({"seed": 20240, **body}).digest() == digest
+
+
+def _configs() -> list:
+    """The default config and the benchmark configs."""
+    bench = [config.config_from_dict({"seed": 20240, **body}) for body, _ in BENCH_CONFIGS.values()]
+    return [config.ExperimentConfig(), *bench]
+
+
+def _config_digests() -> list:
+    return [cfg.digest() for cfg in _configs()]
+
+
+def test_digests_are_hashlib_sha256():
+    want = [hashlib.sha256(cfg.canonical_json().encode()).hexdigest()[:16] for cfg in _configs()]
+    assert _config_digests() == want
+
+
+SEEDS = (0, 1, 7, 20240, 20251, 2**63 + 5)
+
+
+def _seed_digests() -> list:
+    """Each seed's Philox key and ``_derived_seed``s, as ``dynamics`` makes them."""
+    return [
+        [*dynamics.bernoulli_system(Z, seed).key, dynamics._derived_seed("cond", seed),
+         dynamics._derived_seed(seed, "tower", 3)]
+        for seed in SEEDS
+    ]
+
+
+def test_seed_digests_are_hashlib_blake2b():
+    def blake2b(text, size):
+        return hashlib.blake2b(text.encode(), digest_size=size).digest()
+
+    want = [
+        [*struct.unpack("<QQ", blake2b(f"philox|{seed}", 16)),
+         int.from_bytes(blake2b(f"cond|{seed}", 8), "little"),
+         int.from_bytes(blake2b(f"{seed}|tower|3", 8), "little")]
+        for seed in SEEDS
+    ]
+    assert _seed_digests() == want
+
+
+def test_hashlib_fallback_gives_the_same_digests():
+    # CPython's own hash modules blocked, as in a build without them: the
+    # layers fall back to hashlib (imported first, so its blake2b is there)
+    code = (
+        "import hashlib, sys\n"
+        "for name in ('_sha2', '_sha256', '_blake2'):\n"
+        "    sys.modules[name] = None\n"
+        "import json, test_records\n"
+        "from walkrep import config, dynamics\n"
+        "assert config.sha256 is hashlib.sha256 and dynamics.hashlib is hashlib\n"
+        "print(json.dumps([test_records._config_digests(), test_records._seed_digests()]))\n"
+    )
+    tests = str(Path(__file__).resolve().parent)
+    proc = fresh.run(["-c", f"import sys\nsys.path.insert(0, {tests!r})\n" + code])
+    assert proc.returncode == 0, proc.stderr
+    assert dynamics.hashlib.__name__ == "_blake2"
+    assert json.loads(proc.stdout) == [_config_digests(), _seed_digests()]
 
 
 def test_config_dict_nests_the_records():
