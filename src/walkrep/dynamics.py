@@ -33,16 +33,12 @@ the point with the marker bits forced; Monte Carlo re-checks the first two.
 
 from __future__ import annotations
 
+import _blake2 as hashlib  # CPython's own blake2b (hashlib's too), which loads no OpenSSL
 import functools
 import itertools
 import math
 import struct
 from typing import NamedTuple
-
-try:  # CPython's own blake2b, which loads no OpenSSL; hashlib's where a build lacks it
-    import _blake2 as hashlib
-except ImportError:
-    import hashlib
 
 import numpy as np
 

@@ -257,7 +257,7 @@ def test_traced_cli_runs(command, tmp_path):
     # a layer change that drops one it needs fails here.  It proxies
     # ``dynamics.hashlib`` for its ``blake2b``: that name is bound to
     # CPython's ``_blake2`` module, which holds ``blake2b`` without loading
-    # OpenSSL, and to ``hashlib`` only where a build lacks ``_blake2``
+    # OpenSSL (``hashlib.blake2b`` is the same function, taken from it)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SMALL_CONFIG))
     traced = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
@@ -432,8 +432,11 @@ def test_weights_csv_row_count(tmp_path):
      ({"kind": "lattice", "d": 2}, {"q": 0.5, "n_max": 5}, {"kind": "heisenberg", "d": 2}),
      # p_10 rho^{*10} underflows to 0.0 at the four corners (+-10, 0), (0, +-10)
      # of B_10, and nowhere else
-     ({"kind": "lattice", "d": 2}, {"q": 6e-36, "n_max": 10}, {"kind": "free", "d": 1})],
-    ids=["Z-F2", "Z2-H", "Z2-tiny-q"],
+     ({"kind": "lattice", "d": 2}, {"q": 6e-36, "n_max": 10}, {"kind": "free", "d": 1}),
+     # a free group's rows are written one word-length level at a time
+     ({"kind": "free", "d": 1}, {"q": 0.5, "n_max": 5}, {"kind": "free", "d": 2}),
+     ({"kind": "free", "d": 2}, {"q": 0.5, "n_max": 6}, {"kind": "free", "d": 1})],
+    ids=["Z-F2", "Z2-H", "Z2-tiny-q", "F1-F2", "F2-F1"],
 )
 def test_weights_csv_matches_element_str_rows(tmp_path, group, weights, second):
     # the CSV rows, written without a per-word join, against element_str
@@ -458,39 +461,6 @@ def test_weights_csv_matches_element_str_rows(tmp_path, group, weights, second):
         assert got == want.getvalue().encode()
         assert b"np.float64" not in got
         assert all(type(w.weight(g)) is float for g in ball)
-
-
-def _tuple_ball_weight_csv(w) -> bytes:
-    """``*_weights.csv`` of ``w`` from the word tuples of B_n_max: the
-    ball in ``sort_key`` order, ``element_str`` and the weights read at the
-    ball's cells."""
-    spec = w.spec
-    ball = sorted(groups.ball(spec, w.params.n_max), key=lambda g: groups.sort_key(spec, g))
-    out = io.StringIO(newline="")
-    writer = csv.writer(out)
-    writer.writerow(["element", "weight"])
-    writer.writerows(zip([groups.element_str(spec, g) for g in ball], map(repr, w.read(w.cells(ball)).tolist())))
-    return out.getvalue().encode()
-
-
-@pytest.mark.parametrize("n_max", [4, 5, 6])
-@pytest.mark.parametrize("d", [1, 2])
-def test_streamed_free_weight_csv_equals_tuple_ball_rows(d, n_max, tmp_path):
-    # a free group's CSV is written one word-length level at a time, with no
-    # word tuple built; F_1 and F_2 are the free ranks a config accepts
-    body = {
-        "group": {"kind": "free", "d": d}, "weights": {"q": 0.5, "n_max": n_max},
-        "second_group": {"kind": "free", "d": d}, "second_weights": {"q": 0.3, "n_max": n_max},
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(body))
-    assert cli.main(["weights", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    spec = groups.GroupSpec("free", d)
-    for label, q in (("group", 0.5), ("second_group", 0.3)):
-        w = measures.build_weight(spec, measures.WeightParams(q, n_max))
-        got = (tmp_path / "out" / "weights" / f"{label}_weights.csv").read_bytes()
-        assert got == _tuple_ball_weight_csv(w)
-        assert len(got.splitlines()) - 1 == groups.free_ball_size(d, n_max)
 
 
 def test_seed_override_changes_digested_config(tmp_path):

@@ -193,23 +193,22 @@ def test_seed_digests_are_hashlib_blake2b():
     assert _seed_digests() == want
 
 
-def test_hashlib_fallback_gives_the_same_digests():
-    # CPython's own hash modules blocked, as in a build without them: the
-    # layers fall back to hashlib (imported first, so its blake2b is there)
+def test_sha256_fallback_gives_the_same_digests():
+    # CPython's own SHA-256 modules blocked, as in a build that leaves them
+    # out (FIPS-style builds do): config falls back to hashlib's sha256
     code = (
         "import hashlib, sys\n"
-        "for name in ('_sha2', '_sha256', '_blake2'):\n"
+        "for name in ('_sha2', '_sha256'):\n"
         "    sys.modules[name] = None\n"
         "import json, test_records\n"
-        "from walkrep import config, dynamics\n"
-        "assert config.sha256 is hashlib.sha256 and dynamics.hashlib is hashlib\n"
-        "print(json.dumps([test_records._config_digests(), test_records._seed_digests()]))\n"
+        "from walkrep import config\n"
+        "assert config.sha256 is hashlib.sha256\n"
+        "print(json.dumps(test_records._config_digests()))\n"
     )
     tests = str(Path(__file__).resolve().parent)
     proc = fresh.run(["-c", f"import sys\nsys.path.insert(0, {tests!r})\n" + code])
     assert proc.returncode == 0, proc.stderr
-    assert dynamics.hashlib.__name__ == "_blake2"
-    assert json.loads(proc.stdout) == [_config_digests(), _seed_digests()]
+    assert json.loads(proc.stdout) == _config_digests()
 
 
 def test_config_dict_nests_the_records():
