@@ -442,7 +442,7 @@ def cmd_feldman(cfg: ExperimentConfig, out_base: str) -> int:
 def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
     import numpy as np
 
-    from . import continuous
+    from . import continuous, pcg64
     start = _start()
     out = _out_dir(out_base, "continuous")
     records = []
@@ -468,9 +468,8 @@ def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
     records.append(_record("haar_convolution_identity", ident))
     lower = continuous.lower_bound_chain_check(chain)
     records.append(_record("chain_lower_bound", lower))
-    rng = np.random.default_rng(cfg.seed)
     pool = chain.subgroup(chain.n_max)
-    picks = [pool[int(i)] for i in rng.choice(len(pool), size=cfg.lf_sampled_g0, replace=False)]
+    picks = [pool[i] for i in pcg64.sample(cfg.seed, len(pool), cfg.lf_sampled_g0)]
     rows = []
     all_ok = True
     all_ok_corr = True

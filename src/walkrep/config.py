@@ -173,8 +173,8 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"samples.{key} must be >= {least}")
     if not 1 <= cfg.lf_chain_n <= MAX_CHAIN_N:
         raise ConfigError(f"lf_chain_n must be in 1..{MAX_CHAIN_N}")
-    if not 0 <= cfg.lf_sampled_g0 <= 2**cfg.lf_chain_n:
-        raise ConfigError("lf_sampled_g0 must be in 0..2^lf_chain_n")
+    if not 1 <= cfg.lf_sampled_g0 <= 2**cfg.lf_chain_n:
+        raise ConfigError("lf_sampled_g0 must be in 1..2^lf_chain_n")
     for name, group in (("group", cfg.group), ("second_group", cfg.second_group)):
         try:
             spec = group.spec()

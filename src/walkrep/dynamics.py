@@ -112,9 +112,10 @@ def doubling_shift_baseline(steps: int = 30, n_points: int = 1000, seed: int = 0
     Checks the conjugacy identity per coordinate over sampled points and the
     geometric norm identity ||(2^-k phi0(f^k z))_k||^2 = (1 - 4^-steps)/3.
     """
+    from . import pcg64
+
     alpha = SQRT2_MINUS_1
-    rng = np.random.default_rng(seed)
-    zs = rng.random(n_points)
+    zs = pcg64.random(seed, n_points)
     k = np.arange(1, steps + 1)
 
     def embed(z: np.ndarray) -> np.ndarray:
@@ -254,9 +255,10 @@ class PointBatch:
         """Rotation points: per row, the draw's torus coordinate on ``axis``;
         and the offset's coordinate there, shared by the rows, so T_g of a
         row sits at ``(u + (g + shift) * alpha) % 1.0`` on that axis."""
-        u = [_torus_root(self.system, d)[axis] for d in self.draws.tolist()]
-        shift = int(groups.coords(self.system.group, [self.offset])[0, axis])
-        return np.array(u, dtype=np.float64), shift
+        from . import pcg64
+
+        u = pcg64.roots(self.system.seed, self.draws, self.system.group.d)[:, axis]
+        return u, int(groups.coords(self.system.group, [self.offset])[0, axis])
 
 
 def _overlay(words: np.ndarray, tiles: np.ndarray, forced: tuple) -> np.ndarray:
@@ -363,13 +365,6 @@ class BitBox(NamedTuple):
             event.fill(False)
             event[live] = True
         return BitBox(event, lo)
-
-
-def _torus_root(sys: DynamicalSystem, draw: int) -> tuple:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=sys.seed, spawn_key=(draw,))
-    )
-    return tuple(float(x) for x in rng.random(sys.group.d))
 
 
 def sample_points(sys: DynamicalSystem, draws) -> PointBatch:

@@ -93,8 +93,9 @@ def test_chain_config_bounds():
     top = continuous.MAX_CHAIN_N
     cfg = config.config_from_dict({"lf_chain_n": top, "lf_sampled_g0": 2**top})
     assert cfg.lf_chain_n == top
-    assert config.config_from_dict({"lf_chain_n": 1, "lf_sampled_g0": 0}).lf_sampled_g0 == 0
-    for doc in ({"lf_chain_n": top + 1}, {"lf_chain_n": 3, "lf_sampled_g0": 9}):
+    assert config.config_from_dict({"lf_chain_n": 1, "lf_sampled_g0": 1}).lf_sampled_g0 == 1
+    # no g0 checked would pass both domination records with nothing checked
+    for doc in ({"lf_chain_n": top + 1}, {"lf_chain_n": 3, "lf_sampled_g0": 9}, {"lf_chain_n": 3, "lf_sampled_g0": 0}):
         with pytest.raises(ConfigError):
             config.config_from_dict(doc)
 
@@ -162,19 +163,18 @@ ALWAYS_LOADED = [
     "walkrep", "walkrep.cli", "walkrep.config", "walkrep.errors", "walkrep.groups", "walkrep.trace",
 ]
 COMMAND_LAYERS = {
-    **dict.fromkeys(("tower", "feldman"), ("dynamics", "stats")),
+    "tower": ("dynamics", "stats"),
+    "feldman": ("dynamics", "pcg64", "stats"),
     "weights": ("measures",),
     "norms": ("measures", "space"),
-    "jrt": ("markov", "dynamics", "measures", "stats"),
+    "jrt": ("markov", "dynamics", "measures", "pcg64", "stats"),
     **dict.fromkeys(("build", "support", "orbit"), ("model", "dynamics", "measures", "stats")),
-    "continuous": ("continuous", "measures"),
+    "continuous": ("continuous", "measures", "pcg64"),
 }
-# start-up modules a command process must leave out: ``dataclasses`` always,
-# and ``numpy.random`` and OpenSSL's ``_hashlib`` (which ``numpy.random``
-# loads through ``secrets``) except in the commands whose draws fix their
-# outputs
-START_UP_MODULES = ("dataclasses", "numpy.random", "_hashlib")
-RANDOM_COMMANDS = ("jrt", "feldman", "continuous")
+# start-up modules no command process loads: ``dataclasses``, and
+# ``numpy.random`` with the ``secrets`` and OpenSSL ``_hashlib`` it imports
+# (``walkrep.pcg64`` makes its draws)
+START_UP_MODULES = ("dataclasses", "numpy.random", "secrets", "_hashlib")
 SMALL_CONFIG = {
     "stages": 2,
     "weights": {"q": 0.5, "n_max": 12},
@@ -209,7 +209,7 @@ def fresh_runs(tmp_path_factory):
 
 
 def test_cli_import_loads_no_layer():
-    # nor ``dataclasses``, ``numpy.random`` or ``_hashlib``
+    # nor any of ``START_UP_MODULES``
     assert modules_after("import walkrep.cli", "walkrep", *START_UP_MODULES) == ALWAYS_LOADED
 
 
@@ -221,10 +221,7 @@ def test_command_loads_only_its_layers(fresh_runs, command):
 
 @pytest.mark.parametrize("command", COMMAND_LAYERS)
 def test_command_leaves_out_start_up_modules(fresh_runs, command):
-    loaded = fresh_runs[2][command]
-    assert "dataclasses" not in loaded
-    assert ("numpy.random" in loaded) == (command in RANDOM_COMMANDS)
-    assert ("_hashlib" in loaded) == (command in RANDOM_COMMANDS)
+    assert [m for m in fresh_runs[2][command] if not m.startswith("walkrep")] == []
 
 
 def test_fresh_run_meta_has_every_counter(fresh_runs):
