@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import fresh
+import golden
 from fresh import modules_after
+from golden import SMALL_CONFIG
 from walkrep import cli, config, continuous, groups, measures, model
 from walkrep.errors import ConfigError
 
@@ -175,17 +177,6 @@ COMMAND_LAYERS = {
 # ``numpy.random`` with the ``secrets`` and OpenSSL ``_hashlib`` it imports
 # (``walkrep.pcg64`` makes its draws)
 START_UP_MODULES = ("dataclasses", "numpy.random", "secrets", "_hashlib")
-SMALL_CONFIG = {
-    "stages": 2,
-    "weights": {"q": 0.5, "n_max": 12},
-    "second_weights": {"q": 0.5, "n_max": 6},
-    "lf_chain_n": 4,
-    "lf_sampled_g0": 4,
-    "samples": {
-        "tower_samples": 2000, "check_samples": 300, "equivariance_samples": 100,
-        "orbit_steps": 200, "averaging_samples": 100,
-    },
-}
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +237,17 @@ def test_fresh_report_equals_in_process(fresh_runs, command, tmp_path):
     assert "report.json" in names
     for name in names:
         assert (tmp_path / command / name).read_bytes() == (base / command / name).read_bytes(), name
+
+
+def test_outputs_match_golden_manifest(fresh_runs, tmp_path):
+    # every output file but the run's meta, against the digests this
+    # platform recorded in ``golden.json``
+    entry = json.loads(golden.MANIFEST.read_text()).get(golden.platform_key())
+    if entry is None:
+        pytest.skip(f"golden.json has no digests for {golden.platform_key()}")
+    golden.run_default(tmp_path)
+    found = golden.digests({"small": fresh_runs[1], "default": tmp_path})
+    assert golden.mismatches(found, entry) == []
 
 
 @pytest.mark.parametrize("command", ["tower", "build", "support", "orbit"])
