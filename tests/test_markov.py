@@ -28,11 +28,18 @@ def evaluate(f, x):
 
 
 def observe(sys, f, x, elements):
-    """[f(T_g x) for g in elements]: a rotation point's cosines one by one,
-    a Bernoulli point's cylinder tests cell by cell on its bits, read once."""
-    if f.kind == "cos":
-        return [evaluate(f, x.moved(g)) for g in elements]
+    """[f(T_g x) for g in elements]: a rotation point's cosines one by one
+    from its root, taken once, and the coordinate of T_g's offset on the
+    observed axis; a Bernoulli point's cylinder tests cell by cell on its
+    bits, read once."""
     spec = sys.group
+    if f.kind == "cos":
+        u, n = x.torus(f.payload)
+        a = sys.alpha[f.payload]
+        return [
+            math.cos(2.0 * math.pi * ((float(u[0]) + (n + c) * a) % 1.0))
+            for c in groups.coords(spec, elements)[:, f.payload].tolist()
+        ]
     cells = list({groups.multiply(spec, c, g) for c, _ in f.payload.bits for g in elements})
     bits = dict(zip(cells, dynamics.read_cells(x, cells)[0].tolist()))
     return [
