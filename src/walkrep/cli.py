@@ -294,26 +294,11 @@ def cmd_tower(cfg: ExperimentConfig, out_base: str) -> int:
     spec = _shift_group(cfg)
     start = _start()
     out = _out_dir(out_base, "tower")
-    tower = dynamics.rokhlin_tower(
-        dynamics.bernoulli_system(spec, cfg.seed),
-        cfg.tower_height,
-        cfg.tower_eta,
-        seed=cfg.seed,
-        mc_samples=cfg.samples.tower_samples,
-    )
-    ok = (
-        tower.collisions == 0
-        and tower.mc_ci_upper < cfg.tower_eta / 2.0
-        and tower.mu_pattern > 0.0
-    )
+    tower = dynamics.rokhlin_tower(dynamics.bernoulli_system(spec, cfg.seed), cfg.tower_height, cfg.tower_eta)
+    rep = dynamics.tower_check(tower, cfg.samples.tower_samples, cfg.seed)
+    mc = rep["mc"]
     records = [
-        _record(
-            "tower_validity",
-            {"pass": ok, **tower.to_dict()},
-            collisions=tower.collisions,
-            ci_upper=tower.mc_ci_upper,
-            target=cfg.tower_eta / 2.0,
-        )
+        _record("tower_validity", rep, collisions=mc["collisions"], ci_upper=mc["ci_upper"], target=cfg.tower_eta / 2.0)
     ]
     return _finish(out, "tower", cfg, records, start)
 
@@ -370,26 +355,15 @@ def cmd_support(cfg: ExperimentConfig, out_base: str, cache: list | None = None)
     records = []
     iso = model.support_and_iso_check(mdl, cfg)
     records.append(_record("support_and_iso", iso))
-    for h in groups.ball(spec, 2):
-        rep = model.equivariance_check(
-            mdl,
-            samples=max(50, cfg.samples.equivariance_samples // max(1, len(groups.ball(spec, 2)))),
-            h=h,
-            n_trunc=cfg.n_trunc,
-            seed=cfg.seed,
-        )
-        records.append(
-            _record(
-                f"equivariance_h{groups.element_str(spec, h)}",
-                rep,
-                mismatches=rep["mismatches"],
-            )
-        )
+    hs = groups.ball(spec, 2)
+    samples = max(50, cfg.samples.equivariance_samples // len(hs))
+    for rep in model.equivariance_check(mdl, samples, hs, cfg.n_trunc, cfg.seed):
+        records.append(_record(f"equivariance_h{rep['h']}", rep, mismatches=rep["mismatches"]))
     return _finish(out, "support", cfg, records, start)
 
 
 def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
-    from . import dynamics, model, stats
+    from . import dynamics, model
     _shift_group(cfg)
     start = _start()
     out = _out_dir(out_base, "orbit")
@@ -408,24 +382,8 @@ def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
         if i % 50 == 0 or i == len(series):
             rows.append([i, repr(cum / i)])
     _write_csv(os.path.join(out, "frequency.csv"), ["step", "running_frequency"], rows)
-    # consistency against the measured hit frequency of the same ball
-    n_iso = min(cfg.samples.check_samples, 1000)
-    _, phis = model.probe_orbit_vectors(mdl, n_iso, cfg.n_trunc, cfg.seed + 7)
-    mu_est = model.ball_hits(phis, ball1, mdl.w)[0] / n_iso
-    se_mu = math.sqrt(max(mu_est * (1 - mu_est), 1e-12) / n_iso)
-    gap = abs(rep["frequency"] - mu_est)
-    tol = stats.Z95 * (rep["se_batch"] + se_mu) + 1e-6
-    ok = rep["ci_lower"] > 0.0 and gap <= tol
-    records = [
-        _record(
-            "orbit_frequency",
-            {"pass": ok, **rep},
-            frequency=rep["frequency"],
-            measured_mu=mu_est,
-            gap=gap,
-            tolerance=tol,
-        )
-    ]
+    check = model.orbit_consistency(mdl, rep, cfg)
+    records = [_record("orbit_frequency", {**rep, "pass": check.pop("pass")}, frequency=rep["frequency"], **check)]
     return _finish(out, "orbit", cfg, records, start)
 
 

@@ -467,14 +467,12 @@ class TowerSpec:
 
     ``rokhlin_tower`` builds only self-avoiding markers, so E is exactly
     the cylinder, mu(E) is ``mu_pattern``, and the B_n translates of E are
-    disjoint.  The Monte-Carlo fields record the check of mu(B_n E) and of
-    that disjointness; ``_tower_monte_carlo`` fills them.
+    disjoint; ``tower_check`` re-checks mu(B_n E) and that disjointness by
+    Monte Carlo.
     """
 
     def __init__(self, system: DynamicalSystem, n: int, eta: float, pattern: dict):
         self.system, self.n, self.eta, self.pattern = system, n, eta, pattern
-        self.mc_samples = self.mc_hits_bn = self.collisions = 0
-        self.mc_ci_upper = 1.0
 
     @property
     def spec(self) -> GroupSpec:
@@ -505,6 +503,8 @@ class TowerSpec:
         return base.array[(slice(None), *(n - ball).T)]
 
     def to_dict(self) -> dict:
+        """The tower, with an ``mc`` block of zero samples (``tower_check``
+        fills it)."""
         spec = self.spec
         return {
             "n": self.n,
@@ -517,12 +517,7 @@ class TowerSpec:
             "mu_e_lower": self.mu_pattern,
             "mu_e_upper": self.mu_pattern,
             "mu_bn_upper": self.mu_bn_upper(),
-            "mc": {
-                "samples": self.mc_samples,
-                "hits_bn": self.mc_hits_bn,
-                "ci_upper": self.mc_ci_upper,
-                "collisions": self.collisions,
-            },
+            "mc": {"samples": 0, "hits_bn": 0, "ci_upper": 1.0, "collisions": 0},
         }
 
 
@@ -538,8 +533,6 @@ def rokhlin_tower(
     sys: DynamicalSystem,
     n: int,
     eta: float,
-    seed: int = 0,
-    mc_samples: int = 0,
     rarity_factor: float = 1.0,
 ) -> TowerSpec:
     """A base event E whose B_n translates are disjoint, with mu(B_n E) < eta/2.
@@ -547,9 +540,7 @@ def rokhlin_tower(
     The marker length grows from 2n until ``|B_n| * mu(pattern) *
     rarity_factor`` drops below eta/2 (rarity_factor > 1 reserves room for
     later trimming of E).  The pattern must contradict each of its shifts by
-    m in B_2n minus e, or ``TowerConstructionError`` is raised.  Monte-Carlo
-    estimation of mu(B_n E) and a translate-collision scan run when
-    ``mc_samples`` > 0.
+    m in B_2n minus e, or ``TowerConstructionError`` is raised.
     """
     if sys.kind != "bernoulli":
         raise DomainError("towers are built on Bernoulli systems")
@@ -579,14 +570,14 @@ def rokhlin_tower(
                 f"the marker is compatible with its shift by "
                 f"{groups.element_str(spec, m)}, so translates of the base can meet"
             )
-    tower = TowerSpec(system=sys, n=n, eta=eta, pattern=pattern)
-    if mc_samples > 0:
-        _tower_monte_carlo(tower, mc_samples, seed)
-    return tower
+    return TowerSpec(system=sys, n=n, eta=eta, pattern=pattern)
 
 
-def _tower_monte_carlo(tower: TowerSpec, samples: int, seed: int) -> None:
-    """Estimate mu(B_n E) and count points in two translates of E.
+def tower_check(tower: TowerSpec, samples: int, seed: int) -> dict:
+    """The Monte-Carlo check of ``tower``: ``to_dict`` with the ``mc``
+    block, and ``pass``.  It passes when no draw lies in two translates of
+    E, the Clopper-Pearson upper end of mu(B_n E) lies below eta/2, and
+    mu(E) > 0.
 
     Chunks of ``SIEVE_CHUNK`` draws each read their draws x box bit array
     and test T_{g^-1} x in E for every g in B_n at once
@@ -599,10 +590,9 @@ def _tower_monte_carlo(tower: TowerSpec, samples: int, seed: int) -> None:
         located = tower.located(points).sum(axis=1)
         hits += int((located > 0).sum())
         collisions += int((located > 1).sum())
-    tower.mc_samples = samples
-    tower.mc_hits_bn = hits
-    tower.collisions = collisions
-    tower.mc_ci_upper = stats.clopper_pearson(hits, samples)[1]
+    ci_upper, ok = stats.certify(stats.UPPER, tower.eta / 2.0, counts=(hits, samples))
+    mc = {"samples": samples, "hits_bn": hits, "ci_upper": ci_upper, "collisions": collisions}
+    return {**tower.to_dict(), "mc": mc, "pass": ok and collisions == 0 and tower.mu_pattern > 0.0}
 
 
 def _derived_seed(*parts) -> int:

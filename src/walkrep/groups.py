@@ -21,8 +21,8 @@ Arithmetic trusts its inputs to be canonical and does not re-check them:
 images, and on the element argument of each public certificate and check
 (``weight_ratio``, ``restricted_ratio_certificate``,
 ``subgroup_norm_certificate``, ``equivariance_check`` and
-``LocallyFiniteChain.first_containing``).  ``canonicalize`` runs it on every
-input that it does not rewrite.  Canonical inputs give canonical outputs.
+``LocallyFiniteChain.first_containing``).  Canonical inputs give canonical
+outputs.
 """
 
 from __future__ import annotations
@@ -135,24 +135,6 @@ def check_element(spec: GroupSpec, g) -> None:
         raise EncodingError("z2sum element must be a tuple of positive bit indices")
     if list(g) != sorted(set(g)):
         raise EncodingError(f"z2sum support {g!r} must be sorted and distinct")
-
-
-def canonicalize(spec: GroupSpec, g):
-    """Return the canonical form of ``g``; idempotent on valid encodings."""
-    if spec.kind == "free" and isinstance(g, (tuple, list)):
-        word: list[int] = []
-        for c in g:
-            if not isinstance(c, int) or c == 0 or abs(c) > spec.d:
-                raise EncodingError(f"letter {c!r} outside rank-{spec.d} alphabet")
-            if word and word[-1] == -c:
-                word.pop()
-            else:
-                word.append(c)
-        return tuple(word)
-    if spec.kind == "z2sum" and isinstance(g, (tuple, list, frozenset, set)):
-        return tuple(sorted(set(g)))
-    check_element(spec, g)
-    return g
 
 
 def multiply(spec: GroupSpec, a, b):

@@ -264,12 +264,6 @@ class WeightTable(_Cells):
         """The weight truncated at ``depth`` (by default n_max) at ``cells``."""
         return self._gather(self._depth(self.params.n_max if depth is None else depth), cells)
 
-    def partial_weight(self, g, depth: int) -> float:
-        return float(self.read(self.cells([g]), depth)[0])
-
-    def weight(self, g) -> float:
-        return self.partial_weight(g, self.params.n_max)
-
     def ball(self, radius: int) -> tuple[list, np.ndarray]:
         """``groups.ball(spec, radius)`` and its cells, cached per radius."""
         if radius not in self._balls:
@@ -288,7 +282,9 @@ class WeightTable(_Cells):
         return elements, self.cells(elements)
 
     def support(self) -> list:
-        """The elements of positive stored weight, in ``sort_key`` order."""
+        """The elements of positive stored weight, in ``sort_key`` order.
+        No command calls it or ``table``; the benchmark's tracer counts
+        ``len(table)`` per weight build, and the tests read both."""
         if self.spec.kind == "free":
             return groups.ball(self.spec, self.params.n_max)
         coords = (np.argwhere(self.partials[-1] > 0.0) - self.offset).tolist()

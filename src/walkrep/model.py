@@ -42,8 +42,6 @@ from .errors import CapacityError, DomainError, StageError
 from .groups import GroupSpec
 from .measures import WeightTable
 
-Z95 = stats.Z95
-
 
 # ---------------------------------------------------------------------------
 # basis balls
@@ -577,10 +575,11 @@ def compute_eta(history: list[StageState]) -> float:
     return worst / (2 * n * (n + 1))
 
 
-def _tail_height(w: WeightTable, max_abs: float, radius: float, n0: int) -> int:
+def _tail_height(w: WeightTable, max_abs: float, ball: BallSpec) -> int:
     """Smallest tower height N with max|f| sqrt(tail outside B_N) < radius/2,
-    found by doubling from just above the center support."""
-    n = max(2 * n0, 2)
+    found by doubling from just above the center support B_level."""
+    radius = ball.radius
+    n = max(2 * ball.level, 2)
     while n <= MAX_TOWER_HEIGHT:
         tail = w.tail_mass_outside_ball(n)
         if max_abs * math.sqrt(tail) < radius / 2.0:
@@ -604,7 +603,7 @@ def hit_ball(model: ModelFunction, ball: BallSpec, quartic_budget: float) -> tup
     eta = INITIAL_ETA if not model.history else compute_eta(model.history)
     xi = ball.center_dict()
     max_abs = max(model.max_abs(), ball.max_abs())
-    n = _tail_height(model.w, max(max_abs, 1e-9), ball.radius, ball.level)
+    n = _tail_height(model.w, max(max_abs, 1e-9), ball)
     prev_heights = [st.patch.n for st in model.stages]
     blow = max(
         [len(groups.ball(spec, n_i + n)) for n_i in prev_heights]
@@ -685,14 +684,15 @@ def split_values(model: ModelFunction) -> StageSplit:
 
 def _update_bookkeeping(
     history: list[StageState],
-    split: StageSplit,
+    stage: ModelStage,
     patched_values: tuple,
-    tower: TowerSpec,
     ball: BallSpec,
     eta: float,
 ) -> StageState:
-    """Derive the stage-(n+1) value sets, covers, and budgets; verify the
-    exact separation and nesting conditions on the recorded finite sets."""
+    """Derive the stage-(n+1) value sets, covers, and budgets of the split
+    ``stage``; verify the exact separation and nesting conditions on the
+    recorded finite sets."""
+    split, tower = stage.split, stage.patch.tower
     n_new = len(history) + 1
     s = split.offset
     value_sets: dict = {}
@@ -859,7 +859,7 @@ def build_model(sys: DynamicalSystem, w: WeightTable, cfg: ExperimentConfig) -> 
         drift += split.offset
         tower = stage.patch.tower
         quartic += tower.mu_bn_upper() * (ball.max_abs() + drift) ** 4
-        state = _update_bookkeeping(model.history, split, patched_values, tower, ball, eta)
+        state = _update_bookkeeping(model.history, stage, patched_values, ball, eta)
         state.checks["patch"] = patch_report
         if not state.checks["separation"]["pass"]:
             raise StageError(f"separation check failed at stage {idx + 1}")
@@ -890,14 +890,8 @@ def run_stage_checks(model: ModelFunction, cfg: ExperimentConfig) -> None:
         budget = state.gamma[i] * (1.0 - 1.0 / n)
         expected = np.where(routing[i - 1], np.isin(values, v0), np.isin(values, v1))
         exceptions = int((~expected).sum())
-        ci = stats.clopper_pearson(exceptions, samples)
-        lvl_ok = exceptions == 0 if budget <= 0.0 else ci[1] <= budget
-        exc_detail[str(i)] = {
-            "exceptions": exceptions,
-            "budget": budget,
-            "ci_upper": ci[1],
-            "pass": bool(lvl_ok),
-        }
+        ci_upper, lvl_ok = stats.certify(stats.UPPER, budget, counts=(exceptions, samples))
+        exc_detail[str(i)] = {"exceptions": exceptions, "budget": budget, "ci_upper": ci_upper, "pass": lvl_ok}
         ok3 = ok3 and lvl_ok
     state.checks["exceptions"] = {"levels": exc_detail, "pass": bool(ok3)}
     # 4_n hitting events, via conditional draws from each tower base
@@ -905,18 +899,15 @@ def run_stage_checks(model: ModelFunction, cfg: ExperimentConfig) -> None:
     ok4 = True
     draws = cfg.samples.base_samples
     for i in range(1, n + 1):
-        survive, in_ball = conditional_hits(model, i, cfg, cfg.seed + 1000 + i)
-        ci = stats.clopper_pearson(in_ball, draws)
-        mass_lower = model.stages[i - 1].patch.tower.mu_pattern * ci[0]
         required = state.delta[i] * (1.0 + 1.0 / n)
-        lvl_ok = mass_lower >= required
+        survive, in_ball, mass_lower, lvl_ok = conditional_hits(model, i, cfg, cfg.seed + 1000 + i, required)
         hit_detail[str(i)] = {
             "draws": draws,
             "survived": survive,
             "in_ball": in_ball,
             "mass_lower": mass_lower,
             "required": required,
-            "pass": bool(lvl_ok),
+            "pass": lvl_ok,
         }
         ok4 = ok4 and lvl_ok
     state.checks["hitting"] = {"levels": hit_detail, "pass": bool(ok4)}
@@ -931,9 +922,9 @@ def run_stage_checks(model: ModelFunction, cfg: ExperimentConfig) -> None:
         fourth = prefix_values[k - 1] ** 4
         est = float(fourth.mean())
         se = float(fourth.std(ddof=1) / math.sqrt(samples))
-        norm4 = (est + Z95 * se) ** 0.25
-        per_stage[str(k)] = {"estimate": est**0.25, "ci_upper": norm4}
-        ok5 = ok5 and norm4 < 1.0
+        upper, below = stats.certify(stats.UPPER, 1.0, normal=(est, se))  # ||f||_4 < 1 iff E f^4 < 1
+        per_stage[str(k)] = {"estimate": est**0.25, "ci_upper": upper**0.25}
+        ok5 = ok5 and below
     state.checks["quartic"] = {
         "per_stage": per_stage,
         "estimate": per_stage[str(n)]["estimate"],
@@ -947,28 +938,34 @@ def run_stage_checks(model: ModelFunction, cfg: ExperimentConfig) -> None:
 # verification battery
 
 
-def equivariance_check(model: ModelFunction, samples: int, h, n_trunc: int, seed: int = 0) -> dict:
-    """Exact coefficient equality of phi(T_h x) and S_h phi(x) on the common
-    truncation ball; both sides are evaluated in their own windows."""
+def equivariance_check(model: ModelFunction, samples: int, hs: list, n_trunc: int, seed: int = 0) -> list:
+    """Per h of ``hs``: exact coefficient equality of phi(T_h x) and
+    S_h phi(x) on the common truncation ball.  The right side phi(x) is
+    evaluated once; each left side in its own window, read at T_h x, one h
+    at a time."""
     spec = model.spec
-    groups.check_element(spec, h)
+    for h in hs:
+        groups.check_element(spec, h)
     probe = dynamics.probe_system(model.system, "equiv", seed)
-    h_len = groups.word_length(spec, h)
     points = dynamics.sample_points(probe, np.arange(samples))
-    common, left, _ = phi(model, points.moved(h), n_trunc - h_len)
     ball, right, _ = phi(model, points, n_trunc)
-    # (S_h v)(g) = v(g h)
     index = {g: k for k, g in enumerate(ball)}
-    shifted = right[:, [index[groups.multiply(spec, g, h)] for g in common]]
-    mismatches = int((left != shifted).sum())
-    return {
-        "h": groups.element_str(spec, h),
-        "samples": samples,
-        "common_ball": n_trunc - h_len,
-        "compared": left.size,
-        "mismatches": mismatches,
-        "pass": mismatches == 0,
-    }
+    reports = []
+    for h in hs:
+        common_ball = n_trunc - groups.word_length(spec, h)
+        common, left, _ = phi(model, points.moved(h), common_ball)
+        # (S_h v)(g) = v(g h)
+        shifted = right[:, [index[groups.multiply(spec, g, h)] for g in common]]
+        mismatches = int((left != shifted).sum())
+        reports.append({
+            "h": groups.element_str(spec, h),
+            "samples": samples,
+            "common_ball": common_ball,
+            "compared": left.size,
+            "mismatches": mismatches,
+            "pass": mismatches == 0,
+        })
+    return reports
 
 
 def support_and_iso_check(model: ModelFunction, cfg: ExperimentConfig) -> dict:
@@ -991,38 +988,31 @@ def support_and_iso_check(model: ModelFunction, cfg: ExperimentConfig) -> dict:
     overall = True
     for i in range(1, n + 1):
         hits, indeterminate = ball_hits(phis, history[i - 1].ball, model.w)
-        ci = stats.clopper_pearson(hits, samples)
-        hit_ok = ci[0] >= state.delta[i]
+        hit_lower, hit_ok = stats.certify(stats.LOWER, state.delta[i], counts=(hits, samples))
         hit_method = "direct"
         conditional_lower = None
         if not hit_ok:
-            _, in_ball = conditional_hits(model, i, cfg, seed + 5000 + i)
-            conditional_lower = (
-                model.stages[i - 1].patch.tower.mu_pattern
-                * stats.clopper_pearson(in_ball, cfg.samples.base_samples)[0]
-            )
-            hit_ok = conditional_lower >= state.delta[i]
+            *_, conditional_lower, hit_ok = conditional_hits(model, i, cfg, seed + 5000 + i, state.delta[i])
             hit_method = "stratified"
         # symmetric difference of the minus-side cover preimage against A_i
         in_cover = np.zeros(samples, dtype=bool)
         for lo, hi in state.covers[i][0]:
             in_cover |= (lo <= values) & (values <= hi)
         sym = int((in_cover != routing[i - 1]).sum())
-        ci_sym = stats.clopper_pearson(sym, samples)
-        sym_ok = ci_sym[1] < state.gamma[i]
+        sym_upper, sym_ok = stats.certify(stats.UPPER, state.gamma[i], counts=(sym, samples))
         disjoint = _interval_sets_distance(*state.covers[i]) > 0.0
         detail[str(i)] = {
             "hit_freq": hits / samples,
-            "hit_ci_lower": ci[0],
+            "hit_ci_lower": hit_lower,
             "hit_method": hit_method,
             "stratified_lower": conditional_lower,
             "delta": state.delta[i],
             "indeterminate": indeterminate,
-            "hit_pass": bool(hit_ok),
+            "hit_pass": hit_ok,
             "symdiff_freq": sym / samples,
-            "symdiff_ci_upper": ci_sym[1],
+            "symdiff_ci_upper": sym_upper,
             "gamma": state.gamma[i],
-            "symdiff_pass": bool(sym_ok),
+            "symdiff_pass": sym_ok,
             "covers_disjoint": bool(disjoint),
         }
         overall = overall and hit_ok and sym_ok and disjoint
@@ -1053,19 +1043,24 @@ def ball_hits(phis: tuple, ball: BallSpec, w: WeightTable) -> tuple[int, int]:
     return int(hit.sum()), int(indeterminate.sum())
 
 
-def conditional_hits(model: ModelFunction, i: int, cfg: ExperimentConfig, seed: int) -> tuple[int, int]:
-    """(survived, in_ball) over ``cfg.samples.base_samples`` draws from the
-    stage-i tower base, sampled with ``seed``: draws in the trimmed hit event
-    E^{(n)}_i, and those whose orbit vector lies certainly in the stage-i
-    ball.  The exact base measure times the conditional hit rate
-    lower-bounds mu(phi in U_i)."""
+def conditional_hits(
+    model: ModelFunction, i: int, cfg: ExperimentConfig, seed: int, required: float
+) -> tuple[int, int, float, bool]:
+    """(survived, in_ball, lower, pass) over ``cfg.samples.base_samples``
+    draws from the stage-i tower base, sampled with ``seed``: draws in the
+    trimmed hit event E^{(n)}_i, and those whose orbit vector lies certainly
+    in the stage-i ball.  The exact base measure times the Clopper-Pearson
+    lower end of the conditional hit rate is ``lower``, a lower bound on
+    mu(phi in U_i); it passes above ``required``."""
     tower = model.stages[i - 1].patch.tower
     n = len(model.history)
-    points = dynamics.conditional_base_sampler(tower, seed, cfg.samples.base_samples)
+    draws = cfg.samples.base_samples
+    points = dynamics.conditional_base_sampler(tower, seed, draws)
     hit = [win.in_hit_event(i, n) for win in orbit_windows(model, points, *_ball_box(model.spec, tower.n))]
     survivors = points[np.concatenate(hit) if hit else np.zeros(0, dtype=bool)]
-    phis = phi(model, survivors, cfg.n_trunc)
-    return len(survivors), ball_hits(phis, model.history[i - 1].ball, model.w)[0]
+    in_ball = ball_hits(phi(model, survivors, cfg.n_trunc), model.history[i - 1].ball, model.w)[0]
+    lower, ok = stats.certify(stats.LOWER, required, counts=(in_ball, draws), scale=tower.mu_pattern)
+    return len(survivors), in_ball, lower, ok
 
 
 def orbit_frequency(model: ModelFunction, x: PointBatch, a, ball: BallSpec, n_steps: int, n_trunc: int) -> dict:
@@ -1106,6 +1101,7 @@ def orbit_frequency(model: ModelFunction, x: PointBatch, a, ball: BallSpec, n_st
     hits = sum(hit)
     freq = hits / n_steps
     se = stats.batch_means_se(series)
+    ci_lower, visits = stats.certify(stats.LOWER, 0.0, normal=(freq, se))
     return {
         "a": groups.element_str(spec, a),
         "n_steps": n_steps,
@@ -1113,7 +1109,24 @@ def orbit_frequency(model: ModelFunction, x: PointBatch, a, ball: BallSpec, n_st
         "hits": hits,
         "indeterminate": indeterminate,
         "se_batch": se,
-        "ci_lower": max(0.0, freq - Z95 * se),
-        "ci_upper": min(1.0, freq + Z95 * se),
+        "ci_lower": ci_lower,
+        "ci_upper": min(1.0, stats.certify(stats.UPPER, 1.0, normal=(freq, se))[0]),
+        "pass": visits,
         "series": series,
     }
+
+
+def orbit_consistency(model: ModelFunction, rep: dict, cfg: ExperimentConfig) -> dict:
+    """The visit frequency ``rep`` of ``orbit_frequency`` to the first
+    stage ball, against that ball's hit frequency measured on the first
+    min(check_samples, 1000) "iso" probe points at seed + 7.  It passes when
+    the orbit visits the ball (``rep``'s lower end above 0) and the gap lies
+    within 1e-6 plus the 95% normal quantile times the sum of both
+    standard errors."""
+    samples = min(cfg.samples.check_samples, 1000)
+    _, phis = probe_orbit_vectors(model, samples, cfg.n_trunc, cfg.seed + 7)
+    mu = ball_hits(phis, model.history[0].ball, model.w)[0] / samples
+    se_mu = math.sqrt(max(mu * (1 - mu), 1e-12) / samples)
+    gap = abs(rep["frequency"] - mu)
+    tolerance, ok = stats.certify(stats.COVERS, gap, normal=(1e-6, rep["se_batch"] + se_mu))
+    return {"measured_mu": mu, "gap": gap, "tolerance": tolerance, "pass": rep["pass"] and ok}

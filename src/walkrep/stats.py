@@ -1,4 +1,5 @@
-"""Confidence bounds used by the Monte-Carlo harnesses.
+"""Confidence bounds used by the Monte-Carlo harnesses, and the one place
+a sampled check is decided: ``certify``.
 
 ``clopper_pearson`` is the exact binomial interval (Clopper & Pearson,
 1934), computed with ``math`` alone.  Its bounds are the beta quantiles
@@ -26,6 +27,8 @@ import numpy as np
 from .errors import ConvergenceError
 
 Z95 = 1.959963984540054
+# the sides of ``certify``: which end a record reports, and where it must lie
+UPPER, LOWER, COVERS = "upper", "lower", "covers"
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 1..15 (Loader's table; 0 is unused)
 _STIRLERR = (
@@ -205,3 +208,32 @@ def batch_means_se(series) -> float:
     usable = (len(arr) // count) * count
     means = arr[:usable].reshape(count, -1).mean(axis=1)
     return float(means.std(ddof=1) / math.sqrt(count))
+
+
+def certify(
+    side: str, limit: float, *, counts: tuple | None = None, normal: tuple | None = None, scale: float = 1.0
+) -> tuple[float, bool]:
+    """The confidence end a sampled record reports, and its verdict.
+
+    The method is Clopper-Pearson on ``counts = (k, n)``, the end times
+    ``scale``; or the ``Z95`` normal bound on ``normal = (mean, se)``,
+    ``mean + Z95 * se`` above and ``max(0, mean - Z95 * se)`` below.  Every
+    verdict is strict:
+
+    * ``UPPER``: the upper end lies below the budget ``limit``; a budget of
+      0 or less needs k = 0;
+    * ``LOWER``: the lower end lies above ``limit``;
+    * ``COVERS``: the upper end lies above ``limit``, an observed deviation
+      (``mean`` is then the null's allowance).
+    """
+    if side not in (UPPER, LOWER, COVERS):
+        raise ValueError(f"side must be {UPPER!r}, {LOWER!r} or {COVERS!r}, got {side!r}")
+    if counts is not None:
+        lo, hi = clopper_pearson(*counts)
+        end = scale * (lo if side == LOWER else hi)
+    else:
+        mean, se = normal
+        end = max(0.0, mean - Z95 * se) if side == LOWER else mean + Z95 * se
+    if side != UPPER:
+        return end, bool(end > limit)
+    return end, bool(counts[0] == 0 if counts is not None and limit <= 0.0 else end < limit)

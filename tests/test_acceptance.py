@@ -114,12 +114,16 @@ def test_criterion_03_averaging_convergence(z_spec, z_bernoulli):
 
 def test_criterion_04_tower_validity(z_bernoulli):
     eta = 0.1
-    tower = dynamics.rokhlin_tower(z_bernoulli, 3, eta, mc_samples=100_000, seed=4)
-    ok = tower.collisions == 0 and tower.mc_ci_upper < eta / 2 and tower.mu_pattern > 0
-    _line(4, ok, f"tower: 10^5 samples, {tower.collisions} collisions, "
-                 f"mu(B_N E) CI upper {tower.mc_ci_upper:.4f} < {eta/2}")
-    assert tower.collisions == 0
-    assert tower.mc_ci_upper < eta / 2
+    tower = dynamics.rokhlin_tower(z_bernoulli, 3, eta)
+    rep = dynamics.tower_check(tower, 100_000, seed=4)
+    collisions, hits = rep["mc"]["collisions"], rep["mc"]["hits_bn"]
+    ci_upper = stats.clopper_pearson(hits, 100_000)[1]
+    ok = collisions == 0 and ci_upper < eta / 2 and tower.mu_pattern > 0
+    _line(4, ok, f"tower: 10^5 samples, {collisions} collisions, "
+                 f"mu(B_N E) CI upper {ci_upper:.4f} < {eta/2}")
+    assert (rep["mc"]["ci_upper"], rep["pass"]) == (ci_upper, ok)
+    assert collisions == 0
+    assert ci_upper < eta / 2
     assert tower.mu_pattern > 0
 
 
@@ -177,7 +181,18 @@ def test_criterion_06_equivariance(built_model, z_spec):
 def test_criterion_07_support_and_iso(built_model):
     mdl, cfg = built_model
     rep = model.support_and_iso_check(mdl, cfg._replace(seed=7))
-    ok = rep["pass"]
+    # each level's verdicts re-derived from its counts; a stratified bound
+    # is taken as reported
+    samples = rep["samples"]
+    for d in rep["levels"].values():
+        direct = stats.clopper_pearson(round(d["hit_freq"] * samples), samples)[0]
+        sym_upper = stats.clopper_pearson(round(d["symdiff_freq"] * samples), samples)[1]
+        hit_ok = direct > d["delta"] or d["stratified_lower"] > d["delta"]
+        assert (d["hit_ci_lower"], d["symdiff_ci_upper"]) == (direct, sym_upper)
+        assert d["hit_method"] == ("direct" if direct > d["delta"] else "stratified")
+        assert (d["hit_pass"], d["symdiff_pass"]) == (hit_ok, sym_upper < d["gamma"])
+    ok = all(d["hit_pass"] and d["symdiff_pass"] and d["covers_disjoint"] for d in rep["levels"].values())
+    assert rep["pass"] == ok
     lines = {
         i: (d["hit_pass"], d["symdiff_pass"], d["covers_disjoint"])
         for i, d in rep["levels"].items()
@@ -200,12 +215,17 @@ def test_criterion_08_orbit_frequency(built_model, z_bernoulli):
     se_mu = math.sqrt(max(mu_est * (1 - mu_est), 1e-12) / iso["samples"])
     gap = abs(rep["frequency"] - mu_est)
     tol = stats.Z95 * (rep["se_batch"] + se_mu) + 1e-6
-    ok = rep["ci_lower"] > 0.0 and gap <= tol
+    ci_lower = max(0.0, rep["frequency"] - stats.Z95 * rep["se_batch"])
+    ok = ci_lower > 0.0 and gap < tol
     _line(8, ok, f"orbit visit frequency {rep['frequency']:.4f} over 10^4 steps, "
-                 f"CI lower {rep['ci_lower']:.4f} > 0, vs measured mu {mu_est:.4f} "
-                 f"(gap {gap:.2g} <= {tol:.2g})")
-    assert rep["ci_lower"] > 0.0
-    assert gap <= tol
+                 f"CI lower {ci_lower:.4f} > 0, vs measured mu {mu_est:.4f} "
+                 f"(gap {gap:.2g} < {tol:.2g})")
+    # the command's check measures mu on the same 1000 "iso" points (seed 1 + 7)
+    check = model.orbit_consistency(mdl, rep, cfg._replace(seed=1))
+    assert (rep["ci_lower"], check["measured_mu"], check["gap"], check["tolerance"]) == (ci_lower, mu_est, gap, tol)
+    assert check["pass"] == ok
+    assert ci_lower > 0.0
+    assert gap < tol
 
 
 # -- 9 ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import fresh
 import golden
 from fresh import modules_after
 from golden import SMALL_CONFIG
+from vectors import weight
 from walkrep import cli, config, continuous, groups, measures, model
 from walkrep.errors import ConfigError
 
@@ -455,11 +456,11 @@ def test_weights_csv_matches_element_str_rows(tmp_path, group, weights, second):
         want = io.StringIO(newline="")
         writer = csv.writer(want)
         writer.writerow(["element", "weight"])
-        writer.writerows([groups.element_str(spec, g), repr(w.weight(g))] for g in ball)
+        writer.writerows([groups.element_str(spec, g), repr(weight(w, g))] for g in ball)
         got = (tmp_path / "out" / "weights" / f"{label}_weights.csv").read_bytes()
         assert got == want.getvalue().encode()
         assert b"np.float64" not in got
-        assert all(type(w.weight(g)) is float for g in ball)
+        assert all(type(weight(w, g)) is float for g in ball)
 
 
 def test_seed_override_changes_digested_config(tmp_path):

@@ -1,0 +1,38 @@
+from pathlib import Path
+
+import fresh
+import walkrep
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "design_counts.py"
+
+
+def _counts(*args) -> dict:
+    proc = fresh.run([str(SCRIPT), *map(str, args)])
+    assert proc.returncode == 0, proc.stderr
+    return {name: int(value) for name, value in (line.split() for line in proc.stdout.splitlines())}
+
+
+def test_design_counts_of_this_tree():
+    src = Path(walkrep.__file__).parent
+    lines = sum(len(f.read_text(encoding="utf-8").splitlines()) for f in src.rglob("*.py"))
+    counts = _counts()
+    assert list(counts) == ["src_lines", "settable_values"]
+    assert counts["src_lines"] == lines
+    assert counts["settable_values"] > 0
+
+
+def test_design_counts_rules(tmp_path):
+    # parameters but self/cls and */** catch-alls, of nested defs too, plus
+    # NamedTuple fields; a plain class's annotations do not count
+    (tmp_path / "a.py").write_text(
+        "from typing import NamedTuple\n"
+        "import typing\n"
+        "class P(NamedTuple):\n    x: int\n    y: int = 0\n"
+        "class Q(typing.NamedTuple):\n    z: float\n"
+        "class R:\n    w: int\n"
+        "    def m(self, a, *args, b=1, **kw):\n        def inner(c, /, d):\n            pass\n"
+        "    @classmethod\n    def k(cls):\n        pass\n"
+    )
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_text("async def f(e, f=2):\n    pass\n")
+    assert _counts(tmp_path) == {"src_lines": 17, "settable_values": 3 + 2 + 2 + 2}

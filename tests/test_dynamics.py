@@ -88,14 +88,16 @@ def test_family_distinct_descriptors(z_spec):
 
 
 def test_tower_disjointness_and_measure(z_bernoulli):
-    tower = dynamics.rokhlin_tower(z_bernoulli, 3, 0.1, mc_samples=20_000)
-    assert tower.collisions == 0
+    tower = dynamics.rokhlin_tower(z_bernoulli, 3, 0.1)
+    report = dynamics.tower_check(tower, 20_000, 0)
+    assert report["mc"]["collisions"] == 0
     assert tower.mu_bn_upper() < 0.05
-    assert tower.mc_ci_upper < 0.05
+    assert report["mc"]["ci_upper"] < 0.05
+    assert report["pass"]
     assert tower.mu_pattern == 0.5 ** len(tower.pattern)
-    report = tower.to_dict()
     assert report["mu_e_lower"] == report["mu_e_upper"] == tower.mu_pattern
     assert "n_excluded" not in report
+    assert tower.to_dict()["mc"] == {"samples": 0, "hits_bn": 0, "ci_upper": 1.0, "collisions": 0}
 
 
 def tower_locate(tower, x):
@@ -123,8 +125,8 @@ def test_tower_infeasible_parameters(z_bernoulli):
 def test_tower_lattice(z_spec):
     z2 = groups.GroupSpec("lattice", 2)
     sys2 = dynamics.bernoulli_system(z2, seed=12)
-    tower = dynamics.rokhlin_tower(sys2, 2, 0.1, mc_samples=3000)
-    assert tower.collisions == 0
+    tower = dynamics.rokhlin_tower(sys2, 2, 0.1)
+    assert dynamics.tower_check(tower, 3000, 0)["mc"]["collisions"] == 0
     assert tower.mu_bn_upper() < 0.05
 
 
@@ -215,8 +217,8 @@ def _per_draw_hits(tower, samples, seed):
 
 
 def _sieve_hits(tower, samples, seed):
-    dynamics._tower_monte_carlo(tower, samples, seed)
-    return tower.mc_hits_bn, tower.collisions
+    mc = dynamics.tower_check(tower, samples, seed)["mc"]
+    return mc["hits_bn"], mc["collisions"]
 
 
 def _short_tower(sys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convolution as oracle
+from vectors import partial_weight, weight
 from walkrep import groups, measures
 from walkrep.errors import CapacityError, DegenerateRestrictionError, DomainError
 
@@ -186,11 +187,11 @@ def test_weight_params():
 
 def test_build_weight_hand_example(z_spec):
     w = measures.build_weight(z_spec, measures.WeightParams(q=0.5, n_max=2))
-    assert abs(w.weight(0) - 0.25) < 1e-15
+    assert abs(weight(w, 0) - 0.25) < 1e-15
     assert w.tail_bound == 0.25
     assert abs(w.stored_mass() - 0.75) < 1e-12
-    assert all(w.weight(g) == w.weight(-g) for g in w.support())
-    assert all(w.weight(g) > 0 for g in groups.ball(z_spec, 2))
+    assert all(weight(w, g) == weight(w, -g) for g in w.support())
+    assert all(weight(w, g) > 0 for g in groups.ball(z_spec, 2))
 
 
 def test_weight_mass_identity(z_weights):
@@ -202,18 +203,18 @@ def test_monotone_truncation(z_spec):
     w1 = measures.build_weight(z_spec, measures.WeightParams(q=0.5, n_max=6))
     w2 = measures.build_weight(z_spec, measures.WeightParams(q=0.5, n_max=9))
     for g in w1.support():
-        assert w2.weight(g) >= w1.weight(g) - 1e-15
-        assert w2.weight(g) - w1.weight(g) <= w1.tail_bound + 1e-15
+        assert weight(w2, g) >= weight(w1, g) - 1e-15
+        assert weight(w2, g) - weight(w1, g) <= w1.tail_bound + 1e-15
 
 
 def test_partial_weight_tables(z_weights):
     w = z_weights
-    full = w.weight(3)
-    partial = w.partial_weight(3, 10)
+    full = weight(w, 3)
+    partial = partial_weight(w, 3, 10)
     assert 0 < partial <= full
-    assert w.partial_weight(3, w.params.n_max) == full
+    assert partial_weight(w, 3, w.params.n_max) == full
     with pytest.raises(DomainError):
-        w.partial_weight(0, 99)
+        partial_weight(w, 0, 99)
 
 
 @pytest.mark.parametrize("b", [1, 2, 3])
@@ -276,7 +277,7 @@ def _check_against_dict_convolution(kind, d, q, n_max):
     assert w.read(w.cells(inverses)).tolist() == w.read(cells).tolist()  # exact symmetry
     support = sorted(ball, key=lambda g: groups.sort_key(spec, g))
     assert w.support() == support
-    assert w.table == {g: w.weight(g) for g in support}
+    assert w.table == {g: weight(w, g) for g in support}
     assert all(type(v) is float for v in w.table.values())
     return w, bound, ball
 
@@ -304,7 +305,8 @@ def test_weight_table_matches_dict_convolution(case, q, n_max):
 
 
 def _element_scan(spec, w, b):
-    """weight_ratio's scan over every element of B(n_max - |b|)."""
+    """weight_ratio's scan over every element of B(n_max - |b|), on the
+    dict weight ``w``."""
     depth = w.params.n_max - len(b)
     upper_max, lower_min, evaluated = 0.0, math.inf, 0
     for g in groups.ball(spec, depth):
@@ -363,8 +365,8 @@ def test_restricted_law_weight_matches_dict_convolution(z_spec, f2_spec, f2_weig
     for depth in range(n_max + 1):
         for g in reference.support():
             want = reference.partial_weight(g, depth)
-            assert abs(w.partial_weight(g, depth) - want) <= 1e-13 * want
-            assert w.partial_weight(g, depth) == w.partial_weight(-g, depth)
+            assert abs(partial_weight(w, g, depth) - want) <= 1e-13 * want
+            assert partial_weight(w, g, depth) == partial_weight(w, -g, depth)
 
 
 def test_custom_law_on_free_group_rejected(f2_spec):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from handles import handles, located_by_translates, point
-from vectors import WeightedVector, norm, shift
+from vectors import WeightedVector, norm, shift, weight
 from walkrep import dynamics, groups, measures, model, stats
 from walkrep.config import ExperimentConfig, SampleConfig
 from walkrep.errors import CapacityError, DomainError, EncodingError, StageError
@@ -354,9 +354,9 @@ def test_hit_events_nested(built_model):
 
 def test_equivariance_exact(built_model):
     mdl = built_model[0]
-    for h in (0, 1, -2):
-        rep = model.equivariance_check(mdl, samples=40, h=h, n_trunc=12, seed=5)
-        assert rep["mismatches"] == 0
+    reps = model.equivariance_check(mdl, samples=40, hs=[0, 1, -2], n_trunc=12, seed=5)
+    assert [rep["h"] for rep in reps] == ["0", "1", "-2"]
+    assert all(rep["mismatches"] == 0 and rep["pass"] for rep in reps)
 
 
 def test_support_and_iso(built_model):
@@ -406,9 +406,10 @@ STRATIFIED_LOWER_SEED_6 = {
 def test_conditional_hits_reproduce_stratified_bound(built_model):
     mdl, cfg = built_model
     for i, expected in STRATIFIED_LOWER_SEED_6.items():
-        _, in_ball = model.conditional_hits(mdl, i, cfg, 6 + 5000 + i)
-        lower = stats.clopper_pearson(in_ball, cfg.samples.base_samples)[0]
-        assert mdl.stages[i - 1].patch.tower.mu_pattern * lower == expected
+        _, in_ball, lower, ok = model.conditional_hits(mdl, i, cfg, 6 + 5000 + i, expected)
+        cp_lower = stats.clopper_pearson(in_ball, cfg.samples.base_samples)[0]
+        assert lower == mdl.stages[i - 1].patch.tower.mu_pattern * cp_lower == expected
+        assert not ok  # a bound equal to its requirement fails
 
 
 def test_serialization_roundtrip(built_model, z_bernoulli):
@@ -448,7 +449,7 @@ def test_lattice_build_smoke(lattice_built):
     mdl = lattice_built
     final = mdl.history[-1]
     assert all(v["pass"] for v in final.checks.values())
-    rep = model.equivariance_check(mdl, samples=20, h=(1, 0), n_trunc=5, seed=2)
+    (rep,) = model.equivariance_check(mdl, samples=20, hs=[(1, 0)], n_trunc=5, seed=2)
     assert rep["mismatches"] == 0
 
 
@@ -459,7 +460,7 @@ def _far_balls(spec, w, n_trunc) -> list:
     a = groups.generators(spec)[0]
     near = groups.power(spec, a, n_trunc + 1)
     far = groups.power(spec, a, w.params.n_max + 5)
-    assert w.weight(far) == 0.0 < w.weight(near)
+    assert weight(w, far) == 0.0 < weight(w, near)
     balls = []
     for radius in (0.05, 0.3, 1.0):
         balls.append(model.BallSpec(-1, 3, ((e, 0.25), (near, -0.5)), radius))
@@ -484,8 +485,7 @@ def _check_dense_against_dict(mdl, n_trunc, samples, hs, steps):
         series, indeterminate = _oracle_orbit(mdl, x, a, ball, 25, n_trunc)
         assert (rep["series"], rep["indeterminate"]) == (series, indeterminate)
         assert rep["hits"] == sum(series)
-    for h in hs:
-        rep = model.equivariance_check(mdl, samples=12, h=h, n_trunc=n_trunc, seed=4)
+    for h, rep in zip(hs, model.equivariance_check(mdl, samples=12, hs=hs, n_trunc=n_trunc, seed=4), strict=True):
         assert (rep["compared"], rep["mismatches"]) == oracle_equivariance(mdl, 12, h, n_trunc, 4)
 
 
@@ -511,7 +511,7 @@ def test_dense_equivariance_counts_mismatches(built_model, monkeypatch):
         return ball, values, tail
 
     monkeypatch.setattr(model, "phi", corrupted)
-    rep = model.equivariance_check(mdl, samples=10, h=1, n_trunc=8, seed=2)
+    (rep,) = model.equivariance_check(mdl, samples=10, hs=[1], n_trunc=8, seed=2)
     assert rep["mismatches"] > 0
     assert (rep["compared"], rep["mismatches"]) == oracle_equivariance(mdl, 10, 1, 8, 2)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vectors import WeightedVector, delta, norm, norm_detail, shift
+from vectors import WeightedVector, delta, norm, norm_detail, partial_weight, shift, weight
 from walkrep import groups, measures, space
 from walkrep.errors import DomainError
 
@@ -86,7 +86,7 @@ def test_shift_identity_is_noop(z_weights):
 def test_single_atom_ratio_identity(z_weights):
     v = delta(z_weights, 0)
     lhs = norm(shift(v, 1)) ** 2 / norm(v) ** 2
-    rhs = z_weights.weight(-1) / z_weights.weight(0)
+    rhs = weight(z_weights, -1) / weight(z_weights, 0)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -159,8 +159,8 @@ def _exact_case(kind, d, n_max, a):
     spec = groups.GroupSpec(kind, d)
     w = _weight(kind, d, n_max)
     rep = space.operator_norm_certificate(w, a)
-    pool = [g for g in groups.ball(spec, n_max - 1) if w.weight(g) > 0.0]
-    shifted = {g: w.partial_weight(g, n_max - 1) for g in groups.ball(spec, n_max)}
+    pool = [g for g in groups.ball(spec, n_max - 1) if weight(w, g) > 0.0]
+    shifted = {g: partial_weight(w, g, n_max - 1) for g in groups.ball(spec, n_max)}
     return rep, spec, w, pool, w.table, shifted
 
 
@@ -175,7 +175,7 @@ def _exact_subgroup_case(g0):
     w_sub = measures.build_weight(z, measures.WeightParams(q=0.5, n_max=4), rho=rho_g)
     interior = int(rep["domain"].removeprefix("subgroup ball(").removesuffix(")"))
     pool = [
-        g for g in groups.ball(z, interior) if w_sub.weight(g) > 0.0 and w_sub.weight(g - g0) > 0.0
+        g for g in groups.ball(z, interior) if weight(w_sub, g) > 0.0 and weight(w_sub, g - g0) > 0.0
     ]
     atom_max = max(_ratio(delta(w_sub, h), g0, w_sub.table, w_sub.table) for h in pool)
     return rep, w_sub, pool, atom_max

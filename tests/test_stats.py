@@ -71,6 +71,59 @@ def test_clopper_pearson_rejects_bad_arguments(k, n, alpha):
         stats.clopper_pearson(k, n, alpha)
 
 
+# every method of ``certify``: Clopper-Pearson counts, scaled or not, and
+# normal bounds
+CERTIFY_CASES = [
+    {"counts": (7, 300)},
+    {"counts": (7, 300), "scale": 2.0**-9},
+    {"counts": (0, 160)},
+    {"normal": (0.3, 0.02)},
+    {"normal": (1e-6, 0.013)},
+]
+
+
+@pytest.mark.parametrize("side", [stats.UPPER, stats.LOWER, stats.COVERS])
+@pytest.mark.parametrize("case", CERTIFY_CASES)
+def test_certify_end_equal_to_its_limit_fails(side, case):
+    end, _ = stats.certify(side, 0.5, **case)
+    assert stats.certify(side, end, **case) == (end, False)
+    # one ulp inside: below an upper budget, above a lower one
+    inside = math.nextafter(end, math.inf if side == stats.UPPER else -math.inf)
+    assert stats.certify(side, inside, **case) == (end, True)
+
+
+def test_certify_zero_upper_budget_needs_zero_events():
+    assert stats.certify(stats.UPPER, 0.0, counts=(0, 300)) == (stats.clopper_pearson(0, 300)[1], True)
+    for k in (1, 2, 300):
+        assert stats.certify(stats.UPPER, 0.0, counts=(k, 300)) == (stats.clopper_pearson(k, 300)[1], False)
+    # a positive budget below the upper end fails, even at zero events
+    assert not stats.certify(stats.UPPER, 1e-3, counts=(0, 300))[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=hs.integers(1, 5000), u=hs.floats(0.0, 1.0), scale=hs.floats(2.0**-60, 1.0))
+def test_certify_clopper_pearson_ends_bit_for_bit(n, u, scale):
+    k = min(n, int(u * (n + 1)))
+    lo, hi = stats.clopper_pearson(k, n)
+    assert stats.certify(stats.LOWER, 0.5, counts=(k, n), scale=scale)[0] == scale * lo
+    assert stats.certify(stats.LOWER, 0.5, counts=(k, n))[0] == lo
+    assert stats.certify(stats.UPPER, 0.5, counts=(k, n))[0] == hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(est=hs.floats(0.0, 2.0), se=hs.floats(0.0, 1.0))
+def test_certify_normal_ends_bit_for_bit(est, se):
+    assert stats.certify(stats.UPPER, 1.0, normal=(est, se))[0] == est + stats.Z95 * se
+    assert stats.certify(stats.LOWER, 0.0, normal=(est, se))[0] == max(0.0, est - stats.Z95 * se)
+    # ``orbit``'s tolerance: 1e-6 of room for a null gap of 0
+    assert stats.certify(stats.COVERS, est, normal=(1e-6, se))[0] == stats.Z95 * se + 1e-6
+
+
+def test_certify_rejects_an_unknown_side():
+    with pytest.raises(ValueError):
+        stats.certify("both", 0.5, counts=(1, 10))
+
+
 def test_cli_import_leaves_heavy_scipy_out():
     assert modules_after("import walkrep.cli", "scipy") == []
 

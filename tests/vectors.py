@@ -1,6 +1,7 @@
 """Finitely supported vectors of the weighted sequence space as dicts: the
 test oracle for the array orbit vectors of ``walkrep.model`` and for the
-shift-norm certificates of ``walkrep.space``.
+shift-norm certificates of ``walkrep.space``, and the one-element weight
+reads those oracles use.
 
 Vectors are finitely supported real functions on the group, normed by
 ``||v||^2 = sum_g v(g)^2 w(g)`` against a stored WeightTable.  Coefficients
@@ -17,6 +18,16 @@ from dataclasses import dataclass
 from walkrep import groups
 from walkrep.groups import GroupSpec
 from walkrep.measures import WeightTable
+
+
+def partial_weight(w: WeightTable, g, depth: int) -> float:
+    """The weight truncated at ``depth`` at one element, read as a Python float."""
+    return float(w.read(w.cells([g]), depth)[0])
+
+
+def weight(w: WeightTable, g) -> float:
+    """The stored weight w(g): zero off the stored support."""
+    return partial_weight(w, g, w.params.n_max)
 
 
 @dataclass
@@ -69,7 +80,7 @@ def norm_detail(v: WeightedVector) -> dict:
     n_outside = 0
     for g in v.support():
         c = v.coeffs[g]
-        wg = w.weight(g)
+        wg = weight(w, g)
         if wg == 0.0:
             n_outside += 1
             max_outside = max(max_outside, abs(c))
