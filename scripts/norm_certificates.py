@@ -7,6 +7,7 @@ to the sqrt((2d+1) C) ceiling as the truncation depth grows.
 """
 
 from walkrep import groups, measures, space
+from walkrep.config import WeightConfig
 
 
 def main():
@@ -17,7 +18,7 @@ def main():
     ]
     for spec, depths in cases:
         for n_max in depths:
-            w = measures.build_weight(spec, measures.WeightParams(q=0.5, n_max=n_max))
+            w = measures.build_weight(spec, WeightConfig(q=0.5, n_max=n_max))
             a = groups.generators(spec)[0]
             rep = space.operator_norm_certificate(w, a)
             gap = rep["bound"] - rep["observed"]

@@ -9,7 +9,7 @@ geometrically.
 import argparse
 
 from walkrep import dynamics, groups, measures, model
-from walkrep.config import ExperimentConfig, SampleConfig
+from walkrep.config import ExperimentConfig, SampleConfig, WeightConfig
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
     args = ap.parse_args()
 
     spec = groups.GroupSpec("integers")
-    w = measures.build_weight(spec, measures.WeightParams(q=0.5, n_max=40))
+    w = measures.build_weight(spec, WeightConfig(q=0.5, n_max=40))
     sys_b = dynamics.bernoulli_system(spec, seed=args.seed)
     cfg = ExperimentConfig(
         stages=args.stages, seed=args.seed, samples=SampleConfig(check_samples=args.check_samples)

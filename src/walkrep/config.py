@@ -8,6 +8,7 @@ clock, which would break the byte-reproducibility contract.
 from __future__ import annotations
 
 import json
+import math
 from typing import NamedTuple
 
 try:  # CPython's own SHA-256, which loads no OpenSSL; hashlib's where a build lacks it
@@ -18,10 +19,11 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .errors import ConfigError, EncodingError
+from .errors import ConfigError, DomainError, EncodingError
 from .groups import GroupSpec
 
 MAX_CHAIN_N = 16  # longest chain: every array on K_n_max stays under 1 MB
+SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0  # the rotation angle on each axis when ``system.alpha`` is empty
 
 
 class GroupConfig(NamedTuple):
@@ -33,12 +35,36 @@ class GroupConfig(NamedTuple):
 
 
 class WeightConfig(NamedTuple):
+    """Geometric step-mixing weights p_n = (1-q) q^(n-1), truncated at
+    depth ``n_max``; ratio C = 1/q."""
+
     q: float = 0.5
     n_max: int = 40
 
+    def p(self, n: int) -> float:
+        return (1.0 - self.q) * self.q ** (n - 1)
+
+    @property
+    def ratio_bound(self) -> float:
+        """C with p_n / p_{n+1} = C for every n."""
+        return 1.0 / self.q
+
+    @property
+    def tail(self) -> float:
+        return self.q**self.n_max
+
+    def checked(self) -> WeightConfig:
+        """The record, or DomainError for a q outside (0, 1) or an n_max
+        below 1: the check of a record built outside ``validate``."""
+        if not 0.0 < self.q < 1.0:
+            raise DomainError(f"q must be in (0,1), got {self.q}")
+        if self.n_max < 1:
+            raise DomainError("n_max must be >= 1")
+        return self
+
 
 class SystemConfig(NamedTuple):
-    alpha: tuple = ()  # rotation angles; empty draws them from the seed
+    alpha: tuple = ()  # rotation angles; empty rotates by SQRT2_MINUS_1 on every axis
 
 
 class SampleConfig(NamedTuple):

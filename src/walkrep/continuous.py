@@ -19,10 +19,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import groups
-from .config import MAX_CHAIN_N
+from .config import MAX_CHAIN_N, WeightConfig
 from .errors import DomainError
 from .groups import GroupSpec
-from .measures import WeightParams
 
 # The real-line domination check: K = [-K_HALF, K_HALF], L = [-L_HALF,
 # L_HALF], a grid of GRID_STEP over L, the k in K it samples, and the weight
@@ -159,7 +158,7 @@ class LocallyFiniteChain:
         self.n_max, self.q = n_max, q
         if not 1 <= self.n_max <= MAX_CHAIN_N:
             raise DomainError(f"chain needs 1 <= n_max <= {MAX_CHAIN_N}")
-        self.params  # WeightParams rejects a q outside (0, 1)
+        self.params = WeightConfig(q, n_max).checked()  # the mixing weights p_n of the step law
 
     def __eq__(self, other):
         return type(other) is LocallyFiniteChain and (self.n_max, self.q) == (other.n_max, other.q)
@@ -170,11 +169,6 @@ class LocallyFiniteChain:
     @property
     def spec(self) -> GroupSpec:
         return Z2SUM
-
-    @cached_property
-    def params(self) -> WeightParams:
-        """The mixing weights p_n of the step law, at the chain's depth."""
-        return WeightParams(self.q, self.n_max)
 
     def subgroup(self, n: int) -> list:
         """All 2^n elements of K_n in canonical order: by size, then

@@ -16,8 +16,7 @@ Two system kinds:
   through ``read_cells``, one vectorized points x cells read of a batch.
 * ``rotation`` -- products of circle rotations for the integer/lattice
   kinds, with an irrational frequency vector; ``PointBatch.torus`` gives
-  the rows' coordinates on one axis.  ``doubling_shift_baseline`` embeds
-  the rotation by ``SQRT2_MINUS_1`` into l2 under the doubling shift.
+  the rows' coordinates on one axis.
 
 Cylinder events on Z^d have one reader, ``BitBox``: a batch's bits on a box,
 read once, whose ``meets`` decides a cylinder at every cell of a sub-box.
@@ -36,22 +35,22 @@ from __future__ import annotations
 import _blake2 as hashlib  # CPython's own blake2b (hashlib's too), which loads no OpenSSL
 import functools
 import itertools
-import math
 import struct
 from typing import NamedTuple
 
 import numpy as np
 
-from . import groups, stats, trace
+from . import groups, trace
+from .config import SQRT2_MINUS_1
 from .errors import DomainError, EncodingError, TowerConstructionError
 from .groups import GroupSpec
 
-SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 # The longest marker ``rokhlin_tower`` tries before it gives up.
 MAX_MARKER = 220
-# Draws the tower Monte Carlo holds at once.  Each chunk reads a draws x
-# box bit array, so chunks keep its memory flat at any sample count.
-SIEVE_CHUNK = 512
+# The Philox blocks one chunk of the tower Monte Carlo reads.  A chunk reads
+# a draws x box bit array; sized in blocks, not draws, it keeps memory flat
+# at any sample count and box, and Philox calls few where a box is small.
+SIEVE_BLOCKS = 1 << 12
 # Cylinder cells that ``BitBox.meets`` ANDs over its whole box; about 2^-8 of
 # the box survives them on fair bits, and later cells are read there only
 DENSE_CELLS = 8
@@ -102,46 +101,6 @@ def rotation_system(group: GroupSpec, seed: int, alpha=None) -> DynamicalSystem:
     if alpha is None:
         alpha = (SQRT2_MINUS_1,) * group.d
     return DynamicalSystem("rotation", group, seed, tuple(alpha))
-
-
-def doubling_shift_baseline(steps: int = 30, n_points: int = 1000, seed: int = 0) -> dict:
-    """The doubling shift (T u)_k = 2 u_{k+1} on blocks of l2, intertwined
-    with the circle rotation by ``SQRT2_MINUS_1`` through the planar
-    embedding z -> (cos, sin).
-
-    Checks the conjugacy identity per coordinate over sampled points and the
-    geometric norm identity ||(2^-k phi0(f^k z))_k||^2 = (1 - 4^-steps)/3.
-    """
-    from . import pcg64
-
-    alpha = SQRT2_MINUS_1
-    zs = pcg64.random(seed, n_points)
-    k = np.arange(1, steps + 1)
-
-    def embed(z: np.ndarray) -> np.ndarray:
-        """Per point, the blocks 2^-k phi0((z + k alpha) mod 1) for k = 1..steps,
-        with phi0(z) = (cos 2 pi z, sin 2 pi z), as points x steps x 2."""
-        t = 2.0 * math.pi * ((z[:, None] + k * alpha) % 1.0)
-        return np.stack((np.cos(t), np.sin(t)), axis=-1) / (2.0**k)[:, None]
-
-    expected_norm2 = (1.0 - 4.0**-steps) / 3.0
-    u = embed(zs)
-    fu = embed((zs + alpha) % 1.0)
-    # (T u)_k = 2 u_{k+1} must equal phi(f z)_k for k = 1..steps-1
-    worst = float(np.abs(2.0 * u[:, 1:] - fu[:, :-1]).max(initial=0.0))
-    # each point's squares added left to right in coordinate order, as a scalar
-    # sum adds them
-    norm2 = np.cumsum((u * u).reshape(n_points, 2 * steps), axis=1)[:, -1:]
-    worst_norm = float(np.abs(norm2 - expected_norm2).max(initial=0.0))
-    return {
-        "steps": steps,
-        "points": n_points,
-        "alpha": alpha,
-        "max_conjugacy_error": worst,
-        "max_norm_identity_error": worst_norm,
-        "tail_bound": 2.0**-steps,
-        "pass": bool(worst < 1e-12 and worst_norm < 1e-12),
-    }
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
@@ -487,6 +446,12 @@ class TowerSpec:
         """The pattern as a (coordinates, bits) pair of arrays."""
         return groups.coords(self.spec, list(self.pattern)), np.array(list(self.pattern.values()), dtype=np.uint8)
 
+    @property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The corners of the box whose bits ``located`` reads: the marker's
+        cells shifted by every g^-1 in [-n, n]^d."""
+        return self.marker[0].min(axis=0) - self.n, self.marker[0].max(axis=0) + self.n
+
     def mu_bn_upper(self) -> float:
         return len(groups.ball(self.spec, self.n)) * self.mu_pattern
 
@@ -498,7 +463,7 @@ class TowerSpec:
         """
         ball = groups.coords(self.spec, groups.ball(self.spec, self.n))
         n = np.full(ball.shape[1], self.n)
-        bits = BitBox.read(points, self.marker[0].min(axis=0) - n, self.marker[0].max(axis=0) + n)
+        bits = BitBox.read(points, *self.box)
         base = bits.meets(self.marker, -n, tuple((2 * n + 1).tolist()))
         return base.array[(slice(None), *(n - ball).T)]
 
@@ -579,14 +544,19 @@ def tower_check(tower: TowerSpec, samples: int, seed: int) -> dict:
     E, the Clopper-Pearson upper end of mu(B_n E) lies below eta/2, and
     mu(E) > 0.
 
-    Chunks of ``SIEVE_CHUNK`` draws each read their draws x box bit array
-    and test T_{g^-1} x in E for every g in B_n at once
-    (``TowerSpec.located``), so hits and collisions are exact.
+    Chunks of draws, each under ``SIEVE_BLOCKS`` Philox blocks, read their
+    draws x box bit array and test T_{g^-1} x in E for every g in B_n at
+    once (``TowerSpec.located``), so hits and collisions are exact.
     """
+    from . import stats  # here, so processes that run no tower check do not compile it
+
     probe = probe_system(tower.system, "tower", seed)
+    lo, hi = tower.box
+    tiles = np.array(_TILE_BITS[len(lo)])
+    chunk = max(1, SIEVE_BLOCKS // int(np.prod((hi >> tiles) - (lo >> tiles) + 1)))
     hits = collisions = 0
-    for start in range(0, samples, SIEVE_CHUNK):
-        points = sample_points(probe, np.arange(start, min(samples, start + SIEVE_CHUNK)))
+    for start in range(0, samples, chunk):
+        points = sample_points(probe, np.arange(start, min(samples, start + chunk)))
         located = tower.located(points).sum(axis=1)
         hits += int((located > 0).sum())
         collisions += int((located > 1).sum())

@@ -26,33 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from . import groups
+from .config import WeightConfig
 from .errors import CapacityError, DegenerateRestrictionError, DomainError
 from .groups import GroupSpec
 
 DEFAULT_SUPPORT_CAP = 10**6
-
-
-class WeightParams:
-    """Geometric step-mixing weights p_n = (1-q) q^(n-1); ratio C = 1/q."""
-
-    def __init__(self, q: float = 0.5, n_max: int = 12):
-        self.q, self.n_max = q, n_max
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"q must be in (0,1), got {self.q}")
-        if self.n_max < 1:
-            raise DomainError("n_max must be >= 1")
-
-    def p(self, n: int) -> float:
-        return (1.0 - self.q) * self.q ** (n - 1)
-
-    @property
-    def ratio_bound(self) -> float:
-        """C with p_n / p_{n+1} = C for every n."""
-        return 1.0 / self.q
-
-    @property
-    def tail(self) -> float:
-        return self.q**self.n_max
 
 
 def cell_box(spec: GroupSpec, radius: int) -> tuple[tuple, tuple]:
@@ -249,7 +227,7 @@ class WeightTable(_Cells):
     dropped terms.  Elements outside the box carry no stored weight.
     """
 
-    def __init__(self, spec: GroupSpec, offset: tuple, params: WeightParams, partials: tuple, tail_bound: float):
+    def __init__(self, spec: GroupSpec, offset: tuple, params: WeightConfig, partials: tuple, tail_bound: float):
         super().__init__(spec, offset)
         self.params, self.partials, self.tail_bound = params, partials, tail_bound
         self._ball_masses: dict = {}
@@ -318,7 +296,7 @@ class WeightTable(_Cells):
         return max(0.0, 1.0 - self.mass_in_ball(n)) + self.tail_bound
 
 
-def build_weight(spec: GroupSpec, params: WeightParams, rho: dict | None = None) -> WeightTable:
+def build_weight(spec: GroupSpec, params: WeightConfig, rho: dict | None = None) -> WeightTable:
     """The truncated weight of the step law ``rho`` (by default the lazy
     uniform step on the generators), as a ``WeightTable``.
 
@@ -333,6 +311,7 @@ def build_weight(spec: GroupSpec, params: WeightParams, rho: dict | None = None)
     mass, on the integers or a lattice) is convolved in floats over its
     atoms; see ``_law_powers``.
     """
+    params.checked()
     if rho is None:
         walk = lazy_walk(spec, params.n_max)
         offset = walk.offset

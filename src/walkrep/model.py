@@ -380,7 +380,6 @@ class OrbitWindow:
         self.bits = dynamics.BitBox.read(points, *_bit_box(stages, lo, hi))
         trace.COUNTERS["window_cells"] += self.bits.array.size
         self._base: dict = {}
-        self._locate: dict = {}
         self._route: dict = {}
 
     def base(self, j: int) -> dynamics.BitBox:
@@ -402,18 +401,16 @@ class OrbitWindow:
         Each base hit v marks the cells v + g of the window; the smallest
         ball index that lands on a cell wins.
         """
-        if j not in self._locate:
-            ball, base = self.stages[j].ball, self.base(j)
-            point, *hit = np.nonzero(base.array)
-            cells = (np.stack(hit, axis=-1) + (base.lo - self.lo))[:, None] + ball
-            inside = ((cells >= 0) & (cells < self.shape)).all(axis=2)
-            at, gi = np.nonzero(inside)
-            flat = np.ravel_multi_index((point[at], *cells[at, gi].T), (self.n_points,) + self.shape)
-            first = np.full(self.n_points * math.prod(self.shape), len(ball), dtype=np.int64)
-            np.minimum.at(first, flat, gi)
-            first[first == len(ball)] = -1
-            self._locate[j] = first.reshape((self.n_points,) + self.shape)
-        return self._locate[j]
+        ball, base = self.stages[j].ball, self.base(j)
+        point, *hit = np.nonzero(base.array)
+        cells = (np.stack(hit, axis=-1) + (base.lo - self.lo))[:, None] + ball
+        inside = ((cells >= 0) & (cells < self.shape)).all(axis=2)
+        at, gi = np.nonzero(inside)
+        flat = np.ravel_multi_index((point[at], *cells[at, gi].T), (self.n_points,) + self.shape)
+        first = np.full(self.n_points * math.prod(self.shape), len(ball), dtype=np.int64)
+        np.minimum.at(first, flat, gi)
+        first[first == len(ball)] = -1
+        return first.reshape((self.n_points,) + self.shape)
 
     def routing(self, j: int) -> np.ndarray:
         """Per point and cell u: is T_u x in the stage-(j+1) routing cylinder?"""
@@ -422,18 +419,24 @@ class OrbitWindow:
         return self._route[j]
 
     def step(self, j: int, v: np.ndarray) -> np.ndarray:
-        """f_{j+1} on every cell from f_j there (``v``): the stage-(j+1) patch,
-        then its split.  A value with no key in the split map raises KeyError."""
+        """f_{j+1} on every cell from f_j there (``v``, updated in place and
+        returned): the stage-(j+1) patch, then its split.  A value with no
+        key in the split map raises KeyError."""
         st = self.stages[j]
         first = self.locate(j)
-        v = np.where(first >= 0, st.xi[first], v)
+        located = first >= 0
+        v[located] = st.xi[first[located]]
         if st.keys is None:
             return v
-        pos = np.minimum(np.searchsorted(st.keys, v), len(st.keys) - 1)
+        pos = np.searchsorted(st.keys, v)
+        np.minimum(pos, len(st.keys) - 1, out=pos)
         missing = st.keys[pos] != v
         if missing.any():
             raise KeyError(float(v[missing][0]))
-        return np.where(self.routing(j), st.minus[pos], st.plus[pos])
+        route = self.routing(j)
+        np.take(st.plus, pos, out=v)
+        v[route] = st.minus[pos[route]]
+        return v
 
     def values(self) -> np.ndarray:
         """f on every cell: each stage applied once, in order."""
@@ -520,8 +523,10 @@ def distances(window: list, values: np.ndarray, ball: BallSpec, w: WeightTable) 
     diff[:, [index[g] for g in coeffs]] -= list(coeffs.values())
     weight = w.read(w.cells(atoms))
     stored = weight != 0.0
-    terms = diff[:, stored] * diff[:, stored] * weight[stored]
-    inside = np.cumsum(terms, axis=1)[:, -1] if terms.shape[1] else np.zeros(len(values))
+    terms = diff[:, stored]  # squared, weighted and summed in this one buffer
+    terms *= terms
+    terms *= weight[stored]
+    inside = np.cumsum(terms, axis=1, out=terms)[:, -1] if terms.shape[1] else np.zeros(len(values))
     outside = np.abs(diff[:, ~stored]).max(axis=1, initial=0.0)
     return np.sqrt(inside + outside * outside * w.tail_bound)
 

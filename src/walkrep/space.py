@@ -12,12 +12,13 @@ import math
 import numpy as np
 
 from . import groups, measures
+from .config import WeightConfig
 from .errors import DomainError
-from .measures import WeightParams, WeightTable
+from .measures import WeightTable
 
 PASS_SLACK = 1e-9
 # The weight built on the subgroup from the restricted step law
-SECOND_LAYER = WeightParams(0.5, 4)
+SECOND_LAYER = WeightConfig(0.5, 4)
 
 
 def operator_norm_certificate(w: WeightTable, a) -> dict:

@@ -1,7 +1,7 @@
 import pytest
 
 from walkrep import dynamics, groups, measures, model
-from walkrep.config import ExperimentConfig
+from walkrep.config import ExperimentConfig, WeightConfig
 
 
 @pytest.fixture(scope="session")
@@ -16,12 +16,12 @@ def f2_spec():
 
 @pytest.fixture(scope="session")
 def z_weights(z_spec):
-    return measures.build_weight(z_spec, measures.WeightParams(q=0.5, n_max=40))
+    return measures.build_weight(z_spec, WeightConfig(q=0.5, n_max=40))
 
 
 @pytest.fixture(scope="session")
 def f2_weights(f2_spec):
-    return measures.build_weight(f2_spec, measures.WeightParams(q=0.5, n_max=10))
+    return measures.build_weight(f2_spec, WeightConfig(q=0.5, n_max=10))
 
 
 @pytest.fixture(scope="session")

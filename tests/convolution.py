@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from walkrep import groups
+from walkrep.config import WeightConfig
 from walkrep.errors import DomainError
 from walkrep.groups import GroupSpec
-from walkrep.measures import WeightParams
 
 
 @dataclass
@@ -113,7 +113,7 @@ def convolution_powers(spec: GroupSpec, rho: SparseMeasure, n: int) -> list:
     return out
 
 
-def mixture(params: WeightParams, terms) -> dict:
+def mixture(params: WeightConfig, terms) -> dict:
     """sum_n p_n mu_n over the measures mu_1, mu_2, ... of ``terms``, each
     added over its support in canonical order."""
     acc: dict = {}
@@ -129,7 +129,7 @@ class DictWeight:
     """The truncated weight as one dict per depth."""
 
     spec: GroupSpec
-    params: WeightParams
+    params: WeightConfig
     partials: list
 
     @property
@@ -146,7 +146,7 @@ class DictWeight:
         return sorted(self.table, key=lambda g: groups.sort_key(self.spec, g))
 
 
-def dict_weight(spec: GroupSpec, params: WeightParams, rho: SparseMeasure | None = None) -> DictWeight:
+def dict_weight(spec: GroupSpec, params: WeightConfig, rho: SparseMeasure | None = None) -> DictWeight:
     """The weight of ``rho`` (by default the lazy step) by dict convolution."""
     powers = convolution_powers(spec, rho or step_distribution(spec), params.n_max)
     return DictWeight(spec, params, [mixture(params, powers[:k]) for k in range(params.n_max + 1)])

@@ -29,3 +29,11 @@ def modules_after(code: str, *packages: str) -> list:
     proc = run(["-c", code])
     proc.check_returncode()
     return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def imports(stderr: str) -> list:
+    """The modules a ``python -X importtime`` run imported, one name per
+    import in import order, from the ``import time:`` lines of its
+    ``stderr``."""
+    names = [line.rsplit("|", 1)[1].strip() for line in stderr.splitlines() if line.startswith("import time:")]
+    return [name for name in names if name != "imported package"]

@@ -25,6 +25,8 @@ from walkrep import (
     space,
     stats,
 )
+from walkrep.commands import feldman
+from walkrep.config import WeightConfig
 
 CHECK = "✓"
 
@@ -40,8 +42,8 @@ def test_criterion_01_operator_norm_bounds():
     t0 = time.time()
     z = groups.GroupSpec("integers")
     f2 = groups.GroupSpec("free", 2)
-    wz = measures.build_weight(z, measures.WeightParams(q=0.5, n_max=40))
-    wf = measures.build_weight(f2, measures.WeightParams(q=0.5, n_max=10))
+    wz = measures.build_weight(z, WeightConfig(q=0.5, n_max=40))
+    wf = measures.build_weight(f2, WeightConfig(q=0.5, n_max=10))
     violations = 0
     worst = {}
     for spec, w in ((z, wz), (f2, wf)):
@@ -232,7 +234,7 @@ def test_criterion_08_orbit_frequency(built_model, z_bernoulli):
 
 
 def test_criterion_09_doubling_baseline():
-    rep = dynamics.doubling_shift_baseline(steps=30, n_points=1000, seed=9)
+    rep = feldman.doubling_shift_baseline(steps=30, n_points=1000, seed=9)
     ok = rep["max_conjugacy_error"] < 1e-12
     _line(9, ok, f"doubling-shift conjugacy over 10^3 points x 30 blocks: "
                  f"max error {rep['max_conjugacy_error']:.2e} < 1e-12")

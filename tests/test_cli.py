@@ -11,7 +11,8 @@ import golden
 from fresh import modules_after
 from golden import SMALL_CONFIG
 from vectors import weight
-from walkrep import cli, config, continuous, groups, measures, model
+from walkrep import cli, commands, config, continuous, groups, measures, model
+from walkrep.config import WeightConfig
 from walkrep.errors import ConfigError
 
 
@@ -161,18 +162,20 @@ def test_run_meta_counts_sampler_draws(tmp_path):
         assert "window_cells" not in (tmp_path / command / "report.json").read_text()
 
 
-# what every process loads, and each command's layers beyond it
-ALWAYS_LOADED = [
-    "walkrep", "walkrep.cli", "walkrep.config", "walkrep.errors", "walkrep.groups", "walkrep.trace",
-]
+# what ``import walkrep.cli`` loads
+CLI_LOADED = ["walkrep", "walkrep.cli", "walkrep.config", "walkrep.errors", "walkrep.groups"]
+# what every command process loads under ``python -m walkrep.cli``, where
+# ``walkrep.cli`` runs as ``__main__``, and each command's layers beyond it
+# and its own module of ``walkrep.commands``
+ALWAYS_LOADED = ["walkrep", "walkrep.commands", "walkrep.config", "walkrep.errors", "walkrep.groups", "walkrep.trace"]
 COMMAND_LAYERS = {
     "tower": ("dynamics", "stats"),
-    "feldman": ("dynamics", "pcg64", "stats"),
+    "feldman": ("pcg64",),
     "weights": ("measures",),
     "norms": ("measures", "space"),
-    "jrt": ("markov", "dynamics", "measures", "pcg64", "stats"),
+    "jrt": ("markov", "dynamics", "measures", "pcg64"),
     **dict.fromkeys(("build", "support", "orbit"), ("model", "dynamics", "measures", "stats")),
-    "continuous": ("continuous", "measures", "pcg64"),
+    "continuous": ("continuous", "pcg64"),
 }
 # start-up modules no command process loads: ``dataclasses``, and
 # ``numpy.random`` with the ``secrets`` and OpenSSL ``_hashlib`` it imports
@@ -182,18 +185,18 @@ START_UP_MODULES = ("dataclasses", "numpy.random", "secrets", "_hashlib")
 
 @pytest.fixture(scope="module")
 def fresh_runs(tmp_path_factory):
-    """Each command run alone in a fresh interpreter: the config, the
-    output directory and, per command, the walkrep and ``START_UP_MODULES``
-    modules it loaded."""
+    """Each command run alone in a fresh ``python -X importtime -m
+    walkrep.cli``, the benchmark's entry: the config, the output directory
+    and, per command, every module it imported, once per import."""
     base = tmp_path_factory.mktemp("fresh")
     cfg = base / "cfg.json"
     cfg.write_text(json.dumps(SMALL_CONFIG))
 
     def run(command):
+        proc = fresh.run(["-X", "importtime", "-m", "walkrep.cli", command, "--config", str(cfg), "--out", str(base)])
         # ``continuous`` exits 1 for the record that fails by design (11b)
-        argv = [command, "--config", str(cfg), "--out", str(base)]
-        code = f"from walkrep import cli\nassert cli.main({argv!r}) == {int(command == 'continuous')}"
-        return command, modules_after(code, "walkrep", *START_UP_MODULES)
+        assert proc.returncode == int(command == "continuous"), proc.stderr
+        return command, fresh.imports(proc.stderr)
 
     with ThreadPoolExecutor(2) as pool:
         loaded = dict(pool.map(run, COMMAND_LAYERS))
@@ -202,18 +205,29 @@ def fresh_runs(tmp_path_factory):
 
 def test_cli_import_loads_no_layer():
     # nor any of ``START_UP_MODULES``
-    assert modules_after("import walkrep.cli", "walkrep", *START_UP_MODULES) == ALWAYS_LOADED
+    assert modules_after("import walkrep.cli", "walkrep", *START_UP_MODULES) == CLI_LOADED
 
 
 @pytest.mark.parametrize("command", COMMAND_LAYERS)
 def test_command_loads_only_its_layers(fresh_runs, command):
-    want = ALWAYS_LOADED + [f"walkrep.{layer}" for layer in COMMAND_LAYERS[command]]
-    assert [m for m in fresh_runs[2][command] if m.startswith("walkrep")] == sorted(want)
+    want = ALWAYS_LOADED + [f"walkrep.commands.{cli.COMMANDS[command]}"]
+    want += [f"walkrep.{layer}" for layer in COMMAND_LAYERS[command]]
+    assert sorted({m for m in fresh_runs[2][command] if m.startswith("walkrep")}) == sorted(want)
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_module_entry_compiles_each_module_once(fresh_runs, command):
+    # ``walkrep.cli`` runs as ``__main__``: importing it by name would
+    # compile it a second time, and no other module may load twice either
+    walkrep_imports = [m for m in fresh_runs[2][command] if m.startswith("walkrep")]
+    assert "walkrep.cli" not in walkrep_imports
+    assert len(walkrep_imports) == len(set(walkrep_imports))
 
 
 @pytest.mark.parametrize("command", COMMAND_LAYERS)
 def test_command_leaves_out_start_up_modules(fresh_runs, command):
-    assert [m for m in fresh_runs[2][command] if not m.startswith("walkrep")] == []
+    loaded = fresh_runs[2][command]
+    assert [m for m in loaded if any(m == s or m.startswith(s + ".") for s in START_UP_MODULES)] == []
 
 
 def test_fresh_run_meta_has_every_counter(fresh_runs):
@@ -362,7 +376,7 @@ def test_reports_are_strict_json(tmp_path):
     (record,) = [r for r in report["records"] if r["name"] == "restricted_ratio_b1"]
     assert record["pass"] and record["detail"]["observed_min"] is None
     with pytest.raises(ValueError):
-        cli._write_json(str(tmp_path / "bad.json"), {"x": float("inf")})
+        commands._write_json(str(tmp_path / "bad.json"), {"x": float("inf")})
 
 
 def test_jrt_with_a_zero_standard_error(tmp_path):
@@ -451,7 +465,7 @@ def test_weights_csv_matches_element_str_rows(tmp_path, group, weights, second):
     assert cli.main(["weights", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     for label, spec_body, params in (("group", group, weights), ("second_group", second, second_weights)):
         spec = groups.GroupSpec(spec_body["kind"], spec_body["d"])
-        w = measures.build_weight(spec, measures.WeightParams(params["q"], params["n_max"]))
+        w = measures.build_weight(spec, WeightConfig(params["q"], params["n_max"]))
         ball = sorted(groups.ball(spec, params["n_max"]), key=lambda g: groups.sort_key(spec, g))
         want = io.StringIO(newline="")
         writer = csv.writer(want)
@@ -477,8 +491,10 @@ def test_all_builds_the_model_once(tmp_path, monkeypatch):
         "samples": {"check_samples": 1000, "equivariance_samples": 100, "orbit_steps": 300},
     }))
     # only the model commands matter here
-    for name in set(cli.COMMANDS) - set(cli.MODEL_COMMANDS):
-        monkeypatch.setitem(cli.COMMANDS, name, lambda cfg, out_base: 0)
+    command = cli.command
+    monkeypatch.setattr(
+        cli, "command", lambda name: command(name) if name in cli.MODEL_COMMANDS else lambda cfg, out_base: 0
+    )
     builds = []
     build_model = model.build_model
 

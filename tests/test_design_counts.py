@@ -2,6 +2,7 @@ from pathlib import Path
 
 import fresh
 import walkrep
+from walkrep import cli
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "design_counts.py"
 
@@ -36,3 +37,18 @@ def test_design_counts_rules(tmp_path):
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "b.py").write_text("async def f(e, f=2):\n    pass\n")
     assert _counts(tmp_path) == {"src_lines": 17, "settable_values": 3 + 2 + 2 + 2}
+
+
+def test_design_counts_per_command():
+    # each command's lines are those of the files its fresh process loads:
+    # ``feldman`` loads the driver, the shared writers, its own module and
+    # ``pcg64`` beside the config layer; the model commands share a module
+    src = Path(walkrep.__file__).parent
+    counts = _counts("--per-command")
+    assert list(counts) == list(cli.COMMANDS)
+    feldman = [
+        "__init__.py", "cli.py", "config.py", "errors.py", "groups.py", "trace.py", "pcg64.py",
+        "commands/__init__.py", "commands/feldman.py",
+    ]
+    assert counts["feldman"] == sum((src / f).read_text(encoding="utf-8").count("\n") for f in feldman)
+    assert counts["build"] == counts["support"] == counts["orbit"] > counts["weights"] > counts["feldman"]

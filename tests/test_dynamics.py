@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handles import contains, handles, located_by_translates, point, position, read
-from walkrep import dynamics, groups, stats
+from walkrep import dynamics, groups, stats, trace
 from walkrep.errors import EncodingError, TowerConstructionError
 
 
@@ -249,6 +249,22 @@ def test_tower_sieve_equals_per_draw_loop(z_bernoulli, seed):
         counts = _sieve_hits(tower, 500, seed)
         assert counts == _per_draw_hits(tower, 500, seed)
         assert counts[1] > 0
+
+
+def test_tower_check_is_the_same_at_any_block_budget(z_bernoulli, monkeypatch):
+    # one draw per chunk, the default chunks and every draw in one chunk
+    # give the same report and draw the same bits and Philox blocks
+    z3 = dynamics.bernoulli_system(groups.GroupSpec("lattice", 3), seed=12)
+    towers = [(dynamics.rokhlin_tower(z_bernoulli, 3, 0.1), 3000), (dynamics.rokhlin_tower(z3, 1, 0.2), 300)]
+    for tower, samples in towers:
+        found = []
+        for blocks in (1, dynamics.SIEVE_BLOCKS, 1 << 30):
+            monkeypatch.setattr(dynamics, "SIEVE_BLOCKS", blocks)
+            before = dict(trace.COUNTERS)
+            report = dynamics.tower_check(tower, samples, 5)
+            found.append((report, {k: v - before[k] for k, v in trace.COUNTERS.items()}))
+        assert found[0] == found[1] == found[2]
+        assert found[0][0]["mc"]["samples"] == samples and found[0][1]["philox_blocks"] > 0
 
 
 @pytest.mark.parametrize("kind, d, n, eta", [

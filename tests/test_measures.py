@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import convolution as oracle
 from vectors import partial_weight, weight
 from walkrep import groups, measures
+from walkrep.config import WeightConfig
 from walkrep.errors import CapacityError, DegenerateRestrictionError, DomainError
 
 
@@ -144,7 +145,7 @@ def test_slice_kernel_law_powers_equal_gather_oracle(depth, monkeypatch):
 def test_sorted_ball_is_the_sort_key_order():
     for kind, d in [("integers", 1), ("lattice", 2), ("lattice", 3), ("heisenberg", 2), ("free", 2)]:
         spec = groups.GroupSpec(kind, d)
-        w = measures.build_weight(spec, measures.WeightParams(0.5, 5))
+        w = measures.build_weight(spec, WeightConfig(0.5, 5))
         for radius in (0, 1, 5):
             elements, cells = w.sorted_ball(radius)
             assert elements == sorted(groups.ball(spec, radius), key=lambda g: groups.sort_key(spec, g))
@@ -152,7 +153,7 @@ def test_sorted_ball_is_the_sort_key_order():
             assert w.ball(radius)[0] == groups.ball(spec, radius)
             if kind != "free":
                 assert w.mass_in_ball(radius) == sum(w.read(w.cells(elements)).tolist())
-    z = measures.build_weight(groups.GroupSpec("integers"), measures.WeightParams(0.5, 2))
+    z = measures.build_weight(groups.GroupSpec("integers"), WeightConfig(0.5, 2))
     assert z.sorted_ball(2)[0] == [0, -1, 1, -2, 2]
 
 
@@ -176,17 +177,21 @@ def test_convolution_associative_random():
         assert all(abs(left.mass(g) - right.mass(g)) < 1e-10 for g in atoms)
 
 
-def test_weight_params():
-    p = measures.WeightParams(q=0.5, n_max=2)
+def test_weight_params(z_spec):
+    # the config record is the weight's parameters; a record built outside
+    # ``config.validate`` is checked where a table is built from it
+    p = WeightConfig(q=0.5, n_max=2)
     assert p.p(1) == 0.5 and p.p(2) == 0.25
     assert p.ratio_bound == 2.0
     assert p.tail == 0.25
-    with pytest.raises(DomainError):
-        measures.WeightParams(q=1.0, n_max=2)
+    assert measures.build_weight(z_spec, p).params is p
+    for bad in (WeightConfig(q=1.0, n_max=2), WeightConfig(q=0.0, n_max=2), WeightConfig(q=0.5, n_max=0)):
+        with pytest.raises(DomainError):
+            measures.build_weight(z_spec, bad)
 
 
 def test_build_weight_hand_example(z_spec):
-    w = measures.build_weight(z_spec, measures.WeightParams(q=0.5, n_max=2))
+    w = measures.build_weight(z_spec, WeightConfig(q=0.5, n_max=2))
     assert abs(weight(w, 0) - 0.25) < 1e-15
     assert w.tail_bound == 0.25
     assert abs(w.stored_mass() - 0.75) < 1e-12
@@ -200,8 +205,8 @@ def test_weight_mass_identity(z_weights):
 
 
 def test_monotone_truncation(z_spec):
-    w1 = measures.build_weight(z_spec, measures.WeightParams(q=0.5, n_max=6))
-    w2 = measures.build_weight(z_spec, measures.WeightParams(q=0.5, n_max=9))
+    w1 = measures.build_weight(z_spec, WeightConfig(q=0.5, n_max=6))
+    w2 = measures.build_weight(z_spec, WeightConfig(q=0.5, n_max=9))
     for g in w1.support():
         assert weight(w2, g) >= weight(w1, g) - 1e-15
         assert weight(w2, g) - weight(w1, g) <= w1.tail_bound + 1e-15
@@ -258,7 +263,7 @@ def _check_against_dict_convolution(kind, d, q, n_max):
     bound stated in build_weight; exact symmetry, support and ``table``.
     Returns the table, the bound and B_n_max."""
     spec = groups.GroupSpec(kind, d)
-    params = measures.WeightParams(q, n_max)
+    params = WeightConfig(q, n_max)
     w = measures.build_weight(spec, params)
     powers = _oracle_powers(kind, d, n_max)
     bound = (2 * d + 4) * (n_max + 1) * 2.0**-53  # stated in build_weight
@@ -324,7 +329,7 @@ def _element_scan(spec, w, b):
 @given(**_RADIAL_CASES)
 def test_class_scan_matches_element_scan(d, q, n_max):
     spec = groups.GroupSpec("free", d)
-    params = measures.WeightParams(q, n_max)
+    params = WeightConfig(q, n_max)
     w = measures.build_weight(spec, params)
     reference = oracle.dict_weight(spec, params)
     for b in groups.ball(spec, min(3, n_max - 1)):
@@ -357,7 +362,7 @@ def test_restricted_law_weight_matches_dict_convolution(z_spec, f2_spec, f2_weig
     # the restricted law's float stencil against the dict convolution
     emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
     rho_g = measures.restrict_renormalize(f2_weights, emb)
-    params = measures.WeightParams(q=0.5, n_max=n_max)
+    params = WeightConfig(q=0.5, n_max=n_max)
     w = measures.build_weight(z_spec, params, rho=rho_g)
     law = oracle.SparseMeasure(z_spec, rho_g, symmetric=True)
     reference = oracle.dict_weight(z_spec, params, rho=law)
@@ -371,7 +376,7 @@ def test_restricted_law_weight_matches_dict_convolution(z_spec, f2_spec, f2_weig
 
 def test_custom_law_on_free_group_rejected(f2_spec):
     with pytest.raises(DomainError, match="custom step law"):
-        measures.build_weight(f2_spec, measures.WeightParams(0.5, 2), rho={(): 1.0})
+        measures.build_weight(f2_spec, WeightConfig(0.5, 2), rho={(): 1.0})
 
 
 def test_oversized_box_raises_before_allocating(monkeypatch):
@@ -382,9 +387,9 @@ def test_oversized_box_raises_before_allocating(monkeypatch):
     spec = groups.GroupSpec("heisenberg", 2)
     assert math.prod(measures.cell_box(spec, 40)[1]) > measures.DEFAULT_SUPPORT_CAP
     with pytest.raises(CapacityError, match="exceeds cap"):
-        measures.build_weight(spec, measures.WeightParams(0.5, 40))
+        measures.build_weight(spec, WeightConfig(0.5, 40))
     with pytest.raises(CapacityError, match="exceeds cap"):
-        measures.build_weight(groups.GroupSpec("lattice", 3), measures.WeightParams(0.5, 60))
+        measures.build_weight(groups.GroupSpec("lattice", 3), WeightConfig(0.5, 60))
 
 
 def test_restricted_ratio_certificate(z_spec, f2_spec, f2_weights):
@@ -395,7 +400,7 @@ def test_restricted_ratio_certificate(z_spec, f2_spec, f2_weights):
 
 
 def test_degenerate_restriction(z_spec, f2_spec):
-    w_small = measures.build_weight(f2_spec, measures.WeightParams(q=0.5, n_max=2))
+    w_small = measures.build_weight(f2_spec, WeightConfig(q=0.5, n_max=2))
     # images a^n leave the stored support except near the identity, but the
     # window always contains the identity, so force degeneracy differently:
     emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])

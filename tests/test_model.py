@@ -9,7 +9,8 @@ import pytest
 from handles import handles, located_by_translates, point
 from vectors import WeightedVector, norm, shift, weight
 from walkrep import dynamics, groups, measures, model, stats
-from walkrep.config import ExperimentConfig, SampleConfig
+from walkrep.commands import feldman
+from walkrep.config import SQRT2_MINUS_1, ExperimentConfig, SampleConfig, WeightConfig
 from walkrep.errors import CapacityError, DomainError, EncodingError, StageError
 
 
@@ -435,7 +436,7 @@ def test_model_load_rejects_malformed_elements(built_model):
 @pytest.fixture(scope="module")
 def lattice_built():
     z2 = groups.GroupSpec("lattice", 2)
-    w2 = measures.build_weight(z2, measures.WeightParams(q=0.5, n_max=14))
+    w2 = measures.build_weight(z2, WeightConfig(q=0.5, n_max=14))
     sys2 = dynamics.bernoulli_system(z2, seed=7)
     cfg = ExperimentConfig(
         stages=2, seed=7, n_trunc=6, samples=SampleConfig(check_samples=1500, base_samples=60)
@@ -549,7 +550,7 @@ def _assert_window_matches_oracle(mdl: model.ModelFunction, points: dynamics.Poi
     balls = [groups.ball(spec, st.patch.n) for st in mdl.stages]
     values = {0: np.zeros((win.n_points,) + win.shape)}
     for k in range(1, n + 1):
-        values[k] = win.step(k - 1, values[k - 1])
+        values[k] = win.step(k - 1, values[k - 1].copy())  # step updates its argument in place
     assert np.array_equal(win.values(), values[n])
     for p, x in enumerate(handles(points)):
         ev = ModelEvaluator(mdl, x)
@@ -631,7 +632,7 @@ def test_window_matches_dict_oracle_built_lattice(lattice_built):
 @pytest.mark.parametrize("kind, d", [("integers", 1), ("lattice", 2), ("lattice", 3)])
 def test_window_matches_dict_oracle_loose(kind, d):
     spec = groups.GroupSpec(kind, d)
-    w = measures.build_weight(spec, measures.WeightParams(q=0.5, n_max=8))
+    w = measures.build_weight(spec, WeightConfig(q=0.5, n_max=8))
     mdl = _loose_model(dynamics.bernoulli_system(spec, seed=3), w)
     # Z^3 at a smaller radius and fewer draws, to keep the dict oracle fast
     draws, radius = (2, 2) if d == 3 else (6, 4)
@@ -722,7 +723,7 @@ def test_split_collision_detected(z_bernoulli, z_weights):
 
 
 def test_feldman_identity_and_norm():
-    rep = dynamics.doubling_shift_baseline(steps=30, n_points=200, seed=1)
+    rep = feldman.doubling_shift_baseline(steps=30, n_points=200, seed=1)
     assert rep["pass"]
     assert rep["max_conjugacy_error"] < 1e-12
     assert rep["tail_bound"] == 2.0**-30
@@ -732,7 +733,7 @@ def _doubling_shift_loop(steps: int, n_points: int, seed: int) -> dict:
     """``doubling_shift_baseline`` one point and one coordinate at a time,
     with ``math`` and ``sum``: the oracle of the array version."""
     zs = np.random.default_rng(seed).random(n_points)
-    alpha = dynamics.SQRT2_MINUS_1
+    alpha = SQRT2_MINUS_1
 
     def phi0(z: float) -> tuple:
         return (math.cos(2.0 * math.pi * z), math.sin(2.0 * math.pi * z))
@@ -766,11 +767,11 @@ def _doubling_shift_loop(steps: int, n_points: int, seed: int) -> dict:
 @pytest.mark.parametrize("steps", [1, 2, 7, 30])
 @pytest.mark.parametrize("seed", [0, 1, 9, 20240, 20241, 20242])
 def test_feldman_arrays_equal_the_loop(steps, seed):
-    assert dynamics.doubling_shift_baseline(steps, 300, seed) == _doubling_shift_loop(steps, 300, seed)
+    assert feldman.doubling_shift_baseline(steps, 300, seed) == _doubling_shift_loop(steps, 300, seed)
 
 
 def test_feldman_no_points():
-    assert dynamics.doubling_shift_baseline(5, 0, 3) == _doubling_shift_loop(5, 0, 3)
+    assert feldman.doubling_shift_baseline(5, 0, 3) == _doubling_shift_loop(5, 0, 3)
 
 
 def _dense_base(win: model.OrbitWindow, j: int) -> np.ndarray:
@@ -804,7 +805,7 @@ def test_base_sieve_equals_dense_and(d, length):
     pattern = dynamics._marker_pattern(spec, length)
     assert len(pattern) > dynamics.DENSE_CELLS
     tower = dynamics.TowerSpec(system=system, n=1, eta=0.5, pattern=pattern)
-    mdl = model.ModelFunction(system=system, stages=[], w=measures.build_weight(spec, measures.WeightParams(0.5, 2)))
+    mdl = model.ModelFunction(system=system, stages=[], w=measures.build_weight(spec, WeightConfig(0.5, 2)))
     xi = {g: 0.5 for g in groups.ball(spec, 1)}
     mdl.stages.append(model.ModelStage(patch=model.StagePatch(tower=tower, xi=xi, n0=1, n=1)))
     fresh = dynamics.sample_points(system, np.arange(40))
@@ -831,7 +832,7 @@ def test_locate_takes_the_first_of_meeting_hits():
     # overlapping markers: several ball elements land on one cell, and
     # locate keeps the first in ball order, as the backwards walk does
     spec = groups.GroupSpec("integers")
-    mdl = _loose_model(dynamics.bernoulli_system(spec, seed=3), measures.build_weight(spec, measures.WeightParams(0.5, 8)))
+    mdl = _loose_model(dynamics.bernoulli_system(spec, seed=3), measures.build_weight(spec, WeightConfig(0.5, 8)))
     (win,) = model.orbit_windows(mdl, dynamics.sample_points(mdl.system, np.arange(20)), (-6,), (6,))
     meeting = sum(
         win.base(0).take(win.lo - g, win.shape).astype(int)

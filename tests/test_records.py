@@ -11,6 +11,7 @@ import pytest
 
 import fresh
 from walkrep import config, continuous, dynamics, groups, markov, measures, model
+from walkrep.config import WeightConfig
 from walkrep.errors import DomainError, EncodingError
 
 Z = groups.GroupSpec("integers")
@@ -40,8 +41,8 @@ def test_group_spec_checks(kind, d, message):
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: measures.WeightParams(q=1.0, n_max=2), "q must be in (0,1), got 1.0"),
-        (lambda: measures.WeightParams(q=0.5, n_max=0), "n_max must be >= 1"),
+        (lambda: measures.build_weight(Z, WeightConfig(q=1.0, n_max=2)), "q must be in (0,1), got 1.0"),
+        (lambda: measures.build_weight(Z, WeightConfig(q=0.5, n_max=0)), "n_max must be >= 1"),
         (lambda: dynamics.DynamicalSystem("mixing", Z, 0), "unknown system kind 'mixing'"),
         (
             lambda: dynamics.DynamicalSystem("bernoulli", groups.GroupSpec("z2sum", 0), 0),
@@ -61,7 +62,7 @@ def test_group_spec_checks(kind, d, message):
         (
             lambda: model.ModelFunction(
                 dynamics.bernoulli_system(Z, 0), [],
-                measures.build_weight(groups.GroupSpec("lattice", 2), measures.WeightParams(0.5, 2)),
+                measures.build_weight(groups.GroupSpec("lattice", 2), WeightConfig(0.5, 2)),
             ),
             "the weight table is on GroupSpec(kind='lattice', d=2), the system on GroupSpec(kind='integers', d=1)",
         ),
@@ -84,7 +85,7 @@ def _records() -> list:
         model.basis_balls(1, Z),
         patch,
         model.StageSplit(a_index=1, offset=0.1, split_map={0.5: (0.4, 0.6)}),
-        model._StageEvents.of(model.ModelFunction(sys, [stage], measures.build_weight(Z, measures.WeightParams(0.5, 2))), stage),
+        model._StageEvents.of(model.ModelFunction(sys, [stage], measures.build_weight(Z, WeightConfig(0.5, 2))), stage),
         dynamics.BitBox(np.zeros((1, 3), dtype=bool), np.zeros(1, dtype=np.int64)),
         dynamics.CylinderSet.from_dict(Z, {0: 1}),
         markov.cos_observable(0),

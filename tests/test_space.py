@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from vectors import WeightedVector, delta, norm, norm_detail, partial_weight, shift, weight
 from walkrep import groups, measures, space
+from walkrep.config import WeightConfig
 from walkrep.errors import DomainError
 
 
 def test_norm_delta_hand_value(z_spec):
-    w = measures.build_weight(z_spec, measures.WeightParams(q=0.5, n_max=2))
+    w = measures.build_weight(z_spec, WeightConfig(q=0.5, n_max=2))
     assert norm(delta(w, 0)) == 0.5
 
 
@@ -150,7 +151,7 @@ def _ratio(v, g, table_v, table_shifted):
 
 @functools.cache
 def _weight(kind, d, n_max):
-    return measures.build_weight(groups.GroupSpec(kind, d), measures.WeightParams(0.5, n_max))
+    return measures.build_weight(groups.GroupSpec(kind, d), WeightConfig(0.5, n_max))
 
 
 @functools.cache
@@ -172,7 +173,7 @@ def _exact_subgroup_case(g0):
     emb = groups.subgroup_embed(z, f2, [(1,)])
     rep = space.subgroup_norm_certificate(w_amb, emb, g0)
     rho_g = measures.restrict_renormalize(w_amb, emb)
-    w_sub = measures.build_weight(z, measures.WeightParams(q=0.5, n_max=4), rho=rho_g)
+    w_sub = measures.build_weight(z, WeightConfig(q=0.5, n_max=4), rho=rho_g)
     interior = int(rep["domain"].removeprefix("subgroup ball(").removesuffix(")"))
     pool = [
         g for g in groups.ball(z, interior) if weight(w_sub, g) > 0.0 and weight(w_sub, g - g0) > 0.0
@@ -215,7 +216,7 @@ def test_subgroup_certificate_is_exact_supremum(g0, data):
 @given(st.integers(min_value=-8, max_value=8), st.integers(min_value=-8, max_value=8))
 def test_shift_composition_z(g, h):
     spec = groups.GroupSpec("integers")
-    w = measures.build_weight(spec, measures.WeightParams(q=0.5, n_max=10))
+    w = measures.build_weight(spec, WeightConfig(q=0.5, n_max=10))
     v = WeightedVector(w, {0: 1.0, 3: -2.0})
     assert (
         shift(shift(v, h), g).coeffs
@@ -251,7 +252,7 @@ def test_heisenberg_argmax_in_exact_tie_set(n_max):
             for n in range(1, depth + 1)
         )
 
-    w = measures.build_weight(spec, measures.WeightParams(0.5, n_max))
+    w = measures.build_weight(spec, WeightConfig(0.5, n_max))
     for a in groups.generators(spec):
         rep = space.operator_norm_certificate(w, a)
         a_inv = groups.inverse(spec, a)
