@@ -10,9 +10,10 @@ Usage: ``python scripts/design_counts.py [--per-command] [SRC_DIR]``
   ``NamedTuple`` class.
 
 With ``--per-command``, one line per command instead: the lines of the
-walkrep source files its process loads.  Each command runs on a tiny
-config in a fresh interpreter that imports the package from SRC_DIR, and
-the files of the ``walkrep`` modules in its ``sys.modules`` are counted.
+walkrep source files its process loads, and ``numpy=yes`` or ``numpy=no``
+for whether it loads numpy.  Each command runs on a tiny config in a fresh
+interpreter that imports the package from SRC_DIR, and the files of the
+``walkrep`` modules in its ``sys.modules`` are counted.
 """
 
 import ast
@@ -44,7 +45,7 @@ import json, sys
 import walkrep.cli
 walkrep.cli.main(sys.argv[1:])
 mods = [m for n, m in sys.modules.items() if n == "walkrep" or n.startswith("walkrep.")]
-print(json.dumps(sorted({m.__file__ for m in mods})))
+print(json.dumps([sorted({m.__file__ for m in mods}), "numpy" in sys.modules]))
 """
 
 
@@ -85,14 +86,16 @@ def _fresh(src: Path, code: str, *argv: str):
 
 
 def per_command(src: Path) -> dict:
-    """command -> the walkrep source lines its fresh process loads."""
+    """command -> the walkrep source lines its fresh process loads, and
+    whether it loads numpy."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp, "cfg.json")
         cfg.write_text(json.dumps(TINY_CONFIG))
         for command in _fresh(src, LIST_COMMANDS):
-            files = _fresh(src, LOADED_FILES, command, "--config", str(cfg), "--out", tmp)
-            out[command] = sum(_lines(Path(f).read_text(encoding="utf-8")) for f in files)
+            files, numpy = _fresh(src, LOADED_FILES, command, "--config", str(cfg), "--out", tmp)
+            lines = sum(_lines(Path(f).read_text(encoding="utf-8")) for f in files)
+            out[command] = f"{lines} numpy={'yes' if numpy else 'no'}"
     return out
 
 

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .. import continuous, pcg64
 from ..config import ExperimentConfig
 from . import _finish, _out_dir, _record, _start, _write_csv
@@ -19,10 +17,9 @@ def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
     records = []
     # real line: overlap density quadrature sweep and the domination grid
     L = continuous.IntervalMeasure(continuous.L_HALF)
-    grid = np.linspace(-5.0, 5.0, 101)
     worst = max(
-        abs(continuous.overlap_density_quadrature(L, float(t)) - continuous.overlap_density(L, float(t)))
-        for t in grid
+        abs(continuous.overlap_density_quadrature(L, t) - continuous.overlap_density(L, t))
+        for t in continuous.linspace(-5.0, 5.0, 101)
     )
     records.append(
         _record(

@@ -6,8 +6,12 @@ Two desk-scale settings where every density is explicit:
   (overlap densities, the domination constant, and the induced shift bound);
 * the locally finite direct sum of Z/2, where the step law mixes normalized
   counting measures of the nested subgroups K_1 < K_2 < ... .  K_n is the
-  vector space F_2^n, so its measures are arrays indexed by bitmask and
+  vector space F_2^n, so its measures are lists indexed by bitmask and
   convolution is pointwise multiplication after a Walsh-Hadamard transform.
+
+The module runs on Python floats and loads no numpy; its grids reproduce
+``np.arange`` and ``np.linspace`` entry for entry, and every reduction it
+makes (min, max, counts, the first argmax) is exact.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cache, cached_property
-
-import numpy as np
 
 from . import groups
 from .config import MAX_CHAIN_N, WeightConfig
@@ -71,6 +73,23 @@ def overlap_density_quadrature(L: IntervalMeasure, t: float) -> float:
     return total
 
 
+def arange(start: float, stop: float, step: float) -> list:
+    """``np.arange(start, stop, step)`` on floats, entry for entry: it has
+    ceil((stop - start) / step) entries, entry 1 is start + step and entry
+    i > 1 is start + i * ((start + step) - start)."""
+    n = max(math.ceil((stop - start) / step), 0)
+    delta = (start + step) - start
+    return [start, start + step][:n] + [start + i * delta for i in range(2, n)]
+
+
+def linspace(start: float, stop: float, num: int) -> list:
+    """``np.linspace(start, stop, num)`` for num >= 2 and start != stop, entry
+    for entry: entry i is i * ((stop - start) / (num - 1)) + start, and the
+    last entry is stop."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 def domination_constant_real() -> dict:
     """u = min of the overlap density on the product window, D = 2/u.
 
@@ -80,21 +99,18 @@ def domination_constant_real() -> dict:
     """
     L = IntervalMeasure(L_HALF)
     kl_half = K_HALF + L_HALF
-    grid_u = np.arange(-kl_half, kl_half + GRID_STEP / 2, GRID_STEP)
-    psi_vals = np.maximum(0.0, L.length - np.abs(grid_u))
-    u = float(psi_vals.min())
+    u = min(max(0.0, L.length - abs(t)) for t in arange(-kl_half, kl_half + GRID_STEP / 2, GRID_STEP))
     u_closed = max(0.0, L.length - kl_half)
     d_const = 2.0 / u
     # rho has density 1/|L| on L; rho*rho has density psi/|L|^2
-    grid = np.arange(-L_HALF, L_HALF + GRID_STEP / 2, GRID_STEP)
+    grid = arange(-L_HALF, L_HALF + GRID_STEP / 2, GRID_STEP)
+    rhs = [d_const * max(0.0, L.length - abs(t)) / L.length**2 for t in grid]
     violations = 0
     worst = -math.inf
     for k in K_SAMPLES:
-        lhs = np.where(np.abs(grid - k) <= L_HALF, 1.0 / L.length, 0.0)
-        rhs = d_const * np.maximum(0.0, L.length - np.abs(grid)) / L.length**2
-        gap = lhs - rhs
-        worst = max(worst, float(gap.max()))
-        violations += int(np.sum(gap > 1e-12))
+        gap = [(1.0 / L.length if abs(t - k) <= L_HALF else 0.0) - r for t, r in zip(grid, rhs)]
+        worst = max(worst, max(gap))
+        violations += sum(x > 1e-12 for x in gap)
     return {
         "k_half": K_HALF,
         "l_half": L_HALF,
@@ -114,20 +130,20 @@ def domination_constant_real() -> dict:
 Z2SUM = GroupSpec("z2sum", 0)
 
 
-def fwht(a: np.ndarray) -> np.ndarray:
-    """The unnormalized Walsh-Hadamard transform of a length-2^n array, by
-    n butterfly passes (Fino-Algazi, 1976); applying it twice multiplies by
-    2^n."""
-    size = a.size
-    h = 1
-    while h < size:
-        a = a.reshape(-1, 2, h)
-        a = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1)
-        h *= 2
-    return a.reshape(size)
+def fwht(a) -> list:
+    """The unnormalized Walsh-Hadamard transform of a length-2^n sequence, by
+    n passes of Good's (1958) constant-geometry factorization: each pass puts
+    the sums of adjacent pairs in the first half and their differences in
+    the second.  These are the butterflies of the in-place Fino-Algazi (1976)
+    transform in the same order, so the floats are the same.  Applying it
+    twice multiplies by 2^n."""
+    for _ in range(len(a).bit_length() - 1):
+        even, odd = a[0::2], a[1::2]
+        a = [x + y for x, y in zip(even, odd)] + [x - y for x, y in zip(even, odd)]
+    return list(a)
 
 
-def xor_convolve(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+def xor_convolve(mu, nu) -> list:
     """(mu*nu)(g) = sum_h mu(g ^ h) nu(h) for measures stored by bitmask.
 
     Each output of ``fwht`` is a +-1 sum of its inputs over an addition tree
@@ -141,15 +157,16 @@ def xor_convolve(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     the chain's rho at q = 0.5 has masses in 2^-2n Z and transforms bounded
     by 2^n, so its rho*rho is exact for n <= 17.
     """
-    return fwht(fwht(mu) * fwht(nu)) / mu.size
+    size = len(mu)
+    return [x / size for x in fwht([x * y for x, y in zip(fwht(mu), fwht(nu))])]
 
 
 class LocallyFiniteChain:
     """K_n = span of the first n coordinates of the direct sum of Z/2.
 
-    Measures on K_n_max are dense float64 arrays of length 2^n_max indexed
-    by bitmask: coordinate i is bit i-1, so K_n is the indices below 2^n and
-    the group product is XOR.  The step law mixes the K_n with the geometric
+    Measures on K_n_max are lists of 2^n_max floats indexed by bitmask:
+    coordinate i is bit i-1, so K_n is the indices below 2^n and the group
+    product is XOR.  The step law mixes the K_n with the geometric
     weights of ratio ``q``, truncated at the chain end.  Chains with equal
     ``n_max`` and ``q`` are equal, and share ``chain_convolution``'s entry.
     """
@@ -181,17 +198,15 @@ class LocallyFiniteChain:
         return out
 
     @cached_property
-    def canonical_masks(self) -> np.ndarray:
+    def canonical_masks(self) -> tuple:
         """The bitmasks of ``subgroup(n_max)``, in its canonical order."""
-        return np.array([mask(g) for g in self.subgroup(self.n_max)])
+        return tuple(mask(g) for g in self.subgroup(self.n_max))
 
-    def haar(self, n: int) -> np.ndarray:
+    def haar(self, n: int) -> list:
         """lambda_n, the normalized counting measure of K_n."""
         if not 1 <= n <= self.n_max:
             raise DomainError(f"subgroup index {n} outside 1..{self.n_max}")
-        lam = np.zeros(2**self.n_max)
-        lam[: 2**n] = 2.0**-n
-        return lam
+        return [2.0**-n] * 2**n + [0.0] * (2**self.n_max - 2**n)
 
     def first_containing(self, g) -> int:
         """m0 = the first n with g in K_n."""
@@ -212,41 +227,56 @@ def element(m: int) -> tuple:
     return tuple(i + 1 for i in range(m.bit_length()) if m >> i & 1)
 
 
-def locally_finite_rho(chain: LocallyFiniteChain) -> np.ndarray:
+def locally_finite_rho(chain: LocallyFiniteChain) -> list:
     """rho = sum p_n lambda_n truncated at the chain end (tail q^n_max).
 
     Each atom adds its terms in increasing n, as ``measures.build_weight``
     does, so rho is bit-equal to that sum for every q.
     """
-    rho = np.zeros(2**chain.n_max)
+    rho = [0.0] * 2**chain.n_max
     for n in range(1, chain.n_max + 1):
-        rho[: 2**n] += chain.params.p(n) * 2.0**-n
+        v = chain.params.p(n) * 2.0**-n
+        rho[: 2**n] = [x + v for x in rho[: 2**n]]
     return rho
 
 
 def haar_convolution_identity(chain: LocallyFiniteChain) -> dict:
     """Exhaustively verify lambda_i * lambda_j = lambda_{max(i,j)}: every
-    pair i <= j is convolved through the Walsh-Hadamard transform."""
+    pair i <= j is convolved through the Walsh-Hadamard transform.  A
+    product equal to the last one transformed for the same j has that one's
+    error, so only the products that differ are transformed back."""
     spectra = [fwht(chain.haar(n)) for n in range(1, chain.n_max + 1)]
+    size = 2**chain.n_max
+    last = {}  # j -> (the last product transformed for j, its error)
     worst = 0.0
     checked = 0
     for i in range(1, chain.n_max + 1):
         for j in range(i, chain.n_max + 1):
-            conv = fwht(spectra[i - 1] * spectra[j - 1]) / 2**chain.n_max
-            worst = max(worst, float(np.max(np.abs(conv - chain.haar(j)))))
+            prod = [x * y for x, y in zip(spectra[i - 1], spectra[j - 1])]
+            if j not in last or last[j][0] != prod:
+                err = max(abs(x / size - y) for x, y in zip(fwht(prod), chain.haar(j)))
+                last[j] = prod, err
+            worst = max(worst, last[j][1])
             checked += 1
     return {"pairs_checked": checked, "max_abs_error": worst, "pass": worst < 1e-12}
 
 
 @cache
 def chain_convolution(chain: LocallyFiniteChain) -> tuple:
-    """(rho, rho*rho) as read-only arrays by bitmask, computed once per chain
-    and shared by every check on it; see ``xor_convolve`` for the rounding of
+    """(rho, rho*rho) as tuples by bitmask, computed once per chain and
+    shared by every check on it; see ``xor_convolve`` for the rounding of
     rho*rho."""
     rho = locally_finite_rho(chain)
-    rho2 = xor_convolve(rho, rho)
-    rho.flags.writeable = rho2.flags.writeable = False
-    return rho, rho2
+    return tuple(rho), tuple(xor_convolve(rho, rho))
+
+
+@cache
+def _canonical_rho2(chain: LocallyFiniteChain) -> tuple:
+    """rho*rho in canonical order, and the canonical positions where it
+    vanishes: the half of the domination check that no g0 changes."""
+    rho2 = chain_convolution(chain)[1]
+    rhs = [rho2[m] for m in chain.canonical_masks]
+    return rhs, [k for k, r in enumerate(rhs) if r == 0.0]
 
 
 def domination_check_locally_finite(chain: LocallyFiniteChain, g0) -> dict:
@@ -266,19 +296,19 @@ def domination_check_locally_finite(chain: LocallyFiniteChain, g0) -> dict:
     head = sum(p(n) for n in range(1, m0))
     cum = sum(p(n) for n in range(1, m0 + 1))
     c_corrected = 1.0 / p1 + index * head / (cum * p(m0)) if m0 > 1 else 1.0 / p1
-    rho, rho2 = chain_convolution(chain)
+    rho = chain_convolution(chain)[0]
+    rhs, zeros = _canonical_rho2(chain)
     # (rho*delta_{g0})(g) = rho(g g0^-1) = rho(g ^ g0), in canonical order
-    lhs = rho[chain.canonical_masks ^ mask(g0)]
-    rhs = rho2[chain.canonical_masks]
-    live = lhs != 0.0
-    if np.any(rhs[live] == 0.0):
+    g0_mask = mask(g0)
+    lhs = [rho[m ^ g0_mask] for m in chain.canonical_masks]
+    if any(lhs[k] != 0.0 for k in zeros):
         raise DomainError("rho*rho vanishes on the chain window")
-    ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=live)
-    k = int(np.argmax(ratio))
-    worst_ratio = float(ratio[k])
-    worst_atom = element(int(chain.canonical_masks[k])) if worst_ratio > 0.0 else None
-    violations_simple = int(np.count_nonzero(lhs > c_simple * rhs * (1 + 1e-12)))
-    violations_corrected = int(np.count_nonzero(lhs > c_corrected * rhs * (1 + 1e-12)))
+    ratio = [x / r if x != 0.0 else 0.0 for x, r in zip(lhs, rhs)]
+    k = ratio.index(max(ratio))
+    worst_ratio = ratio[k]
+    worst_atom = element(chain.canonical_masks[k]) if worst_ratio > 0.0 else None
+    violations_simple = sum(x > c_simple * r * (1 + 1e-12) for x, r in zip(lhs, rhs))
+    violations_corrected = sum(x > c_corrected * r * (1 + 1e-12) for x, r in zip(lhs, rhs))
     return {
         "g0": groups.element_str(chain.spec, g0),
         "m0": m0,
@@ -299,10 +329,10 @@ def domination_check_locally_finite(chain: LocallyFiniteChain, g0) -> dict:
 def lower_bound_chain_check(chain: LocallyFiniteChain) -> dict:
     """Pointwise check of rho*rho >= p_1 * sum_k p_k lambda_k on K_n_max."""
     rho, rho2 = chain_convolution(chain)
-    rhs = chain.params.p(1) * rho
-    violations = int(np.count_nonzero(rho2 < rhs * (1 - 1e-12)))
+    rhs = [chain.params.p(1) * x for x in rho]
+    violations = sum(x < r * (1 - 1e-12) for x, r in zip(rho2, rhs))
     return {
         "violations": violations,
-        "min_slack": float(np.min(rho2 - rhs)),
+        "min_slack": min(x - r for x, r in zip(rho2, rhs)),
         "pass": violations == 0,
     }

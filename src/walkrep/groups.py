@@ -15,6 +15,8 @@ call from any number of workers.
 
 ``coords`` turns integer, lattice and Heisenberg elements into int64
 coordinate arrays, and ``translate`` multiplies such an array on the right.
+They are the module's only numpy users and import it themselves, so the
+config layer, the command line and the Z/2-chain load no numpy.
 
 Arithmetic trusts its inputs to be canonical and does not re-check them:
 ``check_element`` runs once where an encoding enters walkrep: on ``Embedding``
@@ -27,11 +29,12 @@ outputs.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import CapacityError, DomainError, EmbeddingError, EncodingError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BALL_CAP = 10**6  # the most elements a ball or a word-length search holds
 EMBED_CHECK_RADIUS = 3
@@ -165,6 +168,8 @@ def coords(spec: GroupSpec, elements) -> np.ndarray:
     the free groups and z2sum, which have no coordinates."""
     if spec.kind in ("free", "z2sum"):
         raise DomainError(f"{spec.kind} elements have no integer coordinates")
+    import numpy as np  # here, so the config layer and the chain load no numpy
+
     try:
         out = np.asarray(elements, dtype=np.int64)
     except OverflowError:
@@ -175,6 +180,8 @@ def coords(spec: GroupSpec, elements) -> np.ndarray:
 def translate(spec: GroupSpec, rows: np.ndarray, b) -> np.ndarray:
     """The coordinates of g b for each row g of an (N, k) coordinate array,
     on the integers, the lattices and the Heisenberg group."""
+    import numpy as np
+
     out = rows + np.reshape(b, -1)
     if spec.kind == "heisenberg":
         out[:, 2] += rows[:, 0] * b[1]

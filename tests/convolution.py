@@ -5,7 +5,9 @@ oracle for the walk-count weight tables of ``walkrep.measures``, for
 
 ``convolve`` multiplies every pair of atoms with ``groups.multiply`` and
 accumulates in canonical order, so it works on every group kind, including
-z2sum; ``dict_weight`` is the weight table it gives.  ``gather_moves`` and
+z2sum; ``dict_weight`` is the weight table it gives.  ``fwht`` and
+``xor_convolve`` are the numpy butterfly that the list kernel of
+``walkrep.continuous`` must match bit for bit.  ``gather_moves`` and
 ``gather_step`` are the index-gather form of the box kernel that
 ``measures._moves`` and ``measures._step`` compute with slices.
 """
@@ -82,6 +84,22 @@ def gather_step(power: np.ndarray, moves: list, weights: list) -> np.ndarray:
     for weight, (src, dst) in zip(weights, moves):
         nxt[dst] += power[src] if weight == 1 else weight * power[src]
     return nxt
+
+
+def fwht(a: np.ndarray) -> np.ndarray:
+    """The unnormalized Walsh-Hadamard transform of a length-2^n array, by
+    n in-place butterfly passes (Fino-Algazi, 1976)."""
+    size = a.size
+    h = 1
+    while h < size:
+        a = a.reshape(-1, 2, h)
+        a = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1)
+        h *= 2
+    return a.reshape(size)
+
+
+def xor_convolve(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    return fwht(fwht(mu) * fwht(nu)) / mu.size
 
 
 def convolve(spec: GroupSpec, mu: SparseMeasure, nu: SparseMeasure) -> SparseMeasure:

@@ -204,8 +204,8 @@ def fresh_runs(tmp_path_factory):
 
 
 def test_cli_import_loads_no_layer():
-    # nor any of ``START_UP_MODULES``
-    assert modules_after("import walkrep.cli", "walkrep", *START_UP_MODULES) == CLI_LOADED
+    # nor numpy, nor any of ``START_UP_MODULES``
+    assert modules_after("import walkrep.cli", "walkrep", "numpy", *START_UP_MODULES) == CLI_LOADED
 
 
 @pytest.mark.parametrize("command", COMMAND_LAYERS)
@@ -222,6 +222,12 @@ def test_module_entry_compiles_each_module_once(fresh_runs, command):
     walkrep_imports = [m for m in fresh_runs[2][command] if m.startswith("walkrep")]
     assert "walkrep.cli" not in walkrep_imports
     assert len(walkrep_imports) == len(set(walkrep_imports))
+
+
+def test_chain_process_loads_no_numpy(fresh_runs):
+    # the chain runs on Python floats, and ``pcg64.sample`` on ints
+    assert [m for m in fresh_runs[2]["continuous"] if m == "numpy" or m.startswith("numpy.")] == []
+    assert modules_after("import walkrep.pcg64", "numpy") == []
 
 
 @pytest.mark.parametrize("command", COMMAND_LAYERS)

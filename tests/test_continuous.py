@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -84,7 +85,7 @@ def test_chain_subgroups():
 def test_haar_measures():
     chain = continuous.LocallyFiniteChain(n_max=4)
     lam2 = chain.haar(2)
-    assert abs(lam2.sum() - 1.0) < 1e-15
+    assert abs(sum(lam2) - 1.0) < 1e-15
     assert lam2[continuous.mask(())] == 0.25
     assert lam2[continuous.mask((1, 2))] == 0.25
     assert lam2[continuous.mask((3,))] == 0.0
@@ -110,7 +111,7 @@ def test_locally_finite_rho_masses():
         rho[continuous.mask(groups.inverse(spec, g))] == rho[continuous.mask(g)]
         for g in chain.subgroup(10)
     )
-    assert abs(rho.sum() - sum(p(n) for n in range(1, 11))) < 1e-12
+    assert abs(sum(rho) - sum(p(n) for n in range(1, 11))) < 1e-12
 
 
 # -- the F_2 kernel against the dict oracle (convolution.convolve on tuples) --
@@ -129,6 +130,50 @@ def _dict_chain(chain) -> tuple:
     ]
     rho = oracle.SparseMeasure(chain.spec, oracle.mixture(chain.params, lams))
     return rho, oracle.convolve(chain.spec, rho, rho)
+
+
+# mixed magnitudes, both zeros and exact ties, so a changed addition order
+# or a lost sign of zero shows in the bytes
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-200, 200)),
+)
+
+
+def _bytes(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_list_kernel_is_the_numpy_butterfly_bit_for_bit(data):
+    n = data.draw(st.integers(min_value=0, max_value=12))
+    arrays = st.lists(_FLOATS, min_size=2**n, max_size=2**n)
+    mu, nu = data.draw(arrays), data.draw(arrays)
+    assert _bytes(continuous.fwht(mu)) == _bytes(oracle.fwht(np.array(mu)))
+    want = oracle.xor_convolve(np.array(mu), np.array(nu))
+    assert _bytes(continuous.xor_convolve(mu, nu)) == _bytes(want)
+
+
+def test_grids_are_numpy_grids_entry_for_entry():
+    kl_half, step = continuous.K_HALF + continuous.L_HALF, continuous.GRID_STEP
+    for lo, hi in ((-kl_half, kl_half + step / 2), (-continuous.L_HALF, continuous.L_HALF + step / 2)):
+        assert _bytes(continuous.arange(lo, hi, step)) == np.arange(lo, hi, step).tobytes()
+    assert _bytes(continuous.linspace(-5.0, 5.0, 101)) == np.linspace(-5.0, 5.0, 101).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=1e-3, max_value=5.0),
+    st.integers(min_value=2, max_value=500),
+)
+def test_arange_and_linspace_match_numpy(start, stop, step, num):
+    assert _bytes(continuous.arange(start, stop, step)) == np.arange(start, stop, step).tobytes()
+    if start != stop:
+        assert _bytes(continuous.linspace(start, stop, num)) == np.linspace(start, stop, num).tobytes()
 
 
 def test_mask_element_round_trip():
@@ -178,7 +223,7 @@ def test_chain_convolution_computed_once_per_chain():
     assert shared is continuous.chain_convolution(continuous.LocallyFiniteChain(chain.n_max, chain.q))
     assert shared is not continuous.chain_convolution(continuous.LocallyFiniteChain(chain.n_max))
     for arr in shared:
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # tuples: no check can write to the shared result
             arr[0] = 0.0
 
 

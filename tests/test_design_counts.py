@@ -7,10 +7,14 @@ from walkrep import cli
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "design_counts.py"
 
 
-def _counts(*args) -> dict:
+def _lines(*args) -> list:
     proc = fresh.run([str(SCRIPT), *map(str, args)])
     assert proc.returncode == 0, proc.stderr
-    return {name: int(value) for name, value in (line.split() for line in proc.stdout.splitlines())}
+    return [line.split() for line in proc.stdout.splitlines()]
+
+
+def _counts(*args) -> dict:
+    return {name: int(value) for name, value in _lines(*args)}
 
 
 def test_design_counts_of_this_tree():
@@ -44,7 +48,8 @@ def test_design_counts_per_command():
     # ``feldman`` loads the driver, the shared writers, its own module and
     # ``pcg64`` beside the config layer; the model commands share a module
     src = Path(walkrep.__file__).parent
-    counts = _counts("--per-command")
+    rows = {name: rest for name, *rest in _lines("--per-command")}
+    counts = {name: int(lines) for name, (lines, _) in rows.items()}
     assert list(counts) == list(cli.COMMANDS)
     feldman = [
         "__init__.py", "cli.py", "config.py", "errors.py", "groups.py", "trace.py", "pcg64.py",
@@ -52,3 +57,6 @@ def test_design_counts_per_command():
     ]
     assert counts["feldman"] == sum((src / f).read_text(encoding="utf-8").count("\n") for f in feldman)
     assert counts["build"] == counts["support"] == counts["orbit"] > counts["weights"] > counts["feldman"]
+    # the chain runs on Python floats; the model commands need numpy
+    assert rows["continuous"][1] == "numpy=no"
+    assert rows["build"][1] == "numpy=yes"
