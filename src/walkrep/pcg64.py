@@ -64,16 +64,11 @@ def _outputs(s):
         yield (x >> r | x << (64 - r)) & _M64
 
 
-def _unit(outputs: list):
-    """The doubles of 64-bit outputs: the top 53 bits over 2^53."""
+def random(seed: int, n: int):
+    """``np.random.default_rng(seed).random(n)``: the top 53 bits of each output over 2^53."""
     import numpy as np
 
-    return (np.array(outputs, dtype=np.uint64) >> 11) * 2.0**-53
-
-
-def random(seed: int, n: int):
-    """``np.random.default_rng(seed).random(n)``."""
-    return _unit(list(itertools.islice(_streams(seed), n)))
+    return (np.array(list(itertools.islice(_streams(seed), n)), dtype=np.uint64) >> 11) * 2.0**-53
 
 
 def roots(seed: int, draws, k: int):
@@ -81,7 +76,8 @@ def roots(seed: int, draws, k: int):
     import numpy as np
 
     draws = np.asarray(draws, dtype=np.uint64)
-    return _unit([list(itertools.islice(s, k)) for s in _streams(seed, draws)]).reshape(len(draws), k)
+    rows = [list(itertools.islice(s, k)) for s in _streams(seed, draws)]
+    return (np.array(rows, dtype=np.uint64).reshape(len(draws), k) >> 11) * 2.0**-53
 
 
 def sample(seed: int, pop: int, size: int) -> list:
