@@ -1,9 +1,12 @@
 """The golden-output manifest ``golden.json``: the sha256 of every output
-file but ``run_meta.json`` of two runs, keyed by platform.
+file but ``run_meta.json`` of three runs, keyed by platform.
 
 * ``small``: the nine commands on ``SMALL_CONFIG`` (the outputs that
   ``test_cli``'s ``fresh_runs`` fixture writes);
-* ``default``: ``weights`` and ``norms`` on the default config (seed 20240).
+* ``default``: ``weights`` and ``norms`` on the default config (seed 20240);
+* ``lattice``: ``build``, ``support`` and ``orbit`` on ``LATTICE_CONFIG``,
+  the staged model of the Bernoulli shift of Z^2, whose orbit windows are
+  two-dimensional.
 
 Outputs go through libm (``math.cos``, ``log``, ``exp``) and numpy's SIMD
 ``cos``/``sin``, so a digest is only promised on the platform that recorded
@@ -39,6 +42,14 @@ SMALL_CONFIG = {
     },
 }
 DEFAULT_COMMANDS = ("weights", "norms")
+LATTICE_CONFIG = {
+    "group": {"kind": "lattice", "d": 2},
+    "stages": 2,
+    "n_trunc": 6,
+    "weights": {"q": 0.5, "n_max": 12},
+    "samples": {"check_samples": 300, "base_samples": 60, "equivariance_samples": 100, "orbit_steps": 200},
+}
+LATTICE_COMMANDS = ("build", "support", "orbit")
 
 
 def platform_key() -> str:
@@ -80,17 +91,27 @@ def run_default(out: Path) -> None:
         assert cli.main([command, "--out", str(out)]) == 0
 
 
+def run_lattice(out: Path) -> None:
+    cfg = out / "lattice.json"
+    out.mkdir(parents=True, exist_ok=True)
+    cfg.write_text(json.dumps(LATTICE_CONFIG))
+    for command in LATTICE_COMMANDS:
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def record() -> None:
-    """Run both runs in a scratch directory and write this platform's entry."""
+    """Run the three runs in a scratch directory and write this platform's
+    entry."""
     with tempfile.TemporaryDirectory() as tmp:
-        small, default = Path(tmp, "small"), Path(tmp, "default")
+        small, default, lattice = Path(tmp, "small"), Path(tmp, "default"), Path(tmp, "lattice")
         cfg = Path(tmp, "cfg.json")
         cfg.write_text(json.dumps(SMALL_CONFIG))
         for command in cli.COMMANDS:
             # ``continuous`` exits 1 for the record that fails by design (11b)
             assert cli.main([command, "--config", str(cfg), "--out", str(small)]) == (command == "continuous")
         run_default(default)
-        found = digests({"small": small, "default": default})
+        run_lattice(lattice)
+        found = digests({"small": small, "default": default, "lattice": lattice})
     manifest = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     manifest[platform_key()] = {**environment(), "digests": found}
     MANIFEST.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")

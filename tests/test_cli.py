@@ -266,8 +266,9 @@ def test_outputs_match_golden_manifest(fresh_runs, tmp_path):
     entry = json.loads(golden.MANIFEST.read_text()).get(golden.platform_key())
     if entry is None:
         pytest.skip(f"golden.json has no digests for {golden.platform_key()}")
-    golden.run_default(tmp_path)
-    found = golden.digests({"small": fresh_runs[1], "default": tmp_path})
+    golden.run_default(tmp_path / "default")
+    golden.run_lattice(tmp_path / "lattice")
+    found = golden.digests({"small": fresh_runs[1], "default": tmp_path / "default", "lattice": tmp_path / "lattice"})
     assert golden.mismatches(found, entry) == []
 
 
