@@ -29,6 +29,7 @@ outputs.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import CapacityError, DomainError, EmbeddingError, EncodingError
@@ -293,22 +294,28 @@ def ball(spec: GroupSpec, n: int) -> list:
             level = [w + (c,) for w in level for c in letters if not w or c != -w[-1]]
             words.extend(level)
         return words
-    # heisenberg: breadth-first search over the 4 generators
+    out = [g for sphere in itertools.islice(_heisenberg_spheres(spec), n + 1) for g in sphere]
+    return sorted(out, key=lambda g: sort_key(spec, g))
+
+
+def _heisenberg_spheres(spec: GroupSpec):
+    """The spheres S_0, S_1, ... of the Heisenberg group, each made when it
+    is asked for, by breadth-first search over the 4 generators.  Raises
+    CapacityError while making S_k once B_k exceeds ``BALL_CAP``."""
     gens = generators(spec)
     seen = {identity(spec)}
-    frontier = [identity(spec)]
-    for _ in range(n):
+    sphere = [identity(spec)]
+    while True:
+        yield sphere
         nxt = []
-        for g in frontier:
+        for g in sphere:
             for a in gens:
                 h = multiply(spec, g, a)
                 if h not in seen:
                     seen.add(h)
                     _check_cap(len(seen))
                     nxt.append(h)
-        frontier = nxt
-    out = sorted(seen, key=lambda g: sort_key(spec, g))
-    return out
+        sphere = nxt
 
 
 def _check_cap(size: int) -> None:
@@ -374,27 +381,8 @@ def word_length(spec: GroupSpec, g) -> int:
     if spec.kind == "free":
         return len(g)
     if spec.kind == "heisenberg":
-        # BFS from the identity; fine at desk scale where |g| is small
-        if g == (0, 0, 0):
-            return 0
-        gens = generators(spec)
-        seen = {identity(spec)}
-        frontier = [identity(spec)]
-        dist = 0
-        while frontier:
-            dist += 1
-            nxt = []
-            for h in frontier:
-                for a in gens:
-                    k = multiply(spec, h, a)
-                    if k == g:
-                        return dist
-                    if k not in seen:
-                        seen.add(k)
-                        _check_cap(len(seen))
-                        nxt.append(k)
-            frontier = nxt
-        raise EncodingError("unreachable element")  # pragma: no cover
+        # the first sphere that holds g; fine at desk scale where |g| is small
+        return next(r for r, sphere in enumerate(_heisenberg_spheres(spec)) if g in sphere)
     raise EncodingError("z2sum has no word metric here")
 
 

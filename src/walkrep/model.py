@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, groups, measures, stats, trace
+from . import dynamics, groups, stats, trace
 from .config import ExperimentConfig
 from .dynamics import DynamicalSystem, PointBatch, SetFamily, TowerSpec
 from .errors import CapacityError, DomainError, StageError
@@ -129,15 +128,6 @@ def basis_balls(k: int, spec: GroupSpec) -> BallSpec:
 # model stages
 
 
-class StagePatch(NamedTuple):
-    """Erase on B_n E, write the center on B_{n0} E, zero on the annulus."""
-
-    tower: TowerSpec
-    xi: dict  # element of B_{n0} -> value
-    n0: int
-    n: int
-
-
 class StageSplit(NamedTuple):
     """u -> (u - s, u + s); the minus side is taken on the routing set."""
 
@@ -147,10 +137,33 @@ class StageSplit(NamedTuple):
 
 
 class ModelStage:
-    """A stage's patch, and its split once ``build_model`` has made it."""
+    """One stage: a tower patch (erase on B_n E, write the center ``xi``, a
+    dict on B_{n0}, on B_{n0} E, zero on the annulus), then the value
+    ``split``.  ``hit_ball`` makes a stage without its split, and
+    ``build_model`` puts the split stage in its place.
 
-    def __init__(self, patch: StagePatch, split: StageSplit | None = None):
-        self.patch, self.split = patch, split
+    The array form is built here, once: ``ball`` holds the coordinates of
+    the locate ball B_n in ``groups.ball`` order and ``ball_xi`` the values
+    of ``xi`` aligned with it; ``cylinder`` is the routing cylinder
+    ``SetFamily.set_at(split.a_index)`` as a (coordinates, bits) pair of
+    arrays (empty before the split), and the split map is held as sorted
+    ``keys`` with their ``minus`` and ``plus`` images (None before it).
+    """
+
+    def __init__(self, tower: TowerSpec, xi: dict, n0: int, n: int, split: StageSplit | None = None):
+        self.tower, self.xi, self.n0, self.n, self.split = tower, xi, n0, n, split
+        spec = tower.spec
+        ball_n = groups.ball(spec, n)
+        self.ball = groups.coords(spec, ball_n)
+        self.ball_xi = np.array([xi.get(g, 0.0) for g in ball_n], dtype=np.float64)
+        constraints = () if split is None else SetFamily(spec).set_at(split.a_index).bits
+        self.cylinder = (groups.coords(spec, [c for c, _ in constraints]), np.array([b for _, b in constraints]))
+        self.keys = self.minus = self.plus = None
+        if split is not None:
+            ordered = sorted(split.split_map)
+            self.keys = np.array(ordered, dtype=np.float64)
+            self.minus = np.array([split.split_map[u][0] for u in ordered], dtype=np.float64)
+            self.plus = np.array([split.split_map[u][1] for u in ordered], dtype=np.float64)
 
 
 class StageState:
@@ -204,16 +217,11 @@ class ModelFunction:
     def spec(self) -> GroupSpec:
         return self.system.group
 
-    @cached_property
-    def family(self) -> SetFamily:
-        """The routing cylinders: stage j splits on ``family.set_at(j)``."""
-        return SetFamily(self.spec)
-
     def range_values(self) -> tuple:
         """Analytic range after the last stage (values the evaluator can emit)."""
         values = {0.0}
         for st in self.stages:
-            values |= set(st.patch.xi.values()) | {0.0}
+            values |= set(st.xi.values()) | {0.0}
             if st.split is not None:
                 values = {
                     v for u in values for v in st.split.split_map[u]
@@ -234,21 +242,21 @@ class ModelFunction:
         out = {"system": self.system.to_dict(), "stages": []}
         for st in self.stages:
             d = {
-                "tower": st.patch.tower.to_dict(),
+                "tower": st.tower.to_dict(),
                 "tower_pattern": [
                     [_elem_to_json(spec, p), b] for p, b in sorted(
-                        st.patch.tower.pattern.items(),
+                        st.tower.pattern.items(),
                         key=lambda kv: groups.sort_key(spec, kv[0]),
                     )
                 ],
                 "xi": [
                     [_elem_to_json(spec, g), v] for g, v in sorted(
-                        st.patch.xi.items(),
+                        st.xi.items(),
                         key=lambda kv: groups.sort_key(spec, kv[0]),
                     )
                 ],
-                "n0": st.patch.n0,
-                "n": st.patch.n,
+                "n0": st.n0,
+                "n": st.n,
                 "split": None
                 if st.split is None
                 else {
@@ -288,105 +296,61 @@ def _shape(lo: np.ndarray, hi: np.ndarray) -> tuple:
     return tuple((hi - lo + 1).tolist())
 
 
-class _StageEvents(NamedTuple):
-    """One stage's events as coordinate offsets, and its values as arrays.
-
-    ``pattern`` (the tower's ``marker``) and ``cylinder`` are (coordinates,
-    bits) pairs of arrays; ``ball`` holds the coordinates of the locate ball
-    B_n in ``groups.ball`` order, ``xi`` aligned with it; the split map is
-    held as sorted keys with their minus and plus images (``keys`` is None
-    before the stage is split).
-    """
-
-    n: int
-    pattern: tuple
-    ball: np.ndarray
-    xi: np.ndarray
-    cylinder: tuple
-    keys: np.ndarray | None
-    minus: np.ndarray | None
-    plus: np.ndarray | None
-
-    @staticmethod
-    def of(model: ModelFunction, stage: ModelStage) -> "_StageEvents":
-        spec = model.spec
-        ball_n = groups.ball(spec, stage.patch.n)
-        split = stage.split
-        constraints = ()
-        keys = minus = plus = None
-        if split is not None:
-            constraints = model.family.set_at(split.a_index).bits
-            ordered = sorted(split.split_map)
-            keys = np.array(ordered, dtype=np.float64)
-            minus = np.array([split.split_map[u][0] for u in ordered], dtype=np.float64)
-            plus = np.array([split.split_map[u][1] for u in ordered], dtype=np.float64)
-        return _StageEvents(
-            n=stage.patch.n,
-            pattern=stage.patch.tower.marker,
-            ball=groups.coords(spec, ball_n),
-            xi=np.array([stage.patch.xi.get(g, 0.0) for g in ball_n], dtype=np.float64),
-            cylinder=(groups.coords(spec, [c for c, _ in constraints]), np.array([b for _, b in constraints])),
-            keys=keys,
-            minus=minus,
-            plus=plus,
-        )
-
-    def base_box(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where ``locate`` on [lo, hi] reads the base: [lo, hi] - B_n, which
-        is [lo, hi] + B_n, as B_n is symmetric."""
-        return _grow(lo, hi, self.ball)
-
-    def bit_box(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every coordinate that ``locate`` and routing on [lo, hi] read."""
-        blo, bhi = _grow(*self.base_box(lo, hi), self.pattern[0])
-        if len(self.cylinder[0]):
-            clo, chi = _grow(lo, hi, self.cylinder[0])
-            blo, bhi = np.minimum(blo, clo), np.maximum(bhi, chi)
-        return blo, bhi
-
-
-def _stage_events(model: ModelFunction) -> list:
-    return [_StageEvents.of(model, st) for st in model.stages]
-
-
-def _bit_box(stages: list, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    blo, bhi = lo, hi
-    for st in stages:
-        slo, shi = st.bit_box(lo, hi)
-        blo, bhi = np.minimum(blo, slo), np.maximum(bhi, shi)
-    return blo, bhi
-
-
 class OrbitWindow:
-    """Stage events and values of a batch of Bernoulli points on a box of
-    positions, all decided on one ``dynamics.BitBox``.
+    """Stage events and values of a batch of Bernoulli points at ``cells``,
+    a (C, d) coordinate array, all decided on one ``dynamics.BitBox``.
 
-    The box [lo, hi] holds coordinates relative to each point's offset, so
-    the cell u of the point x stands for T_u x.  The bit box holds the same
-    Philox and forced bits at absolute positions as every other read, and
-    each stage event is an array mask on it: the base (the marker cylinder)
-    and routing (the stage's cylinder) are ``meets`` of the bit box, and
-    ``locate`` takes the first g in ``groups.ball`` order whose shift lands
-    in the base.  So every value equals the one cell-by-cell reads of each
-    point give.  Each window adds its bit cells to ``trace.COUNTERS``.
+    The cells are relative to each point's offset, so the cell u of the
+    point x stands for T_u x.  The window works on the box [lo, hi] around
+    them: the bit box holds the same Philox and forced bits at absolute
+    positions as every other read, and each stage event is an array mask on
+    it.  The base (the marker cylinder) and routing (the stage's cylinder)
+    are ``meets`` of the bit box, and ``locate`` takes the first g in
+    ``groups.ball`` order whose shift lands in the base.  So every value
+    equals the one cell-by-cell reads of each point give.  ``locate``,
+    ``routing`` and ``step`` are laid out on the box; ``values`` picks the
+    cells from it.  Each window adds its bit cells to ``trace.COUNTERS``.
     """
 
-    def __init__(self, spec: GroupSpec, stages: list, points: PointBatch, lo: np.ndarray, hi: np.ndarray):
-        self.spec = spec
+    def __init__(self, stages: list, points: PointBatch, cells: np.ndarray):
+        self.spec = points.system.group
         self.stages = stages
-        self.lo, self.hi = lo, hi
-        self.shape = _shape(lo, hi)
+        self.cells = cells
+        self.lo, self.hi = cells.min(axis=0), cells.max(axis=0)
+        self.shape = _shape(self.lo, self.hi)
         self.n_points = len(points)
-        self.bits = dynamics.BitBox.read(points, *_bit_box(stages, lo, hi))
+        self.bits = dynamics.BitBox.read(points, *self.bit_box(stages, cells))
         trace.COUNTERS["window_cells"] += self.bits.array.size
         self._base: dict = {}
         self._route: dict = {}
 
+    @staticmethod
+    def bit_box(stages: list, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The corners of the box of every coordinate that ``locate`` and
+        routing read on the box around ``cells``: grown by each stage's
+        locate ball (where the base is read, as B_n is symmetric) and then
+        its marker, and by its routing cylinder."""
+        lo, hi = cells.min(axis=0), cells.max(axis=0)
+        blo, bhi = lo, hi
+        for st in stages:
+            boxes = [_grow(*_grow(lo, hi, st.ball), st.tower.marker[0])]
+            if len(st.cylinder[0]):
+                boxes.append(_grow(lo, hi, st.cylinder[0]))
+            for slo, shi in boxes:
+                blo, bhi = np.minimum(blo, slo), np.maximum(bhi, shi)
+        return blo, bhi
+
+    @staticmethod
+    def size(stages: list, cells: np.ndarray) -> int:
+        """The bit cells a window at ``cells`` reads per point."""
+        return math.prod(_shape(*OrbitWindow.bit_box(stages, cells)))
+
     def base(self, j: int) -> dynamics.BitBox:
-        """The stage-(j+1) base on ``base_box`` of the window."""
+        """The stage-(j+1) base on the window's box grown by the locate
+        ball B_n: [lo, hi] - B_n, which is [lo, hi] + B_n."""
         if j not in self._base:
-            base_lo, base_hi = self.stages[j].base_box(self.lo, self.hi)
-            self._base[j] = self.bits.meets(self.stages[j].pattern, base_lo, _shape(base_lo, base_hi))
+            base_lo, base_hi = _grow(self.lo, self.hi, self.stages[j].ball)
+            self._base[j] = self.bits.meets(self.stages[j].tower.marker, base_lo, _shape(base_lo, base_hi))
         return self._base[j]
 
     def in_base(self, j: int, u: np.ndarray | int = 0) -> np.ndarray:
@@ -395,11 +359,11 @@ class OrbitWindow:
         return self.base(j).take(u, (1,) * len(self.lo)).reshape(-1)
 
     def locate(self, j: int) -> np.ndarray:
-        """Per point and cell u: the index in the locate ball of the first g
-        with T_{g^-1} T_u x in the stage-(j+1) base, or -1.
+        """Per point and cell u of the box: the index in the locate ball of
+        the first g with T_{g^-1} T_u x in the stage-(j+1) base, or -1.
 
-        Each base hit v marks the cells v + g of the window; the smallest
-        ball index that lands on a cell wins.
+        Each base hit v marks the cells v + g of the box; the smallest ball
+        index that lands on a cell wins.
         """
         ball, base = self.stages[j].ball, self.base(j)
         point, *hit = np.nonzero(base.array)
@@ -413,20 +377,21 @@ class OrbitWindow:
         return first.reshape((self.n_points,) + self.shape)
 
     def routing(self, j: int) -> np.ndarray:
-        """Per point and cell u: is T_u x in the stage-(j+1) routing cylinder?"""
+        """Per point and cell u of the box: is T_u x in the stage-(j+1)
+        routing cylinder?"""
         if j not in self._route:
             self._route[j] = self.bits.meets(self.stages[j].cylinder, self.lo, self.shape).array
         return self._route[j]
 
     def step(self, j: int, v: np.ndarray) -> np.ndarray:
-        """f_{j+1} on every cell from f_j there (``v``, updated in place and
-        returned): the stage-(j+1) patch, then its split.  A value with no
-        key in the split map raises KeyError."""
+        """f_{j+1} on every cell of the box from f_j there (``v``, updated in
+        place and returned): the stage-(j+1) patch, then its split.  A value
+        with no key in the split map raises KeyError."""
         st = self.stages[j]
         first = self.locate(j)
         located = first >= 0
-        v[located] = st.xi[first[located]]
-        if st.keys is None:
+        v[located] = st.ball_xi[first[located]]
+        if st.split is None:
             return v
         pos = np.searchsorted(st.keys, v)
         np.minimum(pos, len(st.keys) - 1, out=pos)
@@ -439,16 +404,18 @@ class OrbitWindow:
         return v
 
     def values(self) -> np.ndarray:
-        """f on every cell: each stage applied once, in order."""
+        """The points x cells matrix of f: each stage applied once, in
+        order, on the box, then read at the cells."""
         v = np.zeros((self.n_points,) + self.shape, dtype=np.float64)
         for j in range(len(self.stages)):
             v = self.step(j, v)
-        return v
+        flat = np.ravel_multi_index(tuple((self.cells - self.lo).T), self.shape)
+        return v.reshape(self.n_points, -1)[:, flat]
 
     def in_hit_event(self, i: int, n: int) -> np.ndarray:
         """Per point: membership in E^{(n)}_i, the stage-i base trimmed of
         the B_{N_i + N_j} neighborhoods of all later patch regions j <= n.
-        The window must contain B_{N_i}."""
+        The cells must span B_{N_i}."""
         hit = self.in_base(i - 1).copy()
         n_i = self.stages[i - 1].n
         for j in range(i + 1, n + 1):
@@ -456,36 +423,22 @@ class OrbitWindow:
                 hit &= ~self.in_base(j - 1, -k)
         return hit
 
-    def rows(self, arr: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """The points x cells matrix of the entries of ``arr``, an array laid
-        out on the window, at ``cells``, a (C, d) coordinate array."""
-        flat = np.ravel_multi_index(tuple((cells - self.lo).T), self.shape)
-        return arr.reshape(self.n_points, -1)[:, flat]
 
-
-def orbit_windows(model: ModelFunction, points: PointBatch, lo, hi):
-    """``OrbitWindow`` over [lo, hi] for consecutive chunks of the Bernoulli
-    batch ``points``, each under ``WINDOW_CELL_BUDGET`` bit cells.
-    CapacityError if one point's bit box alone is over the budget."""
-    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
-    stages = _stage_events(model)
-    box = _bit_box(stages, lo, hi)
-    per_point = math.prod(_shape(*box))
+def orbit_windows(model: ModelFunction, points: PointBatch, cells: np.ndarray):
+    """``OrbitWindow`` at ``cells``, a (C, d) coordinate array, for
+    consecutive chunks of the Bernoulli batch ``points``, each under
+    ``WINDOW_CELL_BUDGET`` bit cells.  CapacityError if one point's bit box
+    alone is over the budget."""
+    per_point = OrbitWindow.size(model.stages, cells)
     if per_point > WINDOW_CELL_BUDGET:
+        lo, hi = OrbitWindow.bit_box(model.stages, cells)
         raise CapacityError(
-            f"the bit box {tuple(box[0].tolist())}..{tuple(box[1].tolist())} of one point holds {per_point} cells, "
+            f"the bit box {tuple(lo.tolist())}..{tuple(hi.tolist())} of one point holds {per_point} cells, "
             f"over the window budget of {WINDOW_CELL_BUDGET}"
         )
     step = WINDOW_CELL_BUDGET // per_point
     for start in range(0, len(points), step):
-        yield OrbitWindow(model.spec, stages, points[start:start + step], lo, hi)
-
-
-def _ball_box(spec: GroupSpec, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The box of ``measures.cell_box``, which holds the word ball B_radius:
-    [-radius, radius]^d on Z^d."""
-    radii = np.array(measures.cell_box(spec, radius)[0], dtype=np.int64)
-    return -radii, radii
+        yield OrbitWindow(model.stages, points[start:start + step], cells)
 
 
 def phi(model: ModelFunction, points, n_trunc: int) -> tuple[list, np.ndarray, float]:
@@ -495,10 +448,7 @@ def phi(model: ModelFunction, points, n_trunc: int) -> tuple[list, np.ndarray, f
     """
     ball, cells = model.w.ball(n_trunc)
     tail = model.tail(n_trunc)
-    blocks = [
-        win.rows(win.values(), cells)
-        for win in orbit_windows(model, points, *_ball_box(model.spec, n_trunc))
-    ]
+    blocks = [win.values() for win in orbit_windows(model, points, cells)]
     values = np.concatenate(blocks) if blocks else np.zeros((0, len(ball)))
     return ball, values, tail
 
@@ -541,7 +491,7 @@ def point_values(
     values = np.empty((n, len(points)))
     routing = np.empty((n, len(points)), dtype=bool)
     start = 0
-    for win in orbit_windows(model, points, *_ball_box(model.spec, 0)):
+    for win in orbit_windows(model, points, model.w.ball(0)[1]):
         stop = start + win.n_points
         v = np.zeros((win.n_points,) + win.shape)
         for j in range(n):
@@ -609,7 +559,7 @@ def hit_ball(model: ModelFunction, ball: BallSpec, quartic_budget: float) -> tup
     xi = ball.center_dict()
     max_abs = max(model.max_abs(), ball.max_abs())
     n = _tail_height(model.w, max(max_abs, 1e-9), ball)
-    prev_heights = [st.patch.n for st in model.stages]
+    prev_heights = [st.n for st in model.stages]
     blow = max(
         [len(groups.ball(spec, n_i + n)) for n_i in prev_heights]
         + [len(groups.ball(spec, n))]
@@ -628,10 +578,7 @@ def hit_ball(model: ModelFunction, ball: BallSpec, quartic_budget: float) -> tup
         factor *= 4.0
         if factor > 2**80:
             raise StageError("cannot keep the quartic norm below 1")
-    stage = ModelStage(
-        patch=StagePatch(tower=tower, xi=xi, n0=ball.level, n=n), split=None
-    )
-    return stage, eta
+    return ModelStage(tower, xi, ball.level, n), eta
 
 
 def verify_patch(model: ModelFunction, ball: BallSpec, cfg: ExperimentConfig) -> dict:
@@ -641,19 +588,19 @@ def verify_patch(model: ModelFunction, ball: BallSpec, cfg: ExperimentConfig) ->
     stage_index = len(model.stages) - 1
     stage = model.stages[stage_index]
     points = dynamics.conditional_base_sampler(
-        stage.patch.tower, cfg.seed + stage_index, cfg.samples.base_samples
+        stage.tower, cfg.seed + stage_index, cfg.samples.base_samples
     )
-    window, cells = model.w.ball(stage.patch.n)
+    window, cells = model.w.ball(stage.n)
     weights = model.w.read(cells)
-    tail = model.tail(stage.patch.n)
+    tail = model.tail(stage.n)
     center = ball.center_dict()
     center_row = np.array([center.get(g, 0.0) for g in window])
     mismatches = 0
     worst = 0.0
     n_eval = 0
-    for win in orbit_windows(model, points, *_ball_box(model.spec, stage.patch.n)):
+    for win in orbit_windows(model, points, cells):
         inside = win.in_base(stage_index)
-        diff = win.rows(win.values(), cells)[inside] - center_row
+        diff = win.values()[inside] - center_row
         n_eval += len(diff)
         mismatches += int((diff != 0.0).sum())
         # each row's squares added left to right in window order
@@ -697,7 +644,7 @@ def _update_bookkeeping(
     """Derive the stage-(n+1) value sets, covers, and budgets of the split
     ``stage``; verify the exact separation and nesting conditions on the
     recorded finite sets."""
-    split, tower = stage.split, stage.patch.tower
+    split, tower = stage.split, stage.tower
     n_new = len(history) + 1
     s = split.offset
     value_sets: dict = {}
@@ -860,10 +807,9 @@ def build_model(sys: DynamicalSystem, w: WeightTable, cfg: ExperimentConfig) -> 
             raise StageError(f"patch verification failed at stage {idx + 1}: {patch_report}")
         patched_values = model.range_values()
         split = split_values(model)
-        stage.split = split
+        stage = model.stages[-1] = ModelStage(stage.tower, stage.xi, stage.n0, stage.n, split)
         drift += split.offset
-        tower = stage.patch.tower
-        quartic += tower.mu_bn_upper() * (ball.max_abs() + drift) ** 4
+        quartic += stage.tower.mu_bn_upper() * (ball.max_abs() + drift) ** 4
         state = _update_bookkeeping(model.history, stage, patched_values, ball, eta)
         state.checks["patch"] = patch_report
         if not state.checks["separation"]["pass"]:
@@ -920,7 +866,7 @@ def run_stage_checks(model: ModelFunction, cfg: ExperimentConfig) -> None:
     drift = sum(st.split.offset for st in model.stages if st.split is not None)
     analytic = drift**4
     for st, hs in zip(model.stages, history):
-        analytic += st.patch.tower.mu_bn_upper() * (hs.ball.max_abs() + drift) ** 4
+        analytic += st.tower.mu_bn_upper() * (hs.ball.max_abs() + drift) ** 4
     per_stage = {}
     ok5 = analytic < 1.0
     for k in range(1, n + 1):
@@ -1057,11 +1003,11 @@ def conditional_hits(
     in the stage-i ball.  The exact base measure times the Clopper-Pearson
     lower end of the conditional hit rate is ``lower``, a lower bound on
     mu(phi in U_i); it passes above ``required``."""
-    tower = model.stages[i - 1].patch.tower
+    tower = model.stages[i - 1].tower
     n = len(model.history)
     draws = cfg.samples.base_samples
     points = dynamics.conditional_base_sampler(tower, seed, draws)
-    hit = [win.in_hit_event(i, n) for win in orbit_windows(model, points, *_ball_box(model.spec, tower.n))]
+    hit = [win.in_hit_event(i, n) for win in orbit_windows(model, points, model.w.ball(tower.n)[1])]
     survivors = points[np.concatenate(hit) if hit else np.zeros(0, dtype=bool)]
     in_ball = ball_hits(phi(model, survivors, cfg.n_trunc), model.history[i - 1].ball, model.w)[0]
     lower, ok = stats.certify(stats.LOWER, required, counts=(in_ball, draws), scale=tower.mu_pattern)
@@ -1082,23 +1028,22 @@ def orbit_frequency(model: ModelFunction, x: PointBatch, a, ball: BallSpec, n_st
     window, offsets = model.w.ball(n_trunc)
     tail = model.tail(n_trunc)
     a_c = groups.coords(spec, [a])[0]
-    stages = _stage_events(model)
 
-    def box(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-        ends = np.stack((first * a_c, last * a_c))
-        return _grow(ends.min(axis=0), ends.max(axis=0), offsets)
+    def cells(steps) -> np.ndarray:
+        """The cells g a^t of each step t of ``steps``, step by step in
+        window order."""
+        return (np.reshape(steps, (-1, 1, 1)) * a_c + offsets).reshape(-1, len(a_c))
 
+    # the cells of a stretch's two end steps span the box of all its cells
     stretch = n_steps
-    while stretch > 1 and math.prod(_shape(*_bit_box(stages, *box(0, stretch - 1)))) > WINDOW_CELL_BUDGET:
+    while stretch > 1 and OrbitWindow.size(model.stages, cells([0, stretch - 1])) > WINDOW_CELL_BUDGET:
         stretch = (stretch + 1) // 2
     hit = []
     indeterminate = 0
     for first in range(0, n_steps, stretch):
         steps = np.arange(first, min(n_steps, first + stretch))
-        (win,) = orbit_windows(model, x, *box(int(steps[0]), int(steps[-1])))
-        # the cells g a^t of every step t, step by step in window order
-        cells = (steps[:, None, None] * a_c + offsets).reshape(-1, len(a_c))
-        values = win.rows(win.values(), cells).reshape(len(steps), len(window))
+        (win,) = orbit_windows(model, x, cells(steps))
+        values = win.values().reshape(len(steps), len(window))
         step_hit, step_open = _membership(distances(window, values, ball, model.w), tail, ball)
         hit += step_hit.tolist()
         indeterminate += int(step_open.sum())

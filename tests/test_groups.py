@@ -228,6 +228,29 @@ def test_word_length():
     assert groups.word_length(z2, (2, -3)) == 5
 
 
+def test_heisenberg_word_length_is_the_first_ball_radius():
+    # ``ball`` and ``word_length`` share one breadth-first search
+    h = groups.GroupSpec("heisenberg", 2)
+    first = {}
+    for r in range(7):
+        for g in groups.ball(h, r):
+            first.setdefault(g, r)
+    assert len(first) == len(groups.ball(h, 6))
+    assert all(groups.word_length(h, g) == r for g, r in first.items())
+
+
+def test_heisenberg_ball_cap_is_the_ball_size(monkeypatch):
+    # CapacityError exactly when B_n holds more than BALL_CAP elements
+    h = groups.GroupSpec("heisenberg", 2)
+    size = len(groups.ball(h, 4))
+    monkeypatch.setattr(groups, "BALL_CAP", size)
+    assert len(groups.ball(h, 4)) == size
+    monkeypatch.setattr(groups, "BALL_CAP", size - 1)
+    with pytest.raises(CapacityError):
+        groups.ball(h, 4)
+    assert len(groups.ball(h, 3)) < size
+
+
 def test_embedding_z_into_f2():
     z = groups.GroupSpec("integers")
     f2 = groups.GroupSpec("free", 2)

@@ -29,6 +29,7 @@ class ModelEvaluator:
         self.model = mdl
         self.spec = mdl.spec
         self.root = dynamics.PointBatch(x.system, x.draws, x.stream, x.forced, groups.identity(mdl.spec))
+        self.family = dynamics.SetFamily(mdl.spec)
         n_stages = len(mdl.stages)
         self._bits = {}
         self._base = [dict() for _ in range(n_stages)]
@@ -52,7 +53,7 @@ class ModelEvaluator:
     def in_base(self, j: int, u) -> bool:
         cache = self._base[j]
         if u not in cache:
-            cache[u] = self._has(self.model.stages[j].patch.tower.pattern.items(), u)
+            cache[u] = self._has(self.model.stages[j].tower.pattern.items(), u)
         return cache[u]
 
     def locate(self, j: int, position):
@@ -63,7 +64,7 @@ class ModelEvaluator:
             cache[position] = next(
                 (
                     g
-                    for g in groups.ball(spec, self.model.stages[j].patch.n)
+                    for g in groups.ball(spec, self.model.stages[j].n)
                     if self.in_base(j, groups.multiply(spec, groups.inverse(spec, g), position))
                 ),
                 None,
@@ -73,7 +74,7 @@ class ModelEvaluator:
     def in_routing_set(self, j: int, position) -> bool:
         cache = self._route[j]
         if position not in cache:
-            cyl = self.model.family.set_at(self.model.stages[j].split.a_index)
+            cyl = self.family.set_at(self.model.stages[j].split.a_index)
             cache[position] = self._has(cyl.bits, position)
         return cache[position]
 
@@ -91,7 +92,7 @@ class ModelEvaluator:
             stage = self.model.stages[j]
             g = self.locate(j, position)
             if g is not None:
-                v = stage.patch.xi.get(g, 0.0)
+                v = stage.xi.get(g, 0.0)
             if stage.split is not None:
                 minus, plus = stage.split.split_map[v]
                 v = minus if self.in_routing_set(j, position) else plus
@@ -104,9 +105,9 @@ class ModelEvaluator:
             position = groups.identity(spec)
         if not self.in_base(i - 1, position):
             return False
-        n_i = self.model.stages[i - 1].patch.n
+        n_i = self.model.stages[i - 1].n
         for j in range(i + 1, n + 1):
-            n_j = self.model.stages[j - 1].patch.n
+            n_j = self.model.stages[j - 1].n
             for k in groups.ball(spec, n_i + n_j):
                 if self.in_base(j - 1, groups.multiply(spec, groups.inverse(spec, k), position)):
                     return False
@@ -157,8 +158,7 @@ def model_from_dict(data: dict, w: measures.WeightTable) -> model.ModelFunction:
                     for u, v in sd["split"]["map"]
                 },
             )
-        patch = model.StagePatch(tower=tower, xi=xi, n0=sd["n0"], n=sd["n"])
-        stages.append(model.ModelStage(patch=patch, split=split))
+        stages.append(model.ModelStage(tower, xi, sd["n0"], sd["n"], split))
     return model.ModelFunction(system=system, stages=stages, w=w)
 
 
@@ -200,11 +200,19 @@ def oracle_equivariance(mdl, samples, h, n_trunc, seed) -> tuple[int, int]:
     return compared, mismatches
 
 
+def box_cells(lo, hi) -> np.ndarray:
+    """The (C, d) cells of the box [lo, hi], in C order."""
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 @pytest.mark.parametrize("kind,d", [("integers", 1), ("lattice", 2), ("lattice", 3), ("heisenberg", 2)])
 def test_ball_box_holds_the_word_ball(kind, d):
+    # the box of ``measures.cell_box``, which sizes the weight tables
     spec = groups.GroupSpec(kind, d)
     for r in range(7):
-        lo, hi = model._ball_box(spec, r)
+        radii = np.array(measures.cell_box(spec, r)[0])
+        lo, hi = -radii, radii
         cells = groups.coords(spec, groups.ball(spec, r))
         assert ((cells >= lo) & (cells <= hi)).all()
         if kind != "heisenberg":
@@ -343,10 +351,10 @@ def test_window_rejects_rotation_points(built_model, z_spec):
 
 def test_hit_events_nested(built_model):
     mdl = built_model[0]
-    tower1 = mdl.stages[0].patch.tower
+    tower1 = mdl.stages[0].tower
     n = len(mdl.history)
     points = dynamics.conditional_base_sampler(tower1, 42, 40)
-    (win,) = model.orbit_windows(mdl, points, (-tower1.n,), (tower1.n,))
+    (win,) = model.orbit_windows(mdl, points, box_cells((-tower1.n,), (tower1.n,)))
     flags = [win.in_hit_event(1, m) for m in range(1, n + 1)]
     # membership at stage m implies membership at every earlier stage
     for earlier, later in zip(flags, flags[1:]):
@@ -381,11 +389,11 @@ def test_evaluator_locate_matches_tower(built_model, z_bernoulli):
     # of TowerSpec.located, which share the bit box and its sieve
     mdl = built_model[0]
     for j, stage in enumerate(mdl.stages):
-        tower = stage.patch.tower
+        tower = stage.tower
         ball = groups.ball(z_bernoulli.group, tower.n)
         points = dynamics.conditional_base_sampler(tower, 70 + j, 10)
         lo, hi = -2 * tower.n - 2, 2 * tower.n + 2
-        (win,) = model.orbit_windows(mdl, points, (lo,), (hi,))
+        (win,) = model.orbit_windows(mdl, points, box_cells((lo,), (hi,)))
         for u in range(lo, hi + 1):
             located = located_by_translates(tower, points.moved(u))
             assert np.array_equal(tower.located(points.moved(u)), located)
@@ -409,7 +417,7 @@ def test_conditional_hits_reproduce_stratified_bound(built_model):
     for i, expected in STRATIFIED_LOWER_SEED_6.items():
         _, in_ball, lower, ok = model.conditional_hits(mdl, i, cfg, 6 + 5000 + i, expected)
         cp_lower = stats.clopper_pearson(in_ball, cfg.samples.base_samples)[0]
-        assert lower == mdl.stages[i - 1].patch.tower.mu_pattern * cp_lower == expected
+        assert lower == mdl.stages[i - 1].tower.mu_pattern * cp_lower == expected
         assert not ok  # a bound equal to its requirement fails
 
 
@@ -418,8 +426,8 @@ def test_serialization_roundtrip(built_model, z_bernoulli):
     data = json.loads(json.dumps(mdl.to_dict()))
     back = model_from_dict(data, mdl.w)
     x = point(z_bernoulli, 44)
-    (win1,) = model.orbit_windows(mdl, x, (-15,), (15,))
-    (win2,) = model.orbit_windows(back, x, (-15,), (15,))
+    (win1,) = model.orbit_windows(mdl, x, box_cells((-15,), (15,)))
+    (win2,) = model.orbit_windows(back, x, box_cells((-15,), (15,)))
     assert (win1.values() == win2.values()).all()
 
 
@@ -452,6 +460,23 @@ def test_lattice_build_smoke(lattice_built):
     assert all(v["pass"] for v in final.checks.values())
     (rep,) = model.equivariance_check(mdl, samples=20, hs=[(1, 0)], n_trunc=5, seed=2)
     assert rep["mismatches"] == 0
+
+
+def test_window_values_follow_the_cells_in_list_order(lattice_built):
+    # the cells of B_3 on Z^2 shuffled, one of them listed twice: one
+    # window's values equal the dict oracle at every listed cell, in order
+    mdl = lattice_built
+    spec = mdl.spec
+    ball = groups.ball(spec, 3)
+    listed = [ball[k] for k in np.random.default_rng(1).permutation(len(ball))]
+    listed.insert(3, listed[10])
+    points = dynamics.conditional_base_sampler(mdl.stages[-1].tower, 8, 3)
+    win = model.OrbitWindow(mdl.stages, points, groups.coords(spec, listed))
+    values = win.values()
+    assert values.shape == (len(points), len(listed)) and len(set(values.ravel().tolist())) > 2
+    for row, x in zip(values.tolist(), handles(points)):
+        ev = ModelEvaluator(mdl, x)
+        assert row == [ev.f_value(groups.multiply(spec, g, x.offset)) for g in listed]
 
 
 def _far_balls(spec, w, n_trunc) -> list:
@@ -529,12 +554,12 @@ def _loose_model(system: dynamics.DynamicalSystem, w: measures.WeightTable) -> m
             system=system, n=n, eta=0.5, pattern=pattern
         )
         xi = {g: (i + 1) / 8 for i, g in enumerate(groups.ball(spec, n))}
-        stage = model.ModelStage(patch=model.StagePatch(tower=tower, xi=xi, n0=n, n=n))
-        mdl.stages.append(stage)
+        mdl.stages.append(model.ModelStage(tower, xi, n, n))
         s = 2.0 ** -(6 + 3 * j)
-        stage.split = model.StageSplit(
+        split = model.StageSplit(
             a_index=j + 1, offset=s, split_map={u: (u - s, u + s) for u in mdl.range_values()}
         )
+        mdl.stages[-1] = model.ModelStage(tower, xi, n, n, split)
     return mdl
 
 
@@ -546,12 +571,12 @@ def _assert_window_matches_oracle(mdl: model.ModelFunction, points: dynamics.Poi
     d = 1 if spec.kind == "integers" else spec.d
     box = list(itertools.product(range(-radius, radius + 1), repeat=d))
     cells = [c[0] for c in box] if spec.kind == "integers" else box
-    (win,) = model.orbit_windows(mdl, points, (-radius,) * d, (radius,) * d)
-    balls = [groups.ball(spec, st.patch.n) for st in mdl.stages]
+    (win,) = model.orbit_windows(mdl, points, box_cells((-radius,) * d, (radius,) * d))
+    balls = [groups.ball(spec, st.n) for st in mdl.stages]
     values = {0: np.zeros((win.n_points,) + win.shape)}
     for k in range(1, n + 1):
         values[k] = win.step(k - 1, values[k - 1].copy())  # step updates its argument in place
-    assert np.array_equal(win.values(), values[n])
+    assert np.array_equal(win.values(), values[n].reshape(win.n_points, -1))
     for p, x in enumerate(handles(points)):
         ev = ModelEvaluator(mdl, x)
         at = [groups.multiply(spec, g, x.offset) for g in cells]
@@ -573,7 +598,7 @@ def _oracle_draws(mdl: model.ModelFunction, probe: dynamics.DynamicalSystem, cou
     spec = mdl.spec
     batches = [dynamics.sample_points(probe, np.arange(count))]
     for j, stage in enumerate(mdl.stages):
-        batches.append(dynamics.conditional_base_sampler(stage.patch.tower, 90 + j, count))
+        batches.append(dynamics.conditional_base_sampler(stage.tower, 90 + j, count))
     shifts = [h for h in groups.ball(spec, 2) if h != groups.identity(spec)]
     turn = np.arange(len(batches) * count).reshape(len(batches), count) % len(shifts)
     batches += [
@@ -659,7 +684,7 @@ def test_orbit_stretches_split_under_budget(built_model, z_bernoulli, monkeypatc
     # into several windows, and the series still equals the oracle's
     mdl = built_model[0]
     x = point(z_bernoulli, 4)
-    lo, hi = model._bit_box(model._stage_events(mdl), np.array([-16]), np.array([16]))
+    lo, hi = model.OrbitWindow.bit_box(mdl.stages, box_cells((-16,), (16,)))
     monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", int(hi[0] - lo[0]) + 1 + 30)
     windows = []
     orbit_windows = model.orbit_windows
@@ -681,7 +706,7 @@ def test_window_over_budget_raises_before_reading(built_model, z_bernoulli, monk
     mdl = built_model[0]
     points = dynamics.sample_points(z_bernoulli, np.arange(3))
     whole = model.phi(mdl, points, 16)[1]
-    lo, hi = model._bit_box(model._stage_events(mdl), np.array([-16]), np.array([16]))
+    lo, hi = model.OrbitWindow.bit_box(mdl.stages, box_cells((-16,), (16,)))
     cells = int(hi[0] - lo[0]) + 1
     monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", cells)
     assert np.array_equal(model.phi(mdl, points, 16)[1], whole)
@@ -701,9 +726,12 @@ def test_window_over_budget_raises_before_reading(built_model, z_bernoulli, monk
 def test_window_split_map_miss_raises(built_model, z_bernoulli):
     mdl = model_from_dict(json.loads(json.dumps(built_model[0].to_dict())), built_model[0].w)
     points = dynamics.sample_points(z_bernoulli, np.arange(20))
-    # drop the last split's key for the value the first point carries into it
+    # drop the last split's key for the value the first point carries into
+    # it: the stage's array form is built once, so a stage is made anew
     before = model.point_values(mdl, points)[0][-2][0]
-    mdl.stages[-1].split.split_map.pop(before)
+    last = mdl.stages[-1]
+    split_map = {u: v for u, v in last.split.split_map.items() if u != before}
+    mdl.stages[-1] = model.ModelStage(last.tower, last.xi, last.n0, last.n, last.split._replace(split_map=split_map))
     with pytest.raises(KeyError):
         model.point_values(mdl, points)
     with pytest.raises(KeyError):
@@ -778,10 +806,10 @@ def _dense_base(win: model.OrbitWindow, j: int) -> np.ndarray:
     """The stage-(j+1) base of ``win``: every marker cell ANDed over the
     whole base box, the oracle of the survivor sieve."""
     st = win.stages[j]
-    lo, hi = st.base_box(win.lo, win.hi)
+    lo, hi = model._grow(win.lo, win.hi, st.ball)
     shape = model._shape(lo, hi)
     base = np.ones((win.n_points,) + shape, dtype=bool)
-    for p, b in zip(*st.pattern):
+    for p, b in zip(*st.tower.marker):
         base &= win.bits.take(lo + p, shape) == b
     return base
 
@@ -807,7 +835,7 @@ def test_base_sieve_equals_dense_and(d, length):
     tower = dynamics.TowerSpec(system=system, n=1, eta=0.5, pattern=pattern)
     mdl = model.ModelFunction(system=system, stages=[], w=measures.build_weight(spec, WeightConfig(0.5, 2)))
     xi = {g: 0.5 for g in groups.ball(spec, 1)}
-    mdl.stages.append(model.ModelStage(patch=model.StagePatch(tower=tower, xi=xi, n0=1, n=1)))
+    mdl.stages.append(model.ModelStage(tower, xi, 1, 1))
     fresh = dynamics.sample_points(system, np.arange(40))
     forced = dynamics.conditional_base_sampler(tower, 3, 6)
     a = groups.generators(spec)[0]
@@ -821,7 +849,7 @@ def test_base_sieve_equals_dense_and(d, length):
         (forced.moved(a), box, True),
         (fresh[:2], ((0,) * d, (0,) * d), False),
     ):
-        (win,) = model.orbit_windows(mdl, points, lo, hi)
+        (win,) = model.orbit_windows(mdl, points, box_cells(lo, hi))
         base = win.base(0).array
         assert base.dtype == bool and np.array_equal(base, _dense_base(win, 0))
         assert survivors is None or base.any() == survivors
@@ -833,7 +861,7 @@ def test_locate_takes_the_first_of_meeting_hits():
     # locate keeps the first in ball order, as the backwards walk does
     spec = groups.GroupSpec("integers")
     mdl = _loose_model(dynamics.bernoulli_system(spec, seed=3), measures.build_weight(spec, WeightConfig(0.5, 8)))
-    (win,) = model.orbit_windows(mdl, dynamics.sample_points(mdl.system, np.arange(20)), (-6,), (6,))
+    (win,) = model.orbit_windows(mdl, dynamics.sample_points(mdl.system, np.arange(20)), box_cells((-6,), (6,)))
     meeting = sum(
         win.base(0).take(win.lo - g, win.shape).astype(int)
         for g in win.stages[0].ball

@@ -76,16 +76,10 @@ def test_constructor_checks(make, message):
 def _records() -> list:
     """One of each immutable record."""
     cfg = config.ExperimentConfig()
-    sys = dynamics.bernoulli_system(Z, 0)
-    tower = dynamics.TowerSpec(system=sys, n=1, eta=0.5, pattern={0: 1, 1: 1, 2: 0})
-    patch = model.StagePatch(tower=tower, xi={0: 0.5}, n0=0, n=1)
-    stage = model.ModelStage(patch)
     return [
         cfg, cfg.group, cfg.weights, cfg.system, cfg.samples, cfg.tolerances,
         model.basis_balls(1, Z),
-        patch,
         model.StageSplit(a_index=1, offset=0.1, split_map={0.5: (0.4, 0.6)}),
-        model._StageEvents.of(model.ModelFunction(sys, [stage], measures.build_weight(Z, WeightConfig(0.5, 2))), stage),
         dynamics.BitBox(np.zeros((1, 3), dtype=bool), np.zeros(1, dtype=np.int64)),
         dynamics.CylinderSet.from_dict(Z, {0: 1}),
         markov.cos_observable(0),
