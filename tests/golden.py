@@ -1,12 +1,15 @@
 """The golden-output manifest ``golden.json``: the sha256 of every output
-file but ``run_meta.json`` of three runs, keyed by platform.
+file but ``run_meta.json`` of four runs, keyed by platform.
 
 * ``small``: the nine commands on ``SMALL_CONFIG`` (the outputs that
   ``test_cli``'s ``fresh_runs`` fixture writes);
 * ``default``: ``weights`` and ``norms`` on the default config (seed 20240);
 * ``lattice``: ``build``, ``support`` and ``orbit`` on ``LATTICE_CONFIG``,
   the staged model of the Bernoulli shift of Z^2, whose orbit windows are
-  two-dimensional.
+  two-dimensional;
+* ``embed``: ``build``, ``support`` and ``orbit`` on ``EMBED_CONFIG``, the
+  benchmark's three-stage model on Z, whose value sets nest over two
+  levels.
 
 Outputs go through libm (``math.cos``, ``log``, ``exp``) and numpy's SIMD
 ``cos``/``sin``, so a digest is only promised on the platform that recorded
@@ -49,7 +52,15 @@ LATTICE_CONFIG = {
     "weights": {"q": 0.5, "n_max": 12},
     "samples": {"check_samples": 300, "base_samples": 60, "equivariance_samples": 100, "orbit_steps": 200},
 }
-LATTICE_COMMANDS = ("build", "support", "orbit")
+EMBED_CONFIG = {
+    "stages": 3,
+    "samples": {
+        "tower_samples": 20000, "check_samples": 1000, "equivariance_samples": 250,
+        "orbit_steps": 1500, "averaging_samples": 500,
+    },
+}
+STAGED_CONFIGS = {"lattice": LATTICE_CONFIG, "embed": EMBED_CONFIG}
+STAGED_COMMANDS = ("build", "support", "orbit")
 
 
 def platform_key() -> str:
@@ -91,27 +102,30 @@ def run_default(out: Path) -> None:
         assert cli.main([command, "--out", str(out)]) == 0
 
 
-def run_lattice(out: Path) -> None:
-    cfg = out / "lattice.json"
+def run_staged(name: str, out: Path) -> None:
+    """``STAGED_COMMANDS`` on the config ``STAGED_CONFIGS[name]``."""
+    cfg = out / f"{name}.json"
     out.mkdir(parents=True, exist_ok=True)
-    cfg.write_text(json.dumps(LATTICE_CONFIG))
-    for command in LATTICE_COMMANDS:
+    cfg.write_text(json.dumps(STAGED_CONFIGS[name]))
+    for command in STAGED_COMMANDS:
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def record() -> None:
-    """Run the three runs in a scratch directory and write this platform's
+    """Run the four runs in a scratch directory and write this platform's
     entry."""
     with tempfile.TemporaryDirectory() as tmp:
-        small, default, lattice = Path(tmp, "small"), Path(tmp, "default"), Path(tmp, "lattice")
+        small, default = Path(tmp, "small"), Path(tmp, "default")
         cfg = Path(tmp, "cfg.json")
         cfg.write_text(json.dumps(SMALL_CONFIG))
         for command in cli.COMMANDS:
             # ``continuous`` exits 1 for the record that fails by design (11b)
             assert cli.main([command, "--config", str(cfg), "--out", str(small)]) == (command == "continuous")
         run_default(default)
-        run_lattice(lattice)
-        found = digests({"small": small, "default": default, "lattice": lattice})
+        staged = {name: Path(tmp, name) for name in STAGED_CONFIGS}
+        for name, out in staged.items():
+            run_staged(name, out)
+        found = digests({"small": small, "default": default, **staged})
     manifest = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     manifest[platform_key()] = {**environment(), "digests": found}
     MANIFEST.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")

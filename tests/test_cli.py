@@ -267,8 +267,10 @@ def test_outputs_match_golden_manifest(fresh_runs, tmp_path):
     if entry is None:
         pytest.skip(f"golden.json has no digests for {golden.platform_key()}")
     golden.run_default(tmp_path / "default")
-    golden.run_lattice(tmp_path / "lattice")
-    found = golden.digests({"small": fresh_runs[1], "default": tmp_path / "default", "lattice": tmp_path / "lattice"})
+    staged = {name: tmp_path / name for name in golden.STAGED_CONFIGS}
+    for name, out in staged.items():
+        golden.run_staged(name, out)
+    found = golden.digests({"small": fresh_runs[1], "default": tmp_path / "default", **staged})
     assert golden.mismatches(found, entry) == []
 
 
