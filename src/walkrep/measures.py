@@ -227,11 +227,15 @@ class WeightTable(_Cells):
     dropped terms.  Elements outside the box carry no stored weight.
     """
 
-    def __init__(self, spec: GroupSpec, offset: tuple, params: WeightConfig, partials: tuple, tail_bound: float):
+    def __init__(self, spec: GroupSpec, offset: tuple, params: WeightConfig, partials: tuple):
         super().__init__(spec, offset)
-        self.params, self.partials, self.tail_bound = params, partials, tail_bound
+        self.params, self.partials = params, partials
         self._ball_masses: dict = {}
         self._balls: dict = {}
+
+    @property
+    def tail_bound(self) -> float:
+        return self.params.tail
 
     def _depth(self, depth: int) -> np.ndarray:
         if not 0 <= depth <= self.params.n_max:
@@ -323,9 +327,7 @@ def build_weight(spec: GroupSpec, params: WeightConfig, rho: dict | None = None)
     for n, rho_n in enumerate(powers, start=1):
         acc = acc + params.p(n) * rho_n
         partials.append(acc)
-    return WeightTable(
-        spec=spec, offset=offset, params=params, partials=tuple(partials), tail_bound=params.tail
-    )
+    return WeightTable(spec=spec, offset=offset, params=params, partials=tuple(partials))
 
 
 def translation_bound(w: WeightTable, length: int) -> float:

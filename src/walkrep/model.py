@@ -129,56 +129,64 @@ def basis_balls(k: int, spec: GroupSpec) -> BallSpec:
 
 
 class StageSplit(NamedTuple):
-    """u -> (u - s, u + s); the minus side is taken on the routing set."""
+    """u -> (u - s, u + s) for every parent value u, s the ``offset``; the
+    minus side is taken on the routing set."""
 
     a_index: int
     offset: float
-    split_map: dict  # value -> (u0, u1)
+    parents: tuple  # sorted
+
+    def children(self, values) -> tuple:
+        """u - s and u + s of every u of ``values``, in turn."""
+        return tuple(v for u in values for v in (u - self.offset, u + self.offset))
 
 
 class ModelStage:
-    """One stage: a tower patch (erase on B_n E, write the center ``xi``, a
-    dict on B_{n0}, on B_{n0} E, zero on the annulus), then the value
-    ``split``.  ``hit_ball`` makes a stage without its split, and
-    ``build_model`` puts the split stage in its place.
+    """One stage: a tower patch (erase on B_n E, n the tower height, write
+    the center ``xi``, a dict on B_{n0}, on B_{n0} E, zero on the annulus),
+    then the value ``split``.  ``hit_ball`` makes a stage without its split,
+    and ``build_model`` puts the split stage in its place.
 
     The array form is built here, once: ``ball`` holds the coordinates of
     the locate ball B_n in ``groups.ball`` order and ``ball_xi`` the values
     of ``xi`` aligned with it; ``cylinder`` is the routing cylinder
     ``SetFamily.set_at(split.a_index)`` as a (coordinates, bits) pair of
-    arrays (empty before the split), and the split map is held as sorted
+    arrays (empty before the split), and the split as its sorted parent
     ``keys`` with their ``minus`` and ``plus`` images (None before it).
     """
 
-    def __init__(self, tower: TowerSpec, xi: dict, n0: int, n: int, split: StageSplit | None = None):
-        self.tower, self.xi, self.n0, self.n, self.split = tower, xi, n0, n, split
+    def __init__(self, tower: TowerSpec, xi: dict, n0: int, split: StageSplit | None = None):
+        self.tower, self.xi, self.n0, self.split = tower, xi, n0, split
         spec = tower.spec
-        ball_n = groups.ball(spec, n)
+        ball_n = groups.ball(spec, tower.n)
         self.ball = groups.coords(spec, ball_n)
         self.ball_xi = np.array([xi.get(g, 0.0) for g in ball_n], dtype=np.float64)
         constraints = () if split is None else SetFamily(spec).set_at(split.a_index).bits
         self.cylinder = (groups.coords(spec, [c for c, _ in constraints]), np.array([b for _, b in constraints]))
         self.keys = self.minus = self.plus = None
         if split is not None:
-            ordered = sorted(split.split_map)
-            self.keys = np.array(ordered, dtype=np.float64)
-            self.minus = np.array([split.split_map[u][0] for u in ordered], dtype=np.float64)
-            self.plus = np.array([split.split_map[u][1] for u in ordered], dtype=np.float64)
+            self.keys = np.array(split.parents, dtype=np.float64)
+            self.minus, self.plus = self.keys - split.offset, self.keys + split.offset
 
 
 class StageState:
     """Snapshot recorded after stage n completes; ``checks`` collects the
-    stage's check records."""
+    stage's check records.  ``value_sets`` maps each level to its sorted
+    (minus-side, plus-side) values; the range (the level-n values) and the
+    ``covers`` (width ``beta`` around each value) follow from them."""
 
     def __init__(
         self, n: int, ball: BallSpec, eta: float, beta: float, eps: dict, gamma: dict, delta: dict,
-        range_values: tuple, value_sets: dict, covers: dict,
+        value_sets: dict,
     ):
         self.n, self.ball, self.eta, self.beta = n, ball, eta, beta
         self.eps, self.gamma, self.delta = eps, gamma, delta
-        self.range_values = range_values
-        self.value_sets = value_sets  # level -> (tuple minus-side, tuple plus-side)
-        self.covers = covers  # level -> (tuple of (lo,hi), tuple of (lo,hi))
+        self.value_sets = value_sets
+        self.range_values = tuple(sorted(value_sets[n][0] + value_sets[n][1]))
+        self.covers = {
+            i: tuple(tuple((u - beta / 2.0, u + beta / 2.0) for u in side) for side in sides)
+            for i, sides in value_sets.items()
+        }
         self.checks: dict = {}
 
     def to_dict(self, spec: GroupSpec) -> dict:
@@ -223,9 +231,7 @@ class ModelFunction:
         for st in self.stages:
             values |= set(st.xi.values()) | {0.0}
             if st.split is not None:
-                values = {
-                    v for u in values for v in st.split.split_map[u]
-                }
+                values = set(st.split.children(values))
         return tuple(sorted(values))
 
     def max_abs(self) -> float:
@@ -256,15 +262,15 @@ class ModelFunction:
                     )
                 ],
                 "n0": st.n0,
-                "n": st.n,
+                "n": st.tower.n,
                 "split": None
                 if st.split is None
                 else {
                     "a_index": st.split.a_index,
                     "offset": st.split.offset,
                     "map": [
-                        [u.hex(), [v[0].hex(), v[1].hex()]]
-                        for u, v in sorted(st.split.split_map.items())
+                        [u.hex(), [v.hex() for v in st.split.children((u,))]]
+                        for u in st.split.parents
                     ],
                 },
             }
@@ -417,9 +423,9 @@ class OrbitWindow:
         the B_{N_i + N_j} neighborhoods of all later patch regions j <= n.
         The cells must span B_{N_i}."""
         hit = self.in_base(i - 1).copy()
-        n_i = self.stages[i - 1].n
+        n_i = self.stages[i - 1].tower.n
         for j in range(i + 1, n + 1):
-            for k in groups.coords(self.spec, groups.ball(self.spec, n_i + self.stages[j - 1].n)):
+            for k in groups.coords(self.spec, groups.ball(self.spec, n_i + self.stages[j - 1].tower.n)):
                 hit &= ~self.in_base(j - 1, -k)
         return hit
 
@@ -559,7 +565,7 @@ def hit_ball(model: ModelFunction, ball: BallSpec, quartic_budget: float) -> tup
     xi = ball.center_dict()
     max_abs = max(model.max_abs(), ball.max_abs())
     n = _tail_height(model.w, max(max_abs, 1e-9), ball)
-    prev_heights = [st.n for st in model.stages]
+    prev_heights = [st.tower.n for st in model.stages]
     blow = max(
         [len(groups.ball(spec, n_i + n)) for n_i in prev_heights]
         + [len(groups.ball(spec, n))]
@@ -578,7 +584,7 @@ def hit_ball(model: ModelFunction, ball: BallSpec, quartic_budget: float) -> tup
         factor *= 4.0
         if factor > 2**80:
             raise StageError("cannot keep the quartic norm below 1")
-    return ModelStage(tower, xi, ball.level, n), eta
+    return ModelStage(tower, xi, ball.level), eta
 
 
 def verify_patch(model: ModelFunction, ball: BallSpec, cfg: ExperimentConfig) -> dict:
@@ -590,9 +596,9 @@ def verify_patch(model: ModelFunction, ball: BallSpec, cfg: ExperimentConfig) ->
     points = dynamics.conditional_base_sampler(
         stage.tower, cfg.seed + stage_index, cfg.samples.base_samples
     )
-    window, cells = model.w.ball(stage.n)
+    window, cells = model.w.ball(stage.tower.n)
     weights = model.w.read(cells)
-    tail = model.tail(stage.n)
+    tail = model.tail(stage.tower.n)
     center = ball.center_dict()
     center_row = np.array([center.get(g, 0.0) for g in window])
     mismatches = 0
@@ -625,43 +631,32 @@ def split_values(model: ModelFunction) -> StageSplit:
     n_new = len(model.stages)
     s = EPS1 if n_new == 1 else model.history[n_new - 2].beta / 8.0
     values = model.range_values()  # range of the patched model f-hat
-    split_map = {u: (u - s, u + s) for u in values}
-    offspring = [v for pair in split_map.values() for v in pair]
+    split = StageSplit(a_index=n_new, offset=s, parents=values)
+    offspring = split.children(values)
     if len(set(offspring)) != len(offspring):
-        raise StageError(
-            f"value split collides at offset {s}: gaps {sorted(values)}"
-        )
-    return StageSplit(a_index=n_new, offset=s, split_map=split_map)
+        raise StageError(f"value split collides at offset {s}: values {list(values)}")
+    return split
 
 
-def _update_bookkeeping(
-    history: list[StageState],
-    stage: ModelStage,
-    patched_values: tuple,
-    ball: BallSpec,
-    eta: float,
-) -> StageState:
+def _update_bookkeeping(history: list[StageState], stage: ModelStage, ball: BallSpec, eta: float) -> StageState:
     """Derive the stage-(n+1) value sets, covers, and budgets of the split
-    ``stage``; verify the exact separation and nesting conditions on the
-    recorded finite sets."""
+    ``stage``, whose parents are the values of the patched model; verify the
+    exact separation and nesting conditions on the recorded finite sets."""
     split, tower = stage.split, stage.tower
     n_new = len(history) + 1
-    s = split.offset
     value_sets: dict = {}
     eps: dict = {}
     gamma: dict = {}
     delta: dict = {}
     prev = history[-1] if history else None
     if prev is not None:
-        for i, (v0, v1) in prev.value_sets.items():
-            moved0 = tuple(sorted({x for u in v0 for x in split.split_map[u]}))
-            moved1 = tuple(sorted({x for u in v1 for x in split.split_map[u]}))
-            value_sets[i] = (moved0, moved1)
+        for i, sides in prev.value_sets.items():
+            value_sets[i] = tuple(tuple(sorted(split.children(side))) for side in sides)
             eps[i] = prev.eps[i]
             gamma[i] = prev.gamma[i]
             delta[i] = prev.delta[i]
-    new0 = tuple(sorted(split.split_map[u][0] for u in patched_values))
-    new1 = tuple(sorted(split.split_map[u][1] for u in patched_values))
+    children = split.children(split.parents)
+    new0, new1 = tuple(sorted(children[0::2])), tuple(sorted(children[1::2]))
     value_sets[n_new] = (new0, new1)
     gap_new = _set_distance(new0, new1)
     if gap_new <= 0:
@@ -685,27 +680,7 @@ def _update_bookkeeping(
         beta = min(beta, 0.75 * prev.beta)
     if beta <= 0:
         raise StageError("no positive cover width remains")
-    covers = {
-        i: (
-            tuple((u - beta / 2.0, u + beta / 2.0) for u in v0),
-            tuple((u - beta / 2.0, u + beta / 2.0) for u in v1),
-        )
-        for i, (v0, v1) in value_sets.items()
-    }
-    state = StageState(
-        n=n_new,
-        ball=ball,
-        eta=eta,
-        beta=beta,
-        eps=eps,
-        gamma=gamma,
-        delta=delta,
-        range_values=tuple(
-            sorted(x for u in patched_values for x in split.split_map[u])
-        ),
-        value_sets=value_sets,
-        covers=covers,
-    )
+    state = StageState(n_new, ball, eta, beta, eps, gamma, delta, value_sets)
     state.checks["separation"] = _check_separation(state)
     state.checks["nesting"] = _check_nesting(prev, state, split)
     return state
@@ -753,37 +728,21 @@ def _check_separation(state: StageState) -> dict:
     return {"levels": detail, "pass": bool(ok)}
 
 
-def _check_nesting(
-    prev: StageState | None, state: StageState, split: StageSplit
-) -> dict:
-    """Every new cover interval sits inside its parent's previous cover."""
+def _check_nesting(prev: StageState | None, state: StageState, split: StageSplit) -> dict:
+    """Both children's new cover intervals sit inside their parent's
+    previous cover, for every parent of every earlier level and side."""
     if prev is None:
         return {"pass": True, "checked": 0}
     checked = 0
     ok = True
-    for i, (c0, c1) in state.covers.items():
-        if i not in prev.covers:
-            continue
-        for side, intervals in ((0, c0), (1, c1)):
-            old = prev.covers[i][side]
-            old_points = prev.value_sets[i][side]
-            parent_interval = dict(zip(old_points, old))
-            for (lo, hi), point in zip(
-                intervals, state.value_sets[i][side]
-            ):
-                parent = _parent_value(point, split)
-                plo, phi_ = parent_interval[parent]
-                checked += 1
-                if not (plo <= lo and hi <= phi_):
-                    ok = False
+    for i, sides in prev.value_sets.items():
+        for side, parents in enumerate(sides):
+            cover = dict(zip(state.value_sets[i][side], state.covers[i][side]))
+            for u, (plo, phi_) in zip(parents, prev.covers[i][side]):
+                for lo, hi in (cover[v] for v in split.children((u,))):
+                    checked += 1
+                    ok = ok and plo <= lo and hi <= phi_
     return {"pass": bool(ok), "checked": checked}
-
-
-def _parent_value(point: float, split: StageSplit) -> float:
-    for u, (a, b) in split.split_map.items():
-        if point == a or point == b:
-            return u
-    raise StageError(f"value {point} has no split parent")
 
 
 def build_model(sys: DynamicalSystem, w: WeightTable, cfg: ExperimentConfig) -> ModelFunction:
@@ -805,12 +764,11 @@ def build_model(sys: DynamicalSystem, w: WeightTable, cfg: ExperimentConfig) -> 
         patch_report = verify_patch(model, ball, cfg)
         if not patch_report["pass"]:
             raise StageError(f"patch verification failed at stage {idx + 1}: {patch_report}")
-        patched_values = model.range_values()
         split = split_values(model)
-        stage = model.stages[-1] = ModelStage(stage.tower, stage.xi, stage.n0, stage.n, split)
+        stage = model.stages[-1] = ModelStage(stage.tower, stage.xi, stage.n0, split)
         drift += split.offset
         quartic += stage.tower.mu_bn_upper() * (ball.max_abs() + drift) ** 4
-        state = _update_bookkeeping(model.history, stage, patched_values, ball, eta)
+        state = _update_bookkeeping(model.history, stage, ball, eta)
         state.checks["patch"] = patch_report
         if not state.checks["separation"]["pass"]:
             raise StageError(f"separation check failed at stage {idx + 1}")

@@ -406,7 +406,7 @@ def test_degenerate_restriction(z_spec, f2_spec):
     emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
     empty = measures.WeightTable(
         w_small.spec, w_small.offset, w_small.params,
-        tuple(np.zeros_like(row) for row in w_small.partials), w_small.tail_bound,
+        tuple(np.zeros_like(row) for row in w_small.partials),
     )
     with pytest.raises(DegenerateRestrictionError):
         measures.restrict_renormalize(empty, emb)

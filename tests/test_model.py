@@ -64,7 +64,7 @@ class ModelEvaluator:
             cache[position] = next(
                 (
                     g
-                    for g in groups.ball(spec, self.model.stages[j].n)
+                    for g in groups.ball(spec, self.model.stages[j].tower.n)
                     if self.in_base(j, groups.multiply(spec, groups.inverse(spec, g), position))
                 ),
                 None,
@@ -94,8 +94,10 @@ class ModelEvaluator:
             if g is not None:
                 v = stage.xi.get(g, 0.0)
             if stage.split is not None:
-                minus, plus = stage.split.split_map[v]
-                v = minus if self.in_routing_set(j, position) else plus
+                if v not in stage.split.parents:
+                    raise KeyError(v)
+                s = stage.split.offset
+                v = v - s if self.in_routing_set(j, position) else v + s
             self._values[j + 1][position] = v
         return v
 
@@ -105,9 +107,9 @@ class ModelEvaluator:
             position = groups.identity(spec)
         if not self.in_base(i - 1, position):
             return False
-        n_i = self.model.stages[i - 1].n
+        n_i = self.model.stages[i - 1].tower.n
         for j in range(i + 1, n + 1):
-            n_j = self.model.stages[j - 1].n
+            n_j = self.model.stages[j - 1].tower.n
             for k in groups.ball(spec, n_i + n_j):
                 if self.in_base(j - 1, groups.multiply(spec, groups.inverse(spec, k), position)):
                     return False
@@ -133,7 +135,8 @@ def _elem_from_json(spec, v):
 
 def model_from_dict(data: dict, w: measures.WeightTable) -> model.ModelFunction:
     """The model of ``ModelFunction.to_dict`` on the weight table ``w``, for
-    round trips."""
+    round trips.  The split keeps only the map's parents and the offset, so
+    a map pair other than (u - offset, u + offset) raises EncodingError."""
     sysd = data["system"]
     spec = groups.GroupSpec(sysd["group"]["kind"], sysd["group"]["d"])
     system = dynamics.DynamicalSystem(
@@ -150,15 +153,13 @@ def model_from_dict(data: dict, w: measures.WeightTable) -> model.ModelFunction:
         xi = {_elem_from_json(spec, g): float(v) for g, v in sd["xi"]}
         split = None
         if sd["split"] is not None:
-            split = model.StageSplit(
-                a_index=sd["split"]["a_index"],
-                offset=sd["split"]["offset"],
-                split_map={
-                    float.fromhex(u): (float.fromhex(v[0]), float.fromhex(v[1]))
-                    for u, v in sd["split"]["map"]
-                },
-            )
-        stages.append(model.ModelStage(tower, xi, sd["n0"], sd["n"], split))
+            s = sd["split"]["offset"]
+            pairs = {float.fromhex(u): tuple(float.fromhex(v) for v in pair) for u, pair in sd["split"]["map"]}
+            for u, pair in pairs.items():
+                if pair != (u - s, u + s):
+                    raise EncodingError(f"split pair {pair} of {u} is not u -+ {s}")
+            split = model.StageSplit(a_index=sd["split"]["a_index"], offset=s, parents=tuple(pairs))
+        stages.append(model.ModelStage(tower, xi, sd["n0"], split))
     return model.ModelFunction(system=system, stages=stages, w=w)
 
 
@@ -260,13 +261,30 @@ def test_compute_eta_formula():
         eps={1: 0.1},
         gamma={1: 0.1},
         delta={1: 0.1},
-        range_values=(0.0,),
         value_sets={1: ((-0.1,), (0.1,))},
-        covers={1: (((-0.15, -0.05),), ((0.05, 0.15),))},
     )
     assert model.compute_eta([state]) == 0.1 / 4.0
     state.delta[1] = 0.05
     assert model.compute_eta([state]) == 0.05 / 4.0
+
+
+@pytest.mark.parametrize("beta, nested", [(0.01, True), (0.02, False)])
+def test_nesting_check_walks_each_parent_to_its_children(beta, nested):
+    # level 1 of stage 1 has two parents per side, each with the cover
+    # [u - 0.01, u + 0.01]; stage 2 splits them by s = 0.0025, and a new
+    # beta of 0.02 puts every child's cover past its parent's edge
+    z = groups.GroupSpec("integers")
+    sets = ((-0.3, -0.1), (0.1, 0.3))
+    prev = model.StageState(1, model.basis_balls(0, z), 0.5, 0.02, {1: 0.1}, {1: 0.1}, {1: 0.1}, {1: sets})
+    s = 0.0025
+    split = model.StageSplit(a_index=2, offset=s, parents=(-0.3, -0.1, 0.1, 0.3))
+    value_sets = {
+        1: tuple(tuple(sorted(x for u in side for x in (u - s, u + s))) for side in sets),
+        2: (tuple(u - s for u in split.parents), tuple(u + s for u in split.parents)),
+    }
+    state = model.StageState(2, model.basis_balls(1, z), 0.5, beta, {}, {}, {}, value_sets)
+    assert model._check_nesting(prev, state, split) == {"pass": nested, "checked": 2 * (2 + 2)}
+    assert model._check_nesting(None, state, split) == {"pass": True, "checked": 0}
 
 
 def test_build_single_stage_smoke(z_bernoulli, z_weights):
@@ -300,6 +318,19 @@ def test_full_build_stage_invariants(built_model):
     for state, nxt in zip(history, history[1:]):
         for i in state.value_sets:
             assert len(nxt.value_sets[i][0]) == 2 * len(state.value_sets[i][0])
+
+
+def test_stage_range_and_covers_follow_the_split(built_model):
+    # the range after stage k is u -+ s over the split's parents, and each
+    # cover is the interval of width beta around its value
+    mdl = built_model[0]
+    for st, state in zip(mdl.stages, mdl.history):
+        s, parents = st.split.offset, st.split.parents
+        assert state.range_values == tuple(sorted(x for u in parents for x in (u - s, u + s)))
+        for i, sides in state.value_sets.items():
+            for values, covers in zip(sides, state.covers[i]):
+                assert covers == tuple((u - state.beta / 2.0, u + state.beta / 2.0) for u in values)
+    assert mdl.range_values() == mdl.history[-1].range_values
 
 
 def test_stage_budgets_decrease(built_model):
@@ -441,6 +472,19 @@ def test_model_load_rejects_malformed_elements(built_model):
                 model_from_dict(data, mdl.w)
 
 
+def test_model_load_rejects_a_tampered_split_pair(built_model):
+    # the loaded split keeps the parents and the offset only, so a map pair
+    # that is not (u - s, u + s) must not load
+    mdl = built_model[0]
+    pair = mdl.to_dict()["stages"][-1]["split"]["map"][0][1]
+    nudged = math.nextafter(float.fromhex(pair[1]), 1.0).hex()
+    for bad in (pair[::-1], [pair[0], nudged]):
+        data = json.loads(json.dumps(mdl.to_dict()))
+        data["stages"][-1]["split"]["map"][0][1] = bad
+        with pytest.raises(EncodingError, match="split pair"):
+            model_from_dict(data, mdl.w)
+
+
 @pytest.fixture(scope="module")
 def lattice_built():
     z2 = groups.GroupSpec("lattice", 2)
@@ -554,12 +598,9 @@ def _loose_model(system: dynamics.DynamicalSystem, w: measures.WeightTable) -> m
             system=system, n=n, eta=0.5, pattern=pattern
         )
         xi = {g: (i + 1) / 8 for i, g in enumerate(groups.ball(spec, n))}
-        mdl.stages.append(model.ModelStage(tower, xi, n, n))
-        s = 2.0 ** -(6 + 3 * j)
-        split = model.StageSplit(
-            a_index=j + 1, offset=s, split_map={u: (u - s, u + s) for u in mdl.range_values()}
-        )
-        mdl.stages[-1] = model.ModelStage(tower, xi, n, n, split)
+        mdl.stages.append(model.ModelStage(tower, xi, n))
+        split = model.StageSplit(a_index=j + 1, offset=2.0 ** -(6 + 3 * j), parents=mdl.range_values())
+        mdl.stages[-1] = model.ModelStage(tower, xi, n, split)
     return mdl
 
 
@@ -572,7 +613,7 @@ def _assert_window_matches_oracle(mdl: model.ModelFunction, points: dynamics.Poi
     box = list(itertools.product(range(-radius, radius + 1), repeat=d))
     cells = [c[0] for c in box] if spec.kind == "integers" else box
     (win,) = model.orbit_windows(mdl, points, box_cells((-radius,) * d, (radius,) * d))
-    balls = [groups.ball(spec, st.n) for st in mdl.stages]
+    balls = [groups.ball(spec, st.tower.n) for st in mdl.stages]
     values = {0: np.zeros((win.n_points,) + win.shape)}
     for k in range(1, n + 1):
         values[k] = win.step(k - 1, values[k - 1].copy())  # step updates its argument in place
@@ -726,12 +767,12 @@ def test_window_over_budget_raises_before_reading(built_model, z_bernoulli, monk
 def test_window_split_map_miss_raises(built_model, z_bernoulli):
     mdl = model_from_dict(json.loads(json.dumps(built_model[0].to_dict())), built_model[0].w)
     points = dynamics.sample_points(z_bernoulli, np.arange(20))
-    # drop the last split's key for the value the first point carries into
-    # it: the stage's array form is built once, so a stage is made anew
+    # drop the last split's parent for the value the first point carries
+    # into it: the stage's array form is built once, so a stage is made anew
     before = model.point_values(mdl, points)[0][-2][0]
     last = mdl.stages[-1]
-    split_map = {u: v for u, v in last.split.split_map.items() if u != before}
-    mdl.stages[-1] = model.ModelStage(last.tower, last.xi, last.n0, last.n, last.split._replace(split_map=split_map))
+    parents = tuple(u for u in last.split.parents if u != before)
+    mdl.stages[-1] = model.ModelStage(last.tower, last.xi, last.n0, last.split._replace(parents=parents))
     with pytest.raises(KeyError):
         model.point_values(mdl, points)
     with pytest.raises(KeyError):
@@ -746,7 +787,7 @@ def test_split_collision_detected(z_bernoulli, z_weights):
     mdl.stages.append(mdl.stages[0])
     s = mdl.history[0].beta / 8.0
     mdl.range_values = lambda: (0.0, 2.0 * s)
-    with pytest.raises(StageError):
+    with pytest.raises(StageError, match=re.escape(f"value split collides at offset {s}: values {[0.0, 2.0 * s]}")):
         model.split_values(mdl)
 
 
@@ -835,7 +876,7 @@ def test_base_sieve_equals_dense_and(d, length):
     tower = dynamics.TowerSpec(system=system, n=1, eta=0.5, pattern=pattern)
     mdl = model.ModelFunction(system=system, stages=[], w=measures.build_weight(spec, WeightConfig(0.5, 2)))
     xi = {g: 0.5 for g in groups.ball(spec, 1)}
-    mdl.stages.append(model.ModelStage(tower, xi, 1, 1))
+    mdl.stages.append(model.ModelStage(tower, xi, 1))
     fresh = dynamics.sample_points(system, np.arange(40))
     forced = dynamics.conditional_base_sampler(tower, 3, 6)
     a = groups.generators(spec)[0]

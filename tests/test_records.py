@@ -79,7 +79,7 @@ def _records() -> list:
     return [
         cfg, cfg.group, cfg.weights, cfg.system, cfg.samples, cfg.tolerances,
         model.basis_balls(1, Z),
-        model.StageSplit(a_index=1, offset=0.1, split_map={0.5: (0.4, 0.6)}),
+        model.StageSplit(a_index=1, offset=0.1, parents=(0.5,)),
         dynamics.BitBox(np.zeros((1, 3), dtype=bool), np.zeros(1, dtype=np.int64)),
         dynamics.CylinderSet.from_dict(Z, {0: 1}),
         markov.cos_observable(0),
