@@ -1,15 +1,22 @@
 """The golden-output manifest ``golden.json``: the sha256 of every output
-file but ``run_meta.json`` of four runs, keyed by platform.
+file but ``run_meta.json`` of seven runs, keyed by platform.
 
 * ``small``: the nine commands on ``SMALL_CONFIG`` (the outputs that
   ``test_cli``'s ``fresh_runs`` fixture writes);
 * ``default``: ``weights`` and ``norms`` on the default config (seed 20240);
+* ``exp`` and ``poly``: ``weights`` and ``norms`` on the benchmark's
+  ``exp`` config (F_2 and a deeper second table) and ``poly`` config (Z^3
+  and Heisenberg certificates);
 * ``lattice``: ``build``, ``support`` and ``orbit`` on ``LATTICE_CONFIG``,
   the staged model of the Bernoulli shift of Z^2, whose orbit windows are
   two-dimensional;
 * ``embed``: ``build``, ``support`` and ``orbit`` on ``EMBED_CONFIG``, the
   benchmark's three-stage model on Z, whose value sets nest over two
-  levels.
+  levels;
+* ``cube``: ``build``, ``support`` and ``orbit`` on ``CUBE_CONFIG``, a
+  two-stage model on Z^3, whose windows are three-dimensional.
+
+``RUNS`` names each run but ``small`` with its config and commands.
 
 Outputs go through libm (``math.cos``, ``log``, ``exp``) and numpy's SIMD
 ``cos``/``sin``, so a digest is only promised on the platform that recorded
@@ -44,7 +51,15 @@ SMALL_CONFIG = {
         "orbit_steps": 200, "averaging_samples": 100,
     },
 }
-DEFAULT_COMMANDS = ("weights", "norms")
+CERTIFY_COMMANDS = ("weights", "norms")
+STAGED_COMMANDS = ("build", "support", "orbit")
+EXP_CONFIG = {"second_weights": {"q": 0.5, "n_max": 8}}
+POLY_CONFIG = {
+    "group": {"kind": "lattice", "d": 3},
+    "weights": {"q": 0.5, "n_max": 8},
+    "second_group": {"kind": "heisenberg", "d": 2},
+    "second_weights": {"q": 0.5, "n_max": 8},
+}
 LATTICE_CONFIG = {
     "group": {"kind": "lattice", "d": 2},
     "stages": 2,
@@ -59,8 +74,21 @@ EMBED_CONFIG = {
         "orbit_steps": 1500, "averaging_samples": 500,
     },
 }
-STAGED_CONFIGS = {"lattice": LATTICE_CONFIG, "embed": EMBED_CONFIG}
-STAGED_COMMANDS = ("build", "support", "orbit")
+CUBE_CONFIG = {
+    "group": {"kind": "lattice", "d": 3},
+    "stages": 2,
+    "n_trunc": 4,
+    "weights": {"q": 0.5, "n_max": 8},
+    "samples": {"check_samples": 300, "base_samples": 60, "equivariance_samples": 100, "orbit_steps": 200},
+}
+RUNS = {
+    "default": ({}, CERTIFY_COMMANDS),
+    "exp": (EXP_CONFIG, CERTIFY_COMMANDS),
+    "poly": (POLY_CONFIG, CERTIFY_COMMANDS),
+    "lattice": (LATTICE_CONFIG, STAGED_COMMANDS),
+    "embed": (EMBED_CONFIG, STAGED_COMMANDS),
+    "cube": (CUBE_CONFIG, STAGED_COMMANDS),
+}
 
 
 def platform_key() -> str:
@@ -76,10 +104,10 @@ def digests(runs: dict) -> dict:
     """``run/command/file`` -> sha256 of every output file but
     ``run_meta.json`` under each run's output directory."""
     out = {}
-    for run, base in runs.items():
+    for name, base in runs.items():
         for path in sorted(Path(base).glob("*/*")):
             if path.name != "run_meta.json":
-                out[f"{run}/{path.parent.name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                out[f"{name}/{path.parent.name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
 
 
@@ -97,35 +125,30 @@ def mismatches(found: dict, entry: dict) -> list:
     return lines
 
 
-def run_default(out: Path) -> None:
-    for command in DEFAULT_COMMANDS:
-        assert cli.main([command, "--out", str(out)]) == 0
-
-
-def run_staged(name: str, out: Path) -> None:
-    """``STAGED_COMMANDS`` on the config ``STAGED_CONFIGS[name]``."""
+def run(name: str, out: Path) -> None:
+    """The commands of ``RUNS[name]`` on its config, into ``out``."""
+    config, commands = RUNS[name]
     cfg = out / f"{name}.json"
     out.mkdir(parents=True, exist_ok=True)
-    cfg.write_text(json.dumps(STAGED_CONFIGS[name]))
-    for command in STAGED_COMMANDS:
+    cfg.write_text(json.dumps(config))
+    for command in commands:
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def record() -> None:
-    """Run the four runs in a scratch directory and write this platform's
-    entry."""
+    """Run ``small`` and every run of ``RUNS`` in a scratch directory and
+    write this platform's entry."""
     with tempfile.TemporaryDirectory() as tmp:
-        small, default = Path(tmp, "small"), Path(tmp, "default")
+        small = Path(tmp, "small")
         cfg = Path(tmp, "cfg.json")
         cfg.write_text(json.dumps(SMALL_CONFIG))
         for command in cli.COMMANDS:
             # ``continuous`` exits 1 for the record that fails by design (11b)
             assert cli.main([command, "--config", str(cfg), "--out", str(small)]) == (command == "continuous")
-        run_default(default)
-        staged = {name: Path(tmp, name) for name in STAGED_CONFIGS}
-        for name, out in staged.items():
-            run_staged(name, out)
-        found = digests({"small": small, "default": default, **staged})
+        runs = {name: Path(tmp, name) for name in RUNS}
+        for name, out in runs.items():
+            run(name, out)
+        found = digests({"small": small, **runs})
     manifest = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     manifest[platform_key()] = {**environment(), "digests": found}
     MANIFEST.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")

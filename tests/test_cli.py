@@ -266,11 +266,10 @@ def test_outputs_match_golden_manifest(fresh_runs, tmp_path):
     entry = json.loads(golden.MANIFEST.read_text()).get(golden.platform_key())
     if entry is None:
         pytest.skip(f"golden.json has no digests for {golden.platform_key()}")
-    golden.run_default(tmp_path / "default")
-    staged = {name: tmp_path / name for name in golden.STAGED_CONFIGS}
-    for name, out in staged.items():
-        golden.run_staged(name, out)
-    found = golden.digests({"small": fresh_runs[1], "default": tmp_path / "default", **staged})
+    runs = {name: tmp_path / name for name in golden.RUNS}
+    for name, out in runs.items():
+        golden.run(name, out)
+    found = golden.digests({"small": fresh_runs[1], **runs})
     assert golden.mismatches(found, entry) == []
 
 
