@@ -52,13 +52,14 @@ def operator_norm_certificate(w: WeightTable, a) -> dict:
     ratios[stored] = np.sqrt(num[stored] / den[stored])
     k = int(ratios.argmax())  # the first atom of the largest ratio, in ball order
     atom_max = float(ratios[k])
-    atom_arg = ball[k] if atom_max > 0.0 else None
+    if atom_max == 0.0:
+        raise DomainError(f"ball({n_max - 1}) holds no atom with a nonzero shifted weight")
     return {
         "group": spec.to_dict(),
         "a": groups.element_str(spec, a),
         "bound": bound,
         "observed": atom_max,
-        "single_atom_argmax": groups.element_str(spec, atom_arg),
+        "single_atom_argmax": groups.element_str(spec, ball[k]),
         "domain": f"support in ball({n_max - 1}); shifted norm at depth {n_max - 1}",
         "pass": bool(atom_max <= bound + PASS_SLACK),
     }

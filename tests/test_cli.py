@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fresh
 import golden
@@ -375,13 +379,68 @@ def test_weights_rejects_a_shallow_table(table, n_max, tmp_path, capsys):
         assert not (tmp_path / "weights").exists()
 
 
-def test_reports_are_strict_json(tmp_path):
-    # at depth 0 no atom has a lower ratio: observed_min is null, not Infinity
+@pytest.mark.parametrize("kind, d", [("integers", 1), ("lattice", 3), ("heisenberg", 2), ("free", 2)])
+@pytest.mark.parametrize("table", ["weights", "second_weights"])
+def test_norms_rejects_a_depth_1_table(table, kind, d, tmp_path, capsys):
+    # a certificate on B(n_max - 1) needs n_max >= 2 on both tables: depth
+    # 1 exits 2 before ``norms/`` is made, depth 2 certifies
+    group = "group" if table == "weights" else "second_group"
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"second_weights": {"n_max": 1}}))
-    assert cli.main(["norms", "--config", str(path), "--out", str(tmp_path)]) == 0
-    report = _strict_json((tmp_path / "norms" / "report.json").read_text())
-    (record,) = [r for r in report["records"] if r["name"] == "restricted_ratio_b1"]
+    for n_max in (1, 2):
+        path.write_text(json.dumps({group: {"kind": kind, "d": d}, table: {"n_max": n_max}}))
+        status = cli.main(["norms", "--config", str(path), "--out", str(tmp_path)])
+        if n_max == 1:
+            assert status == 2
+            assert capsys.readouterr().err == f"config error: {table}.n_max must be >= 2 for a shift-norm certificate on B(n_max - 1)\n"
+            assert not (tmp_path / "norms").exists()
+        else:
+            assert status == 0
+            assert _strict_json((tmp_path / "norms" / "report.json").read_text())["pass"]
+
+
+_KINDS = [{"kind": "integers", "d": 1}, {"kind": "lattice", "d": 2}, {"kind": "lattice", "d": 3},
+          {"kind": "heisenberg", "d": 2}, {"kind": "free", "d": 2}]
+_NEAR_0_OR_1 = st.one_of(st.floats(1e-12, 0.05), st.floats(0.95, 1.0 - 1e-12))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["weights", "norms"]),
+    groups_=st.tuples(st.sampled_from(_KINDS), st.sampled_from(_KINDS)),
+    n_max=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    q=st.tuples(_NEAR_0_OR_1, _NEAR_0_OR_1),
+)
+def test_weight_commands_exit_cleanly_on_any_table(command, groups_, n_max, q):
+    # every group kind, depth 1 to 8 and q near 0 or 1: ``main`` returns 0,
+    # 1 or 2 and raises nothing, a config error writes no file, and every
+    # JSON file written is strict
+    cfg = {
+        "group": groups_[0], "second_group": groups_[1],
+        "weights": {"q": q[0], "n_max": n_max[0]}, "second_weights": {"q": q[1], "n_max": n_max[1]},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "cfg.json"), Path(tmp, "out")
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = cli.main([command, "--config", str(path), "--out", str(out)])
+        written = [f for f in out.rglob("*") if f.is_file()]
+        assert status in (0, 1, 2)
+        assert status != 2 or written == []
+        for f in written:
+            if f.suffix == ".json":
+                _strict_json(f.read_text())
+
+
+def test_reports_are_strict_json(tmp_path):
+    # at depth 0 no atom has a lower ratio: observed_min is null, not
+    # Infinity.  ``norms`` rejects a depth-1 table, so the record is built
+    # as ``norms`` builds it and written by the reports' writer
+    w2 = measures.build_weight(groups.GroupSpec("free", 2), WeightConfig(0.5, 1))
+    emb = groups.subgroup_embed(groups.GroupSpec("integers"), w2.spec, [(1,)])
+    nrho = measures.restricted_ratio_certificate(w2, emb, 1)
+    record = commands._record("restricted_ratio_b1", nrho, bound=nrho["bound"])
+    commands._write_json(str(tmp_path / "report.json"), {"records": [record]})
+    (record,) = _strict_json((tmp_path / "report.json").read_text())["records"]
     assert record["pass"] and record["detail"]["observed_min"] is None
     with pytest.raises(ValueError):
         commands._write_json(str(tmp_path / "bad.json"), {"x": float("inf")})

@@ -498,6 +498,59 @@ def lattice_built():
     return mdl
 
 
+@pytest.fixture(scope="module")
+def cube_built():
+    # the golden manifest's ``cube`` model: two stages on Z^3
+    z3 = groups.GroupSpec("lattice", 3)
+    w3 = measures.build_weight(z3, WeightConfig(q=0.5, n_max=8))
+    cfg = ExperimentConfig(stages=2, n_trunc=4, samples=SampleConfig(check_samples=300, base_samples=60))
+    return model.build_model(dynamics.bernoulli_system(z3, seed=cfg.seed), w3, cfg)
+
+
+def _grow(lo: np.ndarray, hi: np.ndarray, offsets: np.ndarray) -> tuple:
+    """The box of u + m for u in [lo, hi] and m a row of ``offsets``."""
+    return lo + offsets.min(axis=0), hi + offsets.max(axis=0)
+
+
+def _folded_bit_box(stages: list, cells: np.ndarray) -> tuple:
+    """The oracle of ``OrbitWindow.bit_box``: the box around ``cells``
+    grown, stage by stage, by its locate ball and then its marker, and by
+    its routing cylinder."""
+    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    blo, bhi = lo, hi
+    for st in stages:
+        boxes = [_grow(*_grow(lo, hi, st.ball), st.tower.marker[0])]
+        if len(st.cylinder[0]):
+            boxes.append(_grow(lo, hi, st.cylinder[0]))
+        for slo, shi in boxes:
+            blo, bhi = np.minimum(blo, slo), np.maximum(bhi, shi)
+    return blo, bhi
+
+
+@pytest.mark.parametrize("built", ["built_model", "lattice_built", "cube_built"])
+def test_bit_box_is_the_span_grown_by_each_stage_reach(built, request):
+    # every stage prefix, the stages without their splits (as ``hit_ball``
+    # makes them), and a stage whose cylinder reaches past its tower's box,
+    # on the window ball, a shifted box and scattered cells: the span grown
+    # by the reaches is the folded box
+    mdl = request.getfixturevalue(built)
+    mdl = mdl[0] if built == "built_model" else mdl
+    unsplit = [model.ModelStage(st.tower, st.xi, st.n0) for st in mdl.stages]
+    e = groups.identity(mdl.spec)
+    tower = dynamics.TowerSpec(mdl.system, 0, 0.5, {e: 1})
+    far = model.ModelStage(tower, {e: 0.5}, 0, model.StageSplit(2**30, 0.25, (0.5,)))
+    assert (far.cylinder[0].min(axis=0) < tower.box[0]).any() or (far.cylinder[0].max(axis=0) > tower.box[1]).any()
+    d = mdl.stages[0].ball.shape[1]
+    scattered = np.random.default_rng(4).integers(-20, 20, size=(9, d))
+    for cells in (mdl.w.ball(3)[1], box_cells((-2,) * d, (5,) * d) + 7, scattered):
+        span = cells.min(axis=0), cells.max(axis=0)
+        prefixes = [mdl.stages[:k] for k in range(len(mdl.stages) + 1)]
+        for stages in prefixes + [unsplit, mdl.stages[:1] + unsplit[1:], [far], mdl.stages + [far]]:
+            lo, hi = model.OrbitWindow.bit_box(stages, span)
+            want_lo, want_hi = _folded_bit_box(stages, cells)
+            assert lo.tolist() == want_lo.tolist() and hi.tolist() == want_hi.tolist()
+
+
 def test_lattice_build_smoke(lattice_built):
     mdl = lattice_built
     final = mdl.history[-1]
@@ -515,7 +568,8 @@ def test_window_values_follow_the_cells_in_list_order(lattice_built):
     listed = [ball[k] for k in np.random.default_rng(1).permutation(len(ball))]
     listed.insert(3, listed[10])
     points = dynamics.conditional_base_sampler(mdl.stages[-1].tower, 8, 3)
-    win = model.OrbitWindow(mdl.stages, points, groups.coords(spec, listed))
+    cells = groups.coords(spec, listed)
+    win = model.OrbitWindow(mdl.stages, points, cells, (cells.min(axis=0), cells.max(axis=0)))
     values = win.values()
     assert values.shape == (len(points), len(listed)) and len(set(values.ravel().tolist())) > 2
     for row, x in zip(values.tolist(), handles(points)):
@@ -725,8 +779,9 @@ def test_orbit_stretches_split_under_budget(built_model, z_bernoulli, monkeypatc
     # into several windows, and the series still equals the oracle's
     mdl = built_model[0]
     x = point(z_bernoulli, 4)
-    lo, hi = model.OrbitWindow.bit_box(mdl.stages, box_cells((-16,), (16,)))
-    monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", int(hi[0] - lo[0]) + 1 + 30)
+    lo, hi = model.OrbitWindow.bit_box(mdl.stages, (np.array([-16]), np.array([16])))
+    budget = int(hi[0] - lo[0]) + 1 + 30
+    monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", budget)
     windows = []
     orbit_windows = model.orbit_windows
 
@@ -739,6 +794,15 @@ def test_orbit_stretches_split_under_budget(built_model, z_bernoulli, monkeypatc
     rep = model.orbit_frequency(mdl, x, a, ball, 40, 16)
     assert 1 < len(windows) < 40
     assert (rep["series"], rep["indeterminate"]) == _oracle_orbit(mdl, x, a, ball, 40, 16)
+    # the stretches halve as the folded box of the two end steps' cells did
+    offsets = mdl.w.ball(16)[1]
+    stretch = 40
+    while stretch > 1:
+        lo, hi = _folded_bit_box(mdl.stages, np.concatenate([offsets, offsets + (stretch - 1) * a]))
+        if int(hi[0] - lo[0]) + 1 <= budget:
+            break
+        stretch = (stretch + 1) // 2
+    assert [len(cells) for (cells,) in windows] == [len(offsets) * min(stretch, 40 - t) for t in range(0, 40, stretch)]
 
 
 def test_window_over_budget_raises_before_reading(built_model, z_bernoulli, monkeypatch):
@@ -747,7 +811,7 @@ def test_window_over_budget_raises_before_reading(built_model, z_bernoulli, monk
     mdl = built_model[0]
     points = dynamics.sample_points(z_bernoulli, np.arange(3))
     whole = model.phi(mdl, points, 16)[1]
-    lo, hi = model.OrbitWindow.bit_box(mdl.stages, box_cells((-16,), (16,)))
+    lo, hi = model.OrbitWindow.bit_box(mdl.stages, (np.array([-16]), np.array([16])))
     cells = int(hi[0] - lo[0]) + 1
     monkeypatch.setattr(model, "WINDOW_CELL_BUDGET", cells)
     assert np.array_equal(model.phi(mdl, points, 16)[1], whole)
@@ -847,7 +911,7 @@ def _dense_base(win: model.OrbitWindow, j: int) -> np.ndarray:
     """The stage-(j+1) base of ``win``: every marker cell ANDed over the
     whole base box, the oracle of the survivor sieve."""
     st = win.stages[j]
-    lo, hi = model._grow(win.lo, win.hi, st.ball)
+    lo, hi = win.lo + st.ball.min(axis=0), win.hi + st.ball.max(axis=0)
     shape = model._shape(lo, hi)
     base = np.ones((win.n_points,) + shape, dtype=bool)
     for p, b in zip(*st.tower.marker):

@@ -110,6 +110,20 @@ def test_certificate_rejects_non_generator(z_spec, z_weights):
         space.operator_norm_certificate(z_weights, 2)
 
 
+@pytest.mark.parametrize("kind, d", [("integers", 1), ("lattice", 2), ("heisenberg", 2), ("free", 2)])
+def test_certificate_needs_a_shifted_atom(kind, d):
+    # at depth 1 the domain is B(0) = {e}, whose shift reads the depth-0
+    # weight, 0: no atom certifies anything.  At depth 2 the argmax is an
+    # element of B(1), with a nonzero ratio
+    spec = groups.GroupSpec(kind, d)
+    for a in groups.generators(spec):
+        with pytest.raises(DomainError, match=r"^ball\(0\) holds no atom with a nonzero shifted weight$"):
+            space.operator_norm_certificate(measures.build_weight(spec, WeightConfig(0.5, 1)), a)
+        rep = space.operator_norm_certificate(measures.build_weight(spec, WeightConfig(0.5, 2)), a)
+        assert rep["observed"] > 0.0 and rep["pass"]
+        assert rep["single_atom_argmax"] in {groups.element_str(spec, g) for g in groups.ball(spec, 1)}
+
+
 def test_subgroup_norm_certificates(z_spec, f2_spec, f2_weights):
     emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
     rep0 = space.subgroup_norm_certificate(f2_weights, emb, 0)
