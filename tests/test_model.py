@@ -542,9 +542,9 @@ def test_bit_box_is_the_span_grown_by_each_stage_reach(built, request):
     assert (far.cylinder[0].min(axis=0) < tower.box[0]).any() or (far.cylinder[0].max(axis=0) > tower.box[1]).any()
     d = mdl.stages[0].ball.shape[1]
     scattered = np.random.default_rng(4).integers(-20, 20, size=(9, d))
+    prefixes = [mdl.stages[:k] for k in range(len(mdl.stages) + 1)]
     for cells in (mdl.w.ball(3)[1], box_cells((-2,) * d, (5,) * d) + 7, scattered):
         span = cells.min(axis=0), cells.max(axis=0)
-        prefixes = [mdl.stages[:k] for k in range(len(mdl.stages) + 1)]
         for stages in prefixes + [unsplit, mdl.stages[:1] + unsplit[1:], [far], mdl.stages + [far]]:
             lo, hi = model.OrbitWindow.bit_box(stages, span)
             want_lo, want_hi = _folded_bit_box(stages, cells)
