@@ -32,7 +32,7 @@ def main():
     for st, hs in zip(mdl.stages, mdl.history):
         print(
             f"{hs.n:>2} {hs.ball.radius:>7.3f} {st.tower.n:>3} "
-            f"{len(st.tower.pattern):>7} {st.tower.mu_pattern:>10.3e} "
+            f"{len(st.tower.pattern.bits):>7} {st.tower.mu_pattern:>10.3e} "
             f"{hs.eta:>10.3e} {st.split.offset:>10.3e} {hs.beta:>10.3e} "
             f"{hs.eps[hs.n]:>10.3e} {hs.delta[hs.n]:>10.3e}"
         )

@@ -57,7 +57,9 @@ MODEL_COMMANDS = ("build", "support", "orbit")
 
 def cmd_all(cfg: ExperimentConfig, out_base: str) -> int:
     """Every command in turn.  A command that rejects the config raises
-    before it writes anything; the rest still run, and ``all`` exits 2."""
+    before it writes anything, and one that fails raises a walkrep error;
+    the rest still run, and ``all`` exits with the largest code: 2 for a
+    config error, 1 for another error or a failed check."""
     status = 0
     cache: list = []
     for name in COMMANDS:
@@ -67,6 +69,9 @@ def cmd_all(cfg: ExperimentConfig, out_base: str) -> int:
         except ConfigError as exc:
             print(f"config error: {name}: {exc}", file=sys.stderr)
             code = 2
+        except WalkrepError as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            code = 1
         status = max(status, code)
     return status
 

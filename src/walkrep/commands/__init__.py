@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import time
 
@@ -89,6 +90,20 @@ def _weight_tables(cfg: ExperimentConfig):
         measures.build_weight(group.spec(), weights)
         for group, weights in ((cfg.group, cfg.weights), (cfg.second_group, cfg.second_weights))
     )
+
+
+def _check_boxes(cfg: ExperimentConfig, *keys: str) -> None:
+    """ConfigError unless the weight table of each key of ``keys``
+    (``weights`` on ``group``, ``second_weights`` on ``second_group``) fits
+    in ``measures.DEFAULT_SUPPORT_CAP`` cells."""
+    from .. import measures
+    for key in keys:
+        spec = (cfg.group if key == "weights" else cfg.second_group).spec()
+        cells = math.prod(measures.cell_box(spec, getattr(cfg, key).n_max)[1])
+        if cells > measures.DEFAULT_SUPPORT_CAP:
+            raise ConfigError(
+                f"{key}.n_max gives a weight box of {cells} cells on {spec.kind}, over the cap {measures.DEFAULT_SUPPORT_CAP}"
+            )
 
 
 def _shift_group(cfg: ExperimentConfig):

@@ -6,13 +6,14 @@ from __future__ import annotations
 from .. import groups, measures, space
 from ..config import ExperimentConfig
 from ..errors import ConfigError
-from . import _finish, _out_dir, _record, _start, _weight_tables
+from . import _check_boxes, _finish, _out_dir, _record, _start, _weight_tables
 
 
 def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
     for key in ("weights", "second_weights"):
         if getattr(cfg, key).n_max < 2:  # the certificate's domain B(n_max - 1) needs a shifted atom
             raise ConfigError(f"{key}.n_max must be >= 2 for a shift-norm certificate on B(n_max - 1)")
+    _check_boxes(cfg, "weights", "second_weights")
     start = _start()
     out = _out_dir(out_base, "norms")
     records = []

@@ -11,7 +11,7 @@ import os
 from .. import model  # isort: skip
 from .. import dynamics, groups, measures
 from ..config import ExperimentConfig
-from . import _finish, _out_dir, _record, _shift_group, _start, _write_csv, _write_json
+from . import _check_boxes, _finish, _out_dir, _record, _shift_group, _start, _write_csv, _write_json
 
 
 def _build_model(cfg: ExperimentConfig, cache: list | None = None):
@@ -31,6 +31,7 @@ def _build_model(cfg: ExperimentConfig, cache: list | None = None):
 
 def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
     _shift_group(cfg)
+    _check_boxes(cfg, "weights")
     start = _start()
     out = _out_dir(out_base, "build")
     mdl = _build_model(cfg, cache)
@@ -54,6 +55,7 @@ def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -
 
 def cmd_support(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
     _shift_group(cfg)
+    _check_boxes(cfg, "weights")
     start = _start()
     out = _out_dir(out_base, "support")
     mdl = _build_model(cfg, cache)
@@ -70,6 +72,7 @@ def cmd_support(cfg: ExperimentConfig, out_base: str, cache: list | None = None)
 
 def cmd_orbit(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:
     _shift_group(cfg)
+    _check_boxes(cfg, "weights")
     start = _start()
     out = _out_dir(out_base, "orbit")
     mdl = _build_model(cfg, cache)

@@ -8,7 +8,7 @@ import os
 from .. import groups, measures
 from ..config import ExperimentConfig
 from ..errors import ConfigError
-from . import _finish, _out_dir, _record, _start, _weight_tables, _write_csv
+from . import _check_boxes, _finish, _out_dir, _record, _start, _weight_tables, _write_csv
 
 
 def _weight_rows(w):
@@ -36,6 +36,7 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
     for key in ("weights", "second_weights"):
         if getattr(cfg, key).n_max <= RATIO_RADIUS:  # weight_ratio needs |b| <= n_max - 1
             raise ConfigError(f"{key}.n_max must be > {RATIO_RADIUS} for the ratios of b in B_{RATIO_RADIUS}")
+    _check_boxes(cfg, "weights", "second_weights")
     start = _start()
     out = _out_dir(out_base, "weights")
     records = []

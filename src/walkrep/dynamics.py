@@ -1,5 +1,5 @@
-"""Measure-preserving systems, sampled points, cylinder families, and
-marker towers.
+"""Measure-preserving systems, sampled points, cylinders and their routing
+family, and marker towers.
 
 Every sampled point is a row of a ``PointBatch``: an array of draw numbers
 sharing the system, the stream, the offset and the forced overlay.  A
@@ -335,67 +335,48 @@ def sample_points(sys: DynamicalSystem, draws) -> PointBatch:
 class CylinderSet(NamedTuple):
     """Finite coordinate constraints: position -> required bit."""
 
-    bits: tuple  # sorted tuple of (position, bit)
+    bits: tuple  # (position, bit) pairs in ``groups.sort_key`` order
 
     @staticmethod
     def from_dict(spec: GroupSpec, constraints: dict) -> "CylinderSet":
-        items = sorted(
-            constraints.items(), key=lambda kv: groups.sort_key(spec, kv[0])
-        )
+        items = sorted(constraints.items(), key=lambda kv: groups.sort_key(spec, kv[0]))
         return CylinderSet(tuple((g, int(b)) for g, b in items))
 
     def measure(self) -> float:
         return 0.5 ** len(self.bits)
 
-
-class SetFamily:
-    """Dense-in-spirit enumeration of cylinders with infinite repetition.
-
-    Distinct descriptors are all partial bit assignments on the balls B_k,
-    enumerated by increasing k (an assignment appears at the first k whose
-    ball contains its support).  Index i >= 1 maps to the descriptor at the
-    ruler position r(i) = number of trailing zero bits of i, so every
-    descriptor recurs infinitely often.
-    """
-
-    def __init__(self, spec: GroupSpec):
-        if not spec.finitely_generated:
-            raise DomainError("cylinder families need word balls")
-        self.spec = spec
-        self._descriptors: list[CylinderSet] = []
-        self._gen = self._generate()
-
-    def _generate(self):
-        spec = self.spec
-        for k in itertools.count(0):
-            ball_k = groups.ball(spec, k)
-            prev = set(groups.ball(spec, k - 1)) if k > 0 else set()
-            # base-3 digit per coordinate: unset / 0 / 1
-            for digits in itertools.product((None, 0, 1), repeat=len(ball_k)):
-                support = {
-                    g: b for g, b in zip(ball_k, digits) if b is not None
-                }
-                if k > 0 and set(support) <= prev:
-                    continue  # already enumerated at a smaller k
-                yield CylinderSet.from_dict(spec, support)
-
-    def descriptor(self, j: int) -> CylinderSet:
-        while len(self._descriptors) <= j:
-            self._descriptors.append(next(self._gen))
-        return self._descriptors[j]
-
-    @staticmethod
-    def ruler(i: int) -> int:
-        """Position of the lowest set bit of i (i >= 1)."""
-        if i < 1:
-            raise DomainError("family indices start at 1")
-        return (i & -i).bit_length() - 1
-
-    def set_at(self, i: int) -> CylinderSet:
-        return self.descriptor(self.ruler(i))
+    def arrays(self, spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+        """The constraints as a (coordinates, bits) pair of arrays, in
+        ``bits`` order."""
+        return groups.coords(spec, [g for g, _ in self.bits]), np.array([b for _, b in self.bits], dtype=np.uint8)
 
 
-def _marker_pattern(spec: GroupSpec, length: int) -> dict:
+def cylinders(spec: GroupSpec):
+    """Every cylinder once: the partial bit assignments on the balls B_k,
+    by increasing k, each at the first k whose ball holds its support."""
+    if not spec.finitely_generated:
+        raise DomainError("cylinder families need word balls")
+    for k in itertools.count(0):
+        ball_k = groups.ball(spec, k)
+        prev = set(groups.ball(spec, k - 1)) if k > 0 else set()
+        # base-3 digit per coordinate: unset / 0 / 1
+        for digits in itertools.product((None, 0, 1), repeat=len(ball_k)):
+            support = {g: b for g, b in zip(ball_k, digits) if b is not None}
+            if k > 0 and set(support) <= prev:
+                continue  # already enumerated at a smaller k
+            yield CylinderSet.from_dict(spec, support)
+
+
+def routing_cylinder(spec: GroupSpec, i: int) -> CylinderSet:
+    """The routing set of index i >= 1: the cylinder of ``cylinders`` at
+    the ruler position r(i), the number of trailing zero bits of i, so every
+    cylinder recurs infinitely often."""
+    if i < 1:
+        raise DomainError("family indices start at 1")
+    return next(itertools.islice(cylinders(spec), (i & -i).bit_length() - 1, None))
+
+
+def _marker_pattern(spec: GroupSpec, length: int) -> CylinderSet:
     """A self-avoiding marker: every shift by m with 0 < |m| <= length
     contradicts it.
 
@@ -407,18 +388,14 @@ def _marker_pattern(spec: GroupSpec, length: int) -> dict:
     meets the shifted block, since every |m_j| < length.
     """
     if spec.kind == "integers":
-        pattern = {i: 1 for i in range(length)}
-        pattern[length] = 0
-        return pattern
-    if spec.kind == "lattice":
-        block = list(itertools.product(range(length), repeat=spec.d))
-        pattern = {c: 1 for c in block}
-        for i in range(spec.d):
-            for c in block:
-                if c[i] == 0:
-                    pattern[c[:i] + (-1,) + c[i + 1:]] = 0
-        return pattern
-    raise DomainError("towers are built for integer/lattice Bernoulli shifts")
+        return CylinderSet.from_dict(spec, {**dict.fromkeys(range(length), 1), length: 0})
+    block = list(itertools.product(range(length), repeat=spec.d))
+    pattern = {c: 1 for c in block}
+    for i in range(spec.d):
+        for c in block:
+            if c[i] == 0:
+                pattern[c[:i] + (-1,) + c[i + 1:]] = 0
+    return CylinderSet.from_dict(spec, pattern)
 
 
 class TowerSpec:
@@ -430,7 +407,7 @@ class TowerSpec:
     Monte Carlo.
     """
 
-    def __init__(self, system: DynamicalSystem, n: int, eta: float, pattern: dict):
+    def __init__(self, system: DynamicalSystem, n: int, eta: float, pattern: CylinderSet):
         self.system, self.n, self.eta, self.pattern = system, n, eta, pattern
 
     @property
@@ -439,12 +416,12 @@ class TowerSpec:
 
     @property
     def mu_pattern(self) -> float:
-        return 0.5 ** len(self.pattern)
+        return self.pattern.measure()
 
     @functools.cached_property
     def marker(self) -> tuple[np.ndarray, np.ndarray]:
         """The pattern as a (coordinates, bits) pair of arrays."""
-        return groups.coords(self.spec, list(self.pattern)), np.array(list(self.pattern.values()), dtype=np.uint8)
+        return self.pattern.arrays(self.spec)
 
     @property
     def box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -474,9 +451,7 @@ class TowerSpec:
         return {
             "n": self.n,
             "eta": self.eta,
-            "pattern": [[groups.element_str(spec, p), b] for p, b in sorted(
-                self.pattern.items(), key=lambda kv: groups.sort_key(spec, kv[0])
-            )],
+            "pattern": [[groups.element_str(spec, p), b] for p, b in self.pattern.bits],
             "mu_pattern": self.mu_pattern,
             # E is the marker cylinder, so both bounds on mu(E) are exact
             "mu_e_lower": self.mu_pattern,
@@ -487,9 +462,9 @@ class TowerSpec:
 
 
 def _compatible_with_shift(spec: GroupSpec, pattern: dict, m) -> bool:
-    """Whether ``pattern`` agrees with its translate by m, which holds
-    pattern[q] at q m: each cell p is checked against pattern[p m^-1], and
-    the scan stops at the first contradiction."""
+    """Whether ``pattern``, a dict of position -> bit, agrees with its
+    translate by m, which holds pattern[q] at q m: each cell p is checked
+    against pattern[p m^-1], and the scan stops at the first contradiction."""
     m_inv = groups.inverse(spec, m)
     return all(pattern.get(groups.multiply(spec, p, m_inv), v) == v for p, v in pattern.items())
 
@@ -520,7 +495,7 @@ def rokhlin_tower(
     length = max(2 * n, 2)
     while True:
         pattern = _marker_pattern(spec, length)
-        if len(ball_n) * 0.5 ** len(pattern) < target:
+        if len(ball_n) * pattern.measure() < target:
             break
         length += 1
         if length > MAX_MARKER:
@@ -529,8 +504,9 @@ def rokhlin_tower(
                 f"mu(B_n E) < {target:.3g}; lengthen the cap or relax eta"
             )
 
+    lookup = dict(pattern.bits)
     for m in groups.ball(spec, 2 * n):
-        if m != groups.identity(spec) and _compatible_with_shift(spec, pattern, m):
+        if m != groups.identity(spec) and _compatible_with_shift(spec, lookup, m):
             raise TowerConstructionError(
                 f"the marker is compatible with its shift by "
                 f"{groups.element_str(spec, m)}, so translates of the base can meet"

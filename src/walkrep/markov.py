@@ -26,7 +26,6 @@ class ObservableSpec(NamedTuple):
 
     kind: str  # "indicator" | "cos"
     payload: object = None  # CylinderSet for indicators; axis index for cos
-    bound: float = 1.0
     mean: float = 0.0
 
     def table(self, points, atoms: list) -> np.ndarray:
@@ -56,11 +55,11 @@ class ObservableSpec(NamedTuple):
 
 
 def indicator_observable(cyl: dynamics.CylinderSet) -> ObservableSpec:
-    return ObservableSpec("indicator", cyl, bound=1.0, mean=cyl.measure())
+    return ObservableSpec("indicator", cyl, mean=cyl.measure())
 
 
 def cos_observable(axis: int = 0) -> ObservableSpec:
-    return ObservableSpec("cos", axis, bound=1.0, mean=0.0)
+    return ObservableSpec("cos", axis, mean=0.0)
 
 
 def rotation_eigenvalue(sys: DynamicalSystem, axis: int = 0) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import dynamics, groups, stats, trace
 from .config import ExperimentConfig
-from .dynamics import DynamicalSystem, PointBatch, SetFamily, TowerSpec
+from .dynamics import CylinderSet, DynamicalSystem, PointBatch, TowerSpec
 from .errors import CapacityError, DomainError, StageError
 from .groups import GroupSpec
 from .measures import WeightTable
@@ -149,9 +149,9 @@ class ModelStage:
 
     The array form is built here, once: ``ball`` holds the coordinates of
     the locate ball B_n in ``groups.ball`` order and ``ball_xi`` the values
-    of ``xi`` aligned with it; ``cylinder`` is the routing cylinder
-    ``SetFamily.set_at(split.a_index)`` as a (coordinates, bits) pair of
-    arrays (empty before the split), and the split as its sorted parent
+    of ``xi`` aligned with it; ``cylinder`` is the arrays of the routing
+    cylinder ``dynamics.routing_cylinder(spec, split.a_index)`` (empty
+    before the split), and the split as its sorted parent
     ``keys`` with their ``minus`` and ``plus`` images (None before it).
     ``reach`` is the (lo, hi) corner offsets of every bit the stage's events
     read around a cell: the tower's ``box`` (B_n and the marker) joined with
@@ -164,8 +164,8 @@ class ModelStage:
         ball_n = groups.ball(spec, tower.n)
         self.ball = groups.coords(spec, ball_n)
         self.ball_xi = np.array([xi.get(g, 0.0) for g in ball_n], dtype=np.float64)
-        constraints = () if split is None else SetFamily(spec).set_at(split.a_index).bits
-        self.cylinder = (groups.coords(spec, [c for c, _ in constraints]), np.array([b for _, b in constraints]))
+        cylinder = CylinderSet(()) if split is None else dynamics.routing_cylinder(spec, split.a_index)
+        self.cylinder = cylinder.arrays(spec)
         corners = np.vstack((*tower.box, self.cylinder[0]))
         self.reach = corners.min(axis=0), corners.max(axis=0)
         self.keys = self.minus = self.plus = None
@@ -260,7 +260,7 @@ class ModelFunction:
         for st in self.stages:
             d = {
                 "tower": st.tower.to_dict(),
-                "tower_pattern": pairs(st.tower.pattern),
+                "tower_pattern": [[_elem_to_json(spec, g), b] for g, b in st.tower.pattern.bits],
                 "xi": pairs(st.xi),
                 "n0": st.n0,
                 "n": st.tower.n,

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 import operator
 
-import numpy as np
-
 from .errors import ConvergenceError
 
 Z95 = 1.959963984540054
@@ -203,6 +201,8 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
 def batch_means_se(series) -> float:
     """Standard error of the mean of a correlated series via batch means:
     ``MEAN_BATCHES`` batches, or fewer of two values each on a short series."""
+    import numpy as np  # here, so a process that only certifies loads no numpy
+
     arr = np.asarray(series, dtype=float)
     count = MEAN_BATCHES if len(arr) >= 2 * MEAN_BATCHES else max(2, len(arr) // 2)
     usable = (len(arr) // count) * count

@@ -29,11 +29,11 @@ def located_by_translates(tower: dynamics.TowerSpec, points: dynamics.PointBatch
     ``read_cells`` call."""
     spec = tower.spec
     ball = groups.ball(spec, tower.n)
-    pattern = groups.coords(spec, list(tower.pattern))
+    pattern = groups.coords(spec, [p for p, _ in tower.pattern.bits])
     cells = np.concatenate([groups.translate(spec, pattern, groups.inverse(spec, g)) for g in ball])
     window, cols = np.unique(cells, axis=0, return_inverse=True)
     bits = dynamics.read_cells(points, window)
-    return (bits[:, cols.reshape(len(ball), -1)] == list(tower.pattern.values())).all(axis=2)
+    return (bits[:, cols.reshape(len(ball), -1)] == [b for _, b in tower.pattern.bits]).all(axis=2)
 
 
 def contains(cyl: dynamics.CylinderSet, x: dynamics.PointBatch) -> bool:

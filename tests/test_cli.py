@@ -232,6 +232,7 @@ def test_chain_process_loads_no_numpy(fresh_runs):
     # the chain runs on Python floats, and ``pcg64.sample`` on ints
     assert [m for m in fresh_runs[2]["continuous"] if m == "numpy" or m.startswith("numpy.")] == []
     assert modules_after("import walkrep.pcg64", "numpy") == []
+    assert modules_after("import walkrep.stats", "numpy") == []
 
 
 @pytest.mark.parametrize("command", COMMAND_LAYERS)
@@ -341,19 +342,28 @@ def test_shift_commands_reject_other_kinds(command, tmp_path, capsys):
 
 def test_all_runs_past_a_config_error(tmp_path, capsys):
     # the shift commands reject a Heisenberg config and write nothing; the
-    # commands after them, which run on any group, still run
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"group": {"kind": "heisenberg", "d": 2}, "weights": {"n_max": 6}}))
-    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
-        "continuous", "feldman", "jrt", "norms", "weights",
-    ]
-    for command in ("weights", "norms", "jrt", "feldman", "continuous"):
-        assert (tmp_path / "out" / command / "report.json").exists()
+    # commands after them, which run on any group, still run.  At the
+    # default depth of 40 the weight table is over the cap, so ``weights``
+    # and ``norms`` reject it too
+    heisenberg = {"group": {"kind": "heisenberg", "d": 2}}
+    cap = f"weights.n_max gives a weight box of 5255361 cells on heisenberg, over the cap {measures.DEFAULT_SUPPORT_CAP}"
     reason = "towers and the model build run on integer/lattice Bernoulli shifts"
-    assert capsys.readouterr().err.splitlines() == [
-        f"config error: {command}: {reason}" for command in ("tower", "build", "support", "orbit")
-    ]
+    for cfg, rejected in (
+        ({**heisenberg, "weights": {"n_max": 6}}, {}),
+        ({**heisenberg, "lf_chain_n": 4, "lf_sampled_g0": 4, "samples": {"averaging_samples": 100}},
+         {"weights": cap, "norms": cap}),
+    ):
+        rejected.update(dict.fromkeys(("tower", "build", "support", "orbit"), reason))
+        path, out = tmp_path / "cfg.json", tmp_path / f"out{len(rejected)}"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["all", "--config", str(path), "--out", str(out)]) == 2
+        ran = sorted(set(cli.COMMANDS) - set(rejected))
+        assert sorted(f.name for f in out.iterdir()) == ran
+        for command in ran:
+            assert (out / command / "report.json").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {command}: {why}" for command, why in rejected.items()
+        ]
 
 
 def _strict_json(text: str):
@@ -429,6 +439,73 @@ def test_weight_commands_exit_cleanly_on_any_table(command, groups_, n_max, q):
         for f in written:
             if f.suffix == ".json":
                 _strict_json(f.read_text())
+
+
+@pytest.mark.parametrize("group", _KINDS, ids=lambda g: f"{g['kind']}{g['d']}")
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(
+    second=st.sampled_from(_KINDS),
+    n_max=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    stages=st.integers(1, 3),
+    n_trunc=st.integers(2, 4),
+    chain=st.integers(1, 4),
+)
+def test_all_exits_cleanly_on_any_config(group, second, n_max, stages, n_trunc, chain):
+    # every command through ``all``, on every group kind at depths 1 to 8,
+    # 1 to 3 stages and every sample count at its minimum: ``main`` returns
+    # 0, 1 or 2 and raises nothing, a command named in a config error line
+    # leaves no directory, and every JSON file written is strict
+    cfg = {
+        "group": group, "second_group": second,
+        "weights": {"n_max": n_max[0]}, "second_weights": {"n_max": n_max[1]},
+        "stages": stages, "n_trunc": n_trunc, "lf_chain_n": chain, "lf_sampled_g0": 1,
+        "samples": config.SAMPLE_MINIMUMS,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "cfg.json"), Path(tmp, "out")
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = cli.main(["all", "--config", str(path), "--out", str(out)])
+        assert status in (0, 1, 2)
+        rejected = [line.split(": ")[1] for line in err.getvalue().splitlines() if line.startswith("config error: ")]
+        assert set(rejected) <= set(cli.COMMANDS)
+        for command in rejected:
+            assert not (out / command).exists()
+        for f in out.rglob("*.json"):
+            _strict_json(f.read_text())
+
+
+@pytest.mark.parametrize("command, key", [
+    *[(command, key) for command in ("weights", "norms") for key in ("weights", "second_weights")],
+    *[(command, "weights") for command in cli.MODEL_COMMANDS],
+])
+def test_weight_table_over_the_cap_is_a_config_error(command, key, tmp_path, capsys):
+    # a table on Z^3 at depth 60: its cell box is checked against the cap
+    # before anything is written, and the error names the key
+    group = "group" if key == "weights" else "second_group"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({group: {"kind": "lattice", "d": 3}, key: {"n_max": 60}}))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    cap = measures.DEFAULT_SUPPORT_CAP
+    assert capsys.readouterr().err == f"config error: {key}.n_max gives a weight box of 1771561 cells on lattice, over the cap {cap}\n"
+    assert not (tmp_path / command).exists()
+
+
+def test_all_runs_past_a_command_error(tmp_path, capsys):
+    # at depth 4 no tower height meets the tail criterion: each model
+    # command raises a StageError after making its directory, and every
+    # command after ``build`` still runs
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, "stages": 3, "weights": {"n_max": 4}}))
+    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    for command in cli.COMMANDS:
+        written = sorted(f.name for f in (tmp_path / "out" / command).iterdir())
+        assert (written == []) == (command in cli.MODEL_COMMANDS)
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": tail criterion unsatisfiable")[0] for line in lines] == [
+        f"error: {command}" for command in cli.MODEL_COMMANDS
+    ]
 
 
 def test_reports_are_strict_json(tmp_path):

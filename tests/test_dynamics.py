@@ -69,21 +69,21 @@ def test_cylinder_measure_and_eval(z_bernoulli, z_spec):
 
 
 def test_family_enumeration(z_spec):
-    fam = dynamics.SetFamily(z_spec)
-    assert fam.descriptor(0).bits == ()  # the full space
-    assert fam.descriptor(1).bits == ((0, 0),)
-    assert fam.descriptor(2).bits == ((0, 1),)
-    # the ruler makes every descriptor recur infinitely often
-    rulers = [dynamics.SetFamily.ruler(i) for i in range(1, 17)]
-    assert rulers == [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0, 4]
+    first = list(itertools.islice(dynamics.cylinders(z_spec), 5))
+    assert first[0].bits == ()  # the full space
+    assert first[1].bits == ((0, 0),)
+    assert first[2].bits == ((0, 1),)
+    # the ruler makes every cylinder recur infinitely often
+    rulers = [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0, 4]
+    assert [dynamics.routing_cylinder(z_spec, i) for i in range(1, 17)] == [first[r] for r in rulers]
     x = point(dynamics.bernoulli_system(z_spec, 1), 0)
     # indices with the same ruler value evaluate identically
-    assert contains(fam.set_at(2), x) == contains(fam.set_at(6), x) == contains(fam.set_at(10), x)
+    assert contains(dynamics.routing_cylinder(z_spec, 2), x) == contains(dynamics.routing_cylinder(z_spec, 6), x) \
+        == contains(dynamics.routing_cylinder(z_spec, 10), x)
 
 
 def test_family_distinct_descriptors(z_spec):
-    fam = dynamics.SetFamily(z_spec)
-    seen = {fam.descriptor(j).bits for j in range(40)}
+    seen = {c.bits for c in itertools.islice(dynamics.cylinders(z_spec), 40)}
     assert len(seen) == 40
 
 
@@ -94,7 +94,7 @@ def test_tower_disjointness_and_measure(z_bernoulli):
     assert tower.mu_bn_upper() < 0.05
     assert report["mc"]["ci_upper"] < 0.05
     assert report["pass"]
-    assert tower.mu_pattern == 0.5 ** len(tower.pattern)
+    assert tower.mu_pattern == 0.5 ** len(tower.pattern.bits)
     assert report["mu_e_lower"] == report["mu_e_upper"] == tower.mu_pattern
     assert "n_excluded" not in report
     assert tower.to_dict()["mc"] == {"samples": 0, "hits_bn": 0, "ci_upper": 1.0, "collisions": 0}
@@ -111,7 +111,7 @@ def tower_locate(tower, x):
 def test_tower_locate_unique(z_bernoulli):
     tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2)
     for x in handles(dynamics.conditional_base_sampler(tower, 1, 20)):
-        assert all(read(x, p) == b for p, b in tower.pattern.items())
+        assert all(read(x, p) == b for p, b in tower.pattern.bits)
         assert tower_locate(tower, x) == 0
         assert tower_locate(tower, x.moved(2)) == 2
 
@@ -156,7 +156,7 @@ def test_marker_self_avoiding_scan(d):
     for n in range(1, 5):
         shifts = [m for m in groups.ball(spec, 2 * n) if m != e]
         for s in range(2 * n, 2 * n + 3):
-            pattern = dynamics._marker_pattern(spec, s)
+            pattern = dict(dynamics._marker_pattern(spec, s).bits)
             for m in shifts:
                 scanned += 1
                 compatible += _patterns_compatible(pattern, _shifted_pattern(spec, pattern, m))
@@ -183,7 +183,9 @@ def test_shift_scan_matches_shifted_dict(data):
 
 def test_tower_rejects_overlapping_marker(monkeypatch):
     sys2 = dynamics.bernoulli_system(groups.GroupSpec("lattice", 2), seed=12)
-    monkeypatch.setattr(dynamics, "_marker_pattern", _old_lattice_marker)
+    monkeypatch.setattr(
+        dynamics, "_marker_pattern", lambda spec, length: dynamics.CylinderSet.from_dict(spec, _old_lattice_marker(spec, length))
+    )
     with pytest.raises(TowerConstructionError, match="compatible with its shift"):
         dynamics.rokhlin_tower(sys2, 1, 0.2)
 
@@ -196,7 +198,7 @@ def _per_draw_hits(tower, samples, seed):
     probe = dynamics.probe_system(tower.system, "tower", seed)
     ball = groups.ball(spec, tower.n)
     window = sorted(
-        {groups.multiply(spec, p, groups.inverse(spec, g)) for g in ball for p in tower.pattern},
+        {groups.multiply(spec, p, groups.inverse(spec, g)) for g in ball for p, _ in tower.pattern.bits},
         key=lambda c: groups.sort_key(spec, c),
     )
     points = dynamics.sample_points(probe, np.arange(samples))
@@ -208,7 +210,7 @@ def _per_draw_hits(tower, samples, seed):
             for g in ball
             if all(
                 bits[groups.multiply(spec, p, groups.inverse(spec, g))] == b
-                for p, b in tower.pattern.items()
+                for p, b in tower.pattern.bits
             )
         ]
         hits += bool(located)
@@ -225,7 +227,9 @@ def _short_tower(sys):
     # a two-cell marker overlaps its own translates, so they can collide
     spec = sys.group
     a = groups.generators(spec)[0]
-    return dynamics.TowerSpec(system=sys, n=2, eta=0.5, pattern={groups.identity(spec): 1, a: 1})
+    return dynamics.TowerSpec(
+        system=sys, n=2, eta=0.5, pattern=dynamics.CylinderSet.from_dict(spec, {groups.identity(spec): 1, a: 1})
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -240,7 +244,7 @@ def test_tower_sieve_equals_per_draw_loop(z_bernoulli, seed):
         (dynamics.rokhlin_tower(z2, 1, 0.2), 600),
         (dynamics.rokhlin_tower(z3, 1, 0.2), 300),
     ]
-    assert [len(t.pattern) for t, _ in towers] == [8, 11, 8, 20]
+    assert [len(t.pattern.bits) for t, _ in towers] == [8, 11, 8, 20]
     for tower, samples in towers:
         assert _sieve_hits(tower, samples, seed) == _per_draw_hits(tower, samples, seed)
     # a hand-made short marker, whose translates of the base meet
@@ -294,7 +298,7 @@ def test_batched_read_equals_per_cell_read(z_bernoulli):
     positions = list(range(-12, 13))
     fresh = point(z_bernoulli, 7)
     flipped = {p: 1 - read(fresh, p) for p in positions[::2]}
-    flip = dynamics.TowerSpec(system=z_bernoulli, n=0, eta=0.5, pattern=flipped)
+    flip = dynamics.TowerSpec(system=z_bernoulli, n=0, eta=0.5, pattern=dynamics.CylinderSet.from_dict(z_bernoulli.group, flipped))
     forced = dynamics.PointBatch(
         fresh.system, fresh.draws, fresh.stream, dynamics.conditional_base_sampler(flip, 0, 1).forced, fresh.offset
     )
@@ -306,7 +310,7 @@ def test_batched_read_equals_per_cell_read(z_bernoulli):
     # and translates, each row against its one-row batch
     tower = dynamics.rokhlin_tower(z_bernoulli, 2, 0.2)
     conditional = dynamics.conditional_base_sampler(tower, 4, 6)
-    assert all(read(x, p) == b for x in handles(conditional) for p, b in tower.pattern.items())
+    assert all(read(x, p) == b for x in handles(conditional) for p, b in tower.pattern.bits)
     fresh = dynamics.sample_points(z_bernoulli, np.arange(6))
     for batch in (fresh, conditional, conditional[np.arange(6) % 3 != 1], fresh.moved(5), conditional.moved(-3)):
         assert dynamics.read_cells(batch, positions).tolist() == _per_point_rows(batch, positions)

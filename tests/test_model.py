@@ -29,7 +29,9 @@ class ModelEvaluator:
         self.model = mdl
         self.spec = mdl.spec
         self.root = dynamics.PointBatch(x.system, x.draws, x.stream, x.forced, groups.identity(mdl.spec))
-        self.family = dynamics.SetFamily(mdl.spec)
+        self.cylinders = [
+            None if st.split is None else dynamics.routing_cylinder(mdl.spec, st.split.a_index) for st in mdl.stages
+        ]
         n_stages = len(mdl.stages)
         self._bits = {}
         self._base = [dict() for _ in range(n_stages)]
@@ -53,7 +55,7 @@ class ModelEvaluator:
     def in_base(self, j: int, u) -> bool:
         cache = self._base[j]
         if u not in cache:
-            cache[u] = self._has(self.model.stages[j].tower.pattern.items(), u)
+            cache[u] = self._has(self.model.stages[j].tower.pattern.bits, u)
         return cache[u]
 
     def locate(self, j: int, position):
@@ -74,8 +76,7 @@ class ModelEvaluator:
     def in_routing_set(self, j: int, position) -> bool:
         cache = self._route[j]
         if position not in cache:
-            cyl = self.family.set_at(self.model.stages[j].split.a_index)
-            cache[position] = self._has(cyl.bits, position)
+            cache[position] = self._has(self.cylinders[j].bits, position)
         return cache[position]
 
     def f_value(self, position, stage_count: int | None = None) -> float:
@@ -148,7 +149,7 @@ def model_from_dict(data: dict, w: measures.WeightTable) -> model.ModelFunction:
             system=system,
             n=sd["n"],
             eta=sd["tower"]["eta"],
-            pattern={_elem_from_json(spec, p): int(b) for p, b in sd["tower_pattern"]},
+            pattern=dynamics.CylinderSet.from_dict(spec, {_elem_from_json(spec, p): b for p, b in sd["tower_pattern"]}),
         )
         xi = {_elem_from_json(spec, g): float(v) for g, v in sd["xi"]}
         split = None
@@ -537,7 +538,7 @@ def test_bit_box_is_the_span_grown_by_each_stage_reach(built, request):
     mdl = mdl[0] if built == "built_model" else mdl
     unsplit = [model.ModelStage(st.tower, st.xi, st.n0) for st in mdl.stages]
     e = groups.identity(mdl.spec)
-    tower = dynamics.TowerSpec(mdl.system, 0, 0.5, {e: 1})
+    tower = dynamics.TowerSpec(mdl.system, 0, 0.5, dynamics.CylinderSet.from_dict(mdl.spec, {e: 1}))
     far = model.ModelStage(tower, {e: 0.5}, 0, model.StageSplit(2**30, 0.25, (0.5,)))
     assert (far.cylinder[0].min(axis=0) < tower.box[0]).any() or (far.cylinder[0].max(axis=0) > tower.box[1]).any()
     d = mdl.stages[0].ball.shape[1]
@@ -649,7 +650,7 @@ def _loose_model(system: dynamics.DynamicalSystem, w: measures.WeightTable) -> m
     mdl = model.ModelFunction(system=system, stages=[], w=w)
     for j, (n, pattern) in enumerate(((2, {groups.identity(spec): 1, a: 0}), (1, {groups.identity(spec): 1}))):
         tower = dynamics.TowerSpec(
-            system=system, n=n, eta=0.5, pattern=pattern
+            system=system, n=n, eta=0.5, pattern=dynamics.CylinderSet.from_dict(spec, pattern)
         )
         xi = {g: (i + 1) / 8 for i, g in enumerate(groups.ball(spec, n))}
         mdl.stages.append(model.ModelStage(tower, xi, n))
@@ -936,7 +937,7 @@ def test_base_sieve_equals_dense_and(d, length):
     spec = groups.GroupSpec("integers") if d == 1 else groups.GroupSpec("lattice", d)
     system = dynamics.bernoulli_system(spec, seed=5)
     pattern = dynamics._marker_pattern(spec, length)
-    assert len(pattern) > dynamics.DENSE_CELLS
+    assert len(pattern.bits) > dynamics.DENSE_CELLS
     tower = dynamics.TowerSpec(system=system, n=1, eta=0.5, pattern=pattern)
     mdl = model.ModelFunction(system=system, stages=[], w=measures.build_weight(spec, WeightConfig(0.5, 2)))
     xi = {g: 0.5 for g in groups.ball(spec, 1)}
