@@ -78,8 +78,8 @@ def test_family_enumeration(z_spec):
     assert [dynamics.routing_cylinder(z_spec, i) for i in range(1, 17)] == [first[r] for r in rulers]
     x = point(dynamics.bernoulli_system(z_spec, 1), 0)
     # indices with the same ruler value evaluate identically
-    assert contains(dynamics.routing_cylinder(z_spec, 2), x) == contains(dynamics.routing_cylinder(z_spec, 6), x) \
-        == contains(dynamics.routing_cylinder(z_spec, 10), x)
+    same = [contains(dynamics.routing_cylinder(z_spec, i), x) for i in (2, 6, 10)]
+    assert same[0] == same[1] == same[2]
 
 
 def test_family_distinct_descriptors(z_spec):
@@ -298,7 +298,9 @@ def test_batched_read_equals_per_cell_read(z_bernoulli):
     positions = list(range(-12, 13))
     fresh = point(z_bernoulli, 7)
     flipped = {p: 1 - read(fresh, p) for p in positions[::2]}
-    flip = dynamics.TowerSpec(system=z_bernoulli, n=0, eta=0.5, pattern=dynamics.CylinderSet.from_dict(z_bernoulli.group, flipped))
+    flip = dynamics.TowerSpec(
+        system=z_bernoulli, n=0, eta=0.5, pattern=dynamics.CylinderSet.from_dict(z_bernoulli.group, flipped)
+    )
     forced = dynamics.PointBatch(
         fresh.system, fresh.draws, fresh.stream, dynamics.conditional_base_sampler(flip, 0, 1).forced, fresh.offset
     )
