@@ -11,6 +11,7 @@ import os
 from .. import model  # isort: skip
 from .. import dynamics, groups, measures
 from ..config import ExperimentConfig
+from ..errors import WalkrepError
 from . import _check_boxes, _finish, _out_dir, _record, _shift_group, _start, _write_csv, _write_json
 
 
@@ -18,15 +19,20 @@ def _build_model(cfg: ExperimentConfig, cache: list | None = None):
     """The staged model of ``cfg``, with its weight table and stage states.
     ``all`` passes one ``cache`` list to every model command, so the model
     is built once, inside the clock of the first command that asks for it,
-    as in a separate run of that command."""
-    if cache:
-        return cache[0]
-    spec = _shift_group(cfg)
-    w = measures.build_weight(spec, cfg.weights)
-    mdl = model.build_model(dynamics.bernoulli_system(spec, cfg.seed), w, cfg)
-    if cache is not None:
-        cache.append(mdl)
-    return mdl
+    as in a separate run of that command.  A build that raises a walkrep
+    error is cached too: every later command raises the same error."""
+    if cache is None:
+        cache = []
+    if not cache:
+        try:
+            spec = _shift_group(cfg)
+            w = measures.build_weight(spec, cfg.weights)
+            cache.append(model.build_model(dynamics.bernoulli_system(spec, cfg.seed), w, cfg))
+        except WalkrepError as exc:
+            cache.append(exc)
+    if isinstance(cache[0], WalkrepError):
+        raise cache[0]
+    return cache[0]
 
 
 def cmd_build(cfg: ExperimentConfig, out_base: str, cache: list | None = None) -> int:

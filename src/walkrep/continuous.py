@@ -93,24 +93,26 @@ def linspace(start: float, stop: float, num: int) -> list:
 def domination_constant_real() -> dict:
     """u = min of the overlap density on the product window, D = 2/u.
 
-    The pointwise check compares the density of rho * delta_k against
-    D times the density of rho * rho on a grid over L (endpoints included),
-    for sampled k in K; the induced shift bound sqrt(D*C) is reported.
+    psi falls as |t| grows, and so does its rounding, so u is read at the
+    ends of the window's grid.  The pointwise check compares the density of
+    rho * delta_k against D times the density of rho * rho on a grid over L
+    (endpoints included), for sampled k in K, in one scan; the induced
+    shift bound sqrt(D*C) is reported.
     """
     L = IntervalMeasure(L_HALF)
+    length = L.length
     kl_half = K_HALF + L_HALF
-    u = min(max(0.0, L.length - abs(t)) for t in arange(-kl_half, kl_half + GRID_STEP / 2, GRID_STEP))
-    u_closed = max(0.0, L.length - kl_half)
+    window = arange(-kl_half, kl_half + GRID_STEP / 2, GRID_STEP)
+    u = min(overlap_density(L, t) for t in (window[0], window[-1]))
+    u_closed = max(0.0, length - kl_half)
     d_const = 2.0 / u
     # rho has density 1/|L| on L; rho*rho has density psi/|L|^2
+    density, square = 1.0 / length, length**2
     grid = arange(-L_HALF, L_HALF + GRID_STEP / 2, GRID_STEP)
-    rhs = [d_const * max(0.0, L.length - abs(t)) / L.length**2 for t in grid]
-    violations = 0
-    worst = -math.inf
-    for k in K_SAMPLES:
-        gap = [(1.0 / L.length if abs(t - k) <= L_HALF else 0.0) - r for t, r in zip(grid, rhs)]
-        worst = max(worst, max(gap))
-        violations += sum(x > 1e-12 for x in gap)
+    rhs = [d_const * max(0.0, length - abs(t)) / square for t in grid]
+    gaps = [(density if abs(t - k) <= L_HALF else 0.0) - r for k in K_SAMPLES for t, r in zip(grid, rhs)]
+    violations = len([x for x in gaps if x > 1e-12])
+    worst = max(gaps)
     return {
         "k_half": K_HALF,
         "l_half": L_HALF,
@@ -203,10 +205,10 @@ class LocallyFiniteChain:
         return tuple(mask(g) for g in self.subgroup(self.n_max))
 
     def haar(self, n: int) -> list:
-        """lambda_n, the normalized counting measure of K_n."""
+        """lambda_n, the normalized counting measure of K_n, on K_n."""
         if not 1 <= n <= self.n_max:
             raise DomainError(f"subgroup index {n} outside 1..{self.n_max}")
-        return [2.0**-n] * 2**n + [0.0] * (2**self.n_max - 2**n)
+        return [2.0**-n] * 2**n
 
     def first_containing(self, g) -> int:
         """m0 = the first n with g in K_n."""
@@ -242,19 +244,22 @@ def locally_finite_rho(chain: LocallyFiniteChain) -> list:
 
 def haar_convolution_identity(chain: LocallyFiniteChain) -> dict:
     """Exhaustively verify lambda_i * lambda_j = lambda_{max(i,j)}: every
-    pair i <= j is convolved through the Walsh-Hadamard transform.  A
+    pair i <= j is convolved through the Walsh-Hadamard transform on the
+    2^j cells of K_j, where the product lives.  On K_n_max its spectrum
+    repeats with period 2^j, and its inverse there is 2^(n_max - j) times
+    the one on K_j, then +0: the later butterflies only double or cancel,
+    exactly, so the floats are those of the transforms on K_n_max.  A
     product equal to the last one transformed for the same j has that one's
     error, so only the products that differ are transformed back."""
     spectra = [fwht(chain.haar(n)) for n in range(1, chain.n_max + 1)]
-    size = 2**chain.n_max
     last = {}  # j -> (the last product transformed for j, its error)
     worst = 0.0
     checked = 0
     for i in range(1, chain.n_max + 1):
         for j in range(i, chain.n_max + 1):
-            prod = [x * y for x, y in zip(spectra[i - 1], spectra[j - 1])]
+            prod = [x * y for x, y in zip(spectra[i - 1] * 2 ** (j - i), spectra[j - 1])]
             if j not in last or last[j][0] != prod:
-                err = max(abs(x / size - y) for x, y in zip(fwht(prod), chain.haar(j)))
+                err = max(abs(x / 2**j - 2.0**-j) for x in fwht(prod))
                 last[j] = prod, err
             worst = max(worst, last[j][1])
             checked += 1
@@ -307,8 +312,8 @@ def domination_check_locally_finite(chain: LocallyFiniteChain, g0) -> dict:
     k = ratio.index(max(ratio))
     worst_ratio = ratio[k]
     worst_atom = element(chain.canonical_masks[k]) if worst_ratio > 0.0 else None
-    violations_simple = sum(x > c_simple * r * (1 + 1e-12) for x, r in zip(lhs, rhs))
-    violations_corrected = sum(x > c_corrected * r * (1 + 1e-12) for x, r in zip(lhs, rhs))
+    violations_simple = len([x for x, r in zip(lhs, rhs) if x > c_simple * r * (1 + 1e-12)])
+    violations_corrected = len([x for x, r in zip(lhs, rhs) if x > c_corrected * r * (1 + 1e-12)])
     return {
         "g0": groups.element_str(chain.spec, g0),
         "m0": m0,
@@ -330,7 +335,7 @@ def lower_bound_chain_check(chain: LocallyFiniteChain) -> dict:
     """Pointwise check of rho*rho >= p_1 * sum_k p_k lambda_k on K_n_max."""
     rho, rho2 = chain_convolution(chain)
     rhs = [chain.params.p(1) * x for x in rho]
-    violations = sum(x < r * (1 - 1e-12) for x, r in zip(rho2, rhs))
+    violations = len([x for x, r in zip(rho2, rhs) if x < r * (1 - 1e-12)])
     return {
         "violations": violations,
         "min_slack": min(x - r for x, r in zip(rho2, rhs)),

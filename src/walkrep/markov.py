@@ -107,11 +107,12 @@ def convergence_report(
     # f(T_g x) once per point and per atom of B_n_max, in canonical order
     atoms = sorted(groups.ball(spec, n_max), key=lambda g: groups.sort_key(spec, g))
     table = f.table(points, atoms)
+    cells = walk.cells(atoms)
     sup_dev: list[float] = []
     l2_dev: list[float] = []
     se_l2: list[float] = []
     for n in range(n_max + 1):
-        masses = walk.masses(n, atoms)
+        masses = walk.masses(n, cells)
         averages = np.zeros(samples)
         for j in np.flatnonzero(masses):
             averages += table[:, j] * masses[j]

@@ -134,9 +134,10 @@ class LazyWalk(_Cells):
         """rho^{*n} over the cells, each atom correctly rounded."""
         return (self.counts[n] / self.steps**n).astype(np.float64)
 
-    def masses(self, n: int, elements) -> np.ndarray:
-        """rho^{*n} at ``elements``, each atom correctly rounded."""
-        return (self._gather(self.counts[n], self.cells(elements)) / self.steps**n).astype(np.float64)
+    def masses(self, n: int, cells: np.ndarray) -> np.ndarray:
+        """rho^{*n} at ``cells``, as ``cells(elements)`` gives them, each
+        atom correctly rounded."""
+        return (self._gather(self.counts[n], cells) / self.steps**n).astype(np.float64)
 
     def return_probability(self, n: int) -> float:
         """rho^{*2n}(e) = sum_g rho^{*n}(g)^2 for the symmetric step, from

@@ -627,6 +627,30 @@ def test_seed_override_changes_digested_config(tmp_path):
     assert other.digest() != cfg.digest()
 
 
+def test_all_builds_a_failing_model_once(tmp_path, monkeypatch, capsys):
+    # three stages on a depth-4 weight: the tail criterion fails at stage 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"stages": 3, "weights": {"n_max": 4}}))
+    command = cli.command
+    monkeypatch.setattr(
+        cli, "command", lambda name: command(name) if name in cli.MODEL_COMMANDS else lambda cfg, out_base: 0
+    )
+    builds = []
+    build_model = model.build_model
+
+    def counted(*args):
+        builds.append(args)
+        return build_model(*args)
+
+    monkeypatch.setattr(model, "build_model", counted)
+    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "all")]) == 1
+    assert len(builds) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[:2] for line in lines] == [["error", f" {name}"] for name in cli.MODEL_COMMANDS]
+    assert len({line.split(": ", 2)[2] for line in lines}) == 1
+    assert lines[0].endswith("tail criterion unsatisfiable: need height > 24 for radius 0.5 and sup |f| = 1.0025")
+
+
 def test_all_builds_the_model_once(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 import os
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import convolution as oracle
 import fresh
-from walkrep import continuous, groups
+from walkrep import cli, continuous, groups
 from walkrep.errors import DomainError
 
 
@@ -62,6 +64,42 @@ def test_domination_constant_real_defaults():
     assert rep["pass"]
 
 
+def _full_real_domination() -> tuple:
+    """(u, violations, worst_gap) of the real-line check by its full scans:
+    psi at every point of the window's grid, and one gap scan per k."""
+    L = continuous.IntervalMeasure(continuous.L_HALF)
+    step = continuous.GRID_STEP
+    kl_half = continuous.K_HALF + continuous.L_HALF
+    u = min(continuous.overlap_density(L, t) for t in continuous.arange(-kl_half, kl_half + step / 2, step))
+    grid = continuous.arange(-L.half, L.half + step / 2, step)
+    rhs = [2.0 / u * continuous.overlap_density(L, t) / L.length**2 for t in grid]
+    violations, worst = 0, -math.inf
+    for k in continuous.K_SAMPLES:
+        gap = [(1.0 / L.length if abs(t - k) <= L.half else 0.0) - r for t, r in zip(grid, rhs)]
+        worst = max(worst, max(gap))
+        violations += sum(x > 1e-12 for x in gap)
+    return u, violations, worst
+
+
+def test_real_domination_equals_full_grid_oracle():
+    rep = continuous.domination_constant_real()
+    assert repr((rep["u"], rep["violations"], rep["worst_gap"])) == repr(_full_real_domination())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=0.1, max_value=5.0),
+    st.floats(min_value=0.0, max_value=12.0),
+    st.floats(min_value=0.005, max_value=1.0),
+)
+def test_overlap_density_minimum_on_a_grid_is_at_an_end(half, reach, step):
+    # psi falls as |t| grows, and its rounding keeps that order
+    L = continuous.IntervalMeasure(half)
+    grid = continuous.arange(-reach, reach + step / 2, step)
+    psi = [continuous.overlap_density(L, t) for t in grid]
+    assert min(psi) == min(psi[0], psi[-1])
+
+
 def test_domination_grid_tight_at_edges():
     # equality holds at the interval endpoints, so any smaller constant fails
     rep = continuous.domination_constant_real()
@@ -88,7 +126,7 @@ def test_haar_measures():
     assert abs(sum(lam2) - 1.0) < 1e-15
     assert lam2[continuous.mask(())] == 0.25
     assert lam2[continuous.mask((1, 2))] == 0.25
-    assert lam2[continuous.mask((3,))] == 0.0
+    assert len(lam2) == 4 <= continuous.mask((3,))  # K_2's cells only
 
 
 def test_haar_convolution_identity_small():
@@ -96,6 +134,50 @@ def test_haar_convolution_identity_small():
     rep = continuous.haar_convolution_identity(chain)
     assert rep["pass"]
     assert rep["pairs_checked"] == 15
+
+
+def _full_haar_identity(chain) -> dict:
+    """The Haar identity with every measure on all of K_n_max and every
+    pair's product transformed back there."""
+    size = 2**chain.n_max
+    full = [chain.haar(n) + [0.0] * (size - 2**n) for n in range(1, chain.n_max + 1)]
+    spectra = [continuous.fwht(lam) for lam in full]
+    worst = 0.0
+    checked = 0
+    for i in range(1, chain.n_max + 1):
+        for j in range(i, chain.n_max + 1):
+            prod = [x * y for x, y in zip(spectra[i - 1], spectra[j - 1])]
+            err = max(abs(x / size - y) for x, y in zip(continuous.fwht(prod), full[j - 1]))
+            worst = max(worst, err)
+            checked += 1
+    return {"pairs_checked": checked, "max_abs_error": worst, "pass": worst < 1e-12}
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+def test_haar_identity_equals_full_size_oracle(q):
+    for n in range(1, 11):
+        chain = continuous.LocallyFiniteChain(n_max=n, q=q)
+        assert repr(continuous.haar_convolution_identity(chain)) == repr(_full_haar_identity(chain))
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_haar_identity_sees_one_perturbed_transform_output(monkeypatch, j):
+    # the last cell of lambda_j's inverse transform, off by 1e-9, fails the check
+    chain = continuous.LocallyFiniteChain(n_max=6)
+    fwht, sizes = continuous.fwht, []
+
+    def perturbed(a):
+        out = fwht(a)
+        sizes.append(len(out))
+        if len(sizes) == chain.n_max + j:
+            out[-1] += 1e-9
+        return out
+
+    monkeypatch.setattr(continuous, "fwht", perturbed)
+    rep = continuous.haar_convolution_identity(chain)
+    # one spectrum per subgroup, then one inverse per j, each on K_j's cells
+    assert sizes == [2**n for n in range(1, 7)] * 2
+    assert rep["max_abs_error"] == pytest.approx(1e-9 / 2**j) and not rep["pass"]
 
 
 def test_locally_finite_rho_masses():
@@ -264,6 +346,35 @@ def test_chain_domination_anchors_k10():
     assert sum(r["violations"] for r in reps) == 468
     assert round(max(r["worst_ratio"] for r in reps), 1) == 175018.9
     assert sum(r["violations_corrected"] for r in reps) == 0
+
+
+# ``continuous`` on K_3..K_6 at seed 20240, sampling min(20, 2^n) of the g0:
+# n -> (violations of the simple constant over the g0, the worst ratio)
+SHORT_CHAINS_11B = {
+    3: (8, "12.923076923076923"),
+    4: (40, "46.89655172413793"),
+    5: (54, "178.88524590163934"),
+    6: (134, "698.88"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SHORT_CHAINS_11B))
+def test_simple_constant_fails_on_short_chains_only_from_k3(tmp_path, n):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lf_chain_n": n, "lf_sampled_g0": min(20, 2**n)}))
+    out = tmp_path / "out"
+    assert cli.main(["continuous", "--config", str(path), "--seed", "20240", "--out", str(out)]) == 1
+    with open(out / "continuous" / "lf_domination.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    total = sum(int(r["violations"]) for r in rows)
+    assert (total, max((r["worst_ratio"] for r in rows), key=float)) == SHORT_CHAINS_11B[n]
+    # a g0 violates exactly when its first containing subgroup is K_3 or deeper
+    assert all((int(r["violations"]) > 0) == (int(r["m0"]) >= 3) for r in rows)
+    assert all(int(r["violations_corrected"]) == 0 for r in rows)
+    report = json.loads((out / "continuous" / "report.json").read_text())
+    verdicts = {r["name"]: r["pass"] for r in report["records"]}
+    assert not verdicts["lf_domination_simple_constant"]
+    assert verdicts["lf_domination_corrected_constant"]
 
 
 def _script_lines(script: str, *args: str) -> list:

@@ -90,7 +90,7 @@ def walk_powers(spec, n_max):
     powers = []
     for n in range(1, n_max + 1):
         ball = groups.ball(spec, n)
-        powers.append(oracle.SparseMeasure(spec, dict(zip(ball, walk.masses(n, ball).tolist()))))
+        powers.append(oracle.SparseMeasure(spec, dict(zip(ball, walk.masses(n, walk.cells(ball)).tolist()))))
     return powers
 
 

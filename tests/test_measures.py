@@ -16,22 +16,22 @@ from walkrep.errors import CapacityError, DegenerateRestrictionError, DomainErro
 def test_step_distribution_z(z_spec):
     walk = measures.lazy_walk(z_spec, 1)
     assert walk.counts[1].tolist() == [1, 1, 1]
-    assert walk.masses(1, [-1, 0, 1]).tolist() == [1 / 3, 1 / 3, 1 / 3]
-    assert walk.masses(1, [2, -2]).tolist() == [0.0, 0.0]
+    assert walk.masses(1, walk.cells([-1, 0, 1])).tolist() == [1 / 3, 1 / 3, 1 / 3]
+    assert walk.masses(1, walk.cells([2, -2])).tolist() == [0.0, 0.0]
 
 
 def test_step_distribution_f2(f2_spec):
     walk = measures.lazy_walk(f2_spec, 1)
     ball = groups.ball(f2_spec, 1)
     assert len(ball) == 5
-    assert walk.masses(1, ball).tolist() == [0.2] * 5
+    assert walk.masses(1, walk.cells(ball)).tolist() == [0.2] * 5
     assert oracle.step_distribution(f2_spec).masses == dict.fromkeys(ball, 0.2)
 
 
 def test_convolution_examples_z(z_spec):
     walk = measures.lazy_walk(z_spec, 3)
-    assert walk.masses(2, [0, 2]).tolist() == [1 / 3, 1 / 9]  # 3 of 9 pairs sum to 0; only (1, 1)
-    assert walk.masses(3, [0]).tolist() == [7 / 27]  # 7 of 27 triples
+    assert walk.masses(2, walk.cells([0, 2])).tolist() == [1 / 3, 1 / 9]  # 3 of 9 pairs sum to 0; only (1, 1)
+    assert walk.masses(3, walk.cells([0])).tolist() == [7 / 27]  # 7 of 27 triples
     rho = oracle.step_distribution(z_spec)
     rho2 = oracle.convolve(z_spec, rho, rho)
     assert abs(rho2.mass(0) - 1 / 3) < 1e-15
@@ -40,7 +40,7 @@ def test_convolution_examples_z(z_spec):
 
 def test_convolution_examples_f2(f2_spec):
     walk = measures.lazy_walk(f2_spec, 2)
-    assert walk.masses(2, [()]).tolist() == [1 / 5]  # 5 of 25 pairs cancel
+    assert walk.masses(2, walk.cells([()])).tolist() == [1 / 5]  # 5 of 25 pairs cancel
     rho = oracle.step_distribution(f2_spec)
     rho2 = oracle.convolve(f2_spec, rho, rho)
     assert abs(rho2.mass(()) - 1 / 5) < 1e-15
@@ -62,7 +62,7 @@ def test_convolution_power_support_and_mass():
             assert walk._gather(walk.counts[n], walk.cells(inverses)).tolist() == counts
             inside = set(ball)
             beyond = [g for g in outside if g not in inside]
-            assert not walk.masses(n, beyond).any()
+            assert not walk.masses(n, walk.cells(beyond)).any()
 
 
 @pytest.mark.parametrize(
@@ -87,7 +87,7 @@ def test_walk_counts_equal_python_int_counts(kind, d, depth, dtype, monkeypatch)
         assert walk.counts[n].dtype == dtype
         assert walk.counts[n].tolist() == exact.counts[n].tolist()
         assert walk.rho(n).tolist() == exact.rho(n).tolist()
-        assert walk.masses(n, ball).tolist() == exact.masses(n, ball).tolist()
+        assert walk.masses(n, walk.cells(ball)).tolist() == exact.masses(n, exact.cells(ball)).tolist()
         assert walk.return_probability(n) == exact.return_probability(n)
 
 
@@ -426,7 +426,7 @@ def test_monte_carlo_cross_check_z(z_spec):
         values, counts = np.unique(endpoints, return_counts=True)
         freq = dict(zip(values.tolist(), (counts / samples).tolist()))
         support = groups.ball(z_spec, n)
-        for g, p in zip(support, walk.masses(n, support).tolist()):
+        for g, p in zip(support, walk.masses(n, walk.cells(support)).tolist()):
             se = math.sqrt(p * (1 - p) / samples)
             assert abs(freq.get(g, 0.0) - p) <= 4 * se + 1e-9
 
@@ -473,7 +473,7 @@ def test_monte_carlo_cross_check_f2(f2_spec):
 
     checked = 0
     support = groups.ball(f2_spec, n)
-    for g, p in zip(support, walk.masses(n, support).tolist()):
+    for g, p in zip(support, walk.masses(n, walk.cells(support)).tolist()):
         se = math.sqrt(p * (1 - p) / samples)
         assert abs(freq.get(encode(g), 0.0) - p) <= 4 * se + 1e-9
         checked += p > 0.0
@@ -484,4 +484,4 @@ def test_monte_carlo_cross_check_f2(f2_spec):
 @given(st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=6))
 def test_symmetry_propagates(g, n):
     walk = measures.lazy_walk(groups.GroupSpec("integers"), n)
-    assert walk.masses(n, [g]).tolist() == walk.masses(n, [-g]).tolist()
+    assert walk.masses(n, walk.cells([g])).tolist() == walk.masses(n, walk.cells([-g])).tolist()
