@@ -13,10 +13,6 @@ class CapacityError(WalkrepError):
     """A ball or convolution support would exceed the configured cap."""
 
 
-class EmbeddingError(WalkrepError):
-    """Generator images do not define (or cannot verify) a homomorphism."""
-
-
 class DomainError(WalkrepError):
     """An evaluation domain is empty or an argument is out of range."""
 

@@ -19,8 +19,9 @@ They are the module's only numpy users and import it themselves, so the
 config layer, the command line and the Z/2-chain load no numpy.
 
 Arithmetic trusts its inputs to be canonical and does not re-check them:
-``check_element`` runs once where an encoding enters walkrep: on ``Embedding``
-images, and on the element argument of each public certificate and check
+``check_element`` runs once where an encoding enters walkrep: on the element
+x of ``measures.power_map``, the map n -> x^n behind the restricted weight,
+and on the element argument of each public certificate and check
 (``weight_ratio``, ``restricted_ratio_certificate``,
 ``subgroup_norm_certificate``, ``equivariance_check`` and
 ``LocallyFiniteChain.first_containing``).  Canonical inputs give canonical
@@ -32,13 +33,12 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import CapacityError, DomainError, EmbeddingError, EncodingError
+from .errors import CapacityError, DomainError, EncodingError
 
 if TYPE_CHECKING:
     import numpy as np
 
 BALL_CAP = 10**6  # the most elements a ball or a word-length search holds
-EMBED_CHECK_RADIUS = 3
 
 FG_KINDS = ("integers", "lattice", "free", "heisenberg")
 KINDS = FG_KINDS + ("z2sum",)
@@ -399,56 +399,3 @@ def power(spec: GroupSpec, g, n: int):
         n >>= 1
     return acc
 
-
-class Embedding:
-    """A homomorphism of one roster group into another, given on generators.
-
-    Only kinds whose elements decompose canonically into generator words are
-    accepted as the domain (integers, lattice, free).
-    """
-
-    def __init__(self, spec_sub: GroupSpec, spec_amb: GroupSpec, images: list):
-        if spec_sub.kind not in ("integers", "lattice", "free"):
-            raise EmbeddingError(f"cannot decompose {spec_sub.kind} elements")
-        if len(images) != spec_sub.d and not (
-            spec_sub.kind == "integers" and len(images) == 1
-        ):
-            raise EmbeddingError("need one image per generator")
-        for im in images:
-            check_element(spec_amb, im)
-        self.spec_sub = spec_sub
-        self.spec_amb = spec_amb
-        self.images = list(images)
-
-    def map(self, g):
-        sub, amb = self.spec_sub, self.spec_amb
-        if sub.kind == "integers":
-            return power(amb, self.images[0], g)
-        if sub.kind == "lattice":
-            out = identity(amb)
-            for i, c in enumerate(g):
-                out = multiply(amb, out, power(amb, self.images[i], c))
-            return out
-        out = identity(amb)
-        for letter in g:
-            im = self.images[abs(letter) - 1]
-            if letter < 0:
-                im = inverse(amb, im)
-            out = multiply(amb, out, im)
-        return out
-
-
-def subgroup_embed(spec_sub: GroupSpec, spec_amb: GroupSpec, images: list) -> Embedding:
-    """Build an Embedding and check the homomorphism law on every pair of
-    B_``EMBED_CHECK_RADIUS``, in ``ball`` order; the first pair that breaks
-    it is named in the EmbeddingError."""
-    emb = Embedding(spec_sub, spec_amb, images)
-    pool = ball(spec_sub, EMBED_CHECK_RADIUS)
-    mapped = [emb.map(g) for g in pool]
-    for a, fa in zip(pool, mapped):
-        for b, fb in zip(pool, mapped):
-            if emb.map(multiply(spec_sub, a, b)) != multiply(spec_amb, fa, fb):
-                raise EmbeddingError(
-                    f"images are not homomorphic: f({a}*{b}) != f({a})f({b})"
-                )
-    return emb

@@ -21,7 +21,7 @@ ball B_n (see ``cell_box``).
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import CapacityError, DegenerateRestrictionError, DomainError
 from .groups import GroupSpec
 
 DEFAULT_SUPPORT_CAP = 10**6
+INTEGERS = GroupSpec("integers")  # the restricted weight's group
 
 
 def cell_box(spec: GroupSpec, radius: int) -> tuple[tuple, tuple]:
@@ -344,6 +345,14 @@ def translated_cells(w: WeightTable, elements: list, cells: np.ndarray, b) -> np
     return groups.translate(w.spec, cells, b)
 
 
+def _interior_depth(w: WeightTable, length: int) -> int:
+    """n_max - |b|, where both ratio certificates compare; DomainError below 1."""
+    depth = w.params.n_max - length
+    if depth < 1:
+        raise DomainError(f"|b|={length} leaves no interior domain (n_max={w.params.n_max})")
+    return depth
+
+
 def weight_ratio(w: WeightTable, b) -> dict:
     """Certified two-sided translation bounds for w(g b) against w(g).
 
@@ -358,11 +367,8 @@ def weight_ratio(w: WeightTable, b) -> dict:
     spec = w.spec
     groups.check_element(spec, b)
     length = groups.word_length(spec, b)
-    n_max = w.params.n_max
-    if length > n_max - 1 and length > 0:
-        raise DomainError(f"|b|={length} leaves no interior domain (n_max={n_max})")
+    depth = _interior_depth(w, length)
     bound = translation_bound(w, length)
-    depth = n_max - length
     if spec.kind == "free":
         classes = groups.free_translation_classes(spec, b, depth)
         domain = [g for g, _ in classes]
@@ -393,46 +399,53 @@ def weight_ratio(w: WeightTable, b) -> dict:
         "observed_min": None if lower_min == math.inf else lower_min,
         "plain_table_max": plain_max,
         "numerator_depth": depth,
-        "denominator_depth": n_max,
+        "denominator_depth": w.params.n_max,
         "domain": f"ball({depth})",
         "n_evaluated": evaluated,
         "pass": bool(upper_max <= bound * (1 + 1e-12) and lower_ok),
     }
 
 
-def restrict_renormalize(w_amb: WeightTable, emb: groups.Embedding) -> dict:
-    """Pull the ambient weight back along an embedding and renormalize.
+def power_map(spec: GroupSpec, x):
+    """n -> x^n, the copy of the integers that the restricted weight lives
+    on.  ``x`` must be canonical and not the identity: every group with word
+    balls is torsion-free, so that is exactly the check that n -> x^n is
+    injective."""
+    groups.check_element(spec, x)
+    if x == groups.identity(spec):
+        raise DomainError("x = e maps every integer to e, not onto a copy of Z")
+    return partial(groups.power, spec, x)
 
-    The result is a probability law on the subgroup, as a dict of element ->
-    mass in ``groups.ball`` order, supported on the window of subgroup
-    elements whose images carry stored ambient weight.
+
+def restrict_renormalize(w_amb: WeightTable, x) -> dict:
+    """Pull the ambient weight back to the integers along n -> x^n and
+    renormalize: a probability law as a dict n -> mass in increasing n, on
+    the n in [-n_max, n_max] whose images x^n carry stored ambient weight.
     """
-    sub = emb.spec_sub
-    window = groups.ball(sub, w_amb.params.n_max)
-    values = w_amb.read(w_amb.cells([emb.map(h) for h in window])).tolist()
-    table = {h: v for h, v in zip(window, values) if v > 0.0}
-    total = sum(table[h] for h in sorted(table, key=lambda g: groups.sort_key(sub, g)))
+    power = power_map(w_amb.spec, x)
+    window = range(-w_amb.params.n_max, w_amb.params.n_max + 1)
+    values = w_amb.read(w_amb.cells([power(n) for n in window])).tolist()
+    table = {n: v for n, v in zip(window, values) if v > 0.0}
+    total = sum(table[n] for n in sorted(table, key=abs))  # 0, -1, 1, ...: bit-stable
     if total <= 0.0:
         raise DegenerateRestrictionError("restricted weight has zero mass")
-    return {h: v / total for h, v in table.items()}
+    return {n: v / total for n, v in table.items()}
 
 
-def restricted_ratio_certificate(w_amb: WeightTable, emb: groups.Embedding, b_sub) -> dict:
-    """Two-sided translation bounds for the restricted measure.
+def restricted_ratio_certificate(w_amb: WeightTable, x, b: int) -> dict:
+    """Two-sided translation bounds for the restricted measure, translating
+    by b in the copy n -> x^n of the integers.
 
     Checked at the ambient level at matched truncation depths (the common
     normalizer cancels), over the window where both points are stored.
     """
-    sub, amb = emb.spec_sub, emb.spec_amb
-    groups.check_element(sub, b_sub)
-    b_amb = emb.map(b_sub)
-    length = groups.word_length(amb, b_amb)
-    n_max = w_amb.params.n_max
-    depth = n_max - length
-    if depth < 0:
-        raise DomainError("translation image longer than stored depth")
+    power = power_map(w_amb.spec, x)
+    groups.check_element(INTEGERS, b)
+    b_amb = power(b)
+    length = groups.word_length(w_amb.spec, b_amb)
+    depth = _interior_depth(w_amb, length)
     bound = translation_bound(w_amb, length)
-    images = [emb.map(h) for h in groups.ball(sub, depth)]
+    images = [power(n) for n in range(-depth, depth + 1)]
     cells = w_amb.cells(images)
     moved = translated_cells(w_amb, images, cells, b_amb)
     den, part_h = w_amb.read(cells), w_amb.read(cells, depth)
@@ -445,7 +458,7 @@ def restricted_ratio_certificate(w_amb: WeightTable, emb: groups.Embedding, b_su
     lower = counted & (full_b > 0.0) & (part_h > 0.0)
     lower_min = float((full_b[lower] / part_h[lower]).min(initial=math.inf))
     return {
-        "b": groups.element_str(sub, b_sub),
+        "b": str(b),
         "bound": bound,
         "lower_bound": 1.0 / bound,
         "observed_max": upper_max,

@@ -65,45 +65,41 @@ def operator_norm_certificate(w: WeightTable, a) -> dict:
     }
 
 
-def subgroup_norm_certificate(
-    w_amb: WeightTable,
-    emb: groups.Embedding,
-    g0,
-) -> dict:
-    """Certify the translation-operator bound on the restricted-weight space.
+def subgroup_norm_certificate(w_amb: WeightTable, x, g0: int) -> dict:
+    """Certify the translation-operator bound on the restricted-weight space
+    of the copy n -> x^n of the integers.
 
     The restricted, renormalized measure becomes the step law of a second
-    weight w_G on the subgroup; the operator bound there is M_{g0}, the
-    ambient translation bound of the embedded element.  The domain is the
-    vectors supported on the pool of atoms h in the interior of the
-    second-layer window whose shift h g0^-1 also carries stored weight, so
-    both norms read the stored table and no tail allowance applies.  S_{g0}
-    permutes the basis and w_G is diagonal in it, so ||S_{g0} v||^2 / ||v||^2
-    is the average of the single-atom ratios w_G(h g0^-1) / w_G(h) weighted
-    by v(h)^2 w_G(h); the operator norm on the domain is exactly the largest
-    single-atom ratio, which is what ``observed`` reports.
+    weight w_G on the integers; the operator bound there is M_{g0}, the
+    ambient translation bound of x^g0.  The domain is the vectors supported
+    on the pool of atoms h in the interior of the second-layer window whose
+    shift h - g0 also carries stored weight, so both norms read the stored
+    table and no tail allowance applies.  S_{g0} permutes the basis and w_G
+    is diagonal in it, so ||S_{g0} v||^2 / ||v||^2 is the average of the
+    single-atom ratios w_G(h - g0) / w_G(h) weighted by v(h)^2 w_G(h); the
+    operator norm on the domain is exactly the largest single-atom ratio,
+    which is what ``observed`` reports.
     """
-    sub, amb = emb.spec_sub, emb.spec_amb
-    groups.check_element(sub, g0)
-    rho_g = measures.restrict_renormalize(w_amb, emb)
-    img = emb.map(g0)
-    length = groups.word_length(amb, img)
+    groups.check_element(measures.INTEGERS, g0)
+    rho_g = measures.restrict_renormalize(w_amb, x)  # checks x
+    img = groups.power(w_amb.spec, x, g0)
+    length = groups.word_length(w_amb.spec, img)
     m_g0 = measures.translation_bound(w_amb, length)
-    w_sub = measures.build_weight(sub, SECOND_LAYER, rho=rho_g)
+    w_sub = measures.build_weight(measures.INTEGERS, SECOND_LAYER, rho=rho_g)
     # interior window: one base-window radius in from the support edge
-    base_radius = max(groups.word_length(sub, h) for h in rho_g)
+    base_radius = max(abs(n) for n in rho_g)
     interior = base_radius * (SECOND_LAYER.n_max - 1)
     interior = max(interior - length, 1)
     ball, cells = w_sub.ball(interior)
     den = w_sub.read(cells)
-    num = w_sub.read(measures.translated_cells(w_sub, ball, cells, groups.inverse(sub, g0)))
+    num = w_sub.read(measures.translated_cells(w_sub, ball, cells, -g0))
     pool = (den > 0.0) & (num > 0.0)
     atom_max = float(np.sqrt(num[pool] / den[pool]).max(initial=0.0))
     if not pool.any():
         raise DomainError("empty interior domain for subgroup certificate")
     return {
-        "g0": groups.element_str(sub, g0),
-        "ambient_image": groups.element_str(amb, img),
+        "g0": str(g0),
+        "ambient_image": groups.element_str(w_amb.spec, img),
         "bound": m_g0,
         "observed": atom_max,
         "domain": f"subgroup ball({interior})",

@@ -509,13 +509,9 @@ def test_all_runs_past_a_command_error(tmp_path, capsys):
 
 
 def test_reports_are_strict_json(tmp_path):
-    # at depth 0 no atom has a lower ratio: observed_min is null, not
-    # Infinity.  ``norms`` rejects a depth-1 table, so the record is built
-    # as ``norms`` builds it and written by the reports' writer
-    w2 = measures.build_weight(groups.GroupSpec("free", 2), WeightConfig(0.5, 1))
-    emb = groups.subgroup_embed(groups.GroupSpec("integers"), w2.spec, [(1,)])
-    nrho = measures.restricted_ratio_certificate(w2, emb, 1)
-    record = commands._record("restricted_ratio_b1", nrho, bound=nrho["bound"])
+    # a value a report leaves out is written as null, not dropped, and an
+    # infinity is refused rather than written as Infinity
+    record = commands._record("absent_value", {"observed_min": None, "pass": True}, bound=10.0)
     commands._write_json(str(tmp_path / "report.json"), {"records": [record]})
     (record,) = _strict_json((tmp_path / "report.json").read_text())["records"]
     assert record["pass"] and record["detail"]["observed_min"] is None

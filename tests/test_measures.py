@@ -347,21 +347,30 @@ def test_plain_table_ratio_exceeds_bound_at_edge(z_spec, z_weights):
     assert rep["plain_table_max"] > rep["bound"]
 
 
-def test_restrict_renormalize(z_spec, f2_spec, f2_weights):
-    emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
-    rho_g = measures.restrict_renormalize(f2_weights, emb)
+def test_restrict_renormalize(f2_weights, ambient_powers):
+    rho_g = measures.restrict_renormalize(f2_weights, (1,))
     assert abs(sum(rho_g.values()) - 1.0) < 1e-12
     n_max = f2_weights.params.n_max
     assert list(rho_g) == list(range(-n_max, n_max + 1))
     assert all(rho_g[n] > 0 for n in rho_g)
     assert all(rho_g[n] == rho_g[-n] for n in rho_g)
+    # on every kind: each atom is w(x^n) over the total, in increasing n, and
+    # the law is symmetric exactly
+    for w, x in ambient_powers:
+        law = measures.restrict_renormalize(w, x)
+        window = range(-w.params.n_max, w.params.n_max + 1)
+        stored = {n: weight(w, groups.power(w.spec, x, n)) for n in window}
+        total = sum(stored[n] for n in sorted(stored, key=abs) if stored[n] > 0.0)
+        assert list(law) == [n for n in stored if stored[n] > 0.0]
+        assert all(law[n] == stored[n] / total for n in law)
+        assert all(law[n] == law[-n] for n in law)
+        assert abs(sum(law.values()) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n_max", [2, 4, 6])
-def test_restricted_law_weight_matches_dict_convolution(z_spec, f2_spec, f2_weights, n_max):
+def test_restricted_law_weight_matches_dict_convolution(z_spec, f2_weights, n_max):
     # the restricted law's float stencil against the dict convolution
-    emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
-    rho_g = measures.restrict_renormalize(f2_weights, emb)
+    rho_g = measures.restrict_renormalize(f2_weights, (1,))
     params = WeightConfig(q=0.5, n_max=n_max)
     w = measures.build_weight(z_spec, params, rho=rho_g)
     law = oracle.SparseMeasure(z_spec, rho_g, symmetric=True)
@@ -392,24 +401,40 @@ def test_oversized_box_raises_before_allocating(monkeypatch):
         measures.build_weight(groups.GroupSpec("lattice", 3), WeightConfig(0.5, 60))
 
 
-def test_restricted_ratio_certificate(z_spec, f2_spec, f2_weights):
-    emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
-    rep = measures.restricted_ratio_certificate(f2_weights, emb, 1)
+def test_restricted_ratio_certificate(f2_weights, ambient_powers):
+    rep = measures.restricted_ratio_certificate(f2_weights, (1,), 1)
     assert rep["bound"] == 10.0  # (2*2+1) * 2 for a single letter
     assert rep["pass"]
+    for w, x in ambient_powers:
+        rep = measures.restricted_ratio_certificate(w, x, 1)
+        length = groups.word_length(w.spec, x)
+        assert rep["bound"] == measures.translation_bound(w, length)
+        assert rep["domain"] == f"subgroup ball({w.params.n_max - length})"
+        assert rep["pass"]
 
 
-def test_degenerate_restriction(z_spec, f2_spec):
+@pytest.mark.parametrize("n_max, b", [(1, 1), (3, 3)])
+def test_restricted_ratio_needs_an_interior_domain(f2_spec, n_max, b):
+    # |a^b| = n_max leaves depth 0, where both certificates have nothing to
+    # compare: one domain rule for the ambient and the restricted ratio
+    w = measures.build_weight(f2_spec, WeightConfig(q=0.5, n_max=n_max))
+    message = rf"^\|b\|={b} leaves no interior domain \(n_max={n_max}\)$"
+    with pytest.raises(DomainError, match=message):
+        measures.weight_ratio(w, (1,) * b)
+    with pytest.raises(DomainError, match=message):
+        measures.restricted_ratio_certificate(w, (1,), b)
+
+
+def test_degenerate_restriction(f2_spec):
     w_small = measures.build_weight(f2_spec, WeightConfig(q=0.5, n_max=2))
     # images a^n leave the stored support except near the identity, but the
     # window always contains the identity, so force degeneracy differently:
-    emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
     empty = measures.WeightTable(
         w_small.spec, w_small.offset, w_small.params,
         tuple(np.zeros_like(row) for row in w_small.partials),
     )
     with pytest.raises(DegenerateRestrictionError):
-        measures.restrict_renormalize(empty, emb)
+        measures.restrict_renormalize(empty, (1,))
 
 
 def _simulate_walk_z(rng, n, samples):

@@ -1,7 +1,10 @@
 """Record semantics: constructor checks, immutable records, the classes
-that are keys, and the digests of the benchmark configs and seeds."""
+that are keys, the digests of the benchmark configs and seeds, and the
+names the benchmark's tracer wraps."""
 
+import ast
 import hashlib
+import importlib
 import json
 import struct
 from pathlib import Path
@@ -146,6 +149,39 @@ BENCH_CONFIGS = {
 def test_benchmark_config_digests(name):
     body, digest = BENCH_CONFIGS[name]
     assert config.config_from_dict({"seed": 20240, **body}).digest() == digest
+
+
+TRACED_CLI = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+# names the tracer wraps that are gone from walkrep: each reads 0 in a trace
+STALE_TRACED = {
+    "measures.convolution_powers", "measures.convolve", "measures.WeightTable.partial_table",
+    "markov.markov_average",
+    "model.doubling_shift_baseline", "model.ModelEvaluator.f_value",
+    "space.norm_detail", "space.shift",
+    "dynamics.PointHandle.read", "dynamics.sample_point",
+}
+
+
+def test_traced_names_resolve():
+    # a rename of a traced function would silently zero its metrics: every
+    # name in the tracer's TIMED and COUNTED tables resolves on walkrep, but
+    # the known stale ones.  The tables are read, not imported
+    tree = ast.parse(TRACED_CLI.read_text(encoding="utf-8"))
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in ("TIMED", "COUNTED")
+    }
+    paths = [(layer, path) for table in tables.values() for layer, names in table.items() for path in names]
+    assert len(paths) > len(STALE_TRACED)
+    missing = set()
+    for layer, path in paths:
+        owner = importlib.import_module(f"walkrep.{layer}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.add(f"{layer}.{path}")
+    assert missing <= STALE_TRACED
 
 
 def _configs() -> list:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from vectors import WeightedVector, delta, norm, norm_detail, partial_weight, shift, weight
 from walkrep import groups, measures, space
 from walkrep.config import WeightConfig
-from walkrep.errors import DomainError
+from walkrep.errors import DomainError, EncodingError
 
 
 def test_norm_delta_hand_value(z_spec):
@@ -124,14 +124,46 @@ def test_certificate_needs_a_shifted_atom(kind, d):
         assert rep["single_atom_argmax"] in {groups.element_str(spec, g) for g in groups.ball(spec, 1)}
 
 
-def test_subgroup_norm_certificates(z_spec, f2_spec, f2_weights):
-    emb = groups.subgroup_embed(z_spec, f2_spec, [(1,)])
-    rep0 = space.subgroup_norm_certificate(f2_weights, emb, 0)
+def test_subgroup_norm_certificates(f2_weights, ambient_powers):
+    rep0 = space.subgroup_norm_certificate(f2_weights, (1,), 0)
     assert rep0["bound"] == 1.0 and rep0["observed"] <= 1.0 + 1e-9
-    rep1 = space.subgroup_norm_certificate(f2_weights, emb, 1)
+    rep1 = space.subgroup_norm_certificate(f2_weights, (1,), 1)
     assert rep1["bound"] == 10.0 and rep1["pass"]
-    rep2 = space.subgroup_norm_certificate(f2_weights, emb, 2)
+    rep2 = space.subgroup_norm_certificate(f2_weights, (1,), 2)
     assert rep2["bound"] == 100.0 and rep2["pass"]
+    for w, x in ambient_powers:
+        for g0 in (0, 1, 2):
+            rep = space.subgroup_norm_certificate(w, x, g0)
+            image = groups.power(w.spec, x, g0)
+            assert rep["ambient_image"] == groups.element_str(w.spec, image)
+            assert rep["bound"] == measures.translation_bound(w, groups.word_length(w.spec, image))
+            assert rep["pass"]
+
+
+@pytest.mark.parametrize(
+    "kind, d",
+    [("integers", 1), ("lattice", 1), ("lattice", 2), ("lattice", 3), ("free", 1), ("free", 2), ("heisenberg", 2)],
+)
+def test_restricted_pipeline_rejects_the_identity(kind, d):
+    # x = e sends every n to e: n -> x^n is not injective, and no entry
+    # point builds a law on it.  On these torsion-free groups every other
+    # x gives a copy of Z
+    spec = groups.GroupSpec(kind, d)
+    w = measures.build_weight(spec, WeightConfig(0.5, 4))
+    e = groups.identity(spec)
+    message = r"^x = e maps every integer to e, not onto a copy of Z$"
+    with pytest.raises(DomainError, match=message):
+        measures.restrict_renormalize(w, e)
+    with pytest.raises(DomainError, match=message):
+        measures.restricted_ratio_certificate(w, e, 1)
+    with pytest.raises(DomainError, match=message):
+        space.subgroup_norm_certificate(w, e, 1)
+
+
+def test_restricted_pipeline_checks_x(f2_weights):
+    # x enters once, at the boundary: an unreduced word is refused
+    with pytest.raises(EncodingError, match="not reduced"):
+        measures.restrict_renormalize(f2_weights, (1, -1, 2))
 
 
 # The certificates are exact: ||S_a v||^2 / ||v||^2 is a weighted average of
@@ -180,13 +212,11 @@ def _exact_case(kind, d, n_max, a):
 
 
 @functools.cache
-def _exact_subgroup_case(g0):
-    """Z -> F_2 certificate, its pool and the second-layer table."""
-    z, f2 = groups.GroupSpec("integers"), groups.GroupSpec("free", 2)
-    w_amb = _weight("free", 2, 6)
-    emb = groups.subgroup_embed(z, f2, [(1,)])
-    rep = space.subgroup_norm_certificate(w_amb, emb, g0)
-    rho_g = measures.restrict_renormalize(w_amb, emb)
+def _exact_subgroup_case(w_amb, x, g0):
+    """Restricted certificate along n -> x^n, its pool and the second-layer table."""
+    z = groups.GroupSpec("integers")
+    rep = space.subgroup_norm_certificate(w_amb, x, g0)
+    rho_g = measures.restrict_renormalize(w_amb, x)
     w_sub = measures.build_weight(z, WeightConfig(q=0.5, n_max=4), rho=rho_g)
     interior = int(rep["domain"].removeprefix("subgroup ball(").removesuffix(")"))
     pool = [
@@ -218,12 +248,13 @@ def test_operator_certificate_is_exact_supremum(kind, d, n_max, a, data):
 @pytest.mark.parametrize("g0", [1, 2])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_subgroup_certificate_is_exact_supremum(g0, data):
-    rep, w_sub, pool, atom_max = _exact_subgroup_case(g0)
-    table = w_sub.table
-    assert atom_max == rep["observed"]
-    v = _random_vector(w_sub, pool, data)
-    assert _ratio(v, g0, table, table) <= rep["observed"] * (1 + _ORACLE_REL)
+def test_subgroup_certificate_is_exact_supremum(ambient_powers, g0, data):
+    for w_amb, x in ambient_powers:
+        rep, w_sub, pool, atom_max = _exact_subgroup_case(w_amb, x, g0)
+        table = w_sub.table
+        assert atom_max == rep["observed"]
+        v = _random_vector(w_sub, pool, data)
+        assert _ratio(v, g0, table, table) <= rep["observed"] * (1 + _ORACLE_REL)
 
 
 @settings(max_examples=40, deadline=None)
