@@ -11,7 +11,9 @@ bit cells the orbit windows filled and the conditional sampler's draws go to
 a separate ``run_meta.json``.  This module parses the command line and loads
 the config; each command runs from its own module of ``walkrep.commands``,
 and a process imports only that module, which imports the layers it runs,
-so a process compiles only the code its command runs.  A command process
+so a process compiles only the code its command runs.  Each command returns
+its records and tables, and ``walkrep.commands.run`` writes them all once it
+has returned, so a command that raises writes nothing.  A command process
 (``run``, the ``walkrep`` script and ``python -m walkrep.cli``) ends without
 interpreter teardown once its outputs are closed and its streams flushed.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
@@ -21,6 +23,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import NoReturn
@@ -43,12 +46,15 @@ COMMANDS = {
 
 
 def command(name: str):
-    """The function that runs the command ``name``, from its module alone,
-    imported by the import statement's machinery (``__import__``), which
+    """``walkrep.commands.run`` bound to ``cmd_<name>``: a function of
+    ``(cfg, out_base)``, plus the model cache for a model command, that runs
+    the command and writes its outputs.  Only the command's module is
+    imported, by the import statement's machinery (``__import__``), which
     ``-X importtime`` reports."""
     module = f"walkrep.commands.{COMMANDS[name]}"
     __import__(module)
-    return getattr(sys.modules[module], f"cmd_{name}")
+    fn = getattr(sys.modules[module], f"cmd_{name}")
+    return functools.partial(sys.modules["walkrep.commands"].run, fn, name)
 
 
 # commands that read the staged model; ``all`` builds it once for them
@@ -56,10 +62,10 @@ MODEL_COMMANDS = ("build", "support", "orbit")
 
 
 def cmd_all(cfg: ExperimentConfig, out_base: str) -> int:
-    """Every command in turn.  A command that rejects the config raises
-    before it writes anything, and one that fails raises a walkrep error;
-    the rest still run, and ``all`` exits with the largest code: 2 for a
-    config error, 1 for another error or a failed check."""
+    """Every command in turn.  A command that rejects the config, or that
+    fails, raises a walkrep error and writes nothing; the rest still run,
+    and ``all`` exits with the largest code: 2 for a config error, 1 for
+    another error or a failed check."""
     status = 0
     cache: list = []
     for name in COMMANDS:

@@ -1,6 +1,13 @@
-"""The commands' shared writers, and one module per command: ``weights``,
-``norms``, ``jrt``, ``tower``, ``feldman``, ``continuous`` and ``staged``
-(``build``, ``support`` and ``orbit``, which share the staged model).
+"""The driver that runs every command and writes its outputs, and one
+module per command: ``weights``, ``norms``, ``jrt``, ``tower``,
+``feldman``, ``continuous`` and ``staged`` (``build``, ``support`` and
+``orbit``, which share the staged model).
+
+Each ``cmd_<name>`` is a function of the config (the model commands also
+take ``all``'s model cache) that returns ``(records, tables)``: its report
+records, and a map from file name to a JSON payload or a CSV ``(header,
+rows)``.  ``run`` alone writes them, after the command returns, so a
+command that raises writes nothing; no command module opens a file.
 
 Each module imports the layers its command runs at its top, and
 ``walkrep.cli`` imports only the module of the command it runs, so a
@@ -22,20 +29,15 @@ from ..config import ExperimentConfig
 from ..errors import ConfigError
 
 
-def _out_dir(base: str, command: str) -> str:
-    path = os.path.join(base, command)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _write_json(path: str, payload: dict) -> None:
-    """``payload`` as strict JSON: a NaN or an infinity raises ValueError."""
+    """``payload`` as strict JSON: a NaN or an infinity raises ValueError
+    before the file is opened."""
+    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
+def _write_csv(path: str, header: list, rows) -> None:
     import csv  # here, so commands that write no table do not load it
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -58,52 +60,67 @@ def _startup_cpu_s() -> float:
     return time.process_time()
 
 
-def _start() -> tuple[float, dict]:
-    """The wall clock and the run counters, at a command's start."""
+def run(fn, command: str, cfg: ExperimentConfig, out_base: str, *extra) -> int:
+    """Run ``fn(cfg, *extra)``, the command ``command``, and write what it
+    returns under ``<out_base>/<command>/``: each of its tables (a ``.json``
+    name takes a payload, any other a CSV ``(header, rows)``), then
+    ``report.json`` and ``run_meta.json``; then print one PASS or FAIL line
+    per record.  The directory is made only once ``fn`` has returned.
+    Returns 0 if every record passes, else 1."""
     _startup_cpu_s()
-    return time.time(), dict(trace.COUNTERS)
-
-
-def _finish(out: str, command: str, cfg: ExperimentConfig, records: list, start: tuple) -> int:
+    start, counters = time.time(), dict(trace.COUNTERS)
+    records, tables = fn(cfg, *extra)
     ok = all(r["pass"] for r in records)
-    report = {
+    out = os.path.join(out_base, command)
+    os.makedirs(out, exist_ok=True)
+    tables["report.json"] = {
         "command": command,
         "config_digest": cfg.digest(),
         "version": __version__,
         "records": records,
         "pass": ok,
     }
-    _write_json(os.path.join(out, "report.json"), report)
-    meta = {"wall_time_s": time.time() - start[0], "command": command}
+    for name, table in tables.items():
+        if name.endswith(".json"):
+            _write_json(os.path.join(out, name), table)
+        else:
+            _write_csv(os.path.join(out, name), *table)
+    meta = {"wall_time_s": time.time() - start, "command": command}
     meta["startup_cpu_s"] = _startup_cpu_s()
-    meta.update((k, v - start[1][k]) for k, v in trace.COUNTERS.items())
+    meta.update((k, v - counters[k]) for k, v in trace.COUNTERS.items())
     _write_json(os.path.join(out, "run_meta.json"), meta)
     for r in records:
         print(f"[{'PASS' if r['pass'] else 'FAIL'}] {command}/{r['name']}")
     return 0 if ok else 1
 
 
-def _weight_tables(cfg: ExperimentConfig):
-    """The weight tables of ``group`` and ``second_group``."""
+def _weight_tables(cfg: ExperimentConfig, **lengths: int) -> tuple:
+    """The weight table of each key of ``lengths``: ``weights`` on ``group``,
+    ``second_weights`` on ``second_group``.  ConfigError, naming the key, if
+    its cell box is over ``measures.DEFAULT_SUPPORT_CAP``, or if
+    ``measures.translation_bound`` ((2d+1)/q)^|b| leaves the float range for
+    words b of the key's length, the longest that the command certifies."""
     from .. import measures
-    return tuple(
-        measures.build_weight(group.spec(), weights)
-        for group, weights in ((cfg.group, cfg.weights), (cfg.second_group, cfg.second_weights))
-    )
-
-
-def _check_boxes(cfg: ExperimentConfig, *keys: str) -> None:
-    """ConfigError unless the weight table of each key of ``keys``
-    (``weights`` on ``group``, ``second_weights`` on ``second_group``) fits
-    in ``measures.DEFAULT_SUPPORT_CAP`` cells."""
-    from .. import measures
-    for key in keys:
+    tables = []
+    for key, length in lengths.items():
         spec = (cfg.group if key == "weights" else cfg.second_group).spec()
-        cells = math.prod(measures.cell_box(spec, getattr(cfg, key).n_max)[1])
+        params = getattr(cfg, key)
+        cells = math.prod(measures.cell_box(spec, params.n_max)[1])
         if cells > measures.DEFAULT_SUPPORT_CAP:
             raise ConfigError(
                 f"{key}.n_max gives a weight box of {cells} cells on {spec.kind}, over the cap {measures.DEFAULT_SUPPORT_CAP}"
             )
+        w = measures.build_weight(spec, params)
+        try:
+            bound = measures.translation_bound(w, length)
+        except OverflowError:
+            bound = math.inf
+        if bound == math.inf:
+            raise ConfigError(
+                f"{key}.q = {params.q!r} puts the translation bound ((2d+1)/q)^{length} on {spec.kind} past the float range"
+            )
+        tables.append(w)
+    return tuple(tables)
 
 
 def _shift_group(cfg: ExperimentConfig):

@@ -4,16 +4,12 @@ Z/2-chain."""
 
 from __future__ import annotations
 
-import os
-
 from .. import continuous, pcg64
 from ..config import ExperimentConfig
-from . import _finish, _out_dir, _record, _start, _write_csv
+from . import _record
 
 
-def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
-    start = _start()
-    out = _out_dir(out_base, "continuous")
+def cmd_continuous(cfg: ExperimentConfig) -> tuple[list, dict]:
     records = []
     # real line: overlap density quadrature sweep and the domination grid
     L = continuous.IntervalMeasure(continuous.L_HALF)
@@ -56,11 +52,6 @@ def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
         )
         all_ok = all_ok and rep["pass"]
         all_ok_corr = all_ok_corr and rep["pass_corrected"]
-    _write_csv(
-        os.path.join(out, "lf_domination.csv"),
-        ["g0", "m0", "C_simple", "C_corrected", "worst_ratio", "violations", "violations_corrected"],
-        rows,
-    )
     records.append(
         _record(
             "lf_domination_simple_constant",
@@ -69,4 +60,5 @@ def cmd_continuous(cfg: ExperimentConfig, out_base: str) -> int:
         )
     )
     records.append(_record("lf_domination_corrected_constant", {"pass": all_ok_corr}))
-    return _finish(out, "continuous", cfg, records, start)
+    header = ["g0", "m0", "C_simple", "C_corrected", "worst_ratio", "violations", "violations_corrected"]
+    return records, {"lf_domination.csv": (header, rows)}

@@ -9,7 +9,7 @@ import numpy as np
 
 from .. import pcg64
 from ..config import SQRT2_MINUS_1, ExperimentConfig
-from . import _finish, _out_dir, _record, _start
+from . import _record
 
 
 def doubling_shift_baseline(steps: int = 30, n_points: int = 1000, seed: int = 0) -> dict:
@@ -50,10 +50,7 @@ def doubling_shift_baseline(steps: int = 30, n_points: int = 1000, seed: int = 0
     }
 
 
-def cmd_feldman(cfg: ExperimentConfig, out_base: str) -> int:
-    start = _start()
-    out = _out_dir(out_base, "feldman")
+def cmd_feldman(cfg: ExperimentConfig) -> tuple[list, dict]:
     rep = doubling_shift_baseline(steps=30, n_points=1000, seed=cfg.seed)
     ok = rep["max_conjugacy_error"] < cfg.tolerances.conjugacy_abs and rep["pass"]
-    records = [_record("conjugacy_identity", {**rep, "pass": ok})]
-    return _finish(out, "feldman", cfg, records, start)
+    return [_record("conjugacy_identity", {**rep, "pass": ok})], {}

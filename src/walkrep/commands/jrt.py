@@ -4,24 +4,21 @@ Bernoulli shift."""
 from __future__ import annotations
 
 import math
-import os
 
 from .. import dynamics, groups, markov
 from ..config import ExperimentConfig
 from ..errors import ConfigError
-from . import _finish, _out_dir, _record, _start, _write_csv
+from . import _record
 
 
 JRT_DEPTH = 12  # the Bernoulli harness averages over B_12
 
 
-def cmd_jrt(cfg: ExperimentConfig, out_base: str) -> int:
+def cmd_jrt(cfg: ExperimentConfig) -> tuple[list, dict]:
     spec = cfg.group.spec()
     size = groups.free_ball_size(spec.d, JRT_DEPTH) if spec.kind == "free" else 0
     if size > groups.BALL_CAP:  # the other kinds' balls grow polynomially
         raise ConfigError(f"jrt averages over B_{JRT_DEPTH}, whose {size} elements exceed the ball cap {groups.BALL_CAP}")
-    start = _start()
-    out = _out_dir(out_base, "jrt")
     records = []
     rows = []
     if spec.kind in ("integers", "lattice"):
@@ -73,9 +70,4 @@ def cmd_jrt(cfg: ExperimentConfig, out_base: str) -> int:
     )
     for n, (s, l) in enumerate(zip(repb["sup_dev"], repb["l2_dev"])):
         rows.append(["bernoulli_bit", n, repr(s), repr(l), repr(repb["expected_l2"][n])])
-    _write_csv(
-        os.path.join(out, "deviations.csv"),
-        ["observable", "n", "sup_dev", "l2_dev", "expected_l2"],
-        rows,
-    )
-    return _finish(out, "jrt", cfg, records, start)
+    return records, {"deviations.csv": (["observable", "n", "sup_dev", "l2_dev", "expected_l2"], rows)}

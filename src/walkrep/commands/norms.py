@@ -6,18 +6,17 @@ from __future__ import annotations
 from .. import groups, measures, space
 from ..config import ExperimentConfig
 from ..errors import ConfigError
-from . import _check_boxes, _finish, _out_dir, _record, _start, _weight_tables
+from . import _record, _weight_tables
 
 
-def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
+def cmd_norms(cfg: ExperimentConfig) -> tuple[list, dict]:
     for key in ("weights", "second_weights"):
         if getattr(cfg, key).n_max < 2:  # the certificate's domain B(n_max - 1) needs a shifted atom
             raise ConfigError(f"{key}.n_max must be >= 2 for a shift-norm certificate on B(n_max - 1)")
-    _check_boxes(cfg, "weights", "second_weights")
-    start = _start()
-    out = _out_dir(out_base, "norms")
+    # the restricted pipeline certifies translations by a^2 in the free group
+    restricted = cfg.group.kind == "integers" and cfg.second_group.kind == "free"
     records = []
-    tables = _weight_tables(cfg)
+    tables = _weight_tables(cfg, weights=1, second_weights=2 if restricted else 1)
     for label, w in zip(("group", "second_group"), tables):
         for a in groups.generators(w.spec):
             rep = space.operator_norm_certificate(w, a)
@@ -30,9 +29,8 @@ def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
                 )
             )
     # restricted-weight pipeline: integers into the second group via a^n
-    w1, w2 = tables
-    if w1.spec.kind == "integers" and w2.spec.kind == "free":
-        a = (1,)
+    if restricted:
+        w2, a = tables[1], (1,)
         nrho = measures.restricted_ratio_certificate(w2, a, 1)
         records.append(_record("restricted_ratio_b1", nrho, bound=nrho["bound"]))
         for g0 in (0, 1, 2):
@@ -45,4 +43,4 @@ def cmd_norms(cfg: ExperimentConfig, out_base: str) -> int:
                     observed=rep["observed"],
                 )
             )
-    return _finish(out, "norms", cfg, records, start)
+    return records, {}

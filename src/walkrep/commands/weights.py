@@ -3,12 +3,10 @@ translation ratios of every b in B_3."""
 
 from __future__ import annotations
 
-import os
-
 from .. import groups, measures
 from ..config import ExperimentConfig
 from ..errors import ConfigError
-from . import _check_boxes, _finish, _out_dir, _record, _start, _weight_tables, _write_csv
+from . import _record, _weight_tables
 
 
 def _weight_rows(w):
@@ -32,16 +30,14 @@ def _weight_rows(w):
 RATIO_RADIUS = 3  # ``weights`` checks the translation ratios of every b in B_3
 
 
-def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
+def cmd_weights(cfg: ExperimentConfig) -> tuple[list, dict]:
     for key in ("weights", "second_weights"):
         if getattr(cfg, key).n_max <= RATIO_RADIUS:  # weight_ratio needs |b| <= n_max - 1
             raise ConfigError(f"{key}.n_max must be > {RATIO_RADIUS} for the ratios of b in B_{RATIO_RADIUS}")
-    _check_boxes(cfg, "weights", "second_weights")
-    start = _start()
-    out = _out_dir(out_base, "weights")
-    records = []
-    for label, w in zip(("group", "second_group"), _weight_tables(cfg)):
-        _write_csv(os.path.join(out, f"{label}_weights.csv"), ["element", "weight"], _weight_rows(w))
+    records, tables = [], {}
+    both = _weight_tables(cfg, weights=RATIO_RADIUS, second_weights=RATIO_RADIUS)
+    for label, w in zip(("group", "second_group"), both):
+        tables[f"{label}_weights.csv"] = (["element", "weight"], _weight_rows(w))
         mass = w.stored_mass()
         records.append(
             _record(
@@ -70,8 +66,7 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
             )
             worst = max(worst, rep["observed_max"] / rep["bound"])
             all_ok = all_ok and rep["pass"]
-        _write_csv(
-            os.path.join(out, f"{label}_ratios.csv"),
+        tables[f"{label}_ratios.csv"] = (
             ["b", "word_length", "bound", "observed_max", "observed_min", "pass"],
             ratio_rows,
         )
@@ -83,4 +78,4 @@ def cmd_weights(cfg: ExperimentConfig, out_base: str) -> int:
                 worst_fraction_of_bound=worst,
             )
         )
-    return _finish(out, "weights", cfg, records, start)
+    return records, tables

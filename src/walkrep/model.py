@@ -64,13 +64,8 @@ class BallSpec(NamedTuple):
     def max_abs(self) -> float:
         return max((abs(c) for _, c in self.center), default=0.0)
 
-    def to_dict(self, spec: GroupSpec) -> dict:
-        return {
-            "index": self.index,
-            "level": self.level,
-            "radius": self.radius,
-            "center": [[_elem_to_json(spec, g), c] for g, c in self.center],
-        }
+    def to_dict(self) -> dict:
+        return self._asdict()
 
 
 def _zigzag(t: int) -> int:
@@ -194,10 +189,10 @@ class StageState:
         }
         self.checks: dict = {}
 
-    def to_dict(self, spec: GroupSpec) -> dict:
+    def to_dict(self) -> dict:
         return {
             "n": self.n,
-            "ball": self.ball.to_dict(spec),
+            "ball": self.ball.to_dict(),
             "eta": self.eta,
             "beta": self.beta,
             "eps": {str(i): v for i, v in self.eps.items()},
@@ -250,18 +245,12 @@ class ModelFunction:
 
     def to_dict(self) -> dict:
         spec = self.spec
-
-        def pairs(d: dict) -> list:
-            """``[element, value]`` of every item of ``d``, in ``sort_key`` order."""
-            ordered = sorted(d.items(), key=lambda kv: groups.sort_key(spec, kv[0]))
-            return [[_elem_to_json(spec, g), v] for g, v in ordered]
-
         out = {"system": self.system.to_dict(), "stages": []}
         for st in self.stages:
             d = {
                 "tower": st.tower.to_dict(),
-                "tower_pattern": [[_elem_to_json(spec, g), b] for g, b in st.tower.pattern.bits],
-                "xi": pairs(st.xi),
+                "tower_pattern": st.tower.pattern.bits,
+                "xi": sorted(st.xi.items(), key=lambda kv: groups.sort_key(spec, kv[0])),
                 "n0": st.n0,
                 "n": st.tower.n,
                 "split": None
@@ -277,12 +266,6 @@ class ModelFunction:
             }
             out["stages"].append(d)
         return out
-
-
-def _elem_to_json(spec: GroupSpec, g):
-    if spec.kind == "integers":
-        return g
-    return list(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -7,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fresh
@@ -410,7 +411,8 @@ def test_norms_rejects_a_depth_1_table(table, kind, d, tmp_path, capsys):
 
 _KINDS = [{"kind": "integers", "d": 1}, {"kind": "lattice", "d": 2}, {"kind": "lattice", "d": 3},
           {"kind": "heisenberg", "d": 2}, {"kind": "free", "d": 2}]
-_NEAR_0_OR_1 = st.one_of(st.floats(1e-12, 0.05), st.floats(0.95, 1.0 - 1e-12))
+# down to the least subnormal float, 5e-324, where 1/q is infinite
+_NEAR_0_OR_1 = st.one_of(st.floats(5e-324, 0.05), st.floats(0.95, 1.0 - 1e-12))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -420,6 +422,12 @@ _NEAR_0_OR_1 = st.one_of(st.floats(1e-12, 0.05), st.floats(0.95, 1.0 - 1e-12))
     n_max=st.tuples(st.integers(1, 8), st.integers(1, 8)),
     q=st.tuples(_NEAR_0_OR_1, _NEAR_0_OR_1),
 )
+# (3/q)^3 overflows for the ratios of b in B_3 on Z
+@example(command="weights", groups_=(_KINDS[0], _KINDS[4]), n_max=(4, 4), q=(1e-120, 0.5))
+# (5/q)^2 overflows for the restricted records, |a^2| = 2 in F_2
+@example(command="norms", groups_=(_KINDS[0], _KINDS[4]), n_max=(4, 4), q=(0.5, 1e-200))
+# the bound sqrt(3/q) is infinite
+@example(command="norms", groups_=(_KINDS[0], _KINDS[4]), n_max=(4, 4), q=(5e-324, 0.5))
 def test_weight_commands_exit_cleanly_on_any_table(command, groups_, n_max, q):
     # every group kind, depth 1 to 8 and q near 0 or 1: ``main`` returns 0,
     # 1 or 2 and raises nothing, a config error writes no file, and every
@@ -453,8 +461,9 @@ def test_weight_commands_exit_cleanly_on_any_table(command, groups_, n_max, q):
 def test_all_exits_cleanly_on_any_config(group, second, n_max, stages, n_trunc, chain):
     # every command through ``all``, on every group kind at depths 1 to 8,
     # 1 to 3 stages and every sample count at its minimum: ``main`` returns
-    # 0, 1 or 2 and raises nothing, a command named in a config error line
-    # leaves no directory, and every JSON file written is strict
+    # 0, 1 or 2 and raises nothing, a command named in an error line, a
+    # config error or another, leaves no directory, and every JSON file
+    # written is strict
     cfg = {
         "group": group, "second_group": second,
         "weights": {"n_max": n_max[0]}, "second_weights": {"n_max": n_max[1]},
@@ -468,9 +477,9 @@ def test_all_exits_cleanly_on_any_config(group, second, n_max, stages, n_trunc, 
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             status = cli.main(["all", "--config", str(path), "--out", str(out)])
         assert status in (0, 1, 2)
-        rejected = [line.split(": ")[1] for line in err.getvalue().splitlines() if line.startswith("config error: ")]
-        assert set(rejected) <= set(cli.COMMANDS)
-        for command in rejected:
+        raised = [line.split(": ")[1] for line in err.getvalue().splitlines() if line.startswith(("config error: ", "error: "))]
+        assert set(raised) <= set(cli.COMMANDS)
+        for command in raised:
             assert not (out / command).exists()
         for f in out.rglob("*.json"):
             _strict_json(f.read_text())
@@ -494,14 +503,15 @@ def test_weight_table_over_the_cap_is_a_config_error(command, key, tmp_path, cap
 
 def test_all_runs_past_a_command_error(tmp_path, capsys):
     # at depth 4 no tower height meets the tail criterion: each model
-    # command raises a StageError after making its directory, and every
+    # command raises a StageError and leaves no directory, and every
     # command after ``build`` still runs
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**SMALL_CONFIG, "stages": 3, "weights": {"n_max": 4}}))
     assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    for command in cli.COMMANDS:
-        written = sorted(f.name for f in (tmp_path / "out" / command).iterdir())
-        assert (written == []) == (command in cli.MODEL_COMMANDS)
+    ran = sorted(set(cli.COMMANDS) - set(cli.MODEL_COMMANDS))
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == ran
+    for command in ran:
+        assert (tmp_path / "out" / command / "report.json").exists()
     lines = capsys.readouterr().err.splitlines()
     assert [line.split(": tail criterion unsatisfiable")[0] for line in lines] == [
         f"error: {command}" for command in cli.MODEL_COMMANDS
@@ -510,13 +520,39 @@ def test_all_runs_past_a_command_error(tmp_path, capsys):
 
 def test_reports_are_strict_json(tmp_path):
     # a value a report leaves out is written as null, not dropped, and an
-    # infinity is refused rather than written as Infinity
+    # infinity is refused rather than written as Infinity, before the file
+    # is opened, so no truncated file is left
     record = commands._record("absent_value", {"observed_min": None, "pass": True}, bound=10.0)
     commands._write_json(str(tmp_path / "report.json"), {"records": [record]})
     (record,) = _strict_json((tmp_path / "report.json").read_text())["records"]
     assert record["pass"] and record["detail"]["observed_min"] is None
     with pytest.raises(ValueError):
-        commands._write_json(str(tmp_path / "bad.json"), {"x": float("inf")})
+        commands._write_json(str(tmp_path / "bad.json"), {"pass": True, "x": float("inf")})
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_command_modules_leave_writing_to_the_driver():
+    # ``commands.run`` alone decides where, when and in what format outputs
+    # are written: no command module imports ``os``, ``csv`` or ``json`` or
+    # names a writer, and each ``cmd_<name>`` takes the config, and the
+    # model cache for a model command, but no output path
+    banned, writers = {"os", "csv", "json"}, {"open", "_write_json", "_write_csv"}
+    params = {}
+    for path in sorted(Path(commands.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert not {a.name.split(".")[0] for a in node.names} & banned, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level or node.module.split(".")[0] not in banned, path.name
+                assert not {a.name for a in node.names} & writers, path.name
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                assert getattr(node, "id", getattr(node, "attr", None)) not in writers, path.name
+            elif isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+                params[node.name] = [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+    for name in cli.COMMANDS:
+        assert params[f"cmd_{name}"] == ["cfg"] + ["cache"] * (name in cli.MODEL_COMMANDS), name
 
 
 def test_jrt_with_a_zero_standard_error(tmp_path):
