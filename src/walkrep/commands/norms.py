@@ -33,11 +33,10 @@ def cmd_norms(cfg: ExperimentConfig) -> tuple[list, dict]:
         w2, a = tables[1], (1,)
         nrho = measures.restricted_ratio_certificate(w2, a, 1)
         records.append(_record("restricted_ratio_b1", nrho, bound=nrho["bound"]))
-        for g0 in (0, 1, 2):
-            rep = space.subgroup_norm_certificate(w2, a, g0)
+        for rep in space.subgroup_norm_certificate(w2, a, (0, 1, 2)):
             records.append(
                 _record(
-                    f"restricted_shift_g{g0}",
+                    f"restricted_shift_g{rep['g0']}",
                     rep,
                     bound=rep["bound"],
                     observed=rep["observed"],

@@ -345,38 +345,47 @@ def translated_cells(w: WeightTable, elements: list, cells: np.ndarray, b) -> np
     return groups.translate(w.spec, cells, b)
 
 
-def _interior_depth(w: WeightTable, length: int) -> int:
-    """n_max - |b|, where both ratio certificates compare; DomainError below 1."""
-    depth = w.params.n_max - length
-    if depth < 1:
-        raise DomainError(f"|b|={length} leaves no interior domain (n_max={w.params.n_max})")
-    return depth
+def power_map(spec: GroupSpec, x):
+    """n -> x^n, the copy of the integers that the restricted weight lives
+    on.  ``x`` must be canonical and not the identity: every group with word
+    balls is torsion-free, so that is exactly the check that n -> x^n is
+    injective."""
+    groups.check_element(spec, x)
+    if x == groups.identity(spec):
+        raise DomainError("x = e maps every integer to e, not onto a copy of Z")
+    return partial(groups.power, spec, x)
 
 
-def weight_ratio(w: WeightTable, b) -> dict:
+def weight_ratio(w: WeightTable, b, x=None) -> dict:
     """Certified two-sided translation bounds for w(g b) against w(g).
 
-    Scans every g in the interior domain B(n_max - |b|).  The certified upper
-    ratio compares the numerator truncated at depth n_max - |b| with the full
-    denominator, which is the exact truncated form of the one-step translation bound;
-    the report also carries the uncertified single-table ratio for reference.
-    A free group's table takes the same values on each class of
-    ``groups.free_translation_classes``, so it scans one representative per
-    class, counted with the class size.
+    Scans every g in the interior domain B(n_max - |b|), or, given ``x``,
+    the x^n with |n| <= n_max - |b| (see ``restricted_ratio_certificate``).
+    The certified upper ratio compares the numerator truncated at depth
+    n_max - |b| with the full denominator, the exact truncated form of the
+    one-step translation bound; the report also carries the uncertified
+    single-table ratio for reference.  A free group's table takes the same
+    values on each class of ``groups.free_translation_classes``, so without
+    ``x`` it scans one representative per class, counted with its size.
     """
     spec = w.spec
     groups.check_element(spec, b)
     length = groups.word_length(spec, b)
-    depth = _interior_depth(w, length)
+    depth = w.params.n_max - length
+    if depth < 1:
+        raise DomainError(f"|b|={length} leaves no interior domain (n_max={w.params.n_max})")
     bound = translation_bound(w, length)
-    if spec.kind == "free":
-        classes = groups.free_translation_classes(spec, b, depth)
+    if x is None and spec.kind != "free":
+        domain, cells = w.ball(depth)
+        sizes = np.ones(len(domain), dtype=np.int64)
+    else:
+        if x is None:
+            classes = groups.free_translation_classes(spec, b, depth)
+        else:  # each x^n a class of its own
+            classes = [(g, 1) for g in map(power_map(spec, x), range(-depth, depth + 1))]
         domain = [g for g, _ in classes]
         sizes = np.array([size for _, size in classes], dtype=object)
         cells = w.cells(domain)
-    else:
-        domain, cells = w.ball(depth)
-        sizes = np.ones(len(domain), dtype=np.int64)
     moved = translated_cells(w, domain, cells, b)
     den, num_g = w.read(cells), w.read(cells, depth)
     full_gb, part_gb = w.read(moved), w.read(moved, depth)
@@ -406,17 +415,6 @@ def weight_ratio(w: WeightTable, b) -> dict:
     }
 
 
-def power_map(spec: GroupSpec, x):
-    """n -> x^n, the copy of the integers that the restricted weight lives
-    on.  ``x`` must be canonical and not the identity: every group with word
-    balls is torsion-free, so that is exactly the check that n -> x^n is
-    injective."""
-    groups.check_element(spec, x)
-    if x == groups.identity(spec):
-        raise DomainError("x = e maps every integer to e, not onto a copy of Z")
-    return partial(groups.power, spec, x)
-
-
 def restrict_renormalize(w_amb: WeightTable, x) -> dict:
     """Pull the ambient weight back to the integers along n -> x^n and
     renormalize: a probability law as a dict n -> mass in increasing n, on
@@ -434,38 +432,13 @@ def restrict_renormalize(w_amb: WeightTable, x) -> dict:
 
 def restricted_ratio_certificate(w_amb: WeightTable, x, b: int) -> dict:
     """Two-sided translation bounds for the restricted measure, translating
-    by b in the copy n -> x^n of the integers.
+    by b in the copy n -> x^n of the integers: ``weight_ratio`` of x^b on
+    that copy.
 
     Checked at the ambient level at matched truncation depths (the common
     normalizer cancels), over the window where both points are stored.
     """
-    power = power_map(w_amb.spec, x)
     groups.check_element(INTEGERS, b)
-    b_amb = power(b)
-    length = groups.word_length(w_amb.spec, b_amb)
-    depth = _interior_depth(w_amb, length)
-    bound = translation_bound(w_amb, length)
-    images = [power(n) for n in range(-depth, depth + 1)]
-    cells = w_amb.cells(images)
-    moved = translated_cells(w_amb, images, cells, b_amb)
-    den, part_h = w_amb.read(cells), w_amb.read(cells, depth)
-    full_b, part_b = w_amb.read(moved), w_amb.read(moved, depth)
-    counted = den > 0.0
-    count = int(counted.sum())
-    if count == 0:
-        raise DomainError("empty evaluation window for restricted ratios")
-    upper_max = float((part_b[counted] / den[counted]).max())
-    lower = counted & (full_b > 0.0) & (part_h > 0.0)
-    lower_min = float((full_b[lower] / part_h[lower]).min(initial=math.inf))
-    return {
-        "b": str(b),
-        "bound": bound,
-        "lower_bound": 1.0 / bound,
-        "observed_max": upper_max,
-        "observed_min": None if lower_min == math.inf else lower_min,
-        "n_evaluated": count,
-        "domain": f"subgroup ball({depth})",
-        "pass": bool(
-            upper_max <= bound * (1 + 1e-12) and lower_min >= 1.0 / bound / (1 + 1e-12)
-        ),
-    }
+    rep = weight_ratio(w_amb, power_map(w_amb.spec, x)(b), x)
+    kept = ("bound", "lower_bound", "observed_max", "observed_min", "n_evaluated")
+    return {"b": str(b), **{k: rep[k] for k in kept}, "domain": f"subgroup {rep['domain']}", "pass": rep["pass"]}

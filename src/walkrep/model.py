@@ -571,7 +571,6 @@ def verify_patch(model: ModelFunction, ball: BallSpec, cfg: ExperimentConfig) ->
         stage.tower, cfg.seed + stage_index, cfg.samples.base_samples
     )
     window, cells = model.w.ball(stage.tower.n)
-    weights = model.w.read(cells)
     tail = model.tail(stage.tower.n)
     center = ball.center_dict()
     center_row = np.array([center.get(g, 0.0) for g in window])
@@ -579,13 +578,10 @@ def verify_patch(model: ModelFunction, ball: BallSpec, cfg: ExperimentConfig) ->
     worst = 0.0
     n_eval = 0
     for win in orbit_windows(model, points, cells):
-        inside = win.in_base(stage_index)
-        diff = win.values()[inside] - center_row
-        n_eval += len(diff)
-        mismatches += int((diff != 0.0).sum())
-        # each row's squares added left to right in window order
-        dist2 = np.cumsum(diff * diff * weights, axis=1)[:, -1]
-        worst = max(worst, float((np.sqrt(dist2) + tail).max(initial=0.0)))
+        values = win.values()[win.in_base(stage_index)]
+        n_eval += len(values)
+        mismatches += int((values != center_row).sum())
+        worst = max(worst, float((distances(window, values, ball, model.w) + tail).max(initial=0.0)))
     return {
         "draws": n_eval,
         "window_mismatches": mismatches,

@@ -1,8 +1,8 @@
-"""Norm-bound certificates for the translation operators of the weighted
-sequence space l2(G, w), ``||v||^2 = sum_g v(g)^2 w(g)``.
+"""Norm-bound certificates for the translations of l2(G, w), ``||v||^2 =
+sum_g v(g)^2 w(g)``, and of the restricted-weight space of a copy of Z.
 
-Both certificates scan single atoms: a translation permutes the basis
-delta_h and the norm is diagonal in it (see ``operator_norm_certificate``).
+Both scan single atoms: a translation permutes the basis delta_h and the
+norm is diagonal in it (see ``operator_norm_certificate``).
 """
 
 from __future__ import annotations
@@ -65,44 +65,46 @@ def operator_norm_certificate(w: WeightTable, a) -> dict:
     }
 
 
-def subgroup_norm_certificate(w_amb: WeightTable, x, g0: int) -> dict:
+def subgroup_norm_certificate(w_amb: WeightTable, x, g0s) -> list:
     """Certify the translation-operator bound on the restricted-weight space
-    of the copy n -> x^n of the integers.
+    of the copy n -> x^n of the integers: one record per g0 of ``g0s``.
 
-    The restricted, renormalized measure becomes the step law of a second
-    weight w_G on the integers; the operator bound there is M_{g0}, the
-    ambient translation bound of x^g0.  The domain is the vectors supported
-    on the pool of atoms h in the interior of the second-layer window whose
-    shift h - g0 also carries stored weight, so both norms read the stored
-    table and no tail allowance applies.  S_{g0} permutes the basis and w_G
-    is diagonal in it, so ||S_{g0} v||^2 / ||v||^2 is the average of the
-    single-atom ratios w_G(h - g0) / w_G(h) weighted by v(h)^2 w_G(h); the
-    operator norm on the domain is exactly the largest single-atom ratio,
-    which is what ``observed`` reports.
+    The restricted, renormalized measure is pulled back once, and becomes
+    the step law of one second weight w_G on the integers for every g0; the
+    bound there is M_{g0}, the ambient translation bound of x^g0.  The
+    domain is the vectors supported on the atoms h in the interior of the
+    second-layer window whose shift h - g0 also carries stored weight, so
+    both norms read the stored table and no tail allowance applies.  S_{g0}
+    permutes the basis and w_G is diagonal in it, so ||S_{g0} v||^2 /
+    ||v||^2 is the average of the single-atom ratios w_G(h - g0) / w_G(h)
+    weighted by v(h)^2 w_G(h): the operator norm on the domain is exactly
+    the largest single-atom ratio, which ``observed`` reports.
     """
-    groups.check_element(measures.INTEGERS, g0)
     rho_g = measures.restrict_renormalize(w_amb, x)  # checks x
-    img = groups.power(w_amb.spec, x, g0)
-    length = groups.word_length(w_amb.spec, img)
-    m_g0 = measures.translation_bound(w_amb, length)
     w_sub = measures.build_weight(measures.INTEGERS, SECOND_LAYER, rho=rho_g)
-    # interior window: one base-window radius in from the support edge
     base_radius = max(abs(n) for n in rho_g)
-    interior = base_radius * (SECOND_LAYER.n_max - 1)
-    interior = max(interior - length, 1)
-    ball, cells = w_sub.ball(interior)
-    den = w_sub.read(cells)
-    num = w_sub.read(measures.translated_cells(w_sub, ball, cells, -g0))
-    pool = (den > 0.0) & (num > 0.0)
-    atom_max = float(np.sqrt(num[pool] / den[pool]).max(initial=0.0))
-    if not pool.any():
-        raise DomainError("empty interior domain for subgroup certificate")
-    return {
-        "g0": str(g0),
-        "ambient_image": groups.element_str(w_amb.spec, img),
-        "bound": m_g0,
-        "observed": atom_max,
-        "domain": f"subgroup ball({interior})",
-        "second_layer": {"q": SECOND_LAYER.q, "n_max": SECOND_LAYER.n_max},
-        "pass": bool(atom_max <= m_g0 + PASS_SLACK),
-    }
+    records = []
+    for g0 in g0s:
+        groups.check_element(measures.INTEGERS, g0)
+        img = groups.power(w_amb.spec, x, g0)
+        length = groups.word_length(w_amb.spec, img)
+        m_g0 = measures.translation_bound(w_amb, length)
+        # interior window: one base-window radius in from the support edge
+        interior = max(base_radius * (SECOND_LAYER.n_max - 1) - length, 1)
+        ball, cells = w_sub.ball(interior)
+        den = w_sub.read(cells)
+        num = w_sub.read(measures.translated_cells(w_sub, ball, cells, -g0))
+        pool = (den > 0.0) & (num > 0.0)
+        atom_max = float(np.sqrt(num[pool] / den[pool]).max(initial=0.0))
+        if not pool.any():
+            raise DomainError("empty interior domain for subgroup certificate")
+        records.append({
+            "g0": str(g0),
+            "ambient_image": groups.element_str(w_amb.spec, img),
+            "bound": m_g0,
+            "observed": atom_max,
+            "domain": f"subgroup ball({interior})",
+            "second_layer": {"q": SECOND_LAYER.q, "n_max": SECOND_LAYER.n_max},
+            "pass": bool(atom_max <= m_g0 + PASS_SLACK),
+        })
+    return records

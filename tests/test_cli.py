@@ -279,20 +279,33 @@ def test_outputs_match_golden_manifest(fresh_runs, tmp_path):
     assert golden.mismatches(found, entry) == []
 
 
-@pytest.mark.parametrize("command", ["tower", "build", "support", "orbit"])
-def test_traced_cli_runs(command, tmp_path):
+# each traced command and a traced name that it must call
+TRACED_CALLS = {
+    **dict.fromkeys(("tower", "build", "support", "orbit"), "dynamics.rokhlin_tower"),
+    "weights": "measures.weight_ratio",
+    "norms": "measures.restricted_ratio_certificate",
+}
+
+
+@pytest.mark.parametrize("command, name", TRACED_CALLS.items(), ids=list(TRACED_CALLS))
+def test_traced_cli_runs(command, name, tmp_path):
     # the benchmark's traced entry point wraps layer attributes by name, so
     # a layer change that drops one it needs fails here.  It proxies
     # ``dynamics.hashlib`` for its ``blake2b``: that name is bound to
     # CPython's ``_blake2`` module, which holds ``blake2b`` without loading
-    # OpenSSL (``hashlib.blake2b`` is the same function, taken from it)
+    # OpenSSL (``hashlib.blake2b`` is the same function, taken from it).
+    # ``norms`` pulls the restricted law back once: its weights are the two
+    # groups' tables and the one second layer of its restricted records
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SMALL_CONFIG))
     traced = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
     trace = tmp_path / "trace.json"
     proc = fresh.run([str(traced), str(trace), command, "--config", str(cfg), "--out", str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(trace.read_text())["calls"]["dynamics.rokhlin_tower"] > 0
+    calls = json.loads(trace.read_text())["calls"]
+    assert calls[name] > 0
+    if command == "norms":
+        assert (calls["measures.restrict_renormalize"], calls["measures.build_weight"]) == (1, 3)
 
 
 @pytest.mark.parametrize("command,status", [("weights", 0), ("continuous", 1)])

@@ -413,6 +413,29 @@ def test_restricted_ratio_certificate(f2_weights, ambient_powers):
         assert rep["pass"]
 
 
+def _copy_scan(w, x):
+    """restricted_ratio_certificate's scan at b = 1, element by element: every
+    x^n with |n| <= n_max - |x|, translated by x."""
+    depth = w.params.n_max - groups.word_length(w.spec, x)
+    upper_max, lower_min, evaluated = 0.0, math.inf, 0
+    for n in range(-depth, depth + 1):
+        g = groups.power(w.spec, x, n)
+        gx = groups.multiply(w.spec, g, x)
+        den, full_gx, num_g = weight(w, g), weight(w, gx), partial_weight(w, g, depth)
+        if den > 0.0:
+            evaluated += 1
+            upper_max = max(upper_max, partial_weight(w, gx, depth) / den)
+        if full_gx > 0.0 and num_g > 0.0:
+            lower_min = min(lower_min, full_gx / num_g)
+    return evaluated, upper_max, None if lower_min == math.inf else lower_min
+
+
+def test_restricted_ratio_values_match_copy_scan(f2_weights, ambient_powers):
+    for w, x in [(f2_weights, (1,)), *ambient_powers]:
+        rep = measures.restricted_ratio_certificate(w, x, 1)
+        assert (rep["n_evaluated"], rep["observed_max"], rep["observed_min"]) == _copy_scan(w, x)
+
+
 @pytest.mark.parametrize("n_max, b", [(1, 1), (3, 3)])
 def test_restricted_ratio_needs_an_interior_domain(f2_spec, n_max, b):
     # |a^b| = n_max leaves depth 0, where both certificates have nothing to

@@ -125,15 +125,14 @@ def test_certificate_needs_a_shifted_atom(kind, d):
 
 
 def test_subgroup_norm_certificates(f2_weights, ambient_powers):
-    rep0 = space.subgroup_norm_certificate(f2_weights, (1,), 0)
+    (rep0,) = space.subgroup_norm_certificate(f2_weights, (1,), (0,))
     assert rep0["bound"] == 1.0 and rep0["observed"] <= 1.0 + 1e-9
-    rep1 = space.subgroup_norm_certificate(f2_weights, (1,), 1)
+    (rep1,) = space.subgroup_norm_certificate(f2_weights, (1,), (1,))
     assert rep1["bound"] == 10.0 and rep1["pass"]
-    rep2 = space.subgroup_norm_certificate(f2_weights, (1,), 2)
+    (rep2,) = space.subgroup_norm_certificate(f2_weights, (1,), (2,))
     assert rep2["bound"] == 100.0 and rep2["pass"]
     for w, x in ambient_powers:
-        for g0 in (0, 1, 2):
-            rep = space.subgroup_norm_certificate(w, x, g0)
+        for g0, rep in zip((0, 1, 2), space.subgroup_norm_certificate(w, x, (0, 1, 2)), strict=True):
             image = groups.power(w.spec, x, g0)
             assert rep["ambient_image"] == groups.element_str(w.spec, image)
             assert rep["bound"] == measures.translation_bound(w, groups.word_length(w.spec, image))
@@ -157,7 +156,18 @@ def test_restricted_pipeline_rejects_the_identity(kind, d):
     with pytest.raises(DomainError, match=message):
         measures.restricted_ratio_certificate(w, e, 1)
     with pytest.raises(DomainError, match=message):
-        space.subgroup_norm_certificate(w, e, 1)
+        space.subgroup_norm_certificate(w, e, (1,))
+
+
+def test_shared_second_layer_carries_nothing_between_g0s(ambient_powers):
+    # one pull-back and one second-layer table serve every g0: the records
+    # equal one-g0 calls, each on a freshly built ambient table
+    for w, x in ambient_powers:
+        fresh = [
+            space.subgroup_norm_certificate(measures.build_weight(w.spec, w.params), x, (g0,))[0]
+            for g0 in (0, 1, 2)
+        ]
+        assert space.subgroup_norm_certificate(w, x, (0, 1, 2)) == fresh
 
 
 def test_restricted_pipeline_checks_x(f2_weights):
@@ -215,7 +225,7 @@ def _exact_case(kind, d, n_max, a):
 def _exact_subgroup_case(w_amb, x, g0):
     """Restricted certificate along n -> x^n, its pool and the second-layer table."""
     z = groups.GroupSpec("integers")
-    rep = space.subgroup_norm_certificate(w_amb, x, g0)
+    (rep,) = space.subgroup_norm_certificate(w_amb, x, (g0,))
     rho_g = measures.restrict_renormalize(w_amb, x)
     w_sub = measures.build_weight(z, WeightConfig(q=0.5, n_max=4), rho=rho_g)
     interior = int(rep["domain"].removeprefix("subgroup ball(").removesuffix(")"))
